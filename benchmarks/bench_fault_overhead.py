@@ -9,9 +9,9 @@ PR 7 threads two always-on mechanisms through the corpus query path:
   store-flush / cache-put / worker / server paths and must cost one
   module-flag check when no fault is armed.
 
-This bench measures both on the same >= 10k-function corpus as
-``bench_corpus_query.py``: the end-to-end open + batched top-k sweep
-with verification on must stay within ``FAULT_BENCH_MAX_OVERHEAD``
+This bench measures both on a >= 10k-function clustered corpus: the
+end-to-end open + batched top-k sweep with verification on must stay
+within ``FAULT_BENCH_MAX_OVERHEAD``
 (default 3%) of the verification-off run, rankings must be identical,
 and one disarmed ``inject`` call must stay under a microsecond-scale
 ceiling.
@@ -43,7 +43,7 @@ INJECT_CALLS = 200_000
 
 
 def _corpus(n: int, dim: int):
-    """Clustered vectors + queries (same shape as bench_corpus_query)."""
+    """Clustered vectors + one query per sampled cluster."""
     rng = np.random.default_rng(5)
     n_clusters = 50
     per = n // n_clusters

@@ -8,6 +8,7 @@ false confirmations, OpenSSL CVEs dominate the counts (they appear in the
 most images), and affected vendor/model lists are reported per CVE.
 """
 
+from repro.api import AsteriaEngine, EngineConfig
 from repro.evalsuite.vulnsearch import (
     VulnerabilitySearch,
     build_firmware_dataset,
@@ -20,7 +21,8 @@ def test_table4_vulnerability_search(benchmark, trained_asteria):
     dataset = build_firmware_dataset(
         n_images=scaled(16), seed=5, vulnerable_fraction=0.55
     )
-    search = VulnerabilitySearch(trained_asteria, threshold=0.8)
+    engine = AsteriaEngine(EngineConfig(threshold=0.8), model=trained_asteria)
+    search = VulnerabilitySearch(engine, threshold=0.8)
     index = search.index_firmware(dataset)
     report, candidates = search.search(dataset, firmware_index=index)
 

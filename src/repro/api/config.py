@@ -27,8 +27,8 @@ from typing import Dict, Optional
 
 from repro.api.errors import BadRequestError
 from repro.core.model import DEFAULT_ENCODE_BATCH_SIZE, DEFAULT_ENCODE_DTYPE
+from repro.index.ann import known_backends
 
-_BACKENDS = ("exact", "ivf-pq", "lsh")
 _DTYPES = ("float32", "float64")
 
 #: argparse destination -> config field, shared by every subcommand.
@@ -135,10 +135,10 @@ class EngineConfig:
             raise BadRequestError(
                 f"ann_lists must be >= 0 (0 = auto), got {self.ann_lists}"
             )
-        if self.backend not in _BACKENDS:
+        if self.backend not in known_backends():
             raise BadRequestError(
                 f"unknown backend {self.backend!r} "
-                f"(choose from {', '.join(_BACKENDS)})"
+                f"(choose from {', '.join(known_backends())})"
             )
         if self.store_dtype not in _DTYPES:
             raise BadRequestError(

@@ -17,12 +17,12 @@ as a small set of typed request/response dataclasses:
 * :meth:`AsteriaEngine.stats`   -- counters for monitoring and tests.
 
 Every consumer -- the CLI, the HTTP server
-(:mod:`repro.api.server`), ``VulnerabilitySearch``, ``SearchService``,
-benchmarks and examples -- constructs its model/cache/index/pipeline
-stack through this class; nothing else in the repo assembles those
-pieces by hand.  The engine is thread-safe: concurrent :meth:`query`
-calls are the serving hot path and ride the micro-batcher, while
-store-mutating calls serialize behind one lock.
+(:mod:`repro.api.server`), ``VulnerabilitySearch``, benchmarks and
+examples -- constructs its model/cache/index/pipeline stack through
+this class; nothing else in the repo assembles those pieces by hand.
+The engine is thread-safe: concurrent :meth:`query` calls are the
+serving hot path and ride the micro-batcher, while store-mutating calls
+serialize behind one lock.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import json
 import threading
 import time
 from collections import OrderedDict
+from contextlib import nullcontext
 
 import numpy as np
 from dataclasses import dataclass, field
@@ -296,13 +297,6 @@ class AsteriaEngine:
             # arm configured failpoints process-wide (chaos testing)
             faults.configure(self.config.faults)
 
-    @classmethod
-    def from_model(
-        cls, model: Asteria, config: Optional[EngineConfig] = None, **kw
-    ) -> "AsteriaEngine":
-        """Wrap an already-constructed model (the deprecated-shim path)."""
-        return cls(config=config, model=model, **kw)
-
     # -- owned components --------------------------------------------------
 
     @property
@@ -408,8 +402,6 @@ class AsteriaEngine:
             return self._batcher
 
     def _backend_options(self, backend: str) -> Dict:
-        if backend == "lsh":
-            return {"seed": self.config.seed}
         if backend == "ivf-pq":
             return {
                 "seed": self.config.seed,
@@ -423,33 +415,16 @@ class AsteriaEngine:
         self,
         store: EmbeddingStore,
         backend: Optional[str] = None,
-        encode_batch_size: Optional[int] = None,
         **backend_options,
     ) -> SearchService:
         backend = backend or self.config.backend
         options = self._backend_options(backend)
         options.update(backend_options)
-        encode_batch_size = encode_batch_size or self.config.encode_batch_size
-        pipeline = self.pipeline
-        if encode_batch_size != pipeline.encode_batch_size:
-            # honor a per-service batch size override (same model, cache
-            # and worker count; only the encode chunking differs)
-            pipeline = CorpusPipeline(
-                self.model,
-                jobs=self.config.jobs,
-                cache=self.cache,
-                encode_batch_size=encode_batch_size,
-                registry=self.obs,
-                encode_dtype=self.config.encode_dtype,
-                encode_block=self.config.encode_block,
-            )
         return SearchService(
             self.model,
             store,
             backend=backend,
             calibrate=self.config.calibrate,
-            encode_batch_size=encode_batch_size,
-            pipeline=pipeline,
             registry=self.obs,
             **options,
         )
@@ -459,12 +434,12 @@ class AsteriaEngine:
         root=None,
         backend: Optional[str] = None,
         shard_size: Optional[int] = None,
-        encode_batch_size: Optional[int] = None,
         meta: Optional[Dict] = None,
         **backend_options,
     ) -> SearchService:
-        """Assemble a standalone store + service sharing this engine's
-        model, cache and pipeline (``root=None`` keeps it in memory)."""
+        """Assemble a standalone store + service over this engine's
+        model (``root=None`` keeps it in memory); fill the store with
+        ``engine.pipeline.run_images(..., sink=service.store)``."""
         dim = self.model.config.hidden_dim
         shard_size = shard_size or self.config.shard_size
         if root is None:
@@ -480,10 +455,7 @@ class AsteriaEngine:
                 )
             except StoreError as exc:
                 raise IndexStoreError(str(exc)) from exc
-        return self._make_service(
-            store, backend=backend, encode_batch_size=encode_batch_size,
-            **backend_options,
-        )
+        return self._make_service(store, backend=backend, **backend_options)
 
     # -- index lifecycle ---------------------------------------------------
 
@@ -754,29 +726,18 @@ class AsteriaEngine:
               **kw) -> QueryResult:
         """Top-k similar corpus functions for one query.
 
-        Concurrent callers coalesce their query-side encodes into shared
-        level-batched GEMM calls; results are bit-for-bit identical to
-        serial execution.  A request that cannot finish by its deadline
-        (``request.deadline`` or ``config.request_timeout_ms``) raises
+        The one-request case of :meth:`query_batch`, minus the batch
+        counter.  Concurrent callers coalesce their query-side encodes
+        into shared level-batched GEMM calls; results are bit-for-bit
+        identical to serial execution.  A request that cannot finish by
+        its deadline (``request.deadline`` or
+        ``config.request_timeout_ms``) raises
         :class:`DeadlineExceededError` instead of holding its slot.
         """
-        request = request or QueryRequest(**kw)
-        deadline = self._deadline_of(request)
-        try:
-            with trace("engine.query") as span:
-                name, encoding = self._resolve_query(
-                    request, deadline=deadline
-                )
-                span.set(query=name)
-                self._check_deadline(deadline, "corpus sweep")
-                result = self._finish_query(name, encoding, request)
-                span.set(n_hits=len(result.hits), n_rows=result.n_rows)
-        except DeadlineExceededError:
-            self._count_timeout()
-            raise
-        self._observe_query(span, "repro_query_seconds",
-                            "Wall time of one engine.query call")
-        return result
+        return self._answer(
+            [request or QueryRequest(**kw)], "engine.query",
+            "repro_query_seconds", "Wall time of one engine.query call",
+        )[0]
 
     def query_batch(
         self, requests: Sequence[QueryRequest]
@@ -795,6 +756,23 @@ class AsteriaEngine:
         requests = list(requests)
         if not requests:
             return []
+        results = self._answer(
+            requests, "engine.query_batch", "repro_query_batch_seconds",
+            "Wall time of one engine.query_batch call",
+        )
+        self.obs.counter(
+            "repro_query_batches_total", "query_batch calls answered"
+        ).inc()
+        return results
+
+    def _answer(
+        self,
+        requests: List[QueryRequest],
+        span_name: str,
+        metric: str,
+        help_text: str,
+    ) -> List[QueryResult]:
+        """Resolve, group and sweep ``requests`` under one span."""
         deadlines = [
             d for d in (self._deadline_of(r) for r in requests)
             if d is not None
@@ -803,69 +781,64 @@ class AsteriaEngine:
         # encode pass + one sweep serve the whole batch)
         deadline = min(deadlines) if deadlines else None
         try:
-            return self._query_batch(requests, deadline)
+            with trace(span_name, n_queries=len(requests)) as span:
+                results = self._resolve_and_sweep(requests, deadline, span)
         except DeadlineExceededError:
             self._count_timeout()
             raise
-
-    def _query_batch(
-        self, requests: List[QueryRequest], deadline: Optional[float]
-    ) -> List[QueryResult]:
-        with trace("engine.query_batch", n_queries=len(requests)) as span:
-            resolved = self._resolve_query_batch(requests, deadline=deadline)
-            self._check_deadline(deadline, "corpus sweep")
-            groups: Dict[Tuple, List[int]] = {}
-            for i, request in enumerate(requests):
-                top_k = (
-                    self.config.top_k if request.top_k == USE_DEFAULT
-                    else request.top_k
-                )
-                threshold = (
-                    self.config.threshold if request.threshold == USE_DEFAULT
-                    else request.threshold
-                )
-                groups.setdefault((top_k, threshold), []).append(i)
-            results: List[Optional[QueryResult]] = [None] * len(requests)
-            coordinator = self.coordinator
-            if coordinator is not None:
-                n_rows = 0
-                for (top_k, threshold), members in groups.items():
-                    hit_lists, n_rows, generation = self._pool_sweep(
-                        coordinator,
-                        [resolved[i][1] for i in members],
-                        top_k, threshold, deadline,
-                    )
-                    for i, hits in zip(members, hit_lists):
-                        name, encoding = resolved[i]
-                        results[i] = QueryResult(
-                            query=name, encoding=encoding, hits=hits,
-                            n_rows=n_rows, generation=generation,
-                        )
-            else:
-                with self._lock:
-                    service = self.service
-                    n_rows = len(service.store)
-                    for (top_k, threshold), members in groups.items():
-                        hit_lists = service.query_batch(
-                            [resolved[i][1] for i in members],
-                            top_k=top_k,
-                            threshold=threshold,
-                        )
-                        for i, hits in zip(members, hit_lists):
-                            name, encoding = resolved[i]
-                            results[i] = QueryResult(
-                                query=name, encoding=encoding, hits=hits,
-                                n_rows=n_rows,
-                            )
-            span.set(n_groups=len(groups), n_rows=n_rows)
         self.obs.counter(
             "repro_queries_total", "Queries answered by the engine"
         ).inc(len(requests))
-        self.obs.counter(
-            "repro_query_batches_total", "query_batch calls answered"
-        ).inc()
-        self._observe_query(span, "repro_query_batch_seconds",
-                            "Wall time of one engine.query_batch call")
+        self._observe_query(span, metric, help_text)
+        return results
+
+    def _resolve_and_sweep(
+        self,
+        requests: List[QueryRequest],
+        deadline: Optional[float],
+        span: Span,
+    ) -> List[QueryResult]:
+        resolved = self._resolve_queries(requests, deadline)
+        self._check_deadline(deadline, "corpus sweep")
+        groups: Dict[Tuple, List[int]] = {}
+        for i, request in enumerate(requests):
+            top_k = (
+                self.config.top_k if request.top_k == USE_DEFAULT
+                else request.top_k
+            )
+            threshold = (
+                self.config.threshold if request.threshold == USE_DEFAULT
+                else request.threshold
+            )
+            groups.setdefault((top_k, threshold), []).append(i)
+        results: List[Optional[QueryResult]] = [None] * len(requests)
+        coordinator = self.coordinator
+        n_rows = 0
+        # in-process sweeps of one call share the engine lock (and so one
+        # corpus snapshot); pool sweeps run outside it -- see _pool_sweep
+        with self._lock if coordinator is None else nullcontext():
+            for (top_k, threshold), members in groups.items():
+                encodings = [resolved[i][1] for i in members]
+                if coordinator is not None:
+                    hit_lists, n_rows, generation = self._pool_sweep(
+                        coordinator, encodings, top_k, threshold, deadline
+                    )
+                else:
+                    service = self.service
+                    hit_lists = service.query_batch(
+                        encodings, top_k=top_k, threshold=threshold
+                    )
+                    n_rows, generation = len(service.store), ""
+                for i, hits in zip(members, hit_lists):
+                    name, encoding = resolved[i]
+                    results[i] = QueryResult(
+                        query=name, encoding=encoding, hits=hits,
+                        n_rows=n_rows, generation=generation,
+                    )
+        span.set(
+            queries=[name for name, _encoding in resolved],
+            n_groups=len(groups), n_rows=n_rows,
+        )
         return results
 
     def _observe_query(self, span: Span, metric: str, help_text: str) -> None:
@@ -884,31 +857,44 @@ class AsteriaEngine:
             json.dumps(span.to_dict(), sort_keys=True),
         )
 
-    def _resolve_query_batch(
+    def _resolve_queries(
         self,
         requests: Sequence[QueryRequest],
-        deadline: Optional[float] = None,
+        deadline: Optional[float],
     ) -> List[Tuple[str, FunctionEncoding]]:
-        """Resolve every request's encoding, coalescing binary encodes.
+        """``(display name, encoding)`` per request, coalescing encodes.
 
         Requests that need a query-side encode contribute their trees to
         a single :meth:`MicroBatcher.encode_many` call, so a Q-query
         batch costs a handful of wide GEMM passes instead of Q tree
-        walks.
+        walks.  Tree extraction (model-independent) is cached; the
+        encode itself is deliberately fresh each call so the batcher --
+        not a memo -- carries concurrent load.
         """
         resolved: List[Optional[Tuple[str, FunctionEncoding]]] = (
             [None] * len(requests)
         )
         jobs: List[Tuple[int, BinaryFile, str, Tuple]] = []
         for i, request in enumerate(requests):
-            if (
-                request.encoding is not None
-                or request.cve_id is not None
-                or request.binary is None
-                or not request.function
-            ):
-                resolved[i] = self._resolve_query(request, deadline=deadline)
+            if request.encoding is not None:
+                resolved[i] = (request.encoding.name, request.encoding)
                 continue
+            if request.cve_id is not None:
+                library = self.cve_library()
+                if request.cve_id not in library:
+                    raise BadRequestError(
+                        f"unknown CVE id: {request.cve_id}"
+                    )
+                entry, encoding = library[request.cve_id]
+                resolved[i] = (entry.cve_id, encoding)
+                continue
+            if request.binary is None:
+                raise BadRequestError(
+                    "query needs an encoding, a cve_id, or a binary + "
+                    "function"
+                )
+            if not request.function:
+                raise BadRequestError("binary queries need a function name")
             binary = self._binary_of(request.binary)
             extracted, trees = self._extracted_for(binary)
             if request.function not in trees:
@@ -937,40 +923,6 @@ class AsteriaEngine:
                 )
                 resolved[i] = (f"{binary.name}:{function}", encoding)
         return resolved
-
-    def _finish_query(
-        self, name: str, encoding: FunctionEncoding, request: QueryRequest
-    ) -> QueryResult:
-        top_k = (
-            self.config.top_k if request.top_k == USE_DEFAULT
-            else request.top_k
-        )
-        threshold = (
-            self.config.threshold if request.threshold == USE_DEFAULT
-            else request.threshold
-        )
-        coordinator = self.coordinator
-        if coordinator is not None:
-            hit_lists, n_rows, generation = self._pool_sweep(
-                coordinator, [encoding], top_k, threshold,
-                self._deadline_of(request),
-            )
-            hits = hit_lists[0]
-        else:
-            generation = ""
-            with self._lock:
-                service = self.service
-                hits = service.query(
-                    encoding, top_k=top_k, threshold=threshold
-                )
-                n_rows = len(service.store)
-        self.obs.counter(
-            "repro_queries_total", "Queries answered by the engine"
-        ).inc()
-        return QueryResult(
-            query=name, encoding=encoding, hits=hits, n_rows=n_rows,
-            generation=generation,
-        )
 
     def _pool_sweep(
         self,
@@ -1029,54 +981,6 @@ class AsteriaEngine:
         if any(rows is None for rows in per_query):
             return None  # exact-fallback index: sweep everything
         return per_query
-
-    def _resolve_query(
-        self, request: QueryRequest, deadline: Optional[float] = None
-    ) -> Tuple[str, FunctionEncoding]:
-        if request.encoding is not None:
-            return request.encoding.name, request.encoding
-        if request.cve_id is not None:
-            library = self.cve_library()
-            if request.cve_id not in library:
-                raise BadRequestError(f"unknown CVE id: {request.cve_id}")
-            entry, encoding = library[request.cve_id]
-            return entry.cve_id, encoding
-        if request.binary is None:
-            raise BadRequestError(
-                "query needs an encoding, a cve_id, or a binary + function"
-            )
-        if not request.function:
-            raise BadRequestError("binary queries need a function name")
-        binary = self._binary_of(request.binary)
-        encoding = self._encode_query_function(
-            binary, request.function, deadline=deadline
-        )
-        return f"{binary.name}:{request.function}", encoding
-
-    def _encode_query_function(
-        self,
-        binary: BinaryFile,
-        function: str,
-        deadline: Optional[float] = None,
-    ) -> FunctionEncoding:
-        """Encode one query function, riding the micro-batcher.
-
-        Tree extraction (model-independent) is cached; the encode itself
-        is deliberately fresh each call so the batcher -- not a memo --
-        carries concurrent load.
-        """
-        extracted, trees = self._extracted_for(binary)
-        if function not in trees:
-            raise BadRequestError(
-                f"function {function!r} not found (or below the AST size "
-                f"floor) in binary {binary.name!r}"
-            )
-        with trace("engine.encode_query", function=function):
-            vector = self.batcher.encode(trees[function], deadline=deadline)
-        self.obs.counter(
-            "repro_query_encodes_total", "Query-side function encodes"
-        ).inc()
-        return self._encoding_from_extracted(extracted, function, vector)
 
     def _encoding_from_extracted(
         self, extracted, function: str, vector: np.ndarray

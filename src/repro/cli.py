@@ -349,10 +349,9 @@ def _add_pipeline_options(parser) -> None:
 def _add_ann_options(parser) -> None:
     """Query-side backend knobs (the ``ann_*`` EngineConfig fields)."""
     parser.add_argument("--backend", default=None,
-                        help="ANN backend: exact (full sweep), lsh, or "
-                             "ivf-pq (tiered: IVF coarse probe + int8 "
-                             "quantized sweep + exact rerank); "
-                             "default exact")
+                        help="ANN backend: exact (full sweep) or ivf-pq "
+                             "(tiered: IVF coarse probe + int8 quantized "
+                             "sweep + exact rerank); default exact")
     parser.add_argument("--ann-nprobe", type=_positive_int, default=None,
                         help="ivf-pq: coarse partitions swept per query "
                              "(the recall-vs-speed dial; default 8)")

@@ -22,15 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.api.config import EngineConfig
 from repro.api.engine import AsteriaEngine
 from repro.binformat.firmware import FirmwareImage, pack_firmware
 from repro.compiler.pipeline import compile_package
-from repro.core.model import Asteria, FunctionEncoding
+from repro.core.model import FunctionEncoding
 from repro.lang import nodes as N
 from repro.lang.generator import GeneratorConfig, ProgramGenerator
 from repro.lang.nodes import FunctionDef, Ops, Package
-from repro.pipeline import ArtifactCache
 from repro.utils.logging import get_logger
 from repro.utils.rng import RNG, derive_seed
 
@@ -263,36 +261,15 @@ class VulnerabilitySearch:
       reference the index path is validated against.
 
     The search is a client of :class:`~repro.api.engine.AsteriaEngine`:
-    pass ``engine`` to share an existing one, or use the deprecated
-    compatibility constructor (``model`` [+ ``cache``/``jobs``]) and a
-    private engine is assembled for you.  Either way, corpus and
-    query-side encodings run through the engine's one artifact cache and
-    staged pipeline, so warm re-runs skip decompile + encode.
+    corpus and query-side encodings run through the engine's one
+    artifact cache and staged pipeline, so warm re-runs skip decompile +
+    encode.
     """
 
-    def __init__(
-        self,
-        model: Optional[Asteria] = None,
-        threshold: float = 0.84,
-        cache: Optional[ArtifactCache] = None,
-        jobs: int = 1,
-        engine: Optional[AsteriaEngine] = None,
-    ):
-        if engine is None:
-            if model is None:
-                raise ValueError(
-                    "VulnerabilitySearch needs a model or an engine"
-                )
-            engine = AsteriaEngine(
-                EngineConfig(jobs=max(1, int(jobs)), threshold=threshold),
-                model=model,
-                cache=cache,
-            )
+    def __init__(self, engine: AsteriaEngine, threshold: float = 0.84):
         self.engine = engine
         self.model = engine.model
         self.threshold = threshold
-        self.cache = engine.cache
-        self.jobs = engine.config.jobs
         self.pipeline = engine.pipeline
 
     def build_index(
@@ -301,23 +278,19 @@ class VulnerabilitySearch:
         root=None,
         backend: str = "exact",
         shard_size: int = 1024,
-        encode_batch_size: Optional[int] = None,
         **backend_options,
     ):
         """Offline phase: ingest the firmware corpus into a search service.
 
         ``root=None`` keeps the store in memory; pass a directory to make
         the index durable across runs (``repro-cli index build``).
-        ``encode_batch_size`` sets how many trees the level-batched encoder
-        stacks per pass (None keeps the service default).
         """
         service = self.engine.make_service(
             root=root, backend=backend, shard_size=shard_size,
-            encode_batch_size=encode_batch_size,
             meta={"corpus": "firmware", "threshold": self.threshold},
             **backend_options,
         )
-        service.ingest_firmware(dataset.images)
+        self.pipeline.run_images(dataset.images, sink=service.store)
         return service
 
     def encode_library(self) -> Dict[str, Tuple[CVEEntry, FunctionEncoding]]:

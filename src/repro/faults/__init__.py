@@ -71,7 +71,7 @@ FAILPOINTS = (
     "store.flush.pre_rename",    # shard files written, not yet visible
     "store.flush.pre_manifest",  # shards renamed, manifest still old
     "store.manifest.pre_rename", # new manifest written to tmp only
-    "ann.persist.pre_rename",    # LSH state written to tmp only
+    "ann.persist.pre_rename",    # ANN state written to tmp only
     "ann.build",                 # ANN backend construction
     "cache.put.pre_rename",      # cache object written to tmp only
     "worker.task",               # pipeline worker, start of one task

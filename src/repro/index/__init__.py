@@ -10,14 +10,13 @@ top-k index (:mod:`repro.index.ann`) wrapped in a query service
 from repro.index.ann import (
     AnnIndex,
     BruteForceIndex,
-    LSHIndex,
     Neighbor,
     known_backends,
     make_index,
     select_top_k,
 )
 from repro.index.quant import IvfPqIndex
-from repro.index.search import IngestStats, SearchHit, SearchService
+from repro.index.search import SearchHit, SearchService
 from repro.index.store import (
     EmbeddingStore,
     ShardedMatrix,
@@ -30,12 +29,10 @@ __all__ = [
     "AnnIndex",
     "BruteForceIndex",
     "IvfPqIndex",
-    "LSHIndex",
     "Neighbor",
     "known_backends",
     "make_index",
     "select_top_k",
-    "IngestStats",
     "SearchHit",
     "SearchService",
     "EmbeddingStore",

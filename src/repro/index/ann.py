@@ -1,51 +1,40 @@
 """Top-k nearest-neighbour search over cached function encodings.
 
-Two backends share one interface (:class:`AnnIndex`):
+Backends share one interface (:class:`AnnIndex`): a backend proposes
+candidate rows per query, and the shared scorers rank them by the true
+(calibrated) model score.
 
-* :class:`BruteForceIndex` -- exact: queries score the whole corpus
-  with matrix-at-once passes through the Siamese head
-  (:meth:`repro.core.model.Asteria.similarity_matrix`), block by block
-  over the store's memory-mapped shards -- the corpus is never
-  materialised as one array;
-* :class:`LSHIndex` -- approximate: random-hyperplane locality-sensitive
-  hashing with multi-probe.  Vectors are bucketed by the sign pattern of
-  their projections onto random hyperplanes (a cosine-LSH family); a query
-  probes buckets in increasing Hamming distance from its own signature --
-  nearest buckets first, ties broken by the query's projection margins --
-  until it has gathered enough candidates, then *exact-reranks* only those
-  candidates with the batched Siamese score.  Hyperplanes and signatures
-  serialise through :meth:`LSHIndex.state_dict` /
-  :meth:`LSHIndex.from_state` into the store manifest, so reopening a
-  corpus-scale index skips the full re-projection pass; appended rows are
-  signed incrementally (:attr:`LSHIndex.rows_projected` counts exactly
-  how many corpus rows each construction actually projected).
+* :class:`BruteForceIndex` -- exact: every row is a candidate; queries
+  score the whole corpus with matrix-at-once passes through the Siamese
+  head (:meth:`repro.core.model.Asteria.similarity_matrix`), block by
+  block over the store's memory-mapped shards -- the corpus is never
+  materialised as one array.  The reference the tiered index is tested
+  against;
+* :class:`~repro.index.quant.IvfPqIndex` -- approximate: IVF coarse
+  probe + int8 quantized sweep restrict which rows reach the exact
+  rerank (see :mod:`repro.index.quant`).
 
-Both backends answer single queries (:meth:`AnnIndex.top_k`) and query
+Backends answer single queries (:meth:`AnnIndex.top_k`) and query
 batches (:meth:`AnnIndex.top_k_batch`); the batched form scores Q
 queries per corpus block in one broadcasted Siamese GEMM, so a batch
 reads the corpus once instead of Q times.  Selection uses
 ``np.argpartition`` (O(n) plus an O(k log k) sort of the winners) rather
 than a full corpus sort, with ties broken by row exactly as the full
 ``np.lexsort`` would break them.
-
-Both backends therefore return candidates ranked by the true (calibrated)
-model score; the LSH backend merely restricts which rows get scored.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
-import repro.faults as faults
 from repro.core.model import Asteria, FunctionEncoding
 from repro.index.store import ShardedMatrix
 from repro.obs.metrics import FRACTION_BUCKETS, SIZE_BUCKETS, MetricsRegistry
 from repro.obs.trace import current_span
-from repro.utils.rng import RNG, derive_seed
 
 DEFAULT_OVERSAMPLE = 8
 DEFAULT_MIN_CANDIDATES = 64
@@ -55,9 +44,6 @@ DEFAULT_MIN_CANDIDATES = 64
 #: thread, whatever the on-disk shard size is.  Bounds the transient
 #: gather copy to ``SCORE_BLOCK_ROWS x dim`` elements.
 SCORE_BLOCK_ROWS = 8192
-
-#: LSH persisted-state schema version (bump on incompatible layout).
-LSH_STATE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -72,9 +58,9 @@ def _as_view(vectors) -> ShardedMatrix:
     """Normalise ndarray input to the block view the scorers consume.
 
     A live store view is snapshotted: the index's row count, callee
-    counts and (for LSH) signatures are all taken at construction, so
-    the corpus the index scores must not grow underneath them when the
-    store flushes new rows.
+    counts and (for the tiered backend) codes are all taken at
+    construction, so the corpus the index scores must not grow
+    underneath them when the store flushes new rows.
     """
     if isinstance(vectors, ShardedMatrix):
         return vectors.snapshot()
@@ -452,243 +438,23 @@ class BruteForceIndex(AnnIndex):
         return None
 
 
-class LSHIndex(AnnIndex):
-    """Random-hyperplane LSH with Hamming-ordered multi-probe.
+def _backends() -> Dict[str, Type[AnnIndex]]:
+    """Every backend :func:`make_index` accepts, by name."""
+    # imported here: quant.py subclasses AnnIndex from this module
+    from repro.index.quant import IvfPqIndex
 
-    Construction signs the corpus (one projection GEMM per table per
-    block); pass ``state`` -- a ``(params, arrays)`` pair produced by
-    :meth:`state_dict` -- to reuse previously computed hyperplanes and
-    signatures instead.  A state covering only a prefix of the corpus is
-    extended incrementally: only the appended rows are projected.
-    """
-
-    def __init__(
-        self,
-        model: Asteria,
-        vectors,
-        callee_counts: Optional[np.ndarray] = None,
-        calibrate: bool = True,
-        n_planes: int = 8,
-        n_tables: int = 4,
-        seed: int = 0,
-        max_probe_distance: Optional[int] = None,
-        state: Optional[Tuple[Dict, Dict[str, np.ndarray]]] = None,
-        registry: Optional[MetricsRegistry] = None,
-    ):
-        super().__init__(model, vectors, callee_counts, calibrate, registry)
-        # chaos hook: lets tests fail ANN construction to exercise the
-        # search layer's exact-sweep fallback
-        faults.inject("ann.build")
-        if n_planes <= 0 or n_planes > 62:
-            raise ValueError(f"n_planes must be in [1, 62], got {n_planes}")
-        if n_tables <= 0:
-            raise ValueError(f"n_tables must be positive, got {n_tables}")
-        self.n_planes = n_planes
-        self.n_tables = n_tables
-        self.seed = seed
-        self.max_probe_distance = max_probe_distance
-        #: corpus rows this construction projected (instrumentation: a
-        #: persisted-state open of an unchanged corpus reports 0)
-        self.rows_projected = 0
-        self.loaded_from_state = False
-        self._powers = 1 << np.arange(n_planes, dtype=np.int64)
-        dim = self.vectors.shape[1]
-        if state is not None and self._state_matches(state[0]):
-            params, arrays = state
-            self._planes = [
-                np.asarray(arrays[f"planes_{t}"], dtype=np.float64)
-                for t in range(n_tables)
-            ]
-            signatures = np.asarray(arrays["signatures"], dtype=np.int64)
-            self.loaded_from_state = True
-            if signatures.shape[1] < len(self):
-                signatures = self._extend_signatures(signatures)
-        else:
-            rng_planes = [
-                RNG(derive_seed(seed, "lsh-table", t)).generator.normal(
-                    size=(n_planes, dim)
-                )
-                for t in range(n_tables)
-            ]
-            self._planes = rng_planes
-            signatures = self._extend_signatures(
-                np.zeros((n_tables, 0), dtype=np.int64)
-            )
-            self.loaded_from_state = False
-        self._signatures_by_table = signatures
-        self._tables = [
-            self._table_from_signatures(signatures[t])
-            for t in range(n_tables)
-        ]
-
-    # -- signatures --------------------------------------------------------
-
-    def _state_matches(self, params: Dict) -> bool:
-        return (
-            params.get("kind") == "lsh"
-            and params.get("version") == LSH_STATE_VERSION
-            and int(params.get("n_planes", -1)) == self.n_planes
-            and int(params.get("n_tables", -1)) == self.n_tables
-            and int(params.get("seed", -1)) == self.seed
-            and int(params.get("dim", -1)) == self.vectors.shape[1]
-            and int(params.get("n_rows", -1)) <= len(self)
-        )
-
-    def _extend_signatures(self, signatures: np.ndarray) -> np.ndarray:
-        """Sign corpus rows past ``signatures.shape[1]`` (block-wise)."""
-        done = signatures.shape[1]
-        n = len(self)
-        if done >= n:
-            return signatures
-        fresh = np.empty((self.n_tables, n - done), dtype=np.int64)
-        for start, block in self.vectors.iter_blocks():
-            stop = start + block.shape[0]
-            if stop <= done:
-                continue
-            lo = max(start, done)
-            rows = np.asarray(block[lo - start:], dtype=np.float64)
-            for t, planes in enumerate(self._planes):
-                fresh[t, lo - done:stop - done] = self._signature_keys(
-                    rows @ planes.T
-                )
-        self.rows_projected += n - done
-        return np.concatenate([signatures, fresh], axis=1)
-
-    def _signature_keys(self, projections: np.ndarray) -> np.ndarray:
-        """Pack sign patterns into integer bucket keys."""
-        return ((projections > 0).astype(np.int64) @ self._powers)
-
-    def _table_from_signatures(
-        self, signatures: np.ndarray
-    ) -> Dict[int, np.ndarray]:
-        """Group rows by bucket key without a per-row Python loop."""
-        if signatures.size == 0:
-            return {}
-        order = np.argsort(signatures, kind="stable")
-        ordered = signatures[order]
-        cuts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-        bounds = np.r_[cuts, ordered.size]
-        return {
-            int(ordered[bounds[i]]): order[bounds[i]:bounds[i + 1]]
-            for i in range(cuts.size)
-        }
-
-    # -- persisted state ---------------------------------------------------
-
-    def state_dict(self) -> Tuple[Dict, Dict[str, np.ndarray]]:
-        """``(params, arrays)`` serialisable into the store manifest."""
-        params = {
-            "kind": "lsh",
-            "version": LSH_STATE_VERSION,
-            "n_planes": self.n_planes,
-            "n_tables": self.n_tables,
-            "seed": self.seed,
-            "dim": int(self.vectors.shape[1]),
-            "n_rows": len(self),
-        }
-        arrays: Dict[str, np.ndarray] = {
-            "signatures": self._signatures_by_table
-        }
-        for t, planes in enumerate(self._planes):
-            arrays[f"planes_{t}"] = planes
-        return params, arrays
-
-    # -- candidate generation ----------------------------------------------
-
-    def candidate_rows(
-        self, query_vector: np.ndarray, n: Optional[int]
-    ) -> np.ndarray:
-        projections = [
-            planes @ np.asarray(query_vector, dtype=np.float64)
-            for planes in self._planes
-        ]
-        return self._candidates_for(projections, n)
-
-    def candidate_rows_batch(
-        self,
-        query_matrix: np.ndarray,
-        n: Optional[int],
-        queries: Optional[Sequence[FunctionEncoding]] = None,
-    ) -> List[Optional[np.ndarray]]:
-        """Candidates for Q queries, sharing one projection GEMM/table."""
-        per_table = [
-            np.asarray(query_matrix, dtype=np.float64) @ planes.T
-            for planes in self._planes
-        ]
-        return [
-            self._candidates_for(
-                [per_table[t][i] for t in range(self.n_tables)], n
-            )
-            for i in range(query_matrix.shape[0])
-        ]
-
-    def _candidates_for(
-        self, projections: List[np.ndarray], n: Optional[int]
-    ) -> np.ndarray:
-        """Gather candidates by probing buckets nearest in Hamming space.
-
-        For every table, nonempty bucket keys are ranked by their Hamming
-        distance to the query's signature, with the query's own hyperplane
-        margins breaking ties (buckets across low-margin planes first --
-        classic multi-probe).  Buckets are then consumed in globally sorted
-        order until ``n`` candidates are collected (``n=None`` consumes
-        every reachable bucket).
-        """
-        wanted = len(self) if n is None else min(n, len(self))
-        probes: List[Tuple[int, float, int, int]] = []
-        for t in range(self.n_tables):
-            key = int(self._signature_keys(projections[t][None, :])[0])
-            margins = np.abs(projections[t])
-            for bucket_key in self._tables[t]:
-                flipped = bucket_key ^ key
-                distance = int(bin(flipped).count("1"))
-                if (
-                    self.max_probe_distance is not None
-                    and distance > self.max_probe_distance
-                ):
-                    continue
-                # margin cost: how far the query sits from the flipped planes
-                cost = float(
-                    margins[(flipped & self._powers) != 0].sum()
-                )
-                probes.append((distance, cost, t, bucket_key))
-        probes.sort()
-        seen: set = set()
-        for distance, _cost, t, bucket_key in probes:
-            if distance > 0 and len(seen) >= wanted:
-                break
-            seen.update(self._tables[t][bucket_key].tolist())
-        return np.array(sorted(seen), dtype=np.int64)
-
-
-_BACKENDS = {
-    "exact": BruteForceIndex,
-    "brute": BruteForceIndex,
-    "lsh": LSHIndex,
-}
-
-#: Backends whose construction work (projections / quantization)
-#: round-trips through ``state_dict`` into the store manifest.
-STATEFUL_BACKENDS = ("lsh", "ivf-pq")
+    return {"exact": BruteForceIndex, "ivf-pq": IvfPqIndex}
 
 
 def known_backends() -> List[str]:
     """Canonical backend names accepted by :func:`make_index`."""
-    return sorted(set(_BACKENDS) | {"ivf-pq"})
+    return sorted(_backends())
 
 
 def backend_is_stateful(backend: str) -> bool:
-    """True when ``backend`` persists construction state in the store."""
-    return backend in STATEFUL_BACKENDS
-
-
-def _resolve_backend(backend: str):
-    if backend == "ivf-pq" and backend not in _BACKENDS:
-        # imported lazily: quant.py subclasses AnnIndex from this module
-        from repro.index.quant import IvfPqIndex
-
-        _BACKENDS["ivf-pq"] = IvfPqIndex
-    return _BACKENDS[backend]
+    """True when ``backend`` persists construction state (quantization)
+    in the store through ``state_dict``."""
+    return hasattr(_backends().get(backend), "state_dict")
 
 
 def make_index(
@@ -698,20 +464,19 @@ def make_index(
     callee_counts: Optional[np.ndarray] = None,
     **options,
 ) -> AnnIndex:
-    """Instantiate a backend by name (``exact``, ``lsh`` or ``ivf-pq``).
+    """Instantiate a backend by name (``exact`` or ``ivf-pq``).
 
     Unknown names raise the typed bad-request error (CLI exit 6,
     HTTP 400) so a typo'd ``--backend`` surfaces as a client error, not
     an internal KeyError.
     """
-    try:
-        cls = _resolve_backend(backend)
-    except KeyError:
+    cls = _backends().get(backend)
+    if cls is None:
         # lazy: repro.api pulls in this module at package-import time
         from repro.api.errors import BadRequestError
 
         raise BadRequestError(
             f"unknown backend {backend!r} (choose from "
-            f"{known_backends()})"
-        ) from None
+            f"{', '.join(known_backends())})"
+        )
     return cls(model, vectors, callee_counts, **options)

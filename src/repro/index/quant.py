@@ -1,7 +1,7 @@
 """Million-scale tiered ANN: int8 quantized sweep + IVF coarse partitions.
 
-:class:`IvfPqIndex` is the third :class:`~repro.index.ann.AnnIndex`
-backend (``ann_backend="ivf-pq"``).  It layers three tiers so a query
+:class:`IvfPqIndex` is the approximate :class:`~repro.index.ann.AnnIndex`
+backend (``backend="ivf-pq"``).  It layers three tiers so a query
 touches a small, controllable fraction of a million-row corpus:
 
 1. **Coarse partitioning** -- corpus rows are assigned to k-means
@@ -19,9 +19,9 @@ touches a small, controllable fraction of a million-row corpus:
    against the float32 store through the union-vs-per-query cost gate
    and selects the final top-k with :func:`select_top_k`.
 
-Like :class:`~repro.index.ann.LSHIndex`, the expensive construction
-passes (quantization, k-means, assignment) serialise through
-:meth:`IvfPqIndex.state_dict` into a crash-safe store artifact; a state
+The expensive construction passes (quantization, k-means, assignment)
+serialise through :meth:`IvfPqIndex.state_dict` into a crash-safe store
+artifact, so reopening an unchanged corpus re-quantizes nothing; a state
 covering a prefix of the corpus is extended incrementally and
 :attr:`IvfPqIndex.rows_quantized` counts exactly how many corpus rows
 each construction actually (re)quantized -- 0 on a clean reopen.
@@ -191,8 +191,8 @@ class IvfPqIndex(AnnIndex):
         registry: Optional[MetricsRegistry] = None,
     ):
         super().__init__(model, vectors, callee_counts, calibrate, registry)
-        # chaos hook shared with the LSH backend: lets tests fail ANN
-        # construction to exercise the search layer's exact fallback
+        # chaos hook: lets tests fail ANN construction to exercise the
+        # search layer's exact-sweep fallback
         faults.inject("ann.build")
         n = len(self)
         dim = int(self.vectors.shape[1])
@@ -522,8 +522,8 @@ class IvfPqIndex(AnnIndex):
 
     @property
     def rows_projected(self) -> int:
-        """Alias so stats/persist logic treats IVF-PQ like LSH: rows of
-        construction work this instance actually performed."""
+        """Rows of construction work this instance actually performed,
+        under the name ``/v1/stats`` reports (``ann_rows_projected``)."""
         return self.rows_quantized
 
     @property

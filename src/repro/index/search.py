@@ -1,54 +1,33 @@
 """Query service over a persistent embedding store.
 
-:class:`SearchService` ties the index subsystem together into the paper's
-offline/online split:
+:class:`SearchService` is the online half of the paper's offline/online
+split: it encodes nothing.  Given ready query
+:class:`~repro.core.model.FunctionEncoding` objects, the ANN backend
+proposes candidate rows, the batched Siamese head exact-reranks them,
+and an optional threshold (e.g. the Youden-derived cutoff from §IV)
+prunes the rest.  :meth:`SearchService.query_batch` answers Q queries in
+one corpus pass: every block of the store's memory-mapped shards is
+scored against all Q queries in one Siamese GEMM.  For the stateful
+``ivf-pq`` backend over a durable store, the fitted index (scales,
+centroids, int8 codes) is persisted next to the shards and reloaded on
+open, so no re-quantization pass runs when the corpus has not changed --
+appended rows are quantized incrementally.
 
-* **offline** -- :meth:`SearchService.ingest_firmware` /
-  :meth:`ingest_binary` run the corpus through the staged pipeline
-  (:class:`~repro.pipeline.corpus.CorpusPipeline`: unpack, decompile,
-  preprocess, level-batched encode), appending the encodings to an
-  :class:`~repro.index.store.EmbeddingStore`.  The pipeline's artifact
-  cache makes warm re-ingests skip decompile + encode, and ``jobs``
-  extracts with a worker pool;
-* **online** -- :meth:`SearchService.query` encodes nothing but the query:
-  the ANN backend proposes candidate rows, the batched Siamese head
-  exact-reranks them, and an optional threshold (e.g. the Youden-derived
-  cutoff from §IV) prunes the rest.  :meth:`SearchService.query_batch`
-  answers Q queries in one corpus pass: candidate sets are unioned and
-  scored as a single ``(Q, n)`` Siamese GEMM sweep over the store's
-  memory-mapped shards.  For the ``lsh`` backend over a durable store,
-  the fitted index (hyperplanes + signatures) is persisted next to the
-  shards and reloaded on open, so no full re-projection pass runs when
-  the corpus has not changed -- appended rows are signed incrementally.
-
-The service is deliberately model-agnostic about where queries come from:
-pass a ready :class:`FunctionEncoding`, or use :meth:`encode_query` /
-:meth:`query_function` for a decompiled function.
-
-Services are normally assembled by :class:`~repro.api.engine.AsteriaEngine`
-(``engine.service`` / ``engine.make_service``), which owns the model,
-artifact cache and pipeline they share.  Constructing one directly with
-``model`` + ``store`` remains supported as the deprecated compatibility
-path: it routes through a private engine so the assembly still happens
-in :mod:`repro.api`.
+The offline half -- decompile, preprocess, encode, append to the store --
+is ``AsteriaEngine.ingest`` in :mod:`repro.api`; the engine also
+assembles the services it queries (``engine.service`` /
+``engine.make_service``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
-from repro.binformat.binary import BinaryFile
-from repro.core.model import (
-    DEFAULT_ENCODE_BATCH_SIZE,
-    Asteria,
-    FunctionEncoding,
-)
-from repro.decompiler.hexrays import DecompiledFunction
+from repro.core.model import Asteria, FunctionEncoding
 from repro.index.ann import AnnIndex, backend_is_stateful, make_index
 from repro.index.store import EmbeddingStore, StoredFunction
 from repro.obs.metrics import MetricsRegistry
-from repro.pipeline import ArtifactCache, CorpusPipeline, PipelineStats
 from repro.utils.logging import get_logger
 
 _LOG = get_logger("index.search")
@@ -68,25 +47,8 @@ class SearchHit:
     image_id: str = ""
 
 
-@dataclass
-class IngestStats:
-    """What one offline ingest pass actually processed.
-
-    ``pipeline`` carries the underlying
-    :class:`~repro.pipeline.corpus.PipelineStats` (per-stage times, cache
-    hit/miss accounting) for callers that report them.
-    """
-
-    n_images: int = 0
-    n_unpack_failures: int = 0
-    n_binaries: int = 0
-    n_functions: int = 0
-    n_skipped_small: int = 0
-    pipeline: PipelineStats = field(default_factory=PipelineStats)
-
-
 class SearchService:
-    """Encode-once / query-fast search over an embedding store."""
+    """Top-k search over an embedding store through one ANN backend."""
 
     def __init__(
         self,
@@ -94,10 +56,6 @@ class SearchService:
         store: EmbeddingStore,
         backend: str = "exact",
         calibrate: bool = True,
-        encode_batch_size: int = DEFAULT_ENCODE_BATCH_SIZE,
-        jobs: int = 1,
-        cache: Optional[ArtifactCache] = None,
-        pipeline: Optional[CorpusPipeline] = None,
         registry: Optional[MetricsRegistry] = None,
         **backend_options,
     ):
@@ -105,23 +63,8 @@ class SearchService:
         self.store = store
         self.backend = backend
         self.calibrate = calibrate
-        self.encode_batch_size = encode_batch_size
         self.backend_options = backend_options
         self.registry = registry
-        if pipeline is None:
-            # deprecated shim: assemble the pipeline through the facade
-            # (imported lazily; repro.api imports this module)
-            from repro.api.config import EngineConfig
-            from repro.api.engine import AsteriaEngine
-
-            pipeline = AsteriaEngine(
-                EngineConfig(
-                    jobs=jobs, encode_batch_size=encode_batch_size
-                ),
-                model=model,
-                cache=cache,
-            ).pipeline
-        self.pipeline = pipeline
         self._index: Optional[AnnIndex] = None
         self._index_rows = -1
         #: Human-readable reasons the service is running below full
@@ -129,62 +72,14 @@ class SearchService:
         #: through engine stats and ``/healthz``.
         self.degraded_reasons: List[str] = []
 
-    # -- offline phase -----------------------------------------------------
-
-    def ingest_binary(self, binary: BinaryFile, image_id: str = "") -> int:
-        """Decompile + encode every function of one binary; returns count.
-
-        Runs the binary through the staged pipeline: cached artifacts are
-        reused and eligible functions are encoded through the
-        level-batched Tree-LSTM, ``encode_batch_size`` trees per stacked
-        GEMM pass.
-        """
-        encodings = self.pipeline.encode_binary(binary)
-        for encoding in encodings:
-            self.store.add(encoding, image_id=image_id)
-        return len(encodings)
-
-    def ingest_firmware(self, images: Iterable) -> IngestStats:
-        """Unpack + ingest a firmware corpus (the paper's offline phase).
-
-        The pipeline's Index stage appends straight into (and flushes)
-        this service's store.
-        """
-        result = self.pipeline.run_images(images, sink=self.store)
-        s = result.stats
-        stats = IngestStats(
-            n_images=s.n_images,
-            n_unpack_failures=s.n_unpack_failures,
-            n_binaries=s.n_binaries,
-            n_functions=s.n_functions,
-            n_skipped_small=s.n_skipped_small,
-            pipeline=s,
-        )
-        _LOG.info(
-            "ingested %d functions from %d binaries "
-            "(%d images unidentifiable)",
-            stats.n_functions, stats.n_binaries, stats.n_unpack_failures,
-        )
-        return stats
-
-    def ingest_encodings(
-        self, encodings: Iterable[FunctionEncoding], image_id: str = ""
-    ) -> int:
-        """Ingest pre-computed encodings (no decompilation)."""
-        n = self.store.add_batch(encodings, image_id=image_id)
-        self.store.flush()
-        return n
-
-    # -- online phase ------------------------------------------------------
-
     def index(self) -> AnnIndex:
         """The ANN index over the store (refreshed when the store grows).
 
-        Stateful backends (``lsh``, ``ivf-pq``) over a durable store
-        round-trip through the persisted state in the store manifest: an
-        unchanged corpus reopens without any projection/quantization
-        pass, a grown corpus processes only the appended rows, and
-        either way the refreshed state is written back.
+        The stateful backend (``ivf-pq``) over a durable store
+        round-trips through the persisted state in the store manifest:
+        an unchanged corpus reopens without any quantization pass, a
+        grown corpus processes only the appended rows, and either way
+        the refreshed state is written back.
         """
         if self._index is None or self._index_rows != self.store.n_flushed:
             options = dict(self.backend_options)
@@ -294,9 +189,6 @@ class SearchService:
         except OSError as exc:
             _LOG.warning("could not persist ANN state: %s", exc)
 
-    def encode_query(self, fn: DecompiledFunction) -> FunctionEncoding:
-        return self.model.encode_function(fn)
-
     def query(
         self,
         encoding: FunctionEncoding,
@@ -304,13 +196,7 @@ class SearchService:
         threshold: Optional[float] = None,
     ) -> List[SearchHit]:
         """Top-k (or all-above-threshold with ``top_k=None``) matches."""
-        hits = []
-        for neighbor in self.index().top_k(
-            encoding, k=top_k, threshold=threshold
-        ):
-            meta = self.store.metadata_at(neighbor.row)
-            hits.append(_hit(neighbor.row, neighbor.score, meta))
-        return hits
+        return self.query_batch([encoding], top_k, threshold)[0]
 
     def query_batch(
         self,
@@ -320,12 +206,12 @@ class SearchService:
     ) -> List[List[SearchHit]]:
         """Top-k matches for Q queries in one corpus pass.
 
-        Selects the same hits as mapping :meth:`query` -- every corpus
-        block is read once and scored against all Q queries in one
-        broadcasted Siamese GEMM (:meth:`AnnIndex.top_k_batch
-        <repro.index.ann.AnnIndex.top_k_batch>`); scores match the
-        per-query path to float rounding, so near-exact score ties may
-        order differently.
+        Every corpus block is read once and scored against all Q
+        queries in one broadcasted Siamese GEMM
+        (:meth:`AnnIndex.top_k_batch
+        <repro.index.ann.AnnIndex.top_k_batch>`); scores depend on Q
+        only to float rounding (GEMM accumulation order), so near-exact
+        score ties may order differently across batch widths.
         """
         neighbor_lists = self.index().top_k_batch(
             encodings, k=top_k, threshold=threshold
@@ -337,14 +223,6 @@ class SearchService:
             ]
             for neighbors in neighbor_lists
         ]
-
-    def query_function(
-        self,
-        fn: DecompiledFunction,
-        top_k: Optional[int] = 10,
-        threshold: Optional[float] = None,
-    ) -> List[SearchHit]:
-        return self.query(self.encode_query(fn), top_k, threshold)
 
 
 def _hit(row: int, score: float, meta: StoredFunction) -> SearchHit:

@@ -7,7 +7,7 @@ needed for calibration and reporting (function name, binary, architecture,
 filtered callee count, AST size, owning firmware image) -- are serialised
 to disk so later query sessions never re-encode the corpus.
 
-Layout of a format-2 store directory::
+Layout of a store directory::
 
     <root>/manifest.json           versioned manifest (dim, dtype, shard
                                    table, row count, persisted-ANN state)
@@ -15,8 +15,9 @@ Layout of a format-2 store directory::
                                    opened with ``np.load(mmap_mode="r")``
     <root>/shard-00000.meta.npz    callee counts / AST sizes / string
                                    columns for the same rows
-    <root>/ann-lsh.npz             optional persisted ANN state (LSH
-                                   hyperplanes + signatures)
+    <root>/ann-<kind>.npz          optional persisted ANN state (e.g.
+                                   ``ann-ivf-pq.npz``: scales, centroids,
+                                   int8 codes, list assignments)
 
 Vectors are stored in a configurable ``dtype`` (default float32 -- half
 the bytes of the float64 the encoder emits, far below the noise floor of
@@ -27,14 +28,10 @@ corpus as a :class:`ShardedMatrix` -- a zero-copy row-concatenated view
 over the per-shard maps that the ANN layer consumes block-by-block; no
 full ``np.concatenate`` materialisation ever happens.
 
-Format-1 stores (all-in-one ``shard-NNNNN.npz`` files, always float64)
-are still readable: :meth:`EmbeddingStore.open` migrates them to format
-2 in place when the directory is writable and falls back to an eager
-read-compat load when it is not.  Metadata columns keep the
-:mod:`repro.nn.serialize` npz format either way and are loaded lazily
-per shard.  ``root=None`` gives an ephemeral in-memory store with the
-same API (used by tests and by single-process pipelines that do not
-need persistence).
+Metadata columns use the :mod:`repro.nn.serialize` npz format and are
+loaded lazily per shard.  ``root=None`` gives an ephemeral in-memory
+store with the same API (used by tests and by single-process pipelines
+that do not need persistence).
 """
 
 from __future__ import annotations
@@ -57,10 +54,8 @@ from repro.utils.logging import get_logger
 _LOG = get_logger("index.store")
 
 MANIFEST_NAME = "manifest.json"
-ANN_STATE_NAME = "ann-lsh.npz"
 QUARANTINE_DIR = "quarantine"
 FORMAT_VERSION = 2
-SUPPORTED_VERSIONS = (1, 2)
 DEFAULT_SHARD_SIZE = 1024
 DEFAULT_DTYPE = "float32"
 _DTYPES = ("float32", "float64")
@@ -114,7 +109,7 @@ class ShardedMatrix:
 
         The store extends its cached view in place on flush; consumers
         that must stay self-consistent across store growth (an ANN index
-        whose signatures/callee counts were taken at construction) hold
+        whose codes/callee counts were taken at construction) hold
         a snapshot instead.  Blocks are immutable once flushed, so
         sharing them is free.
         """
@@ -279,8 +274,8 @@ class _ShardInfo:
     name: str
     n_rows: int
     #: ``{filename: sha256 hexdigest}`` for the shard's files; absent on
-    #: stores written before checksums existed (and on migrated rows
-    #: until their first rewrite) -- verification skips what it lacks.
+    #: stores written before checksums existed -- verification skips
+    #: what it lacks.
     sha256: Optional[Dict[str, str]] = None
 
 
@@ -311,25 +306,15 @@ class EmbeddingStore:
         shards: Optional[List[_ShardInfo]] = None,
         meta: Optional[Dict] = None,
         dtype=DEFAULT_DTYPE,
-        format_version: int = FORMAT_VERSION,
         ann: Optional[Dict] = None,
         quarantined: Optional[List[str]] = None,
     ):
         if shard_size <= 0:
             raise StoreError(f"shard_size must be positive, got {shard_size}")
-        if format_version not in SUPPORTED_VERSIONS:
-            raise StoreError(
-                f"unsupported store format_version {format_version!r} "
-                f"(this build supports {SUPPORTED_VERSIONS})"
-            )
         self.root = Path(root) if root is not None else None
         self.dim = int(dim)
         self.shard_size = int(shard_size)
-        self.format_version = int(format_version)
-        self.dtype = (
-            np.dtype("float64") if format_version == 1
-            else _check_dtype(dtype)
-        )
+        self.dtype = _check_dtype(dtype)
         self.meta = dict(meta or {})
         self.ann = dict(ann or {})
         #: Shard names moved aside by :meth:`_verify_and_recover` (this
@@ -358,21 +343,14 @@ class EmbeddingStore:
         shard_size: int = DEFAULT_SHARD_SIZE,
         meta: Optional[Dict] = None,
         dtype=DEFAULT_DTYPE,
-        format_version: int = FORMAT_VERSION,
     ) -> "EmbeddingStore":
-        """Create a new store at ``root`` (which must be empty or absent).
-
-        ``format_version=1`` writes the legacy all-npz layout (float64,
-        no memory-mapping) -- kept writable so migration stays covered by
-        tests and CI.
-        """
+        """Create a new store at ``root`` (which must be empty or absent)."""
         root = Path(root)
         if (root / MANIFEST_NAME).exists():
             raise StoreError(f"store already exists at {root}")
         root.mkdir(parents=True, exist_ok=True)
         store = cls(
-            root, dim=dim, shard_size=shard_size, meta=meta, dtype=dtype,
-            format_version=format_version,
+            root, dim=dim, shard_size=shard_size, meta=meta, dtype=dtype
         )
         store._write_manifest()
         return store
@@ -388,15 +366,8 @@ class EmbeddingStore:
         return cls(None, dim=dim, shard_size=shard_size, dtype=dtype)
 
     @classmethod
-    def open(
-        cls, root, migrate: bool = True, verify: bool = True
-    ) -> "EmbeddingStore":
+    def open(cls, root, verify: bool = True) -> "EmbeddingStore":
         """Open an existing store for reading or appending.
-
-        Format-1 stores are migrated to format 2 in place (raw ``.npy``
-        vector shards + metadata companions) when ``migrate`` is true and
-        the directory is writable; otherwise they are served read-compat
-        with the old eager npz loads.
 
         With ``verify`` (the default) every shard file is checked for
         existence and -- when the manifest records checksums -- content
@@ -411,11 +382,23 @@ class EmbeddingStore:
             raise StoreError(f"no manifest at {manifest_path}")
         manifest = json.loads(manifest_path.read_text())
         version = manifest.get("format_version")
-        if version not in SUPPORTED_VERSIONS:
+        if version != FORMAT_VERSION or "dtype" not in manifest:
             raise StoreError(
-                f"unsupported store format_version {version!r} "
-                f"(this reader supports {SUPPORTED_VERSIONS})"
+                f"store at {root} has format_version {version!r}"
+                f"{'' if 'dtype' in manifest else ' and no dtype'}; this "
+                f"build reads only format_version {FORMAT_VERSION} (a "
+                f"format-1 store must be rebuilt with `repro-cli index "
+                f"build`, or opened once with a pre-PR-16 checkout to "
+                f"migrate it in place)"
             )
+        ann = manifest.get("ann")
+        if ann and ann.get("kind") == "lsh":
+            _LOG.warning(
+                "ignoring persisted lsh ANN state at %s: that backend was "
+                "removed, the configured one builds from the vectors "
+                "(the orphaned ann-lsh.npz can be deleted)", root,
+            )
+            ann = None
         shards = [
             _ShardInfo(
                 name=entry["name"],
@@ -430,71 +413,13 @@ class EmbeddingStore:
             shard_size=int(manifest["shard_size"]),
             shards=shards,
             meta=manifest.get("meta", {}),
-            dtype=manifest.get("dtype", "float64"),
-            format_version=version,
-            ann=manifest.get("ann"),
+            dtype=manifest["dtype"],
+            ann=ann,
             quarantined=manifest.get("quarantined"),
         )
-        if version == 1 and migrate:
-            store = store._migrated()
         if verify:
             store._verify_and_recover()
         return store
-
-    def _migrated(self) -> "EmbeddingStore":
-        """Rewrite this v1 store as v2 in place; fall back on failure.
-
-        Any failure (unwritable directory, corrupt shard, ...) reverts
-        to read-compat serving of the untouched v1 files; partially
-        written v2 files are harmless leftovers.  The legacy ``.npz``
-        shards are deleted only after the v2 manifest is durable, so a
-        crash at any point leaves a readable store.
-        """
-        legacy = [info.name for info in self._shards]
-        try:
-            for info in self._shards:
-                state, meta = load_state(self.root / info.name)
-                base = Path(info.name).stem  # shard-NNNNN
-                vectors = np.ascontiguousarray(
-                    state["vectors"], dtype=self.dtype
-                )
-                self._save_vectors(self.root / f"{base}.npy", vectors)
-                save_state(
-                    self.root / f"{base}.meta.npz",
-                    {
-                        "callee_counts": state["callee_counts"],
-                        "ast_sizes": state["ast_sizes"],
-                    },
-                    meta=meta,
-                )
-                info.name = base
-                info.sha256 = {
-                    f"{base}.npy": file_sha256(self.root / f"{base}.npy"),
-                    f"{base}.meta.npz": file_sha256(
-                        self.root / f"{base}.meta.npz"
-                    ),
-                }
-            self.format_version = FORMAT_VERSION
-            self._write_manifest()
-        except Exception as exc:
-            for info, name in zip(self._shards, legacy):
-                info.name = name
-            self.format_version = 1  # keep reads on the v1 file layout
-            _LOG.warning(
-                "cannot migrate v1 store at %s (%s); serving read-compat",
-                self.root, exc,
-            )
-            return self
-        for name in legacy:  # reclaim the doubled vector bytes
-            try:
-                (self.root / name).unlink()
-            except OSError:
-                pass
-        _LOG.info(
-            "migrated v1 store at %s to format %d (%d shards)",
-            self.root, FORMAT_VERSION, len(self._shards),
-        )
-        return self
 
     # -- integrity ---------------------------------------------------------
 
@@ -557,7 +482,7 @@ class EmbeddingStore:
                 except OSError:  # unwritable dir: serving still degrades
                     pass
         if self.ann and int(self.ann.get("n_rows", 0)) > self.n_flushed:
-            self.ann = {}  # signatures cover rows that no longer exist
+            self.ann = {}  # the state covers rows that no longer exist
         _LOG.warning(
             "store at %s is degraded: %s; quarantined %d shard(s), "
             "serving %d rows",
@@ -622,16 +547,15 @@ class EmbeddingStore:
                 image_ids=[row.image_id for row in batch],
             )
             index = len(self._shards)
-            base = f"shard-{index:05d}"
-            name = f"{base}.npz" if self.format_version == 1 else base
-            info = _ShardInfo(name=name, n_rows=len(shard_meta))
+            info = _ShardInfo(
+                name=f"shard-{index:05d}", n_rows=len(shard_meta)
+            )
             if self.root is not None:
                 self._write_shard(info, vectors, shard_meta)
-                if self.format_version != 1:
-                    # hand the view the on-disk map, not the heap copy
-                    vectors = np.load(
-                        self.root / f"{base}.npy", mmap_mode="r"
-                    )
+                # hand the view the on-disk map, not the heap copy
+                vectors = np.load(
+                    self.root / f"{info.name}.npy", mmap_mode="r"
+                )
             self._shards.append(info)
             self._meta_cache[index] = shard_meta
             self._append_to_views(vectors, shard_meta.callee_counts)
@@ -713,15 +637,14 @@ class EmbeddingStore:
                 image_ids=list(image_ids[start:stop]),
             )
             index = len(self._shards)
-            base = f"shard-{index:05d}"
-            name = f"{base}.npz" if self.format_version == 1 else base
-            info = _ShardInfo(name=name, n_rows=len(shard_meta))
+            info = _ShardInfo(
+                name=f"shard-{index:05d}", n_rows=len(shard_meta)
+            )
             if self.root is not None:
                 self._write_shard(info, batch, shard_meta)
-                if self.format_version != 1:
-                    batch = np.load(
-                        self.root / f"{base}.npy", mmap_mode="r"
-                    )
+                batch = np.load(
+                    self.root / f"{info.name}.npy", mmap_mode="r"
+                )
             self._shards.append(info)
             self._meta_cache[index] = shard_meta
             self._append_to_views(batch, shard_meta.callee_counts)
@@ -758,8 +681,6 @@ class EmbeddingStore:
 
     def _shard_paths(self, info: _ShardInfo) -> List[Path]:
         """Every file that must be intact for this shard to be served."""
-        if self.format_version == 1:
-            return [self.root / info.name]
         return [
             self.root / f"{info.name}.npy",
             self.root / f"{info.name}.meta.npz",
@@ -778,16 +699,6 @@ class EmbeddingStore:
             "arches": meta.arches,
             "image_ids": meta.image_ids,
         }
-        if self.format_version == 1:
-            save_state(
-                self.root / info.name,
-                dict(columns, vectors=vectors.astype(np.float64)),
-                meta=strings,
-            )
-            info.sha256 = {
-                info.name: file_sha256(self.root / info.name)
-            }
-            return
         meta_path = self.root / f"{info.name}.meta.npz"
         save_state(meta_path, columns, meta=strings)
         vec_path = self.root / f"{info.name}.npy"
@@ -803,7 +714,7 @@ class EmbeddingStore:
 
     def _write_manifest(self) -> None:
         manifest = {
-            "format_version": self.format_version,
+            "format_version": FORMAT_VERSION,
             "dim": self.dim,
             "dtype": self.dtype.name,
             "shard_size": self.shard_size,
@@ -835,14 +746,14 @@ class EmbeddingStore:
     def write_ann_state(
         self, params: Dict, arrays: Dict[str, np.ndarray]
     ) -> None:
-        """Persist ANN state (e.g. LSH planes + signatures) alongside the
-        shards and record its parameters (and checksum) in the manifest."""
+        """Persist ANN state (quantizer arrays + parameters) alongside
+        the shards and record its parameters (and checksum) in the
+        manifest."""
         if self.root is None:
             raise StoreError("in-memory stores cannot persist ANN state")
-        # one artifact per backend kind (ann-lsh.npz, ann-ivf-pq.npz, ...);
-        # the manifest's ``file`` field names it, and readers of manifests
-        # from before this field default to the legacy LSH name
-        file_name = f"ann-{params.get('kind', 'lsh')}.npz"
+        # one artifact per backend kind; the manifest's ``file`` field
+        # names it
+        file_name = f"ann-{params['kind']}.npz"
         target = self.root / file_name
         # keep the temp name ending in .npz so save_state leaves it alone
         pending = target.with_name(
@@ -864,9 +775,9 @@ class EmbeddingStore:
         rebuilds from the (verified) vectors -- so any integrity doubt
         here resolves to a rebuild, never a crash or silent bad results.
         """
-        if self.root is None or not self.ann:
+        if self.root is None or "file" not in self.ann:
             return None
-        path = self.root / self.ann.get("file", ANN_STATE_NAME)
+        path = self.root / self.ann["file"]
         if not path.exists():
             return None
         expected = self.ann.get("sha256")
@@ -911,15 +822,11 @@ class EmbeddingStore:
             self._offsets.append(self._offsets[-1] + info.n_rows)
 
     def _shard_vectors(self, index: int) -> np.ndarray:
-        """The vector block of one shard (a memory map for v2 stores)."""
+        """The vector block of one shard, as a memory map."""
         info = self._shards[index]
         if self.root is None:
             raise StoreError(f"shard {index} missing from in-memory store")
-        if self.format_version == 1:
-            state, _meta = load_state(self.root / info.name)
-            vectors = state["vectors"]
-        else:
-            vectors = np.load(self.root / f"{info.name}.npy", mmap_mode="r")
+        vectors = np.load(self.root / f"{info.name}.npy", mmap_mode="r")
         if vectors.shape != (info.n_rows, self.dim):
             raise StoreError(
                 f"shard {info.name} has vector shape {vectors.shape}, "
@@ -933,12 +840,7 @@ class EmbeddingStore:
         if self.root is None:
             raise StoreError(f"shard {index} missing from in-memory store")
         info = self._shards[index]
-        path = (
-            self.root / info.name
-            if self.format_version == 1
-            else self.root / f"{info.name}.meta.npz"
-        )
-        state, meta = load_state(path)
+        state, meta = load_state(self.root / f"{info.name}.meta.npz")
         shard = _ShardMeta(
             callee_counts=state["callee_counts"],
             ast_sizes=state["ast_sizes"],
@@ -988,7 +890,7 @@ class EmbeddingStore:
     def vectors(self) -> ShardedMatrix:
         """All flushed vectors as one zero-copy ``(n, dim)`` view.
 
-        Durable v2 shards enter the view as memory maps; opening the
+        Durable shards enter the view as memory maps; opening the
         view therefore touches no vector data, and a query pages in only
         the shards it reads.  The view is cached and *extended* by
         :meth:`flush` -- it is never rebuilt from scratch.

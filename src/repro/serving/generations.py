@@ -51,8 +51,7 @@ _GEN_RE = re.compile(r"^gen-(\d{5,})$")
 #: Store artifacts a new generation inherits from its parent.  Anything
 #: else under the root (``generations/`` itself, ``quarantine/``, the
 #: ``CURRENT`` pointer, stray temp files) stays behind.
-_CLONE_GLOBS = ("manifest.json", "shard-*.npy", "shard-*.meta.npz",
-                "ann-lsh.npz")
+_CLONE_GLOBS = ("manifest.json", "shard-*.npy", "shard-*.meta.npz")
 
 
 def read_current(index_root) -> Optional[str]:

@@ -71,12 +71,11 @@ def _open_corpus(cache: "OrderedDict", root: str):
 
     ``verify=False``: the coordinator verified checksums when it opened
     the generation; re-hashing every shard per worker would turn each
-    swap into an O(corpus) stall.  ``migrate=False`` keeps workers
-    strictly read-only on disk.
+    swap into an O(corpus) stall.
     """
     entry = cache.get(root)
     if entry is None:
-        store = EmbeddingStore.open(root, migrate=False, verify=False)
+        store = EmbeddingStore.open(root, verify=False)
         entry = (store.vectors().snapshot(), store.callee_counts())
         cache[root] = entry
         while len(cache) > _STORE_CACHE_MAX:

@@ -1,6 +1,6 @@
 """Crash-safe filesystem primitives: atomic commit + checksums.
 
-Every durable artifact in the repo (store shards and manifests, LSH
+Every durable artifact in the repo (store shards and manifests, ANN
 state, cache objects) reaches its final name the same way: the bytes
 are written to a temporary sibling, flushed and ``fsync``-ed, then
 ``os.replace``-d over the target, and the directory entry is fsynced

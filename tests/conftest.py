@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import AsteriaEngine, EngineConfig
 from repro.compiler.pipeline import cross_compile, library_function_defs
 from repro.core import (
     Asteria,
@@ -19,6 +20,7 @@ from repro.core import (
 )
 from repro.core.pairs import split_pairs
 from repro.evalsuite.datasets import build_buildroot_dataset, build_openssl_dataset
+from repro.evalsuite.vulnsearch import VulnerabilitySearch
 from repro.lang.generator import generate_corpus
 
 
@@ -65,3 +67,18 @@ def trained_model(buildroot_small):
     trainer = Trainer(model.siamese, TrainConfig(epochs=2, lr=0.05))
     trainer.train(train, dev)
     return model
+
+
+@pytest.fixture(scope="session")
+def make_vuln_search(trained_model):
+    """Factory: a ``VulnerabilitySearch`` over a fresh private engine
+    around the trained model (optionally sharing an artifact ``cache``)."""
+
+    def make(threshold: float = 0.84, cache=None) -> VulnerabilitySearch:
+        engine = AsteriaEngine(
+            EngineConfig(threshold=threshold), model=trained_model,
+            cache=cache,
+        )
+        return VulnerabilitySearch(engine, threshold=threshold)
+
+    return make

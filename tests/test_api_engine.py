@@ -3,7 +3,7 @@
 Covers the typed config (dict/file/env/args loading), the micro-batcher,
 the engine lifecycle (encode/ingest/query/compare/train/stats), the
 typed error hierarchy, thread-safety under a concurrent query storm, and
-the deprecated compatibility shims.
+the query / one-request-batch differential.
 """
 
 import json
@@ -38,7 +38,7 @@ from repro.lang.generator import ProgramGenerator
 class TestEngineConfig:
     def test_dict_round_trip(self):
         config = EngineConfig(model_path="m.npz", jobs=3, threshold=0.7,
-                              backend="lsh", micro_batch_size=8)
+                              backend="ivf-pq", micro_batch_size=8)
         assert EngineConfig.from_dict(config.to_dict()) == config
 
     def test_unknown_key_is_clean_error(self):
@@ -66,6 +66,21 @@ class TestEngineConfig:
         # unknown backends list the valid choices in the message
         with pytest.raises(BadRequestError, match="ivf-pq"):
             EngineConfig(backend="faiss")
+
+    def test_removed_lsh_backend_is_a_bad_request(self):
+        match = "unknown backend 'lsh' \\(choose from exact, ivf-pq\\)"
+        with pytest.raises(BadRequestError, match=match):
+            EngineConfig(backend="lsh")
+        with pytest.raises(BadRequestError, match=match):
+            EngineConfig.from_env({"REPRO_BACKEND": "lsh"})
+        with pytest.raises(BadRequestError, match=match):
+            EngineConfig.from_dict({"backend": "lsh"})
+        args = build_parser().parse_args([
+            "index", "search", "--model", "m.npz", "--index", "idx",
+            "--backend", "lsh",
+        ])
+        with pytest.raises(BadRequestError, match=match):
+            EngineConfig.from_args(args)
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "engine.json"
@@ -500,15 +515,6 @@ class TestEngineLifecycle:
         hits = engine.query(QueryRequest(cve_id="CVE-2011-0762", top_k=3))
         assert hits.n_rows > 0
 
-    def test_make_service_honors_batch_size_override(self, engine):
-        service = engine.make_service(encode_batch_size=256)
-        assert service.pipeline.encode_batch_size == 256
-        # the engine's own pipeline is untouched
-        assert engine.pipeline.encode_batch_size \
-            == engine.config.encode_batch_size
-        default = engine.make_service()
-        assert default.pipeline is engine.pipeline
-
     def test_stats_fingerprint_without_side_effects(self, trained_model,
                                                     tmp_path):
         # stats() must not build the pipeline/cache (no cache_dir mkdir)
@@ -634,38 +640,90 @@ class TestConcurrentQueries:
         )
 
 
-# -- deprecated shims ---------------------------------------------------------------
+# -- query is the one-request case of query_batch -----------------------------------
 
 
-class TestCompatibilityShims:
-    def test_vulnerability_search_wraps_an_engine(self, trained_model):
-        from repro.evalsuite.vulnsearch import VulnerabilitySearch
+@pytest.fixture(scope="module")
+def durable_index(tmp_path_factory, trained_model):
+    root = str(tmp_path_factory.mktemp("differential") / "fw")
+    AsteriaEngine(
+        EngineConfig(index_root=root), model=trained_model
+    ).ingest(IngestRequest(corpus_images=3, corpus_seed=4))
+    return root
 
-        search = VulnerabilitySearch(trained_model, threshold=0.8, jobs=2)
-        assert isinstance(search.engine, AsteriaEngine)
-        assert search.engine.config.jobs == 2
-        assert search.pipeline is search.engine.pipeline
-        assert search.cache is search.engine.cache
-        # encode_library is the engine's shared CVE library
-        assert search.encode_library() is search.engine.cve_library()
 
-    def test_vulnerability_search_requires_model_or_engine(self):
-        from repro.evalsuite.vulnsearch import VulnerabilitySearch
+class TestQueryMatchesOneRequestBatch:
+    """``engine.query(r)`` and ``engine.query_batch([r])[0]`` must agree
+    bit for bit on every backend, in process and through the pool."""
 
-        with pytest.raises(ValueError, match="model or an engine"):
-            VulnerabilitySearch()
-
-    def test_search_service_builds_pipeline_via_engine(self, trained_model):
-        from repro.index.search import SearchService
-        from repro.index.store import EmbeddingStore
-        from repro.pipeline import CorpusPipeline
-
-        store = EmbeddingStore.in_memory(
-            dim=trained_model.config.hidden_dim
+    @pytest.fixture(
+        scope="class",
+        params=[(backend, workers)
+                for backend in ("exact", "ivf-pq") for workers in (1, 2)],
+        ids=lambda p: f"{p[0]}-workers{p[1]}",
+    )
+    def served(self, request, durable_index, trained_model):
+        backend, workers = request.param
+        engine = AsteriaEngine(
+            EngineConfig(index_root=durable_index, backend=backend,
+                         serve_workers=workers),
+            model=trained_model,
         )
-        service = SearchService(trained_model, store, jobs=2)
-        assert isinstance(service.pipeline, CorpusPipeline)
-        assert service.pipeline.jobs == 2
+        engine.open_index()
+        yield engine
+        engine.close()
+
+    @pytest.fixture(params=["encoding", "cve_id", "binary"])
+    def query_request(self, request, served, query_binary, query_functions):
+        if request.param == "encoding":
+            _entry, encoding = served.cve_library()["CVE-2014-4877"]
+            return QueryRequest(encoding=encoding, top_k=5)
+        if request.param == "cve_id":
+            return QueryRequest(cve_id="CVE-2016-2105", top_k=5)
+        return QueryRequest(binary=query_binary,
+                            function=query_functions[0], top_k=5)
+
+    def test_identical_results(self, served, query_request):
+        single = served.query(query_request)
+        batched = served.query_batch([query_request])[0]
+        assert single.hits  # an empty answer would compare equal vacuously
+        # SearchHit equality covers rows, metadata and float scores exactly
+        assert single.hits == batched.hits
+        assert single.query == batched.query
+        assert single.n_rows == batched.n_rows
+        assert single.generation == batched.generation
+        pooled = served.config.serve_workers > 1
+        assert single.generation == ("." if pooled else "")
+
+    def test_identical_errors(self, served, query_binary):
+        from repro.api.errors import DeadlineExceededError
+
+        for kind, bad in [
+            (BadRequestError,
+             QueryRequest(binary=query_binary, function="nope_fn")),
+            (BadRequestError, QueryRequest(cve_id="CVE-1999-0000")),
+            (DeadlineExceededError,
+             QueryRequest(cve_id="CVE-2016-2105", deadline=0.0)),
+        ]:
+            with pytest.raises(kind) as single:
+                served.query(bad)
+            with pytest.raises(kind) as batched:
+                served.query_batch([bad])
+            assert type(single.value) is type(batched.value)
+            assert str(single.value) == str(batched.value)
+
+    def test_single_query_counters(self, served):
+        def counts():
+            latency = served.obs.get("repro_query_seconds")
+            return (
+                served.obs.value("repro_queries_total"),
+                latency.count if latency is not None else 0,
+                served.obs.value("repro_query_batches_total"),
+            )
+
+        queries, observed, batches = counts()
+        served.query(QueryRequest(cve_id="CVE-2016-2105", top_k=2))
+        assert counts() == (queries + 1, observed + 1, batches)
 
 
 class TestEngineObservability:

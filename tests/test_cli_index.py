@@ -97,12 +97,31 @@ class TestIndexSearch:
         assert first == second
         assert first.count("score=") > 0
 
-    def test_lsh_backend_runs(self, model_path, index_dir, capsys):
+    def test_ivf_pq_backend_persists_and_reopens(self, model_path,
+                                                 index_dir, capsys):
+        from pathlib import Path
+
+        argv = [
+            "index", "search", "--model", model_path, "--index", index_dir,
+            "--top-k", "2", "--backend", "ivf-pq", "--seed", "4",
+        ]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert "score=" in first
+        # the stateful backend left its artifact beside the shards, and
+        # the reopen (no re-quantization) answers identically
+        assert (Path(index_dir) / "ann-ivf-pq.npz").exists()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+
+    def test_removed_lsh_backend_is_a_bad_request(self, model_path,
+                                                  index_dir, capsys):
+        # 6 = the CLI's distinct "bad request" exit code
         assert main([
             "index", "search", "--model", model_path, "--index", index_dir,
-            "--top-k", "2", "--backend", "lsh", "--seed", "4",
-        ]) == 0
-        assert "score=" in capsys.readouterr().out
+            "--backend", "lsh",
+        ]) == 6
+        assert "choose from exact, ivf-pq" in capsys.readouterr().err
 
     def test_missing_index_is_clean_error(self, model_path, tmp_path,
                                           capsys):

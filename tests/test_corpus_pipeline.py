@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.model import Asteria, AsteriaConfig
-from repro.evalsuite.vulnsearch import (
-    CVE_LIBRARY,
-    VulnerabilitySearch,
-    build_firmware_dataset,
-)
+from repro.evalsuite.vulnsearch import CVE_LIBRARY, build_firmware_dataset
 from repro.pipeline import (
     ArtifactCache,
     CorpusPipeline,
@@ -319,7 +315,9 @@ class TestParallelDeterminism:
 
 
 class TestCallSites:
-    def test_index_firmware_matches_seed_loop(self, trained_model, firmware):
+    def test_index_firmware_matches_seed_loop(
+        self, trained_model, firmware, make_vuln_search
+    ):
         from repro.binformat.binwalk import UnpackError, unpack_firmware
         from repro.decompiler.hexrays import decompile_binary
 
@@ -337,8 +335,7 @@ class TestCallSites:
                         (image, binary.name, trained_model.encode_function(fn))
                     )
 
-        search = VulnerabilitySearch(trained_model)
-        indexed = search.index_firmware(firmware)
+        indexed = make_vuln_search().index_firmware(firmware)
         assert [(im.identifier, bn, e.name) for im, bn, e in reference] == [
             (im.identifier, bn, e.name) for im, bn, e in indexed
         ]
@@ -351,17 +348,15 @@ class TestCallSites:
             e.callee_count for _im, _bn, e in indexed
         ]
 
-    def test_encode_library_is_cached(self, trained_model):
+    def test_encode_library_is_cached(self, make_vuln_search):
         cache = ArtifactCache.in_memory()
-        search = VulnerabilitySearch(trained_model, cache=cache)
+        search = make_vuln_search(cache=cache)
         first = search.encode_library()
         # the engine memoizes: repeat calls return the same library
         assert search.encode_library() is first
         # a fresh engine sharing the artifact cache hits cached encodings
         hits_before = cache.stats.encoding_hits
-        second = VulnerabilitySearch(
-            trained_model, cache=cache
-        ).encode_library()
+        second = make_vuln_search(cache=cache).encode_library()
         assert cache.stats.encoding_hits >= hits_before + len(CVE_LIBRARY)
         assert set(first) == {entry.cve_id for entry in CVE_LIBRARY}
         for cve_id, (entry, encoding) in first.items():
@@ -370,18 +365,18 @@ class TestCallSites:
             assert np.array_equal(encoding.vector, encoding2.vector)
             assert encoding.callee_count == encoding2.callee_count
 
-    def test_ingest_stats_carry_pipeline_stats(self, trained_model, firmware):
-        from repro.index.search import SearchService
-        from repro.index.store import EmbeddingStore
+    def test_ingest_result_carries_pipeline_stats(
+        self, trained_model, firmware
+    ):
+        from repro.api import AsteriaEngine, EngineConfig, IngestRequest
 
-        store = EmbeddingStore.in_memory(dim=trained_model.config.hidden_dim)
-        service = SearchService(trained_model, store)
-        stats = service.ingest_firmware(firmware.images)
-        assert stats.n_functions == len(store) > 0
-        assert stats.pipeline.n_unique_binaries > 0
-        assert stats.pipeline.cache.encoding_misses \
-            == stats.pipeline.n_unique_binaries
-        assert stats.n_skipped_small == stats.pipeline.n_skipped_small
+        engine = AsteriaEngine(EngineConfig(), model=trained_model)
+        result = engine.ingest(IngestRequest(images=firmware.images))
+        assert result.n_functions == len(engine.store) > 0
+        assert result.pipeline.n_unique_binaries > 0
+        assert result.pipeline.cache.encoding_misses \
+            == result.pipeline.n_unique_binaries
+        assert result.n_skipped_small == result.pipeline.n_skipped_small
 
     def test_measure_offline_pipeline(self, trained_model, buildroot_small):
         from repro.evalsuite.timing import measure_offline_pipeline

@@ -241,14 +241,14 @@ class TestTornShardRecovery:
         root = tmp_path / "idx"
         store = self._fill(root)
         store.write_ann_state(
-            {"backend": "lsh", "n_rows": 10},
-            {"planes": np.zeros((4, DIM))},
+            {"kind": "ivf-pq", "n_rows": 10},
+            {"centroids": np.zeros((4, DIM))},
         )
         shard = root / "shard-00002.npy"
         shard.write_bytes(shard.read_bytes()[:-8])
         recovered = EmbeddingStore.open(root)
         assert len(recovered) == 8
-        # signatures covering vanished rows must not survive recovery
+        # codes covering vanished rows must not survive recovery
         assert recovered.read_ann_state() is None
 
 
@@ -262,14 +262,14 @@ class TestAnnFaults:
         store.add_batch(_encoding(i) for i in range(4))
         store.flush()
         store.write_ann_state(
-            {"backend": "lsh", "n_rows": 4, "generation": 1},
-            {"planes": np.ones((4, DIM))},
+            {"kind": "ivf-pq", "n_rows": 4, "generation": 1},
+            {"centroids": np.ones((4, DIM))},
         )
         faults.configure("ann.persist.pre_rename=raise*1")
         with pytest.raises(FaultInjected):
             store.write_ann_state(
-                {"backend": "lsh", "n_rows": 4, "generation": 2},
-                {"planes": np.zeros((4, DIM))},
+                {"kind": "ivf-pq", "n_rows": 4, "generation": 2},
+                {"centroids": np.zeros((4, DIM))},
             )
         # the interrupted write left generation 1 fully intact
         reopened = EmbeddingStore.open(root)
@@ -277,7 +277,7 @@ class TestAnnFaults:
         assert state is not None
         params, arrays = state
         assert params["generation"] == 1
-        assert np.allclose(arrays["planes"], 1.0)
+        assert np.allclose(arrays["centroids"], 1.0)
 
     def test_ann_build_failure_degrades_to_exact(self, trained_model):
         dim = trained_model.config.hidden_dim
@@ -286,7 +286,7 @@ class TestAnnFaults:
         store.flush()
         registry = MetricsRegistry()
         service = SearchService(
-            trained_model, store, backend="lsh", registry=registry,
+            trained_model, store, backend="ivf-pq", registry=registry,
         )
         faults.configure("ann.build=raise")
         hits = service.query(_encoding(99, dim=dim), top_k=3)

@@ -6,11 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.model import Asteria, AsteriaConfig, FunctionEncoding
-from repro.evalsuite.vulnsearch import (
-    VulnerabilitySearch,
-    build_firmware_dataset,
-)
-from repro.index.ann import BruteForceIndex, LSHIndex, make_index
+from repro.evalsuite.vulnsearch import build_firmware_dataset
+from repro.index.ann import BruteForceIndex, make_index
 from repro.index.search import SearchService
 from repro.index.store import (
     FORMAT_VERSION,
@@ -75,6 +72,57 @@ class TestEmbeddingStore:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(StoreError, match="format_version"):
             EmbeddingStore.open(root)
+
+    @pytest.mark.parametrize("drop_dtype", [False, True])
+    def test_format_1_manifest_is_a_typed_error(self, tmp_path, drop_dtype):
+        # what a pre-format-2 writer left behind: version 1, no dtype,
+        # all-in-one shard-NNNNN.npz files this build cannot read
+        root = tmp_path / "idx"
+        EmbeddingStore.create(root, dim=4)
+        manifest_path = root / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = 1
+        manifest["shards"] = [{"name": "shard-00000.npz", "n_rows": 3}]
+        if drop_dtype:
+            del manifest["dtype"]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(StoreError) as excinfo:
+            EmbeddingStore.open(root)
+        message = str(excinfo.value)
+        assert "format_version 1" in message  # found
+        assert f"only format_version {FORMAT_VERSION}" in message  # supported
+        assert "repro-cli index build" in message  # remedy
+        assert "pre-PR-16 checkout" in message
+
+    def test_stale_lsh_ann_entry_is_ignored_with_one_warning(
+        self, tmp_path, caplog
+    ):
+        import logging
+
+        root = tmp_path / "idx"
+        store = EmbeddingStore.create(root, dim=8, shard_size=4)
+        _fill(store, 6)
+        manifest_path = root / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["ann"] = {
+            "kind": "lsh", "version": 1, "n_planes": 8, "n_tables": 4,
+            "seed": 0, "dim": 8, "n_rows": 6, "file": "ann-lsh.npz",
+        }
+        manifest_path.write_text(json.dumps(manifest))
+        (root / "ann-lsh.npz").write_bytes(b"orphaned hyperplanes")
+        with caplog.at_level(logging.WARNING, logger="repro.index.store"):
+            reopened = EmbeddingStore.open(root)
+        warnings = [r for r in caplog.records if "lsh" in r.getMessage()]
+        assert len(warnings) == 1
+        assert not reopened.degraded and len(reopened) == 6
+        assert reopened.ann == {} and reopened.read_ann_state() is None
+        # the configured backend builds from the vectors and persists
+        # its own state over the stale manifest entry
+        model = Asteria(AsteriaConfig(hidden_dim=8, seed=4))
+        service = SearchService(model, reopened, backend="ivf-pq", seed=3)
+        assert len(service.query(_encoding(2), top_k=3)) == 3
+        assert service.index().rows_quantized == 6
+        assert EmbeddingStore.open(root).ann["kind"] == "ivf-pq"
 
     def test_create_refuses_existing(self, tmp_path):
         root = tmp_path / "idx"
@@ -235,44 +283,16 @@ class TestAnnBackends:
         assert len(neighbors) == int((scores >= 0.5).sum())
         assert all(n.score >= 0.5 for n in neighbors)
 
-    def test_lsh_recall_against_exact(self, corpus):
-        # the cosine head ranks by the geometry the hyperplane family
-        # approximates; the classification-head recall is covered on a
-        # real trained corpus in bench_index_search.py
-        vectors, counts, queries = corpus
-        model = Asteria(AsteriaConfig(hidden_dim=16, head="regression"))
-        exact = BruteForceIndex(model, vectors, counts)
-        lsh = LSHIndex(model, vectors, counts, seed=3)
-        recalls = []
-        for query in queries:
-            top_exact = {n.row for n in exact.top_k(query, k=10)}
-            top_lsh = {n.row for n in lsh.top_k(query, k=10)}
-            assert top_lsh <= set(range(len(vectors)))
-            recalls.append(len(top_exact & top_lsh) / 10)
-        assert np.mean(recalls) >= 0.9
-
-    def test_lsh_deterministic(self, corpus_model, corpus):
-        vectors, counts, queries = corpus
-        a = LSHIndex(corpus_model, vectors, counts, seed=5)
-        b = LSHIndex(corpus_model, vectors, counts, seed=5)
-        for query in queries:
-            assert [n.row for n in a.top_k(query, k=8)] == \
-                   [n.row for n in b.top_k(query, k=8)]
-
-    def test_lsh_candidate_pool_grows_to_n(self, corpus_model, corpus):
-        vectors, counts, queries = corpus
-        lsh = LSHIndex(corpus_model, vectors, counts, seed=1)
-        rows = lsh.candidate_rows(queries[0].vector, 100)
-        assert len(rows) >= 100
-        all_rows = lsh.candidate_rows(queries[0].vector, None)
-        assert len(all_rows) == len(vectors)
-
-    def test_make_index_unknown_backend(self, corpus_model, corpus):
+    @pytest.mark.parametrize("backend", ["kdtree", "lsh"])
+    def test_make_index_unknown_backend(self, corpus_model, corpus, backend):
         from repro.api.errors import BadRequestError
 
         vectors, counts, _queries = corpus
-        with pytest.raises(BadRequestError, match="unknown backend"):
-            make_index("kdtree", corpus_model, vectors, counts)
+        with pytest.raises(
+            BadRequestError,
+            match="unknown backend .* \\(choose from exact, ivf-pq\\)",
+        ):
+            make_index(backend, corpus_model, vectors, counts)
 
     def test_empty_index(self, corpus_model):
         index = BruteForceIndex(
@@ -287,8 +307,8 @@ class TestSearchService:
         return build_firmware_dataset(n_images=4, seed=3)
 
     @pytest.fixture(scope="class")
-    def vuln_search(self, trained_model):
-        return VulnerabilitySearch(trained_model, threshold=0.8)
+    def vuln_search(self, make_vuln_search):
+        return make_vuln_search(threshold=0.8)
 
     @pytest.fixture(scope="class")
     def service(self, vuln_search, firmware):

@@ -1,33 +1,20 @@
-"""Corpus-scale read path: mmap float32 shards, persisted LSH, batched
-top-k.
+"""Corpus-scale read path: mmap float32 shards, batched top-k.
 
-Covers the format-2 store (configurable dtype, memory-mapped ``.npy``
-vector shards, zero-copy :class:`ShardedMatrix` view, v1 migration),
-argpartition top-k selection (tie-for-tie identical to the lexsort
-reference), batched multi-query scoring, and the persisted/incremental
-LSH life cycle with its re-projection instrumentation counter.
+Covers the store (configurable dtype, memory-mapped ``.npy`` vector
+shards, zero-copy :class:`ShardedMatrix` view), argpartition top-k
+selection (tie-for-tie identical to the lexsort reference) and batched
+multi-query scoring.  The persisted/incremental ANN state life cycle is
+covered in ``test_index_quant.py``.
 """
-
-import json
 
 import numpy as np
 import pytest
 
 from repro.core.model import Asteria, AsteriaConfig, FunctionEncoding
-from repro.index.ann import (
-    BruteForceIndex,
-    LSHIndex,
-    select_top_k,
-)
+from repro.index.ann import BruteForceIndex, select_top_k
+from repro.index.quant import IvfPqIndex
 from repro.index.search import SearchService
-from repro.index.store import (
-    ANN_STATE_NAME,
-    FORMAT_VERSION,
-    MANIFEST_NAME,
-    EmbeddingStore,
-    ShardedMatrix,
-    StoreError,
-)
+from repro.index.store import EmbeddingStore, ShardedMatrix, StoreError
 
 
 def _encoding(i: int, dim: int = 8, vector=None) -> FunctionEncoding:
@@ -374,9 +361,9 @@ class TestTopKBatch:
         for a, b in zip(serial, batched):
             _same_ranking(a, b)
 
-    def test_lsh_batch_matches_serial(self, corpus_model, clustered):
+    def test_ivf_pq_batch_matches_serial(self, corpus_model, clustered):
         vectors, counts, queries = clustered
-        index = LSHIndex(corpus_model, vectors, counts, seed=5)
+        index = IvfPqIndex(corpus_model, vectors, counts, seed=5)
         serial = [index.top_k(q, k=6) for q in queries]
         batched = index.top_k_batch(queries, k=6)
         for a, b in zip(serial, batched):
@@ -417,202 +404,3 @@ class TestTopKBatch:
             assert [h.score for h in a] == pytest.approx(
                 [h.score for h in b], rel=1e-5, abs=1e-7
             )
-
-
-# -- persisted LSH ---------------------------------------------------------
-
-
-class TestPersistedLSH:
-    def _store(self, root, clustered) -> EmbeddingStore:
-        vectors, _counts, _queries = clustered
-        store = EmbeddingStore.create(root, dim=16, shard_size=32)
-        for i in range(len(vectors)):
-            store.add(_encoding(i, 16, vector=vectors[i]))
-        store.flush()
-        return EmbeddingStore.open(root)
-
-    def test_persisted_equals_rebuilt_without_projection(
-        self, tmp_path, corpus_model, clustered
-    ):
-        _vectors, _counts, queries = clustered
-        store = self._store(tmp_path / "idx", clustered)
-        built = LSHIndex(
-            corpus_model, store.vectors(), store.callee_counts(), seed=7
-        )
-        assert built.rows_projected == len(store)
-        assert not built.loaded_from_state
-        params, arrays = built.state_dict()
-        store.write_ann_state(params, arrays)
-        assert (tmp_path / "idx" / ANN_STATE_NAME).exists()
-
-        reopened = EmbeddingStore.open(tmp_path / "idx")
-        restored = LSHIndex(
-            corpus_model, reopened.vectors(), reopened.callee_counts(),
-            seed=7, state=reopened.read_ann_state(),
-        )
-        # the whole point: zero corpus rows re-projected on open
-        assert restored.loaded_from_state
-        assert restored.rows_projected == 0
-        for query in queries:
-            a = built.top_k(query, k=8)
-            b = restored.top_k(query, k=8)
-            assert [n.row for n in a] == [n.row for n in b]
-
-    def test_mismatched_params_force_rebuild(
-        self, tmp_path, corpus_model, clustered
-    ):
-        store = self._store(tmp_path / "idx", clustered)
-        built = LSHIndex(
-            corpus_model, store.vectors(), store.callee_counts(), seed=7
-        )
-        store.write_ann_state(*built.state_dict())
-        reopened = EmbeddingStore.open(tmp_path / "idx")
-        other_seed = LSHIndex(
-            corpus_model, reopened.vectors(), reopened.callee_counts(),
-            seed=8, state=reopened.read_ann_state(),
-        )
-        assert not other_seed.loaded_from_state
-        assert other_seed.rows_projected == len(store)
-
-    def test_incremental_extend_projects_only_new_rows(
-        self, tmp_path, corpus_model, clustered
-    ):
-        vectors, _counts, queries = clustered
-        store = self._store(tmp_path / "idx", clustered)
-        built = LSHIndex(
-            corpus_model, store.vectors(), store.callee_counts(), seed=7
-        )
-        store.write_ann_state(*built.state_dict())
-        state = store.read_ann_state()
-
-        for i in range(20):
-            store.add(_encoding(1000 + i, 16))
-        store.flush()
-        extended = LSHIndex(
-            corpus_model, store.vectors(), store.callee_counts(),
-            seed=7, state=state,
-        )
-        assert extended.loaded_from_state
-        assert extended.rows_projected == 20
-        rebuilt = LSHIndex(
-            corpus_model, store.vectors(), store.callee_counts(), seed=7
-        )
-        for query in queries:
-            assert [n.row for n in extended.top_k(query, k=8)] \
-                == [n.row for n in rebuilt.top_k(query, k=8)]
-
-    def test_service_round_trips_lsh_state(
-        self, tmp_path, corpus_model, clustered
-    ):
-        _vectors, _counts, queries = clustered
-        store = self._store(tmp_path / "idx", clustered)
-        service = SearchService(
-            corpus_model, store, backend="lsh", seed=3
-        )
-        first = service.index()
-        assert first.rows_projected == len(store)
-        manifest = json.loads(
-            (tmp_path / "idx" / MANIFEST_NAME).read_text()
-        )
-        assert manifest["ann"]["kind"] == "lsh"
-        assert manifest["ann"]["n_rows"] == len(store)
-
-        reopened = SearchService(
-            corpus_model, EmbeddingStore.open(tmp_path / "idx"),
-            backend="lsh", seed=3,
-        )
-        second = reopened.index()
-        assert second.loaded_from_state
-        assert second.rows_projected == 0
-        for query in queries:
-            a = [h.row for h in service.query(query, top_k=8)]
-            b = [h.row for h in reopened.query(query, top_k=8)]
-            assert a == b
-
-
-# -- v1 migration ----------------------------------------------------------
-
-
-class TestV1Migration:
-    def _v1_store(self, root, n: int = 10) -> None:
-        store = EmbeddingStore.create(
-            root, dim=8, shard_size=4, format_version=1
-        )
-        _fill(store, n)
-        manifest = json.loads((root / MANIFEST_NAME).read_text())
-        assert manifest["format_version"] == 1
-        assert (root / "shard-00000.npz").exists()
-
-    def test_v1_store_auto_migrates_on_open(self, tmp_path):
-        root = tmp_path / "idx"
-        self._v1_store(root)
-        expected = [_encoding(i).vector for i in range(10)]
-        migrated = EmbeddingStore.open(root)
-        assert migrated.format_version == FORMAT_VERSION
-        assert migrated.dtype == np.float64  # migration keeps the bytes
-        assert migrated.vectors().mmapped
-        assert np.array_equal(np.asarray(migrated.vectors()), expected)
-        manifest = json.loads((root / MANIFEST_NAME).read_text())
-        assert manifest["format_version"] == FORMAT_VERSION
-        assert (root / "shard-00000.npy").exists()
-        # metadata survived
-        assert migrated.metadata_at(3).name == _encoding(3).name
-        assert migrated.metadata_at(3).image_id == "img/3"
-
-    def test_migration_reclaims_legacy_shards(self, tmp_path):
-        root = tmp_path / "idx"
-        self._v1_store(root)
-        EmbeddingStore.open(root)
-        # the float64 bytes now live in .npy shards; the all-in-one npz
-        # files are gone instead of doubling the store size forever
-        assert not list(root.glob("shard-*[0-9].npz"))
-        assert len(list(root.glob("shard-*.npy"))) == 3
-
-    def test_corrupt_v1_shard_falls_back_to_read_compat(self, tmp_path):
-        root = tmp_path / "idx"
-        self._v1_store(root)
-        (root / "shard-00001.npz").write_bytes(b"not a zipfile")
-        compat = EmbeddingStore.open(root)  # must not raise
-        assert compat.format_version == 1
-        # intact shards still serve; the corrupt npz files were kept
-        assert compat.metadata_at(0).name == _encoding(0).name
-        assert (root / "shard-00000.npz").exists()
-
-    def test_failed_migration_reverts_to_v1_reads(
-        self, tmp_path, monkeypatch
-    ):
-        # shards migrate fine but the manifest write dies (e.g. full
-        # disk): the store must keep reading the untouched v1 layout
-        root = tmp_path / "idx"
-        self._v1_store(root)
-        monkeypatch.setattr(
-            EmbeddingStore, "_write_manifest",
-            lambda self: (_ for _ in ()).throw(OSError("disk full")),
-        )
-        compat = EmbeddingStore.open(root)
-        monkeypatch.undo()
-        assert compat.format_version == 1
-        assert compat.metadata_at(7).name == _encoding(7).name
-        assert np.array_equal(compat.vector_at(7), _encoding(7).vector)
-
-    def test_v1_read_compat_without_migration(self, tmp_path):
-        root = tmp_path / "idx"
-        self._v1_store(root)
-        compat = EmbeddingStore.open(root, migrate=False)
-        assert compat.format_version == 1
-        assert not compat.vectors().mmapped
-        assert np.array_equal(
-            np.asarray(compat.vectors()),
-            [_encoding(i).vector for i in range(10)],
-        )
-
-    def test_migrated_store_appends_as_v2(self, tmp_path):
-        root = tmp_path / "idx"
-        self._v1_store(root)
-        migrated = EmbeddingStore.open(root)
-        for i in range(10, 14):
-            migrated.add(_encoding(i))
-        migrated.flush()
-        final = EmbeddingStore.open(root)
-        assert len(final) == 14
-        assert (root / "shard-00003.npy").exists()

@@ -14,6 +14,7 @@ import pytest
 
 import repro.faults as faults
 from repro.api.errors import BadRequestError
+from repro.core.model import FunctionEncoding
 from repro.faults import FaultInjected
 from repro.index.ann import (
     BruteForceIndex,
@@ -231,9 +232,9 @@ class TestPersistedIvfPq:
         store.write_ann_state(*built.state_dict())
         state = store.read_ann_state()
         rng = np.random.default_rng(9)
-        store.append_rows(
-            rng.normal(size=(20, DIM)), np.zeros(20, dtype=np.int64)
-        )
+        n_old = len(store)
+        appended = rng.normal(size=(20, DIM))
+        store.append_rows(appended, np.zeros(20, dtype=np.int64))
         extended = IvfPqIndex(
             model, store.vectors(), store.callee_counts(),
             seed=7, state=state,
@@ -241,6 +242,12 @@ class TestPersistedIvfPq:
         assert extended.loaded_from_state
         assert extended.rows_quantized == 20
         assert extended._assignments.shape[0] == len(store)
+        # the appended rows are searchable, not merely counted
+        probe = FunctionEncoding(
+            name="probe", arch="synth", binary_name="probe",
+            vector=appended[5], callee_count=0,
+        )
+        assert extended.top_k(probe, k=1)[0].row == n_old + 5
 
     def test_mismatched_seed_forces_rebuild(self, tmp_path, model, spec):
         store = _filled_store(tmp_path / "idx", spec)
@@ -341,9 +348,9 @@ class TestBackendRegistry:
 
     def test_statefulness_and_listing(self):
         assert backend_is_stateful("ivf-pq")
-        assert backend_is_stateful("lsh")
         assert not backend_is_stateful("exact")
-        assert "ivf-pq" in known_backends()
+        assert not backend_is_stateful("lsh")  # removed, so unknown
+        assert known_backends() == ["exact", "ivf-pq"]
 
 
 # -- synthetic corpus ground truth -----------------------------------------

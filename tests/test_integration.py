@@ -6,10 +6,7 @@ import pytest
 from repro.core import build_cross_arch_pairs, to_tree_pairs
 from repro.core.model import Asteria, AsteriaConfig
 from repro.evalsuite.metrics import roc_auc, youden_threshold
-from repro.evalsuite.vulnsearch import (
-    VulnerabilitySearch,
-    build_firmware_dataset,
-)
+from repro.evalsuite.vulnsearch import build_firmware_dataset
 
 
 class TestComparativePipeline:
@@ -49,13 +46,13 @@ class TestComparativePipeline:
 
 class TestVulnerabilitySearch:
     @pytest.fixture(scope="class")
-    def search_result(self, trained_model):
+    def search_result(self, make_vuln_search):
         dataset = build_firmware_dataset(
             n_images=8, seed=5, vulnerable_fraction=0.6
         )
         # Youden-style threshold from a quick self-calibration: the paper
         # uses 0.84; at miniature training scale we derive it the same way.
-        search = VulnerabilitySearch(trained_model, threshold=0.8)
+        search = make_vuln_search(threshold=0.8)
         report, candidates = search.search(dataset)
         return dataset, report, candidates
 

@@ -555,9 +555,7 @@ class TestEngineServing:
             assert engine.stats().n_index_swaps == 1
             # the flat store (old generation) is untouched on disk:
             # the clone hard-links shards and appends never mutate them
-            flat = EmbeddingStore.open(
-                tmp_path / "idx", migrate=False, verify=True
-            )
+            flat = EmbeddingStore.open(tmp_path / "idx", verify=True)
             assert flat.n_flushed == 150
         finally:
             engine.close()
