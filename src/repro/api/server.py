@@ -139,6 +139,9 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "AsteriaEngine/1.0"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on accepted sockets: Nagle holds a small segment back
+    # until the peer ACKs the last one, and the peer delays that ACK
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
 
@@ -170,8 +173,31 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
         request_id = getattr(self, "_request_id", None)
         if request_id:
             self.send_header("X-Request-Id", request_id)
-        self.end_headers()
-        self.wfile.write(data)
+        if self.close_connection:  # e.g. request bytes were left unread
+            self.send_header("Connection", "close")
+        # one write, not end_headers() then write(data): a second segment
+        # on a keep-alive socket waits out the peer's delayed ACK (~40 ms)
+        parts = getattr(self, "_headers_buffer", [])  # none for HTTP/0.9
+        self._headers_buffer = []
+        if parts:
+            parts.append(b"\r\n")
+        if self.command != "HEAD":
+            parts.append(data)
+        self.wfile.write(b"".join(parts))
+
+    def send_error(self, code, message=None, explain=None):
+        """The stdlib's own protocol errors (malformed request line,
+        unsupported verb, oversized headers) as typed JSON, not HTML."""
+        self.log_error("code %d, message %s", code, message)
+        # an unparsed request line defaults to HTTP/0.9, which would
+        # suppress the status line and headers of the error itself
+        self.request_version = self.protocol_version
+        self.close_connection = True  # whatever followed is unframed
+        self._request_id = new_request_id()
+        self._reply(code, {
+            "error": message or self.responses.get(code, ("???",))[0],
+            "exit_code": BadRequestError.exit_code,
+        })
 
     def _payload(self) -> Dict:
         try:
@@ -209,26 +235,39 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
         # /v1/shutdown must stay reachable while the server is saturated
         # or draining, so it bypasses admission control
         gated = gated and self.path != "/v1/shutdown"
+        def reply(status: int, body, headers=None) -> None:
+            # bookkeeping before the bytes leave: a client holding its
+            # reply must find the request in /metrics and the final snapshot
+            self._observe(endpoint, status, started)
+            self._reply(status, body, headers)
+
         with trace(f"http {self.command} {self.path}",
                    request_id=self._request_id):
             if handler is None:
                 # the request body was never read; keeping the connection
                 # alive would let it be parsed as the next request line
                 self.close_connection = True
-                status: int = 404
-                self._reply(status, {"error": f"no route {self.path}"})
+                reply(404, {"error": f"no route {self.path}"})
+            elif self.headers.get("Transfer-Encoding"):
+                # only Content-Length bodies are read: a chunked body would
+                # stay on the socket and be parsed as the next request line
+                self.close_connection = True
+                reply(BadRequestError.http_status, {
+                    "error": "Transfer-Encoding is not supported; send "
+                             "the body with Content-Length",
+                    "exit_code": BadRequestError.exit_code,
+                })
             elif gated and not self.server.try_admit():
                 # load shedding: a bounded number of heavy requests run
                 # concurrently; the rest get a fast, honest 503 instead
                 # of queueing toward a timeout (body unread -> close)
                 self.close_connection = True
-                status = 503
                 self.engine.obs.counter(
                     "repro_requests_shed_total",
                     "Requests shed by admission control (HTTP 503)",
                 ).inc()
-                self._reply(
-                    status,
+                reply(
+                    503,
                     {
                         "error": "server overloaded, retry later",
                         "exit_code": ServerOverloadedError.exit_code,
@@ -238,23 +277,24 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
             else:
                 try:
                     if gated:  # health/metrics stay fault-free for ops
-                        faults.inject("server.request")
-                    status, body = handler()
-                    self._reply(status, body)
+                        try:
+                            faults.inject("server.request")
+                        except faults.FaultInjected:
+                            # fired before the handler read the body
+                            self.close_connection = True
+                            raise
+                    reply(*handler())
                 except EngineError as exc:
-                    status = exc.http_status
-                    self._reply(
-                        status,
+                    reply(
+                        exc.http_status,
                         {"error": str(exc), "exit_code": exc.exit_code},
                     )
                 except Exception as exc:  # never leak a traceback
                     _LOG.exception("unhandled error serving %s", self.path)
-                    status = 500
-                    self._reply(status, {"error": f"internal error: {exc}"})
+                    reply(500, {"error": f"internal error: {exc}"})
                 finally:
                     if gated:
                         self.server.release()
-            self._observe(endpoint, status, started)
 
     def _observe(self, endpoint: str, status: int, started: float) -> None:
         """Per-endpoint request/error/latency metrics + access log line."""

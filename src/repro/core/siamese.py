@@ -103,11 +103,22 @@ class SiameseClassifier(Module):
         # stays cache-resident (~a few MB); the whole-corpus broadcast
         # thrashes for q >> 1 and tiny chunks waste dispatch overhead
         chunk = max(64, 800_000 // max(1, q * h))
+        # one scratch per call, not two fresh temporaries per chunk: at
+        # a few MB each they sit above the allocator's mmap threshold,
+        # so every chunk mapped, zero-faulted and unmapped them
+        scratch = np.empty(q * min(chunk, n) * h, dtype=vectors.dtype)
+
+        def abs_diff(block: np.ndarray) -> np.ndarray:
+            """``|queries - block|`` as a contiguous (q, b, h) view."""
+            b = block.shape[0]
+            diff = scratch[:q * b * h].reshape(q, b, h)
+            np.subtract(queries[:, None, :], block[None, :, :], out=diff)
+            return np.abs(diff, out=diff)
+
         if self.literal_sigmoid:
             for start in range(0, n, chunk):
                 block = vectors[start:start + chunk]
-                diff = np.abs(queries[:, None, :] - block[None, :, :])
-                logits = diff @ w[:h]  # (q, b, 2)
+                logits = abs_diff(block) @ w[:h]  # (q, b, 2)
                 # the product term does: (v ⊙ u) · w_c == (v ⊙ w_c) · u
                 for c in range(w.shape[1]):
                     logits[:, :, c] += (queries * w[h:, c]) @ block.T
@@ -125,8 +136,7 @@ class SiameseClassifier(Module):
         w_prod = (w[h:, 1] - w[h:, 0]) * queries  # (q, h), query-fused
         for start in range(0, n, chunk):
             block = vectors[start:start + chunk]
-            diff = np.abs(queries[:, None, :] - block[None, :, :])
-            margin = diff @ w_abs  # (q, b)
+            margin = abs_diff(block) @ w_abs  # (q, b)
             margin += w_prod @ block.T
             scores[:, start:start + chunk] = stable_sigmoid(margin)
         return scores[0] if single else scores

@@ -1,23 +1,31 @@
 """Tests for the HTTP/JSON serving layer (`repro.api.server`).
 
 A real `EngineServer` runs on an ephemeral localhost port for the whole
-module; requests go through urllib like any external client's would.
+module; requests go through urllib like any external client's would,
+over one kept-alive `http.client` connection where reuse is the point,
+and over a raw socket where the request itself is malformed.
 """
 
 import base64
+import http.client
 import json
+import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+import repro.faults as faults
 from repro.api import (
     AsteriaEngine,
     EngineConfig,
     EngineServer,
     IngestRequest,
 )
+from repro.api.server import EngineRequestHandler
 from repro.compiler.pipeline import compile_package
 from repro.lang.generator import ProgramGenerator
 
@@ -63,6 +71,38 @@ def _b64(binary) -> str:
     return base64.b64encode(binary.to_bytes()).decode("ascii")
 
 
+def _raw_exchange(server, payload: bytes):
+    """Send raw bytes, read until the server closes the connection.
+
+    Returns ``(status, headers, rest)`` of the first reply, header names
+    lower-cased and ``rest`` every byte after its header block -- so
+    ``rest`` is exactly the body iff the server answered once and closed.
+    A server that keeps the socket open fails the test by timing out.
+    """
+    chunks = []
+    with socket.create_connection(
+        server.server_address[:2], timeout=10
+    ) as sock:
+        sock.sendall(payload)
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break  # closed with our bytes unread: reset after the reply
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, rest = b"".join(chunks).partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    version, status, _reason = status_line.split(" ", 2)
+    assert version == "HTTP/1.1"
+    headers = {
+        name.lower(): value.strip()
+        for name, value in (line.split(":", 1) for line in header_lines)
+    }
+    return int(status), headers, rest
+
+
 class TestRoutes:
     def test_healthz(self, server):
         status, body = _get(server, "/healthz")
@@ -106,6 +146,133 @@ class TestRoutes:
             body = json.loads(error.read())
         assert status == 400
         assert "not JSON" in body["error"]
+
+    def test_transfer_encoding_is_typed_400_and_closes(self, server):
+        # the body is not read, so the chunk bytes and the pipelined
+        # request behind them must never be parsed as request lines
+        body = json.dumps({"queries": [{"cve": "CVE-2016-2105"}]}).encode()
+        status, headers, rest = _raw_exchange(
+            server,
+            b"POST /v1/query_batch HTTP/1.1\r\nHost: t\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            + b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+            + b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
+        )
+        assert status == 400
+        assert headers["content-type"] == "application/json"
+        assert headers["connection"] == "close"
+        assert len(rest) == int(headers["content-length"])  # one reply
+        reply = json.loads(rest)
+        assert "Content-Length" in reply["error"]
+        assert reply["exit_code"] == 6
+
+    @pytest.mark.parametrize("request_bytes, expected, needle", [
+        (b"1a\r\n\r\n", 400, "Bad request syntax"),
+        (b"BREW /pot HTTP/1.1\r\nHost: t\r\n\r\n", 501,
+         "Unsupported method"),
+    ], ids=["malformed-request-line", "unsupported-verb"])
+    def test_protocol_errors_are_typed_json(
+        self, server, request_bytes, expected, needle
+    ):
+        status, headers, rest = _raw_exchange(server, request_bytes)
+        assert status == expected
+        assert headers["content-type"] == "application/json"
+        assert headers["connection"] == "close"
+        assert len(headers["x-request-id"]) == 16
+        assert len(rest) == int(headers["content-length"])
+        reply = json.loads(rest)
+        assert needle in reply["error"]
+        assert reply["exit_code"] == 6
+
+    def test_fault_before_body_read_closes_connection(self, server):
+        body = json.dumps({"cve": "CVE-2016-2105"}).encode()
+        faults.activate("server.request", "raise", times=1)
+        try:
+            status, headers, rest = _raw_exchange(
+                server,
+                b"POST /v1/query HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Length: %d\r\n\r\n%s" % (len(body), body),
+            )
+            assert faults.fired_counts().get("server.request") == 1
+        finally:
+            faults.clear()
+        assert status == 500
+        assert headers["connection"] == "close"
+        # the unread body was not answered as a second (garbage) request
+        assert len(rest) == int(headers["content-length"])
+        assert "server.request" in json.loads(rest)["error"]
+
+
+class TestKeepAlive:
+    """What every real client does and urllib does not: many requests
+    on one connection."""
+
+    def test_one_connection_serves_every_request_without_stalling(
+        self, server
+    ):
+        conn = http.client.HTTPConnection(
+            *server.server_address[:2], timeout=30
+        )
+        try:
+            conn.connect()
+            sock = conn.sock
+            query = json.dumps({"cve": "CVE-2016-2105", "top_k": 3})
+            request_ids = set()
+            for method, path, body in (
+                ("GET", "/healthz", None), ("POST", "/v1/query", query),
+            ):
+                round_trips_ms = []
+                for _ in range(30):
+                    started = time.perf_counter()
+                    conn.request(method, path, body=body)
+                    response = conn.getresponse()
+                    payload = response.read()
+                    round_trips_ms.append(
+                        (time.perf_counter() - started) * 1000.0
+                    )
+                    assert response.status == 200
+                    assert json.loads(payload)
+                    request_ids.add(response.headers["X-Request-Id"])
+                    # http.client drops its socket when the server closes
+                    assert conn.sock is sock
+                # a reply split into two segments waits >= 40 ms for the
+                # client's delayed ACK; a clean loopback round trip is
+                # under 1 ms.  Median, so one scheduling hiccup is free.
+                assert statistics.median(round_trips_ms) < 20.0, (
+                    path, sorted(round_trips_ms)
+                )
+            assert len(request_ids) == 60
+        finally:
+            conn.close()
+
+    def test_reply_is_one_write_made_after_the_request_is_counted(
+        self, server
+    ):
+        events = []
+
+        class Recorder:
+            def write(self, data):
+                events.append(bytes(data))
+                return len(data)
+
+        handler = EngineRequestHandler.__new__(EngineRequestHandler)
+        handler.server = server
+        handler.wfile = Recorder()
+        handler.client_address = ("127.0.0.1", 0)
+        handler.requestline = "GET /healthz HTTP/1.1"
+        handler.request_version = "HTTP/1.1"
+        handler.command, handler.path, handler.headers = "GET", "/healthz", {}
+        handler.close_connection = False
+        handler._observe = lambda *args: events.append("counted")
+        handler.do_GET()
+        # counted first: a client holding its reply finds itself in
+        # /metrics; then header block and body in a single segment
+        counted, data = events
+        assert counted == "counted"
+        assert data.startswith(b"HTTP/1.1 200 ")
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert json.loads(body)["status"] == "ok"
+        assert b"Content-Length: %d\r\n" % len(body) in head + b"\r\n"
 
 
 class TestQuery:
