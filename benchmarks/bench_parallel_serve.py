@@ -50,9 +50,9 @@ from benchmarks.conftest import emit_bench_json, write_result
 N_CPUS = len(os.sched_getaffinity(0))
 N_WORKERS = 4
 #: 8 scoring blocks -> 2 blocks per worker at 4 workers.  The pool's
-#: parallelism granularity is one scoring block (ranges must align to
-#: the global sweep's GEMM blocks for the bit-for-bit merge), so the
-#: corpus must span >= N_WORKERS blocks to use every worker.
+#: parallelism granularity is one scoring block (ranges are cut at the
+#: global sweep's block boundaries), so the corpus must span
+#: >= N_WORKERS blocks to use every worker.
 N_ROWS = int(os.environ.get("PARALLEL_SERVE_ROWS", str(8 * SCORE_BLOCK_ROWS)))
 N_CLIENTS = 16
 QUERIES_PER_CLIENT = 6
@@ -183,19 +183,19 @@ def test_parallel_serve(trained_asteria, tmp_path_factory):
     server_thread = None
     try:
         # correctness first: pooled merged top-k bit-for-bit (rows AND
-        # scores) against the single-process reference sweep.  The
-        # reference is computed one query at a time because the engine
-        # path sweeps each /v1/query alone -- GEMM accumulation depends
-        # on the query-batch width too, so only equal batch
-        # compositions are comparable down to the last float bit.
+        # scores) against the single-process reference sweep, computed
+        # one query at a time and as one batch -- a score does not
+        # depend on the batch or the range it is computed in
         reference_index = BruteForceIndex(
             trained_asteria, store.vectors().snapshot(),
             store.callee_counts(), calibrate=True,
         )
-        for request in requests:
+        batched = reference_index.top_k_batch(encodings, k=TOP_K)
+        for request, in_batch in zip(requests, batched):
             expected = reference_index.top_k_batch(
                 [request.encoding], k=TOP_K
             )[0]
+            assert expected == in_batch
             result = pooled.query(request)
             assert result.generation == "."
             assert [(h.row, h.score) for h in result.hits] \
@@ -203,6 +203,9 @@ def test_parallel_serve(trained_asteria, tmp_path_factory):
                 f"pooled merge diverged from single-process for "
                 f"{request.encoding.name}"
             )
+        for result, expected in zip(pooled.query_batch(requests), batched):
+            assert [(h.row, h.score) for h in result.hits] \
+                == [(n.row, n.score) for n in expected]
 
         # throughput: same storm against both engines; single-process
         # first so the pooled engine cannot profit from anything it warms

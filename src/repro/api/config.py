@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -154,6 +155,10 @@ class EngineConfig:
             raise BadRequestError(
                 f"encode_block must be >= 0 (0 = auto), "
                 f"got {self.encode_block}"
+            )
+        if not math.isfinite(self.threshold):
+            raise BadRequestError(
+                f"threshold must be a finite number, got {self.threshold}"
             )
         if self.micro_batch_wait_ms < 0:
             raise BadRequestError("micro_batch_wait_ms must be >= 0")

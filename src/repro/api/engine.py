@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import threading
 import time
 from collections import OrderedDict
@@ -744,11 +745,10 @@ class AsteriaEngine:
     ) -> List[QueryResult]:
         """Many queries in one pass: batched encode, batched top-k.
 
-        Selects the same hits as mapping :meth:`query` (scores agree to
-        float rounding; only near-exact ties can reorder), but
-        binary-sourced query encodes run as one micro-batched
-        level-batched GEMM call and the top-k scoring sweeps the corpus
-        once for the whole batch (``Q x corpus`` Siamese GEMM blocks)
+        Returns the hits of mapping :meth:`query` over the same
+        encodings, rows and scores bit for bit, but binary-sourced
+        query encodes run as one micro-batched level-batched GEMM call
+        and the top-k scoring sweeps the corpus once for the whole batch
         instead of once per request.  Requests sharing effective
         ``top_k``/``threshold`` values are scored together; mixed
         parameters simply split the batch into a few sub-batches.
@@ -810,6 +810,11 @@ class AsteriaEngine:
                 self.config.threshold if request.threshold == USE_DEFAULT
                 else request.threshold
             )
+            # NaN compares false with every score: a silent empty answer
+            if threshold is not None and not math.isfinite(threshold):
+                raise BadRequestError(
+                    f"threshold must be a finite number, got {threshold}"
+                )
             groups.setdefault((top_k, threshold), []).append(i)
         results: List[Optional[QueryResult]] = [None] * len(requests)
         coordinator = self.coordinator

@@ -20,6 +20,40 @@ from repro.nn.tensor import Tensor, concat, no_grad, stable_sigmoid
 from repro.nn.treelstm import BinaryTreeLSTM, BinaryTreeNode
 from repro.utils.rng import RNG
 
+#: Elements per scoring tile (see :func:`_tiles`): enough that per-tile
+#: BLAS dispatch is noise, few enough that a handful of candidate rows
+#: is not padded to a block and that BLAS never threads a tile (so the
+#: bits do not depend on the thread count either).
+TILE_ELEMENTS = 4096
+#: Bytes of ``|Q - V|`` one pass works on: resident in a 2 MB L2 cache,
+#: where its subtract, abs and product sweeps then stay.
+_PASS_BYTES = 1_600_000
+
+
+def _tile_rows(h: int) -> int:
+    """Corpus rows per tile: set by the model's width, never by a batch."""
+    return max(16, TILE_ELEMENTS // h // 16 * 16)
+
+
+def _tiles(block: np.ndarray, tail: np.ndarray):
+    """``(first_tile, tiles)`` covering a C-contiguous ``(b, h)`` block
+    with ``(k, t, h)`` stacks of fixed-shape tiles: the whole tiles as a
+    view, then the remainder copied into ``tail`` (``(1, t, h)``, zero
+    past the rows it has held; the caller drops those outputs).
+
+    BLAS picks kernel and accumulation order by the shape it is called
+    with, so ``(V @ w)[rows]`` and ``V[rows] @ w`` differ in the last
+    bit.  ``np.matmul`` over a stack multiplies one ``(t, h)`` matrix at
+    a time: a row's products depend on no other row or query.
+    """
+    t = tail.shape[1]
+    whole, rest = divmod(block.shape[0], t)
+    if whole:
+        yield 0, block[:whole * t].reshape(whole, t, block.shape[1])
+    if rest:
+        tail[0, :rest] = block[whole * t:]
+        yield whole, tail
+
 
 class SiameseClassifier(Module):
     """The paper's classification-style Siamese network M(T1, T2).
@@ -85,60 +119,63 @@ class SiameseClassifier(Module):
         is one vector ``(h,)`` (returns ``(n,)`` scores) or a ``(q, h)``
         query matrix (returns ``(q, n)`` scores).  The element-wise
         feature terms broadcast across all query/corpus pairs and the
-        head collapses to batched GEMMs against ``W``, so Q queries cost
-        one pass over the corpus instead of Q.  Arithmetic runs in the
-        corpus dtype (queries are cast), which is what lets a float32
-        memory-mapped corpus be scored without a float64 up-conversion
-        of every block.
+        head collapses to stacked matrix products against ``W``, so Q
+        queries cost one pass over the corpus instead of Q.  Arithmetic
+        runs in the corpus dtype (queries are cast), which is what lets
+        a float32 memory-mapped corpus be scored without a float64
+        up-conversion of every block.
+
+        A score is a pure function of (query, row, weights) -- the same
+        bits alone, in any subset, beside any other queries (see
+        :func:`_tiles`) -- so the index can prune, pool and batch
+        queries without changing an answer.
         """
+        vectors = np.ascontiguousarray(vectors)
         queries = np.asarray(query, dtype=vectors.dtype)
         single = queries.ndim == 1
         if single:
             queries = queries[None, :]
-        q, n = queries.shape[0], vectors.shape[0]
-        h = vectors.shape[1]
+        q, (n, h) = queries.shape[0], vectors.shape
         w = self.w.data.astype(vectors.dtype, copy=False)
+        if not self.literal_sigmoid:
+            # softmax over two raw logits is exactly sigmoid(l1 - l0), so
+            # the head needs only the *margin* weights: one logit column
+            w = w[:, 1:] - w[:, :1]
+        # the product term does: (v ⊙ u) · w_c == v · (u ⊙ w_c)
+        w_prod = queries[:, None, :, None] * w[h:]  # (q, 1, h, c)
+        t = _tile_rows(h)
         scores = np.empty((q, n), dtype=vectors.dtype)
-        # corpus chunks sized so the (q, b, h) |V - U| scratch tensor
-        # stays cache-resident (~a few MB); the whole-corpus broadcast
-        # thrashes for q >> 1 and tiny chunks waste dispatch overhead
-        chunk = max(64, 800_000 // max(1, q * h))
-        # one scratch per call, not two fresh temporaries per chunk: at
-        # a few MB each they sit above the allocator's mmap threshold,
-        # so every chunk mapped, zero-faulted and unmapped them
-        scratch = np.empty(q * min(chunk, n) * h, dtype=vectors.dtype)
-
-        def abs_diff(block: np.ndarray) -> np.ndarray:
-            """``|queries - block|`` as a contiguous (q, b, h) view."""
+        # corpus rows per pass sized so the (q, rows, h) |Q - V| scratch
+        # stays cache-resident; the whole-corpus broadcast thrashes for
+        # q >> 1.  One scratch per call, allocated at twice a pass however
+        # few rows the call brings (untouched pages cost nothing): the
+        # allocator's mmap and trim thresholds follow the largest block
+        # freed, and this one must outweigh what else a sweep frees (ring
+        # rows, gathered block, scores) or each call trims and re-faults
+        tiles_per_pass = max(1, _PASS_BYTES // (q * t * h * vectors.itemsize))
+        scratch = np.empty((2, q, tiles_per_pass, t, h), vectors.dtype)[0]
+        flat = scratch.reshape(q, tiles_per_pass * t, h)
+        tail = np.zeros((1, t, h), dtype=vectors.dtype)
+        for start in range(0, n, tiles_per_pass * t):
+            block = vectors[start:start + tiles_per_pass * t]
             b = block.shape[0]
-            diff = scratch[:q * b * h].reshape(q, b, h)
-            np.subtract(queries[:, None, :], block[None, :, :], out=diff)
-            return np.abs(diff, out=diff)
-
-        if self.literal_sigmoid:
-            for start in range(0, n, chunk):
-                block = vectors[start:start + chunk]
-                logits = abs_diff(block) @ w[:h]  # (q, b, 2)
-                # the product term does: (v ⊙ u) · w_c == (v ⊙ w_c) · u
-                for c in range(w.shape[1]):
-                    logits[:, :, c] += (queries * w[h:, c]) @ block.T
+            k = -(-b // t)
+            diff = flat[:, :b]
+            np.subtract(queries[:, None, :], block, out=diff)
+            np.abs(diff, out=diff)
+            # the rows padding the last tile are multiplied too, and heap
+            # garbage read as floats is mostly denormals (a trap apiece)
+            flat[:, b:k * t] = 0
+            logits = scratch[:, :k] @ w[:h]  # (q, k, t, c)
+            for first, tiles in _tiles(block, tail):
+                logits[:, first:first + tiles.shape[0]] += tiles @ w_prod
+            logits = logits.reshape(q, k * t, -1)[:, :b]
+            if self.literal_sigmoid:
                 logits = 1.0 / (1.0 + np.exp(-logits))
-                shifted = logits - logits.max(axis=2, keepdims=True)
-                exps = np.exp(shifted)
-                scores[:, start:start + chunk] = (
-                    exps[:, :, 1] / exps.sum(axis=2)
-                )
-            return scores[0] if single else scores
-        # softmax over two raw logits is exactly sigmoid(l1 - l0), so the
-        # head needs only the *margin* weights -- one (q, b, h)
-        # contraction and one GEMM per chunk instead of two of each
-        w_abs = w[:h, 1] - w[:h, 0]
-        w_prod = (w[h:, 1] - w[h:, 0]) * queries  # (q, h), query-fused
-        for start in range(0, n, chunk):
-            block = vectors[start:start + chunk]
-            margin = abs_diff(block) @ w_abs  # (q, b)
-            margin += w_prod @ block.T
-            scores[:, start:start + chunk] = stable_sigmoid(margin)
+                exps = np.exp(logits - logits.max(axis=2, keepdims=True))
+                scores[:, start:start + b] = exps[:, :, 1] / exps.sum(axis=2)
+            else:
+                scores[:, start:start + b] = stable_sigmoid(logits[:, :, 0])
         return scores[0] if single else scores
 
 
@@ -170,9 +207,23 @@ class SiameseRegression(Module):
         self, query: np.ndarray, vectors: np.ndarray
     ) -> np.ndarray:
         """Batched cosine head: ``(h,)`` or ``(q, h)`` queries against
-        ``(n, h)`` vectors -- one ``(q, h) @ (h, n)`` GEMM."""
-        from repro.nn.graphnet import cosine_similarity_matrix
-
-        query = np.asarray(query)
-        scores = (cosine_similarity_matrix(query, vectors) + 1.0) * 0.5
-        return scores[0] if query.ndim == 1 else scores
+        ``(n, h)`` vectors, in the classifier's fixed-shape tiles
+        (:func:`_tiles`): a pure function of (query, row) here too."""
+        vectors = np.ascontiguousarray(vectors)
+        queries = np.atleast_2d(np.asarray(query, dtype=vectors.dtype))
+        q, (n, h) = queries.shape[0], vectors.shape
+        t = _tile_rows(h)
+        dots = np.empty((q, -(-n // t), t, 1), dtype=vectors.dtype)
+        tail = np.zeros((1, t, h), dtype=vectors.dtype)
+        columns = queries[:, None, :, None]
+        for first, tiles in _tiles(vectors, tail):
+            dots[:, first:first + len(tiles)] = tiles @ columns
+        norms = np.outer(
+            np.linalg.norm(queries, axis=1), np.linalg.norm(vectors, axis=1)
+        )
+        norms = np.where(norms == 0.0, 1e-12, norms)
+        # clipped: a cosine can round above 1, and M <= 1 is the bound
+        # the index's ring sweep stops on (repro.index.ann)
+        cosine = dots.reshape(q, -1)[:, :n] / norms
+        scores = np.minimum((cosine + 1.0) * 0.5, 1.0)
+        return scores[0] if np.ndim(query) == 1 else scores

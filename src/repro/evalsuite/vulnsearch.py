@@ -348,8 +348,8 @@ class VulnerabilitySearch:
         images_by_id = {image.identifier: image for image in dataset.images}
         candidates: List[Candidate] = []
         entries = sorted(library.items())
-        # one batched top-k for the whole CVE library: the corpus is swept
-        # once, each shard block scored against all queries in one GEMM
+        # one batched top-k for the whole CVE library: one sweep, which
+        # stops at the first callee-count ring bounded below the threshold
         hit_lists = service.query_batch(
             [vuln_encoding for _cve_id, (_e, vuln_encoding) in entries],
             top_k=top_k, threshold=self.threshold,

@@ -15,12 +15,14 @@ candidate rows per query, and the shared scorers rank them by the true
   rerank (see :mod:`repro.index.quant`).
 
 Backends answer single queries (:meth:`AnnIndex.top_k`) and query
-batches (:meth:`AnnIndex.top_k_batch`); the batched form scores Q
-queries per corpus block in one broadcasted Siamese GEMM, so a batch
-reads the corpus once instead of Q times.  Selection uses
-``np.argpartition`` (O(n) plus an O(k log k) sort of the winners) rather
-than a full corpus sort, with ties broken by row exactly as the full
-``np.lexsort`` would break them.
+batches (:meth:`AnnIndex.top_k_batch`); a batch reads the corpus once
+instead of Q times.  The exact sweep scores only the rows that can
+still win (:meth:`AnnIndex._sweep_top_k`: rings of callee-count
+distance, stopped on the bound ``exp(-|dC|)``).  Selection uses
+``np.argpartition`` rather than a full corpus sort, with ties broken by
+row exactly as the full ``np.lexsort`` would break them.  A score is a
+pure function of (query, row) -- the head multiplies fixed-shape tiles
+-- so single, batched, pruned and pooled queries return the same bits.
 """
 
 from __future__ import annotations
@@ -39,11 +41,16 @@ from repro.obs.trace import current_span
 DEFAULT_OVERSAMPLE = 8
 DEFAULT_MIN_CANDIDATES = 64
 
-#: Rows per scoring pass: consecutive store shards are coalesced up to
-#: this many rows so the Siamese GEMMs stay wide enough for BLAS to
-#: thread, whatever the on-disk shard size is.  Bounds the transient
-#: gather copy to ``SCORE_BLOCK_ROWS x dim`` elements.
+#: Rows per scoring pass: consecutive store shards (or the rows a ring
+#: takes from them) are coalesced up to this many rows so a pass through
+#: the Siamese head is not mostly per-call overhead, whatever the
+#: on-disk shard size is.  Bounds the transient gather copy to
+#: ``SCORE_BLOCK_ROWS x dim`` elements.
 SCORE_BLOCK_ROWS = 8192
+
+#: ``exp(-d)`` is exactly 0.0 from this callee-count distance on, so all
+#: farther rows share the sweep's last ring.
+LAST_RING = 746
 
 
 @dataclass(frozen=True)
@@ -167,107 +174,177 @@ class AnnIndex:
     ) -> np.ndarray:
         """Exact calibrated Siamese scores as a ``(q, n_rows)`` matrix.
 
-        ``rows=None`` sweeps the whole corpus one shard block at a time
-        -- every block is scored against *all* queries in one broadcasted
-        GEMM, so Q queries read each (possibly memory-mapped) block once.
+        ``rows`` (strictly ascending, as candidate lists are; default:
+        the whole corpus) are gathered and scored one scoring block at a
+        time, each against *all* queries in one broadcasted pass, so Q
+        queries read each (possibly memory-mapped) block once.
         """
         if rows is not None:
-            vectors = self.vectors.take(rows)
-            counts = (
-                None
-                if self.callee_counts is None
-                else self.callee_counts[rows]
+            rows = np.asarray(rows, dtype=np.int64)
+            if (rows[1:] <= rows[:-1]).any():
+                raise ValueError("rows must be strictly ascending")
+        n_rows = len(self) if rows is None else rows.size
+        out, done = np.empty((len(queries), n_rows)), 0
+        for block_rows, block in self._scoring_blocks(rows):
+            out[:, done:done + block_rows.size] = self._block_scores(
+                queries, block_rows, block
             )
-            return self.model.similarity_matrix(
-                queries, vectors, counts, calibrate=self.calibrate
-            )
-        out = np.empty((len(queries), len(self)))
-        for start, block in self._scoring_blocks():
-            counts = (
-                None
-                if self.callee_counts is None
-                else self.callee_counts[start:start + block.shape[0]]
-            )
-            out[:, start:start + block.shape[0]] = (
-                self.model.similarity_matrix(
-                    queries, block, counts, calibrate=self.calibrate
-                )
-            )
+            done += block_rows.size
         return out
+
+    def _block_scores(self, queries, block_rows, block) -> np.ndarray:
+        """The model's ``(q, b)`` float64 scores, calibrated pair by pair."""
+        counts = self.callee_counts
+        if counts is not None:
+            counts = counts[block_rows]
+        return self.model.similarity_matrix(
+            queries, block, counts, calibrate=self.calibrate
+        ).astype(np.float64, copy=False)
 
     def _sweep_top_k(
         self,
         queries: Sequence[FunctionEncoding],
-        k: int,
+        k: Optional[int],
         threshold: Optional[float],
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Whole-corpus candidates pruned block-by-block.
+    ) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], List[int]]:
+        """Whole-corpus candidates, scoring only rows that can still win.
 
-        Each block's ``(q, b)`` score matrix is reduced to at most ``k``
-        rows per query before the next block is read; every global
-        top-k row is by construction in its own block's top-k, so the
-        final selection over the accumulated candidates is exact.
+        The calibrated score is ``M * exp(-d)``, ``d`` the distance
+        between the row's and the query's callee counts, and ``M <= 1``.
+        Queries sharing a count visit the corpus in *rings* of
+        increasing ``d``: a ring is scored uncalibrated and scaled by its
+        one factor, each block's scores are cut to ``k`` rows per query,
+        and a query stops at the first ring whose factor -- the most a
+        row from there on can score -- cannot reach its k-th score or
+        its ``threshold``.  Selecting from the returned ``(rows,
+        scores)`` is exact; also returns the rows scored per query.
         """
-        rows_acc: List[List[np.ndarray]] = [[] for _ in queries]
-        scores_acc: List[List[np.ndarray]] = [[] for _ in queries]
-        for start, block in self._scoring_blocks():
-            counts = (
-                None
-                if self.callee_counts is None
-                else self.callee_counts[start:start + block.shape[0]]
-            )
-            scores = self.model.similarity_matrix(
-                queries, block, counts, calibrate=self.calibrate
-            )
-            block_rows = np.arange(
-                start, start + block.shape[0], dtype=np.int64
-            )
-            for i in range(len(queries)):
-                q_rows, q_scores = block_rows, scores[i]
-                if threshold is not None:
-                    keep = q_scores >= threshold
-                    q_rows, q_scores = q_rows[keep], q_scores[keep]
-                top = select_top_k(q_scores, q_rows, k)
-                rows_acc[i].append(q_rows[top])
-                scores_acc[i].append(q_scores[top])
+        head = self.model.siamese.similarity_from_matrix
+        matrix = np.stack([np.asarray(q.vector) for q in queries])
+        rows_acc = [[np.zeros(0, dtype=np.int64)] for _ in queries]
+        scores_acc = [[np.zeros(0)] for _ in queries]
+        scored = [0] * len(queries)
+
+        def settled(i: int, bound: float) -> bool:
+            # can no row scoring <= bound enter query i's answer?  Strictly
+            # below: a tie with the k-th score wins on a lower row number
+            if threshold is not None and bound < threshold:
+                return True
+            if k is None:
+                return False
+            if len(rows_acc[i]) > 1:
+                rows = np.concatenate(rows_acc[i])
+                scores = np.concatenate(scores_acc[i])
+                top = select_top_k(scores, rows, k)
+                rows_acc[i], scores_acc[i] = [rows[top]], [scores[top]]
+            held = scores_acc[i][0]  # ranked: the k-th score is the last
+            return held.size >= k and (k <= 0 or bound < held[k - 1])
+
+        # no rings without calibration, nor in a corpus of one scoring
+        # block (bookkeeping would cost more than it could skip): one
+        # ring of every row, calibrated pair by pair (no factor)
+        ringed = self.calibrate and len(self) > SCORE_BLOCK_ROWS
+        groups: Dict[Optional[int], List[int]] = {}
+        for i, query in enumerate(queries):
+            count = query.callee_count if ringed else None
+            groups.setdefault(count, []).append(i)
+        for count, members in groups.items():
+            dist, rings = None, [(1.0, None, None)]
+            if ringed:
+                dist, rings = self._rings(count)
+            for bound, factor, d in rings:
+                members = [i for i in members if not settled(i, bound)]
+                if not members:
+                    break
+                ring = None if d is None else np.flatnonzero(dist == d)
+                for block_rows, block in self._scoring_blocks(ring):
+                    if factor is None:
+                        scores = self._block_scores(
+                            [queries[i] for i in members], block_rows, block
+                        )
+                    else:  # the float64 product, whatever dtype M comes in
+                        scores = np.multiply(
+                            head(matrix[members], block), factor,
+                            dtype=np.float64,
+                        )
+                    for j, i in enumerate(members):
+                        q_rows, q_scores = block_rows, scores[j]
+                        if threshold is not None:
+                            keep = q_scores >= threshold
+                            q_rows, q_scores = q_rows[keep], q_scores[keep]
+                        if k is not None:
+                            top = select_top_k(q_scores, q_rows, k)
+                            q_rows, q_scores = q_rows[top], q_scores[top]
+                        rows_acc[i].append(q_rows)
+                        scores_acc[i].append(q_scores)
+                        scored[i] += block_rows.size
         return [
-            (
-                np.concatenate(rows_acc[i])
-                if rows_acc[i] else np.zeros(0, dtype=np.int64),
-                np.concatenate(scores_acc[i])
-                if scores_acc[i] else np.zeros(0),
-            )
-            for i in range(len(queries))
-        ]
+            (np.concatenate(rows), np.concatenate(scores))
+            for rows, scores in zip(rows_acc, scores_acc)
+        ], scored
 
-    def _scoring_blocks(self):
-        """Corpus blocks for scoring: small adjacent shards coalesced.
+    def _rings(self, count: int):
+        """``(dist, rings)`` for queries calling ``count`` functions.
 
-        Stores often shard at a few thousand rows; scoring per shard
-        would keep every Siamese GEMM below the width where BLAS
-        threads.  Gathering consecutive shards up to
-        :data:`SCORE_BLOCK_ROWS` costs one bounded memcpy and keeps the
-        sweep streaming (never the whole corpus at once).
+        ``rings`` lists ``(bound, factor, d)`` nearest first: the rows
+        with ``dist == d`` (distances past :data:`LAST_RING` share it)
+        score ``M * factor``, and as ``M <= 1`` no row from that ring on
+        scores above ``bound`` -- the very float64 that scales the ring:
+        rounded apart, a score could slip past the bound meant to stop it.
         """
-        pending: List[np.ndarray] = []
-        pending_rows = 0
-        pending_start = 0
-        for start, block in self.vectors.iter_blocks():
-            if pending and pending_rows + block.shape[0] > SCORE_BLOCK_ROWS:
-                yield pending_start, (
-                    pending[0] if len(pending) == 1
-                    else np.concatenate(pending)
-                )
-                pending, pending_rows = [], 0
-            if not pending:
-                pending_start = start
-            pending.append(block)
-            pending_rows += block.shape[0]
+        # block by block into an int16: corpus-long int64 temporaries
+        # outweigh what the allocator keeps mapped, and fault on every call
+        dist = np.empty(len(self), dtype=np.int16)
+        sizes = np.zeros(LAST_RING + 1, dtype=np.int64)
+        for start in range(0, len(self), 1 << 16):
+            stop = start + (1 << 16)
+            part = np.abs(self.callee_counts[start:stop] - count)
+            dist[start:stop] = np.minimum(part, LAST_RING, out=part)
+            sizes += np.bincount(part, minlength=sizes.size)
+        present = np.flatnonzero(sizes).astype(dist.dtype)  # no upcast in ==
+        factors = np.exp(-present.astype(np.float64))
+        return dist, list(zip(factors, factors, present))
+
+    def _scoring_blocks(self, rows: Optional[np.ndarray] = None):
+        """``(rows, vectors)`` scoring blocks over ``rows`` (strictly
+        ascending; default: every row), in row order.
+
+        The store's blocks are streamed (never the whole corpus at
+        once): a fully selected block passes through copy-free, a partly
+        selected one is gathered.  Shards are often small and a ring may
+        take a few rows of each, so consecutive pieces are coalesced up
+        to :data:`SCORE_BLOCK_ROWS` rows (one bounded memcpy).
+        """
+        blocks = list(self.vectors.iter_blocks())
+        if rows is not None:
+            cuts = np.searchsorted(
+                rows, [start for start, _ in blocks] + [len(self)]
+            ).tolist()
+            if cuts[0] or cuts[-1] != rows.size:
+                raise IndexError(f"rows outside the {len(self)}-row corpus")
+        pending, held = [], 0
+
+        def merged():
+            if len(pending) == 1:
+                return pending[0]
+            return tuple(np.concatenate(part) for part in zip(*pending))
+
+        for i, (start, block) in enumerate(blocks):
+            size = block.shape[0]
+            if rows is not None and cuts[i + 1] - cuts[i] < size:
+                picked = rows[cuts[i]:cuts[i + 1]]
+                if not picked.size:
+                    continue
+                block = block[picked - start]
+            else:
+                picked = np.arange(start, start + size, dtype=np.int64)
+            if pending and held + picked.size > SCORE_BLOCK_ROWS:
+                yield merged()
+                pending, held = [], 0
+            pending.append((picked, block))
+            held += picked.size
         if pending:
-            yield pending_start, (
-                pending[0] if len(pending) == 1
-                else np.concatenate(pending)
-            )
+            yield merged()
 
     def score_rows(
         self, query: FunctionEncoding, rows: Optional[np.ndarray] = None
@@ -300,13 +377,10 @@ class AnnIndex:
     ) -> List[List[Neighbor]]:
         """Top-``k`` neighbours for Q queries in one corpus pass.
 
-        Selects the same candidates as mapping :meth:`top_k`: all
-        queries share each corpus block read and each Siamese GEMM, and
-        each query then picks its own top-k with ``argpartition``.
-        Scores agree with the single-query path to float rounding (the
-        GEMM accumulation order depends on batch width), so rows whose
-        scores differ only in the last bits may order differently
-        across the two paths.
+        Returns exactly what mapping :meth:`top_k` returns, rows and
+        scores bit for bit: a score is a pure function of (query, row),
+        so neither the batch a query rides in, nor the rows the sweep
+        skips, nor the range a pool worker sweeps can change an answer.
         """
         if not len(queries):
             return []
@@ -331,29 +405,32 @@ class AnnIndex:
             return all_rows
 
         if all(rows is None for rows in per_query):
-            if k is None:
+            if k is None and threshold is None:
                 # every score is part of the answer: the (q, n) matrix
                 # is the output, so materialising it is unavoidable
                 scored = [
                     (whole_corpus(), row_scores)
                     for row_scores in self.score_matrix(queries)
                 ]
+                sizes = [len(self)] * len(queries)
             else:
                 # streaming sweep: per-block (q, b) scoring + per-block
                 # top-k, so batch memory stays O(q * block), not
                 # O(q * corpus) -- the property that lets a CVE-library
                 # batch run against a multi-million-row mmap store
-                scored = self._sweep_top_k(queries, k, threshold)
+                scored, sizes = self._sweep_top_k(queries, k, threshold)
         else:
             gathered = [
                 rows if rows is not None else whole_corpus()
                 for rows in per_query
             ]
-            total = sum(rows.size for rows in gathered)
-            union = np.unique(np.concatenate(gathered)) if total else None
-            if union is None:
-                scored = [(rows, np.zeros(0)) for rows in gathered]
-            elif len(queries) * union.size <= 2 * total:
+            sizes = [int(rows.size) for rows in gathered]
+            total = sum(sizes)
+            # sort + drop repeats: np.unique's hash path takes 12x as
+            # long on a few thousand candidate rows
+            union = np.sort(np.concatenate(gathered))
+            union = union[np.diff(union, prepend=-1) > 0]
+            if len(queries) * union.size <= 2 * total:
                 # candidate sets overlap heavily (clustered / duplicate
                 # queries): score the union once for all queries
                 scores = self.score_matrix(queries, union)
@@ -370,7 +447,7 @@ class AnnIndex:
                     if rows.size else (rows, np.zeros(0))
                     for i, rows in enumerate(gathered)
                 ]
-        self._observe_batch(per_query, time.perf_counter() - sweep_started)
+        self._observe_batch(sizes, time.perf_counter() - sweep_started)
         results: List[List[Neighbor]] = []
         for q_rows, q_scores in scored:
             if q_rows.size == 0:
@@ -388,16 +465,11 @@ class AnnIndex:
             )
         return results
 
-    def _observe_batch(
-        self, per_query: List[Optional[np.ndarray]], sweep_s: float
-    ) -> None:
-        """Record candidate-set sizes, rerank fraction and sweep time.
-
-        ``per_query`` entries of ``None`` mean the whole corpus was
-        swept (the exact backend), i.e. rerank fraction 1.0.
-        """
+    def _observe_batch(self, sizes: List[int], sweep_s: float) -> None:
+        """Record rows scored per query (``sizes``: the backend's
+        candidate list, or what the exact sweep's rings visited), the
+        fraction of the corpus that is, and the sweep time."""
         n = len(self)
-        sizes = [n if rows is None else int(rows.size) for rows in per_query]
         span = current_span()
         if span is not None:
             span.set(
@@ -409,11 +481,11 @@ class AnnIndex:
             return
         candidates = self.registry.histogram(
             "repro_ann_candidates",
-            "Candidate rows scored per query", buckets=SIZE_BUCKETS,
+            "Rows scored per query", buckets=SIZE_BUCKETS,
         )
         fraction = self.registry.histogram(
             "repro_ann_rerank_fraction",
-            "Fraction of the corpus exact-reranked per query",
+            "Fraction of the corpus scored per query",
             buckets=FRACTION_BUCKETS,
         )
         for size in sizes:
@@ -426,7 +498,7 @@ class AnnIndex:
         ).observe(sweep_s)
         self.registry.counter(
             "repro_ann_queries_total", "Queries answered by the index"
-        ).inc(len(per_query))
+        ).inc(len(sizes))
 
 
 class BruteForceIndex(AnnIndex):

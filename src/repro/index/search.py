@@ -6,8 +6,8 @@ split: it encodes nothing.  Given ready query
 proposes candidate rows, the batched Siamese head exact-reranks them,
 and an optional threshold (e.g. the Youden-derived cutoff from §IV)
 prunes the rest.  :meth:`SearchService.query_batch` answers Q queries in
-one corpus pass: every block of the store's memory-mapped shards is
-scored against all Q queries in one Siamese GEMM.  For the stateful
+one corpus pass over the store's memory-mapped shards, with the same
+rows and scores as Q single queries.  For the stateful
 ``ivf-pq`` backend over a durable store, the fitted index (scales,
 centroids, int8 codes) is persisted next to the shards and reloaded on
 open, so no re-quantization pass runs when the corpus has not changed --
@@ -204,14 +204,12 @@ class SearchService:
         top_k: Optional[int] = 10,
         threshold: Optional[float] = None,
     ) -> List[List[SearchHit]]:
-        """Top-k matches for Q queries in one corpus pass.
-
-        Every corpus block is read once and scored against all Q
-        queries in one broadcasted Siamese GEMM
+        """Top-k matches for Q queries in one corpus pass
         (:meth:`AnnIndex.top_k_batch
-        <repro.index.ann.AnnIndex.top_k_batch>`); scores depend on Q
-        only to float rounding (GEMM accumulation order), so near-exact
-        score ties may order differently across batch widths.
+        <repro.index.ann.AnnIndex.top_k_batch>`): exactly the hits of Q
+        single :meth:`query` calls, and of a shard-parallel pool sweep,
+        rows and scores bit for bit -- a score is a pure function of
+        (query, row), whatever batch it is computed in.
         """
         neighbor_lists = self.index().top_k_batch(
             encodings, k=top_k, threshold=threshold

@@ -69,13 +69,12 @@ def shard_ranges(
 
     Ranges are aligned to the global sweep's *scoring-block* boundaries
     (shard-aligned, coalesced up to :data:`SCORE_BLOCK_ROWS` rows), not
-    just shard boundaries.  That alignment is the bit-for-bit merge
-    guarantee: each worker's block coalescer, restarted at a global
-    block boundary, regenerates exactly the blocks the single-process
-    sweep would score there, so every Siamese GEMM call sees identical
-    inputs and produces identical floats.  BLAS kernels pick different
-    accumulation strategies for different GEMM widths, so ranges cut
-    mid-block would differ from the reference in the last bits.
+    just shard boundaries: each worker's block coalescer, restarted at
+    a global block boundary, regenerates the blocks the single-process
+    sweep would score there.  The bit-for-bit merge no longer rests on
+    that -- a score is a pure function of (query, row), whatever block
+    it is computed in -- so the rule only sets the granularity of
+    parallelism; dropping it is a follow-up.
     """
     n_rows = offsets[-1] if offsets else 0
     if n_rows <= 0 or n_parts < 1:

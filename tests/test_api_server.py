@@ -147,6 +147,27 @@ class TestRoutes:
         assert status == 400
         assert "not JSON" in body["error"]
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_threshold_is_400(self, server, literal):
+        """Python's ``json`` accepts the literals; ``NaN`` compares false
+        with every score, which used to be a 200 with no hits."""
+        for path, body in [
+            ("/v1/query",
+             '{"cve": "CVE-2016-2105", "top_k": 3, "threshold": %s}'),
+            ("/v1/query_batch",
+             '{"queries": [{"cve": "CVE-2016-2105", "threshold": %s}]}'),
+        ]:
+            request = urllib.request.Request(
+                server.url + path, data=(body % literal).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            with pytest.raises(urllib.error.HTTPError) as raised:
+                urllib.request.urlopen(request, timeout=30)
+            reply = json.loads(raised.value.read())
+            assert raised.value.code == 400 and reply["exit_code"] == 6
+            assert "threshold must be" in reply["error"]
+            assert literal.lower().lstrip("-")[:3] in reply["error"].lower()
+
     def test_transfer_encoding_is_typed_400_and_closes(self, server):
         # the body is not read, so the chunk bytes and the pipelined
         # request behind them must never be parsed as request lines

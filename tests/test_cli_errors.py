@@ -99,6 +99,14 @@ class TestBadRequest:
         assert "not_a_fn" in err
         assert "Traceback" not in err
 
+    def test_search_non_finite_threshold(self, model_path, capsys):
+        code = main(["search", "--model", model_path, "--images", "2",
+                     "--threshold", "nan"])
+        assert code == 6
+        err = capsys.readouterr().err
+        assert "threshold must be a finite number, got nan" in err
+        assert "Traceback" not in err
+
     def test_exit_codes_are_distinct(self):
         from repro.api.errors import (
             BadRequestError,

@@ -6,12 +6,15 @@ import resource
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.index.ann as ann
 from repro.core.model import Asteria, AsteriaConfig, FunctionEncoding
+from repro.core.siamese import _PASS_BYTES, _tile_rows
 from repro.evalsuite.vulnsearch import build_firmware_dataset
 from repro.index.ann import BruteForceIndex, make_index
 from repro.index.search import SearchService
@@ -19,9 +22,10 @@ from repro.index.store import (
     FORMAT_VERSION,
     MANIFEST_NAME,
     EmbeddingStore,
+    ShardedMatrix,
     StoreError,
 )
-from repro.nn.tensor import stable_sigmoid
+from repro.obs.metrics import MetricsRegistry
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -316,75 +320,110 @@ print(json.dumps(faults_per_row))
 """
 
 
-def _score_chunk(q: int, h: int) -> int:
-    """Corpus rows per scoring chunk, as ``similarity_from_matrix`` sizes
-    them."""
-    return max(64, 800_000 // (q * h))
+def _model(kind: str, h: int) -> Asteria:
+    """A model with one of the three Siamese heads (``margin``: the
+    default classifier; ``literal``: ``literal_sigmoid=True``;
+    ``regression``: the cosine head) over ``h``-wide encodings."""
+    model = Asteria(AsteriaConfig(
+        hidden_dim=h,
+        head="regression" if kind == "regression" else "classification",
+    ))
+    if kind == "literal":
+        model.siamese.literal_sigmoid = True
+    return model
 
 
-def _reference_scores(siamese, query, vectors):
-    """``similarity_from_matrix`` as first written: the ``|Q - V|`` tensor
-    is a fresh pair of temporaries in every chunk.  The chunking is part
-    of the reference because BLAS may sum a row's dot product in another
-    order when the row sits in another block shape."""
-    queries = np.asarray(query, dtype=vectors.dtype)
-    if queries.ndim == 1:
-        queries = queries[None, :]
-    q, h = queries.shape
-    w = siamese.w.data.astype(vectors.dtype, copy=False)
-    chunk = _score_chunk(q, h)
-    out = []
-    for start in range(0, vectors.shape[0], chunk):
-        block = vectors[start:start + chunk]
-        diff = np.abs(queries[:, None, :] - block[None, :, :])
-        if siamese.literal_sigmoid:
-            logits = diff @ w[:h]
-            for c in range(2):
-                logits[:, :, c] += (queries * w[h:, c]) @ block.T
-            logits = 1.0 / (1.0 + np.exp(-logits))
-            exps = np.exp(logits - logits.max(axis=2, keepdims=True))
-            out.append(exps[:, :, 1] / exps.sum(axis=2))
-        else:
-            w_abs = w[:h, 1] - w[:h, 0]
-            w_prod = (w[h:, 1] - w[h:, 0]) * queries
-            out.append(stable_sigmoid(diff @ w_abs + w_prod @ block.T))
-    scores = np.concatenate(out, axis=1)
-    return scores[0] if np.ndim(query) == 1 else scores
+def _closed_form(kind: str, siamese, queries, vectors):
+    """Equation (8) (or the cosine head) pair by pair in float64, on the
+    inputs as the head sees them (cast to the corpus dtype)."""
+    queries = np.atleast_2d(queries).astype(vectors.dtype).astype(np.float64)
+    vectors = vectors.astype(np.float64)
+    if kind == "regression":
+        norms = (
+            np.linalg.norm(queries, axis=1)[:, None]
+            * np.linalg.norm(vectors, axis=1)[None, :]
+        )
+        return np.minimum((queries @ vectors.T / norms + 1.0) * 0.5, 1.0)
+    w = siamese.w.data.astype(vectors.dtype).astype(np.float64)
+    features = np.concatenate(
+        [
+            np.abs(queries[:, None, :] - vectors[None, :, :]),
+            queries[:, None, :] * vectors[None, :, :],
+        ],
+        axis=2,
+    )
+    logits = features @ w
+    if kind == "literal":
+        logits = 1.0 / (1.0 + np.exp(-logits))
+    exps = np.exp(logits - logits.max(axis=2, keepdims=True))
+    return exps[:, :, 1] / exps.sum(axis=2)
 
 
 @st.composite
 def _scoring_cases(draw):
-    """(q, h, n, dtype, literal, one_d, seed) with ``n`` on both sides of
-    a chunk boundary, capped so a case stays a few milliseconds."""
+    """(kind, q, h, n, dtype, one_d, seed) with ``n`` on both sides of a
+    tile and of a scratch pass, capped so a case stays a few
+    milliseconds."""
     one_d = draw(st.booleans())
     q = 1 if one_d else draw(st.integers(1, 9))
     h = draw(st.sampled_from([4, 16]))
-    chunk = _score_chunk(q, h)
-    sizes = [1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3]
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    tile = _tile_rows(h)
+    per_pass = _PASS_BYTES // (q * tile * h * dtype().itemsize) * tile
+    sizes = [
+        1, tile - 1, tile, tile + 1, 2 * tile + 3,
+        per_pass - 1, per_pass, per_pass + 1, per_pass + tile + 3,
+    ]
     n = draw(st.sampled_from([size for size in sizes if size <= 50_010]))
     return (
-        q, h, n, draw(st.sampled_from([np.float32, np.float64])),
-        draw(st.booleans()), one_d, draw(st.integers(0, 2 ** 16)),
+        draw(st.sampled_from(["margin", "literal", "regression"])),
+        q, h, n, dtype, one_d, draw(st.integers(0, 2 ** 16)),
     )
 
 
 class TestScoringScratch:
-    """The reused ``|Q - V|`` scratch of ``similarity_from_matrix``."""
+    """The fixed-shape tiles and the reused ``|Q - V|`` scratch of
+    ``similarity_from_matrix``."""
 
     @settings(max_examples=40, deadline=None)
     @given(_scoring_cases())
-    def test_scores_equal_the_reference_bit_for_bit(self, case):
-        q, h, n, dtype, literal, one_d, seed = case
-        siamese = Asteria(AsteriaConfig(hidden_dim=h)).siamese
-        siamese.literal_sigmoid = literal
+    def test_a_score_is_a_pure_function_of_query_and_row(self, case):
+        """Scoring a row alone, in any subset, or beside any other
+        queries gives the same bits -- what lets the index prune, pool
+        and batch without changing an answer."""
+        kind, q, h, n, dtype, one_d, seed = case
+        siamese = _model(kind, h).siamese
         rng = np.random.default_rng(seed)
         vectors = rng.normal(size=(n, h)).astype(dtype)
         queries = rng.normal(size=h if one_d else (q, h))
         scores = siamese.similarity_from_matrix(queries, vectors)
         assert scores.dtype == dtype
         assert scores.shape == ((n,) if one_d else (q, n))
+        rows = np.flatnonzero(rng.random(n) < rng.random())
+        if not rows.size:
+            rows = np.array([rng.integers(n)])
+        if rng.random() < 0.5:
+            rng.shuffle(rows)
+        i = int(rng.integers(q))
+        first, last = int(rng.integers(0, i + 1)), int(rng.integers(i, q))
+        alone = siamese.similarity_from_matrix(
+            queries if one_d else queries[i], vectors[rows]
+        )
         assert np.array_equal(
-            scores, _reference_scores(siamese, queries, vectors)
+            (scores if one_d else scores[i])[rows], alone
+        )
+        if not one_d:
+            beside = siamese.similarity_from_matrix(
+                queries[first:last + 1], vectors[rows]
+            )
+            assert np.array_equal(beside[i - first], alone)
+        # 4 float32 ulp, relative or of the score range: the relative
+        # error of a small score grows with its (float32) margin
+        ulp = float(np.finfo(np.float32).eps)
+        assert np.allclose(
+            np.atleast_2d(scores),
+            _closed_form(kind, siamese, queries, vectors),
+            rtol=4 * ulp, atol=4 * ulp,
         )
 
     @pytest.mark.skipif(
@@ -405,6 +444,172 @@ class TestScoringScratch:
         faults_per_row = json.loads(proc.stdout)
         assert faults_per_row["main"] < 0.01, faults_per_row
         assert faults_per_row["worker"] < 0.01, faults_per_row
+
+
+#: Share of each filtered callee count (0-9) over the 504 functions of
+#: the benchmark's ``query_online`` corpus: what real generated code
+#: looks like, against the synthetic corpora's uniform 0-63.
+_REAL_COUNT_SHARES = (0.48, 0.14, 0.16, 0.08, 0.04, 0.06, 0.01, 0.01, 0.01, 0.01)
+
+_COUNT_KINDS = ("equal", "two", "real", "uniform", "huge")
+
+
+def _draw_counts(rng, kind: str, n: int) -> np.ndarray:
+    if kind == "equal":
+        return np.full(n, rng.integers(0, 9), dtype=np.int64)
+    if kind == "two":
+        low = rng.integers(0, 9)
+        return rng.choice([low, low + rng.integers(1, 4)], size=n)
+    if kind == "real":
+        return rng.choice(10, size=n, p=_REAL_COUNT_SHARES)
+    if kind == "uniform":
+        return rng.integers(0, 64, size=n)
+    # a few near counts beside counts so far that exp(-d) underflows
+    return np.where(
+        rng.random(n) < 0.5,
+        rng.integers(0, 4, size=n), rng.integers(0, 10 ** 6, size=n),
+    )
+
+
+#: ``SCORE_BLOCK_ROWS`` during a sweep case, so a corpus on either side
+#: of one scoring block stays a few hundred rows.
+_CASE_BLOCK_ROWS = 64
+
+
+@st.composite
+def _sweep_cases(draw):
+    return dict(
+        seed=draw(st.integers(0, 2 ** 16)),
+        kind=draw(st.sampled_from(["margin", "literal", "regression"])),
+        dtype=draw(st.sampled_from([np.float32, np.float64])),
+        n=draw(st.sampled_from([1, 9, 63, 64, 65, 130, 400])),
+        shard=draw(st.sampled_from([16, 50, 1000])),
+        counts=draw(st.sampled_from(_COUNT_KINDS)),
+        duplicates=draw(st.booleans()),
+        calibrate=draw(st.sampled_from([True, True, True, False])),
+        n_queries=draw(st.integers(1, 5)),
+        k=draw(st.one_of(st.none(), st.integers(1, 15))),
+        threshold=draw(st.sampled_from([None, 0, 0.3, 0.84, 0.9])),
+    )
+
+
+class TestRingSweep:
+    """The exact sweep scores only rows that can still win; its answer
+    is the full sort's all the same."""
+
+    def test_last_ring_is_where_the_factor_underflows(self):
+        assert np.exp(-np.float64(ann.LAST_RING)) == 0.0
+        assert np.exp(-np.float64(ann.LAST_RING - 1)) > 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(_sweep_cases())
+    def test_top_k_is_the_full_sort_oracle(self, case):
+        rng = np.random.default_rng(case["seed"])
+        n, h = case["n"], 8
+        model = _model(case["kind"], h)
+        vectors = rng.normal(size=(n, h))
+        if case["duplicates"]:  # score ties, settled by row
+            vectors = vectors[rng.integers(0, max(1, n // 4), size=n)]
+        vectors = vectors.astype(case["dtype"])
+        counts = _draw_counts(rng, case["counts"], n)
+        view = ShardedMatrix(h, case["dtype"], [
+            vectors[start:start + case["shard"]]
+            for start in range(0, n, case["shard"])
+        ])
+        # inside the corpus's range, just outside it, past the underflow
+        count_pool = [
+            int(counts[rng.integers(n)]), int(counts[rng.integers(n)]),
+            max(0, int(counts.min()) - 1), int(counts.max()) + 2,
+            int(counts.max()) + 1000,
+        ]
+        queries = [
+            FunctionEncoding(
+                name=f"q{i}", arch="x86", binary_name="query",
+                # near a corpus row (scores near the top) or anywhere
+                vector=vectors[rng.integers(n)].astype(np.float64)
+                + rng.normal(scale=rng.choice([0.0, 0.05, 1.0]), size=h),
+                callee_count=count_pool[rng.integers(len(count_pool))],
+            )
+            for i in range(case["n_queries"])
+        ]
+        k, threshold = case["k"], case["threshold"]
+        with mock.patch.object(ann, "SCORE_BLOCK_ROWS", _CASE_BLOCK_ROWS):
+            index = BruteForceIndex(
+                model, view, counts, calibrate=case["calibrate"]
+            )
+            found = index.top_k_batch(queries, k=k, threshold=threshold)
+            oracle = index.score_matrix(queries)
+        for neighbors, scores in zip(found, oracle):
+            rows = np.arange(n)
+            if threshold is not None:
+                rows = rows[scores >= threshold]
+            order = rows[np.lexsort((rows, -scores[rows]))[:k]]
+            assert [(nb.row, nb.score) for nb in neighbors] == [
+                (int(row), float(scores[row])) for row in order
+            ]
+
+    def test_a_tie_with_the_bound_is_settled_by_row(self):
+        """The stop rule is strict: a farther row scoring exactly its
+        ring's bound ties the k-th score (or equals the threshold) and
+        wins on a lower row number."""
+
+        class FirstCoordinateHead:
+            """``M(q, v) = v[0]``, so the test can place exact scores."""
+
+            def similarity_from_matrix(self, query, vectors):
+                return np.repeat(
+                    vectors[None, :, 0], np.atleast_2d(query).shape[0], 0
+                )
+
+        model = Asteria(AsteriaConfig(hidden_dim=2))
+        model.siamese = FirstCoordinateHead()
+        tie = np.exp(-np.float64(1))
+        #            row: 0    1    2    3    4    5    6    7
+        m = np.array([0.5, 1.0, 0.2, tie, 0.1, 0.3, 0.9, 0.0])
+        counts = np.array([6, 5, 5, 4, 4, 4, 7, 4])
+        query = FunctionEncoding(
+            name="q", arch="x86", binary_name="query",
+            vector=np.zeros(2), callee_count=4,
+        )
+        with mock.patch.object(ann, "SCORE_BLOCK_ROWS", 4):
+            index = BruteForceIndex(
+                model, np.stack([m, m], axis=1), counts
+            )
+            scores = index.score_matrix([query])[0]
+            assert scores[1] == scores[3] == tie  # ring 1's bound
+            best = index.top_k(query, k=1)
+            eligible = index.top_k(query, k=None, threshold=float(tie))
+        assert [(nb.row, nb.score) for nb in best] == [(1, tie)]
+        assert [nb.row for nb in eligible] == [1, 3]
+
+    def test_the_sweep_reports_the_rows_it_scored(self):
+        """``repro_ann_rerank_fraction`` is the share of the corpus a
+        query's rings visited, not 1.0 by definition."""
+        rng = np.random.default_rng(3)
+        n, h = 4000, 8
+        vectors = rng.normal(size=(n, h)).astype(np.float32)
+        query = FunctionEncoding(
+            name="q", arch="x86", binary_name="query",
+            vector=rng.normal(size=h), callee_count=7,
+        )
+
+        def fractions(counts, calibrate=True):
+            registry = MetricsRegistry()
+            with mock.patch.object(ann, "SCORE_BLOCK_ROWS", 256):
+                BruteForceIndex(
+                    _model("margin", h), vectors, counts,
+                    calibrate=calibrate, registry=registry,
+                ).top_k_batch([query, query], k=10)
+            fraction = registry.get("repro_ann_rerank_fraction")
+            candidates = registry.get("repro_ann_candidates")
+            assert fraction.count == candidates.count == 2
+            assert candidates.sum == pytest.approx(fraction.sum * n)
+            return fraction.sum / 2
+
+        uniform = rng.integers(0, 64, size=n)
+        assert 0.0 < fractions(uniform) < 0.1
+        assert fractions(uniform, calibrate=False) == 1.0
+        assert fractions(np.full(n, 7)) == 1.0
 
 
 class TestAnnBackends:
