@@ -49,10 +49,10 @@ from benchmarks.conftest import emit_bench_json, write_result
 
 N_CPUS = len(os.sched_getaffinity(0))
 N_WORKERS = 4
-#: 8 scoring blocks -> 2 blocks per worker at 4 workers.  The pool's
-#: parallelism granularity is one scoring block (ranges are cut at the
-#: global sweep's block boundaries), so the corpus must span
-#: >= N_WORKERS blocks to use every worker.
+#: 8 shards of one scoring block each -> 2 shards per worker at 4
+#: workers.  The pool's parallelism granularity is one shard (ranges are
+#: cut at shard boundaries), so the corpus must span >= N_WORKERS shards
+#: to use every worker.
 N_ROWS = int(os.environ.get("PARALLEL_SERVE_ROWS", str(8 * SCORE_BLOCK_ROWS)))
 N_CLIENTS = 16
 QUERIES_PER_CLIENT = 6

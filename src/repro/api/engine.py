@@ -54,7 +54,6 @@ from repro.api.errors import (
 from repro.binformat.binary import BinaryFile
 from repro.core.model import Asteria, AsteriaConfig, FunctionEncoding
 from repro.core.training import TrainConfig, Trainer, TrainHistory
-from repro.index.ann import DEFAULT_MIN_CANDIDATES
 from repro.index.search import SearchHit, SearchService
 from repro.index.store import MANIFEST_NAME, EmbeddingStore, StoreError
 from repro.obs.metrics import MetricsRegistry
@@ -68,7 +67,7 @@ from repro.pipeline import (
 from repro.pipeline.stages import extract_binary
 from repro.serving import generations
 from repro.serving.coordinator import ServingCoordinator
-from repro.serving.pool import SweepError
+from repro.serving.pool import SweepError, SweepTimeout
 from repro.utils.logging import get_logger
 
 _LOG = get_logger("api.engine")
@@ -953,9 +952,9 @@ class AsteriaEngine:
                 encodings, top_k=top_k, threshold=threshold,
                 timeout_s=timeout_s, candidates=candidates,
             )
+        except SweepTimeout as exc:
+            raise DeadlineExceededError(str(exc)) from exc
         except SweepError as exc:
-            if "timed out" in str(exc):
-                raise DeadlineExceededError(str(exc)) from exc
             raise EngineError(f"parallel sweep failed: {exc}") from exc
 
     def _pool_candidates(
@@ -977,12 +976,7 @@ class AsteriaEngine:
             return None
         with self._lock:
             index = self.service.index()
-        wanted = max(
-            top_k * getattr(index, "oversample", self.config.ann_rerank),
-            DEFAULT_MIN_CANDIDATES,
-        )
-        matrix = np.stack([np.asarray(e.vector) for e in encodings])
-        per_query = index.candidate_rows_batch(matrix, wanted, encodings)
+        per_query = index.propose(encodings, top_k)
         if any(rows is None for rows in per_query):
             return None  # exact-fallback index: sweep everything
         return per_query

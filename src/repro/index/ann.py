@@ -165,6 +165,23 @@ class AnnIndex:
             for i in range(query_matrix.shape[0])
         ]
 
+    def propose(
+        self,
+        queries: Sequence[FunctionEncoding],
+        k: Optional[int],
+        oversample: Optional[int] = None,
+    ) -> List[Optional[np.ndarray]]:
+        """The backend's candidate rows per query, at the depth a top-``k``
+        answer reranks: ``max(k * oversample, DEFAULT_MIN_CANDIDATES)``
+        rows (``k=None``: every row the backend would visit)."""
+        if oversample is None:
+            oversample = self.oversample
+        wanted = None
+        if k is not None:
+            wanted = max(k * oversample, DEFAULT_MIN_CANDIDATES)
+        query_matrix = np.stack([np.asarray(q.vector) for q in queries])
+        return self.candidate_rows_batch(query_matrix, wanted, queries)
+
     # -- batched scoring (shared) ------------------------------------------
 
     def score_matrix(
@@ -346,12 +363,6 @@ class AnnIndex:
         if pending:
             yield merged()
 
-    def score_rows(
-        self, query: FunctionEncoding, rows: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Single-query form of :meth:`score_matrix` (a ``(n,)`` vector)."""
-        return self.score_matrix([query], rows)[0]
-
     def top_k(
         self,
         query: FunctionEncoding,
@@ -374,8 +385,14 @@ class AnnIndex:
         k: Optional[int] = 10,
         threshold: Optional[float] = None,
         oversample: Optional[int] = None,
+        candidates: Optional[Sequence[np.ndarray]] = None,
     ) -> List[List[Neighbor]]:
         """Top-``k`` neighbours for Q queries in one corpus pass.
+
+        ``candidates`` (strictly ascending rows per query) replaces the
+        backend's own :meth:`propose` -- how a pool worker reranks its
+        range's slice of a candidate set the coordinator process
+        proposed once.
 
         Returns exactly what mapping :meth:`top_k` returns, rows and
         scores bit for bit: a score is a pure function of (query, row),
@@ -386,15 +403,9 @@ class AnnIndex:
             return []
         if len(self) == 0:
             return [[] for _ in queries]
-        if oversample is None:
-            oversample = self.oversample
-        wanted = None
-        if k is not None:
-            wanted = max(k * oversample, DEFAULT_MIN_CANDIDATES)
-        query_matrix = np.stack(
-            [np.asarray(q.vector) for q in queries]
-        )
-        per_query = self.candidate_rows_batch(query_matrix, wanted, queries)
+        per_query = candidates
+        if per_query is None:
+            per_query = self.propose(queries, k, oversample)
         sweep_started = time.perf_counter()
         all_rows: Optional[np.ndarray] = None  # shared, never mutated
 

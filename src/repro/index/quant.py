@@ -9,8 +9,7 @@ touches a small, controllable fraction of a million-row corpus:
    and probes only the ``nprobe`` nearest lists, so the swept fraction
    is roughly ``nprobe / n_lists``.
 2. **Quantized sweep** -- probed rows are scored against a symmetric
-   per-dimension int8 code book (¼ the bytes of the float32 shards;
-   optionally product-quantization codebooks at ``pq_m`` bytes/row).
+   per-dimension int8 code book (¼ the bytes of the float32 shards).
    Codes are widened block-by-block and pushed through the same
    calibrated Siamese margin as the exact path, so the approximate
    ranking respects the model's actual similarity, not a proxy metric.
@@ -52,7 +51,7 @@ from repro.utils.rng import RNG, derive_seed
 #: IVF-PQ persisted-state schema version (bump on incompatible layout).
 IVFPQ_STATE_VERSION = 1
 
-#: Lloyd iterations for the coarse quantizer (and PQ codebooks).  The
+#: Lloyd iterations for the coarse quantizer.  The
 #: partitions only gate candidate generation -- the exact rerank fixes
 #: ranking -- so a handful of iterations is plenty.
 KMEANS_ITERATIONS = 6
@@ -155,7 +154,7 @@ def kmeans_centroids(
 
 
 class IvfPqIndex(AnnIndex):
-    """IVF coarse partitioning over an int8 (or PQ) quantized corpus.
+    """IVF coarse partitioning over an int8 quantized corpus.
 
     Parameters
     ----------
@@ -166,10 +165,6 @@ class IvfPqIndex(AnnIndex):
     rerank:
         Exact-rerank oversampling: the quantized tier forwards
         ``k * rerank`` candidates per query to the float32 rerank.
-    pq_m:
-        0 keeps plain per-dimension int8 codes (dim bytes/row).  m > 0
-        trains m product-quantization codebooks of 256 centroids each
-        (m bytes/row); dim must divide evenly by m.
     state:
         A ``(params, arrays)`` pair from :meth:`state_dict`: matching
         state skips quantization/k-means entirely; a prefix state
@@ -185,7 +180,6 @@ class IvfPqIndex(AnnIndex):
         n_lists: int = 0,
         nprobe: int = 8,
         rerank: int = 8,
-        pq_m: int = 0,
         seed: int = 0,
         state: Optional[Tuple[Dict, Dict[str, np.ndarray]]] = None,
         registry: Optional[MetricsRegistry] = None,
@@ -200,12 +194,6 @@ class IvfPqIndex(AnnIndex):
             raise ValueError(f"nprobe must be positive, got {nprobe}")
         if rerank <= 0:
             raise ValueError(f"rerank must be positive, got {rerank}")
-        if pq_m < 0:
-            raise ValueError(f"pq_m must be >= 0, got {pq_m}")
-        if pq_m and dim % pq_m != 0:
-            raise ValueError(
-                f"pq_m={pq_m} must divide the embedding dim {dim}"
-            )
         #: auto list count (n_lists=0) resolves from the corpus size,
         #: but a persisted state's partitioning wins over re-deriving it
         #: -- otherwise growing past a sqrt boundary would discard the
@@ -215,7 +203,6 @@ class IvfPqIndex(AnnIndex):
         self.n_lists = max(1, min(self.n_lists, max(1, n)))
         self.nprobe = int(nprobe)
         self.oversample = int(rerank)  # default exact-rerank depth
-        self.pq_m = int(pq_m)
         self.seed = int(seed)
         #: corpus rows this construction actually quantized+assigned
         #: (instrumentation: a persisted-state reopen of an unchanged
@@ -242,8 +229,6 @@ class IvfPqIndex(AnnIndex):
             self._codes = np.zeros((0, dim), dtype=np.int8)
             self._centroids = np.zeros((self.n_lists, dim), np.float32)
             self._assignments = np.zeros(0, dtype=np.int32)
-            self._pq_codes = np.zeros((0, self.pq_m), dtype=np.uint8)
-            self._pq_codebooks = self._empty_codebooks(dim)
             return
         # pass 1: per-dimension dynamic range for the symmetric scales
         peak = np.zeros(dim, dtype=np.float32)
@@ -267,25 +252,15 @@ class IvfPqIndex(AnnIndex):
             sample, self.n_lists, self.seed
         )
         self.n_lists = self._centroids.shape[0]
-        if self.pq_m:
-            self._train_pq(sample)
         # pass 2: quantize + assign every row, block by block
-        self._codes = np.empty(
-            (n if not self.pq_m else 0, dim), dtype=np.int8
-        )
-        self._pq_codes = np.empty(
-            (n if self.pq_m else 0, self.pq_m), dtype=np.uint8
-        )
+        self._codes = np.empty((n, dim), dtype=np.int8)
         self._assignments = np.empty(n, dtype=np.int32)
         for start, block in self.vectors.iter_blocks():
             stop = start + block.shape[0]
             block32 = np.asarray(block, dtype=np.float32)
-            if self.pq_m:
-                self._pq_codes[start:stop] = self._pq_encode(block32)
-            else:
-                self._codes[start:stop], _ = quantize_int8(
-                    block32, self._scales
-                )
+            self._codes[start:stop], _ = quantize_int8(
+                block32, self._scales
+            )
             self._assignments[start:stop] = _nearest_centroid(
                 block32, self._centroids
             )
@@ -296,12 +271,7 @@ class IvfPqIndex(AnnIndex):
         the state was persisted), reusing the stored scales/centroids."""
         n = len(self)
         dim = int(self.vectors.shape[1])
-        fresh_codes = np.empty(
-            (n - done if not self.pq_m else 0, dim), dtype=np.int8
-        )
-        fresh_pq = np.empty(
-            (n - done if self.pq_m else 0, self.pq_m), dtype=np.uint8
-        )
+        fresh_codes = np.empty((n - done, dim), dtype=np.int8)
         fresh_assign = np.empty(n - done, dtype=np.int32)
         for start, block in self.vectors.iter_blocks():
             stop = start + block.shape[0]
@@ -309,19 +279,13 @@ class IvfPqIndex(AnnIndex):
                 continue
             lo = max(start, done)
             rows = np.asarray(block[lo - start:], dtype=np.float32)
-            if self.pq_m:
-                fresh_pq[lo - done:stop - done] = self._pq_encode(rows)
-            else:
-                fresh_codes[lo - done:stop - done], _ = quantize_int8(
-                    rows, self._scales
-                )
+            fresh_codes[lo - done:stop - done], _ = quantize_int8(
+                rows, self._scales
+            )
             fresh_assign[lo - done:stop - done] = _nearest_centroid(
                 rows, self._centroids
             )
-        if self.pq_m:
-            self._pq_codes = np.concatenate([self._pq_codes, fresh_pq])
-        else:
-            self._codes = np.concatenate([self._codes, fresh_codes])
+        self._codes = np.concatenate([self._codes, fresh_codes])
         self._assignments = np.concatenate(
             [self._assignments, fresh_assign]
         )
@@ -339,52 +303,10 @@ class IvfPqIndex(AnnIndex):
             for i in range(self.n_lists)
         ]
 
-    # -- product quantization ----------------------------------------------
-
-    def _sub_dim(self, dim: int) -> int:
-        return dim // self.pq_m if self.pq_m else 0
-
-    def _empty_codebooks(self, dim: int) -> np.ndarray:
-        return np.zeros(
-            (self.pq_m, 256, self._sub_dim(dim)), dtype=np.float32
-        )
-
-    def _train_pq(self, sample: np.ndarray) -> None:
-        dim = sample.shape[1]
-        sub = self._sub_dim(dim)
-        books = np.zeros((self.pq_m, 256, sub), dtype=np.float32)
-        for s in range(self.pq_m):
-            piece = sample[:, s * sub:(s + 1) * sub]
-            trained = kmeans_centroids(
-                piece, min(256, piece.shape[0]),
-                derive_seed(self.seed, "pq-book", s),
-            )
-            books[s, : trained.shape[0]] = trained
-        self._pq_codebooks = books
-
-    def _pq_encode(self, block: np.ndarray) -> np.ndarray:
-        sub = self._sub_dim(block.shape[1])
-        codes = np.empty((block.shape[0], self.pq_m), dtype=np.uint8)
-        for s in range(self.pq_m):
-            codes[:, s] = _nearest_centroid(
-                block[:, s * sub:(s + 1) * sub], self._pq_codebooks[s]
-            ).astype(np.uint8)
-        return codes
-
     # -- quantized scoring --------------------------------------------------
 
     def _approx_block(self, rows: np.ndarray) -> np.ndarray:
         """Float32 reconstruction of ``rows`` from the resident codes."""
-        if self.pq_m:
-            sub = self._pq_codebooks.shape[2]
-            out = np.empty(
-                (rows.shape[0], self.pq_m * sub), dtype=np.float32
-            )
-            for s in range(self.pq_m):
-                out[:, s * sub:(s + 1) * sub] = self._pq_codebooks[s][
-                    self._pq_codes[rows, s]
-                ]
-            return out
         return dequantize_int8(self._codes[rows], self._scales)
 
     def _approx_scores(
@@ -531,11 +453,8 @@ class IvfPqIndex(AnnIndex):
         """Bytes held resident by the quantized tier (codes, lists,
         centroids) -- the number the bytes/vector floor measures."""
         arrays = [
-            self._scales, self._centroids, self._assignments,
-            self._pq_codes if self.pq_m else self._codes,
+            self._scales, self._centroids, self._assignments, self._codes
         ]
-        if self.pq_m:
-            arrays.append(self._pq_codebooks)
         return int(sum(a.nbytes for a in arrays))
 
     def _state_matches(self, params: Dict) -> bool:
@@ -548,13 +467,12 @@ class IvfPqIndex(AnnIndex):
                 or int(params.get("n_lists", -1)) == self.n_lists
             )
             and int(params.get("n_lists", -1)) >= 1
-            and int(params.get("pq_m", -1)) == self.pq_m
+            and int(params.get("pq_m", 0)) == 0  # no codebook states
             and int(params.get("seed", -1)) == self.seed
             and int(params.get("n_rows", -1)) <= len(self)
         )
 
     def _load_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
-        dim = int(self.vectors.shape[1])
         self._scales = np.asarray(arrays["scales"], dtype=np.float32)
         self._centroids = np.asarray(
             arrays["centroids"], dtype=np.float32
@@ -562,18 +480,7 @@ class IvfPqIndex(AnnIndex):
         self._assignments = np.asarray(
             arrays["assignments"], dtype=np.int32
         )
-        if self.pq_m:
-            self._codes = np.zeros((0, dim), dtype=np.int8)
-            self._pq_codes = np.asarray(
-                arrays["pq_codes"], dtype=np.uint8
-            )
-            self._pq_codebooks = np.asarray(
-                arrays["pq_codebooks"], dtype=np.float32
-            )
-        else:
-            self._codes = np.asarray(arrays["codes"], dtype=np.int8)
-            self._pq_codes = np.zeros((0, 0), dtype=np.uint8)
-            self._pq_codebooks = self._empty_codebooks(dim)
+        self._codes = np.asarray(arrays["codes"], dtype=np.int8)
 
     def state_dict(self) -> Tuple[Dict, Dict[str, np.ndarray]]:
         """``(params, arrays)`` serialisable into the store manifest.
@@ -586,7 +493,6 @@ class IvfPqIndex(AnnIndex):
             "version": IVFPQ_STATE_VERSION,
             "dim": int(self.vectors.shape[1]),
             "n_lists": self.n_lists,
-            "pq_m": self.pq_m,
             "seed": self.seed,
             "n_rows": len(self),
         }
@@ -594,10 +500,6 @@ class IvfPqIndex(AnnIndex):
             "scales": self._scales,
             "centroids": self._centroids,
             "assignments": self._assignments,
+            "codes": self._codes,
         }
-        if self.pq_m:
-            arrays["pq_codes"] = self._pq_codes
-            arrays["pq_codebooks"] = self._pq_codebooks
-        else:
-            arrays["codes"] = self._codes
         return params, arrays

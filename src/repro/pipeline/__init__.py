@@ -4,7 +4,7 @@ The one implementation of the paper's offline phase.  See
 :mod:`repro.pipeline.corpus` for the orchestrator,
 :mod:`repro.pipeline.stages` for the shared stage functions,
 :mod:`repro.pipeline.cache` for the content-addressed artifact cache and
-:mod:`repro.pipeline.workers` for the multiprocessing extract pool.
+:mod:`repro.pipeline.workers` for the extract worker pool.
 """
 
 from repro.pipeline.cache import (

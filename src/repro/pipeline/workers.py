@@ -1,42 +1,35 @@
-"""Supervised worker-pool execution of the CPU-bound extract stages.
+"""Worker-pool execution of the CPU-bound extract stages.
 
 Decompilation and preprocessing dominate a cold offline run and are pure
-Python (no GEMMs), so they parallelise across processes.  Binaries travel
-to workers as serialised ``RBIN`` bytes -- the same canonical form the
-cache digests -- and come back as columnar
+Python (no GEMMs), so they parallelise across processes.  Binaries
+travel to workers pickled and come back as columnar
 :class:`~repro.pipeline.stages.ExtractedBinary` artifacts.
 
-The pool is *supervised*: each worker owns a single-slot task queue, so
-the parent always knows exactly which task a worker holds.  A worker that
-dies mid-task (OOM kill, segfault, a ``worker.task`` kill failpoint) is
-detected by liveness polling -- the run does not hang on a silent child
-the way ``Pool.imap`` does.  The lost task is requeued with exponential
-backoff + jitter and the worker replaced; a task that fails
-``max_attempts`` times raises :class:`WorkerCrashError` (for dead
-workers) or :class:`WorkerTaskError` (for task exceptions), so a
-poisonous input ends the run with a diagnosis instead of an infinite
-crash loop.
-
-Ordering is preserved (results are buffered and emitted in input order)
-and extraction is deterministic per binary, so a ``jobs=N`` run produces
-bit-for-bit the same artifacts, in the same order, as ``jobs=1``.
+The processes are supervised by
+:class:`repro.utils.supervisor.SupervisedPool` (shared with the serve
+pool; failpoint ``worker.task``, retries back off).  What is left here
+is the stream: a bounded window of submissions in flight (so only the
+window sits serialised and workers stay dynamically balanced), yielded
+in input order.  Extraction is deterministic per binary, so a ``jobs=N``
+run produces bit-for-bit the same artifacts, in the same order, as
+``jobs=1``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import queue as queue_mod
-import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+import functools
+import itertools
+from collections import deque
+from typing import Iterator, List, Sequence
 
-import repro.faults as faults
 from repro.binformat.binary import BinaryFile
 from repro.pipeline.stages import ExtractedBinary, extract_binary
-from repro.utils.logging import get_logger
-from repro.utils.retry import backoff_delays
-
-_LOG = get_logger("pipeline.workers")
+from repro.utils.supervisor import (
+    MAX_ATTEMPTS,
+    SupervisedPool,
+    WorkerCrashError,
+    WorkerTaskError,
+)
 
 __all__ = [
     "WorkerCrashError",
@@ -45,239 +38,10 @@ __all__ = [
     "extract_stream",
 ]
 
-#: Per-task attempt budget (first try + retries across worker crashes).
-MAX_ATTEMPTS = 3
-#: Liveness-poll period while waiting on results.
-_POLL_S = 0.1
 
-
-class WorkerCrashError(RuntimeError):
-    """A task's worker died ``max_attempts`` times; the input is presumed
-    to crash the extract stage (or the host is killing workers faster
-    than the pool can make progress)."""
-
-
-class WorkerTaskError(RuntimeError):
-    """A task raised in the worker ``max_attempts`` times."""
-
-
-def _extract_payload(payload: Tuple[bytes, int]) -> ExtractedBinary:
-    blob, min_ast_size = payload
-    return extract_binary(BinaryFile.from_bytes(blob), min_ast_size)
-
-
-def _worker_main(task_queue, result_queue) -> None:
-    """Worker loop: one task at a time until the ``None`` sentinel."""
-    while True:
-        item = task_queue.get()
-        if item is None:
-            return
-        task_id, payload = item
-        try:
-            # chaos hook: a kill-mode failpoint here is an OOM-killed
-            # worker mid-task; raise-mode is a transient task fault
-            faults.inject("worker.task")
-            result_queue.put((task_id, "ok", _extract_payload(payload)))
-        except BaseException as exc:  # noqa: BLE001 -- report, don't die
-            result_queue.put(
-                (task_id, "error", f"{type(exc).__name__}: {exc}")
-            )
-
-
-@dataclass
-class _Task:
-    task_id: int
-    payload: Tuple[bytes, int]
-    attempts: int = 0
-    delays: List[float] = field(default_factory=list)
-    not_before: float = 0.0  # monotonic time gating the retry
-
-
-class _Worker:
-    """One process plus its single-slot task queue.
-
-    The slot is the crash-safety invariant: the parent knows the one
-    task a worker may hold, so a death never loses an unknown task.
-    """
-
-    __slots__ = ("process", "queue", "task")
-
-    @classmethod
-    def spawn(cls, ctx, result_queue) -> "_Worker":
-        worker = cls.__new__(cls)
-        worker.queue = ctx.Queue()
-        worker.task = None
-        worker.process = ctx.Process(
-            target=_worker_main, args=(worker.queue, result_queue),
-            daemon=True,
-        )
-        worker.process.start()
-        return worker
-
-    def assign(self, task: _Task) -> None:
-        self.task = task
-        task.attempts += 1
-        self.queue.put((task.task_id, task.payload))
-
-    def stop(self) -> None:
-        try:
-            self.queue.put(None)
-        except (OSError, ValueError):
-            pass
-
-    def reap(self, timeout: float = 1.0) -> None:
-        self.process.join(timeout=timeout)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout=1.0)
-        self.queue.close()
-
-
-class _Supervisor:
-    """Order-preserving scheduler over replaceable worker processes."""
-
-    def __init__(
-        self,
-        payloads: Iterator[Tuple[bytes, int]],
-        n_workers: int,
-        max_attempts: int,
-        registry=None,
-    ):
-        self._ctx = multiprocessing.get_context()
-        self._payloads = payloads
-        self._n_workers = n_workers
-        self._max_attempts = max_attempts
-        self._registry = registry
-        self._results = self._ctx.Queue()
-        self._workers: List[_Worker] = []
-        self._retry: List[_Task] = []
-        self._done: Dict[int, ExtractedBinary] = {}
-        self._next_id = 0
-        self._next_emit = 0
-        self._exhausted = False
-
-    # -- accounting hooks --------------------------------------------------
-
-    def _count(self, name: str, help_text: str) -> None:
-        if self._registry is not None:
-            self._registry.counter(name, help_text).inc()
-
-    # -- scheduling --------------------------------------------------------
-
-    def _next_task(self) -> Optional[_Task]:
-        now = time.monotonic()
-        for i, task in enumerate(self._retry):
-            if task.not_before <= now:
-                return self._retry.pop(i)
-        if not self._exhausted:
-            try:
-                payload = next(self._payloads)
-            except StopIteration:
-                self._exhausted = True
-            else:
-                task = _Task(task_id=self._next_id, payload=payload)
-                self._next_id += 1
-                return task
-        return None
-
-    def _fill_workers(self) -> None:
-        for worker in self._workers:
-            if worker.task is not None:
-                continue
-            task = self._next_task()
-            if task is None:
-                return
-            worker.assign(task)
-
-    def _fail_task(self, task: _Task, reason: str, crash: bool) -> None:
-        """Requeue a failed task with backoff, or raise when spent."""
-        if task.attempts >= self._max_attempts:
-            exc_type = WorkerCrashError if crash else WorkerTaskError
-            raise exc_type(
-                f"task {task.task_id} failed {task.attempts} time(s); "
-                f"last: {reason}"
-            )
-        if not task.delays:
-            task.delays = list(backoff_delays(self._max_attempts))
-        delay = task.delays[min(task.attempts, len(task.delays)) - 1]
-        task.not_before = time.monotonic() + delay
-        self._retry.append(task)
-        self._count(
-            "repro_worker_task_retries_total",
-            "Extract tasks requeued after a worker fault",
-        )
-        _LOG.warning(
-            "extract task %d failed (attempt %d/%d): %s; retrying in %.0fms",
-            task.task_id, task.attempts, self._max_attempts, reason,
-            delay * 1000,
-        )
-
-    def _check_liveness(self) -> None:
-        for i, worker in enumerate(self._workers):
-            if worker.process.is_alive():
-                continue
-            exitcode = worker.process.exitcode
-            task, worker.task = worker.task, None
-            worker.reap(timeout=0.1)
-            self._count(
-                "repro_worker_restarts_total",
-                "Extract workers replaced after dying mid-run",
-            )
-            _LOG.warning(
-                "extract worker died (exit %s); replacing it", exitcode
-            )
-            self._workers[i] = _Worker.spawn(self._ctx, self._results)
-            if task is not None:
-                self._fail_task(
-                    task, f"worker died with exit code {exitcode}", crash=True
-                )
-
-    def _drain_results(self, timeout: float) -> bool:
-        """Pull at most one result; True if one arrived."""
-        try:
-            task_id, status, value = self._results.get(timeout=timeout)
-        except queue_mod.Empty:
-            return False
-        for worker in self._workers:
-            if worker.task is not None and worker.task.task_id == task_id:
-                task, worker.task = worker.task, None
-                break
-        else:  # result from a worker we already replaced: ignore dupes
-            return True
-        if status == "ok":
-            self._done[task_id] = value
-        else:
-            self._fail_task(task, value, crash=False)
-        return True
-
-    # -- run ---------------------------------------------------------------
-
-    def run(self) -> Iterator[ExtractedBinary]:
-        self._workers = [
-            _Worker.spawn(self._ctx, self._results)
-            for _ in range(self._n_workers)
-        ]
-        try:
-            while True:
-                self._fill_workers()
-                while self._next_emit in self._done:
-                    yield self._done.pop(self._next_emit)
-                    self._next_emit += 1
-                idle = all(w.task is None for w in self._workers)
-                if self._exhausted and idle and not self._retry:
-                    return
-                if idle and self._retry:
-                    # everything pending is backing off; sleep it out
-                    wake = min(t.not_before for t in self._retry)
-                    time.sleep(max(0.0, wake - time.monotonic()))
-                    continue
-                if not self._drain_results(timeout=_POLL_S):
-                    self._check_liveness()
-        finally:
-            for worker in self._workers:
-                worker.stop()
-            for worker in self._workers:
-                worker.reap()
+def _extract_setup(worker_id: int, min_ast_size: int):
+    """Per-worker setup: the handler extracts one binary per task."""
+    return functools.partial(extract_binary, min_ast_size=min_ast_size)
 
 
 def extract_stream(
@@ -291,23 +55,40 @@ def extract_stream(
 
     Streaming keeps only in-flight artifacts in memory: the consumer can
     encode-and-release each binary while workers extract the next ones.
-    With ``jobs > 1`` the pool survives worker deaths (see module
-    docstring); ``registry`` (a :class:`~repro.obs.metrics
-    .MetricsRegistry`) receives restart/retry counters when given.
+    With ``jobs > 1`` the pool survives worker deaths (see
+    :mod:`repro.utils.supervisor`); ``registry`` (a
+    :class:`~repro.obs.metrics.MetricsRegistry`) receives restart/retry
+    counters when given.
     """
     if jobs <= 1 or len(binaries) <= 1:
         for binary in binaries:
             yield extract_binary(binary, min_ast_size)
         return
-    payloads = ((binary.to_bytes(), min_ast_size) for binary in binaries)
-    supervisor = _Supervisor(
-        iter(payloads),
-        n_workers=min(int(jobs), len(binaries)),
-        max_attempts=max_attempts,
-        registry=registry,
+    n_workers = min(int(jobs), len(binaries))
+    pool = SupervisedPool(
+        _extract_setup, (min_ast_size,), n_workers,
+        name="extract", failpoint="worker.task",
+        backoff=True,  # nobody waits on a clock: sit transient faults out
+        restarts_metric=("repro_worker_restarts_total",
+                         "Extract workers replaced after dying mid-run"),
+        retries_metric=("repro_worker_task_retries_total",
+                        "Extract tasks requeued after a worker fault"),
+        registry=registry, max_attempts=max_attempts,
     )
-    for extracted in supervisor.run():
-        yield extracted
+    try:
+        todo = iter(binaries)
+        window = deque(
+            pool.submit(binary)
+            for binary in itertools.islice(todo, 2 * n_workers)
+        )
+        while window:
+            extracted = window.popleft().result()
+            window.extend(
+                pool.submit(binary) for binary in itertools.islice(todo, 1)
+            )
+            yield extracted
+    finally:
+        pool.close()
 
 
 def extract_all(

@@ -17,7 +17,12 @@ from repro.serving.generations import (
     prepare_generation,
     read_current,
 )
-from repro.serving.pool import MAX_ATTEMPTS, ShardWorkerPool, SweepError
+from repro.serving.pool import (
+    MAX_ATTEMPTS,
+    ShardWorkerPool,
+    SweepError,
+    SweepTimeout,
+)
 
 __all__ = [
     "FLAT_GENERATION",
@@ -25,6 +30,7 @@ __all__ = [
     "ServingCoordinator",
     "ShardWorkerPool",
     "SweepError",
+    "SweepTimeout",
     "active_root",
     "clone_store",
     "commit_generation",

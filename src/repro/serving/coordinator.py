@@ -27,8 +27,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.model import Asteria, FunctionEncoding
-from repro.index.ann import SCORE_BLOCK_ROWS, select_top_k
-from repro.index.search import SearchHit
+from repro.index.ann import select_top_k
+from repro.index.search import SearchHit, _hit
 from repro.index.store import EmbeddingStore
 from repro.serving import generations
 from repro.serving.pool import ShardWorkerPool
@@ -39,69 +39,23 @@ _LOG = get_logger("serving.coordinator")
 __all__ = ["ServingCoordinator", "shard_ranges"]
 
 
-def scoring_block_offsets(
-    offsets: Sequence[int], block_rows: int = SCORE_BLOCK_ROWS
-) -> List[int]:
-    """Cumulative boundaries of the global sweep's scoring blocks.
-
-    Replicates :meth:`AnnIndex._scoring_blocks`' greedy shard
-    coalescing (consecutive shards gathered up to ``block_rows``), so
-    worker ranges can be cut exactly where the single-process sweep
-    cuts its GEMM blocks.
-    """
-    bounds = [0]
-    pending = 0
-    for i in range(len(offsets) - 1):
-        size = offsets[i + 1] - offsets[i]
-        if pending and pending + size > block_rows:
-            bounds.append(bounds[-1] + pending)
-            pending = 0
-        pending += size
-    if pending:
-        bounds.append(bounds[-1] + pending)
-    return bounds
-
-
 def shard_ranges(
     offsets: Sequence[int], n_parts: int
 ) -> List[Tuple[int, int]]:
-    """Cut cumulative shard offsets into ≤``n_parts`` contiguous ranges.
-
-    Ranges are aligned to the global sweep's *scoring-block* boundaries
-    (shard-aligned, coalesced up to :data:`SCORE_BLOCK_ROWS` rows), not
-    just shard boundaries: each worker's block coalescer, restarted at
-    a global block boundary, regenerates the blocks the single-process
-    sweep would score there.  The bit-for-bit merge no longer rests on
-    that -- a score is a pure function of (query, row), whatever block
-    it is computed in -- so the rule only sets the granularity of
-    parallelism; dropping it is a follow-up.
+    """Cut cumulative shard offsets into ≤``n_parts`` contiguous ranges
+    of near-equal row counts: each ideal cut ``i * n_rows / n_parts``
+    moves to the nearest shard boundary (a shard is the granularity of
+    parallelism).  Where a range is cut cannot change a bit of the
+    merged answer -- a score is a pure function of (query, row).
     """
     n_rows = offsets[-1] if offsets else 0
     if n_rows <= 0 or n_parts < 1:
         return []
-    bounds = scoring_block_offsets(offsets)
-    target = n_rows / n_parts
-    # greedy: close a range at the first block boundary past the ideal
-    # cumulative cut for that range
-    ranges: List[Tuple[int, int]] = []
-    start = 0
-    cuts_done = 0
-    for boundary in bounds[1:]:
-        ideal = (cuts_done + 1) * target
-        if boundary >= ideal or boundary == n_rows:
-            ranges.append((start, boundary))
-            start = boundary
-            cuts_done += 1
-            if cuts_done == n_parts:
-                break
-    if start < n_rows:
-        # fewer blocks than parts, or rounding left a tail: extend the
-        # last range to cover it
-        if ranges:
-            ranges[-1] = (ranges[-1][0], n_rows)
-        else:
-            ranges = [(0, n_rows)]
-    return ranges
+    cuts = sorted({
+        min(offsets, key=lambda bound: abs(bound - n_rows * i / n_parts))
+        for i in range(n_parts + 1)
+    })
+    return list(zip(cuts, cuts[1:]))
 
 
 class ServingCoordinator:
@@ -122,7 +76,6 @@ class ServingCoordinator:
         self._generation_rel: str = generations.FLAT_GENERATION
         self._store: Optional[EmbeddingStore] = None
         self.pool = ShardWorkerPool(model, n_workers, registry=registry)
-        self._closed = False
 
     # -- generation pin ----------------------------------------------------
 
@@ -192,27 +145,15 @@ class ServingCoordinator:
         )
         hit_lists: List[List[SearchHit]] = []
         for qi in range(len(encodings)):
-            rows = np.concatenate(
-                [partials[qi][0] for partials in per_range]
-            ) if per_range else np.zeros(0, dtype=np.int64)
+            rows = np.concatenate([partials[qi][0] for partials in per_range])
             scores = np.concatenate(
                 [partials[qi][1] for partials in per_range]
-            ) if per_range else np.zeros(0, dtype=np.float64)
-            keep = select_top_k(scores, rows, top_k)
-            hits = []
-            for pos in keep:
-                meta = store.metadata_at(int(rows[pos]))
-                hits.append(SearchHit(
-                    row=meta.row,
-                    score=float(scores[pos]),
-                    name=meta.name,
-                    binary_name=meta.binary_name,
-                    arch=meta.arch,
-                    callee_count=meta.callee_count,
-                    ast_size=meta.ast_size,
-                    image_id=meta.image_id,
-                ))
-            hit_lists.append(hits)
+            )
+            top = select_top_k(scores, rows, top_k)
+            hit_lists.append([
+                _hit(row, score, store.metadata_at(row))
+                for row, score in zip(rows[top].tolist(), scores[top].tolist())
+            ])
         if self._registry is not None:
             self._registry.counter(
                 "repro_serve_pool_queries_total",
@@ -262,7 +203,4 @@ class ServingCoordinator:
         return self.pool.workers_info()
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self.pool.close()
+        self.pool.close()  # idempotent

@@ -19,6 +19,7 @@ in between.
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import shutil
@@ -126,23 +127,33 @@ def prepare_generation(index_root) -> Tuple[str, Path]:
 def clone_store(src_root, dst_root) -> int:
     """Populate a prepared generation with the parent store's artifacts.
 
-    Hard-links shard files where the filesystem allows (shards are
-    immutable once flushed, so sharing the bytes is safe and O(1) per
-    file) and falls back to a copy otherwise.  Returns the number of
-    files cloned.
+    Hard-links files where the filesystem allows (shards are immutable
+    once flushed, so sharing the bytes is safe and O(1) per file) and
+    falls back to a copy otherwise.  Returns the number of files cloned.
     """
     src_root, dst_root = Path(src_root), Path(dst_root)
+    sources = [
+        src for pattern in _CLONE_GLOBS
+        for src in sorted(src_root.glob(pattern))
+    ]
+    # the persisted ANN state, by the one name the cloned manifest gives
+    # it (no glob: a ``*.pending.npz`` or an orphan must stay behind);
+    # linking is safe, the store replaces that file by rename
+    ann = json.loads(
+        (src_root / "manifest.json").read_text(encoding="utf-8")
+    ).get("ann") or {}
+    if "file" in ann:
+        sources.append(src_root / ann["file"])
     cloned = 0
-    for pattern in _CLONE_GLOBS:
-        for src in sorted(src_root.glob(pattern)):
-            if not src.is_file():
-                continue
-            dst = dst_root / src.name
-            try:
-                os.link(src, dst)
-            except OSError:
-                shutil.copy2(src, dst)
-            cloned += 1
+    for src in sources:
+        if not src.is_file():
+            continue
+        dst = dst_root / src.name
+        try:
+            os.link(src, dst)
+        except OSError:
+            shutil.copy2(src, dst)
+        cloned += 1
     return cloned
 
 

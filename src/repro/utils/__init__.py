@@ -1,4 +1,5 @@
-"""Shared utilities: RNG, logging, crash-safe file IO, retry/backoff."""
+"""Shared utilities: RNG, logging, crash-safe file IO, retry/backoff, and
+the process-pool supervisor (:mod:`repro.utils.supervisor`)."""
 
 from repro.utils.rng import RNG, derive_seed
 from repro.utils.logging import get_logger

@@ -1,7 +1,7 @@
 """Retry with exponential backoff and jitter.
 
-The pipeline's worker supervisor (and anything else facing transient
-faults) retries through one shared implementation, so attempt budgets
+The process supervisor (and anything else facing transient faults)
+retries through one shared implementation, so attempt budgets
 and backoff behaviour are uniform and testable.  Jitter is decorrelated
 -- each delay is drawn uniformly from ``[delay * (1 - jitter), delay]``
 -- so a fleet of workers retrying the same stalled resource does not

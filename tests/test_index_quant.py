@@ -153,8 +153,6 @@ class TestIvfPqIndex:
             IvfPqIndex(model, vectors, counts, nprobe=0)
         with pytest.raises(ValueError):
             IvfPqIndex(model, vectors, counts, rerank=0)
-        with pytest.raises(ValueError):
-            IvfPqIndex(model, vectors, counts, pq_m=3)  # 3 does not divide 16
 
     def test_empty_corpus(self, model, spec):
         tier = IvfPqIndex(
@@ -169,31 +167,6 @@ class TestIvfPqIndex:
         counts = np.zeros(40, dtype=np.int64)
         tier = IvfPqIndex(model, vectors, counts, rerank=3)
         assert tier.oversample == 3
-
-    def test_pq_codebooks_shrink_residency(self, tmp_path, model, spec):
-        store = _filled_store(tmp_path / "idx", spec)
-        queries = synth_queries(spec, range(6))
-        int8_tier = IvfPqIndex(
-            model, store.vectors(), store.callee_counts(), seed=2
-        )
-        pq_tier = IvfPqIndex(
-            model, store.vectors(), store.callee_counts(), seed=2, pq_m=4
-        )
-        assert pq_tier.pq_m == 4
-        assert pq_tier._pq_codes.shape == (len(store), 4)
-        # 4 bytes/row of codes vs 16; the codebooks themselves are O(1),
-        # so only the per-row arrays are compared here
-        assert pq_tier._pq_codes.nbytes < int8_tier._codes.nbytes
-        assert pq_tier.resident_nbytes > 0
-        exact = BruteForceIndex(
-            model, store.vectors(), store.callee_counts()
-        )
-        hits = 0
-        for query in queries:
-            want = set(_rows(exact.top_k(query, k=10)))
-            got = set(_rows(pq_tier.top_k(query, k=10)))
-            hits += len(want & got) / max(1, len(want))
-        assert hits / len(queries) >= 0.9
 
 
 # -- persisted state -------------------------------------------------------
@@ -261,6 +234,27 @@ class TestPersistedIvfPq:
         )
         assert not other.loaded_from_state
         assert other.rows_quantized == len(store)
+
+    def test_codebook_state_is_refused(self, tmp_path, model, spec):
+        store = _filled_store(tmp_path / "idx", spec)
+        vectors, counts = store.vectors(), store.callee_counts()
+        params, arrays = IvfPqIndex(
+            model, vectors, counts, seed=7
+        ).state_dict()
+        # states written while `pq_m` existed carry it: 0 (plain int8
+        # codes, the only layout ever persisted by default) still loads
+        legacy = IvfPqIndex(
+            model, vectors, counts, seed=7,
+            state=(dict(params, pq_m=0), arrays),
+        )
+        assert legacy.loaded_from_state and legacy.rows_quantized == 0
+        # a product-quantization codebook state has no reader left
+        refused = IvfPqIndex(
+            model, vectors, counts, seed=7,
+            state=(dict(params, pq_m=4), arrays),
+        )
+        assert not refused.loaded_from_state
+        assert refused.rows_quantized == len(store)
 
     def test_service_round_trips_state_with_checksum(
         self, tmp_path, model, spec

@@ -1,7 +1,7 @@
 """Tests for the shard-parallel serving subsystem (`repro.serving`).
 
 Covers the generation protocol (atomic CURRENT pointer, clone, abort),
-range planning (scoring-block alignment, the bit-for-bit invariant),
+range planning (near-equal ranges cut at shard boundaries),
 the supervised worker pool (merge equality, kill/raise failpoints,
 bounded retries), the engine integration (generation-tagged queries,
 ingest-as-new-generation, stats/healthz surfaces), and the headline
@@ -21,18 +21,14 @@ import pytest
 import repro.faults as faults
 from repro.api.config import EngineConfig
 from repro.api.engine import AsteriaEngine, IngestRequest, QueryRequest
-from repro.api.errors import EngineError
+from repro.api.errors import DeadlineExceededError, EngineError
 from repro.api.server import EngineServer
 from repro.core.model import Asteria, AsteriaConfig, FunctionEncoding
 from repro.index.ann import BruteForceIndex, select_top_k
 from repro.index.store import EmbeddingStore
 from repro.serving import generations
-from repro.serving.coordinator import (
-    ServingCoordinator,
-    scoring_block_offsets,
-    shard_ranges,
-)
-from repro.serving.pool import ShardWorkerPool, SweepError
+from repro.serving.coordinator import ServingCoordinator, shard_ranges
+from repro.serving.pool import ShardWorkerPool, SweepError, SweepTimeout
 
 DIM = 16
 
@@ -143,13 +139,6 @@ class TestGenerations:
 
 
 class TestShardRanges:
-    def test_blocks_replicate_greedy_coalescing(self):
-        # shards of 5 rows coalesce in pairs under a 10-row budget
-        offsets = [0, 5, 10, 15, 20, 25]
-        assert scoring_block_offsets(offsets, block_rows=10) == [0, 10, 20, 25]
-        # a shard bigger than the budget stands alone
-        assert scoring_block_offsets([0, 30, 35], block_rows=10) == [0, 30, 35]
-
     def test_ranges_cover_disjointly(self):
         offsets = list(range(0, 40001, 5000))  # 8 shards x 5000 rows
         ranges = shard_ranges(offsets, 4)
@@ -157,14 +146,18 @@ class TestShardRanges:
         for (_, stop), (start, _) in zip(ranges, ranges[1:]):
             assert stop == start
         assert 1 <= len(ranges) <= 4
-        bounds = set(scoring_block_offsets(offsets))
         for start, stop in ranges:
-            assert start in bounds and stop in bounds
+            assert start in offsets and stop in offsets
 
-    def test_small_corpus_collapses_to_one_range(self):
-        # everything fits one scoring block: a single worker sweeps it
-        # (splitting would change GEMM widths and break bit-for-bit)
-        assert shard_ranges([0, 100, 200], 4) == [(0, 200)]
+    def test_a_shard_is_the_granularity(self):
+        # fewer shards than parts: one range per shard, however small
+        assert shard_ranges([0, 100, 200], 4) == [(0, 100), (100, 200)]
+        # every worker gets a range as soon as there is a shard for it
+        assert shard_ranges([0, 50, 100, 150, 200], 4) == [
+            (0, 50), (50, 100), (100, 150), (150, 200)
+        ]
+        # uneven shards: cuts land on the boundary nearest the ideal one
+        assert shard_ranges([0, 10, 90, 100, 200], 2) == [(0, 100), (100, 200)]
 
     def test_empty(self):
         assert shard_ranges([0], 4) == []
@@ -560,6 +553,35 @@ class TestEngineServing:
         finally:
             engine.close()
 
+    def test_hot_swap_keeps_the_quantizer(self, tmp_path, model):
+        # the new generation inherits the persisted ANN state its cloned
+        # manifest names: the first query after a pooled ingest quantizes
+        # the appended rows, not the corpus
+        root = tmp_path / "idx"
+        _fill_store(root, 600, shard_size=128)
+        engine = AsteriaEngine(
+            EngineConfig(
+                index_root=str(root), serve_workers=2, backend="ivf-pq",
+            ),
+            model=model,
+        )
+        query = QueryRequest(
+            encoding=_encoding(0, np.zeros(DIM)), top_k=3, threshold=None
+        )
+        try:
+            engine.query(query)  # builds + persists the quantizer
+            assert engine.stats().ann_rows_quantized == 600
+            appended = engine.ingest(IngestRequest(
+                corpus_images=1, corpus_seed=5
+            )).n_rows_total - 600
+            assert appended > 0
+            assert engine.query(query).generation == "generations/gen-00001"
+            stats = engine.stats()
+            assert stats.ann_persisted is True
+            assert stats.ann_rows_quantized == appended
+        finally:
+            engine.close()
+
     def test_swap_failpoint_keeps_old_generation_serving(
         self, tmp_path, model
     ):
@@ -595,6 +617,85 @@ class TestEngineServing:
                 ))
         finally:
             faults.clear()
+            engine.close()
+
+    def _deadline_engine(self, tmp_path, model):
+        root = tmp_path / "idx"
+        _, vectors = _fill_store(root, 150, shard_size=64)
+        engine = AsteriaEngine(
+            EngineConfig(
+                index_root=str(root), serve_workers=2,
+                request_timeout_ms=100,
+            ),
+            model=model,
+        )
+        query = QueryRequest(
+            encoding=_encoding(0, vectors[0]), top_k=3, threshold=None
+        )
+        return engine, query
+
+    def test_pooled_query_past_its_deadline_is_504(self, tmp_path, model):
+        engine, query = self._deadline_engine(tmp_path, model)
+        try:
+            faults.configure("serving.worker=delay:400")
+            engine.coordinator  # fork the workers outside the deadline
+            with pytest.raises(DeadlineExceededError):
+                engine.query(query)
+            assert engine.obs.value("repro_request_timeouts_total") == 1
+        finally:
+            faults.clear()
+            engine.close()
+
+    def test_poison_sweep_under_a_deadline_is_500_not_504(
+        self, tmp_path, model
+    ):
+        # three immediate retries fit the deadline with room to spare; a
+        # backoff between them would turn the diagnosis into a timeout
+        engine, query = self._deadline_engine(tmp_path, model)
+        try:
+            faults.configure("serving.worker=raise")
+            engine.coordinator  # fork the workers outside the deadline
+            with pytest.raises(EngineError, match="failed 3 time") as info:
+                engine.query(query)
+            assert not isinstance(info.value, DeadlineExceededError)
+            assert engine.obs.value("repro_request_timeouts_total") == 0
+        finally:
+            faults.clear()
+            engine.close()
+
+    def test_timeout_is_a_type_not_a_substring(
+        self, tmp_path, model, monkeypatch
+    ):
+        # a task error whose own text says "timed out" is still a failure
+        missing = tmp_path / "timed out" / "idx"
+        pool = ShardWorkerPool(model, n_workers=1)
+        try:
+            with pytest.raises(SweepError, match="no manifest at") as info:
+                pool.sweep(
+                    str(missing), [(0, 10)],
+                    np.zeros((1, DIM)), np.array([1]),
+                    k=5, threshold=None, calibrate=True, timeout_s=120,
+                )
+        finally:
+            pool.close()
+        error = info.value
+        assert "timed out" in str(error) and "failed 3 time" in str(error)
+        assert not isinstance(error, SweepTimeout)
+
+        engine, query = self._deadline_engine(tmp_path, model)
+
+        def failing_sweep(*args, **kwargs):
+            raise error
+
+        try:
+            monkeypatch.setattr(
+                engine.coordinator, "query_batch", failing_sweep
+            )
+            with pytest.raises(EngineError) as info:
+                engine.query(query)
+            assert not isinstance(info.value, DeadlineExceededError)
+            assert engine.obs.value("repro_request_timeouts_total") == 0
+        finally:
             engine.close()
 
 
