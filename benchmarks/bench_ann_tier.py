@@ -20,7 +20,13 @@ neighbors, scored by the distance-monotone head) at every size in
   vectors it approximates;
 * **fidelity** -- the frontier (qps vs recall@10 across ``nprobe``)
   is emitted per corpus size so the recall/speed trade stays diffable
-  across revisions;
+  across revisions, beside a *storm* row: one query repeated
+  ``N_QUERIES`` times in a batch, the shape that shares every probed
+  list;
+* **pruning** -- the quantized sweep visits the probed rows in rings of
+  callee-count distance: on the diverse corpus it must quantize-score
+  < 0.25 of the rows it probes, on the floor corpus (one ring) exactly
+  all of them;
 * **durability** -- reopening the persisted quantized state quantizes
   **zero** rows and reproduces the fresh index's results exactly.
 """
@@ -52,6 +58,7 @@ SIZES = [
 MIN_SPEEDUP = float(os.environ.get("ANN_TIER_MIN_SPEEDUP", "5.0"))
 MIN_RECALL_AT_10 = 0.9
 MAX_BYTES_RATIO = 0.3
+MAX_SWEPT_OF_PROBED = 0.25
 DIM = 64
 CLUSTER_SIZE = 16
 N_QUERIES = 32
@@ -107,7 +114,10 @@ def _bench_size(root: Path, n: int, count_mod: int) -> dict:
     scored = registry.get("repro_ann_rerank_fraction")
 
     began = time.perf_counter()
-    tier = IvfPqIndex(model, vectors, counts, seed=3)
+    tier_registry = MetricsRegistry()
+    tier = IvfPqIndex(
+        model, vectors, counts, seed=3, registry=tier_registry
+    )
     build_s = time.perf_counter() - began
     frontier = []
     for nprobe in NPROBE_FRONTIER:
@@ -119,9 +129,13 @@ def _bench_size(root: Path, n: int, count_mod: int) -> dict:
             "recall_at_10": round(_recall(_hit_rows(results), truth), 4),
         })
 
+    probed = tier_registry.get("repro_ann_probed_fraction")
+    swept = tier_registry.get("repro_ann_swept_fraction")
+
     # durable round-trip: persisted state must reopen quantization-free
     # and reproduce the fresh index bit-for-bit
     tier.nprobe = 8
+    _, storm_qps = _measure(tier, [queries[0]] * N_QUERIES)
     params, arrays = tier.state_dict()
     store.write_ann_state(params, arrays)
     reopened = IvfPqIndex(
@@ -143,6 +157,8 @@ def _bench_size(root: Path, n: int, count_mod: int) -> dict:
         "exact_qps": round(exact_qps, 3),
         "exact_scored_fraction": round(scored.sum / scored.count, 4),
         "frontier": frontier,
+        "storm_qps": round(storm_qps, 2),
+        "swept_of_probed": round(swept.sum / probed.sum, 4),
         "best": best,
         "speedup": (
             round(best["qps"] / exact_qps, 2) if best else None
@@ -182,6 +198,11 @@ def test_ann_tier(tmp_path_factory):
                 f"recall@10={p['recall_at_10']:.4f}{marker}"
             )
         lines.append(
+            f"    storm ({N_QUERIES} x one query, nprobe=8)  "
+            f"qps={r['storm_qps']:>9.2f}  quantize-scored "
+            f"{r['swept_of_probed']:.4f} of the probed rows"
+        )
+        lines.append(
             f"    speedup at recall>=0.9: "
             f"{r['speedup']}x (floor {MIN_SPEEDUP}x at the largest size)"
         )
@@ -190,7 +211,8 @@ def test_ann_tier(tmp_path_factory):
             f"exact={d['exact_qps']:.2f} q/s scoring "
             f"{d['exact_scored_fraction']:.4f} of the rows, best tiered "
             f"{d['best']['qps'] if d['best'] else None} q/s = "
-            f"{d['speedup']}x"
+            f"{d['speedup']}x quantize-scoring {d['swept_of_probed']:.4f} "
+            f"of the probed rows, storm {d['storm_qps']:.2f} q/s"
         )
     text = "\n".join(lines) + "\n"
     write_result("ann_tier", text)
@@ -201,6 +223,7 @@ def test_ann_tier(tmp_path_factory):
             "min_speedup_at_largest": MIN_SPEEDUP,
             "min_recall_at_10": MIN_RECALL_AT_10,
             "max_bytes_ratio_vs_float32": MAX_BYTES_RATIO,
+            "max_swept_of_probed_diverse": MAX_SWEPT_OF_PROBED,
             "reopen_rows_quantized": 0,
         },
     )
@@ -208,6 +231,9 @@ def test_ann_tier(tmp_path_factory):
         # the floor corpus is the one the exact sweep cannot prune
         assert r["exact_scored_fraction"] == 1.0, r
         assert d["exact_scored_fraction"] < 0.1, d
+        # ... and the one where every probed row is in the first ring
+        assert r["swept_of_probed"] == 1.0, r
+        assert d["swept_of_probed"] < MAX_SWEPT_OF_PROBED, d
         assert r["bytes_ratio_vs_float32"] <= MAX_BYTES_RATIO, (
             f"quantized tier holds {r['bytes_ratio_vs_float32']:.3f}x of "
             f"the float32 bytes at n={r['n']} (cap {MAX_BYTES_RATIO}x)"

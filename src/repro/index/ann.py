@@ -16,9 +16,11 @@ candidate rows per query, and the shared scorers rank them by the true
 
 Backends answer single queries (:meth:`AnnIndex.top_k`) and query
 batches (:meth:`AnnIndex.top_k_batch`); a batch reads the corpus once
-instead of Q times.  The exact sweep scores only the rows that can
-still win (:meth:`AnnIndex._sweep_top_k`: rings of callee-count
-distance, stopped on the bound ``exp(-|dC|)``).  Selection uses
+instead of Q times.  Both sweeps -- the exact one over the corpus
+(:meth:`AnnIndex._sweep_top_k`) and the quantized one over the probed
+lists -- score only the rows that can still win: rings of callee-count
+distance from one enumeration (:meth:`AnnIndex._rings`), stopped on
+the bound ``exp(-|dC|)`` by one rule (:class:`_Held`).  Selection uses
 ``np.argpartition`` rather than a full corpus sort, with ties broken by
 row exactly as the full ``np.lexsort`` would break them.  A score is a
 pure function of (query, row) -- the head multiplies fixed-shape tiles
@@ -103,6 +105,46 @@ def select_top_k(
     contenders = np.flatnonzero(scores >= boundary)
     order = np.lexsort((rows[contenders], -scores[contenders]))[:k]
     return contenders[order]
+
+
+class _Held:
+    """One query's best ``k`` (row, score) pairs of a ring sweep so far,
+    and the rule that ends its sweep."""
+
+    def __init__(self, k: Optional[int]):
+        self.k = k
+        self._rows = [np.zeros(0, dtype=np.int64)]
+        self._scores = [np.zeros(0)]
+
+    def add(self, rows: np.ndarray, scores: np.ndarray) -> None:
+        """Hold a scored block's best ``k``; :meth:`merged` cuts across
+        blocks."""
+        if self.k is not None:
+            top = select_top_k(scores, rows, self.k)
+            rows, scores = rows[top], scores[top]
+        self._rows.append(rows)
+        self._scores.append(scores)
+
+    def merged(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, scores)`` held: every pair added for ``k=None``,
+        else the best ``k``, ranked (the k-th score is the last)."""
+        if len(self._rows) > 1:
+            rows = np.concatenate(self._rows)
+            scores = np.concatenate(self._scores)
+            if self.k is not None:
+                top = select_top_k(scores, rows, self.k)
+                rows, scores = rows[top], scores[top]
+            self._rows, self._scores = [rows], [scores]
+        return self._rows[0], self._scores[0]
+
+    def settled(self, bound: float) -> bool:
+        """Can no row scoring ``<= bound`` enter the best ``k``?  Strictly
+        below: a tie with the k-th score wins on a lower row number."""
+        k = self.k
+        if k is None:
+            return False
+        held = self.merged()[1]
+        return held.size >= k and (k <= 0 or bound < held[k - 1])
 
 
 class AnnIndex:
@@ -238,44 +280,31 @@ class AnnIndex:
         """
         head = self.model.siamese.similarity_from_matrix
         matrix = np.stack([np.asarray(q.vector) for q in queries])
-        rows_acc = [[np.zeros(0, dtype=np.int64)] for _ in queries]
-        scores_acc = [[np.zeros(0)] for _ in queries]
+        held = [_Held(k) for _ in queries]
         scored = [0] * len(queries)
 
         def settled(i: int, bound: float) -> bool:
-            # can no row scoring <= bound enter query i's answer?  Strictly
-            # below: a tie with the k-th score wins on a lower row number
             if threshold is not None and bound < threshold:
                 return True
-            if k is None:
-                return False
-            if len(rows_acc[i]) > 1:
-                rows = np.concatenate(rows_acc[i])
-                scores = np.concatenate(scores_acc[i])
-                top = select_top_k(scores, rows, k)
-                rows_acc[i], scores_acc[i] = [rows[top]], [scores[top]]
-            held = scores_acc[i][0]  # ranked: the k-th score is the last
-            return held.size >= k and (k <= 0 or bound < held[k - 1])
+            return held[i].settled(bound)
 
         # no rings without calibration, nor in a corpus of one scoring
         # block (bookkeeping would cost more than it could skip): one
-        # ring of every row, calibrated pair by pair (no factor)
+        # ring of every row, calibrated pair by pair
         ringed = self.calibrate and len(self) > SCORE_BLOCK_ROWS
         groups: Dict[Optional[int], List[int]] = {}
         for i, query in enumerate(queries):
             count = query.callee_count if ringed else None
             groups.setdefault(count, []).append(i)
         for count, members in groups.items():
-            dist, rings = None, [(1.0, None, None)]
-            if ringed:
-                dist, rings = self._rings(count)
+            dist, rings = self._rings(count)
             for bound, factor, d in rings:
                 members = [i for i in members if not settled(i, bound)]
                 if not members:
                     break
                 ring = None if d is None else np.flatnonzero(dist == d)
                 for block_rows, block in self._scoring_blocks(ring):
-                    if factor is None:
+                    if count is None:
                         scores = self._block_scores(
                             [queries[i] for i in members], block_rows, block
                         )
@@ -289,33 +318,35 @@ class AnnIndex:
                         if threshold is not None:
                             keep = q_scores >= threshold
                             q_rows, q_scores = q_rows[keep], q_scores[keep]
-                        if k is not None:
-                            top = select_top_k(q_scores, q_rows, k)
-                            q_rows, q_scores = q_rows[top], q_scores[top]
-                        rows_acc[i].append(q_rows)
-                        scores_acc[i].append(q_scores)
+                        held[i].add(q_rows, q_scores)
                         scored[i] += block_rows.size
-        return [
-            (np.concatenate(rows), np.concatenate(scores))
-            for rows, scores in zip(rows_acc, scores_acc)
-        ], scored
+        return [h.merged() for h in held], scored
 
-    def _rings(self, count: int):
-        """``(dist, rings)`` for queries calling ``count`` functions.
+    def _rings(
+        self, count: Optional[int], rows: Optional[np.ndarray] = None
+    ):
+        """``(dist, rings)`` over ``rows`` (default: the corpus) for
+        queries calling ``count`` functions.
 
         ``rings`` lists ``(bound, factor, d)`` nearest first: the rows
         with ``dist == d`` (distances past :data:`LAST_RING` share it)
         score ``M * factor``, and as ``M <= 1`` no row from that ring on
         scores above ``bound`` -- the very float64 that scales the ring:
         rounded apart, a score could slip past the bound meant to stop it.
+        ``count=None`` (an uncalibrated sweep) is one ring of every row
+        (``d`` and ``dist`` are ``None``), scaled by exactly 1.
         """
+        if count is None:
+            return None, [(1.0, 1.0, None)]
         # block by block into an int16: corpus-long int64 temporaries
         # outweigh what the allocator keeps mapped, and fault on every call
-        dist = np.empty(len(self), dtype=np.int16)
+        size = len(self) if rows is None else rows.size
+        dist = np.empty(size, dtype=np.int16)
         sizes = np.zeros(LAST_RING + 1, dtype=np.int64)
-        for start in range(0, len(self), 1 << 16):
+        for start in range(0, size, 1 << 16):
             stop = start + (1 << 16)
-            part = np.abs(self.callee_counts[start:stop] - count)
+            part = slice(start, stop) if rows is None else rows[start:stop]
+            part = np.abs(self.callee_counts[part] - count)
             dist[start:stop] = np.minimum(part, LAST_RING, out=part)
             sizes += np.bincount(part, minlength=sizes.size)
         present = np.flatnonzero(sizes).astype(dist.dtype)  # no upcast in ==

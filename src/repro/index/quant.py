@@ -6,13 +6,23 @@ touches a small, controllable fraction of a million-row corpus:
 
 1. **Coarse partitioning** -- corpus rows are assigned to k-means
    centroids (inverted lists).  A query ranks centroids by L2 distance
-   and probes only the ``nprobe`` nearest lists, so the swept fraction
+   and probes only the ``nprobe`` nearest lists, so the probed fraction
    is roughly ``nprobe / n_lists``.
 2. **Quantized sweep** -- probed rows are scored against a symmetric
-   per-dimension int8 code book (¼ the bytes of the float32 shards).
-   Codes are widened block-by-block and pushed through the same
-   calibrated Siamese margin as the exact path, so the approximate
-   ranking respects the model's actual similarity, not a proxy metric.
+   per-dimension int8 code book (¼ the bytes of the float32 shards):
+   codes are widened block-by-block and pushed through the same Siamese
+   head as the exact path, so the approximate ranking respects the
+   model's actual similarity, not a proxy metric.  The calibrated score
+   is ``M * exp(-d)``, ``d`` the callee-count distance, so -- like the
+   exact sweep, through the same :meth:`AnnIndex._rings` and stop rule
+   -- the probed rows are visited in rings of increasing ``d``, each
+   scored uncalibrated and scaled by its ring's one factor, and a query
+   stops at the first ring whose factor is strictly below its ``n``-th
+   best score so far: only rows that can still reach the candidate set
+   are dequantized at all.  Rings are taken ``n`` rows or more to a
+   pass (tiny rings cost more in calls than they save in rows), and
+   queries that call as many functions and probe the same lists (a
+   storm of one CVE query) share each pass.
 3. **Exact rerank** -- the best ``k * rerank`` survivors per query are
    handed back to :meth:`AnnIndex.top_k_batch`, which re-scores them
    against the float32 store through the union-vs-per-query cost gate
@@ -35,17 +45,9 @@ import numpy as np
 
 import repro.faults as faults
 from repro.core.model import Asteria, FunctionEncoding
-from repro.index.ann import (
-    SCORE_BLOCK_ROWS,
-    AnnIndex,
-    select_top_k,
-)
-from repro.obs.metrics import (
-    FRACTION_BUCKETS,
-    SIZE_BUCKETS,
-    MetricsRegistry,
-)
-
+from repro.index.ann import SCORE_BLOCK_ROWS, AnnIndex, _Held
+from repro.obs.metrics import FRACTION_BUCKETS, SIZE_BUCKETS, MetricsRegistry
+from repro.obs.trace import current_span
 from repro.utils.rng import RNG, derive_seed
 
 #: IVF-PQ persisted-state schema version (bump on incompatible layout).
@@ -161,7 +163,7 @@ class IvfPqIndex(AnnIndex):
     n_lists:
         Coarse partitions (0 = auto, ~sqrt(corpus rows)).
     nprobe:
-        Inverted lists swept per query; the recall-vs-speed knob.
+        Inverted lists probed per query; the recall-vs-speed knob.
     rerank:
         Exact-rerank oversampling: the quantized tier forwards
         ``k * rerank`` candidates per query to the float32 rerank.
@@ -303,49 +305,7 @@ class IvfPqIndex(AnnIndex):
             for i in range(self.n_lists)
         ]
 
-    # -- quantized scoring --------------------------------------------------
-
-    def _approx_block(self, rows: np.ndarray) -> np.ndarray:
-        """Float32 reconstruction of ``rows`` from the resident codes."""
-        return dequantize_int8(self._codes[rows], self._scales)
-
-    def _approx_scores(
-        self, queries: Sequence[FunctionEncoding], rows: np.ndarray
-    ) -> np.ndarray:
-        """Calibrated Siamese scores against the *quantized* corpus.
-
-        Same margin computation as the exact tier, fed with block-wise
-        dequantized codes -- so the candidate ranking already reflects
-        calibration and head weights, and rerank only has to undo the
-        quantization error.
-        """
-        out = np.empty((len(queries), rows.shape[0]))
-        calibrate = self.calibrate and self.callee_counts is not None
-        for start in range(0, rows.shape[0], SCORE_BLOCK_ROWS):
-            chunk = rows[start:start + SCORE_BLOCK_ROWS]
-            counts = (
-                None if self.callee_counts is None
-                else self.callee_counts[chunk]
-            )
-            out[:, start:start + chunk.shape[0]] = (
-                self.model.similarity_matrix(
-                    queries, self._approx_block(chunk), counts,
-                    calibrate=calibrate,
-                )
-            )
-        return out
-
     # -- candidate generation ----------------------------------------------
-
-    def candidate_rows(
-        self,
-        query_vector: np.ndarray,
-        n: Optional[int],
-        queries: Optional[Sequence[FunctionEncoding]] = None,
-    ) -> np.ndarray:
-        return self.candidate_rows_batch(
-            np.asarray(query_vector)[None, :], n, queries
-        )[0]
 
     def candidate_rows_batch(
         self,
@@ -355,88 +315,104 @@ class IvfPqIndex(AnnIndex):
     ) -> List[Optional[np.ndarray]]:
         """Probe the ``nprobe`` nearest inverted lists per query, rank
         the probed rows by quantized score, return the top-``n`` rows
-        (ascending) for exact rerank."""
-        total_rows = len(self)
-        empty = np.zeros(0, dtype=np.int64)
-        if total_rows == 0:
-            return [empty for _ in range(query_matrix.shape[0])]
+        (ascending) for exact rerank.
+
+        The ranking is calibrated with the callee counts of ``queries``
+        and swept in rings (see the module docstring); without them it
+        is the uncalibrated head's.  ``n=None``: the probed rows, unscored.
+        """
+        n_queries = query_matrix.shape[0]
+        if len(self) == 0:
+            return [np.zeros(0, dtype=np.int64) for _ in range(n_queries)]
         q32 = np.asarray(query_matrix, dtype=np.float32)
         c_norm = (self._centroids * self._centroids).sum(axis=1)
         d2 = c_norm[None, :] - 2.0 * (q32 @ self._centroids.T)
-        nprobe = min(self.nprobe, self.n_lists)
-        probe = np.argsort(d2, axis=1, kind="stable")[:, :nprobe]
-        gathered: List[np.ndarray] = []
-        for i in range(q32.shape[0]):
-            lists = [self._lists[c] for c in probe[i]]
-            rows = (
-                np.sort(np.concatenate(lists)) if lists else empty
-            )
-            gathered.append(rows)
-        if queries is None:
-            queries = [
-                FunctionEncoding(
-                    name=f"q{i}", arch="", binary_name="",
-                    vector=np.asarray(query_matrix[i], np.float64),
-                    callee_count=0,
-                )
-                for i in range(query_matrix.shape[0])
-            ]
-        n_queries = len(gathered)
-        total = sum(rows.size for rows in gathered)
-        union = (
-            np.unique(np.concatenate(gathered)) if total else None
-        )
-        if union is None:
-            picked = [empty for _ in gathered]
-        elif n_queries * union.size <= 2 * total:
-            # heavily-overlapping probes: quantize-score the union once
-            scores = self._approx_scores(queries, union)
-            picked = [
-                self._pick(
-                    scores[i, np.searchsorted(union, rows)], rows, n
-                )
-                for i, rows in enumerate(gathered)
-            ]
-        else:
-            picked = [
-                self._pick(
-                    self._approx_scores([queries[i]], rows)[0], rows, n
-                )
-                if rows.size else empty
-                for i, rows in enumerate(gathered)
-            ]
-        self._observe_sweep(gathered, picked, total_rows)
+        nearest = np.argsort(d2, axis=1, kind="stable")
+        probe = np.sort(nearest[:, :self.nprobe])
+        # queries calling as many functions and probing the same lists
+        # (a storm of one CVE query) sweep those lists' rings together
+        calibrated = self.calibrate and queries is not None
+        groups: Dict[Tuple, List[int]] = {}
+        for i, lists in enumerate(probe.tolist()):
+            count = queries[i].callee_count if calibrated else None
+            groups.setdefault((count, tuple(lists)), []).append(i)
+        head = self.model.siamese.similarity_from_matrix
+        held = [_Held(n) for _ in range(n_queries)]
+        probed, swept = [0] * n_queries, [0] * n_queries
+        picked: List[Optional[np.ndarray]] = [None] * n_queries
+        for (count, lists), members in groups.items():
+            rows = np.concatenate([self._lists[c] for c in lists])
+            for i in members:
+                probed[i] = rows.size
+            if n is None:
+                rows.sort()
+                for i in members:
+                    picked[i] = rows  # shared, never mutated
+                continue
+            dist, rings = self._rings(count, rows)
+            while rings:
+                bound = rings[0][0]
+                members = [i for i in members if not held[i].settled(bound)]
+                if not members:
+                    break
+                # a pass takes whole rings until it has n rows: a smaller
+                # one costs more in calls than stopping early saves in rows
+                parts, factors, width = [], [], 0
+                while rings and width < n:
+                    _, factor, d = rings.pop(0)
+                    parts.append(rows if d is None else rows[dist == d])
+                    factors.append(factor)
+                    width += parts[-1].size
+                ring = np.concatenate(parts)
+                scale = np.repeat(factors, [part.size for part in parts])
+                q_members = q32[members]
+                for start in range(0, width, SCORE_BLOCK_ROWS):
+                    chunk = ring[start:start + SCORE_BLOCK_ROWS]
+                    block = dequantize_int8(self._codes[chunk], self._scales)
+                    scores = np.multiply(
+                        head(q_members, block),
+                        scale[start:start + SCORE_BLOCK_ROWS],
+                        dtype=np.float64,
+                    )
+                    for j, i in enumerate(members):
+                        held[i].add(chunk, scores[j])
+                for i in members:
+                    swept[i] += width
+        if n is not None:
+            picked = [np.sort(h.merged()[0]) for h in held]
+        self._observe_sweep(probed, swept, picked)
         return picked
 
-    def _pick(
-        self, scores: np.ndarray, rows: np.ndarray, n: Optional[int]
-    ) -> np.ndarray:
-        wanted = rows.size if n is None else min(n, rows.size)
-        top = select_top_k(scores, rows, wanted)
-        return np.sort(rows[top])
-
     def _observe_sweep(
-        self,
-        gathered: List[np.ndarray],
-        picked: List[np.ndarray],
-        total_rows: int,
+        self, probed: List[int], swept: List[int], picked: List[np.ndarray]
     ) -> None:
-        if self.registry is None or not total_rows:
+        """Record, per query, the rows its probed lists hold (what
+        ``nprobe`` buys), the rows the rings quantize-scored, and the
+        candidates that survive to the exact rerank."""
+        span = current_span()
+        if span is not None:
+            span.set(probed_rows=probed, swept_rows=swept)
+        if self.registry is None:
             return
-        swept = self.registry.histogram(
+        probed_fraction = self.registry.histogram(
+            "repro_ann_probed_fraction",
+            "Fraction of the corpus in the inverted lists probed per query",
+            buckets=FRACTION_BUCKETS,
+        )
+        swept_fraction = self.registry.histogram(
             "repro_ann_swept_fraction",
-            "Fraction of the corpus swept by the quantized tier "
-            "per query",
+            "Fraction of the corpus swept by the quantized tier per query",
             buckets=FRACTION_BUCKETS,
         )
         depth = self.registry.histogram(
             "repro_ann_rerank_depth",
-            "Candidate rows surviving to the float32 exact rerank "
-            "per query",
+            "Candidate rows surviving to the float32 exact rerank per query",
             buckets=SIZE_BUCKETS,
         )
-        for rows in gathered:
-            swept.observe(rows.size / total_rows)
+        for size in probed:
+            probed_fraction.observe(size / len(self))
+        for size in swept:
+            swept_fraction.observe(size / len(self))
         for rows in picked:
             depth.observe(rows.size)
 

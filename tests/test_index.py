@@ -26,6 +26,7 @@ from repro.index.store import (
     StoreError,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import trace
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -610,6 +611,36 @@ class TestRingSweep:
         assert 0.0 < fractions(uniform) < 0.1
         assert fractions(uniform, calibrate=False) == 1.0
         assert fractions(np.full(n, 7)) == 1.0
+
+    def test_the_quantized_tier_reports_probed_and_swept_apart(self):
+        """``repro_ann_probed_fraction`` is what ``nprobe`` buys,
+        ``repro_ann_swept_fraction`` the rows the rings quantize-scored
+        of it; the span carries both counts."""
+        rng = np.random.default_rng(4)
+        n, h = 20000, 8
+        vectors = rng.normal(size=(n, h)).astype(np.float32)
+        queries = [
+            FunctionEncoding(
+                name=f"q{i}", arch="x86", binary_name="query",
+                vector=vectors[i] + 0.01, callee_count=7 + i,
+            )
+            for i in range(3)
+        ]
+        registry = MetricsRegistry()
+        tier = make_index(
+            "ivf-pq", _model("margin", h), vectors,
+            rng.integers(0, 64, size=n), registry=registry, seed=1,
+            nprobe=16,
+        )
+        with trace("query") as span:
+            tier.top_k_batch(queries, k=10)
+        probed = registry.get("repro_ann_probed_fraction")
+        swept = registry.get("repro_ann_swept_fraction")
+        assert probed.count == swept.count == len(queries)
+        assert 0.0 < swept.sum < 0.25 * probed.sum
+        assert sum(span.attrs["probed_rows"]) == round(probed.sum * n)
+        assert sum(span.attrs["swept_rows"]) == round(swept.sum * n)
+        assert span.attrs["candidates"] == [80, 80, 80]
 
 
 class TestAnnBackends:

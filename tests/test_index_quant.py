@@ -9,12 +9,16 @@ unknown-backend error, and the synth-corpus ground-truth layout the
 recall measurements rely on.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.faults as faults
+import repro.index.quant as quant
 from repro.api.errors import BadRequestError
-from repro.core.model import FunctionEncoding
+from repro.core.model import Asteria, AsteriaConfig, FunctionEncoding
 from repro.faults import FaultInjected
 from repro.index.ann import (
     BruteForceIndex,
@@ -68,6 +72,21 @@ def _filled_store(root, spec, shard_size=64):
 
 def _rows(neighbors):
     return [n.row for n in neighbors]
+
+
+def _probed_rows(tier, matrix):
+    """Per query, the rows of the ``nprobe`` inverted lists nearest it
+    (the coarse probe's own arithmetic: near-tied centroids must not
+    flip on a differently shaped GEMM)."""
+    q32 = np.asarray(matrix, dtype=np.float32)
+    centroids = tier._centroids
+    c_norm = (centroids * centroids).sum(axis=1)
+    d2 = c_norm[None, :] - 2.0 * (q32 @ centroids.T)
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, :tier.nprobe]
+    return [
+        np.flatnonzero(np.isin(tier._assignments, lists))
+        for lists in nearest
+    ]
 
 
 # -- int8 quantization -----------------------------------------------------
@@ -139,12 +158,75 @@ class TestIvfPqIndex:
         tier = IvfPqIndex(
             model, store.vectors(), store.callee_counts(), seed=2
         )
-        matrix = np.stack(
-            [q.vector for q in synth_queries(spec, range(4))]
-        )
-        for rows in tier.candidate_rows_batch(matrix, 24):
+        queries = synth_queries(spec, range(4))
+        matrix = np.stack([q.vector for q in queries])
+        for rows in tier.candidate_rows_batch(matrix, 24, queries):
             assert rows.size <= 24
             assert np.all(np.diff(rows) > 0)  # ascending, unique
+        # fewer probed rows than asked for: every ring is visited and
+        # every probed row comes back
+        probed = tier.candidate_rows_batch(matrix, None, queries)
+        capped = tier.candidate_rows_batch(matrix, 10 ** 6, queries)
+        for rows, every in zip(capped, probed):
+            assert 0 < rows.size < len(tier)
+            assert np.array_equal(rows, every)
+
+    def test_without_encodings_the_ranking_is_uncalibrated(self, model):
+        """A missing encoding is not a query that calls nothing: the
+        quantized ranking falls back to the uncalibrated head instead of
+        favouring the rows with callee count 0."""
+        rng = np.random.default_rng(8)
+        vectors = rng.normal(size=(400, DIM)).astype(np.float32)
+        counts = rng.choice([0, 3], size=400)
+        options = dict(n_lists=4, nprobe=4, seed=1)
+        tier = IvfPqIndex(model, vectors, counts, **options)
+        plain = IvfPqIndex(
+            model, vectors, counts, calibrate=False, **options
+        )
+        matrix = vectors[[5, 90, 311]].astype(np.float64) + 0.01
+        queries = [
+            FunctionEncoding(
+                name=f"q{i}", arch="", binary_name="",
+                vector=matrix[i], callee_count=3,
+            )
+            for i in range(3)
+        ]
+        bare = tier.candidate_rows_batch(matrix, 20)
+        for got, want in zip(bare, plain.candidate_rows_batch(matrix, 20)):
+            assert np.array_equal(got, want)
+        # ... and the encodings, when given, do change the ranking
+        calibrated = tier.candidate_rows_batch(matrix, 20, queries)
+        assert all((counts[rows] == 3).all() for rows in calibrated)
+        assert not any((counts[rows] == 3).all() for rows in bare)
+
+    def test_top_k_none_returns_the_probed_lists_unscored(self, model, spec):
+        """``top_k: null`` keeps every probed row, so ranking them in
+        the quantized tier would be thrown away: no head call is made."""
+        rng = np.random.default_rng(9)
+        vectors = rng.normal(size=(300, DIM)).astype(np.float32)
+        tier = IvfPqIndex(
+            model, vectors, rng.integers(0, 4, size=300),
+            n_lists=8, nprobe=3, seed=1,
+        )
+        queries = synth_queries(spec, range(3))
+        calls = []
+        head = model.siamese.similarity_from_matrix
+
+        def counting(query, block):
+            calls.append(block.shape[0])
+            return head(query, block)
+
+        with mock.patch.object(
+            model.siamese, "similarity_from_matrix", counting
+        ):
+            proposed = tier.propose(queries, k=None)
+            assert calls == []
+            tier.propose(queries, k=5)
+            assert calls
+        matrix = np.stack([q.vector for q in queries])
+        for rows, lists in zip(proposed, _probed_rows(tier, matrix)):
+            assert 0 < rows.size < len(tier)
+            assert np.array_equal(rows, lists)
 
     def test_knob_validation(self, model):
         vectors = np.zeros((4, DIM))
@@ -422,3 +504,173 @@ class TestQuantizedTieFuzz:
         assert _rows(single) == list(range(8))
         for result in batched:
             assert _rows(result) == list(range(8))
+
+
+# -- the ring sweep against its full-sort oracle ---------------------------
+
+#: ``SCORE_BLOCK_ROWS`` during a candidate case, so a ring of a few
+#: hundred rows takes several scoring passes.
+_CASE_BLOCK_ROWS = 64
+
+_COUNT_KINDS = ("equal", "two", "uniform", "far", "small")
+
+
+def _draw_counts(rng, kind: str, n: int) -> np.ndarray:
+    if kind == "equal":
+        return np.full(n, rng.integers(0, 9), dtype=np.int64)
+    if kind == "two":
+        low = rng.integers(0, 9)
+        return rng.choice([low, low + rng.integers(1, 4)], size=n)
+    if kind == "uniform":
+        return rng.integers(0, 64, size=n)
+    if kind == "far":  # distances whose factor underflows to exactly 0
+        return rng.choice([0, 1, 800, 2000, 10 ** 6], size=n)
+    return rng.integers(0, 4, size=n)
+
+
+def _full_sort_candidates(tier, query, rows, n, calibrate) -> np.ndarray:
+    """The reference: quantize-score *every* probed row in one call,
+    sort them all, keep ``n``."""
+    scores = tier.model.similarity_matrix(
+        [query], dequantize_int8(tier._codes[rows], tier._scales),
+        tier.callee_counts[rows], calibrate=calibrate,
+    )[0]
+    return np.sort(rows[np.lexsort((rows, -scores))[:n]])
+
+
+@st.composite
+def _candidate_cases(draw):
+    return dict(
+        seed=draw(st.integers(0, 2 ** 16)),
+        head=draw(st.sampled_from(["distance", "untrained"])),
+        dim=draw(st.sampled_from([4, 16])),
+        dtype=draw(st.sampled_from([np.float32, np.float64])),
+        n_rows=draw(st.sampled_from([1, 2, 9, 64, 65, 300, 1000, 2000])),
+        counts=draw(st.sampled_from(_COUNT_KINDS)),
+        duplicates=draw(st.booleans()),
+        calibrate=draw(st.sampled_from([True, True, True, False])),
+        n_lists=draw(st.sampled_from([1, 4, 16])),
+        nprobe=draw(st.sampled_from([1, 8, None])),  # None: every list
+        n_queries=draw(st.integers(1, 5)),
+        shared_count=draw(st.booleans()),
+        n=draw(st.sampled_from([1, 64, 80, 5000])),
+    )
+
+
+class TestRingCandidates:
+    """The quantized sweep scores only the probed rows that can still
+    win; its candidates are the full sort's all the same."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_candidate_cases())
+    def test_candidates_are_the_full_sort_oracle(self, case):
+        rng = np.random.default_rng(case["seed"])
+        n_rows, dim = case["n_rows"], case["dim"]
+        model = distance_head_model(dim)
+        if case["head"] == "untrained":
+            model = Asteria(AsteriaConfig(hidden_dim=dim))
+        vectors = rng.normal(size=(n_rows, dim))
+        if case["duplicates"]:  # score ties, settled by row
+            vectors = vectors[rng.integers(0, max(1, n_rows // 4), n_rows)]
+        vectors = vectors.astype(case["dtype"])
+        counts = _draw_counts(rng, case["counts"], n_rows)
+        # inside the corpus's range, just outside it, past the underflow
+        count_pool = [
+            int(counts[rng.integers(n_rows)]),
+            int(counts[rng.integers(n_rows)]),
+            max(0, int(counts.min()) - 1), int(counts.max()) + 2,
+            int(counts.max()) + 1000,
+        ]
+        if case["shared_count"]:
+            count_pool = count_pool[:1]
+        queries = [
+            FunctionEncoding(
+                name=f"q{i}", arch="x86", binary_name="query",
+                # near a corpus row (scores near the top) or anywhere
+                vector=vectors[rng.integers(n_rows)].astype(np.float64)
+                + rng.normal(scale=rng.choice([0.0, 0.05, 1.0]), size=dim),
+                callee_count=count_pool[rng.integers(len(count_pool))],
+            )
+            for i in range(case["n_queries"])
+        ]
+        if len(queries) > 1 and case["duplicates"]:
+            queries[-1] = queries[0]  # a storm: one group of two
+        matrix = np.stack([q.vector for q in queries])
+        with mock.patch.object(quant, "SCORE_BLOCK_ROWS", _CASE_BLOCK_ROWS):
+            tier = IvfPqIndex(
+                model, vectors, counts, calibrate=case["calibrate"],
+                n_lists=case["n_lists"], nprobe=case["nprobe"] or 16,
+                seed=case["seed"],
+            )
+            found = tier.candidate_rows_batch(matrix, case["n"], queries)
+        probed = _probed_rows(tier, matrix)
+        for rows, query, lists in zip(found, queries, probed):
+            want = _full_sort_candidates(
+                tier, query, lists, case["n"], case["calibrate"]
+            )
+            assert np.array_equal(rows, want)
+
+    def test_a_tie_with_the_bound_is_settled_by_row(self):
+        """The stop rule is strict: a farther row scoring exactly its
+        ring's bound ties the n-th held score and wins on a lower row
+        number."""
+        tie = np.exp(-np.float64(1))
+        #            row: 0    1    2    3    4    5    6    7
+        m = np.array([0.5, 1.0, 0.2, tie, 0.1, 0.3, 0.9, 0.0])
+        counts = np.array([6, 5, 5, 4, 4, 4, 7, 4])
+        # int8 keeps these first coordinates exactly (the column's
+        # scale is 127 / 127), so the head can look its score up
+        ids = np.array([0.0, 1, 2, 3, 4, 5, 6, 127])
+
+        class LookupHead:
+            """``M(q, v) = m[row of v]``, placing exact float64 scores."""
+
+            def similarity_from_matrix(self, query, vectors):
+                scores = m[np.minimum(vectors[:, 0], 7).astype(int)]
+                return np.repeat(
+                    scores[None, :], np.atleast_2d(query).shape[0], 0
+                )
+
+        model = Asteria(AsteriaConfig(hidden_dim=2))
+        model.siamese = LookupHead()
+        tier = IvfPqIndex(
+            model, np.stack([ids, ids], axis=1), counts,
+            n_lists=1, nprobe=1,
+        )
+        query = FunctionEncoding(
+            name="q", arch="x86", binary_name="query",
+            vector=np.zeros(2), callee_count=4,
+        )
+        matrix = query.vector[None, :]
+        # ring 0 holds row 3 at exactly ring 1's bound; row 1 scores it too
+        assert [
+            rows.tolist()
+            for n in (1, 2)
+            for rows in tier.candidate_rows_batch(matrix, n, [query])
+        ] == [[1], [1, 3]]
+        best = tier.top_k(query, k=1)
+        assert [(nb.row, nb.score) for nb in best] == [(1, tie)]
+
+    def test_a_storm_of_one_query_is_each_query_alone(self, model):
+        """Grouping is invisible: duplicate queries in one batch get the
+        lists each gets alone, in whatever order the batch holds them."""
+        spec = SynthSpec(n_functions=3000, dim=DIM, cluster_size=12, seed=6)
+        rng = np.random.default_rng(6)
+        vectors = rng.normal(size=(3000, DIM)).astype(np.float32)
+        tier = IvfPqIndex(
+            model, vectors, rng.integers(0, 8, size=3000), seed=2
+        )
+        a, b, c = synth_queries(spec, [3, 40, 77])
+        batch = [a, b, a, c, a, b]
+        matrix = np.stack([q.vector for q in batch])
+        together = tier.candidate_rows_batch(matrix, 80, batch)
+        backwards = tier.candidate_rows_batch(
+            matrix[::-1], 80, batch[::-1]
+        )
+        for i, query in enumerate(batch):
+            alone = tier.candidate_rows_batch(
+                query.vector[None, :], 80, [query]
+            )[0]
+            assert alone.size == 80
+            assert np.array_equal(together[i], alone)
+            assert np.array_equal(backwards[len(batch) - 1 - i], alone)
