@@ -1,9 +1,10 @@
 """The one configuration object behind every engine consumer.
 
-:class:`EngineConfig` replaces the per-subcommand ``--cache-dir`` /
-``--jobs`` / ``--batch-size`` plumbing (and the ad hoc keyword threading
-inside ``VulnerabilitySearch`` / ``SearchService``) with a single typed
-value that can be built four ways:
+Each :class:`EngineConfig` field is declared once -- name, type, default
+and, as field metadata, only what those do not imply (help sentence, CLI
+flag when not ``--<name-with-dashes>``, ``min`` / ``choices``); range
+checks, ``repro-cli`` flags (:func:`add_config_flags`) and the README
+table are derived from it.  Four ways to build one:
 
 * directly, as a dataclass;
 * :meth:`EngineConfig.from_dict` / :meth:`to_dict` -- JSON-shaped, for
@@ -18,13 +19,14 @@ Later sources override earlier ones field-by-field, so
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from repro.api.errors import BadRequestError
 from repro.core.model import DEFAULT_ENCODE_BATCH_SIZE, DEFAULT_ENCODE_DTYPE
@@ -32,146 +34,114 @@ from repro.index.ann import known_backends
 
 _DTYPES = ("float32", "float64")
 
-#: argparse destination -> config field, shared by every subcommand.
-_ARG_FIELDS = {
-    "model": "model_path",
-    "index": "index_root",
-    "cache_dir": "cache_dir",
-    "jobs": "jobs",
-    "batch_size": "encode_batch_size",
-    "encode_dtype": "encode_dtype",
-    "encode_block": "encode_block",
-    "shard_size": "shard_size",
-    "dtype": "store_dtype",
-    "backend": "backend",
-    "ann_nprobe": "ann_nprobe",
-    "ann_rerank": "ann_rerank",
-    "ann_lists": "ann_lists",
-    "threshold": "threshold",
-    "top_k": "top_k",
-    "seed": "seed",
-    "request_timeout_ms": "request_timeout_ms",
-    "max_inflight": "max_inflight",
-    "drain_timeout_ms": "drain_timeout_ms",
-    "serve_workers": "serve_workers",
-    "faults": "faults",
-}
+
+def _knob(default, help: str, **bounds):
+    """One field: ``help`` sentence, optional ``flag``/``min``/``choices``
+    (``zero`` names what a 0 means, for the range-error message)."""
+    return field(default=default, metadata=dict(bounds, help=help))
 
 
 @dataclass
 class EngineConfig:
-    """Everything an :class:`~repro.api.engine.AsteriaEngine` needs.
+    """Everything an :class:`~repro.api.engine.AsteriaEngine` needs."""
 
-    ``model_path``/``index_root``/``cache_dir`` of ``None`` mean "fresh
-    in-memory" (no checkpoint yet / ephemeral index / ephemeral cache).
-    ``micro_batch_size`` caps how many concurrent query encodes the
-    serving micro-batcher coalesces into one level-batched GEMM call
-    (1 disables coalescing); ``micro_batch_wait_ms`` is the accumulation
-    window a batch leader grants late arrivals.  ``slow_query_ms`` of
-    ``None`` disables the slow-query log; any other value is the wall
-    time above which a query's full span tree is logged.  ``store_dtype`` is the
-    vector dtype of newly created embedding indexes (the default
-    float32 halves bytes-per-row with no measurable effect on the
-    calibrated scores; pick float64 to keep encoder-exact vectors).
-    """
-
-    model_path: Optional[str] = None
-    index_root: Optional[str] = None
-    cache_dir: Optional[str] = None
-    jobs: int = 1
-    encode_batch_size: int = DEFAULT_ENCODE_BATCH_SIZE
-    #: Inference dtype of the batched encoder: "float64" is the
-    #: bit-exact reference, "float32" the ~2x fast path (rankings
-    #: preserved; see README "Encoder performance").
-    encode_dtype: str = DEFAULT_ENCODE_DTYPE
-    #: GEMM row-block size for the batched encoder; 0 auto-tunes via a
-    #: one-time micro-probe (``REPRO_ENCODE_BLOCK`` also overrides).
-    encode_block: int = 0
-    shard_size: int = 1024
-    store_dtype: str = "float32"
-    backend: str = "exact"
-    #: Tiered-index (``backend="ivf-pq"``) knobs: ``ann_nprobe`` coarse
-    #: partitions swept per query (the recall-vs-speed dial),
-    #: ``ann_rerank`` the exact-rerank oversampling (k * rerank
-    #: candidates survive the quantized sweep), ``ann_lists`` the number
-    #: of coarse partitions (0 = auto, ~sqrt(corpus rows)).
-    ann_nprobe: int = 8
-    ann_rerank: int = 8
-    ann_lists: int = 0
-    calibrate: bool = True
-    threshold: float = 0.84
-    top_k: int = 10
-    seed: int = 0
-    micro_batch_size: int = DEFAULT_ENCODE_BATCH_SIZE
-    micro_batch_wait_ms: float = 2.0
-    slow_query_ms: Optional[float] = None
-    #: Per-request deadline enforced through the micro-batcher and the
-    #: corpus sweep; ``None`` disables deadlines.
-    request_timeout_ms: Optional[float] = None
-    #: Bound on concurrently admitted heavy requests; excess load is
-    #: shed with HTTP 503 + ``Retry-After`` instead of queueing without
-    #: limit.
-    max_inflight: int = 64
-    #: How long ``/v1/shutdown`` waits for in-flight requests to drain
-    #: before stopping anyway.
-    drain_timeout_ms: float = 5000.0
-    #: Shard-parallel serving: number of sweep worker processes.  1 (the
-    #: default) keeps the in-process sweep path; >1 requires a durable
-    #: ``index_root`` (workers mmap the store read-only by path).
-    serve_workers: int = 1
-    #: Failpoint spec (see :mod:`repro.faults`), e.g.
-    #: ``"store.flush.pre_rename=kill"``.  Empty string = no faults.
-    #: Also read from ``REPRO_FAULTS`` by the faults module itself.
-    faults: str = ""
+    model_path: Optional[str] = _knob(
+        None, "model checkpoint, loaded on first use", flag="--model")
+    index_root: Optional[str] = _knob(
+        None, "durable embedding index directory, opened if it exists and "
+        "created otherwise (none: in-memory)", flag="--index")
+    cache_dir: Optional[str] = _knob(
+        None, "persistent artifact cache: warm re-runs skip decompile + "
+        "encode (none: in-memory)")
+    jobs: int = _knob(
+        1, "worker processes for the decompile/preprocess stages (results "
+        "are identical to 1)", min=1)
+    encode_batch_size: int = _knob(
+        DEFAULT_ENCODE_BATCH_SIZE, "trees per level-batched encode pass",
+        flag="--batch-size", min=1)
+    encode_dtype: str = _knob(
+        DEFAULT_ENCODE_DTYPE, "batched-encoder inference dtype: float64 is "
+        "the bit-exact reference, float32 the ~2x fast path with rankings "
+        "preserved", choices=_DTYPES)
+    encode_block: int = _knob(
+        0, "GEMM row-block size for the batched encoder; 0 auto-tunes via "
+        "a one-time micro-probe (REPRO_ENCODE_BLOCK also overrides)",
+        min=0, zero="auto")
+    shard_size: int = _knob(1024, "index rows per vector shard", min=1)
+    store_dtype: str = _knob(
+        "float32", "vector dtype of newly created indexes (float32 halves "
+        "bytes-per-row with scores unchanged within ~1e-6; float64 keeps "
+        "encoder-exact vectors)", flag="--dtype", choices=_DTYPES)
+    backend: str = _knob(
+        "exact", "ANN backend: exact (full sweep) or ivf-pq (tiered: IVF "
+        "coarse probe + int8 quantized sweep + exact rerank)")
+    ann_nprobe: int = _knob(
+        8, "ivf-pq: coarse partitions swept per query (the recall-vs-speed "
+        "dial)", min=1)
+    ann_rerank: int = _knob(
+        8, "ivf-pq: exact-rerank oversampling -- k * rerank candidates "
+        "survive the quantized sweep", min=1)
+    ann_lists: int = _knob(
+        0, "ivf-pq: number of coarse partitions (0 = auto, ~sqrt(corpus "
+        "rows))", min=0, zero="auto")
+    calibrate: bool = _knob(
+        True, "apply the paper's callee-count calibration (score F, not M)")
+    threshold: float = _knob(
+        0.84, "Youden cutoff for queries that ask for the configured one")
+    top_k: int = _knob(10, "query depth for queries that name none")
+    seed: int = _knob(0, "ivf-pq k-means seed")
+    micro_batch_size: int = _knob(
+        DEFAULT_ENCODE_BATCH_SIZE, "max concurrent query encodes coalesced "
+        "into one batched GEMM call (1 disables micro-batching)",
+        flag="--micro-batch", min=1)
+    micro_batch_wait_ms: float = _knob(
+        2.0, "accumulation window a batch leader grants late-arriving "
+        "concurrent queries", min=0)
+    slow_query_ms: Optional[float] = _knob(
+        None, "log the full span tree of queries slower than this many "
+        "milliseconds (none: no slow-query log)", min=0)
+    request_timeout_ms: Optional[float] = _knob(
+        None, "per-request deadline enforced through the micro-batcher and "
+        "the corpus sweep; queries past it answer 504 (none: no deadline)")
+    max_inflight: int = _knob(
+        64, "bound on concurrently admitted heavy requests; excess load is "
+        "shed with HTTP 503 + Retry-After", min=1)
+    drain_timeout_ms: float = _knob(
+        5000.0, "how long /v1/shutdown waits for in-flight requests to "
+        "drain before stopping anyway", min=0)
+    serve_workers: int = _knob(
+        1, "sweep worker processes, each on a disjoint shard range of the "
+        "mmap'd index (1 = in-process; more need a durable index)", min=1)
+    faults: str = _knob(
+        "", "failpoint spec for chaos testing, e.g. "
+        "'store.flush.pre_rename=kill' (see repro.faults)")
 
     def __post_init__(self):
-        for name in ("jobs", "encode_batch_size", "shard_size",
-                     "micro_batch_size", "serve_workers",
-                     "ann_nprobe", "ann_rerank"):
-            if int(getattr(self, name)) < 1:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            low, choices = f.metadata.get("min"), f.metadata.get("choices")
+            if low is not None and value is not None and value < low:
+                zero = f.metadata.get("zero")
                 raise BadRequestError(
-                    f"{name} must be >= 1, got {getattr(self, name)}"
+                    f"{f.name} must be >= {low}"
+                    f"{f' (0 = {zero})' if zero else ''}, got {value}"
                 )
-        if int(self.ann_lists) < 0:
-            raise BadRequestError(
-                f"ann_lists must be >= 0 (0 = auto), got {self.ann_lists}"
-            )
+            if choices and value not in choices:
+                raise BadRequestError(
+                    f"unknown {f.name} {value!r} "
+                    f"(choose from {', '.join(choices)})"
+                )
         if self.backend not in known_backends():
             raise BadRequestError(
                 f"unknown backend {self.backend!r} "
                 f"(choose from {', '.join(known_backends())})"
             )
-        if self.store_dtype not in _DTYPES:
-            raise BadRequestError(
-                f"unknown store_dtype {self.store_dtype!r} "
-                f"(choose from {', '.join(_DTYPES)})"
-            )
-        if self.encode_dtype not in _DTYPES:
-            raise BadRequestError(
-                f"unknown encode_dtype {self.encode_dtype!r} "
-                f"(choose from {', '.join(_DTYPES)})"
-            )
-        if int(self.encode_block) < 0:
-            raise BadRequestError(
-                f"encode_block must be >= 0 (0 = auto), "
-                f"got {self.encode_block}"
-            )
         if not math.isfinite(self.threshold):
             raise BadRequestError(
                 f"threshold must be a finite number, got {self.threshold}"
             )
-        if self.micro_batch_wait_ms < 0:
-            raise BadRequestError("micro_batch_wait_ms must be >= 0")
-        if self.slow_query_ms is not None and self.slow_query_ms < 0:
-            raise BadRequestError("slow_query_ms must be >= 0 or null")
         if self.request_timeout_ms is not None and self.request_timeout_ms <= 0:
             raise BadRequestError("request_timeout_ms must be > 0 or null")
-        if self.max_inflight < 1:
-            raise BadRequestError(
-                f"max_inflight must be >= 1, got {self.max_inflight}"
-            )
-        if self.drain_timeout_ms < 0:
-            raise BadRequestError("drain_timeout_ms must be >= 0")
 
     # -- dict / file / env / args loading ----------------------------------
 
@@ -226,10 +196,10 @@ class EngineConfig:
         subcommand can redirect e.g. ``--output`` into ``index_root``.
         """
         data: Dict = {}
-        for dest, field_name in _ARG_FIELDS.items():
-            value = getattr(args, dest, None)
+        for f in fields(cls):
+            value = getattr(args, _flag(f)[2:].replace("-", "_"), None)
             if value is not None:
-                data[field_name] = value
+                data[f.name] = value
         data.update(overrides)
         return cls.from_dict(data)
 
@@ -240,11 +210,41 @@ class EngineConfig:
         return self.from_dict(data)
 
 
+def _flag(f) -> str:
+    return f.metadata.get("flag") or "--" + f.name.replace("_", "-")
+
+
+def add_config_flags(parser, *names: str, required: Sequence[str] = ()) -> None:
+    """Give ``parser`` the flag of each named :class:`EngineConfig` field.
+
+    Spelling, type, ``choices`` and help (the default appended) come from
+    the field; argparse's own default is ``None`` = "not given", which
+    :meth:`EngineConfig.from_args` skips.  ``min=1`` is checked on parse.
+    """
+    known = {f.name: f for f in fields(EngineConfig)}
+    for name in names:
+        f = known[name]
+
+        def parse(raw: str, f=f):
+            try:
+                value = _coerce(f, raw)
+            except BadRequestError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from exc
+            if f.metadata.get("min") == 1 and value < 1:
+                raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+            return value
+
+        default = "none" if f.default in (None, "") else f.default
+        parser.add_argument(
+            _flag(f), type=parse, choices=f.metadata.get("choices"),
+            default=None, required=name in required, help=f.metadata["help"]
+            + ("" if name in required else f" (default: {default})"),
+        )
+
+
 def _coerce(f, raw: str):
-    """Parse one env-var string to the field's annotated type."""
-    kind = f.type if isinstance(f.type, str) else getattr(
-        f.type, "__name__", str(f.type)
-    )
+    """Parse one env-var or command-line string to the field's type."""
+    kind = str(f.type)
     if "int" in kind:
         try:
             return int(raw)

@@ -263,6 +263,44 @@ class EngineStats:
         return dataclasses.asdict(self)
 
 
+#: ``EngineStats`` field -> (gauge, help): the polled state a scrape sees.
+#: ``/metrics`` sets each gauge from the very snapshot ``/v1/stats`` and
+#: ``/healthz`` serialise, so the three cannot disagree.
+POLLED_GAUGES = {
+    "model_loaded": ("repro_model_loaded", "1 when a model is resident"),
+    "index_rows": ("repro_index_rows", "Rows in the embedding index"),
+    "index_shards": ("repro_index_shards", "Shards in the embedding index"),
+    "index_quarantined_shards": ("repro_index_quarantined_shards",
+                                 "Shards quarantined by crash recovery"),
+    "index_vector_bytes": ("repro_index_vector_bytes",
+                           "Bytes of vector data in the index"),
+    "index_resident_bytes": ("repro_index_resident_bytes",
+                             "Index bytes resident in process memory"),
+    "serve_workers": ("repro_serve_workers", "Configured shard-parallel "
+                      "serve workers (1 = in-process)"),
+    "pool_workers_alive": ("repro_serve_workers_alive",
+                           "Serve-pool workers currently alive"),
+    "degraded": ("repro_engine_degraded", "1 when serving in degraded mode "
+                 "(quarantined shards, ANN fallback, ...)"),
+    "cache_hits": ("repro_cache_hits", "Artifact-cache hits (lifetime)"),
+    "cache_misses": ("repro_cache_misses",
+                     "Artifact-cache misses (lifetime)"),
+}
+
+#: ``EngineStats`` field -> the registry counter it is a view of (the hot
+#: paths stream these in; stats only reads them back).
+REGISTRY_COUNTS = {
+    "n_queries": "repro_queries_total",
+    "n_query_batches": "repro_query_batches_total",
+    "n_query_encodes": "repro_query_encodes_total",
+    "n_encoded_trees": "repro_encode_trees_total",
+    "encode_block_rows": "repro_encode_block_rows",
+    "n_shed": "repro_requests_shed_total",
+    "n_timeouts": "repro_request_timeouts_total",
+    "n_index_swaps": "repro_index_swaps_total",
+}
+
+
 # -- the facade ---------------------------------------------------------------------
 
 
@@ -354,11 +392,7 @@ class AsteriaEngine:
             if self._store is None:
                 root = self.config.index_root
                 if root is None:
-                    self._store = EmbeddingStore.in_memory(
-                        dim=self.model.config.hidden_dim,
-                        shard_size=self.config.shard_size,
-                        dtype=self.config.store_dtype,
-                    )
+                    self._store = self._new_store()
                 elif (
                     generations.active_root(root) / MANIFEST_NAME
                 ).exists():
@@ -440,24 +474,25 @@ class AsteriaEngine:
         """Assemble a standalone store + service over this engine's
         model (``root=None`` keeps it in memory); fill the store with
         ``engine.pipeline.run_images(..., sink=service.store)``."""
-        dim = self.model.config.hidden_dim
-        shard_size = shard_size or self.config.shard_size
-        if root is None:
-            store = EmbeddingStore.in_memory(
-                dim=dim, shard_size=shard_size,
-                dtype=self.config.store_dtype,
-            )
-        else:
-            try:
-                store = EmbeddingStore.create(
-                    root, dim=dim, shard_size=shard_size, meta=meta,
-                    dtype=self.config.store_dtype,
-                )
-            except StoreError as exc:
-                raise IndexStoreError(str(exc)) from exc
+        store = self._new_store(root, shard_size, meta)
         return self._make_service(store, backend=backend, **backend_options)
 
     # -- index lifecycle ---------------------------------------------------
+
+    def _new_store(self, root=None, shard_size=None, meta=None):
+        """A fresh store in this engine's shape (model dim, configured
+        shard size and dtype): in memory, or created at ``root``."""
+        shape = dict(
+            dim=self.model.config.hidden_dim,
+            shard_size=shard_size or self.config.shard_size,
+            dtype=self.config.store_dtype,
+        )
+        if root is None:
+            return EmbeddingStore.in_memory(**shape)
+        try:
+            return EmbeddingStore.create(root, meta=meta, **shape)
+        except StoreError as exc:
+            raise IndexStoreError(str(exc)) from exc
 
     def create_index(self, meta: Optional[Dict] = None) -> EmbeddingStore:
         """Create a new durable index at ``config.index_root``."""
@@ -466,16 +501,7 @@ class AsteriaEngine:
             raise IndexStoreError(
                 "create_index needs EngineConfig.index_root"
             )
-        try:
-            store = EmbeddingStore.create(
-                root,
-                dim=self.model.config.hidden_dim,
-                shard_size=self.config.shard_size,
-                meta=meta,
-                dtype=self.config.store_dtype,
-            )
-        except StoreError as exc:
-            raise IndexStoreError(str(exc)) from exc
+        store = self._new_store(root, meta=meta)
         self._adopt_store(store)
         return store
 
@@ -542,9 +568,7 @@ class AsteriaEngine:
 
     def pool_workers(self) -> List[Dict]:
         """Per-worker liveness of the serve pool (empty when disabled)."""
-        with self._lock:
-            coordinator = self._coordinator
-        return coordinator.workers_info() if coordinator is not None else []
+        return self.stats().pool_workers
 
     def close(self) -> None:
         """Release background serving resources (pool workers).
@@ -1158,9 +1182,7 @@ class AsteriaEngine:
                 if ann is not None:
                     stats.ann_persisted = ann["persisted"]
                     stats.ann_rows_projected = ann["rows_projected"]
-                    stats.ann_rows_quantized = ann.get(
-                        "rows_quantized", 0
-                    )
+                    stats.ann_rows_quantized = ann.get("rows_quantized", 0)
                     stats.ann_n_lists = ann.get("n_lists", 0)
                     stats.ann_nprobe = ann.get("nprobe", 0)
             if self._cache is not None:
@@ -1179,90 +1201,17 @@ class AsteriaEngine:
                 stats.pool_workers_alive = sum(
                     1 for w in stats.pool_workers if w["alive"]
                 )
-        # the query counters are views over the metrics registry, so
-        # /v1/stats and a /metrics scrape can never disagree
-        stats.n_queries = int(self.obs.value("repro_queries_total"))
-        stats.n_query_batches = int(
-            self.obs.value("repro_query_batches_total")
-        )
-        stats.n_query_encodes = int(
-            self.obs.value("repro_query_encodes_total")
-        )
-        stats.n_encoded_trees = int(
-            self.obs.value("repro_encode_trees_total")
-        )
-        stats.encode_block_rows = int(
-            self.obs.value("repro_encode_block_rows")
-        )
-        stats.n_shed = int(self.obs.value("repro_requests_shed_total"))
-        stats.n_timeouts = int(
-            self.obs.value("repro_request_timeouts_total")
-        )
-        stats.n_index_swaps = int(
-            self.obs.value("repro_index_swaps_total")
-        )
+        for name, counter in REGISTRY_COUNTS.items():
+            setattr(stats, name, int(self.obs.value(counter)))
         stats.degraded = bool(stats.degraded_reasons)
         return stats
 
     def _sync_observability(self) -> None:
-        """Mirror polled state (model/index/cache) into registry gauges.
-
-        Counters and histograms stream in from the hot paths; gauges for
-        sizes and flags are synced on demand so a scrape reflects the
-        present, not the last event.  Side-effect free like
-        :meth:`stats`: nothing is materialised.
-        """
-        obs = self.obs
-        with self._lock:
-            obs.gauge(
-                "repro_model_loaded", "1 when a model is resident"
-            ).set(1.0 if self._model is not None else 0.0)
-            degraded = False
-            if self._store is not None:
-                degraded = degraded or self._store.degraded
-                obs.gauge(
-                    "repro_index_rows", "Rows in the embedding index"
-                ).set(len(self._store))
-                obs.gauge(
-                    "repro_index_shards", "Shards in the embedding index"
-                ).set(self._store.n_shards)
-                obs.gauge(
-                    "repro_index_quarantined_shards",
-                    "Shards quarantined by crash recovery",
-                ).set(len(self._store.quarantined))
-                footprint = self._store.memory_footprint()
-                obs.gauge(
-                    "repro_index_vector_bytes",
-                    "Bytes of vector data in the index",
-                ).set(footprint["vector_bytes"])
-                obs.gauge(
-                    "repro_index_resident_bytes",
-                    "Index bytes resident in process memory",
-                ).set(footprint["resident_bytes"])
-            if self._service is not None:
-                degraded = degraded or bool(self._service.degraded_reasons)
-            obs.gauge(
-                "repro_serve_workers",
-                "Configured shard-parallel serve workers (1 = in-process)",
-            ).set(self.config.serve_workers)
-            if self._coordinator is not None:
-                workers = self._coordinator.workers_info()
-                obs.gauge(
-                    "repro_serve_workers_alive",
-                    "Serve-pool workers currently alive",
-                ).set(sum(1 for w in workers if w["alive"]))
-            obs.gauge(
-                "repro_engine_degraded",
-                "1 when serving in degraded mode (quarantined shards, "
-                "ANN fallback, ...)",
-            ).set(1.0 if degraded else 0.0)
-            if self._cache is not None:
-                obs.gauge(
-                    "repro_cache_hits", "Artifact-cache hits (lifetime)"
-                ).set(self._cache.stats.hits)
-                obs.gauge(
-                    "repro_cache_misses", "Artifact-cache misses (lifetime)"
-                ).set(self._cache.stats.misses)
+        """Set the polled gauges from one :meth:`stats` snapshot, so a
+        scrape reflects the present, not the last event."""
+        stats = self.stats()
+        for name, (gauge, help_text) in POLLED_GAUGES.items():
+            self.obs.gauge(gauge, help_text).set(getattr(stats, name))
 
     def metrics_text(self) -> str:
         """The registry as Prometheus text exposition (``GET /metrics``)."""

@@ -25,11 +25,13 @@ Subcommands mirror the workflows a user of the paper's tooling would run:
 
 Every model/cache/index-touching subcommand builds one
 :class:`~repro.api.config.EngineConfig` via ``EngineConfig.from_args``
-(the shared ``--jobs``/``--cache-dir``/``--batch-size`` plumbing) and
-talks to one :class:`~repro.api.engine.AsteriaEngine`.  Engine errors
-surface as one-line ``error: ...`` messages with distinct exit codes:
-3 = missing model, 4 = missing input binary/firmware, 5 = index store
-problems, 6 = bad request (unknown function/CVE, bad config).
+and talks to one :class:`~repro.api.engine.AsteriaEngine`; a flag that
+sets a config field is generated from the field
+(:func:`~repro.api.config.add_config_flags`), only per-command flags are
+written out here.  Engine errors surface as one-line ``error: ...``
+messages with distinct exit codes: 3 = missing model, 4 = missing input
+binary/firmware, 5 = index store problems, 6 = bad request (unknown
+function/CVE, bad config).
 
 Every command is deterministic given ``--seed``.
 """
@@ -41,7 +43,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.api.config import EngineConfig
+from repro.api.config import EngineConfig, add_config_flags
 from repro.api.engine import (
     AsteriaEngine,
     CompareRequest,
@@ -57,6 +59,14 @@ from repro.api.errors import (
 from repro.binformat.binary import BinaryFile
 from repro.lang.generator import ProgramGenerator
 from repro.lang.printer import to_source
+
+#: ``search`` reproduces Table IV at its own, looser cutoff -- not
+#: ``EngineConfig.threshold``, the Youden threshold served queries use.
+SEARCH_THRESHOLD = 0.8
+
+_PIPELINE_FLAGS = ("jobs", "cache_dir", "encode_dtype", "encode_block")
+_ANN_FLAGS = ("backend", "ann_nprobe", "ann_rerank", "ann_lists")
+_STORE_FLAGS = ("shard_size", "store_dtype")
 
 
 def _engine(args, **overrides) -> AsteriaEngine:
@@ -128,7 +138,7 @@ def _cmd_train(args) -> int:
         pairs=args.pairs,
         epochs=args.epochs,
         embedding_dim=args.dim,
-        batch_size=args.batch_size,
+        batch_size=args.train_batch_size,
         seed=args.seed,
         output_path=args.output,
     ))
@@ -242,8 +252,8 @@ def _cmd_corpus_synth(args) -> int:
     except ValueError as exc:
         raise BadRequestError(str(exc)) from exc
     seeds = None
+    engine = _engine(args)
     if args.model:
-        engine = _engine(args)
         hidden = engine.model.config.hidden_dim
         if hidden != args.dim:
             raise BadRequestError(
@@ -255,8 +265,8 @@ def _cmd_corpus_synth(args) -> int:
         )
     store = EmbeddingStore.create(
         Path(args.output), dim=args.dim,
-        shard_size=args.shard_size,
-        dtype=args.dtype or "float32",
+        shard_size=engine.config.shard_size,
+        dtype=engine.config.store_dtype,
         meta={"corpus": "synthetic", "synth_seed": args.seed},
     )
     report = synth_corpus(store, spec, seeds=seeds)
@@ -270,13 +280,7 @@ def _cmd_corpus_synth(args) -> int:
 def _cmd_serve(args) -> int:
     from repro.api.server import serve
 
-    engine = _engine(
-        args,
-        micro_batch_size=args.micro_batch,
-        micro_batch_wait_ms=args.micro_batch_wait_ms,
-        slow_query_ms=args.slow_query_ms,
-    )
-    return serve(engine, host=args.host, port=args.port)
+    return serve(_engine(args), host=args.host, port=args.port)
 
 
 def _cmd_stats(args) -> int:
@@ -320,58 +324,12 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _positive_int(value: str) -> int:
+def _count(value: str) -> int:
+    """argparse type of the per-command counts: an int >= 1."""
     number = int(value)
     if number < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
     return number
-
-
-def _add_pipeline_options(parser) -> None:
-    """The offline-pipeline knobs shared by corpus-encoding commands."""
-    parser.add_argument("--jobs", type=_positive_int, default=None,
-                        help="worker processes for the decompile/"
-                             "preprocess stages (results are identical "
-                             "to --jobs 1)")
-    parser.add_argument("--cache-dir", default=None,
-                        help="persistent artifact cache: warm re-runs "
-                             "skip decompile + encode")
-    parser.add_argument("--encode-dtype", choices=["float32", "float64"],
-                        default=None,
-                        help="batched-encoder inference dtype (float64 = "
-                             "bit-exact reference, float32 = ~2x fast "
-                             "path with rankings preserved)")
-    parser.add_argument("--encode-block", type=int, default=None,
-                        help="GEMM row-block size for the batched "
-                             "encoder (0 = one-time auto-probe)")
-
-
-def _add_ann_options(parser) -> None:
-    """Query-side backend knobs (the ``ann_*`` EngineConfig fields)."""
-    parser.add_argument("--backend", default=None,
-                        help="ANN backend: exact (full sweep) or ivf-pq "
-                             "(tiered: IVF coarse probe + int8 quantized "
-                             "sweep + exact rerank); default exact")
-    parser.add_argument("--ann-nprobe", type=_positive_int, default=None,
-                        help="ivf-pq: coarse partitions swept per query "
-                             "(the recall-vs-speed dial; default 8)")
-    parser.add_argument("--ann-rerank", type=_positive_int, default=None,
-                        help="ivf-pq: exact-rerank oversampling -- "
-                             "k * rerank candidates survive the "
-                             "quantized sweep (default 8)")
-    parser.add_argument("--ann-lists", type=int, default=None,
-                        help="ivf-pq: number of coarse partitions "
-                             "(default 0 = auto, ~sqrt(corpus rows))")
-
-
-def _add_store_options(parser) -> None:
-    """Knobs of a newly created embedding store."""
-    parser.add_argument("--shard-size", type=int, default=1024)
-    parser.add_argument("--dtype", choices=["float32", "float64"],
-                        default=None,
-                        help="vector dtype of the new index (default "
-                             "float32: half the resident bytes, scores "
-                             "unchanged within ~1e-6)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=int, default=15)
     p.add_argument("--epochs", type=int, default=2)
     p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--batch-size", type=_positive_int, default=1,
+    p.add_argument("--batch-size", type=_count, default=1,
+                   dest="train_batch_size",
                    help="pairs per optimiser step (1 = the paper's "
                         "per-pair setting; >1 uses the level-batched "
                         "Tree-LSTM engine)")
@@ -420,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("compare", help="compare two binary functions")
-    p.add_argument("--model", required=True)
+    add_config_flags(p, "model_path", required=["model_path"])
     p.add_argument("binary1")
     p.add_argument("function1")
     p.add_argument("binary2")
@@ -428,14 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("search", help="firmware vulnerability search")
-    p.add_argument("--model", required=True)
+    add_config_flags(p, "model_path", *_PIPELINE_FLAGS,
+                     required=["model_path"])
     p.add_argument("--images", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threshold", type=float, default=0.8)
+    p.add_argument("--threshold", type=float, default=SEARCH_THRESHOLD)
     p.add_argument("--top-k", type=int, default=None,
-                   help="cap candidates per CVE (default: all above "
+                   help="cap candidates per CVE (unset: all above "
                         "threshold)")
-    _add_pipeline_options(p)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser(
@@ -449,16 +408,13 @@ def build_parser() -> argparse.ArgumentParser:
              "over a firmware corpus, reporting per-stage times and "
              "cache hits",
     )
-    p.add_argument("--model", required=True)
+    add_config_flags(p, "model_path", "encode_batch_size", *_STORE_FLAGS,
+                     *_PIPELINE_FLAGS, required=["model_path"])
     p.add_argument("--images", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch-size", type=_positive_int, default=64,
-                   help="trees per level-batched encode pass")
     p.add_argument("--output", default=None,
                    help="also index the encodings into a new embedding "
                         "store at this directory")
-    _add_store_options(p)
-    _add_pipeline_options(p)
     p.set_defaults(func=_cmd_pipeline_run)
 
     p = sub.add_parser("index", help="persistent embedding index")
@@ -467,34 +423,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = index_sub.add_parser(
         "build", help="encode a firmware corpus into a persistent index"
     )
-    p.add_argument("--model", required=True)
+    add_config_flags(p, "model_path", "encode_batch_size", *_STORE_FLAGS,
+                     *_PIPELINE_FLAGS, required=["model_path"])
     p.add_argument("--output", required=True,
                    help="directory for the new index")
     p.add_argument("--images", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch-size", type=_positive_int, default=64,
-                   help="trees per level-batched encode pass during ingest")
-    _add_store_options(p)
-    _add_pipeline_options(p)
     p.set_defaults(func=_cmd_index_build)
 
     p = index_sub.add_parser(
         "search", help="top-k CVE queries against a built index"
     )
-    p.add_argument("--model", required=True)
-    p.add_argument("--index", required=True,
-                   help="directory of a built index")
+    add_config_flags(p, "model_path", "index_root", *_ANN_FLAGS,
+                     "serve_workers", required=["model_path", "index_root"])
     p.add_argument("--top-k", type=int, default=10)
-    _add_ann_options(p)
     p.add_argument("--threshold", type=float, default=None,
-                   help="drop hits scoring below this (default: keep "
-                        "the full top-k)")
-    p.add_argument("--serve-workers", type=_positive_int, default=None,
-                   help="shard-parallel sweep worker processes for the "
-                        "batched queries (default: 1 = in-process)")
+                   help="drop hits scoring below this (unset: keep the "
+                        "full top-k)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cve", nargs="*", default=None,
-                   help="restrict to these CVE ids (default: whole library)")
+                   help="restrict to these CVE ids (unset: whole library)")
     p.set_defaults(func=_cmd_index_search)
 
     p = sub.add_parser("corpus", help="synthetic corpus tools")
@@ -503,88 +451,55 @@ def build_parser() -> argparse.ArgumentParser:
     p = corpus_sub.add_parser(
         "synth",
         help="synthesize an embedding corpus with known ground-truth "
-             "neighbor clusters (scales to millions of functions)",
+             "neighbor clusters (scales to millions of functions); with "
+             "--model the first cluster centers are anchored at real "
+             "pipeline encodings from that checkpoint, without it the "
+             "corpus is pure bulk synthesis",
     )
     p.add_argument("--output", required=True,
                    help="directory for the new index")
-    p.add_argument("--functions", type=_positive_int, default=100_000)
-    p.add_argument("--dim", type=_positive_int, default=64,
+    p.add_argument("--functions", type=_count, default=100_000)
+    p.add_argument("--dim", type=_count, default=64,
                    help="embedding dimensionality (must match the model "
                         "that will query the corpus)")
-    p.add_argument("--cluster-size", type=_positive_int, default=16,
+    p.add_argument("--cluster-size", type=_count, default=16,
                    help="near-duplicate functions per ground-truth "
                         "cluster")
     p.add_argument("--noise", type=float, default=0.15,
                    help="intra-cluster perturbation scale")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--model", default=None,
-                   help="anchor the first cluster centers at real "
-                        "pipeline encodings from this checkpoint "
-                        "(default: pure bulk synthesis)")
-    p.add_argument("--seed-packages", type=_positive_int, default=4,
+    p.add_argument("--seed-packages", type=_count, default=4,
                    help="generated packages to compile + encode for the "
                         "seed set (with --model)")
-    _add_store_options(p)
-    _add_pipeline_options(p)
+    add_config_flags(p, "model_path", *_STORE_FLAGS, *_PIPELINE_FLAGS)
     p.set_defaults(func=_cmd_corpus_synth)
 
     p = sub.add_parser(
         "serve",
         help="HTTP/JSON serving layer (encode / ingest / query / stats)",
     )
-    p.add_argument("--model", required=True)
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8080,
                    help="0 picks an ephemeral port (printed on startup)")
-    p.add_argument("--index", default=None,
-                   help="durable embedding index directory (opened if it "
-                        "exists, created otherwise; default: in-memory)")
-    p.add_argument("--batch-size", type=_positive_int, default=64,
-                   help="trees per level-batched encode pass")
-    p.add_argument("--micro-batch", type=_positive_int, default=64,
-                   help="max concurrent query encodes coalesced into one "
-                        "batched GEMM call (1 disables micro-batching)")
-    p.add_argument("--micro-batch-wait-ms", type=float, default=2.0,
-                   help="accumulation window a batch leader grants "
-                        "late-arriving concurrent queries")
-    p.add_argument("--slow-query-ms", type=float, default=None,
-                   help="log the full span tree of queries slower than "
-                        "this many milliseconds (default: disabled)")
-    p.add_argument("--request-timeout-ms", type=float, default=None,
-                   help="per-request deadline; queries still queued or "
-                        "sweeping past it answer 504 (default: none)")
-    p.add_argument("--max-inflight", type=_positive_int, default=None,
-                   help="bound on concurrently admitted heavy requests; "
-                        "excess load is shed with 503 + Retry-After "
-                        "(default: 64)")
-    p.add_argument("--drain-timeout-ms", type=float, default=None,
-                   help="how long /v1/shutdown waits for in-flight "
-                        "requests before stopping anyway (default: 5000)")
-    p.add_argument("--serve-workers", type=_positive_int, default=None,
-                   help="shard-parallel sweep worker processes; each "
-                        "sweeps a disjoint shard range of the mmap'd "
-                        "index (needs --index; default: 1 = in-process)")
-    p.add_argument("--faults", default=None,
-                   help="failpoint spec for chaos testing, e.g. "
-                        "'store.flush.pre_rename=kill' (see repro.faults; "
-                        "default: none)")
     p.add_argument("--seed", type=int, default=0)
-    _add_ann_options(p)
-    _add_pipeline_options(p)
+    add_config_flags(
+        p, "model_path", "index_root", "encode_batch_size",
+        "micro_batch_size", "micro_batch_wait_ms", "slow_query_ms",
+        "request_timeout_ms", "max_inflight", "drain_timeout_ms",
+        "serve_workers", "faults", *_ANN_FLAGS, *_PIPELINE_FLAGS,
+        required=["model_path"],
+    )
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
         "stats",
         help="engine stats: a running server's /v1/stats (--url) or a "
-             "local model/index snapshot",
+             "snapshot of a local --model / --index",
     )
     p.add_argument("--url", default=None,
                    help="base URL of a running `repro-cli serve` "
                         "instance (e.g. http://127.0.0.1:8080)")
-    p.add_argument("--model", default=None,
-                   help="local model checkpoint to report on")
-    p.add_argument("--index", default=None,
-                   help="local embedding index directory to report on")
+    add_config_flags(p, "model_path", "index_root")
     p.add_argument("--json", action="store_true",
                    help="print raw JSON instead of the aligned table")
     p.set_defaults(func=_cmd_stats)

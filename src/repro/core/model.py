@@ -217,35 +217,6 @@ class Asteria:
             registry=registry,
         )
 
-    def encode_functions(
-        self,
-        fns: Sequence[DecompiledFunction],
-        batch_size: int = DEFAULT_ENCODE_BATCH_SIZE,
-        *,
-        dtype=DEFAULT_ENCODE_DTYPE,
-        block: int = 0,
-    ) -> List[FunctionEncoding]:
-        """Offline phase for many functions through the batched encoder."""
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        trees = [self.preprocess(fn.ast) for fn in fns]
-        vectors = self.encode_batch(
-            trees, batch_size, dtype=dtype, block=block
-        )
-        return [
-            FunctionEncoding(
-                name=fn.name,
-                arch=fn.arch,
-                binary_name=fn.binary_name,
-                vector=vectors[i].copy(),
-                callee_count=filtered_callee_count(
-                    fn.callees, self.config.beta
-                ),
-                ast_size=fn.ast_size(),
-            )
-            for i, fn in enumerate(fns)
-        ]
-
     # -- online phase ------------------------------------------------------------
 
     def ast_similarity(self, v1: np.ndarray, v2: np.ndarray) -> float:

@@ -29,15 +29,17 @@ over the per-shard maps that the ANN layer consumes block-by-block; no
 full ``np.concatenate`` materialisation ever happens.
 
 Metadata columns use the :mod:`repro.nn.serialize` npz format and are
-loaded lazily per shard.  ``root=None`` gives an ephemeral in-memory
-store with the same API (used by tests and by single-process pipelines
-that do not need persistence).
+loaded lazily per shard.  ``flush()`` stacks the rows ``add`` buffered
+into the columns ``append_rows`` takes, so one loop cuts every shard.
+Each file is one :func:`repro.utils.fsio.atomic_write` whose sha256 the
+manifest records; a file it records no checksum for counts as corrupt.
+``root=None`` gives an ephemeral in-memory store with the same API (used
+by tests and by single-process pipelines that do not need persistence).
 """
 
 from __future__ import annotations
 
 import json
-import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,7 +50,7 @@ import numpy as np
 import repro.faults as faults
 from repro.core.model import FunctionEncoding
 from repro.nn.serialize import load_state, save_state
-from repro.utils.fsio import atomic_write_text, commit_file, file_sha256
+from repro.utils.fsio import atomic_write, atomic_write_text, file_sha256
 from repro.utils.logging import get_logger
 
 _LOG = get_logger("index.store")
@@ -273,9 +275,8 @@ class _ShardMeta:
 class _ShardInfo:
     name: str
     n_rows: int
-    #: ``{filename: sha256 hexdigest}`` for the shard's files; absent on
-    #: stores written before checksums existed -- verification skips
-    #: what it lacks.
+    #: ``{filename: sha256 hexdigest}`` for the shard's files (``None``
+    #: only in memory; a durable shard without one fails verification).
     sha256: Optional[Dict[str, str]] = None
 
 
@@ -370,8 +371,8 @@ class EmbeddingStore:
         """Open an existing store for reading or appending.
 
         With ``verify`` (the default) every shard file is checked for
-        existence and -- when the manifest records checksums -- content
-        integrity.  A torn or corrupt shard does not fail the open:
+        existence and content integrity against the manifest's
+        checksums.  A torn or corrupt shard does not fail the open:
         :meth:`_verify_and_recover` quarantines it (and every later
         shard, since rows are positional) and the store serves the last
         consistent prefix with :attr:`degraded` set.
@@ -433,8 +434,9 @@ class EmbeddingStore:
         """Detect torn/corrupt shards and recover to a consistent prefix.
 
         Walks the manifest's shard table in row order checking that every
-        file exists and (when the manifest records a checksum) that its
-        content matches.  Rows are positional, so the first bad shard
+        file exists and that its content matches the recorded checksum
+        (a file the manifest records none for cannot be verified and
+        counts as corrupt).  Rows are positional, so the first bad shard
         poisons every global row index after it: that shard *and all
         later ones* are moved to ``<root>/quarantine/`` for post-mortem,
         the in-memory tables are truncated to the surviving prefix, and
@@ -451,10 +453,10 @@ class EmbeddingStore:
                 if not path.exists():
                     first_bad, reason = i, f"missing file {path.name}"
                     break
-                expected = (info.sha256 or {}).get(path.name)
-                if expected is not None and file_sha256(path) != expected:
+                # no recorded digest equals none: unverifiable is corrupt
+                if file_sha256(path) != (info.sha256 or {}).get(path.name):
                     first_bad, reason = (
-                        i, f"checksum mismatch in {path.name}"
+                        i, f"checksum missing or mismatched in {path.name}"
                     )
                     break
             if first_bad is not None:
@@ -521,54 +523,29 @@ class EmbeddingStore:
     def flush(self) -> int:
         """Persist buffered rows as new shards; returns rows written.
 
+        The buffer goes, as columns, through :meth:`append_rows`' loop.
         The cached :meth:`vectors` / :meth:`callee_counts` views are
         extended with just the new shards -- earlier shards are never
         reloaded or re-stacked, so a flush costs O(new rows), not
-        O(corpus), in both time and transient memory.
+        O(corpus).  If a write raises, the rows no shard holds yet stay
+        buffered (in order), so calling ``flush()`` again completes it
+        without duplicating a row.
         """
-        written = 0
-        while self._pending:
-            batch = self._pending[: self.shard_size]
-            self._pending = self._pending[self.shard_size :]
-            vectors = np.stack(
-                [np.asarray(row.encoding.vector) for row in batch]
-            ).astype(self.dtype, copy=False)
-            shard_meta = _ShardMeta(
-                callee_counts=np.array(
-                    [row.encoding.callee_count for row in batch],
-                    dtype=np.int64,
-                ),
-                ast_sizes=np.array(
-                    [row.encoding.ast_size for row in batch], dtype=np.int64
-                ),
-                names=[row.encoding.name for row in batch],
-                binary_names=[row.encoding.binary_name for row in batch],
-                arches=[row.encoding.arch for row in batch],
-                image_ids=[row.image_id for row in batch],
+        rows, self._pending = self._pending, []
+        encodings = [row.encoding for row in rows]
+        before = self.n_flushed
+        try:
+            return self._append_columns(
+                [e.vector for e in encodings],
+                np.array([e.callee_count for e in encodings], dtype=np.int64),
+                np.array([e.ast_size for e in encodings], dtype=np.int64),
+                [e.name for e in encodings],
+                [e.binary_name for e in encodings],
+                [e.arch for e in encodings],
+                [row.image_id for row in rows],
             )
-            index = len(self._shards)
-            info = _ShardInfo(
-                name=f"shard-{index:05d}", n_rows=len(shard_meta)
-            )
-            if self.root is not None:
-                self._write_shard(info, vectors, shard_meta)
-                # hand the view the on-disk map, not the heap copy
-                vectors = np.load(
-                    self.root / f"{info.name}.npy", mmap_mode="r"
-                )
-            self._shards.append(info)
-            self._meta_cache[index] = shard_meta
-            self._append_to_views(vectors, shard_meta.callee_counts)
-            self._offsets.append(self._offsets[-1] + info.n_rows)
-            written += len(shard_meta)
-        if written:
-            if self.root is not None:
-                # crash window: new shards fully visible on disk but the
-                # manifest (rewritten atomically below) still lists only
-                # the previous generation -- reopen serves that prefix
-                faults.inject("store.flush.pre_manifest")
-                self._write_manifest()
-        return written
+        finally:
+            self._pending = rows[self.n_flushed - before:]
 
     def append_rows(
         self,
@@ -584,10 +561,9 @@ class EmbeddingStore:
         """Bulk-append pre-built rows, bypassing the per-row buffer.
 
         The corpus-synthesis path: a ``(n, dim)`` matrix plus metadata
-        columns is cut straight into durable shards (same crash-safety
-        ordering as :meth:`flush` -- shards first, manifest last), with
-        no per-row :class:`FunctionEncoding` objects in between.  Any
-        metadata column left ``None`` gets a cheap default (names are
+        columns is cut straight into durable shards, with no per-row
+        :class:`FunctionEncoding` objects in between.  Any metadata
+        column left ``None`` gets a cheap default (names are
         ``{name_prefix}_{row:08d}``).  Returns the rows written.
         """
         if self._pending:
@@ -619,13 +595,20 @@ class EmbeddingStore:
             names = [
                 f"{name_prefix}_{base_row + i:08d}" for i in range(n)
             ]
-        binary_names = binary_names or [""] * n
-        arches = arches or [""] * n
-        image_ids = image_ids or [""] * n
-        written = 0
+        return self._append_columns(
+            vectors, counts, sizes, names, binary_names or [""] * n,
+            arches or [""] * n, image_ids or [""] * n,
+        )
+
+    def _append_columns(
+        self, vectors, counts, sizes, names, binary_names, arches, image_ids
+    ) -> int:
+        """Cut equal-length columns into shards: shards first, manifest
+        last (see the class docstring for what a crash in between leaves)."""
+        n = len(names)
         for start in range(0, n, self.shard_size):
             stop = min(n, start + self.shard_size)
-            batch = np.ascontiguousarray(
+            block = np.ascontiguousarray(
                 vectors[start:stop], dtype=self.dtype
             )
             shard_meta = _ShardMeta(
@@ -637,23 +620,24 @@ class EmbeddingStore:
                 image_ids=list(image_ids[start:stop]),
             )
             index = len(self._shards)
-            info = _ShardInfo(
-                name=f"shard-{index:05d}", n_rows=len(shard_meta)
-            )
+            info = _ShardInfo(name=f"shard-{index:05d}", n_rows=stop - start)
             if self.root is not None:
-                self._write_shard(info, batch, shard_meta)
-                batch = np.load(
+                self._write_shard(info, block, shard_meta)
+                # hand the view the on-disk map, not the heap copy
+                block = np.load(
                     self.root / f"{info.name}.npy", mmap_mode="r"
                 )
             self._shards.append(info)
             self._meta_cache[index] = shard_meta
-            self._append_to_views(batch, shard_meta.callee_counts)
+            self._append_to_views(block, shard_meta.callee_counts)
             self._offsets.append(self._offsets[-1] + info.n_rows)
-            written += len(shard_meta)
-        if written and self.root is not None:
+        if n and self.root is not None:
+            # crash window: new shards fully visible on disk but the
+            # manifest (rewritten atomically below) still lists only
+            # the previous generation -- reopen serves that prefix
             faults.inject("store.flush.pre_manifest")
             self._write_manifest()
-        return written
+        return n
 
     def _append_to_views(
         self, vectors: np.ndarray, counts: np.ndarray
@@ -662,22 +646,6 @@ class EmbeddingStore:
             self._vectors.append_block(vectors)
         self._count_blocks.append(counts)
         self._stacked_counts = None  # re-concat lazily from blocks
-
-    @staticmethod
-    def _save_vectors(
-        path: Path, vectors: np.ndarray, failpoint: Optional[str] = None
-    ) -> None:
-        """Write a raw ``.npy`` vector shard via temp→fsync→rename.
-
-        ``np.save`` appends ``.npy`` to string paths lacking it, so the
-        temp file is written through an open handle to keep its name.
-        """
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as handle:
-            np.save(handle, vectors)
-            handle.flush()
-            os.fsync(handle.fileno())
-        commit_file(tmp, path, failpoint=failpoint)
 
     def _shard_paths(self, info: _ShardInfo) -> List[Path]:
         """Every file that must be intact for this shard to be served."""
@@ -699,18 +667,15 @@ class EmbeddingStore:
             "arches": meta.arches,
             "image_ids": meta.image_ids,
         }
-        meta_path = self.root / f"{info.name}.meta.npz"
-        save_state(meta_path, columns, meta=strings)
-        vec_path = self.root / f"{info.name}.npy"
+        vec_path, meta_path = self._shard_paths(info)
+        meta_digest = save_state(meta_path, columns, meta=strings)
         # crash window: all shard bytes durable, vector file unpublished
         # and the manifest still describes the previous generation
-        self._save_vectors(
-            vec_path, vectors, failpoint="store.flush.pre_rename"
+        vec_digest = atomic_write(
+            vec_path, lambda handle: np.save(handle, vectors),
+            failpoint="store.flush.pre_rename",
         )
-        info.sha256 = {
-            vec_path.name: file_sha256(vec_path),
-            meta_path.name: file_sha256(meta_path),
-        }
+        info.sha256 = {vec_path.name: vec_digest, meta_path.name: meta_digest}
 
     def _write_manifest(self) -> None:
         manifest = {
@@ -720,13 +685,7 @@ class EmbeddingStore:
             "shard_size": self.shard_size,
             "n_rows": len(self),
             "shards": [
-                {"name": info.name, "n_rows": info.n_rows}
-                if info.sha256 is None
-                else {
-                    "name": info.name,
-                    "n_rows": info.n_rows,
-                    "sha256": info.sha256,
-                }
+                dict(name=info.name, n_rows=info.n_rows, sha256=info.sha256)
                 for info in self._shards
             ],
             "meta": self.meta,
@@ -754,16 +713,11 @@ class EmbeddingStore:
         # one artifact per backend kind; the manifest's ``file`` field
         # names it
         file_name = f"ann-{params['kind']}.npz"
-        target = self.root / file_name
-        # keep the temp name ending in .npz so save_state leaves it alone
-        pending = target.with_name(
-            target.name[: -len(".npz")] + ".pending.npz"
+        digest = save_state(
+            self.root / file_name, arrays, meta=params,
+            failpoint="ann.persist.pre_rename",
         )
-        save_state(pending, arrays, meta=params)
-        commit_file(pending, target, failpoint="ann.persist.pre_rename")
-        self.ann = dict(
-            params, file=file_name, sha256=file_sha256(target)
-        )
+        self.ann = dict(params, file=file_name, sha256=digest)
         self._write_manifest()
 
     def read_ann_state(
@@ -780,10 +734,9 @@ class EmbeddingStore:
         path = self.root / self.ann["file"]
         if not path.exists():
             return None
-        expected = self.ann.get("sha256")
-        if expected is not None and file_sha256(path) != expected:
+        if file_sha256(path) != self.ann.get("sha256"):
             _LOG.warning(
-                "ignoring ANN state at %s: checksum mismatch "
+                "ignoring ANN state at %s: checksum missing or mismatched "
                 "(index will rebuild)", path,
             )
             return None

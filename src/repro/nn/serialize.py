@@ -1,26 +1,30 @@
 """Model checkpointing via ``numpy.savez``.
 
-Writes are crash-safe: the archive is written to a temporary sibling,
-fsynced, and atomically renamed over the target, so a kill mid-save
-leaves the previous checkpoint (or nothing) -- never a torn archive.
+Writes go through :func:`repro.utils.fsio.atomic_write`, so a kill
+mid-save leaves the previous checkpoint (or nothing) -- never a torn
+archive.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.utils.fsio import commit_file
+from repro.utils.fsio import atomic_write
 
 _META_KEY = "__meta__"
 
 
-def save_state(path, state: Dict[str, np.ndarray], meta: Dict = None) -> None:
-    """Save a state dict (and optional JSON-able metadata) to ``path``."""
+def save_state(path, state: Dict[str, np.ndarray], meta: Dict = None,
+               failpoint: Optional[str] = None) -> str:
+    """Save a state dict (and optional JSON-able metadata) to ``path``.
+
+    Returns the sha256 of the published archive; ``failpoint`` fires in
+    the commit's crash window (see :func:`~repro.utils.fsio.atomic_write`).
+    """
     path = Path(path)
     if not path.name.endswith(".npz"):
         path = Path(str(path) + ".npz")  # match numpy.savez naming
@@ -31,12 +35,9 @@ def save_state(path, state: Dict[str, np.ndarray], meta: Dict = None) -> None:
         json.dumps(meta or {}).encode("utf-8"), dtype=np.uint8
     )
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        np.savez(handle, **payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    commit_file(tmp, path)
+    return atomic_write(
+        path, lambda handle: np.savez(handle, **payload), failpoint
+    )
 
 
 def load_state(path) -> Tuple[Dict[str, np.ndarray], Dict]:

@@ -20,15 +20,20 @@ invalidates exactly the work it dirties:
 
 Layout of a cache directory::
 
-    <root>/manifest.json          versioned manifest (key -> object file)
+    <root>/manifest.json          versioned manifest (key -> object file
+                                  + its sha256)
     <root>/objects/<key>.npz      one artifact, named by its key
+    <root>/objects/<key>.npz.tmp  a put in flight (or one a crash cut
+                                  short); never read, overwritten by the
+                                  next put of that key
 
 Object files are content-addressed (the file name *is* the key), so a
 corrupt or missing manifest is recovered by rescanning ``objects/``; a
-corrupt object file is dropped and treated as a miss.  Writes are
-crash-safe (temp→fsync→rename) and each manifest entry records the
+corrupt object file is dropped and treated as a miss.  Every write is one
+:func:`repro.utils.fsio.atomic_write` and each manifest entry records the
 object's sha256, so bitrot or out-of-band truncation is detected on read
-and degrades to a miss instead of corrupting downstream artifacts.
+and degrades to a miss instead of corrupting downstream artifacts; an
+entry that records no checksum cannot be verified and is a miss too.
 ``root=None`` gives an ephemeral in-memory cache with the same API.
 """
 
@@ -47,7 +52,7 @@ from repro.core.model import FunctionEncoding
 from repro.nn.serialize import load_state, save_state
 from repro.nn.treebatch import CompiledPlan, plan_from_state, plan_to_state
 from repro.pipeline.stages import ExtractedBinary
-from repro.utils.fsio import atomic_write_text, commit_file, file_sha256
+from repro.utils.fsio import atomic_write_text, file_sha256
 from repro.utils.logging import get_logger
 
 _LOG = get_logger("pipeline.cache")
@@ -115,8 +120,7 @@ class ArtifactCache:
     def __init__(self, root=None):
         self.root = Path(root) if root is not None else None
         self.stats = CacheStats()
-        # key -> {"file": name under objects/, "sha256": hexdigest};
-        # sha256 may be absent for entries written before checksums
+        # key -> {"file": name under objects/, "sha256": hexdigest}
         self._entries: Dict[str, Dict[str, str]] = {}
         self._mem: Dict[str, Tuple[Dict, Dict]] = {}
         self._dirty = False
@@ -150,24 +154,9 @@ class ArtifactCache:
             entries = manifest["entries"]
             if not isinstance(entries, dict):
                 raise ValueError("entries is not an object")
-            self._entries = {
-                str(k): self._normalize_entry(v) for k, v in entries.items()
-            }
+            self._entries = {str(k): v for k, v in entries.items()}
         except (ValueError, KeyError, TypeError) as exc:
             self._recover(f"unreadable manifest: {exc}")
-
-    @staticmethod
-    def _normalize_entry(value) -> Dict[str, str]:
-        """Accept both entry shapes: pre-checksum manifests mapped key ->
-        file name (a plain string); current ones map key -> object."""
-        if isinstance(value, str):
-            return {"file": value}
-        if isinstance(value, dict) and isinstance(value.get("file"), str):
-            entry = {"file": value["file"]}
-            if isinstance(value.get("sha256"), str):
-                entry["sha256"] = value["sha256"]
-            return entry
-        raise ValueError(f"bad manifest entry {value!r}")
 
     def _recover(self, reason: str) -> None:
         """Rebuild the manifest by scanning ``objects/``.
@@ -180,7 +169,6 @@ class ArtifactCache:
         self._entries = {
             path.stem: {"file": path.name, "sha256": file_sha256(path)}
             for path in sorted((self.root / OBJECTS_DIR).glob("*.npz"))
-            if not path.stem.endswith(".tmp")
         }
         self._write_manifest()
 
@@ -209,20 +197,23 @@ class ArtifactCache:
     def get(self, key: str) -> Optional[Tuple[Dict, Dict]]:
         """Look up one artifact as ``(state, meta)``; None on miss.
 
-        An object whose bytes no longer match the recorded checksum is
-        treated exactly like an unreadable one: dropped and reported as a
-        miss, so corruption costs a recompute, never a wrong artifact.
+        An object whose bytes do not match a recorded checksum (or
+        whose entry records none) is treated exactly like an unreadable
+        one: dropped and reported as a miss, so corruption costs a
+        recompute, never a wrong artifact.
         """
         if self.root is None:
             return self._mem.get(key)
         entry = self._entries.get(key)
         if entry is None:
             return None
-        name = entry["file"]
+        name = f"{key}.npz"
         path = self.root / OBJECTS_DIR / name
         try:
-            expected = entry.get("sha256")
-            if expected is not None and file_sha256(path) != expected:
+            expected = entry.get("sha256") if isinstance(entry, dict) else None
+            if expected is None:
+                raise ValueError("manifest entry records no checksum")
+            if file_sha256(path) != expected:
                 raise ValueError("checksum mismatch")
             return load_state(path)
         except Exception as exc:
@@ -238,7 +229,7 @@ class ArtifactCache:
             return None
 
     def put(self, key: str, state: Dict[str, np.ndarray], meta: Dict) -> None:
-        """Store one artifact (atomically: tmp write + fsync + rename).
+        """Store one artifact (one atomic write of ``objects/<key>.npz``).
 
         The manifest entry is buffered until :meth:`flush` so bulk stores
         do not rewrite the manifest once per artifact.
@@ -248,13 +239,12 @@ class ArtifactCache:
             self._mem[key] = (dict(state), dict(meta))
             return
         name = f"{key}.npz"
-        target = self.root / OBJECTS_DIR / name
-        tmp = self.root / OBJECTS_DIR / f"{key}.tmp.npz"
-        save_state(tmp, state, meta=meta)
-        digest = file_sha256(tmp)
         # crash window: object bytes durable but unpublished -- reopen
         # sees a miss for this key and recomputes, never a torn object
-        commit_file(tmp, target, failpoint="cache.put.pre_rename")
+        digest = save_state(
+            self.root / OBJECTS_DIR / name, state, meta=meta,
+            failpoint="cache.put.pre_rename",
+        )
         self._entries[key] = {"file": name, "sha256": digest}
         self._dirty = True
 

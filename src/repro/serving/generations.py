@@ -137,7 +137,7 @@ def clone_store(src_root, dst_root) -> int:
         for src in sorted(src_root.glob(pattern))
     ]
     # the persisted ANN state, by the one name the cloned manifest gives
-    # it (no glob: a ``*.pending.npz`` or an orphan must stay behind);
+    # it (no glob: an orphaned ``ann-*.npz`` must stay behind);
     # linking is safe, the store replaces that file by rename
     ann = json.loads(
         (src_root / "manifest.json").read_text(encoding="utf-8")

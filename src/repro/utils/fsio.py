@@ -1,17 +1,19 @@
-"""Crash-safe filesystem primitives: atomic commit + checksums.
+"""Crash-safe filesystem primitives: one atomic commit + checksums.
 
 Every durable artifact in the repo (store shards and manifests, ANN
-state, cache objects) reaches its final name the same way: the bytes
-are written to a temporary sibling, flushed and ``fsync``-ed, then
+state, cache objects, checkpoints, the ``CURRENT`` pointer) reaches its
+final name through :func:`atomic_write`, exactly once: the bytes are
+written to the sibling ``<name>.tmp``, flushed and ``fsync``-ed, hashed,
 ``os.replace``-d over the target, and the directory entry is fsynced
 too.  A crash at any instant leaves either the old file or the new one
--- never a torn hybrid -- and at worst an orphaned ``*.tmp*`` sibling
-that the next writer overwrites.
+-- never a torn hybrid -- and at worst an orphaned ``<name>.tmp`` that
+the next writer overwrites (no reader globs ``*.tmp``).
 
-:func:`file_sha256` provides the per-artifact checksums recorded in
-manifests, so corruption that bypasses the atomic-rename guarantee
-(disk bitrot, an out-of-band truncation, a partially synced page) is
-*detected* on open instead of surfacing as garbage query results.
+The sha256 :func:`atomic_write` returns (equal to :func:`file_sha256`
+of the published file) is what manifests record, so corruption that
+bypasses the atomic-rename guarantee (disk bitrot, an out-of-band
+truncation, a partially synced page) is *detected* on open instead of
+surfacing as garbage query results.
 """
 
 from __future__ import annotations
@@ -19,29 +21,13 @@ from __future__ import annotations
 import hashlib
 import os
 from pathlib import Path
-from typing import Optional
+from typing import BinaryIO, Callable, Optional
 
 import repro.faults as faults
 
-__all__ = [
-    "atomic_write_bytes",
-    "atomic_write_text",
-    "commit_file",
-    "file_sha256",
-    "fsync_dir",
-    "fsync_file",
-]
+__all__ = ["atomic_write", "atomic_write_text", "file_sha256", "fsync_dir"]
 
 _CHUNK = 1 << 20
-
-
-def fsync_file(path) -> None:
-    """Flush one file's data to stable storage."""
-    fd = os.open(str(path), os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def fsync_dir(path) -> None:
@@ -63,39 +49,35 @@ def fsync_dir(path) -> None:
         os.close(fd)
 
 
-def commit_file(tmp, target, failpoint: Optional[str] = None) -> None:
-    """Atomically publish ``tmp`` (already fully written) as ``target``.
+def atomic_write(path, write: Callable[[BinaryIO], None],
+                 failpoint: Optional[str] = None) -> str:
+    """Publish what ``write(handle)`` produces as ``path``; returns its sha256.
 
-    fsyncs the temp file, fires ``failpoint`` (the crash-window a chaos
-    test aims at: bytes durable under the wrong name), renames, and
-    fsyncs the directory so the rename itself survives a power cut.
+    The one commit sequence: data fsync, ``failpoint`` (the crash window
+    a chaos test aims at: bytes durable under the wrong name), rename,
+    directory fsync so the rename itself survives a power cut.  The
+    digest is read back from the synced temp file rather than taken
+    through a hashing handle, which ``zipfile`` would treat as
+    unseekable and answer with different archive bytes.
     """
-    tmp, target = Path(tmp), Path(target)
-    fsync_file(tmp)
-    if failpoint:
-        faults.inject(failpoint)
-    os.replace(tmp, target)
-    fsync_dir(target.parent)
-
-
-def atomic_write_bytes(path, data: bytes,
-                       failpoint: Optional[str] = None) -> None:
-    """Write ``data`` to ``path`` via the temp→fsync→rename protocol."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as handle:
-        handle.write(data)
+        write(handle)
         handle.flush()
         os.fsync(handle.fileno())
+    digest = file_sha256(tmp)
     if failpoint:
         faults.inject(failpoint)
     os.replace(tmp, path)
     fsync_dir(path.parent)
+    return digest
 
 
 def atomic_write_text(path, text: str,
                       failpoint: Optional[str] = None) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"), failpoint=failpoint)
+    data = text.encode("utf-8")
+    atomic_write(path, lambda handle: handle.write(data), failpoint)
 
 
 def file_sha256(path) -> str:

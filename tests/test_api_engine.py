@@ -27,6 +27,7 @@ from repro.api import (
     QueryRequest,
     TrainRequest,
 )
+from repro.api.engine import POLLED_GAUGES, REGISTRY_COUNTS
 from repro.cli import build_parser
 from repro.compiler.pipeline import compile_package
 from repro.lang.generator import ProgramGenerator
@@ -786,3 +787,37 @@ class TestEngineObservability:
         )
         wait = engine.obs.get("repro_microbatch_wait_seconds")
         assert wait is not None and wait.count >= len(requests)
+
+
+class TestMetricsAreStats:
+    """``/metrics`` gauges are set from the ``/v1/stats`` snapshot, so the
+    two agree on every row of the table -- not just the ones CI greps."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_polled_gauge_reads_as_in_stats(
+        self, tmp_path, trained_model, workers
+    ):
+        engine = AsteriaEngine(
+            EngineConfig(index_root=str(tmp_path / "fw"),
+                         cache_dir=str(tmp_path / "cache"),
+                         serve_workers=workers),
+            model=trained_model,
+        )
+        try:
+            engine.ingest(IngestRequest(corpus_images=2, corpus_seed=4))
+            engine.query(QueryRequest(cve_id="CVE-2016-2105", top_k=3))
+            snapshot = engine.flush_metrics()
+            stats = engine.stats().to_dict()
+            for name, (gauge, _help) in POLLED_GAUGES.items():
+                [series] = snapshot[gauge]["series"]
+                assert series["value"] == float(stats[name]), gauge
+            for name, counter in REGISTRY_COUNTS.items():
+                assert engine.obs.value(counter) == stats[name], counter
+            assert stats["index_rows"] > 0 and stats["cache_misses"] > 0
+            assert stats["n_queries"] == 1
+            assert stats["pool_workers_alive"] == (workers if workers > 1 else 0)
+        finally:
+            engine.close()
+        # a closed pool must not leave its last reading behind
+        [series] = engine.flush_metrics()["repro_serve_workers_alive"]["series"]
+        assert series["value"] == 0.0

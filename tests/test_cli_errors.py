@@ -9,9 +9,15 @@ they now map onto the `repro.api.errors` hierarchy:
 * 6 = bad request (unknown function, unknown CVE, bad config).
 """
 
+import argparse
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro.api.config import EngineConfig
+from repro.cli import SEARCH_THRESHOLD, build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -123,3 +129,168 @@ class TestBadRequest:
         assert len(set(codes)) == len(codes)
         assert 2 not in codes  # argparse owns exit code 2
         assert all(code != 0 for code in codes)
+
+
+# -- the flag surface is an external interface -------------------------------
+
+_DTYPES = ["float32", "float64"]
+_PIPELINE = ["--cache-dir", "--encode-block", "--encode-dtype", "--jobs"]
+_ANN = ["--ann-lists", "--ann-nprobe", "--ann-rerank", "--backend"]
+
+#: subcommand -> (flags and positionals, required flags, choices), written
+#: out from the parser as it stood before flags were generated from
+#: ``EngineConfig`` fields: benchmarks, CI and users spell these.
+CLI_SURFACE = {
+    "generate": (["--name", "--seed"], [], {}),
+    "compile": (["--arch", "--name", "--output", "--seed", "--strip"], [],
+                {"--arch": ["arm", "ppc", "x64", "x86"]}),
+    "disasm": (["--function", "binary"], [], {}),
+    "decompile": (["--function", "binary"], [], {}),
+    "train": (["--batch-size", "--dim", "--epochs", "--output", "--packages",
+               "--pairs", "--seed"], [], {}),
+    "compare": (["--model", "binary1", "binary2", "function1", "function2"],
+                ["--model"], {}),
+    "search": (["--images", "--model", "--seed", "--threshold", "--top-k",
+                *_PIPELINE], ["--model"], {"--encode-dtype": _DTYPES}),
+    "pipeline run": (
+        ["--batch-size", "--dtype", "--images", "--model", "--output",
+         "--seed", "--shard-size", *_PIPELINE], ["--model"],
+        {"--dtype": _DTYPES, "--encode-dtype": _DTYPES}),
+    "index build": (
+        ["--batch-size", "--dtype", "--images", "--model", "--output",
+         "--seed", "--shard-size", *_PIPELINE], ["--model", "--output"],
+        {"--dtype": _DTYPES, "--encode-dtype": _DTYPES}),
+    "index search": (
+        ["--cve", "--index", "--model", "--seed", "--serve-workers",
+         "--threshold", "--top-k", *_ANN], ["--index", "--model"], {}),
+    "corpus synth": (
+        ["--cluster-size", "--dim", "--dtype", "--functions", "--model",
+         "--noise", "--output", "--seed", "--seed-packages", "--shard-size",
+         *_PIPELINE], ["--output"],
+        {"--dtype": _DTYPES, "--encode-dtype": _DTYPES}),
+    "serve": (
+        ["--batch-size", "--drain-timeout-ms", "--faults", "--host",
+         "--index", "--max-inflight", "--micro-batch",
+         "--micro-batch-wait-ms", "--model", "--port",
+         "--request-timeout-ms", "--seed", "--serve-workers",
+         "--slow-query-ms", *_ANN, *_PIPELINE], ["--model"],
+        {"--encode-dtype": _DTYPES}),
+    "stats": (["--index", "--json", "--model", "--url"], [], {}),
+}
+
+#: subcommand -> (minimal argv, the config fields that argv names)
+MINIMAL_ARGV = {
+    "generate": ([], {}),
+    "compile": ([], {}),
+    "disasm": (["b.rbin"], {}),
+    "decompile": (["b.rbin"], {}),
+    "train": ([], {}),
+    "compare": (["--model", "m.npz", "b1", "f1", "b2", "f2"],
+                {"model_path": "m.npz"}),
+    # its --threshold is the command's own default, not the config's
+    "search": (["--model", "m.npz"],
+               {"model_path": "m.npz", "threshold": SEARCH_THRESHOLD}),
+    "pipeline run": (["--model", "m.npz"], {"model_path": "m.npz"}),
+    "index build": (["--model", "m.npz", "--output", "o"],
+                    {"model_path": "m.npz"}),
+    "index search": (["--model", "m.npz", "--index", "i"],
+                     {"model_path": "m.npz", "index_root": "i"}),
+    "corpus synth": (["--output", "o"], {}),
+    "serve": (["--model", "m.npz"], {"model_path": "m.npz"}),
+    "stats": ([], {}),
+}
+
+
+def _leaf_parsers(parser, prefix=()):
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(prefix), parser
+        return
+    for name, sub in subs[0].choices.items():
+        yield from _leaf_parsers(sub, prefix + (name,))
+
+
+def _name(action) -> str:
+    return action.option_strings[0] if action.option_strings else action.dest
+
+
+class TestFlagSurface:
+    def test_flags_required_and_choices_are_unchanged(self):
+        surface = {}
+        for command, parser in _leaf_parsers(build_parser()):
+            actions = [a for a in parser._actions
+                       if not isinstance(a, argparse._HelpAction)]
+            surface[command] = (
+                sorted(_name(a) for a in actions),
+                sorted(_name(a) for a in actions
+                       if a.option_strings and a.required),
+                {_name(a): sorted(a.choices) for a in actions
+                 if a.choices is not None},
+            )
+        assert surface == {
+            command: (sorted(flags), required, choices)
+            for command, (flags, required, choices) in CLI_SURFACE.items()
+        }
+
+    @pytest.mark.parametrize("command", sorted(MINIMAL_ARGV))
+    def test_unnamed_fields_keep_the_dataclass_default(self, command):
+        argv, named = MINIMAL_ARGV[command]
+        args = build_parser().parse_args(command.split() + argv)
+        assert EngineConfig.from_args(args) == EngineConfig(**named)
+
+    def test_parse_time_and_config_time_rejections(self, capsys):
+        for argv in (["search", "--model", "m", "--jobs", "0"],
+                     ["search", "--model", "m", "--encode-dtype", "float16"],
+                     ["serve", "--model", "m", "--max-inflight", "0"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2  # argparse's own
+        capsys.readouterr()
+        assert main(["index", "search", "--model", "m", "--index", "i",
+                     "--ann-lists", "-1"]) == 6
+        assert capsys.readouterr().err == (
+            "error: ann_lists must be >= 0 (0 = auto), got -1\n"
+        )
+
+    def test_no_help_string_restates_a_default(self):
+        """A generated flag shows its one default, taken from the field."""
+        for command, parser in _leaf_parsers(build_parser()):
+            for action in parser._actions:
+                found = re.findall(r"\(default: ([^)]*)\)", action.help or "")
+                assert len(found) <= 1, (command, action.option_strings)
+                assert action.default in (None, False) or not found
+
+
+class TestReadmeTables:
+    """The README's two knob tables are regenerated from the fields; the
+    names and defaults in them must equal the dataclass's."""
+
+    README = Path(__file__).resolve().parent.parent / "README.md"
+
+    def _table(self, header: str):
+        lines = self.README.read_text().splitlines()
+        start = next(i for i, line in enumerate(lines)
+                     if line.startswith(header))
+        rows = []
+        for line in lines[start + 2:]:
+            if not line.startswith("|"):
+                break
+            rows.append([cell.strip().strip("`")
+                         for cell in line.strip("|").split("|")])
+        return rows
+
+    def test_field_table_matches_the_dataclass(self):
+        rows = self._table("| Field | Default |")
+        assert [(name, default) for name, default, _meaning in rows] == [
+            (f.name, repr(f.default))
+            for f in dataclasses.fields(EngineConfig)
+        ]
+
+    def test_ivf_pq_flag_table_matches_the_fields(self):
+        rows = self._table("| knob | default |")
+        assert [(flag, default) for flag, default, _meaning in rows] == [
+            ("--" + f.name.replace("_", "-"), str(f.default))
+            for f in dataclasses.fields(EngineConfig)
+            if f.name == "backend" or f.name.startswith("ann_")
+        ]

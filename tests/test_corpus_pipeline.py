@@ -1,5 +1,7 @@
 """Staged corpus pipeline: artifact cache, worker-pool determinism, call sites."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -276,6 +278,33 @@ class TestArtifactCacheRecovery:
             trained_model, cache=ArtifactCache(root)
         ).run_images(firmware.images)
         assert again.stats.cache.misses == 0
+
+
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "stale", "stale-legacy-entry"]
+    )
+    def test_entry_without_checksum_is_a_miss(self, tmp_path, damage):
+        """No recorded sha256 = unverifiable = dropped, whether the bytes
+        are torn or a valid archive the manifest no longer means."""
+        root = tmp_path / "cache"
+        cache = ArtifactCache(root)
+        cache.put("enc-k", {"x": np.zeros(4)}, {})
+        obj = root / OBJECTS_DIR / "enc-k.npz"
+        older = obj.read_bytes()
+        cache.put("enc-k", {"x": np.ones(4)}, {})
+        cache.flush()
+        manifest = json.loads((root / MANIFEST_NAME).read_text())
+        if damage == "stale-legacy-entry":  # the pre-checksum key -> "file"
+            manifest["entries"]["enc-k"] = "enc-k.npz"
+        else:
+            del manifest["entries"]["enc-k"]["sha256"]
+        (root / MANIFEST_NAME).write_text(json.dumps(manifest))
+        obj.write_bytes(
+            obj.read_bytes()[:-16] if damage == "truncated" else older
+        )
+        reopened = ArtifactCache(root)
+        assert reopened.get("enc-k") is None
+        assert not obj.exists() and len(reopened) == 0
 
 
 class TestParallelDeterminism:

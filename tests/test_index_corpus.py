@@ -7,9 +7,15 @@ multi-query scoring.  The persisted/incremental ANN state life cycle is
 covered in ``test_index_quant.py``.
 """
 
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.faults as faults
 from repro.core.model import Asteria, AsteriaConfig, FunctionEncoding
 from repro.index.ann import BruteForceIndex, select_top_k
 from repro.index.quant import IvfPqIndex
@@ -305,6 +311,143 @@ class TestIncrementalAppend:
         assert len(final) == 10
         assert np.array_equal(np.asarray(final.vectors())[:6], before)
         assert final.metadata_at(9).name == _encoding(9).name
+
+
+@st.composite
+def _row_sets(draw):
+    shard_size = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3 * shard_size))  # 1-3 shards
+    text = st.text(
+        st.characters(blacklist_categories=("Cs",)), max_size=6
+    )  # "" and non-ASCII included
+    return {
+        "shard_size": shard_size,
+        "dtype": draw(st.sampled_from(["float32", "float64"])),
+        "seed": draw(st.integers(0, 2**16)),
+        "rows": [
+            tuple(draw(text) for _column in range(4))
+            + (draw(st.integers(0, 50)), draw(st.integers(0, 10**6)))
+            for _row in range(n)
+        ],
+    }
+
+
+def _files(root: Path) -> dict:
+    return {
+        path.name: path.read_bytes()
+        for path in sorted(root.iterdir()) if path.name != "manifest.json"
+    }
+
+
+class TestFlushIsAppendRows:
+    """``flush()`` is ``append_rows`` of the buffer: one shard-cutting
+    loop, so the two entry points cannot drift apart on disk."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_row_sets())
+    def test_same_rows_give_the_same_bytes(self, case):
+        rows, dim = case["rows"], 3
+        vectors = np.random.default_rng(case["seed"]).normal(
+            size=(len(rows), dim)
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            stores = [
+                EmbeddingStore.create(
+                    Path(tmp) / name, dim=dim, dtype=case["dtype"],
+                    shard_size=case["shard_size"],
+                )
+                for name in ("buffered", "bulk")
+            ]
+            for vector, (name, binary, arch, image, count, size) in zip(
+                vectors, rows
+            ):
+                stores[0].add(
+                    FunctionEncoding(
+                        name=name, arch=arch, binary_name=binary,
+                        vector=vector, callee_count=count, ast_size=size,
+                    ),
+                    image_id=image,
+                )
+            assert stores[0].flush() == len(rows)
+            columns = list(zip(*rows))
+            assert stores[1].append_rows(
+                vectors, callee_counts=columns[4], ast_sizes=columns[5],
+                names=list(columns[0]), binary_names=list(columns[1]),
+                arches=list(columns[2]), image_ids=list(columns[3]),
+            ) == len(rows)
+            assert _files(stores[0].root) == _files(stores[1].root)
+            manifests = [
+                json.loads((store.root / "manifest.json").read_text())
+                for store in stores
+            ]
+            assert manifests[0] == manifests[1]
+            assert len(manifests[0]["shards"]) == -(-len(rows) // case["shard_size"])
+
+    @pytest.mark.parametrize("hit", [1, 2, 3])
+    def test_flush_that_raises_keeps_the_unwritten_rows(self, tmp_path, hit):
+        """A failed shard write leaves buffered exactly the rows no
+        shard holds; retrying flush() lands every row once."""
+        store = EmbeddingStore.create(tmp_path / "idx", dim=8, shard_size=4)
+        for i in range(12):  # a 3-shard flush
+            store.add(_encoding(i))
+        faults.configure(f"store.flush.pre_rename=raise@{hit}*1")
+        try:
+            with pytest.raises(faults.FaultInjected):
+                store.flush()
+        finally:
+            faults.clear()
+        assert store.n_shards == hit - 1
+        assert (store.n_flushed, len(store)) == (4 * (hit - 1), 12)
+        assert store.flush() == 12 - 4 * (hit - 1)
+        reopened = EmbeddingStore.open(tmp_path / "idx")
+        assert not reopened.degraded
+        assert [m.name for m in reopened.iter_metadata()] == [
+            _encoding(i).name for i in range(12)
+        ]
+        expected = np.stack([_encoding(i).vector for i in range(12)])
+        assert np.array_equal(
+            np.asarray(reopened.vectors()), expected.astype(np.float32)
+        )
+
+
+def _edit_manifest(root: Path, edit) -> None:
+    path = root / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+class TestChecksumIsRequired:
+    """A manifest entry that names no sha256 is unverifiable, so its
+    file is not served: deleting one key must not turn verification off."""
+
+    def test_shard_without_digest_is_quarantined(self, tmp_path):
+        root = tmp_path / "idx"
+        _fill(EmbeddingStore.create(root, dim=8, shard_size=4), 10)
+        baseline = np.asarray(EmbeddingStore.open(root).vectors())
+        _edit_manifest(root, lambda m: m["shards"][1].pop("sha256"))
+        shard = root / "shard-00001.npy"
+        shard.write_bytes(shard.read_bytes()[:-16])  # torn write
+        store = EmbeddingStore.open(root)
+        assert store.degraded
+        assert store.quarantined == ["shard-00001", "shard-00002"]
+        assert np.array_equal(np.asarray(store.vectors()), baseline[:4])
+
+    @pytest.mark.parametrize("damage", ["truncated", "stale"])
+    def test_ann_state_without_digest_is_rebuilt(self, tmp_path, damage):
+        root = tmp_path / "idx"
+        store = EmbeddingStore.create(root, dim=8, shard_size=4)
+        _fill(store, 6)
+        params = {"kind": "ivf-pq", "n_rows": 6}
+        store.write_ann_state(params, {"codes": np.zeros(6)})
+        path = root / "ann-ivf-pq.npz"
+        older = path.read_bytes()  # a valid archive the manifest no longer means
+        store.write_ann_state(params, {"codes": np.ones(6)})
+        _edit_manifest(root, lambda m: m["ann"].pop("sha256"))
+        path.write_bytes(
+            older if damage == "stale" else path.read_bytes()[:-16]
+        )
+        assert EmbeddingStore.open(root).read_ann_state() is None
 
 
 # -- argpartition selection ------------------------------------------------
