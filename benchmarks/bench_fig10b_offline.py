@@ -5,8 +5,9 @@ preprocessing (A-P) and Tree-LSTM encoding (A-E) versus Diaphora's hashing
 (D-H) and Gemini's ACFG extraction (G-EX) and encoding (G-EN).  Expected
 shape: Asteria's offline phase (dominated by decompilation + per-node
 Tree-LSTM encoding) is slower than both baselines', and encoding time grows
-with AST size.  The staged-pipeline stage totals (cold and warm over the
-artifact cache) are reported from the pipeline's own instrumentation.
+with AST size.  Level-batched A-E is reported for the float64 reference
+and the float32 fast path.  The staged-pipeline stage totals (cold and
+warm over the artifact cache) come from the pipeline's instrumentation.
 """
 
 import numpy as np
@@ -40,18 +41,22 @@ def test_fig10b_offline_phase(benchmark, openssl, trained_asteria,
         "G-EX (acfg extract)": mean("gemini_extract_s"),
         "G-EN (acfg encode)": mean("gemini_encode_s"),
     }
-    batched = measure_encode_batched(
-        openssl, trained_asteria, batch_size=64,
-        max_functions=scaled(40), seed=3,
+    batched, float32 = (
+        measure_encode_batched(
+            openssl, trained_asteria, batch_size=64,
+            max_functions=scaled(40), seed=3, dtype=dtype,
+        )
+        for dtype in ("float64", "float32")
     )
     lines = [f"{'Phase':<22} {'mean seconds':>13}"]
     for name, value in means.items():
         lines.append(f"{name:<22} {value:>13.6f}")
-    lines.append(
-        f"{'A-E (batched @64)':<22} {batched.batched_per_function_s:>13.6f}"
-        f"   ({batched.speedup:.1f}x over per-tree A-E on the same "
-        f"{batched.n_functions} fns)"
-    )
+    for label, stats in (("batched", batched), ("float32", float32)):
+        lines.append(
+            f"{f'A-E ({label} @64)':<22} {stats.batched_per_function_s:>13.6f}"
+            f"   ({stats.speedup:.1f}x over per-tree A-E on the same "
+            f"{stats.n_functions} fns)"
+        )
     cache = ArtifactCache.in_memory()
     cold = measure_offline_pipeline(openssl, trained_asteria, cache=cache)
     warm = measure_offline_pipeline(openssl, trained_asteria, cache=cache)
@@ -87,6 +92,8 @@ def test_fig10b_offline_phase(benchmark, openssl, trained_asteria,
             "mean_phase_seconds": means,
             "batched_per_function_s": batched.batched_per_function_s,
             "batched_speedup": batched.speedup,
+            "float32_per_function_s": float32.batched_per_function_s,
+            "float32_speedup": float32.speedup,
             "pipeline_cold_stage_seconds": {
                 "decompile": cold.times.decompile_s,
                 "preprocess": cold.times.preprocess_s,

@@ -65,8 +65,7 @@ class EngineConfig:
         "preserved", choices=_DTYPES)
     encode_block: int = _knob(
         0, "GEMM row-block size for the batched encoder; 0 auto-tunes via "
-        "a one-time micro-probe (REPRO_ENCODE_BLOCK also overrides)",
-        min=0, zero="auto")
+        "a one-time micro-probe", min=0, zero="auto")
     shard_size: int = _knob(1024, "index rows per vector shard", min=1)
     store_dtype: str = _knob(
         "float32", "vector dtype of newly created indexes (float32 halves "

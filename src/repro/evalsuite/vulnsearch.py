@@ -327,21 +327,16 @@ class VulnerabilitySearch:
     def search(
         self,
         dataset: FirmwareDataset,
-        firmware_index: Optional[List] = None,
         service=None,
         top_k: Optional[int] = None,
     ) -> Tuple[SearchReport, List[Candidate]]:
         """Run the full protocol and produce the Table-IV report.
 
-        Runs through the embedding index by default (building an ephemeral
-        one unless ``service`` is given).  Passing ``firmware_index`` -- a
-        pre-built encoding list from :meth:`index_firmware` -- selects the
-        exhaustive per-pair path instead (back-compat).  ``top_k`` caps the
-        candidates considered per CVE (None keeps every above-threshold
-        match, the paper's protocol).
+        Runs through the embedding index (building an ephemeral one unless
+        ``service`` is given).  ``top_k`` caps the candidates considered
+        per CVE (None keeps every above-threshold match, the paper's
+        protocol).
         """
-        if firmware_index is not None:
-            return self.search_exhaustive(dataset, firmware_index)
         if service is None:
             service = self.build_index(dataset)
         library = self.encode_library()
@@ -379,14 +374,11 @@ class VulnerabilitySearch:
         return self._report(dataset, len(service.store), candidates), candidates
 
     def search_exhaustive(
-        self,
-        dataset: FirmwareDataset,
-        firmware_index: Optional[List] = None,
+        self, dataset: FirmwareDataset
     ) -> Tuple[SearchReport, List[Candidate]]:
         """The seed's per-pair O(corpus) scan (reference implementation)."""
         library = self.encode_library()
-        index = firmware_index if firmware_index is not None \
-            else self.index_firmware(dataset)
+        index = self.index_firmware(dataset)
         candidates: List[Candidate] = []
         for _cve_id, (entry, vuln_encoding) in sorted(library.items()):
             for image, binary_name, encoding in index:

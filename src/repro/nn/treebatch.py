@@ -13,8 +13,8 @@ SPINN-style batching trick.
 Three pieces:
 
 * :func:`compile_trees` -- flattens a batch of :class:`BinaryTreeNode`\\ s
-  into level-indexed numpy arrays (per level: label ids, child row indices
-  with a leaf sentinel, contiguous output rows);
+  into level-indexed numpy arrays (per level: label ids, child state rows
+  with a leaf sentinel row, contiguous output rows);
 * :func:`encode_batch` -- the inference fast path: pure-numpy level loops
   over preallocated ``(n_nodes + 1, h)`` state buffers, zero autograd
   bookkeeping;
@@ -35,9 +35,9 @@ re-encoded per occurrence).
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,18 +66,13 @@ def _check_labels(compiled: "CompiledBatch", num_labels: int) -> None:
 class LevelPlan:
     """All same-level nodes of a compiled batch: one GEMM set's inputs.
 
-    ``left_level``/``left_index`` address the left child's state as (level,
-    row within that level), with ``left_level == LEAF`` for absent children;
-    ``left_global``/``right_global`` are the same addresses flattened into
-    rows of one contiguous state buffer whose *last* row holds the leaf
-    state.  ``offset`` is the level's first row in that buffer.
+    ``left_global``/``right_global`` address each child's state as a row
+    of one contiguous state buffer whose *last* row (``n_nodes``) holds
+    the leaf state for absent children.  ``offset`` is the level's first
+    row in that buffer.
     """
 
     labels: np.ndarray
-    left_level: np.ndarray
-    left_index: np.ndarray
-    right_level: np.ndarray
-    right_index: np.ndarray
     left_global: np.ndarray
     right_global: np.ndarray
     offset: int
@@ -92,14 +87,27 @@ class CompiledBatch:
     """A batch of trees flattened into a level-parallel schedule."""
 
     levels: List[LevelPlan]
-    root_level: np.ndarray
-    root_index: np.ndarray
     root_global: np.ndarray
     n_nodes: int
 
     @property
     def n_trees(self) -> int:
         return len(self.root_global)
+
+    @cached_property
+    def _level_starts(self) -> np.ndarray:
+        return np.array([lv.offset for lv in self.levels], dtype=np.int64)
+
+    def level_refs(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Split state-buffer rows into (level, row within that level);
+        the leaf sentinel row ``n_nodes`` maps to level :data:`LEAF`."""
+        starts = self._level_starts
+        level = np.searchsorted(starts, rows, side="right") - 1
+        index = rows - starts[level]
+        leaf = rows == self.n_nodes
+        level[leaf] = LEAF
+        index[leaf] = 0
+        return level, index
 
 
 def compile_trees(trees: Sequence[BinaryTreeNode]) -> CompiledBatch:
@@ -149,26 +157,17 @@ def compile_trees(trees: Sequence[BinaryTreeNode]) -> CompiledBatch:
             dtype=np.int64,
         )
 
-    levels = []
-    for lvl, level_labels in enumerate(labels):
-        levels.append(
-            LevelPlan(
-                labels=np.array(level_labels, dtype=np.int64),
-                left_level=np.array([r[0] for r in left_refs[lvl]], dtype=np.int64),
-                left_index=np.array([r[1] for r in left_refs[lvl]], dtype=np.int64),
-                right_level=np.array([r[0] for r in right_refs[lvl]], dtype=np.int64),
-                right_index=np.array([r[1] for r in right_refs[lvl]], dtype=np.int64),
-                left_global=to_global(left_refs[lvl]),
-                right_global=to_global(right_refs[lvl]),
-                offset=int(offsets[lvl]),
-            )
+    levels = [
+        LevelPlan(
+            labels=np.array(level_labels, dtype=np.int64),
+            left_global=to_global(left_refs[lvl]),
+            right_global=to_global(right_refs[lvl]),
+            offset=int(offsets[lvl]),
         )
+        for lvl, level_labels in enumerate(labels)
+    ]
     return CompiledBatch(
-        levels=levels,
-        root_level=np.array([r[0] for r in root_refs], dtype=np.int64),
-        root_index=np.array([r[1] for r in root_refs], dtype=np.int64,),
-        root_global=to_global(root_refs),
-        n_nodes=n_nodes,
+        levels=levels, root_global=to_global(root_refs), n_nodes=n_nodes
     )
 
 
@@ -180,7 +179,7 @@ def compile_trees(trees: Sequence[BinaryTreeNode]) -> CompiledBatch:
 # matter how the batch is composed -- encode at batch size 8 or 256 and get
 # the same bytes.  Variable-row GEMMs do not have that property: BLAS falls
 # back to different (differently-rounded) kernels for small row counts.
-# :func:`resolve_block` picks the actual size (micro-probe / env / config);
+# :func:`resolve_block` picks the actual size (micro-probe / config);
 # the choice is cached per process, so within one process the guarantee
 # above still holds.
 GEMM_BLOCK = 64
@@ -238,22 +237,15 @@ def _probe_block(hidden_dim: int, dtype: np.dtype) -> int:
 def resolve_block(
     block: int = 0, hidden_dim: int = 64, dtype=np.float64
 ) -> int:
-    """The GEMM row-block size to use: explicit > env > micro-probe.
+    """The GEMM row-block size to use: explicit > micro-probe.
 
     ``block > 0`` wins outright (``EngineConfig.encode_block``); else the
-    ``REPRO_ENCODE_BLOCK`` environment variable; else the per-process
-    micro-probe memo.
+    per-process micro-probe memo.
     """
     if block:
         if block < 1:
             raise ValueError(f"block must be >= 1, got {block}")
         return int(block)
-    env = os.environ.get("REPRO_ENCODE_BLOCK")
-    if env:
-        value = int(env)
-        if value < 1:
-            raise ValueError(f"REPRO_ENCODE_BLOCK must be >= 1, got {env}")
-        return value
     key = (int(hidden_dim), np.dtype(dtype).name)
     if key not in _PROBED_BLOCKS:
         _PROBED_BLOCKS[key] = _probe_block(key[0], np.dtype(dtype))
@@ -261,19 +253,11 @@ def resolve_block(
 
 
 def resolve_node_budget(budget: int = 0) -> int:
-    """Nodes-per-chunk cap: explicit > ``REPRO_ENCODE_NODE_BUDGET`` > default."""
+    """Nodes-per-chunk cap: explicit > :data:`DEFAULT_NODE_BUDGET`."""
     if budget:
         if budget < 1:
             raise ValueError(f"node budget must be >= 1, got {budget}")
         return int(budget)
-    env = os.environ.get("REPRO_ENCODE_NODE_BUDGET")
-    if env:
-        value = int(env)
-        if value < 1:
-            raise ValueError(
-                f"REPRO_ENCODE_NODE_BUDGET must be >= 1, got {env}"
-            )
-        return value
     return DEFAULT_NODE_BUDGET
 
 
@@ -526,10 +510,7 @@ def encode_plan(
 # -- compiled-plan (de)serialization ------------------------------------------
 
 #: Per-level int64 array fields of :class:`LevelPlan`, in storage order.
-_LEVEL_FIELDS = (
-    "labels", "left_level", "left_index", "right_level", "right_index",
-    "left_global", "right_global",
-)
+_LEVEL_FIELDS = ("labels", "left_global", "right_global")
 
 
 def plan_to_state(plan: CompiledPlan) -> Dict[str, np.ndarray]:
@@ -555,8 +536,6 @@ def plan_to_state(plan: CompiledPlan) -> Dict[str, np.ndarray]:
                 np.concatenate([getattr(lv, name) for lv in batch.levels])
                 if batch.levels else np.zeros(0, dtype=np.int64)
             )
-        state[prefix + "root_level"] = batch.root_level
-        state[prefix + "root_index"] = batch.root_index
         state[prefix + "root_global"] = batch.root_global
     return state
 
@@ -588,12 +567,6 @@ def plan_from_state(state: Dict[str, np.ndarray]) -> CompiledPlan:
                 indices=np.asarray(state[prefix + "indices"], dtype=np.int64),
                 batch=CompiledBatch(
                     levels=levels,
-                    root_level=np.asarray(
-                        state[prefix + "root_level"], dtype=np.int64
-                    ),
-                    root_index=np.asarray(
-                        state[prefix + "root_index"], dtype=np.int64
-                    ),
                     root_global=np.asarray(
                         state[prefix + "root_global"], dtype=np.int64
                     ),
@@ -809,11 +782,15 @@ def encode_batch_states(
     outputs: List[Tensor] = []
     for level in compiled.levels:
         e = _embed_rows(lstm.embedding.weight, level.labels)
-        left = _gather_states(outputs, level.left_level, level.left_index, leaf)
-        right = _gather_states(outputs, level.right_level, level.right_index, leaf)
+        left = _gather_states(
+            outputs, *compiled.level_refs(level.left_global), leaf
+        )
+        right = _gather_states(
+            outputs, *compiled.level_refs(level.right_global), leaf
+        )
         outputs.append(
             batch_cell_forward(lstm, e, left[0], right[0], left[1], right[1])
         )
     return _gather_roots(
-        outputs, compiled.root_level, compiled.root_index, lstm.hidden_dim
+        outputs, *compiled.level_refs(compiled.root_global), lstm.hidden_dim
     )

@@ -263,7 +263,9 @@ class ArtifactCache:
             "batch_size": int(batch_size),
             "node_budget": int(node_budget),
             "bucketed": bool(bucketed),
-            "v": 1,
+            # bumped with the plan layout, so an object written in an
+            # older layout is never looked up (not read and dropped)
+            "v": 2,
         }
 
     @staticmethod

@@ -29,8 +29,8 @@ way.  A task charged ``max_attempts`` times fails its waiter with
 (it raised): a poisonous input ends in a diagnosis, not a crash loop.
 
 **The one policy that differs between callers** is ``backoff``: the
-extract pool waits out :func:`repro.utils.retry.backoff_delays` before a
-retry (nobody is waiting on a clock); the sweep pool retries at once,
+extract pool waits out :func:`_backoff_delay` before a retry (nobody is
+waiting on a clock); the sweep pool retries at once,
 because its caller holds a request deadline and a poisonous sweep must
 be a prompt 500, not a 504.  It is a constructor argument set by those
 two call sites, never by users.
@@ -41,6 +41,7 @@ from __future__ import annotations
 import atexit
 import itertools
 import multiprocessing
+import random
 import selectors
 import threading
 import time
@@ -51,7 +52,6 @@ from typing import Any, Callable, Deque, Dict, List, Tuple
 
 import repro.faults as faults
 from repro.utils.logging import get_logger
-from repro.utils.retry import backoff_delays
 
 _LOG = get_logger("utils.supervisor")
 
@@ -66,6 +66,15 @@ __all__ = [
 
 #: Per-task attempt budget (first try + retries after crashes or raises).
 MAX_ATTEMPTS = 3
+
+
+def _backoff_delay(failures: int, rng=random) -> float:
+    """Seconds to wait before retrying a task charged ``failures`` times:
+    50 ms doubling per failure, capped at 2 s, less up to half of it as
+    jitter, so workers retrying one stalled resource do not thunder back
+    in lockstep."""
+    cap = min(0.05 * 2.0 ** (failures - 1), 2.0)
+    return cap * (1.0 - 0.5 * rng.random())
 
 
 class WorkerCrashError(RuntimeError):
@@ -246,9 +255,8 @@ class SupervisedPool:
                 f"last: {reason}"
             ))
             return
-        delay = 0.0
-        if self._backoff:  # waited out by the worker that picks it up
-            delay = list(backoff_delays(self._max_attempts))[task.attempts - 1]
+        # waited out by the worker that picks it up
+        delay = _backoff_delay(task.attempts) if self._backoff else 0.0
         self._count(self._retries_metric)
         _LOG.warning(
             "%s task %d failed (attempt %d/%d): %s; retrying in %.0fms",

@@ -36,6 +36,7 @@ from repro.index.store import (
     QUARANTINE_DIR,
     EmbeddingStore,
 )
+from repro.index.synth import distance_head_model
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.cache import ArtifactCache
 
@@ -236,6 +237,15 @@ class TestTornShardRecovery:
         store = EmbeddingStore.open(root, verify=False)
         assert not store.degraded
         assert len(store) == 10
+        # verification decides which rows are served, never how they rank
+        model = distance_head_model(DIM)
+        queries = [_encoding(i) for i in range(90, 94)]
+        rankings = [
+            [[(hit.row, hit.score) for hit in hits] for hits in
+             SearchService(model, opened).query_batch(queries, top_k=5)]
+            for opened in (store, EmbeddingStore.open(root))
+        ]
+        assert rankings[0] == rankings[1]
 
     def test_stale_ann_state_is_dropped_with_the_rows(self, tmp_path):
         root = tmp_path / "idx"

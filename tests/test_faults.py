@@ -1,4 +1,4 @@
-"""Chaos tests: failpoint injection, retry, worker crashes, deadlines,
+"""Chaos tests: failpoint injection, retry backoff, worker crashes, deadlines,
 load shedding and draining shutdown.
 
 The failpoint subsystem (`repro.faults`) is process-global by design, so
@@ -27,7 +27,7 @@ from repro.faults import FaultInjected, KILL_EXIT_CODE, parse_spec
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline import WorkerTaskError
 from repro.pipeline.workers import extract_all, extract_stream
-from repro.utils import RetryError, backoff_delays, retry
+from repro.utils.supervisor import _backoff_delay
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -163,7 +163,10 @@ class TestInject:
         assert len(list(tmp_path.glob("shared.*.fired"))) == 1
 
 
-# -- retry helper ----------------------------------------------------------
+# -- retry backoff ---------------------------------------------------------
+
+#: The supervisor's pre-jitter delay after 1, 2, ... charged failures.
+BACKOFF_CAPS = [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0, 2.0]
 
 
 class TestRetry:
@@ -173,54 +176,16 @@ class TestRetry:
             def random():
                 return 0.0
 
-        delays = list(backoff_delays(
-            5, base_delay_s=0.1, max_delay_s=0.3, factor=2.0,
-            jitter=0.5, rng=NoJitter(),
-        ))
-        assert delays == pytest.approx([0.1, 0.2, 0.3, 0.3])
+        delays = [_backoff_delay(n, NoJitter())
+                  for n in range(1, len(BACKOFF_CAPS) + 1)]
+        assert delays == pytest.approx(BACKOFF_CAPS)
 
     def test_jitter_only_shrinks_delays(self):
         import random
 
-        delays = list(backoff_delays(
-            6, base_delay_s=0.1, max_delay_s=1.0, jitter=0.5,
-            rng=random.Random(7),
-        ))
-        for delay, cap in zip(delays, [0.1, 0.2, 0.4, 0.8, 1.0]):
-            assert cap / 2 <= delay <= cap
-
-    def test_retry_recovers_from_transient_failures(self):
-        calls = []
-        slept = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise OSError("transient")
-            return "done"
-
-        result = retry(flaky, attempts=4, retry_on=(OSError,),
-                       sleep=slept.append)
-        assert result == "done"
-        assert len(calls) == 3
-        assert len(slept) == 2  # one sleep per failed attempt
-
-    def test_retry_exhausted_raises_with_last_error(self):
-        def always():
-            raise ValueError("permanent")
-
-        with pytest.raises(RetryError) as err:
-            retry(always, attempts=3, retry_on=(ValueError,),
-                  sleep=lambda _s: None)
-        assert isinstance(err.value.last, ValueError)
-
-    def test_retry_does_not_catch_unlisted_errors(self):
-        def wrong_kind():
-            raise KeyError("not retryable")
-
-        with pytest.raises(KeyError):
-            retry(wrong_kind, attempts=3, retry_on=(OSError,),
-                  sleep=lambda _s: None)
+        rng = random.Random(7)
+        for n, cap in enumerate(BACKOFF_CAPS, start=1):
+            assert cap / 2 <= _backoff_delay(n, rng) <= cap
 
 
 # -- worker pool chaos -----------------------------------------------------

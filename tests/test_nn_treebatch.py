@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.nn.tensor import no_grad, stable_sigmoid
 from repro.nn.treebatch import (
+    DEFAULT_NODE_BUDGET,
     compile_plan,
     compile_trees,
     encode_batch,
@@ -75,14 +76,14 @@ class TestCompiler:
         compiled = compile_trees(_random_batch(1))
         for lvl, level in enumerate(compiled.levels):
             for side in ("left", "right"):
-                src = getattr(level, f"{side}_level")
+                src, _ = compiled.level_refs(getattr(level, f"{side}_global"))
                 assert np.all(src < lvl)
 
     def test_single_node_tree(self):
         compiled = compile_trees([BinaryTreeNode(7)])
         assert compiled.n_nodes == 1
         assert len(compiled.levels) == 1
-        assert np.all(compiled.levels[0].left_level == -1)
+        assert np.all(compiled.levels[0].left_global == compiled.n_nodes)
 
     def test_empty_batch(self):
         compiled = compile_trees([])
@@ -299,6 +300,11 @@ class TestPlans:
         plan = compile_plan(trees, 8, node_budget=150)
         state = plan_to_state(plan)
         assert all(isinstance(v, np.ndarray) for v in state.values())
+        # one child addressing per level: the state-buffer rows
+        assert {k[3:] for k in state if k.startswith("c0_")} == {
+            "indices", "level_sizes", "labels", "left_global",
+            "right_global", "root_global",
+        }
         rebuilt = plan_from_state(state)
         assert rebuilt.n_trees == plan.n_trees
         assert np.array_equal(
@@ -326,16 +332,16 @@ class TestPlans:
         assert not np.array_equal(before, after)
 
     def test_resolve_block_precedence(self, monkeypatch):
-        assert resolve_block(48) == 48  # explicit beats everything
+        """Explicit beats the probe; the environment is not a third
+        source (the engine maps REPRO_ENCODE_BLOCK to encode_block)."""
+        assert resolve_block(48) == 48
+        probed = resolve_block(0, hidden_dim=16)
         monkeypatch.setenv("REPRO_ENCODE_BLOCK", "96")
-        assert resolve_block(0) == 96
-        assert resolve_block(16) == 16
-        monkeypatch.setenv("REPRO_ENCODE_BLOCK", "0")
+        assert resolve_block(0, hidden_dim=16) == probed
         with pytest.raises(ValueError):
-            resolve_block(0)
+            resolve_block(-1)
 
-    def test_resolve_block_probe_is_memoized(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENCODE_BLOCK", raising=False)
+    def test_resolve_block_probe_is_memoized(self):
         first = resolve_block(0, hidden_dim=16)
         assert first in (16, 32, 64, 128, 256)
         assert resolve_block(0, hidden_dim=16) == first
@@ -343,9 +349,9 @@ class TestPlans:
     def test_resolve_node_budget_precedence(self, monkeypatch):
         assert resolve_node_budget(100) == 100
         monkeypatch.setenv("REPRO_ENCODE_NODE_BUDGET", "321")
-        assert resolve_node_budget(0) == 321
-        monkeypatch.delenv("REPRO_ENCODE_NODE_BUDGET")
-        assert resolve_node_budget(0) >= 1
+        assert resolve_node_budget(0) == DEFAULT_NODE_BUDGET
+        with pytest.raises(ValueError):
+            resolve_node_budget(-1)
 
     def test_pack_weights_dtype_cast(self, model):
         pack = pack_weights(model, np.float32)
