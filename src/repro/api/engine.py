@@ -22,7 +22,8 @@ examples -- constructs its model/cache/index/pipeline stack through
 this class; nothing else in the repo assembles those pieces by hand.
 The engine is thread-safe: concurrent :meth:`query` calls are the
 serving hot path and ride the micro-batcher, while store-mutating calls
-serialize behind one lock.
+serialize behind one lock.  A query holds it only to pin the index it
+sweeps, so :meth:`stats` (and ``/healthz``) never waits on a sweep.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import threading
 import time
 from collections import OrderedDict
-from contextlib import nullcontext
 
 import numpy as np
 from dataclasses import dataclass, field
@@ -164,6 +165,8 @@ class QueryResult:
     query: str
     encoding: FunctionEncoding
     hits: List[SearchHit]
+    #: Rows of the corpus snapshot the hits were swept from (rows still
+    #: buffered in the store are not part of it).
     n_rows: int
     #: Index generation the hits were swept from (shard-parallel serving
     #: only; the in-process path leaves it empty).  Every hit in one
@@ -324,10 +327,16 @@ class AsteriaEngine:
         self._batcher: Optional[MicroBatcher] = None
         self._library: Optional[Dict] = None
         self._coordinator: Optional[ServingCoordinator] = None
-        self._coordinator_unavailable = False
+        self._closed = False
         self._extract_memo: "OrderedDict[str, Tuple]" = OrderedDict()
         self._lock = threading.RLock()  # store / service / pipeline state
         self._extract_lock = threading.Lock()  # query-side tree extraction
+        # in-process sweeps run outside self._lock, one per usable core:
+        # 16 unbounded threads lost ~30 % of ivf-pq q/s to GIL hand-offs
+        self._sweep_slots = threading.Semaphore(
+            len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1
+        )
         #: the engine's telemetry sink, shared with every component it
         #: assembles (batcher, pipeline, service, ANN index, HTTP server)
         self.obs = registry if registry is not None else MetricsRegistry()
@@ -533,23 +542,15 @@ class AsteriaEngine:
     def coordinator(self) -> Optional[ServingCoordinator]:
         """The shard-parallel serving coordinator, or ``None``.
 
-        Materialised lazily when ``config.serve_workers > 1`` and the
-        index is durable (workers mmap the store by path; an in-memory
-        store has nothing to share, so it falls back to in-process
-        sweeps with a one-time warning).
+        Materialised lazily when ``config.serve_workers > 1``, which
+        :class:`EngineConfig` only accepts for the exact backend over a
+        durable index (workers mmap the store by path).  ``None`` once
+        :meth:`close` ran.
         """
         if self.config.serve_workers <= 1:
             return None
         with self._lock:
-            if self._coordinator is None and not self._coordinator_unavailable:
-                if self.config.index_root is None:
-                    _LOG.warning(
-                        "serve_workers=%d needs a durable index_root; "
-                        "falling back to in-process sweeps",
-                        self.config.serve_workers,
-                    )
-                    self._coordinator_unavailable = True
-                    return None
+            if self._coordinator is None and not self._closed:
                 store = self.store  # materialise (and verify) once here
                 coordinator = ServingCoordinator(
                     self.model,
@@ -566,10 +567,6 @@ class AsteriaEngine:
                 self._coordinator = coordinator
             return self._coordinator
 
-    def pool_workers(self) -> List[Dict]:
-        """Per-worker liveness of the serve pool (empty when disabled)."""
-        return self.stats().pool_workers
-
     def close(self) -> None:
         """Release background serving resources (pool workers).
 
@@ -580,7 +577,7 @@ class AsteriaEngine:
         """
         with self._lock:
             coordinator, self._coordinator = self._coordinator, None
-            self._coordinator_unavailable = True
+            self._closed = True
         if coordinator is not None:
             coordinator.close()
 
@@ -631,8 +628,8 @@ class AsteriaEngine:
                 if coordinator is not None:
                     # shard-parallel serving: build the extended corpus
                     # as a fresh generation while queries keep sweeping
-                    # the old one (pool sweeps don't take this lock),
-                    # then hot-swap atomically
+                    # the old one (sweeps don't take this lock), then
+                    # hot-swap atomically
                     rel, store = self._prepare_next_generation()
                 else:
                     rel, store = None, self.store
@@ -841,28 +838,32 @@ class AsteriaEngine:
             groups.setdefault((top_k, threshold), []).append(i)
         results: List[Optional[QueryResult]] = [None] * len(requests)
         coordinator = self.coordinator
+        if coordinator is None:
+            # the lock covers only the pin -- the index, refreshed in
+            # step with store flushes -- and every group sweeps it unlocked
+            with self._lock:
+                service = self.service
+                index = service.index()
         n_rows = 0
-        # in-process sweeps of one call share the engine lock (and so one
-        # corpus snapshot); pool sweeps run outside it -- see _pool_sweep
-        with self._lock if coordinator is None else nullcontext():
-            for (top_k, threshold), members in groups.items():
-                encodings = [resolved[i][1] for i in members]
-                if coordinator is not None:
-                    hit_lists, n_rows, generation = self._pool_sweep(
-                        coordinator, encodings, top_k, threshold, deadline
-                    )
-                else:
-                    service = self.service
+        for (top_k, threshold), members in groups.items():
+            encodings = [resolved[i][1] for i in members]
+            if coordinator is not None:
+                # the pool pins its active generation per sweep
+                hit_lists, n_rows, generation = self._pool_sweep(
+                    coordinator, encodings, top_k, threshold, deadline
+                )
+            else:
+                with self._sweep_slots:
                     hit_lists = service.query_batch(
-                        encodings, top_k=top_k, threshold=threshold
+                        encodings, top_k, threshold, index=index
                     )
-                    n_rows, generation = len(service.store), ""
-                for i, hits in zip(members, hit_lists):
-                    name, encoding = resolved[i]
-                    results[i] = QueryResult(
-                        query=name, encoding=encoding, hits=hits,
-                        n_rows=n_rows, generation=generation,
-                    )
+                n_rows, generation = len(index), ""
+            for i, hits in zip(members, hit_lists):
+                name, encoding = resolved[i]
+                results[i] = QueryResult(
+                    query=name, encoding=encoding, hits=hits,
+                    n_rows=n_rows, generation=generation,
+                )
         span.set(
             queries=[name for name, _encoding in resolved],
             n_groups=len(groups), n_rows=n_rows,
@@ -960,50 +961,20 @@ class AsteriaEngine:
         threshold: Optional[float],
         deadline: Optional[float],
     ) -> Tuple[List[List[SearchHit]], int, str]:
-        """One coordinator sweep with deadline + error translation.
-
-        Runs *outside* the engine lock: concurrent requests fan out to
-        the worker pool in parallel instead of serialising their GEMMs
-        behind one in-process sweep.
-        """
+        """One coordinator sweep with deadline + error translation."""
         timeout_s = (
             None if deadline is None
             else max(0.0, deadline - time.monotonic())
         )
-        candidates = self._pool_candidates(encodings, top_k)
         try:
             return coordinator.query_batch(
                 encodings, top_k=top_k, threshold=threshold,
-                timeout_s=timeout_s, candidates=candidates,
+                timeout_s=timeout_s,
             )
         except SweepTimeout as exc:
             raise DeadlineExceededError(str(exc)) from exc
         except SweepError as exc:
             raise EngineError(f"parallel sweep failed: {exc}") from exc
-
-    def _pool_candidates(
-        self,
-        encodings: List[FunctionEncoding],
-        top_k: Optional[int],
-    ) -> Optional[List[np.ndarray]]:
-        """Partition-aware serving for the tiered backend.
-
-        The in-process ``ivf-pq`` index proposes per-query candidate
-        rows (coarse probe + quantized sweep); the worker pool then
-        exact-reranks only each range's slice of those rows, and the
-        coordinator's :func:`select_top_k` merge stays bit-for-bit equal
-        to a single-process rerank of the same candidate set.  ``None``
-        (any other backend, ``top_k=None``, or a degraded exact
-        fallback) keeps the full-corpus sweep.
-        """
-        if self.config.backend != "ivf-pq" or top_k is None:
-            return None
-        with self._lock:
-            index = self.service.index()
-        per_query = index.propose(encodings, top_k)
-        if any(rows is None for rows in per_query):
-            return None  # exact-fallback index: sweep everything
-        return per_query
 
     def _encoding_from_extracted(
         self, extracted, function: str, vector: np.ndarray
@@ -1197,7 +1168,7 @@ class AsteriaEngine:
             stats.serve_workers = self.config.serve_workers
             if self._coordinator is not None:
                 stats.active_generation = self._coordinator.generation_seq
-                stats.pool_workers = self._coordinator.workers_info()
+                stats.pool_workers = self._coordinator.pool.workers_info()
                 stats.pool_workers_alive = sum(
                     1 for w in stats.pool_workers if w["alive"]
                 )

@@ -617,11 +617,9 @@ def serve(
     engine.model  # raises ModelNotFoundError early
     if engine.config.index_root is not None:
         engine.store  # open or create the durable index up front
-    if engine.config.serve_workers > 1:
-        # spawn the shard-parallel pool before accepting: the first
-        # query must not pay worker startup, and a bad pool config
-        # fails fast here instead of per-request
-        engine.coordinator
+    # spawn a configured sweep pool before accepting: the first query
+    # must not pay worker startup (None without one)
+    engine.coordinator
     server = EngineServer((host, port), engine)
     print_fn(f"serving on {server.url}")
     if ready is not None:

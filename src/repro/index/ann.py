@@ -24,7 +24,9 @@ the bound ``exp(-|dC|)`` by one rule (:class:`_Held`).  Selection uses
 ``np.argpartition`` rather than a full corpus sort, with ties broken by
 row exactly as the full ``np.lexsort`` would break them.  A score is a
 pure function of (query, row) -- the head multiplies fixed-shape tiles
--- so single, batched, pruned and pooled queries return the same bits.
+-- so single, batched, pruned and pooled (exact backend, one worker per
+shard range) queries return the same bits.  An index never changes
+after construction, so any number of threads may sweep one at once.
 """
 
 from __future__ import annotations
@@ -416,14 +418,8 @@ class AnnIndex:
         k: Optional[int] = 10,
         threshold: Optional[float] = None,
         oversample: Optional[int] = None,
-        candidates: Optional[Sequence[np.ndarray]] = None,
     ) -> List[List[Neighbor]]:
         """Top-``k`` neighbours for Q queries in one corpus pass.
-
-        ``candidates`` (strictly ascending rows per query) replaces the
-        backend's own :meth:`propose` -- how a pool worker reranks its
-        range's slice of a candidate set the coordinator process
-        proposed once.
 
         Returns exactly what mapping :meth:`top_k` returns, rows and
         scores bit for bit: a score is a pure function of (query, row),
@@ -434,9 +430,7 @@ class AnnIndex:
             return []
         if len(self) == 0:
             return [[] for _ in queries]
-        per_query = candidates
-        if per_query is None:
-            per_query = self.propose(queries, k, oversample)
+        per_query = self.propose(queries, k, oversample)
         sweep_started = time.perf_counter()
         all_rows: Optional[np.ndarray] = None  # shared, never mutated
 

@@ -7,7 +7,9 @@ proposes candidate rows, the batched Siamese head exact-reranks them,
 and an optional threshold (e.g. the Youden-derived cutoff from §IV)
 prunes the rest.  :meth:`SearchService.query_batch` answers Q queries in
 one corpus pass over the store's memory-mapped shards, with the same
-rows and scores as Q single queries.  For the stateful
+rows and scores as Q single queries; callers that refresh the index
+under their own lock (the engine) pass the pinned index in and sweep
+it unlocked.  For the stateful
 ``ivf-pq`` backend over a durable store, the fitted index (scales,
 centroids, int8 codes) is persisted next to the shards and reloaded on
 open, so no re-quantization pass runs when the corpus has not changed --
@@ -203,15 +205,21 @@ class SearchService:
         encodings: Sequence[FunctionEncoding],
         top_k: Optional[int] = 10,
         threshold: Optional[float] = None,
+        index: Optional[AnnIndex] = None,
     ) -> List[List[SearchHit]]:
         """Top-k matches for Q queries in one corpus pass
         (:meth:`AnnIndex.top_k_batch
         <repro.index.ann.AnnIndex.top_k_batch>`): exactly the hits of Q
-        single :meth:`query` calls, and of a shard-parallel pool sweep,
-        rows and scores bit for bit -- a score is a pure function of
-        (query, row), whatever batch it is computed in.
+        single :meth:`query` calls, and of an exact shard-parallel pool
+        sweep, rows and scores bit for bit -- a score is a pure function
+        of (query, row), whatever batch it is computed in.
+
+        ``index`` (default: :meth:`index`, refreshed now) answers from one
+        pinned earlier: flushed rows never change, so it needs no lock.
         """
-        neighbor_lists = self.index().top_k_batch(
+        if index is None:
+            index = self.index()
+        neighbor_lists = index.top_k_batch(
             encodings, k=top_k, threshold=threshold
         )
         return [

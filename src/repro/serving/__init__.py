@@ -18,7 +18,6 @@ from repro.serving.generations import (
     read_current,
 )
 from repro.serving.pool import (
-    MAX_ATTEMPTS,
     ShardWorkerPool,
     SweepError,
     SweepTimeout,
@@ -26,7 +25,6 @@ from repro.serving.pool import (
 
 __all__ = [
     "FLAT_GENERATION",
-    "MAX_ATTEMPTS",
     "ServingCoordinator",
     "ShardWorkerPool",
     "SweepError",

@@ -1,9 +1,10 @@
 """Coordinator: range planning, partial merge, and hot generation swap.
 
-Sits between the engine's query paths and the :class:`ShardWorkerPool`.
-Per batch it pins the active generation (root + open store) under a
-lock, cuts the corpus into shard-aligned worker ranges, sweeps them in
-parallel, and merges the per-range partials with the same
+Sits between the engine's exact query path and the
+:class:`ShardWorkerPool`.  Per batch it pins the active generation
+(root + open store) under its own lock -- never the engine's -- cuts the
+corpus into shard-aligned worker ranges, sweeps them in parallel, and
+merges the per-range partials with the same
 :func:`~repro.index.ann.select_top_k` the single-process sweep ends
 with.  The merge is exact *including tie order*: every global top-k row
 is necessarily in its own range's top-k (scores are per-row and
@@ -80,13 +81,9 @@ class ServingCoordinator:
     # -- generation pin ----------------------------------------------------
 
     @property
-    def generation(self) -> str:
-        with self._lock:
-            return self._generation_rel
-
-    @property
     def generation_seq(self) -> int:
-        return generations.generation_seq(self.generation)
+        with self._lock:
+            return generations.generation_seq(self._generation_rel)
 
     def activate(self, rel: str, store: EmbeddingStore) -> None:
         """Pin ``store`` (the generation at ``rel``) for new queries."""
@@ -113,15 +110,12 @@ class ServingCoordinator:
         top_k: Optional[int],
         threshold: Optional[float],
         timeout_s: Optional[float] = None,
-        candidates: Optional[Sequence[np.ndarray]] = None,
     ) -> Tuple[List[List[SearchHit]], int, str]:
         """Shard-parallel exact sweep for a batch of encoded queries.
 
-        ``candidates`` (per-query global row arrays, from a tiered ANN
-        backend) restricts each worker to its range's slice of those
-        rows; ``None`` sweeps every range fully.  Either way the merge
-        below is the same :func:`select_top_k` the single-process path
-        ends with, so results stay bit-for-bit identical to it.
+        Every worker sweeps its whole range; the merge below is the same
+        :func:`select_top_k` the single-process path ends with, so
+        results stay bit-for-bit identical to it.
 
         Returns ``(hit_lists, corpus_rows, generation_rel)`` -- the
         generation every one of these results came from.
@@ -141,7 +135,6 @@ class ServingCoordinator:
         per_range = self.pool.sweep(
             str(store.root), ranges, q_vectors, q_counts,
             top_k, threshold, self.calibrate, timeout_s=timeout_s,
-            candidates=candidates,
         )
         hit_lists: List[List[SearchHit]] = []
         for qi in range(len(encodings)):
@@ -198,9 +191,6 @@ class ServingCoordinator:
         return store
 
     # -- lifecycle ---------------------------------------------------------
-
-    def workers_info(self) -> List[dict]:
-        return self.pool.workers_info()
 
     def close(self) -> None:
         self.pool.close()  # idempotent

@@ -1,16 +1,16 @@
-"""Multi-process sweep pool for shard-parallel serving.
+"""Multi-process sweep pool for shard-parallel exact serving.
 
-One query's corpus sweep is a GEMM over every flushed row; a single
-process serializes concurrent queries behind the engine lock.  The pool
-splits the corpus into disjoint shard-aligned row ranges and hands each
-range to a separate worker process.  Workers mmap-open the store
-read-only -- the float32 shards make the vector bytes shareable across
-processes for free (one page-cache copy) -- and answer their range with
-the very :meth:`~repro.index.ann.AnnIndex.top_k_batch` the
-single-process path calls (a full ring sweep, or an exact rerank of the
-range's slice of a tiered backend's candidates), returning per-query
+The pool splits the corpus into disjoint shard-aligned row ranges and
+hands each range to a separate worker process, so concurrent exact
+sweeps run on as many cores as there are workers.  Workers mmap-open the
+store read-only -- the float32 shards make the vector bytes shareable
+across processes for free (one page-cache copy) -- and answer their
+range with the very ring sweep the single-process path runs
+(:meth:`~repro.index.ann.AnnIndex.top_k_batch` on a
+:class:`~repro.index.ann.BruteForceIndex`), returning per-query
 ``(rows, scores)`` partials for the coordinator to merge with
-:func:`~repro.index.ann.select_top_k`.
+:func:`~repro.index.ann.select_top_k`.  The tiered backend never comes
+here (``EngineConfig`` refuses it): its sweep is a sliver of the corpus.
 
 The processes are supervised by
 :class:`repro.utils.supervisor.SupervisedPool` (shared with the extract
@@ -37,14 +37,13 @@ from repro.core.model import Asteria, AsteriaConfig, FunctionEncoding
 from repro.index.ann import BruteForceIndex
 from repro.index.store import EmbeddingStore
 from repro.utils.supervisor import (
-    MAX_ATTEMPTS,
     PoolClosedError,
     SupervisedPool,
     WorkerCrashError,
     WorkerTaskError,
 )
 
-__all__ = ["ShardWorkerPool", "SweepError", "SweepTimeout", "MAX_ATTEMPTS"]
+__all__ = ["ShardWorkerPool", "SweepError", "SweepTimeout"]
 
 #: Stores a worker keeps open at once (old + new generation during a
 #: swap; anything older has aged out of the query stream).
@@ -98,7 +97,7 @@ def _sweep_setup(worker_id: int, model_meta: dict, model_state: dict):
 
     def sweep(payload) -> Tuple[int, float, List[Partial]]:
         (root, start, stop, q_vectors, q_counts,
-         k, threshold, calibrate, cand_lists) = payload
+         k, threshold, calibrate) = payload
         began = time.monotonic()
         vectors, counts = _open_corpus(cache, root)
         index = BruteForceIndex(
@@ -113,14 +112,6 @@ def _sweep_setup(worker_id: int, model_meta: dict, model_state: dict):
             )
             for i in range(len(q_vectors))
         ]
-        candidates = None
-        if cand_lists is not None:
-            # this range's slice of each query's (ascending, global)
-            # candidate rows, as rows of the range's own index
-            candidates = []
-            for rows in cand_lists:
-                lo, hi = np.searchsorted(rows, (start, stop))
-                candidates.append(rows[lo:hi] - start)
         # local row order is global row order, so ties break -- and the
         # coordinator's merge stays -- bit-for-bit with one process
         partials = [
@@ -129,7 +120,7 @@ def _sweep_setup(worker_id: int, model_meta: dict, model_state: dict):
                 np.array([n.score for n in neighbors], dtype=np.float64),
             )
             for neighbors in index.top_k_batch(
-                queries, k=k, threshold=threshold, candidates=candidates
+                queries, k=k, threshold=threshold
             )
         ]
         return worker_id, time.monotonic() - began, partials
@@ -155,7 +146,6 @@ class ShardWorkerPool(SupervisedPool):
         model: Asteria,
         n_workers: int,
         registry=None,
-        max_attempts: int = MAX_ATTEMPTS,
     ):
         super().__init__(
             _sweep_setup,
@@ -171,7 +161,7 @@ class ShardWorkerPool(SupervisedPool):
                 "repro_serve_task_retries_total",
                 "Sweep tasks re-dispatched after a worker fault",
             ),
-            registry=registry, max_attempts=max_attempts,
+            registry=registry,
         )
 
     def sweep(
@@ -184,22 +174,13 @@ class ShardWorkerPool(SupervisedPool):
         threshold: Optional[float],
         calibrate: bool,
         timeout_s: Optional[float] = None,
-        candidates: Optional[Sequence[np.ndarray]] = None,
     ) -> List[List[Partial]]:
         """Sweep every range concurrently; partials in range order.
-
-        ``candidates`` (one ascending global-row array per query, from a
-        tiered ANN backend) restricts every worker to its range's slice
-        of those rows instead of a full range sweep.
 
         Returns one ``List[Partial]`` per range (one partial per query).
         Raises :class:`SweepTimeout` past ``timeout_s`` and
         :class:`SweepError` on exhausted retries or a closed pool.
         """
-        if candidates is not None:
-            candidates = [
-                np.asarray(rows, dtype=np.int64) for rows in candidates
-            ]
         deadline = (
             None if timeout_s is None else time.monotonic() + timeout_s
         )
@@ -208,7 +189,7 @@ class ShardWorkerPool(SupervisedPool):
             tasks = [
                 self.submit((
                     store_root, int(start), int(stop), q_vectors, q_counts,
-                    k, threshold, calibrate, candidates,
+                    k, threshold, calibrate,
                 ))
                 for start, stop in ranges
             ]

@@ -7,6 +7,7 @@ the query / one-request-batch differential.
 """
 
 import json
+import sys
 import threading
 import time
 
@@ -30,6 +31,8 @@ from repro.api import (
 from repro.api.engine import POLLED_GAUGES, REGISTRY_COUNTS
 from repro.cli import build_parser
 from repro.compiler.pipeline import compile_package
+from repro.core.model import FunctionEncoding
+from repro.index.ann import BruteForceIndex, make_index
 from repro.lang.generator import ProgramGenerator
 
 
@@ -641,6 +644,138 @@ class TestConcurrentQueries:
         )
 
 
+def _random_encodings(model, n, seed=0):
+    vectors = np.random.default_rng(seed).normal(
+        size=(n, model.config.hidden_dim)
+    )
+    return [
+        FunctionEncoding(name=f"f{i}", arch="x86", binary_name=f"b{i % 3}",
+                         vector=vector, callee_count=i % 5, ast_size=10)
+        for i, vector in enumerate(vectors)
+    ]
+
+
+class TestSweepOutsideTheLock:
+    """An in-process query takes the engine lock only to pin the index
+    it sweeps; the sweep itself runs outside it."""
+
+    def test_n_rows_is_the_swept_snapshot(self, trained_model):
+        engine = AsteriaEngine(EngineConfig(), model=trained_model)
+        *flushed, pending = _random_encodings(trained_model, 21)
+        for encoding in flushed:
+            engine.store.add(encoding)
+        engine.store.flush()
+        engine.store.add(pending)  # buffered: no query can see it yet
+        result = engine.query(QueryRequest(
+            encoding=flushed[0], top_k=None, threshold=None
+        ))
+        assert result.n_rows == 20
+        assert len(result.hits) == 20
+
+    def test_stats_answers_during_a_sweep(self, trained_model, monkeypatch):
+        engine = AsteriaEngine(EngineConfig(), model=trained_model)
+        encodings = _random_encodings(trained_model, 40)
+        engine.store.add_batch(encodings)
+        engine.store.flush()
+        entered, release = threading.Event(), threading.Event()
+        sweep = BruteForceIndex.top_k_batch
+
+        def held_open(index, *args, **kwargs):
+            entered.set()
+            release.wait(timeout=10)
+            return sweep(index, *args, **kwargs)
+
+        monkeypatch.setattr(BruteForceIndex, "top_k_batch", held_open)
+        results = []
+        query = threading.Thread(target=lambda: results.append(engine.query(
+            QueryRequest(encoding=encodings[0], top_k=3, threshold=None)
+        )))
+        query.start()
+        try:
+            assert entered.wait(timeout=10)
+            began = time.perf_counter()
+            stats = engine.stats()
+            waited = time.perf_counter() - began
+        finally:
+            release.set()
+            query.join(timeout=30)
+        assert not query.is_alive()
+        assert waited < 0.1, f"stats() waited {waited:.3f}s on a sweep"
+        assert stats.index_rows == 40
+        assert [len(r.hits) for r in results] == [3]
+
+    def test_storm_during_ingest_matches_the_exact_prefix(
+        self, trained_model, query_binary, tmp_path
+    ):
+        engine = AsteriaEngine(
+            EngineConfig(index_root=str(tmp_path / "fw")), model=trained_model
+        )
+        binaries = [
+            compile_package(
+                ProgramGenerator(seed=seed).generate_package(f"s{seed}"),
+                "x86",
+            )
+            for seed in range(40, 45)
+        ]
+        engine.ingest(IngestRequest(binaries=binaries[:1]))
+        queries = engine.encode(
+            EncodeRequest(binary=query_binary)
+        ).encodings[:4]
+        requests = [
+            QueryRequest(encoding=q, top_k=5, threshold=None)
+            for q in queries
+        ]
+        observed, errors = [], []
+        ingested = threading.Event()
+        started = threading.Barrier(8 + 1)  # the storm + the ingester
+
+        def storm():
+            try:
+                observed.append(engine.query_batch(requests))
+                started.wait(timeout=30)
+                while True:
+                    done = ingested.is_set()
+                    observed.append(engine.query_batch(requests))
+                    if done:  # one more batch on the final corpus
+                        return
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=storm) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave pins, sweeps and flushes
+        try:
+            for thread in threads:
+                thread.start()
+            started.wait(timeout=30)
+            for binary in binaries[1:]:
+                engine.ingest(IngestRequest(binaries=[binary]))
+        finally:
+            ingested.set()
+            for thread in threads:
+                thread.join(timeout=120)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        store = engine.store
+        snapshots = {r.n_rows for batch in observed for r in batch}
+        assert min(snapshots) < len(store) == max(snapshots)
+        expected = {}
+        for n in snapshots:
+            prefix = make_index(
+                "exact", trained_model, store.vectors().slice_rows(0, n),
+                store.callee_counts()[:n],
+            )
+            expected[n] = [
+                [(hit.row, hit.score) for hit in neighbors]
+                for neighbors in prefix.top_k_batch(queries, k=5)
+            ]
+        for batch in observed:
+            for i, result in enumerate(batch):
+                assert [(h.row, h.score) for h in result.hits] \
+                    == expected[result.n_rows][i]
+
+
 # -- query is the one-request case of query_batch -----------------------------------
 
 
@@ -655,12 +790,12 @@ def durable_index(tmp_path_factory, trained_model):
 
 class TestQueryMatchesOneRequestBatch:
     """``engine.query(r)`` and ``engine.query_batch([r])[0]`` must agree
-    bit for bit on every backend, in process and through the pool."""
+    bit for bit on every backend in process, and through the (exact)
+    pool."""
 
     @pytest.fixture(
         scope="class",
-        params=[(backend, workers)
-                for backend in ("exact", "ivf-pq") for workers in (1, 2)],
+        params=[("exact", 1), ("exact", 2), ("ivf-pq", 1)],
         ids=lambda p: f"{p[0]}-workers{p[1]}",
     )
     def served(self, request, durable_index, trained_model):

@@ -21,10 +21,15 @@ import pytest
 import repro.faults as faults
 from repro.api.config import EngineConfig
 from repro.api.engine import AsteriaEngine, IngestRequest, QueryRequest
-from repro.api.errors import DeadlineExceededError, EngineError
+from repro.api.errors import (
+    BadRequestError,
+    DeadlineExceededError,
+    EngineError,
+)
 from repro.api.server import EngineServer
+from repro.cli import main
 from repro.core.model import Asteria, AsteriaConfig, FunctionEncoding
-from repro.index.ann import BruteForceIndex, select_top_k
+from repro.index.ann import BruteForceIndex
 from repro.index.store import EmbeddingStore
 from repro.serving import generations
 from repro.serving.coordinator import ServingCoordinator, shard_ranges
@@ -256,105 +261,6 @@ class TestPoolMerge:
             coordinator.close()
 
 
-class TestPoolCandidates:
-    """Tiered-backend serving: candidate-restricted worker rerank."""
-
-    def _candidate_reference(self, model, store, queries, cands, k):
-        index = BruteForceIndex(
-            model, store.vectors().snapshot(), store.callee_counts(),
-            calibrate=True,
-        )
-        out = []
-        for query, rows in zip(queries, cands):
-            scores = index.score_matrix([query], rows)[0]
-            top = select_top_k(scores, rows, k)
-            out.append((
-                [int(rows[p]) for p in top],
-                [float(scores[p]) for p in top],
-            ))
-        return out
-
-    def test_fixed_candidate_merge_is_bit_for_bit(self, tmp_path, model):
-        # same 3-block layout as the full-sweep merge test; candidates
-        # deliberately straddle all three ranges, plus one query whose
-        # candidates sit entirely in the first range (the other workers
-        # must contribute empty partials)
-        store, vectors = _fill_store(
-            tmp_path / "idx", 21000, shard_size=7000
-        )
-        queries = _queries(vectors, n=3)
-        rng = np.random.default_rng(7)
-        cands = [
-            np.sort(rng.choice(21000, size=300, replace=False)),
-            np.sort(rng.choice(21000, size=80, replace=False)),
-            np.sort(rng.choice(7000, size=50, replace=False)),
-        ]
-        reference = self._candidate_reference(
-            model, store, queries, cands, k=10
-        )
-        coordinator = ServingCoordinator(
-            model, tmp_path / "idx", n_workers=3, calibrate=True
-        )
-        coordinator.activate(".", store)
-        try:
-            hit_lists, n_rows, _ = coordinator.query_batch(
-                queries, top_k=10, threshold=None, timeout_s=300,
-                candidates=cands,
-            )
-            assert n_rows == 21000
-            for (ref_rows, ref_scores), hits in zip(reference, hit_lists):
-                assert [h.row for h in hits] == ref_rows
-                assert [h.score for h in hits] == ref_scores
-        finally:
-            coordinator.close()
-
-    def test_threshold_applies_inside_candidates(self, tmp_path, model):
-        store, vectors = _fill_store(tmp_path / "idx", 120, shard_size=32)
-        queries = _queries(vectors, n=2)
-        cands = [np.arange(0, 120, 2), np.arange(1, 120, 2)]
-        coordinator = ServingCoordinator(
-            model, tmp_path / "idx", n_workers=2, calibrate=True
-        )
-        coordinator.activate(".", store)
-        try:
-            hit_lists, _, _ = coordinator.query_batch(
-                queries, top_k=50, threshold=0.5, timeout_s=120,
-                candidates=cands,
-            )
-            for hits, rows in zip(hit_lists, cands):
-                allowed = set(rows.tolist())
-                assert all(h.row in allowed for h in hits)
-                assert all(h.score >= 0.5 for h in hits)
-        finally:
-            coordinator.close()
-
-    def test_pooled_ivf_pq_matches_single_process(self, tmp_path, model):
-        # the tiered backend computes the candidate set once in the
-        # coordinator process; pooled rerank must reproduce the
-        # single-process result bit for bit
-        root = tmp_path / "idx"
-        store, vectors = _fill_store(root, 900, shard_size=128)
-        queries = _queries(vectors, n=4)
-        results = {}
-        for workers in (1, 2):
-            engine = AsteriaEngine(
-                EngineConfig(
-                    index_root=str(root), serve_workers=workers,
-                    backend="ivf-pq", ann_nprobe=4, ann_rerank=8,
-                ),
-                model=model,
-            )
-            try:
-                results[workers] = engine.query_batch([
-                    QueryRequest(encoding=q, top_k=10, threshold=None)
-                    for q in queries
-                ])
-            finally:
-                engine.close()
-        for solo, pooled in zip(results[1], results[2]):
-            assert _rows_scores(solo.hits) == _rows_scores(pooled.hits)
-
-
 class TestPoolChaos:
     def test_killed_worker_is_replaced_rankings_identical(
         self, tmp_path, model
@@ -384,7 +290,7 @@ class TestPoolChaos:
             assert registry.value("repro_serve_worker_restarts_total") >= 1
             assert registry.value("repro_serve_task_retries_total") >= 1
             # the replacement is alive in the dead worker's slot
-            info = coordinator.workers_info()
+            info = coordinator.pool.workers_info()
             assert len(info) == 2 and all(w["alive"] for w in info)
         finally:
             coordinator.close()
@@ -470,19 +376,25 @@ class TestEngineServing:
         finally:
             engine.close()
 
-    def test_in_memory_store_falls_back_in_process(self, model):
-        engine = AsteriaEngine(
-            EngineConfig(serve_workers=4), model=model
+    def test_pool_needs_the_exact_backend(self, tmp_path, capsys):
+        # the tiered sweep is a sliver of the corpus: a pool would only
+        # add IPC to it, so the combination is refused up front
+        root = str(tmp_path / "idx")
+        with pytest.raises(BadRequestError, match="backend 'exact'"):
+            EngineConfig(index_root=root, serve_workers=2, backend="ivf-pq")
+        assert main(["index", "search", "--model", "m.npz", "--index", root,
+                     "--backend", "ivf-pq", "--serve-workers", "2"]) == 6
+        assert "serve_workers=2 needs backend 'exact'" in (
+            capsys.readouterr().err
         )
-        try:
-            assert engine.coordinator is None
-            result = engine.query(QueryRequest(
-                encoding=_encoding(0, np.zeros(DIM)), top_k=3,
-                threshold=None,
-            ))
-            assert result.generation == ""  # in-process sweep path
-        finally:
-            engine.close()
+
+    def test_pool_needs_a_durable_index(self, capsys):
+        # workers open the store by path: an in-memory one has none
+        with pytest.raises(BadRequestError, match="durable index_root"):
+            EngineConfig(serve_workers=4)
+        assert main(["serve", "--model", "m.npz", "--port", "0",
+                     "--serve-workers", "2"]) == 6
+        assert "durable index_root" in capsys.readouterr().err
 
     def test_stats_and_close(self, tmp_path, model):
         engine, _, vectors = self._engine(tmp_path, model)
@@ -501,7 +413,7 @@ class TestEngineServing:
             ) >= 1
         finally:
             engine.close()
-        assert engine.pool_workers() == []
+        assert engine.stats().pool_workers == []
         # close is sticky: queries keep working via the in-process path
         result = engine.query(QueryRequest(
             encoding=_encoding(0, vectors[0]), top_k=3, threshold=None
@@ -555,32 +467,40 @@ class TestEngineServing:
 
     def test_hot_swap_keeps_the_quantizer(self, tmp_path, model):
         # the new generation inherits the persisted ANN state its cloned
-        # manifest names: the first query after a pooled ingest quantizes
-        # the appended rows, not the corpus
+        # manifest names: after an exact pool's ingest, the first tiered
+        # query on that generation quantizes the appended rows, not the
+        # corpus
         root = tmp_path / "idx"
         _fill_store(root, 600, shard_size=128)
-        engine = AsteriaEngine(
-            EngineConfig(
-                index_root=str(root), serve_workers=2, backend="ivf-pq",
-            ),
-            model=model,
-        )
         query = QueryRequest(
             encoding=_encoding(0, np.zeros(DIM)), top_k=3, threshold=None
         )
+
+        def tiered():
+            return AsteriaEngine(
+                EngineConfig(index_root=str(root), backend="ivf-pq"),
+                model=model,
+            )
+
+        first = tiered()
+        first.query(query)  # builds + persists the quantizer
+        assert first.stats().ann_rows_quantized == 600
+        pooled = AsteriaEngine(
+            EngineConfig(index_root=str(root), serve_workers=2), model=model
+        )
         try:
-            engine.query(query)  # builds + persists the quantizer
-            assert engine.stats().ann_rows_quantized == 600
-            appended = engine.ingest(IngestRequest(
+            appended = pooled.ingest(IngestRequest(
                 corpus_images=1, corpus_seed=5
             )).n_rows_total - 600
-            assert appended > 0
-            assert engine.query(query).generation == "generations/gen-00001"
-            stats = engine.stats()
-            assert stats.ann_persisted is True
-            assert stats.ann_rows_quantized == appended
         finally:
-            engine.close()
+            pooled.close()
+        assert appended > 0
+        assert generations.read_current(root) == "generations/gen-00001"
+        reader = tiered()
+        assert reader.query(query).n_rows == 600 + appended
+        stats = reader.stats()
+        assert stats.ann_persisted is True
+        assert stats.ann_rows_quantized == appended
 
     def test_swap_failpoint_keeps_old_generation_serving(
         self, tmp_path, model
@@ -840,7 +760,7 @@ class TestServerSurface:
         engine.query(QueryRequest(
             encoding=_encoding(0, vectors[0]), top_k=3, threshold=None
         ))
-        pids = [w["pid"] for w in engine.pool_workers()]
+        pids = [w["pid"] for w in engine.stats().pool_workers]
         assert len(pids) == 2
         server = EngineServer(("127.0.0.1", 0), engine)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
