@@ -194,6 +194,7 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
         self.request_version = self.protocol_version
         self.close_connection = True  # whatever followed is unframed
         self._request_id = new_request_id()
+        self._observe("_protocol_", code)
         self._reply(code, {
             "error": message or self.responses.get(code, ("???",))[0],
             "exit_code": BadRequestError.exit_code,
@@ -296,13 +297,22 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
                     if gated:
                         self.server.release()
 
-    def _observe(self, endpoint: str, status: int, started: float) -> None:
-        """Per-endpoint request/error/latency metrics + access log line."""
-        elapsed = time.perf_counter() - started
+    def _observe(
+        self, endpoint: str, status: int, started: Optional[float] = None
+    ) -> None:
+        """Per-endpoint request/error/latency metrics + access log line.
+
+        ``started=None`` is a protocol error: the request never parsed,
+        so its verb and path (client bytes, unbounded as label values)
+        are not recorded, nor a latency.
+        """
         registry = self.engine.obs
+        method, path = ("-", endpoint) if started is None else (
+            self.command, self.path
+        )
         registry.counter(
             "repro_requests_total", "HTTP requests served",
-            endpoint=endpoint, method=self.command, status=str(status),
+            endpoint=endpoint, method=method, status=str(status),
         ).inc()
         if status >= 400:
             registry.counter(
@@ -310,14 +320,17 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
                 "HTTP requests answered with status >= 400",
                 endpoint=endpoint,
             ).inc()
-        registry.histogram(
-            "repro_request_seconds", "HTTP request wall time",
-            endpoint=endpoint,
-        ).observe(elapsed)
+        elapsed_ms = 0.0
+        if started is not None:
+            elapsed = time.perf_counter() - started
+            registry.histogram(
+                "repro_request_seconds", "HTTP request wall time",
+                endpoint=endpoint,
+            ).observe(elapsed)
+            elapsed_ms = elapsed * 1000.0
         _ACCESS.info(
             "%s %s %s %d %.1fms",
-            self.address_string(), self.command, self.path, status,
-            elapsed * 1000.0,
+            self.address_string(), method, path, status, elapsed_ms,
         )
 
     # -- verbs -------------------------------------------------------------

@@ -19,8 +19,11 @@ batches (:meth:`AnnIndex.top_k_batch`); a batch reads the corpus once
 instead of Q times.  Both sweeps -- the exact one over the corpus
 (:meth:`AnnIndex._sweep_top_k`) and the quantized one over the probed
 lists -- score only the rows that can still win: rings of callee-count
-distance from one enumeration (:meth:`AnnIndex._rings`), stopped on
-the bound ``exp(-|dC|)`` by one rule (:class:`_Held`).  Selection uses
+distance with one bound and factor each (:func:`_ring_list`), stopped
+on the bound ``exp(-|dC|)`` by one rule (:class:`_Held`).  The exact
+index finds a ring without a corpus pass: it sorts its rows by callee
+count once, at construction (:class:`CountLayout`, 4 B/row), and ring
+``d`` is the slices of the counts ``d`` away.  Selection uses
 ``np.argpartition`` rather than a full corpus sort, with ties broken by
 row exactly as the full ``np.lexsort`` would break them.  A score is a
 pure function of (query, row) -- the head multiplies fixed-shape tiles
@@ -149,12 +152,76 @@ class _Held:
         return held.size >= k and (k <= 0 or bound < held[k - 1])
 
 
+def _ring_list(distances: Sequence[int]) -> List[Tuple[float, float, int]]:
+    """``(bound, factor, d)`` per callee-count distance present
+    (ascending, distances past :data:`LAST_RING` counted as it).
+
+    The rows of ring ``d`` score ``M * factor``, and as ``M <= 1`` no
+    row from that ring on scores above ``bound`` -- the very float64
+    that scales the ring: rounded apart, a score could slip past the
+    bound meant to stop it.
+    """
+    factors = np.exp(-np.asarray(distances, dtype=np.float64))
+    return list(zip(factors, factors, distances))
+
+
+class CountLayout:
+    """An index's rows in callee-count order, built once per snapshot.
+
+    ``order`` is the row order stably sorted by count (int32: 4 B/row),
+    so the rows calling ``values[j]`` functions are the ascending slice
+    ``order[bounds[j]:bounds[j + 1]]``.  ``values`` and ``bounds`` are
+    sized by the distinct counts, never by the largest one.  The ring at
+    distance ``d`` of a query calling ``c`` functions is then the slices
+    of counts ``c - d`` and ``c + d`` -- the two end ranges for
+    :data:`LAST_RING` -- found without a pass over the corpus.
+    """
+
+    def __init__(self, counts: np.ndarray):
+        n = counts.size
+        # narrowed at once: the int64 argsort is freed before the gather
+        self.order = np.argsort(counts, kind="stable").astype(np.int32)
+        ordered = counts[self.order]
+        first = np.ones(n, dtype=bool)  # does a count's slice start here?
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        firsts = np.flatnonzero(first)
+        self.values = ordered[firsts]
+        self.bounds = np.append(firsts, n)
+
+    def rings(self, count: int) -> List[Tuple[float, float, int]]:
+        """:func:`_ring_list` for queries calling ``count`` functions."""
+        dist = np.minimum(np.abs(self.values - count), LAST_RING)
+        return _ring_list(np.unique(dist).tolist())
+
+    def ring(self, count: int, d: int) -> np.ndarray:
+        """The rows (ascending) at distance ``d`` from ``count``, or at
+        least that far for ``d == LAST_RING``."""
+        ends = [count - d, count + d]
+        lo = np.searchsorted(self.values, ends, side="left").tolist()
+        hi = np.searchsorted(self.values, ends, side="right").tolist()
+        if d == LAST_RING:
+            spans = [(0, hi[0]), (lo[1], self.values.size)]
+        else:
+            spans = [(lo[0], hi[0]), (lo[1], hi[1])] if d else [(lo[0], hi[0])]
+        parts = [
+            self.order[self.bounds[i]:self.bounds[j]]
+            for i, j in spans if j > i
+        ]
+        if sum(j - i for i, j in spans) == 1:
+            return parts[0]  # one count's rows: already ascending
+        # ascending runs, one per count: timsort merges them in a pass
+        return np.sort(np.concatenate(parts), kind="stable")
+
+
 class AnnIndex:
     """Common interface: candidate generation + batched exact rerank."""
 
     #: default rerank oversampling when callers don't pass one; tiered
     #: backends override this per-instance (the ``ann_rerank`` knob)
     oversample: int = DEFAULT_OVERSAMPLE
+    #: the callee-count order a whole-corpus sweep finds rings in
+    #: (``None``: the sweep is one calibrated pass over every row)
+    _layout: Optional[CountLayout] = None
 
     def __init__(
         self,
@@ -273,8 +340,9 @@ class AnnIndex:
         The calibrated score is ``M * exp(-d)``, ``d`` the distance
         between the row's and the query's callee counts, and ``M <= 1``.
         Queries sharing a count visit the corpus in *rings* of
-        increasing ``d``: a ring is scored uncalibrated and scaled by its
-        one factor, each block's scores are cut to ``k`` rows per query,
+        increasing ``d``, each a slice or two of the index's
+        :class:`CountLayout`: a ring is scored uncalibrated and scaled by
+        its one factor, each block's scores are cut to ``k`` rows per query,
         and a query stops at the first ring whose factor -- the most a
         row from there on can score -- cannot reach its k-th score or
         its ``threshold``.  Selecting from the returned ``(rows,
@@ -290,21 +358,22 @@ class AnnIndex:
                 return True
             return held[i].settled(bound)
 
-        # no rings without calibration, nor in a corpus of one scoring
-        # block (bookkeeping would cost more than it could skip): one
-        # ring of every row, calibrated pair by pair
-        ringed = self.calibrate and len(self) > SCORE_BLOCK_ROWS
+        # no rings without calibration (no layout), nor in a corpus of
+        # one scoring block (bookkeeping would cost more than it could
+        # skip): one ring of every row, calibrated pair by pair
+        layout = self._layout
+        ringed = layout is not None and len(self) > SCORE_BLOCK_ROWS
         groups: Dict[Optional[int], List[int]] = {}
         for i, query in enumerate(queries):
             count = query.callee_count if ringed else None
             groups.setdefault(count, []).append(i)
         for count, members in groups.items():
-            dist, rings = self._rings(count)
+            rings = [(1.0, 1.0, None)] if count is None else layout.rings(count)
             for bound, factor, d in rings:
                 members = [i for i in members if not settled(i, bound)]
                 if not members:
                     break
-                ring = None if d is None else np.flatnonzero(dist == d)
+                ring = None if d is None else layout.ring(count, d)
                 for block_rows, block in self._scoring_blocks(ring):
                     if count is None:
                         scores = self._block_scores(
@@ -323,37 +392,6 @@ class AnnIndex:
                         held[i].add(q_rows, q_scores)
                         scored[i] += block_rows.size
         return [h.merged() for h in held], scored
-
-    def _rings(
-        self, count: Optional[int], rows: Optional[np.ndarray] = None
-    ):
-        """``(dist, rings)`` over ``rows`` (default: the corpus) for
-        queries calling ``count`` functions.
-
-        ``rings`` lists ``(bound, factor, d)`` nearest first: the rows
-        with ``dist == d`` (distances past :data:`LAST_RING` share it)
-        score ``M * factor``, and as ``M <= 1`` no row from that ring on
-        scores above ``bound`` -- the very float64 that scales the ring:
-        rounded apart, a score could slip past the bound meant to stop it.
-        ``count=None`` (an uncalibrated sweep) is one ring of every row
-        (``d`` and ``dist`` are ``None``), scaled by exactly 1.
-        """
-        if count is None:
-            return None, [(1.0, 1.0, None)]
-        # block by block into an int16: corpus-long int64 temporaries
-        # outweigh what the allocator keeps mapped, and fault on every call
-        size = len(self) if rows is None else rows.size
-        dist = np.empty(size, dtype=np.int16)
-        sizes = np.zeros(LAST_RING + 1, dtype=np.int64)
-        for start in range(0, size, 1 << 16):
-            stop = start + (1 << 16)
-            part = slice(start, stop) if rows is None else rows[start:stop]
-            part = np.abs(self.callee_counts[part] - count)
-            dist[start:stop] = np.minimum(part, LAST_RING, out=part)
-            sizes += np.bincount(part, minlength=sizes.size)
-        present = np.flatnonzero(sizes).astype(dist.dtype)  # no upcast in ==
-        factors = np.exp(-present.astype(np.float64))
-        return dist, list(zip(factors, factors, present))
 
     def _scoring_blocks(self, rows: Optional[np.ndarray] = None):
         """``(rows, vectors)`` scoring blocks over ``rows`` (strictly
@@ -539,6 +577,12 @@ class AnnIndex:
 
 class BruteForceIndex(AnnIndex):
     """Exact backend: every row is a candidate (scored copy-free)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # built now, not on first use: threads sweep an index unlocked
+        if self.calibrate:
+            self._layout = CountLayout(self.callee_counts)
 
     def candidate_rows(
         self, query_vector: np.ndarray, n: Optional[int]

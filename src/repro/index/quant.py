@@ -14,8 +14,9 @@ touches a small, controllable fraction of a million-row corpus:
    head as the exact path, so the approximate ranking respects the
    model's actual similarity, not a proxy metric.  The calibrated score
    is ``M * exp(-d)``, ``d`` the callee-count distance, so -- like the
-   exact sweep, through the same :meth:`AnnIndex._rings` and stop rule
-   -- the probed rows are visited in rings of increasing ``d``, each
+   exact sweep, with the same ring bounds and stop rule -- the probed
+   rows are visited in rings of increasing ``d`` (found by one pass
+   over the probed rows, not the exact index's count order), each
    scored uncalibrated and scaled by its ring's one factor, and a query
    stops at the first ring whose factor is strictly below its ``n``-th
    best score so far: only rows that can still reach the candidate set
@@ -45,7 +46,13 @@ import numpy as np
 
 import repro.faults as faults
 from repro.core.model import Asteria, FunctionEncoding
-from repro.index.ann import SCORE_BLOCK_ROWS, AnnIndex, _Held
+from repro.index.ann import (
+    LAST_RING,
+    SCORE_BLOCK_ROWS,
+    AnnIndex,
+    _Held,
+    _ring_list,
+)
 from repro.obs.metrics import FRACTION_BUCKETS, SIZE_BUCKETS, MetricsRegistry
 from repro.obs.trace import current_span
 from repro.utils.rng import RNG, derive_seed
@@ -153,6 +160,32 @@ def kmeans_centroids(
                 gen.choice(n, size=dead.size, replace=False)
             ]
     return centroids
+
+
+def _rings(counts: np.ndarray, count: Optional[int], rows: np.ndarray):
+    """``(dist, rings)`` over the probed ``rows`` for queries calling
+    ``count`` functions: ``rings`` is :func:`~repro.index.ann._ring_list`
+    of the distances present, ring ``d`` the rows with ``dist == d``.
+
+    A per-count argsort of the probed rows would hand out slices, as the
+    exact index's :class:`~repro.index.ann.CountLayout` does, but costs
+    more than this one pass over them.  ``count=None`` (an uncalibrated
+    sweep) is one ring of every row (``d`` and ``dist`` are ``None``),
+    scaled by exactly 1.
+    """
+    if count is None:
+        return None, [(1.0, 1.0, None)]
+    # block by block into an int16: long int64 temporaries outweigh what
+    # the allocator keeps mapped, and fault on every call
+    dist = np.empty(rows.size, dtype=np.int16)
+    sizes = np.zeros(LAST_RING + 1, dtype=np.int64)
+    for start in range(0, rows.size, 1 << 16):
+        stop = start + (1 << 16)
+        part = np.abs(counts[rows[start:stop]] - count)
+        dist[start:stop] = np.minimum(part, LAST_RING, out=part)
+        sizes += np.bincount(part, minlength=sizes.size)
+    present = np.flatnonzero(sizes).astype(dist.dtype)  # no upcast in ==
+    return dist, _ring_list(present)
 
 
 class IvfPqIndex(AnnIndex):
@@ -349,7 +382,7 @@ class IvfPqIndex(AnnIndex):
                 for i in members:
                     picked[i] = rows  # shared, never mutated
                 continue
-            dist, rings = self._rings(count, rows)
+            dist, rings = _rings(self.callee_counts, count, rows)
             while rings:
                 bound = rings[0][0]
                 members = [i for i in members if not held[i].settled(bound)]

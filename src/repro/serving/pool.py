@@ -20,7 +20,9 @@ deadline, per-worker metrics and error translation.
 
 Workers cache open stores by root path (bounded LRU), so a generation
 swap simply starts naming a different root in task payloads: the first
-sweep against the new generation opens it, the old one ages out.
+sweep against the new generation opens it, the old one ages out.  Each
+cached store keeps the range indexes built over it, so a range pays its
+callee-count sort once per generation, not once per task.
 """
 
 from __future__ import annotations
@@ -67,7 +69,9 @@ class SweepTimeout(SweepError):
 
 
 def _open_corpus(cache: "OrderedDict", root: str):
-    """Worker-side store open with a tiny LRU over generations.
+    """Worker-side store open with a tiny LRU over generations:
+    ``(vectors, callee counts, range indexes by (start, stop,
+    calibrate))``, the indexes aging out with their generation.
 
     ``verify=False``: the coordinator verified checksums when it opened
     the generation; re-hashing every shard per worker would turn each
@@ -76,7 +80,7 @@ def _open_corpus(cache: "OrderedDict", root: str):
     entry = cache.get(root)
     if entry is None:
         store = EmbeddingStore.open(root, verify=False)
-        entry = (store.vectors().snapshot(), store.callee_counts())
+        entry = (store.vectors().snapshot(), store.callee_counts(), {})
         cache[root] = entry
         while len(cache) > _STORE_CACHE_MAX:
             cache.popitem(last=False)
@@ -99,12 +103,14 @@ def _sweep_setup(worker_id: int, model_meta: dict, model_state: dict):
         (root, start, stop, q_vectors, q_counts,
          k, threshold, calibrate) = payload
         began = time.monotonic()
-        vectors, counts = _open_corpus(cache, root)
-        index = BruteForceIndex(
-            model, vectors.slice_rows(start, stop),
-            counts[start:stop] if calibrate else None,
-            calibrate=calibrate,
-        )
+        vectors, counts, indexes = _open_corpus(cache, root)
+        index = indexes.get((start, stop, calibrate))
+        if index is None:
+            index = indexes[start, stop, calibrate] = BruteForceIndex(
+                model, vectors.slice_rows(start, stop),
+                counts[start:stop] if calibrate else None,
+                calibrate=calibrate,
+            )
         queries = [
             FunctionEncoding(
                 name=f"q{i}", arch="", binary_name="",

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.index.ann as ann
 from repro.api import (
     AsteriaEngine,
     BadRequestError,
@@ -774,6 +775,57 @@ class TestSweepOutsideTheLock:
             for i, result in enumerate(batch):
                 assert [(h.row, h.score) for h in result.hits] \
                     == expected[result.n_rows][i]
+
+    def test_flushed_rows_join_the_rings(
+        self, trained_model, tmp_path, monkeypatch
+    ):
+        """The count layout is the index snapshot's: rows flushed with
+        the query's count rank in the next query's rings exactly as the
+        full sort says, and an index pinned before the flush still
+        answers for its own prefix only."""
+        monkeypatch.setattr(ann, "SCORE_BLOCK_ROWS", 16)  # 80 rows ring
+        engine = AsteriaEngine(
+            EngineConfig(index_root=str(tmp_path / "fw")), model=trained_model
+        )
+        engine.store.add_batch(_random_encodings(trained_model, 80, seed=1))
+        engine.store.flush()
+        query = FunctionEncoding(
+            name="q", arch="x86", binary_name="query",
+            vector=np.asarray(engine.store.vectors().row(3), np.float64),
+            callee_count=int(engine.store.callee_counts()[3]),
+        )
+        request = QueryRequest(encoding=query, top_k=10, threshold=None)
+
+        def full_sort(n):
+            prefix = make_index(
+                "exact", trained_model, engine.store.vectors().slice_rows(0, n),
+                engine.store.callee_counts()[:n],
+            )
+            scores = prefix.score_matrix([query])[0]
+            order = np.lexsort((np.arange(n), -scores))[:10]
+            return [(int(row), float(scores[row])) for row in order]
+
+        before = engine.query(request)
+        pinned = engine.service.index()
+        assert [(h.row, h.score) for h in before.hits] == full_sort(80)
+        # near copies of the query, half of them calling as many functions
+        rng = np.random.default_rng(2)
+        engine.store.add_batch([
+            FunctionEncoding(
+                name=f"near{i}", arch="x86", binary_name="fresh",
+                vector=query.vector + rng.normal(scale=0.01, size=query.vector.size),
+                callee_count=query.callee_count + i % 2, ast_size=10,
+            )
+            for i in range(40)
+        ])
+        engine.store.flush()
+        after = engine.query(request)
+        assert after.n_rows == 120
+        assert [(h.row, h.score) for h in after.hits] == full_sort(120)
+        assert any(h.row >= 80 for h in after.hits)
+        assert [
+            (n.row, n.score) for n in pinned.top_k(query, k=10)
+        ] == full_sort(80)
 
 
 # -- query is the one-request case of query_batch -----------------------------------

@@ -195,7 +195,18 @@ class TestRoutes:
     def test_protocol_errors_are_typed_json(
         self, server, request_bytes, expected, needle
     ):
+        obs = server.engine.obs
+        labels = dict(endpoint="_protocol_", method="-", status=str(expected))
+        before = (
+            obs.value("repro_requests_total", **labels),
+            obs.value("repro_request_errors_total", endpoint="_protocol_"),
+        )
         status, headers, rest = _raw_exchange(server, request_bytes)
+        # counted before the reply left, like every routed request
+        assert (
+            obs.value("repro_requests_total", **labels),
+            obs.value("repro_request_errors_total", endpoint="_protocol_"),
+        ) == (before[0] + 1, before[1] + 1)
         assert status == expected
         assert headers["content-type"] == "application/json"
         assert headers["connection"] == "close"

@@ -583,6 +583,69 @@ class TestRingSweep:
         assert [(nb.row, nb.score) for nb in best] == [(1, tie)]
         assert [nb.row for nb in eligible] == [1, 3]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 16),
+        kind=st.sampled_from(_COUNT_KINDS),
+        n=st.sampled_from([1, 2, 9, 200]),
+        offset=st.sampled_from([-1000, -3, 0, 1, 2, 10 ** 6 + 5]),
+    )
+    def test_a_ring_is_the_rows_at_its_distance(self, seed, kind, n, offset):
+        """Ring ``d`` of the count layout is exactly the rows whose count
+        is ``d`` away (``LAST_RING``: at least that far), ascending."""
+        rng = np.random.default_rng(seed)
+        counts = _draw_counts(rng, kind, n)
+        layout = ann.CountLayout(counts)
+        count = max(0, int(counts[rng.integers(n)]) + offset)
+        dist = np.minimum(np.abs(counts - count), ann.LAST_RING)
+        rings = layout.rings(count)
+        assert [d for _, _, d in rings] == np.unique(dist).tolist()
+        for bound, factor, d in rings:
+            assert bound == factor == pytest.approx(np.exp(-float(d)))
+            assert np.array_equal(
+                layout.ring(count, d), np.flatnonzero(dist == d)
+            )
+
+    @pytest.mark.parametrize("corpus", ["zero-and-1e12", "one-count"])
+    def test_extreme_counts_are_the_full_sort_oracle(self, corpus):
+        rng = np.random.default_rng(5)
+        n, h = 300, 8
+        vectors = rng.normal(size=(n, h))
+        vectors = vectors[rng.integers(0, n // 3, size=n)]  # score ties
+        if corpus == "one-count":
+            counts = np.full(n, 7)
+            query_counts = [7, 0, 8, 10 ** 12]
+        else:
+            counts = np.where(rng.random(n) < 0.5, 0, 10 ** 12)
+            query_counts = [0, 10 ** 12, 1, 10 ** 12 - 2, 5 * 10 ** 11]
+        queries = [
+            FunctionEncoding(
+                name=f"q{i}", arch="x86", binary_name="query",
+                vector=vectors[rng.integers(n)] + rng.normal(scale=0.05, size=h),
+                callee_count=count,
+            )
+            for i, count in enumerate(query_counts)
+        ]
+        # the layout is sized by the distinct counts, never the largest
+        layout = ann.CountLayout(counts)
+        nbytes = sum(
+            part.nbytes for part in (layout.order, layout.values, layout.bounds)
+        )
+        assert nbytes <= 4 * n + 16 * np.unique(counts).size + 8
+        with mock.patch.object(ann, "SCORE_BLOCK_ROWS", _CASE_BLOCK_ROWS):
+            index = BruteForceIndex(_model("margin", h), vectors, counts)
+            oracle = index.score_matrix(queries)
+            for k, threshold in [(10, None), (None, 0.3), (1, 0.0)]:
+                found = index.top_k_batch(queries, k=k, threshold=threshold)
+                for neighbors, scores in zip(found, oracle):
+                    rows = np.flatnonzero(
+                        scores >= (-np.inf if threshold is None else threshold)
+                    )
+                    order = rows[np.lexsort((rows, -scores[rows]))[:k]]
+                    assert [(nb.row, nb.score) for nb in neighbors] == [
+                        (int(row), float(scores[row])) for row in order
+                    ]
+
     def test_the_sweep_reports_the_rows_it_scored(self):
         """``repro_ann_rerank_fraction`` is the share of the corpus a
         query's rings visited, not 1.0 by definition."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import threading
 import urllib.request
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -33,7 +34,12 @@ from repro.index.ann import BruteForceIndex
 from repro.index.store import EmbeddingStore
 from repro.serving import generations
 from repro.serving.coordinator import ServingCoordinator, shard_ranges
-from repro.serving.pool import ShardWorkerPool, SweepError, SweepTimeout
+from repro.serving.pool import (
+    ShardWorkerPool,
+    SweepError,
+    SweepTimeout,
+    _sweep_setup,
+)
 
 DIM = 16
 
@@ -259,6 +265,51 @@ class TestPoolMerge:
             assert hit_lists == [[]] and n_rows == 0
         finally:
             coordinator.close()
+
+
+class TestWorkerIndexCache:
+    def test_a_range_index_is_built_once_per_generation(
+        self, tmp_path, model, monkeypatch
+    ):
+        """A sweep worker keeps its range index (and the index's count
+        layout) per generation root: five tasks build it once, a hot
+        swap to a new root builds one more."""
+        root = tmp_path / "idx"
+        store, vectors = _fill_store(root, 120, shard_size=32)
+        rel, new_root = generations.prepare_generation(root)
+        generations.clone_store(root, new_root)
+        built = []
+
+        class CountingIndex(BruteForceIndex):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(len(self))
+
+        monkeypatch.setattr(
+            "repro.serving.pool.BruteForceIndex", CountingIndex
+        )
+        sweep = _sweep_setup(
+            0, asdict(model.config), model.siamese.state_dict()
+        )
+        queries = _queries(vectors)
+        q_vectors = np.stack([q.vector for q in queries])
+        q_counts = np.array([q.callee_count for q in queries])
+        reference = [
+            _rows_scores(neighbors)
+            for neighbors in _reference(model, store, queries, k=5)
+        ]
+        for generation_root, builds in [(root, [120]), (new_root, [120] * 2)]:
+            for _ in range(5):
+                _, _, partials = sweep((
+                    str(generation_root), 0, 120, q_vectors, q_counts,
+                    5, None, True,
+                ))
+                # a cached index answers bit for bit
+                assert [
+                    (rows.tolist(), scores.tolist())
+                    for rows, scores in partials
+                ] == reference
+            assert built == builds
 
 
 class TestPoolChaos:
