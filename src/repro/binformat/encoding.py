@@ -38,7 +38,7 @@ from repro.compiler.codegen import (
     SRef,
     Sym,
 )
-from repro.compiler.isa import ISA
+from repro.compiler.isa import ISA, SUPPORTED_ARCHES, get_isa
 
 _COND_CODES = ("", "eq", "ne", "gt", "lt", "ge", "le")
 
@@ -134,6 +134,28 @@ def _encode_operand(
     raise EncodingError(f"unencodable operand {operand!r}")
 
 
+#: Precompiled field layouts of the decoder.
+_HEADER = struct.Struct("<BBB")  # opcode, condition code, operand count
+_IMM = struct.Struct("<q")
+_MEM = struct.Struct("<Bi")  # base register, offset
+_U32 = struct.Struct("<I")
+
+#: Payload bytes after each operand tag.
+_PAYLOAD_SIZE = {1: 1, 2: 8, 3: 5, 4: 4, 5: 4, 6: 4}
+
+
+def _decode_tables(isa: ISA):
+    """``(opcode -> mnemonic, interned Reg by index, register names)``."""
+    names = register_table(isa)
+    return isa.mnemonic_table(), tuple(Reg(name) for name in names), names
+
+
+#: Built once, at import, for every ISA :func:`get_isa` knows.
+_DECODE_TABLES = {
+    name: _decode_tables(get_isa(name)) for name in SUPPORTED_ARCHES
+}
+
+
 def decode_instructions(
     code: bytes,
     isa: ISA,
@@ -144,66 +166,65 @@ def decode_instructions(
 
     Returns ``(instructions, branch_targets)`` where ``branch_targets`` maps
     the decoded instruction's position to its target instruction index (for
-    label reconstruction by the disassembler).
+    label reconstruction by the disassembler).  Truncated or malformed
+    bytes raise :class:`EncodingError`; ``symbol_name`` and ``string_at``
+    report a bad index themselves.
     """
-    mnemonics = isa.mnemonic_table()
-    registers = register_table(isa)
+    mnemonics, registers, register_names = _DECODE_TABLES[isa.name]
+    n_registers = len(registers)
+    end = len(code)
     instructions: List[Instruction] = []
     branch_targets: Dict[int, int] = {}
     offset = 0
-    while offset < len(code):
-        if offset + 3 > len(code):
+    while offset < end:
+        if offset + 3 > end:
             raise EncodingError("truncated instruction header")
-        opcode, cond_code, n_operands = struct.unpack_from("<BBB", code, offset)
+        opcode, cond_code, n_operands = _HEADER.unpack_from(code, offset)
         offset += 3
-        try:
-            mnemonic = mnemonics[opcode]
-        except KeyError:
-            raise EncodingError(f"unknown opcode {opcode} for {isa.name}") from None
+        mnemonic = mnemonics.get(opcode)
+        if mnemonic is None:
+            raise EncodingError(f"unknown opcode {opcode} for {isa.name}")
         if cond_code >= len(_COND_CODES):
             raise EncodingError(f"unknown condition code {cond_code}")
         operands = []
         for _ in range(n_operands):
-            operand, offset = _decode_operand(
-                code, offset, registers, symbol_name, string_at
-            )
-            operands.append(operand)
-        instr = Instruction(mnemonic, tuple(operands), _COND_CODES[cond_code])
-        for operand in operands:
-            if isinstance(operand, Lab):
-                branch_targets[len(instructions)] = int(operand.name)
-        instructions.append(instr)
+            if offset >= end:
+                raise EncodingError("truncated operand")
+            tag = code[offset]
+            size = _PAYLOAD_SIZE.get(tag)
+            if size is None:
+                raise EncodingError(f"unknown operand tag {tag}")
+            start = offset + 1
+            offset = start + size
+            if offset > end:
+                raise EncodingError("truncated operand")
+            if tag == 1:
+                index = code[start]
+                if index >= n_registers:
+                    raise EncodingError(f"register index {index} out of range")
+                operands.append(registers[index])
+            elif tag == 2:
+                operands.append(AImm(_IMM.unpack_from(code, start)[0]))
+            elif tag == 3:
+                base_index, off = _MEM.unpack_from(code, start)
+                if base_index >= n_registers:
+                    raise EncodingError(
+                        f"register index {base_index} out of range"
+                    )
+                operands.append(Mem(register_names[base_index], off))
+            elif tag == 4:
+                (target,) = _U32.unpack_from(code, start)
+                # The raw target index stands in for the label name; the
+                # disassembler renames it to loc_N at this position.
+                branch_targets[len(instructions)] = target
+                operands.append(Lab(str(target)))
+            elif tag == 5:
+                (index,) = _U32.unpack_from(code, start)
+                operands.append(Sym(symbol_name(index)))
+            else:
+                (str_offset,) = _U32.unpack_from(code, start)
+                operands.append(SRef(string_at(str_offset)))
+        instructions.append(
+            Instruction(mnemonic, tuple(operands), _COND_CODES[cond_code])
+        )
     return instructions, branch_targets
-
-
-def _decode_operand(code, offset, registers, symbol_name, string_at):
-    if offset >= len(code):
-        raise EncodingError("truncated operand")
-    tag = code[offset]
-    offset += 1
-    if tag == 1:
-        index = code[offset]
-        if index >= len(registers):
-            raise EncodingError(f"register index {index} out of range")
-        return Reg(registers[index]), offset + 1
-    if tag == 2:
-        (value,) = struct.unpack_from("<q", code, offset)
-        return AImm(value), offset + 8
-    if tag == 3:
-        base_index = code[offset]
-        (off,) = struct.unpack_from("<i", code, offset + 1)
-        if base_index >= len(registers):
-            raise EncodingError(f"register index {base_index} out of range")
-        return Mem(registers[base_index], off), offset + 5
-    if tag == 4:
-        (target,) = struct.unpack_from("<I", code, offset)
-        # Temporarily store raw target index in the label name; the
-        # disassembler rewrites these to loc_N labels.
-        return Lab(str(target)), offset + 4
-    if tag == 5:
-        (index,) = struct.unpack_from("<I", code, offset)
-        return Sym(symbol_name(index)), offset + 4
-    if tag == 6:
-        (str_offset,) = struct.unpack_from("<I", code, offset)
-        return SRef(string_at(str_offset)), offset + 4
-    raise EncodingError(f"unknown operand tag {tag}")

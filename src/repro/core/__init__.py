@@ -17,6 +17,7 @@ from repro.core.labels import NODE_LABELS, NUM_LABELS, label_of
 from repro.core.preprocess import (
     PreprocessError,
     digitize,
+    lcrs_columns,
     preprocess_ast,
     to_binary_tree,
 )
@@ -36,6 +37,7 @@ __all__ = [
     "label_of",
     "PreprocessError",
     "digitize",
+    "lcrs_columns",
     "preprocess_ast",
     "to_binary_tree",
     "SiameseClassifier",

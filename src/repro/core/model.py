@@ -34,7 +34,8 @@ from repro.nn.serialize import load_state, save_state
 from repro.nn.tensor import no_grad
 from repro.nn.treebatch import (
     CompiledPlan,
-    compile_plan as _compile_tree_plan,
+    TreeColumns,
+    compile_columns as _compile_column_plan,
     encode_plan as _encode_tree_plan,
     resolve_block,
 )
@@ -144,9 +145,24 @@ class Asteria:
         plan holds tree structure only -- no weights -- so the pipeline
         caches it across model changes (``ctrees`` artifacts).
         """
+        return self.compile_columns(
+            TreeColumns.from_trees(trees), batch_size, node_budget, bucketed,
+            registry=registry,
+        )
+
+    def compile_columns(
+        self,
+        columns: TreeColumns,
+        batch_size: int = DEFAULT_ENCODE_BATCH_SIZE,
+        node_budget: int = 0,
+        bucketed: bool = True,
+        registry: Optional[MetricsRegistry] = None,
+    ) -> CompiledPlan:
+        """:meth:`compile_plan` for trees already in columnar form (the
+        pipeline's ``trees`` artifacts), with no tree objects built."""
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        plan = _compile_tree_plan(trees, batch_size, node_budget, bucketed)
+        plan = _compile_column_plan(columns, batch_size, node_budget, bucketed)
         if registry is not None and plan.chunks:
             fill = registry.histogram(
                 "repro_encode_batch_fill",

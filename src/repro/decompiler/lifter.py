@@ -232,6 +232,11 @@ class _BlockLifter:
                 raise LiftError(
                     f"{self.fn.name}: conditional branch without preceding compare"
                 )
+            if "fallthrough" not in successors:
+                raise LiftError(
+                    f"{self.fn.name}: conditional branch ends the function "
+                    f"(no fallthrough successor)"
+                )
             op = self.isa.branch_condition(last.mnemonic)
             lhs, rhs = self.flags
             return BranchTerm(

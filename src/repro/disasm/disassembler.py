@@ -9,7 +9,6 @@ paper's description of IDA's behaviour on the Firmware dataset.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List
 
 from repro.binformat.binary import BinaryFile, FunctionRecord
@@ -40,27 +39,27 @@ def disassemble_function(binary: BinaryFile, record: FunctionRecord) -> AsmFunct
             f"cannot decode {record.display_name()}: {exc}"
         ) from exc
 
-    # Rebuild label names from raw target indices.
-    labels: Dict[str, int] = {}
-    target_to_label: Dict[int, str] = {}
-    for target in sorted(set(branch_targets.values())):
-        label = f"loc_{target}"
-        target_to_label[target] = label
-        labels[label] = target
-    rewritten: List[Instruction] = []
-    for instr in instructions:
-        if any(isinstance(op, Lab) for op in instr.operands):
-            operands = tuple(
-                Lab(target_to_label[int(op.name)]) if isinstance(op, Lab) else op
+    # Rebuild label names from raw target indices, only where the decoder
+    # saw a label operand.
+    labels: Dict[str, int] = {
+        f"loc_{target}": target
+        for target in sorted(set(branch_targets.values()))
+    }
+    for position in branch_targets:
+        instr = instructions[position]
+        instructions[position] = Instruction(
+            instr.mnemonic,
+            tuple(
+                Lab(f"loc_{op.name}") if isinstance(op, Lab) else op
                 for op in instr.operands
-            )
-            instr = replace(instr, operands=operands)
-        rewritten.append(instr)
+            ),
+            instr.cond,
+        )
     return AsmFunction(
         name=record.display_name(),
         arch=binary.arch,
         frame=record.frame,
-        instructions=rewritten,
+        instructions=instructions,
         labels=labels,
     )
 

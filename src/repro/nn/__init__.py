@@ -18,7 +18,9 @@ from repro.nn.treelstm import BinaryTreeLSTM, BinaryTreeNode
 from repro.nn.treebatch import (
     CompiledBatch,
     CompiledPlan,
+    TreeColumns,
     WeightPack,
+    compile_columns,
     compile_plan,
     compile_trees,
     encode_batch,
@@ -42,7 +44,9 @@ __all__ = [
     "no_grad",
     "CompiledBatch",
     "CompiledPlan",
+    "TreeColumns",
     "WeightPack",
+    "compile_columns",
     "compile_plan",
     "compile_trees",
     "encode_batch",

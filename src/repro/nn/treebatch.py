@@ -12,9 +12,11 @@ SPINN-style batching trick.
 
 Three pieces:
 
-* :func:`compile_trees` -- flattens a batch of :class:`BinaryTreeNode`\\ s
-  into level-indexed numpy arrays (per level: label ids, child state rows
-  with a leaf sentinel row, contiguous output rows);
+* :func:`compile_columns` -- schedules trees given as preorder columns
+  (:class:`TreeColumns`) into level-indexed numpy arrays (per level: label
+  ids, child state rows with a leaf sentinel row, contiguous output rows);
+  :func:`compile_trees` / :func:`compile_plan` flatten
+  :class:`BinaryTreeNode`\\ s into columns and call the same scheduler;
 * :func:`encode_batch` -- the inference fast path: pure-numpy level loops
   over preallocated ``(n_nodes + 1, h)`` state buffers, zero autograd
   bookkeeping;
@@ -43,7 +45,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nn.tensor import Tensor
-from repro.nn.treelstm import BinaryTreeLSTM, BinaryTreeNode, _sigmoid
+from repro.nn.treelstm import (
+    BinaryTreeLSTM,
+    BinaryTreeNode,
+    _sigmoid,
+    flatten_tree,
+)
 
 LEAF = -1  # sentinel level for an absent child
 
@@ -110,6 +117,115 @@ class CompiledBatch:
         return level, index
 
 
+@dataclass
+class TreeColumns:
+    """A batch of trees as concatenated preorder columns.
+
+    Tree ``t`` is rows ``offsets[t]:offsets[t + 1]`` of ``labels``,
+    ``lefts`` and ``rights``; child indices are tree-local, -1 = absent
+    (the :func:`~repro.nn.treelstm.flatten_tree` form, which is also what
+    the pipeline's ``trees`` artifacts store).
+    """
+
+    labels: np.ndarray
+    lefts: np.ndarray
+    rights: np.ndarray
+    offsets: np.ndarray  # (n_trees + 1,)
+
+    @classmethod
+    def from_trees(cls, trees: Sequence[BinaryTreeNode]) -> "TreeColumns":
+        labels: List[int] = []
+        lefts: List[int] = []
+        rights: List[int] = []
+        offsets = [0]
+        for tree in trees:
+            tree_labels, tree_lefts, tree_rights = flatten_tree(tree)
+            labels += tree_labels
+            lefts += tree_lefts
+            rights += tree_rights
+            offsets.append(len(labels))
+        return cls(*(
+            np.asarray(column, dtype=np.int64)
+            for column in (labels, lefts, rights, offsets)
+        ))
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def levels(self) -> np.ndarray:
+        """Every node's level: the height of its subtree, leaves 0.
+
+        One reverse pass, since a child's preorder index is always larger
+        than its parent's.
+        """
+        base = np.repeat(self.offsets[:-1], self.sizes)
+        rows = np.arange(len(self.labels))
+        children = []
+        for column in (self.lefts, self.rights):
+            child = np.where(column >= 0, column + base, LEAF)
+            if np.any((column >= 0) & (child <= rows)):
+                raise ValueError("a child precedes its parent in preorder")
+            children.append(child.tolist())
+        n = len(rows)
+        # level[n] is the absent child's LEAF, and index -1 reaches it
+        level = [LEAF] * (n + 1)
+        for i, left, right in zip(
+            range(n - 1, -1, -1), reversed(children[0]), reversed(children[1])
+        ):
+            a, b = level[left], level[right]
+            level[i] = (a if a > b else b) + 1
+        return np.asarray(level[:n], dtype=np.int64)
+
+
+def _compile_chunk(
+    columns: TreeColumns, levels: np.ndarray, indices: np.ndarray
+) -> CompiledBatch:
+    """Level-schedule trees ``indices`` of ``columns``, in that order.
+
+    Nodes are stably sorted by level from (tree, preorder) order.  Two
+    nodes on one level are never ancestor and descendant, and for such
+    pairs preorder and postorder agree, so each level lists its nodes
+    in (tree, postorder) order.
+    """
+    starts = columns.offsets[indices]
+    sizes = columns.offsets[indices + 1] - starts
+    n_nodes = int(sizes.sum())
+    bases = np.cumsum(sizes) - sizes  # each tree's first chunk row
+    nodes = np.arange(n_nodes) + np.repeat(starts - bases, sizes)
+    node_levels = levels[nodes]
+    order = np.argsort(node_levels, kind="stable")
+    # chunk row -> state-buffer row; the extra last entry is the leaf
+    # sentinel row n_nodes, which an absent child's -1 indexes
+    row = np.empty(n_nodes + 1, dtype=np.int64)
+    row[order] = np.arange(n_nodes)
+    row[n_nodes] = n_nodes
+    sorted_nodes = nodes[order]
+    tree_base = np.repeat(bases, sizes)[order]
+
+    def child_rows(column: np.ndarray) -> np.ndarray:
+        child = column[sorted_nodes]
+        return row[np.where(child >= 0, child + tree_base, -1)]
+
+    labels = columns.labels[sorted_nodes]
+    lefts, rights = child_rows(columns.lefts), child_rows(columns.rights)
+    bounds = np.concatenate(
+        [[0], np.cumsum(np.bincount(node_levels))]
+    ).astype(np.int64)
+    levels_out = [
+        LevelPlan(
+            labels=labels[lo:hi],
+            left_global=lefts[lo:hi],
+            right_global=rights[lo:hi],
+            offset=int(lo),
+        )
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+    return CompiledBatch(
+        levels=levels_out, root_global=row[bases], n_nodes=n_nodes
+    )
+
+
 def compile_trees(trees: Sequence[BinaryTreeNode]) -> CompiledBatch:
     """Flatten a batch of trees into level-indexed arrays.
 
@@ -117,57 +233,9 @@ def compile_trees(trees: Sequence[BinaryTreeNode]) -> CompiledBatch:
     so every node's children live at strictly lower levels and each level
     can be evaluated as one stacked cell application.
     """
-    labels: List[List[int]] = []
-    left_refs: List[List[Tuple[int, int]]] = []
-    right_refs: List[List[Tuple[int, int]]] = []
-    root_refs: List[Tuple[int, int]] = []
-    for tree in trees:
-        ref_of: Dict[int, Tuple[int, int]] = {}
-        for node in tree.postorder():
-            if id(node) in ref_of:
-                raise ValueError(
-                    "compile_trees requires trees, but a node is reachable "
-                    "through more than one parent (shared-subtree DAGs are "
-                    "unsupported; deep-copy the shared subtree first)"
-                )
-            left = ref_of[id(node.left)] if node.left is not None else (LEAF, 0)
-            right = ref_of[id(node.right)] if node.right is not None else (LEAF, 0)
-            level = 1 + max(left[0], right[0])
-            if level == len(labels):
-                labels.append([])
-                left_refs.append([])
-                right_refs.append([])
-            ref_of[id(node)] = (level, len(labels[level]))
-            labels[level].append(node.label)
-            left_refs[level].append(left)
-            right_refs[level].append(right)
-        root_refs.append(ref_of[id(tree)])
-
-    offsets = np.concatenate(
-        [[0], np.cumsum([len(level) for level in labels])]
-    ).astype(np.int64)
-    n_nodes = int(offsets[-1])
-
-    def to_global(refs: Sequence[Tuple[int, int]]) -> np.ndarray:
-        # Absent children address the leaf sentinel stored in the buffer's
-        # last row (index n_nodes).
-        return np.array(
-            [offsets[lvl] + idx if lvl != LEAF else n_nodes
-             for lvl, idx in refs],
-            dtype=np.int64,
-        )
-
-    levels = [
-        LevelPlan(
-            labels=np.array(level_labels, dtype=np.int64),
-            left_global=to_global(left_refs[lvl]),
-            right_global=to_global(right_refs[lvl]),
-            offset=int(offsets[lvl]),
-        )
-        for lvl, level_labels in enumerate(labels)
-    ]
-    return CompiledBatch(
-        levels=levels, root_global=to_global(root_refs), n_nodes=n_nodes
+    columns = TreeColumns.from_trees(trees)
+    return _compile_chunk(
+        columns, columns.levels(), np.arange(len(trees), dtype=np.int64)
     )
 
 
@@ -467,6 +535,33 @@ def plan_chunks(
     return chunks
 
 
+def compile_columns(
+    columns: TreeColumns,
+    batch_size: int,
+    node_budget: int = 0,
+    bucketed: bool = True,
+) -> CompiledPlan:
+    """Bucket + compile columnar trees into a reusable :class:`CompiledPlan`.
+
+    Levels are computed once for all trees; each chunk is then a gather
+    and a stable sort of its trees' nodes.
+    """
+    levels = columns.levels()
+    sizes = columns.sizes
+    return CompiledPlan(
+        chunks=[
+            CompiledChunk(
+                indices=indices,
+                batch=_compile_chunk(columns, levels, indices),
+            )
+            for indices in plan_chunks(
+                sizes, batch_size, node_budget, bucketed
+            )
+        ],
+        n_trees=len(sizes),
+    )
+
+
 def compile_plan(
     trees: Sequence[BinaryTreeNode],
     batch_size: int,
@@ -474,18 +569,8 @@ def compile_plan(
     bucketed: bool = True,
 ) -> CompiledPlan:
     """Bucket + compile a tree list into a reusable :class:`CompiledPlan`."""
-    sizes = [tree.size() for tree in trees]
-    return CompiledPlan(
-        chunks=[
-            CompiledChunk(
-                indices=indices,
-                batch=compile_trees([trees[i] for i in indices]),
-            )
-            for indices in plan_chunks(
-                sizes, batch_size, node_budget, bucketed
-            )
-        ],
-        n_trees=len(trees),
+    return compile_columns(
+        TreeColumns.from_trees(trees), batch_size, node_budget, bucketed
     )
 
 

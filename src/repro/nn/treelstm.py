@@ -21,7 +21,7 @@ deep LCRS spines cannot overflow Python's recursion limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,6 +68,65 @@ class BinaryTreeNode:
                 stack.append((node.right, False))
             if node.left is not None:
                 stack.append((node.left, False))
+
+
+# -- the columnar form ------------------------------------------------------------
+#
+# A binary tree as three parallel columns in preorder: ``labels[i]``, and
+# the indices of node ``i``'s left and right child (-1 = absent).  Root is
+# index 0 and every child follows its parent.  The LCRS preorder of a
+# binarised AST is the n-ary preorder of the AST itself, which is what
+# lets preprocessing emit these columns straight from the AST.
+
+
+def flatten_tree(
+    root: BinaryTreeNode,
+) -> Tuple[List[int], List[int], List[int]]:
+    """Flatten a binary tree into preorder label/left/right columns.
+
+    Raises :class:`ValueError` on a node reachable through two parents
+    (a shared-subtree DAG has no columnar form).
+    """
+    labels: List[int] = []
+    lefts: List[int] = []
+    rights: List[int] = []
+    seen = set()
+    stack = [(root, -1)]  # (node, index of the node it is the right child of)
+    while stack:
+        node, parent = stack.pop()
+        if id(node) in seen:
+            raise ValueError(
+                "expected a tree, but a node is reachable through more than "
+                "one parent (shared-subtree DAGs are unsupported; deep-copy "
+                "the shared subtree first)"
+            )
+        seen.add(id(node))
+        i = len(labels)
+        if parent >= 0:
+            rights[parent] = i
+        labels.append(node.label)
+        rights.append(-1)
+        if node.right is not None:
+            stack.append((node.right, i))
+        if node.left is not None:
+            lefts.append(i + 1)
+            stack.append((node.left, -1))
+        else:
+            lefts.append(-1)
+    return labels, lefts, rights
+
+
+def unflatten_tree(
+    labels: Sequence[int], lefts: Sequence[int], rights: Sequence[int]
+) -> BinaryTreeNode:
+    """Rebuild a tree from :func:`flatten_tree` columns."""
+    nodes = [BinaryTreeNode(label) for label in labels]
+    for node, left, right in zip(nodes, lefts, rights):
+        if left >= 0:
+            node.left = nodes[left]
+        if right >= 0:
+            node.right = nodes[right]
+    return nodes[0]
 
 
 class BinaryTreeLSTM(Module):

@@ -25,11 +25,10 @@ from repro.pipeline.stages import (
     decompile_stage,
     encode_stage,
     extract_binary,
-    flatten_tree,
     preprocess_one,
-    unflatten_tree,
     unpack_stage,
 )
+from repro.nn.treelstm import flatten_tree, unflatten_tree
 from repro.pipeline.workers import (
     WorkerCrashError,
     WorkerTaskError,

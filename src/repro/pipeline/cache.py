@@ -177,9 +177,11 @@ class ArtifactCache:
             "format_version": FORMAT_VERSION,
             "entries": self._entries,
         }
+        # Rewritten whole on every flush, so compact: ``indent`` would
+        # also force json's pure-Python encoder.  Readers take either form.
         atomic_write_text(
             self.root / MANIFEST_NAME,
-            json.dumps(manifest, indent=2, sort_keys=True),
+            json.dumps(manifest, separators=(",", ":"), sort_keys=True),
         )
         self._dirty = False
 

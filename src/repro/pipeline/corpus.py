@@ -236,7 +236,8 @@ class CorpusPipeline:
 
         Plans hold tree structure only, so they are keyed without the
         model fingerprint: after a retrain, ``enc`` misses but the plan
-        still hits and zero trees are recompiled.
+        still hits and zero trees are recompiled.  A miss compiles the
+        extracted columns directly; no tree objects are built.
         """
         min_ast_size = self.model.config.min_ast_size
         node_budget = resolve_node_budget(0)
@@ -244,8 +245,8 @@ class CorpusPipeline:
             digest, min_ast_size, self.encode_batch_size, node_budget
         )
         if plan is None:
-            plan = self.model.compile_plan(
-                extracted.trees(),
+            plan = self.model.compile_columns(
+                extracted.columns(),
                 self.encode_batch_size,
                 node_budget=node_budget,
                 registry=self.registry,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -29,13 +29,14 @@ from repro.core.model import (
     Asteria,
     FunctionEncoding,
 )
-from repro.core.preprocess import try_preprocess_ast
+from repro.core.preprocess import lcrs_columns, try_preprocess_ast
 from repro.decompiler.hexrays import (
     DecompiledFunction,
     decompile_binary,
     decompile_function,
 )
-from repro.nn.treelstm import BinaryTreeNode
+from repro.nn.treebatch import TreeColumns
+from repro.nn.treelstm import BinaryTreeNode, unflatten_tree
 
 
 # -- per-function building blocks --------------------------------------------------
@@ -74,53 +75,6 @@ def decompile_stage(
     return list(decompile_binary(binary, skip_errors=skip_errors))
 
 
-# -- tree (de)serialisation ---------------------------------------------------------
-
-
-def flatten_tree(
-    root: BinaryTreeNode,
-) -> Tuple[List[int], List[int], List[int]]:
-    """Flatten a binarised tree into parallel label/left/right arrays.
-
-    Children are referenced by array index, -1 meaning absent, so the
-    representation is free of object graphs: storable in an npz artifact
-    and picklable without recursion limits.
-    """
-    nodes: List[BinaryTreeNode] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
-        if node.right is not None:
-            stack.append(node.right)
-        if node.left is not None:
-            stack.append(node.left)
-    index = {id(node): i for i, node in enumerate(nodes)}
-    labels = [node.label for node in nodes]
-    lefts = [
-        index[id(node.left)] if node.left is not None else -1 for node in nodes
-    ]
-    rights = [
-        index[id(node.right)] if node.right is not None else -1
-        for node in nodes
-    ]
-    return labels, lefts, rights
-
-
-def unflatten_tree(
-    labels: Sequence[int], lefts: Sequence[int], rights: Sequence[int]
-) -> BinaryTreeNode:
-    """Rebuild a tree from :func:`flatten_tree` arrays (root is index 0)."""
-    nodes = [BinaryTreeNode(label=int(label)) for label in labels]
-    for i, node in enumerate(nodes):
-        left, right = int(lefts[i]), int(rights[i])
-        if left >= 0:
-            node.left = nodes[left]
-        if right >= 0:
-            node.right = nodes[right]
-    return nodes[0]
-
-
 # -- the extracted artifact ---------------------------------------------------------
 
 
@@ -140,7 +94,7 @@ class ExtractedBinary:
     ast_sizes: np.ndarray  # (n,) source-AST node counts
     callee_sizes: np.ndarray  # flattened callee instruction counts
     callee_offsets: np.ndarray  # (n + 1,) offsets into callee_sizes
-    labels: np.ndarray  # flattened per-tree node labels
+    labels: np.ndarray  # per-tree preorder node labels, concatenated
     lefts: np.ndarray  # tree-local child indices, -1 = absent
     rights: np.ndarray
     tree_offsets: np.ndarray  # (n + 1,) offsets into labels/lefts/rights
@@ -152,17 +106,22 @@ class ExtractedBinary:
     def __len__(self) -> int:
         return len(self.names)
 
+    def columns(self) -> TreeColumns:
+        """The preprocessed trees as the encoder's compile input."""
+        return TreeColumns(
+            self.labels, self.lefts, self.rights, self.tree_offsets
+        )
+
     def trees(self) -> List[BinaryTreeNode]:
-        out = []
-        for i in range(len(self.names)):
-            lo = int(self.tree_offsets[i])
-            hi = int(self.tree_offsets[i + 1])
-            out.append(
-                unflatten_tree(
-                    self.labels[lo:hi], self.lefts[lo:hi], self.rights[lo:hi]
-                )
-            )
-        return out
+        """The preprocessed trees as objects (for per-tree callers)."""
+        labels = self.labels.tolist()
+        lefts = self.lefts.tolist()
+        rights = self.rights.tolist()
+        offsets = self.tree_offsets.tolist()
+        return [
+            unflatten_tree(labels[lo:hi], lefts[lo:hi], rights[lo:hi])
+            for lo, hi in zip(offsets[:-1], offsets[1:])
+        ]
 
     def filtered_callee_count(self, i: int, beta: int) -> int:
         """Size of function ``i``'s callee set after the inline filter."""
@@ -192,13 +151,12 @@ def extract_binary(binary: BinaryFile, min_ast_size: int) -> ExtractedBinary:
     tree_offsets: List[int] = [0]
     n_skipped = 0
     for fn in fns:
-        tree = preprocess_one(fn, min_ast_size)
-        if tree is None:
+        tree_labels, tree_lefts, tree_rights = lcrs_columns(fn.ast)
+        if len(tree_labels) < min_ast_size:
             n_skipped += 1
             continue
-        tree_labels, tree_lefts, tree_rights = flatten_tree(tree)
         names.append(fn.name)
-        ast_sizes.append(fn.ast_size())
+        ast_sizes.append(len(tree_labels))
         callee_sizes.extend(size for _name, size in fn.callees)
         callee_offsets.append(len(callee_sizes))
         labels.extend(tree_labels)
@@ -248,15 +206,13 @@ def encode_stage(
     """
     if not len(extracted):
         return []
-    if plan is not None:
-        vectors = model.encode_plan(
-            plan, dtype=dtype, block=block, registry=registry
+    if plan is None:
+        plan = model.compile_columns(
+            extracted.columns(), batch_size, registry=registry
         )
-    else:
-        vectors = model.encode_batch(
-            extracted.trees(), batch_size=batch_size,
-            dtype=dtype, block=block, registry=registry,
-        )
+    vectors = model.encode_plan(
+        plan, dtype=dtype, block=block, registry=registry
+    )
     beta = model.config.beta
     return [
         FunctionEncoding(

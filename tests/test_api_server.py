@@ -478,6 +478,43 @@ class TestEncodeIngestCompare:
         assert status == 200
         assert query["n_rows"] == body["n_rows_total"]
 
+    def test_ingest_with_a_truncated_function_skips_it(
+        self, server, query_binary
+    ):
+        """One function cut inside an 8-byte immediate operand: the
+        decoder's typed error skips that function, the rest ingest."""
+        import dataclasses
+
+        payload = {1: 1, 2: 8, 3: 5, 4: 4, 5: 4, 6: 4}  # bytes by tag
+
+        def cut_inside_immediate(code):
+            offset = 0
+            while offset < len(code):
+                n_operands = code[offset + 2]
+                offset += 3
+                for _ in range(n_operands):
+                    if code[offset] == 2:
+                        return offset + 4
+                    offset += 1 + payload[code[offset]]
+            return None
+
+        functions = list(query_binary.functions)
+        victim, cut = next(
+            (i, cut) for i, record in enumerate(functions)
+            if (cut := cut_inside_immediate(record.code)) is not None
+        )
+        functions[victim] = dataclasses.replace(
+            functions[victim], code=functions[victim].code[:cut]
+        )
+        damaged = dataclasses.replace(
+            query_binary, name="truncated", functions=functions
+        )
+        status, body = _post(server, "/v1/ingest", {
+            "binary_b64": _b64(damaged), "image_id": "img-truncated",
+        })
+        assert status == 200, body
+        assert 0 < body["n_functions"] < len(functions)
+
     def test_ingest_needs_input(self, server):
         status, body = _post(server, "/v1/ingest", {})
         assert status == 400

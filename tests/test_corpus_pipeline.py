@@ -280,6 +280,24 @@ class TestArtifactCacheRecovery:
         assert again.stats.cache.misses == 0
 
 
+    def test_manifest_is_compact_and_an_indented_one_still_opens(
+        self, tmp_path
+    ):
+        root = tmp_path / "cache"
+        cache = ArtifactCache(root)
+        cache.put("enc-k", {"x": np.arange(4.0)}, {"n": 1})
+        cache.flush()
+        text = (root / MANIFEST_NAME).read_text()
+        assert "\n" not in text and ": " not in text
+        # the indented form earlier versions wrote
+        (root / MANIFEST_NAME).write_text(
+            json.dumps(json.loads(text), indent=2, sort_keys=True)
+        )
+        reopened = ArtifactCache(root)
+        state, meta = reopened.get("enc-k")
+        assert np.array_equal(state["x"], np.arange(4.0))
+        assert meta == {"n": 1}
+
     @pytest.mark.parametrize(
         "damage", ["truncated", "stale", "stale-legacy-entry"]
     )

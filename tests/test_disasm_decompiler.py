@@ -214,3 +214,61 @@ class TestDecompiledMetadata:
             for fn in decompile_binary(binaries[arch]):
                 for node in fn.ast.walk():
                     assert node.op in NODE_LABELS
+
+
+#: Operand payload bytes by tag, per :mod:`repro.binformat.encoding`.
+_PAYLOAD = {1: 1, 2: 8, 3: 5, 4: 4, 5: 4, 6: 4}
+
+
+def _instruction_ends(code: bytes):
+    """Byte offset just past each encoded instruction, in order."""
+    offset = 0
+    while offset < len(code):
+        n_operands = code[offset + 2]
+        offset += 3
+        for _ in range(n_operands):
+            offset += 1 + _PAYLOAD[code[offset]]
+        yield offset
+
+
+class TestTruncatedBodies:
+    """A function body cut short anywhere either still decompiles or is a
+    :class:`DecompilationError` -- never an untyped error from the
+    decoder or the lifter, which ``skip_errors`` could not skip."""
+
+    @pytest.mark.parametrize("arch", SUPPORTED_ARCHES)
+    def test_every_cut_is_typed(self, binaries, arch):
+        import dataclasses
+
+        binary = binaries[arch]
+        n_failed = 0
+        for record in binary.functions[:6]:
+            for cut in range(0, len(record.code), 3):
+                damaged = dataclasses.replace(record, code=record.code[:cut])
+                try:
+                    decompile_function(binary, damaged)
+                except DecompilationError:
+                    n_failed += 1
+        assert n_failed > 0
+
+    def test_branch_ending_the_body_is_a_lift_error(self, binaries):
+        """Cut right after a conditional branch: the branch has a taken
+        edge but nothing to fall through to."""
+        import dataclasses
+
+        from repro.compiler.isa import get_isa
+
+        binary = binaries["x86"]
+        isa = get_isa("x86")
+        for record in binary.functions:
+            asm = disassemble_function(binary, record)
+            ends = list(_instruction_ends(record.code))
+            for instr, end in zip(asm.instructions, ends):
+                if isa.is_conditional_branch(instr.mnemonic):
+                    damaged = dataclasses.replace(
+                        record, code=record.code[:end]
+                    )
+                    with pytest.raises(DecompilationError, match="fallthrough"):
+                        decompile_function(binary, damaged)
+                    return
+        pytest.fail("no conditional branch in the x86 binary")
