@@ -3,7 +3,8 @@
 Walks the full pipeline at miniature scale, entirely over the unified
 facade (`repro.api`):
 
-1. train the Tree-LSTM Siamese model (`engine.train`);
+1. train the Tree-LSTM Siamese model (`train_model`) and serve it from
+   an engine (`AsteriaEngine(model=result.model)`);
 2. ingest a cross-compiled corpus into the embedding index
    (`engine.ingest`);
 3. run top-k similarity queries (`engine.query`);
@@ -21,15 +22,14 @@ from repro.api import (
     IngestRequest,
     QueryRequest,
     TrainRequest,
+    train_model,
 )
 from repro.evalsuite.datasets import build_buildroot_dataset
 
 
 def main():
-    engine = AsteriaEngine(EngineConfig())
-
     print("1) training the Tree-LSTM Siamese model (paper defaults)...")
-    result = engine.train(TrainRequest(
+    result = train_model(TrainRequest(
         packages=4, pairs=15, epochs=2, seed=7,
         output_path="/tmp/asteria_quickstart.npz",
     ))
@@ -37,6 +37,7 @@ def main():
     for epoch in result.history.epochs:
         print(f"   epoch {epoch.epoch}: loss={epoch.mean_loss:.4f} "
               f"auc={epoch.auc:.4f} ({epoch.seconds:.1f}s)")
+    engine = AsteriaEngine(EngineConfig(), model=result.model)
 
     print("2) ingesting a cross-compiled corpus into the embedding index...")
     dataset = build_buildroot_dataset(n_packages=4, seed=7)

@@ -30,6 +30,7 @@ from repro.api.engine import (
     QueryResult,
     TrainRequest,
     TrainResult,
+    train_model,
 )
 from repro.api.errors import (
     BadRequestError,
@@ -64,4 +65,5 @@ __all__ = [
     "TrainResult",
     "USE_DEFAULT",
     "serve",
+    "train_model",
 ]

@@ -3,18 +3,18 @@
 The serving layer's hot path is "encode one query AST, then score it":
 with N concurrent clients the naive implementation performs N sequential
 tree walks.  :class:`MicroBatcher` coalesces in-flight encode requests
-into single level-batched :meth:`~repro.core.model.Asteria.encode_batch`
-calls (PR 2's stacked-GEMM fast path), so concurrency turns into batch
-width instead of queueing delay.
+into single level-batched calls (the engine's are
+:meth:`~repro.core.model.Asteria.encode_columns` over one-tree
+columns), so concurrency turns into batch width instead of queueing
+delay.
 
 The protocol is leader/follower: a calling thread appends its tree to
 the pending queue; whichever thread finds no batch in flight elects
 itself leader, drains up to ``max_batch_size`` pending items, grants a
 short ``max_wait_s`` accumulation window for late arrivals, then runs
 one batched encode and publishes each result.  Followers block on their
-item's event.  Exactly one batch runs at a time, which also keeps the
-(single) model's encode path effectively single-threaded -- callers need
-no extra locking.
+item's event.  Exactly one batch runs at a time; the encode callable
+itself needs no lock as long as it reads only immutable weights.
 
 Because the level-batched engine issues fixed-size GEMM blocks, the
 encoding of a tree is bit-for-bit independent of which other trees
@@ -77,21 +77,21 @@ class _Item:
 class MicroBatcher:
     """Coalesce concurrent ``encode(tree)`` calls into batched encodes.
 
-    ``encode_batch_fn`` maps a sequence of trees to an ``(n, h)`` matrix.
+    ``encode_fn`` maps a sequence of trees to an ``(n, h)`` matrix.
     ``max_batch_size=1`` degenerates to serialized per-tree encoding --
     the baseline the serving throughput benchmark compares against.
     """
 
     def __init__(
         self,
-        encode_batch_fn: Callable[[Sequence], np.ndarray],
+        encode_fn: Callable[[Sequence], np.ndarray],
         max_batch_size: int = 64,
         max_wait_s: float = 0.002,
         registry: Optional[MetricsRegistry] = None,
     ):
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        self._encode_batch = encode_batch_fn
+        self._encode = encode_fn
         self.max_batch_size = max_batch_size
         self.max_wait_s = max_wait_s
         self._cond = threading.Condition()
@@ -200,7 +200,7 @@ class MicroBatcher:
                 del self._pending[: len(extra)]
             run.extend(extra)
         try:
-            vectors = self._encode_batch([it.tree for it in run])
+            vectors = self._encode([it.tree for it in run])
             for i, it in enumerate(run):
                 it.result = np.asarray(vectors[i]).copy()
         except BaseException as exc:  # publish, don't strand followers

@@ -83,8 +83,6 @@ class EngineConfig:
     ann_lists: int = _knob(
         0, "ivf-pq: number of coarse partitions (0 = auto, ~sqrt(corpus "
         "rows))", min=0, zero="auto")
-    calibrate: bool = _knob(
-        True, "apply the paper's callee-count calibration (score F, not M)")
     threshold: float = _knob(
         0.84, "Youden cutoff for queries that ask for the configured one")
     top_k: int = _knob(10, "query depth for queries that name none")
@@ -262,10 +260,4 @@ def _coerce(f, raw: str):
             return float(raw)
         except ValueError:
             raise BadRequestError(f"{f.name} expects a number, got {raw!r}")
-    if "bool" in kind:
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise BadRequestError(f"{f.name} expects a boolean, got {raw!r}")
     return raw

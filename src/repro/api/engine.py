@@ -13,8 +13,12 @@ as a small set of typed request/response dataclasses:
   micro-batcher (:mod:`repro.api.batching`); a query batch sweeps the
   corpus once for all its queries (broadcasted Siamese GEMM blocks);
 * :meth:`AsteriaEngine.compare` -- pairwise M / calibrated F scores;
-* :meth:`AsteriaEngine.train`   -- train a model and adopt it;
 * :meth:`AsteriaEngine.stats`   -- counters for monitoring and tests.
+
+:func:`train_model` fits a fresh model; serve it with
+``AsteriaEngine(model=result.model)``.  An engine's model is fixed for
+its lifetime, and everything it encodes goes through one columns
+encoder (:meth:`Asteria.encode_columns`).
 
 Every consumer -- the CLI, the HTTP server
 (:mod:`repro.api.server`), ``VulnerabilitySearch``, benchmarks and
@@ -22,8 +26,9 @@ examples -- constructs its model/cache/index/pipeline stack through
 this class; nothing else in the repo assembles those pieces by hand.
 The engine is thread-safe: concurrent :meth:`query` calls are the
 serving hot path and ride the micro-batcher, while store-mutating calls
-serialize behind one lock.  A query holds it only to pin the index it
-sweeps, so :meth:`stats` (and ``/healthz``) never waits on a sweep.
+serialize behind one lock.  Encodes read only the immutable model and
+take no lock; a query holds the lock only to pin the index it sweeps,
+so :meth:`stats` (and ``/healthz``) never waits on an encode or a sweep.
 """
 
 from __future__ import annotations
@@ -53,10 +58,13 @@ from repro.api.errors import (
     ModelNotFoundError,
 )
 from repro.binformat.binary import BinaryFile
+from repro.core.calibration import filtered_callee_count
 from repro.core.model import Asteria, AsteriaConfig, FunctionEncoding
+from repro.core.preprocess import lcrs_columns
 from repro.core.training import TrainConfig, Trainer, TrainHistory
 from repro.index.search import SearchHit, SearchService
 from repro.index.store import MANIFEST_NAME, EmbeddingStore, StoreError
+from repro.nn.treebatch import TreeColumns
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Span, trace
 from repro.pipeline import (
@@ -65,7 +73,7 @@ from repro.pipeline import (
     PipelineStats,
     binary_digest,
 )
-from repro.pipeline.stages import extract_binary
+from repro.pipeline.stages import ExtractedBinary, extract_binary
 from repro.serving import generations
 from repro.serving.coordinator import ServingCoordinator
 from repro.serving.pool import SweepError, SweepTimeout
@@ -77,10 +85,10 @@ _LOG = get_logger("api.engine")
 #: where ``None`` already means "unlimited".
 USE_DEFAULT = -1
 
-#: Most-recently-queried binaries whose extracted trees stay memoized in
-#: memory; a long-running server over many distinct query binaries evicts
-#: the oldest instead of growing without bound (the artifact cache still
-#: holds evicted trees, on disk when ``cache_dir`` is set).
+#: Most-recently-queried binaries whose extracted columns stay memoized
+#: in memory; a long-running server over many distinct query binaries
+#: evicts the oldest instead of growing without bound (the artifact cache
+#: still holds evicted trees, on disk when ``cache_dir`` is set).
 EXTRACT_MEMO_MAX_BINARIES = 64
 
 BinarySource = Union[BinaryFile, str, Path]
@@ -212,6 +220,7 @@ class TrainResult:
     best_auc: float
     best_epoch: int
     history: TrainHistory
+    model: Asteria
     model_path: Optional[str] = None
 
 
@@ -324,7 +333,6 @@ class AsteriaEngine:
         self._cache = cache
         self._pipeline: Optional[CorpusPipeline] = None
         self._service: Optional[SearchService] = None
-        self._batcher: Optional[MicroBatcher] = None
         self._library: Optional[Dict] = None
         self._coordinator: Optional[ServingCoordinator] = None
         self._closed = False
@@ -340,6 +348,14 @@ class AsteriaEngine:
         #: the engine's telemetry sink, shared with every component it
         #: assembles (batcher, pipeline, service, ANN index, HTTP server)
         self.obs = registry if registry is not None else MetricsRegistry()
+        #: coalesces concurrent query encodes: one-tree columns each,
+        #: encoded unlocked by :meth:`_encode_columns`
+        self.batcher = MicroBatcher(
+            self._encode_columns,
+            max_batch_size=self.config.micro_batch_size,
+            max_wait_s=self.config.micro_batch_wait_ms / 1000.0,
+            registry=self.obs,
+        )
         if self.config.faults:
             # arm configured failpoints process-wide (chaos testing)
             faults.configure(self.config.faults)
@@ -348,13 +364,16 @@ class AsteriaEngine:
 
     @property
     def model(self) -> Asteria:
+        """Fixed for the engine's lifetime: loaded once, read unlocked."""
+        if self._model is not None:
+            return self._model
         with self._lock:
             if self._model is None:
                 path = self.config.model_path
                 if path is None:
                     raise ModelNotFoundError(
-                        "no model: set EngineConfig.model_path, pass a "
-                        "model, or call train() first"
+                        "no model: set EngineConfig.model_path or pass a "
+                        "model (train_model() returns one)"
                     )
                 if not Path(path).exists():
                     raise ModelNotFoundError(
@@ -417,32 +436,15 @@ class AsteriaEngine:
                 self._service = self._make_service(self.store)
             return self._service
 
-    @property
-    def batcher(self) -> MicroBatcher:
-        with self._lock:
-            if self._batcher is None:
-                model = self.model
-                config = self.config
-
-                def encode(trees):
-                    # under the engine lock: a batch must not read
-                    # weights that train()'s optimizer is mid-mutating
-                    with self._lock:
-                        return model.encode_batch(
-                            trees,
-                            batch_size=config.encode_batch_size,
-                            dtype=config.encode_dtype,
-                            block=config.encode_block,
-                            registry=self.obs,
-                        )
-
-                self._batcher = MicroBatcher(
-                    encode,
-                    max_batch_size=self.config.micro_batch_size,
-                    max_wait_s=self.config.micro_batch_wait_ms / 1000.0,
-                    registry=self.obs,
-                )
-            return self._batcher
+    def _encode_columns(self, parts: Sequence[TreeColumns]) -> np.ndarray:
+        """The served encoder of query and compare: unlocked (the model
+        is immutable), each vector independent of what shares its batch."""
+        config = self.config
+        return self.model.encode_columns(
+            TreeColumns.concat(parts), config.encode_batch_size,
+            dtype=config.encode_dtype, block=config.encode_block,
+            registry=self.obs,
+        )
 
     def _backend_options(self, backend: str) -> Dict:
         if backend == "ivf-pq":
@@ -464,12 +466,7 @@ class AsteriaEngine:
         options = self._backend_options(backend)
         options.update(backend_options)
         return SearchService(
-            self.model,
-            store,
-            backend=backend,
-            calibrate=self.config.calibrate,
-            registry=self.obs,
-            **options,
+            self.model, store, backend=backend, registry=self.obs, **options
         )
 
     def make_service(
@@ -557,7 +554,6 @@ class AsteriaEngine:
                     self.config.index_root,
                     self.config.serve_workers,
                     registry=self.obs,
-                    calibrate=self.config.calibrate,
                 )
                 rel = (
                     generations.read_current(self.config.index_root)
@@ -893,17 +889,17 @@ class AsteriaEngine:
     ) -> List[Tuple[str, FunctionEncoding]]:
         """``(display name, encoding)`` per request, coalescing encodes.
 
-        Requests that need a query-side encode contribute their trees to
-        a single :meth:`MicroBatcher.encode_many` call, so a Q-query
-        batch costs a handful of wide GEMM passes instead of Q tree
-        walks.  Tree extraction (model-independent) is cached; the
+        Requests that need a query-side encode contribute their tree
+        columns to a single :meth:`MicroBatcher.encode_many` call, so a
+        Q-query batch costs a handful of wide GEMM passes instead of Q
+        tree walks.  Tree extraction (model-independent) is cached; the
         encode itself is deliberately fresh each call so the batcher --
         not a memo -- carries concurrent load.
         """
         resolved: List[Optional[Tuple[str, FunctionEncoding]]] = (
             [None] * len(requests)
         )
-        jobs: List[Tuple[int, BinaryFile, str, Tuple]] = []
+        jobs: List[Tuple[int, str, ExtractedBinary, int]] = []
         for i, request in enumerate(requests):
             if request.encoding is not None:
                 resolved[i] = (request.encoding.name, request.encoding)
@@ -925,32 +921,30 @@ class AsteriaEngine:
             if not request.function:
                 raise BadRequestError("binary queries need a function name")
             binary = self._binary_of(request.binary)
-            extracted, trees = self._extracted_for(binary)
-            if request.function not in trees:
+            extracted, rows = self._extracted_for(binary)
+            if request.function not in rows:
                 raise BadRequestError(
                     f"function {request.function!r} not found (or below "
                     f"the AST size floor) in binary {binary.name!r}"
                 )
-            jobs.append(
-                (i, binary, request.function, extracted,
-                 trees[request.function])
-            )
+            jobs.append((
+                i, f"{binary.name}:{request.function}", extracted,
+                rows[request.function],
+            ))
         if jobs:
             with trace("engine.encode_queries", n=len(jobs)):
                 vectors = self.batcher.encode_many(
-                    [tree for *_rest, tree in jobs], deadline=deadline
+                    [extracted.columns().tree(row)
+                     for _i, _name, extracted, row in jobs],
+                    deadline=deadline,
                 )
             self.obs.counter(
                 "repro_query_encodes_total",
                 "Query-side function encodes",
             ).inc(len(jobs))
-            for (i, binary, function, extracted, _tree), vector in zip(
-                jobs, vectors
-            ):
-                encoding = self._encoding_from_extracted(
-                    extracted, function, vector
-                )
-                resolved[i] = (f"{binary.name}:{function}", encoding)
+            beta = self.model.config.beta
+            for (i, name, extracted, row), vector in zip(jobs, vectors):
+                resolved[i] = (name, extracted.encoding(row, vector, beta))
         return resolved
 
     def _pool_sweep(
@@ -976,22 +970,10 @@ class AsteriaEngine:
         except SweepError as exc:
             raise EngineError(f"parallel sweep failed: {exc}") from exc
 
-    def _encoding_from_extracted(
-        self, extracted, function: str, vector: np.ndarray
-    ) -> FunctionEncoding:
-        i = extracted.names.index(function)
-        return FunctionEncoding(
-            name=function,
-            arch=extracted.arch,
-            binary_name=extracted.binary_name,
-            vector=vector,
-            callee_count=extracted.filtered_callee_count(
-                i, self.model.config.beta
-            ),
-            ast_size=int(extracted.ast_sizes[i]),
-        )
-
-    def _extracted_for(self, binary: BinaryFile) -> Tuple:
+    def _extracted_for(
+        self, binary: BinaryFile
+    ) -> Tuple[ExtractedBinary, Dict[str, int]]:
+        """Memoized: ``binary``'s extracted columns, function name -> row."""
         digest = binary_digest(binary)
         with self._extract_lock:
             entry = self._extract_memo.get(digest)
@@ -1010,7 +992,7 @@ class AsteriaEngine:
                 if self.cache.get_trees(digest, min_ast_size) is None:
                     self.cache.put_trees(digest, min_ast_size, extracted)
                     self.cache.flush()
-        entry = (extracted, dict(zip(extracted.names, extracted.trees())))
+        entry = (extracted, {n: i for i, n in enumerate(extracted.names)})
         with self._extract_lock:
             entry = self._extract_memo.setdefault(digest, entry)
             self._extract_memo.move_to_end(digest)
@@ -1024,21 +1006,21 @@ class AsteriaEngine:
                 **kw) -> CompareResult:
         """Pairwise scores for two named binary functions."""
         request = request or CompareRequest(**kw)
-        self.model  # a missing checkpoint outranks missing inputs
+        model = self.model  # a missing checkpoint outranks missing inputs
         e1 = self._compare_encoding(request.binary1, request.function1)
         e2 = self._compare_encoding(request.binary2, request.function2)
         return CompareResult(
             function1=request.function1,
             function2=request.function2,
-            ast_similarity=self.model.similarity(e1, e2, calibrate=False),
-            similarity=self.model.similarity(e1, e2),
+            ast_similarity=model.similarity(e1, e2, calibrate=False),
+            similarity=model.similarity(e1, e2),
         )
 
     def _compare_encoding(
         self, source: Optional[BinarySource], function: str
     ) -> FunctionEncoding:
-        """Encode one function for compare (no AST size floor, as the
-        paper's pairwise protocol scores every decompilable function)."""
+        """One function through the served encoder, with no AST size floor
+        (the paper's pairwise protocol scores every decompilable one)."""
         from repro.decompiler import decompile_function
 
         binary = self._binary_of(source)
@@ -1047,70 +1029,14 @@ class AsteriaEngine:
         except KeyError as exc:
             raise BadRequestError(str(exc)) from exc
         fn = decompile_function(binary, record)
-        with self._lock:  # encode_function toggles autograd state
-            return self.model.encode_function(fn)
-
-    # -- train -------------------------------------------------------------
-
-    def train(self, request: Optional[TrainRequest] = None,
-              **kw) -> TrainResult:
-        """Train a fresh model on the generated corpus and adopt it."""
-        from repro.core.pairs import (
-            build_cross_arch_pairs,
-            split_pairs,
-            to_tree_pairs,
+        columns = TreeColumns.single(*lcrs_columns(fn.ast))
+        [vector] = self._encode_columns([columns])
+        beta = self.model.config.beta
+        return FunctionEncoding(
+            name=fn.name, arch=fn.arch, binary_name=fn.binary_name,
+            vector=vector, ast_size=len(columns.labels),
+            callee_count=filtered_callee_count(fn.callees, beta),
         )
-        from repro.evalsuite.datasets import build_buildroot_dataset
-
-        request = request or TrainRequest(**kw)
-        dataset = build_buildroot_dataset(
-            n_packages=request.packages, seed=request.seed
-        )
-        pairs = to_tree_pairs(
-            build_cross_arch_pairs(
-                dataset.functions, request.pairs, seed=request.seed
-            )
-        )
-        train, dev = split_pairs(pairs, request.split, seed=request.seed)
-        model = Asteria(AsteriaConfig(embedding_dim=request.embedding_dim))
-        trainer = Trainer(
-            model.siamese,
-            TrainConfig(
-                epochs=request.epochs,
-                lr=request.lr,
-                batch_size=request.batch_size,
-            ),
-        )
-        with self._lock:
-            # training's backward passes and the encode paths' no_grad()
-            # both touch process-global autograd state; serialize them
-            history = trainer.train(train, dev)
-        if request.output_path:
-            model.save(request.output_path)
-        self._adopt_model(model)
-        return TrainResult(
-            n_train=len(train),
-            n_dev=len(dev),
-            best_auc=history.best_auc,
-            best_epoch=history.best_epoch,
-            history=history,
-            model_path=request.output_path,
-        )
-
-    def _adopt_model(self, model: Asteria) -> None:
-        """Swap the engine onto a new model, dropping model-bound state.
-
-        The store keeps its rows: re-:meth:`ingest` to refresh encodings
-        produced by an older model.
-        """
-        with self._lock:
-            self._model = model
-            self._pipeline = None
-            self._service = None
-            self._batcher = None
-            self._library = None
-            with self._extract_lock:
-                self._extract_memo.clear()
 
     # -- stats -------------------------------------------------------------
 
@@ -1123,10 +1049,16 @@ class AsteriaEngine:
         therefore only reported once the pipeline exists (i.e. after the
         first encode/ingest/query).
         """
+        batches = self.batcher.stats
         stats = EngineStats(
             model_loaded=self._model is not None,
             model_path=self.config.model_path,
             index_root=self.config.index_root,
+            micro_batches=batches.n_batches,
+            micro_batched_items=batches.n_items,
+            micro_batch_max=batches.max_batch_size,
+            micro_batch_mean=batches.mean_batch_size,
+            serve_workers=self.config.serve_workers,
             config=self.config.to_dict(),
         )
         with self._lock:
@@ -1159,13 +1091,6 @@ class AsteriaEngine:
             if self._cache is not None:
                 stats.cache_hits = self._cache.stats.hits
                 stats.cache_misses = self._cache.stats.misses
-            if self._batcher is not None:
-                b = self._batcher.stats
-                stats.micro_batches = b.n_batches
-                stats.micro_batched_items = b.n_items
-                stats.micro_batch_max = b.max_batch_size
-                stats.micro_batch_mean = b.mean_batch_size
-            stats.serve_workers = self.config.serve_workers
             if self._coordinator is not None:
                 stats.active_generation = self._coordinator.generation_seq
                 stats.pool_workers = self._coordinator.pool.workers_info()
@@ -1214,3 +1139,53 @@ class AsteriaEngine:
             raise BadRequestError(
                 f"{path} is not a valid RBIN binary: {exc}"
             ) from exc
+
+
+# -- training -----------------------------------------------------------------------
+
+
+def train_model(request: Optional[TrainRequest] = None,
+                **kw) -> TrainResult:
+    """Train a fresh model on the generated corpus (no engine involved).
+
+    Serve the result with ``AsteriaEngine(model=result.model)``, or load
+    ``request.output_path`` through ``EngineConfig.model_path``.
+    """
+    from repro.core.pairs import (
+        build_cross_arch_pairs,
+        split_pairs,
+        to_tree_pairs,
+    )
+    from repro.evalsuite.datasets import build_buildroot_dataset
+
+    request = request or TrainRequest(**kw)
+    dataset = build_buildroot_dataset(
+        n_packages=request.packages, seed=request.seed
+    )
+    pairs = to_tree_pairs(
+        build_cross_arch_pairs(
+            dataset.functions, request.pairs, seed=request.seed
+        )
+    )
+    train, dev = split_pairs(pairs, request.split, seed=request.seed)
+    model = Asteria(AsteriaConfig(embedding_dim=request.embedding_dim))
+    trainer = Trainer(
+        model.siamese,
+        TrainConfig(
+            epochs=request.epochs,
+            lr=request.lr,
+            batch_size=request.batch_size,
+        ),
+    )
+    history = trainer.train(train, dev)
+    if request.output_path:
+        model.save(request.output_path)
+    return TrainResult(
+        n_train=len(train),
+        n_dev=len(dev),
+        best_auc=history.best_auc,
+        best_epoch=history.best_epoch,
+        history=history,
+        model=model,
+        model_path=request.output_path,
+    )

@@ -10,8 +10,9 @@ Subcommands mirror the workflows a user of the paper's tooling would run:
 * ``repro-cli compare``      -- score two functions of two binaries;
 * ``repro-cli search``       -- run the firmware vulnerability search;
 * ``repro-cli pipeline run`` -- run the staged offline pipeline
-  (unpack -> decompile -> preprocess -> encode -> index) over a firmware
-  corpus, printing per-stage times and cache hit/miss accounting;
+  (unpack -> decompile -> preprocess -> encode -> in-memory index) over
+  a firmware corpus, printing per-stage times and cache hit/miss
+  accounting (``index build`` persists the index);
 * ``repro-cli index build``  -- encode a firmware corpus into a persistent
   embedding index (the offline phase, run once);
 * ``repro-cli index search`` -- top-k CVE queries against a built index
@@ -50,6 +51,7 @@ from repro.api.engine import (
     IngestRequest,
     QueryRequest,
     TrainRequest,
+    train_model,
 )
 from repro.api.errors import (
     BadRequestError,
@@ -132,8 +134,7 @@ def _cmd_decompile(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    engine = _engine(args, model_path=None)
-    result = engine.train(TrainRequest(
+    result = train_model(TrainRequest(
         packages=args.packages,
         pairs=args.pairs,
         epochs=args.epochs,
@@ -181,15 +182,10 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_pipeline_run(args) -> int:
-    engine = _engine(args, index_root=args.output)
-    if args.output:
-        engine.create_index()
-    result = engine.ingest(IngestRequest(
+    result = _engine(args).ingest(IngestRequest(
         corpus_images=args.images, corpus_seed=args.seed
     ))
     print(result.pipeline.summary())
-    if args.output:
-        print(f"wrote {engine.store.n_shards} shard(s) to {args.output}")
     return 0
 
 
@@ -408,13 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
              "over a firmware corpus, reporting per-stage times and "
              "cache hits",
     )
-    add_config_flags(p, "model_path", "encode_batch_size", *_STORE_FLAGS,
-                     *_PIPELINE_FLAGS, required=["model_path"])
+    add_config_flags(p, "model_path", "encode_batch_size", *_PIPELINE_FLAGS,
+                     required=["model_path"])
     p.add_argument("--images", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", default=None,
-                   help="also index the encodings into a new embedding "
-                        "store at this directory")
     p.set_defaults(func=_cmd_pipeline_run)
 
     p = sub.add_parser("index", help="persistent embedding index")

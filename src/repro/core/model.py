@@ -202,6 +202,23 @@ class Asteria:
             self.encoder, plan, dtype=dt, block=block, observer=observer
         )
 
+    def encode_columns(
+        self,
+        columns: TreeColumns,
+        batch_size: int = DEFAULT_ENCODE_BATCH_SIZE,
+        *,
+        plan: Optional[CompiledPlan] = None,
+        dtype=DEFAULT_ENCODE_DTYPE,
+        block: int = 0,
+        registry: Optional[MetricsRegistry] = None,
+    ) -> np.ndarray:
+        """:meth:`compile_columns` (unless ``plan`` is their compiled
+        schedule) + :meth:`encode_plan`: the served encoder."""
+        if plan is None:
+            plan = self.compile_columns(columns, batch_size, registry=registry)
+        return self.encode_plan(plan, dtype=dtype, block=block,
+                                registry=registry)
+
     def encode_batch(
         self,
         trees: Sequence[BinaryTreeNode],

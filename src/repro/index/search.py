@@ -57,14 +57,12 @@ class SearchService:
         model: Asteria,
         store: EmbeddingStore,
         backend: str = "exact",
-        calibrate: bool = True,
         registry: Optional[MetricsRegistry] = None,
         **backend_options,
     ):
         self.model = model
         self.store = store
         self.backend = backend
-        self.calibrate = calibrate
         self.backend_options = backend_options
         self.registry = registry
         self._index: Optional[AnnIndex] = None
@@ -98,7 +96,6 @@ class SearchService:
                     self.model,
                     self.store.vectors(),
                     self.store.callee_counts(),
-                    calibrate=self.calibrate,
                     **options,
                 )
                 self._persist_index(self._index)
@@ -138,7 +135,6 @@ class SearchService:
                     self.model,
                     self.store.vectors(),
                     self.store.callee_counts(),
-                    calibrate=self.calibrate,
                     registry=self.registry,
                 )
             self._index_rows = self.store.n_flushed

@@ -149,6 +149,27 @@ class TreeColumns:
             for column in (labels, lefts, rights, offsets)
         ))
 
+    @classmethod
+    def single(cls, labels, lefts, rights) -> "TreeColumns":
+        """One tree's preorder columns (``lcrs_columns`` output)."""
+        columns = (labels, lefts, rights, [0, len(labels)])
+        return cls(*(np.asarray(c, dtype=np.int64) for c in columns))
+
+    @classmethod
+    def concat(cls, parts: Sequence["TreeColumns"]) -> "TreeColumns":
+        """The trees of ``parts``, in order, as one batch."""
+        sizes = np.concatenate([[0]] + [part.sizes for part in parts])
+        return cls(*(
+            np.concatenate([getattr(part, name) for part in parts])
+            for name in ("labels", "lefts", "rights")
+        ), np.cumsum(sizes, dtype=np.int64))
+
+    def tree(self, t: int) -> "TreeColumns":
+        """Tree ``t`` alone, as one-tree columns (views, no copy)."""
+        lo, hi = self.offsets[t], self.offsets[t + 1]
+        return TreeColumns(self.labels[lo:hi], self.lefts[lo:hi],
+                           self.rights[lo:hi], np.array([0, hi - lo]))
+
     @property
     def sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
@@ -308,7 +329,8 @@ def resolve_block(
     """The GEMM row-block size to use: explicit > micro-probe.
 
     ``block > 0`` wins outright (``EngineConfig.encode_block``); else the
-    per-process micro-probe memo.
+    per-process micro-probe memo.  Concurrent first callers may each
+    probe, but the first result stored is the one every caller gets.
     """
     if block:
         if block < 1:
@@ -316,7 +338,7 @@ def resolve_block(
         return int(block)
     key = (int(hidden_dim), np.dtype(dtype).name)
     if key not in _PROBED_BLOCKS:
-        _PROBED_BLOCKS[key] = _probe_block(key[0], np.dtype(dtype))
+        _PROBED_BLOCKS.setdefault(key, _probe_block(key[0], np.dtype(dtype)))
     return _PROBED_BLOCKS[key]
 
 

@@ -129,6 +129,17 @@ class ExtractedBinary:
         hi = int(self.callee_offsets[i + 1])
         return int(np.count_nonzero(self.callee_sizes[lo:hi] >= beta))
 
+    def encoding(
+        self, i: int, vector: np.ndarray, beta: int
+    ) -> FunctionEncoding:
+        """Function ``i``'s encoding, given its tree's vector."""
+        return FunctionEncoding(
+            name=self.names[i], arch=self.arch,
+            binary_name=self.binary_name, vector=vector,
+            callee_count=self.filtered_callee_count(i, beta),
+            ast_size=int(self.ast_sizes[i]),
+        )
+
 
 def extract_binary(binary: BinaryFile, min_ast_size: int) -> ExtractedBinary:
     """Decompile + Preprocess one binary (the pipeline's CPU-bound stages).
@@ -206,22 +217,12 @@ def encode_stage(
     """
     if not len(extracted):
         return []
-    if plan is None:
-        plan = model.compile_columns(
-            extracted.columns(), batch_size, registry=registry
-        )
-    vectors = model.encode_plan(
-        plan, dtype=dtype, block=block, registry=registry
+    vectors = model.encode_columns(
+        extracted.columns(), batch_size, plan=plan, dtype=dtype,
+        block=block, registry=registry,
     )
     beta = model.config.beta
     return [
-        FunctionEncoding(
-            name=extracted.names[i],
-            arch=extracted.arch,
-            binary_name=extracted.binary_name,
-            vector=vectors[i].copy(),
-            callee_count=extracted.filtered_callee_count(i, beta),
-            ast_size=int(extracted.ast_sizes[i]),
-        )
+        extracted.encoding(i, vectors[i].copy(), beta)
         for i in range(len(extracted))
     ]

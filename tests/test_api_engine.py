@@ -1,7 +1,8 @@
 """Tests for the unified AsteriaEngine facade (`repro.api`).
 
 Covers the typed config (dict/file/env/args loading), the micro-batcher,
-the engine lifecycle (encode/ingest/query/compare/train/stats), the
+the engine lifecycle (encode/ingest/query/compare/stats, and
+`train_model` feeding a new engine), the one lock-free encoder, the
 typed error hierarchy, thread-safety under a concurrent query storm, and
 the query / one-request-batch differential.
 """
@@ -28,6 +29,7 @@ from repro.api import (
     ModelNotFoundError,
     QueryRequest,
     TrainRequest,
+    train_model,
 )
 from repro.api.engine import POLLED_GAUGES, REGISTRY_COUNTS
 from repro.cli import build_parser
@@ -101,14 +103,12 @@ class TestEngineConfig:
             "REPRO_MODEL_PATH": "m.npz",
             "REPRO_JOBS": "4",
             "REPRO_THRESHOLD": "0.5",
-            "REPRO_CALIBRATE": "false",
             "UNRELATED": "ignored",
         }
         config = EngineConfig.from_env(environ)
         assert config.model_path == "m.npz"
         assert config.jobs == 4
         assert config.threshold == 0.5
-        assert config.calibrate is False
 
     def test_from_env_bad_int(self):
         with pytest.raises(BadRequestError, match="integer"):
@@ -507,15 +507,15 @@ class TestEngineLifecycle:
             np.testing.assert_allclose(a.vector, b.vector, atol=1e-5)
 
     def test_train_adopts_model(self, tmp_path):
-        engine = AsteriaEngine(EngineConfig())
-        result = engine.train(TrainRequest(
+        result = train_model(TrainRequest(
             packages=2, pairs=6, epochs=1,
             output_path=str(tmp_path / "trained.npz"),
         ))
         assert result.n_train > 0
         assert (tmp_path / "trained.npz").exists()
+        # a new engine over the trained model serves queries immediately
+        engine = AsteriaEngine(EngineConfig(), model=result.model)
         assert engine.stats().model_loaded is True
-        # the adopted model serves queries immediately
         engine.ingest(IngestRequest(corpus_images=2, corpus_seed=1))
         hits = engine.query(QueryRequest(cve_id="CVE-2011-0762", top_k=3))
         assert hits.n_rows > 0
@@ -826,6 +826,70 @@ class TestSweepOutsideTheLock:
         assert [
             (n.row, n.score) for n in pinned.top_k(query, k=10)
         ] == full_sort(80)
+
+
+class TestOneEncoder:
+    """Query and compare encode a function through the one served
+    columns encoder, without the engine lock."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_compare_scores_the_query_encoding(self, trained_model,
+                                               query_binary, dtype):
+        engine = AsteriaEngine(
+            EngineConfig(encode_dtype=dtype, micro_batch_wait_ms=0.0),
+            model=trained_model,
+        )
+        engine.ingest(IngestRequest(binaries=[query_binary]))
+        names = [
+            e.name for e in
+            engine.encode(EncodeRequest(binary=query_binary)).encodings
+        ]
+        assert len(names) >= 4
+        for name in names:
+            query = engine.query(QueryRequest(
+                binary=query_binary, function=name, top_k=1
+            ))
+            assert query.encoding.vector.dtype == np.dtype(dtype)
+            result = engine.compare(CompareRequest(
+                binary1=query_binary, function1=name,
+                binary2=query_binary, function2=name,
+            ))
+            assert result.ast_similarity == trained_model.similarity(
+                query.encoding, query.encoding, calibrate=False
+            ), name
+            # same function, same callee count: the factor is exactly 1
+            assert result.similarity == result.ast_similarity, name
+
+    def test_compare_runs_while_the_engine_lock_is_held(
+        self, engine, query_binary, query_functions
+    ):
+        held, release = threading.Event(), threading.Event()
+
+        def hold_the_lock():
+            with engine._lock:
+                held.set()
+                release.wait(timeout=30)
+
+        results = []
+        holder = threading.Thread(target=hold_the_lock)
+        worker = threading.Thread(target=lambda: results.append(
+            engine.compare(CompareRequest(
+                binary1=query_binary, function1=query_functions[0],
+                binary2=query_binary, function2=query_functions[1],
+            ))
+        ))
+        holder.start()
+        try:
+            assert held.wait(timeout=10)
+            worker.start()
+            worker.join(timeout=5)
+            finished = not worker.is_alive()
+        finally:
+            release.set()
+            holder.join(timeout=30)
+            worker.join(timeout=30)
+        assert finished, "compare waited on the engine lock"
+        assert 0.0 <= results[0].similarity <= 1.0
 
 
 # -- query is the one-request case of query_batch -----------------------------------

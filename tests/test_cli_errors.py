@@ -84,16 +84,6 @@ class TestMissingIndex:
                      "--index", str(tmp_path / "nope")]) == 5
         assert "no manifest" in capsys.readouterr().err
 
-    def test_pipeline_run_existing_output(self, model_path, tmp_path,
-                                          capsys):
-        root = str(tmp_path / "store")
-        assert main(["pipeline", "run", "--model", model_path,
-                     "--images", "2", "--output", root]) == 0
-        capsys.readouterr()
-        assert main(["pipeline", "run", "--model", model_path,
-                     "--images", "2", "--output", root]) == 5
-        assert "already exists" in capsys.readouterr().err
-
 
 class TestBadRequest:
     def test_compare_unknown_function(self, model_path, binary_path,
@@ -153,9 +143,8 @@ CLI_SURFACE = {
     "search": (["--images", "--model", "--seed", "--threshold", "--top-k",
                 *_PIPELINE], ["--model"], {"--encode-dtype": _DTYPES}),
     "pipeline run": (
-        ["--batch-size", "--dtype", "--images", "--model", "--output",
-         "--seed", "--shard-size", *_PIPELINE], ["--model"],
-        {"--dtype": _DTYPES, "--encode-dtype": _DTYPES}),
+        ["--batch-size", "--images", "--model", "--seed", *_PIPELINE],
+        ["--model"], {"--encode-dtype": _DTYPES}),
     "index build": (
         ["--batch-size", "--dtype", "--images", "--model", "--output",
          "--seed", "--shard-size", *_PIPELINE], ["--model", "--output"],

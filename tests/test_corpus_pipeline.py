@@ -467,18 +467,6 @@ class TestPipelineCLI:
         assert "encoded 0 binaries" in warm_out
         assert "/ 0 misses" in warm_out
 
-    def test_run_with_output_writes_index(self, model_path, tmp_path, capsys):
-        from repro.cli import main
-        from repro.index.store import EmbeddingStore
-
-        root = tmp_path / "idx"
-        assert main([
-            "pipeline", "run", "--model", model_path, "--images", "3",
-            "--seed", "4", "--output", str(root),
-        ]) == 0
-        assert "shard(s)" in capsys.readouterr().out
-        assert len(EmbeddingStore.open(root)) > 0
-
     def test_index_build_jobs_and_cache_identical(
         self, model_path, tmp_path, capsys
     ):

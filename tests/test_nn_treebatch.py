@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 from repro.nn.tensor import no_grad, stable_sigmoid
 from repro.nn.treebatch import (
     DEFAULT_NODE_BUDGET,
+    TreeColumns,
+    compile_columns,
     compile_plan,
     compile_trees,
     encode_batch,
@@ -26,7 +28,7 @@ from repro.nn.treebatch import (
     resolve_block,
     resolve_node_budget,
 )
-from repro.nn.treelstm import BinaryTreeLSTM, BinaryTreeNode
+from repro.nn.treelstm import BinaryTreeLSTM, BinaryTreeNode, flatten_tree
 from repro.utils.rng import RNG
 
 
@@ -345,6 +347,63 @@ class TestPlans:
         first = resolve_block(0, hidden_dim=16)
         assert first in (16, 32, 64, 128, 256)
         assert resolve_block(0, hidden_dim=16) == first
+
+    def test_concurrent_first_probes_get_one_block(self, monkeypatch):
+        """Threads racing the first probe each time their own candidate
+        but all encode with the one block stored first; a per-thread
+        block would break bit-reproducibility across concurrent
+        encodes."""
+        import threading
+
+        import repro.nn.treebatch as treebatch
+
+        n_threads = 4
+        rendezvous = threading.Barrier(n_threads)
+        calls = iter(range(1, n_threads + 1))
+
+        def probe(hidden_dim, dtype):
+            block = 16 * next(calls)  # a different winner per call
+            rendezvous.wait(timeout=10)  # every thread is mid-probe
+            return block
+
+        monkeypatch.setattr(treebatch, "_PROBED_BLOCKS", {})
+        monkeypatch.setattr(treebatch, "_probe_block", probe)
+        blocks = []
+        threads = [
+            threading.Thread(
+                target=lambda: blocks.append(resolve_block(0, 16))
+            )
+            for _ in range(n_threads)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert len(blocks) == n_threads
+        assert len(set(blocks)) == 1, blocks
+        assert resolve_block(0, 16) == blocks[0]
+
+    def test_one_tree_columns_encode_as_the_batch_does(self, model):
+        """Columns sliced to one tree each and concatenated back encode
+        bit for bit as the object trees do in one batch."""
+        trees = _random_batch(27, n=9) + [BinaryTreeNode(2)]
+        columns = TreeColumns.from_trees(trees)
+        parts = [columns.tree(t) for t in range(len(trees))]
+        again = TreeColumns.concat(parts)
+        for name in ("labels", "lefts", "rights", "offsets"):
+            assert np.array_equal(getattr(again, name),
+                                  getattr(columns, name))
+        single = TreeColumns.single(*flatten_tree(trees[3]))
+        assert np.array_equal(single.labels, parts[3].labels)
+        assert single.offsets.tolist() == parts[3].offsets.tolist()
+        reference = encode_batch(model, trees)
+        assert np.array_equal(
+            encode_plan(model, compile_columns(again, 4)), reference
+        )
+        assert np.array_equal(
+            encode_plan(model, compile_columns(parts[3], 4))[0],
+            reference[3],
+        )
 
     def test_resolve_node_budget_precedence(self, monkeypatch):
         assert resolve_node_budget(100) == 100
