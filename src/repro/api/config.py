@@ -4,28 +4,21 @@ Each :class:`EngineConfig` field is declared once -- name, type, default
 and, as field metadata, only what those do not imply (help sentence, CLI
 flag when not ``--<name-with-dashes>``, ``min`` / ``choices``); range
 checks, ``repro-cli`` flags (:func:`add_config_flags`) and the README
-table are derived from it.  Four ways to build one:
+table are derived from it.  Besides the dataclass itself, a config loads
+two ways:
 
-* directly, as a dataclass;
 * :meth:`EngineConfig.from_dict` / :meth:`to_dict` -- JSON-shaped, for
-  config files (:meth:`from_file`) and the HTTP server;
-* :meth:`EngineConfig.from_env` -- ``REPRO_*`` environment variables;
+  the HTTP server and ``/v1/stats``;
 * :meth:`EngineConfig.from_args` -- an argparse namespace, shared by all
   ``repro-cli`` subcommands.
-
-Later sources override earlier ones field-by-field, so
-``EngineConfig.from_env().merged(jobs=4)`` reads naturally.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
-import os
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 from typing import Dict, Optional, Sequence
 
 from repro.api.errors import BadRequestError
@@ -148,7 +141,7 @@ class EngineConfig:
                 f"and a durable index_root"
             )
 
-    # -- dict / file / env / args loading ----------------------------------
+    # -- dict / args loading -----------------------------------------------
 
     def to_dict(self) -> Dict:
         """JSON-serialisable field dict (the inverse of :meth:`from_dict`)."""
@@ -168,31 +161,6 @@ class EngineConfig:
             raise BadRequestError(f"bad EngineConfig: {exc}") from exc
 
     @classmethod
-    def from_file(cls, path) -> "EngineConfig":
-        path = Path(path)
-        if not path.exists():
-            raise BadRequestError(f"no config file at {path}")
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise BadRequestError(f"config file {path} is not JSON: {exc}")
-        if not isinstance(data, dict):
-            raise BadRequestError(f"config file {path} must hold an object")
-        return cls.from_dict(data)
-
-    @classmethod
-    def from_env(cls, environ=None, prefix: str = "REPRO_") -> "EngineConfig":
-        """Read ``<prefix><FIELD>`` variables (e.g. ``REPRO_MODEL_PATH``)."""
-        environ = os.environ if environ is None else environ
-        data: Dict = {}
-        for f in fields(cls):
-            raw = environ.get(prefix + f.name.upper())
-            if raw is None:
-                continue
-            data[f.name] = _coerce(f, raw)
-        return cls.from_dict(data)
-
-    @classmethod
     def from_args(cls, args, **overrides) -> "EngineConfig":
         """Adapt an argparse namespace; every subcommand shares this.
 
@@ -207,12 +175,6 @@ class EngineConfig:
                 data[f.name] = value
         data.update(overrides)
         return cls.from_dict(data)
-
-    def merged(self, **overrides) -> "EngineConfig":
-        """A copy with ``overrides`` applied (validation re-runs)."""
-        data = self.to_dict()
-        data.update(overrides)
-        return self.from_dict(data)
 
 
 def _flag(f) -> str:
@@ -248,7 +210,7 @@ def add_config_flags(parser, *names: str, required: Sequence[str] = ()) -> None:
 
 
 def _coerce(f, raw: str):
-    """Parse one env-var or command-line string to the field's type."""
+    """Parse one command-line string to the field's type."""
     kind = str(f.type)
     if "int" in kind:
         try:

@@ -25,10 +25,14 @@ Every consumer -- the CLI, the HTTP server
 examples -- constructs its model/cache/index/pipeline stack through
 this class; nothing else in the repo assembles those pieces by hand.
 The engine is thread-safe: concurrent :meth:`query` calls are the
-serving hot path and ride the micro-batcher, while store-mutating calls
-serialize behind one lock.  Encodes read only the immutable model and
-take no lock; a query holds the lock only to pin the index it sweeps,
-so :meth:`stats` (and ``/healthz``) never waits on an encode or a sweep.
+serving hot path and ride the micro-batcher.  The engine lock guards
+only lazy construction and the index: an ingest runs its pipeline
+unlocked (the pipeline holds its own artifact-cache lock) and takes the
+engine lock to append, flush and swap; a query takes it only to pin the
+index it sweeps; encodes read only the immutable model.  So
+:meth:`stats` (and ``/healthz``) never waits on an encode, a sweep or a
+corpus being decompiled.  Code may take the pipeline lock while holding
+the engine lock, never the reverse.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ from repro.pipeline import (
     PipelineStats,
     binary_digest,
 )
-from repro.pipeline.stages import ExtractedBinary, extract_binary
+from repro.pipeline.stages import ExtractedBinary
 from repro.serving import generations
 from repro.serving.coordinator import ServingCoordinator
 from repro.serving.pool import SweepError, SweepTimeout
@@ -87,8 +91,9 @@ USE_DEFAULT = -1
 
 #: Most-recently-queried binaries whose extracted columns stay memoized
 #: in memory; a long-running server over many distinct query binaries
-#: evicts the oldest instead of growing without bound (the artifact cache
-#: still holds evicted trees, on disk when ``cache_dir`` is set).
+#: evicts the oldest instead of growing without bound (the pipeline's
+#: artifact cache still holds evicted trees, on disk when ``cache_dir``
+#: is set).
 EXTRACT_MEMO_MAX_BINARIES = 64
 
 BinarySource = Union[BinaryFile, str, Path]
@@ -132,7 +137,8 @@ class IngestRequest:
 class IngestResult:
     """Counts cover everything the request ingested.  ``pipeline`` is
     the first pipeline run's per-stage stats (the firmware-images run
-    when a request carries both images and loose binaries); every run's
+    when a request carries both images and loose binaries), and its
+    ``times.index_s`` is the request's one append + flush; every run's
     stats are in ``pipelines``."""
 
     n_functions: int = 0
@@ -338,7 +344,7 @@ class AsteriaEngine:
         self._closed = False
         self._extract_memo: "OrderedDict[str, Tuple]" = OrderedDict()
         self._lock = threading.RLock()  # store / service / pipeline state
-        self._extract_lock = threading.Lock()  # query-side tree extraction
+        self._memo_lock = threading.Lock()  # extract memo + CVE library
         # in-process sweeps run outside self._lock, one per usable core:
         # 16 unbounded threads lost ~30 % of ivf-pq q/s to GIL hand-offs
         self._sweep_slots = threading.Semaphore(
@@ -383,24 +389,18 @@ class AsteriaEngine:
             return self._model
 
     @property
-    def cache(self) -> ArtifactCache:
-        with self._lock:
-            if self._cache is None:
-                self._cache = (
-                    ArtifactCache(self.config.cache_dir)
-                    if self.config.cache_dir
-                    else ArtifactCache.in_memory()
-                )
-            return self._cache
-
-    @property
     def pipeline(self) -> CorpusPipeline:
+        """The staged pipeline, which owns the artifact cache and its lock
+        (``cache_dir`` on disk, else in memory)."""
         with self._lock:
             if self._pipeline is None:
+                cache = self._cache
+                if cache is None and self.config.cache_dir:
+                    cache = ArtifactCache(self.config.cache_dir)
                 self._pipeline = CorpusPipeline(
                     self.model,
                     jobs=self.config.jobs,
-                    cache=self.cache,
+                    cache=cache,
                     encode_batch_size=self.config.encode_batch_size,
                     registry=self.obs,
                     encode_dtype=self.config.encode_dtype,
@@ -433,8 +433,28 @@ class AsteriaEngine:
     def service(self) -> SearchService:
         with self._lock:
             if self._service is None:
-                self._service = self._make_service(self.store)
+                self._service = self._service_over(self.store)
             return self._service
+
+    def _service_over(self, store: EmbeddingStore) -> SearchService:
+        """A search service over ``store`` with the configured backend."""
+        config = self.config
+        options = dict(
+            seed=config.seed, n_lists=config.ann_lists,
+            nprobe=config.ann_nprobe, rerank=config.ann_rerank,
+        ) if config.backend == "ivf-pq" else {}
+        return SearchService(
+            self.model, store, backend=config.backend, registry=self.obs,
+            **options,
+        )
+
+    def make_service(
+        self, root=None, meta: Optional[Dict] = None
+    ) -> SearchService:
+        """A standalone store + service in this engine's shape
+        (``root=None`` keeps it in memory); the caller appends pipeline
+        encodings to ``service.store`` and flushes."""
+        return self._service_over(self._new_store(root, meta))
 
     def _encode_columns(self, parts: Sequence[TreeColumns]) -> np.ndarray:
         """The served encoder of query and compare: unlocked (the model
@@ -446,51 +466,14 @@ class AsteriaEngine:
             registry=self.obs,
         )
 
-    def _backend_options(self, backend: str) -> Dict:
-        if backend == "ivf-pq":
-            return {
-                "seed": self.config.seed,
-                "n_lists": self.config.ann_lists,
-                "nprobe": self.config.ann_nprobe,
-                "rerank": self.config.ann_rerank,
-            }
-        return {}
-
-    def _make_service(
-        self,
-        store: EmbeddingStore,
-        backend: Optional[str] = None,
-        **backend_options,
-    ) -> SearchService:
-        backend = backend or self.config.backend
-        options = self._backend_options(backend)
-        options.update(backend_options)
-        return SearchService(
-            self.model, store, backend=backend, registry=self.obs, **options
-        )
-
-    def make_service(
-        self,
-        root=None,
-        backend: Optional[str] = None,
-        shard_size: Optional[int] = None,
-        meta: Optional[Dict] = None,
-        **backend_options,
-    ) -> SearchService:
-        """Assemble a standalone store + service over this engine's
-        model (``root=None`` keeps it in memory); fill the store with
-        ``engine.pipeline.run_images(..., sink=service.store)``."""
-        store = self._new_store(root, shard_size, meta)
-        return self._make_service(store, backend=backend, **backend_options)
-
     # -- index lifecycle ---------------------------------------------------
 
-    def _new_store(self, root=None, shard_size=None, meta=None):
+    def _new_store(self, root=None, meta=None):
         """A fresh store in this engine's shape (model dim, configured
         shard size and dtype): in memory, or created at ``root``."""
         shape = dict(
             dim=self.model.config.hidden_dim,
-            shard_size=shard_size or self.config.shard_size,
+            shard_size=self.config.shard_size,
             dtype=self.config.store_dtype,
         )
         if root is None:
@@ -585,8 +568,7 @@ class AsteriaEngine:
         request = request or EncodeRequest(**kw)
         binary = self._binary_of(request.binary)
         with trace("engine.encode", binary=binary.name):
-            with self._lock:  # the artifact cache is not itself thread-safe
-                encodings = self.pipeline.encode_binary(binary)
+            encodings = self.pipeline.encode_binary(binary)
         if request.function is not None:
             encodings = [e for e in encodings if e.name == request.function]
             if not encodings:
@@ -619,25 +601,35 @@ class AsteriaEngine:
         result = IngestResult()
         with trace("engine.ingest", n_images=len(images),
                    n_binaries=len(tagged)) as span:
-            with self._lock:
+            # the pipeline runs without the engine lock (it holds its own
+            # cache lock): stats and query pins never wait on a decompile
+            runs = []
+            if images or not tagged:
+                # an images run always happens unless the request was
+                # binaries-only, so result.pipeline is never None and an
+                # empty corpus reports empty stats rather than nothing
+                runs.append(self.pipeline.run_images(images))
+            if tagged:
+                runs.append(self.pipeline.run_binaries(tagged))
+            for run in runs:
+                self._merge_ingest(result, run.stats)
+            with self._lock:  # the Index stage: append, flush once, swap
                 coordinator = self.coordinator
                 if coordinator is not None:
-                    # shard-parallel serving: build the extended corpus
-                    # as a fresh generation while queries keep sweeping
-                    # the old one (sweeps don't take this lock), then
-                    # hot-swap atomically
+                    # shard-parallel serving: extend a fresh generation
+                    # while queries keep sweeping the old one (sweeps
+                    # don't take this lock), then hot-swap atomically
                     rel, store = self._prepare_next_generation()
                 else:
                     rel, store = None, self.store
-                if images or not tagged:
-                    # an images run always happens unless the request was
-                    # binaries-only, so result.pipeline is never None and an
-                    # empty corpus reports empty stats rather than nothing
-                    run = self.pipeline.run_images(images, sink=store)
-                    self._merge_ingest(result, run.stats)
-                if tagged:
-                    run = self.pipeline.run_binaries(tagged, sink=store)
-                    self._merge_ingest(result, run.stats)
+                started = time.perf_counter()
+                for run in runs:
+                    for image_id, encoding in run.encodings:
+                        store.add(encoding, image_id=image_id)
+                store.flush()
+                self.pipeline.record_index(
+                    result.pipeline, time.perf_counter() - started
+                )
                 result.n_rows_total = len(store)
                 if coordinator is not None:
                     self._adopt_store(
@@ -655,7 +647,7 @@ class AsteriaEngine:
         """Clone the live store into the next generation directory.
 
         Shard files are hard-linked (immutable once flushed), so the
-        clone is O(files) not O(bytes); the pipeline then appends new
+        clone is O(files) not O(bytes); the ingest then appends new
         shards only the new generation can see.
         """
         root = self.config.index_root
@@ -684,35 +676,36 @@ class AsteriaEngine:
         """``{cve_id: (CVEEntry, FunctionEncoding)}``, encoded once.
 
         The query side of the paper's search protocol; encodings go
-        through the same artifact cache as the corpus.
+        through the same artifact cache as the corpus.  Built without
+        the engine lock and published first-writer-wins (a concurrent
+        duplicate build reads the cache the first one filled).
         """
-        with self._lock:
-            if self._library is None:
-                from repro.compiler.pipeline import compile_package
-                from repro.evalsuite.vulnsearch import (
-                    CVE_LIBRARY,
-                    vulnerable_function,
-                )
-                from repro.lang.nodes import Package
+        if self._library is not None:
+            return self._library
+        from repro.compiler.pipeline import compile_package
+        from repro.evalsuite.vulnsearch import CVE_LIBRARY, vulnerable_function
+        from repro.lang.nodes import Package
 
-                library = {}
-                for entry in CVE_LIBRARY:
-                    package = Package(
-                        name=f"{entry.software}-{entry.vulnerable_version}",
-                        functions=[vulnerable_function(entry)],
-                    )
-                    binary = compile_package(package, "x86")
-                    by_name = {
-                        encoding.name: encoding
-                        for encoding in self.pipeline.encode_binary(binary)
-                    }
-                    encoding = by_name.get(entry.function_name)
-                    if encoding is None:
-                        raise ValueError(
-                            f"CVE function {entry.function_name!r} did not "
-                            f"survive decompilation/preprocessing"
-                        )
-                    library[entry.cve_id] = (entry, encoding)
+        library = {}
+        for entry in CVE_LIBRARY:
+            package = Package(
+                name=f"{entry.software}-{entry.vulnerable_version}",
+                functions=[vulnerable_function(entry)],
+            )
+            binary = compile_package(package, "x86")
+            by_name = {
+                encoding.name: encoding
+                for encoding in self.pipeline.encode_binary(binary)
+            }
+            encoding = by_name.get(entry.function_name)
+            if encoding is None:
+                raise ValueError(
+                    f"CVE function {entry.function_name!r} did not "
+                    f"survive decompilation/preprocessing"
+                )
+            library[entry.cve_id] = (entry, encoding)
+        with self._memo_lock:
+            if self._library is None:
                 self._library = library
             return self._library
 
@@ -975,25 +968,14 @@ class AsteriaEngine:
     ) -> Tuple[ExtractedBinary, Dict[str, int]]:
         """Memoized: ``binary``'s extracted columns, function name -> row."""
         digest = binary_digest(binary)
-        with self._extract_lock:
+        with self._memo_lock:
             entry = self._extract_memo.get(digest)
             if entry is not None:
                 self._extract_memo.move_to_end(digest)
                 return entry
-        min_ast_size = self.model.config.min_ast_size
-        with self._lock:  # all artifact-cache access shares one lock
-            extracted = self.cache.get_trees(digest, min_ast_size)
-        if extracted is None:
-            # extraction runs unlocked so concurrent cold queries against
-            # distinct binaries proceed in parallel; a duplicate
-            # extraction of the same binary is idempotent, merely wasted
-            extracted = extract_binary(binary, min_ast_size)
-            with self._lock:
-                if self.cache.get_trees(digest, min_ast_size) is None:
-                    self.cache.put_trees(digest, min_ast_size, extracted)
-                    self.cache.flush()
+        extracted = self.pipeline.extracted(binary, digest)
         entry = (extracted, {n: i for i, n in enumerate(extracted.names)})
-        with self._extract_lock:
+        with self._memo_lock:
             entry = self._extract_memo.setdefault(digest, entry)
             self._extract_memo.move_to_end(digest)
             while len(self._extract_memo) > EXTRACT_MEMO_MAX_BINARIES:
@@ -1064,6 +1046,8 @@ class AsteriaEngine:
         with self._lock:
             if self._pipeline is not None:
                 stats.model_fingerprint = self._pipeline.model_fingerprint
+                stats.cache_hits = self._pipeline.cache.stats.hits
+                stats.cache_misses = self._pipeline.cache.stats.misses
             if self._store is not None:
                 stats.index_rows = len(self._store)
                 stats.index_shards = self._store.n_shards
@@ -1088,9 +1072,6 @@ class AsteriaEngine:
                     stats.ann_rows_quantized = ann.get("rows_quantized", 0)
                     stats.ann_n_lists = ann.get("n_lists", 0)
                     stats.ann_nprobe = ann.get("nprobe", 0)
-            if self._cache is not None:
-                stats.cache_hits = self._cache.stats.hits
-                stats.cache_misses = self._cache.stats.misses
             if self._coordinator is not None:
                 stats.active_generation = self._coordinator.generation_seq
                 stats.pool_workers = self._coordinator.pool.workers_info()

@@ -272,25 +272,20 @@ class VulnerabilitySearch:
         self.threshold = threshold
         self.pipeline = engine.pipeline
 
-    def build_index(
-        self,
-        dataset: FirmwareDataset,
-        root=None,
-        backend: str = "exact",
-        shard_size: int = 1024,
-        **backend_options,
-    ):
-        """Offline phase: ingest the firmware corpus into a search service.
+    def build_index(self, dataset: FirmwareDataset, root=None):
+        """Offline phase: ingest the firmware corpus into a search service
+        in the engine's configured shape and backend.
 
         ``root=None`` keeps the store in memory; pass a directory to make
         the index durable across runs (``repro-cli index build``).
         """
         service = self.engine.make_service(
-            root=root, backend=backend, shard_size=shard_size,
-            meta={"corpus": "firmware", "threshold": self.threshold},
-            **backend_options,
+            root=root, meta={"corpus": "firmware", "threshold": self.threshold}
         )
-        self.pipeline.run_images(dataset.images, sink=service.store)
+        run = self.pipeline.run_images(dataset.images)
+        for image_id, encoding in run.encodings:
+            service.store.add(encoding, image_id=image_id)
+        service.store.flush()
         return service
 
     def encode_library(self) -> Dict[str, Tuple[CVEEntry, FunctionEncoding]]:

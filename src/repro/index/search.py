@@ -16,9 +16,10 @@ open, so no re-quantization pass runs when the corpus has not changed --
 appended rows are quantized incrementally.
 
 The offline half -- decompile, preprocess, encode, append to the store --
-is ``AsteriaEngine.ingest`` in :mod:`repro.api`; the engine also
-assembles the services it queries (``engine.service`` /
-``engine.make_service``).
+is ``AsteriaEngine.ingest`` in :mod:`repro.api`.  The engine also
+assembles the services it queries: ``engine.service`` over its own
+index, and ``engine.make_service(root, meta)``, a fresh store in the
+engine's shape and backend that the caller fills from a pipeline run.
 """
 
 from __future__ import annotations

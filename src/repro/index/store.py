@@ -392,14 +392,6 @@ class EmbeddingStore:
                 f"build`, or opened once with a pre-PR-16 checkout to "
                 f"migrate it in place)"
             )
-        ann = manifest.get("ann")
-        if ann and ann.get("kind") == "lsh":
-            _LOG.warning(
-                "ignoring persisted lsh ANN state at %s: that backend was "
-                "removed, the configured one builds from the vectors "
-                "(the orphaned ann-lsh.npz can be deleted)", root,
-            )
-            ann = None
         shards = [
             _ShardInfo(
                 name=entry["name"],
@@ -415,7 +407,7 @@ class EmbeddingStore:
             shards=shards,
             meta=manifest.get("meta", {}),
             dtype=manifest["dtype"],
-            ann=ann,
+            ann=manifest.get("ann"),
             quarantined=manifest.get("quarantined"),
         )
         if verify:

@@ -1,15 +1,21 @@
-"""The staged corpus pipeline: Unpack -> Decompile -> Preprocess -> Encode -> Index.
+"""The staged corpus pipeline: Unpack -> Decompile -> Preprocess -> Encode.
 
 :class:`CorpusPipeline` is the one implementation of the paper's offline
 phase (§V, Fig. 10): every consumer -- the firmware vulnerability search,
 the timing suite, dataset builders, the persistent index and the CLI --
 feeds corpora through it instead of hand-rolling its own
-unpack/decompile/encode loop.  On top of the shared stage functions it
-adds:
+unpack/decompile/encode loop.  A run returns its encodings, tagged with
+their firmware image, and writes no index: the Index stage (append +
+flush) is the caller's -- ``AsteriaEngine.ingest`` times it into
+:attr:`StageTimes.index_s` through :meth:`CorpusPipeline.record_index`.
+On top of the shared stage functions it adds:
 
 * **artifact caching** (:class:`~repro.pipeline.cache.ArtifactCache`):
   per-binary trees and encodings are content-addressed, so warm runs skip
-  straight to cached encodings and a retrained model re-runs only Encode;
+  straight to cached encodings and a retrained model re-runs only Encode.
+  The cache is not itself thread-safe; the pipeline owns it and holds one
+  lock across every run and every :meth:`CorpusPipeline.extracted` cache
+  call, and it never calls back into its caller while holding it;
 * **worker-pool extraction** (:mod:`repro.pipeline.workers`): the
   CPU-bound Decompile + Preprocess stages fan out over processes, feeding
   the level-batched encoder in the parent -- results are bit-for-bit
@@ -20,6 +26,7 @@ adds:
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -38,6 +45,7 @@ from repro.pipeline.cache import ArtifactCache, CacheStats, binary_digest
 from repro.pipeline.stages import (
     ExtractedBinary,
     encode_stage,
+    extract_binary,
     unpack_stage,
 )
 from repro.pipeline.workers import extract_stream
@@ -54,6 +62,8 @@ class StageTimes:
     across all workers); ``extract_wall_s`` is the wall time of the
     streamed Decompile + Preprocess stage with the interleaved encode
     time subtracted, so with ``jobs > 1`` it is the smaller number.
+    ``index_s`` is the caller's append + flush of the run's encodings
+    (:meth:`CorpusPipeline.record_index`); a run alone leaves it 0.
     """
 
     unpack_s: float = 0.0
@@ -169,6 +179,7 @@ class CorpusPipeline:
         self.encode_block = int(encode_block)
         self.registry = registry
         self._fingerprint: Optional[str] = None
+        self._lock = threading.Lock()  # the artifact cache is not thread-safe
 
     @property
     def model_fingerprint(self) -> str:
@@ -179,13 +190,8 @@ class CorpusPipeline:
 
     # -- entry points ------------------------------------------------------
 
-    def run_images(self, images: Iterable, sink=None) -> PipelineResult:
-        """Run the full pipeline over firmware images.
-
-        ``sink`` is an optional Index-stage target with
-        ``add(encoding, image_id=...)`` and ``flush()`` (duck-typed to
-        :class:`~repro.index.store.EmbeddingStore`).
-        """
+    def run_images(self, images: Iterable) -> PipelineResult:
+        """Run the full pipeline over firmware images."""
         stats = PipelineStats()
         tagged: List[Tagged] = []
         started = time.perf_counter()
@@ -198,14 +204,13 @@ class CorpusPipeline:
                 continue
             tagged.extend((binary, image.identifier) for binary in binaries)
         stats.times.unpack_s = time.perf_counter() - started
-        return self._run(tagged, sink, stats)
+        with self._lock:
+            return self._run(tagged, stats)
 
     def run_binaries(
-        self,
-        binaries: Sequence[Union[BinaryFile, Tagged]],
-        sink=None,
+        self, binaries: Sequence[Union[BinaryFile, Tagged]]
     ) -> PipelineResult:
-        """Run the Decompile..Index stages over loose binaries.
+        """Run the Decompile..Encode stages over loose binaries.
 
         Accepts plain :class:`BinaryFile` items or ``(binary, image_id)``
         pairs when encodings should stay tagged with their source image.
@@ -214,7 +219,8 @@ class CorpusPipeline:
             (item, "") if isinstance(item, BinaryFile) else item
             for item in binaries
         ]
-        return self._run(tagged, sink, PipelineStats())
+        with self._lock:
+            return self._run(tagged, PipelineStats())
 
     def encode_binary(self, binary: BinaryFile) -> List[FunctionEncoding]:
         """Offline phase for one binary, through the cache.
@@ -223,6 +229,32 @@ class CorpusPipeline:
         style lookups) so repeated runs skip re-decompiling the query.
         """
         return self.run_binaries([binary]).function_encodings()
+
+    def extracted(self, binary: BinaryFile, digest: str) -> ExtractedBinary:
+        """``binary``'s extracted columns through the ``trees`` cache.
+
+        Only the cache calls hold the pipeline lock: a miss extracts
+        unlocked, so cold queries against distinct binaries proceed in
+        parallel (a duplicate extraction of one binary is idempotent,
+        merely wasted), and the first to finish writes the entry.
+        """
+        min_ast_size = self.model.config.min_ast_size
+        with self._lock:
+            extracted = self.cache.get_trees(digest, min_ast_size)
+        if extracted is None:
+            extracted = extract_binary(binary, min_ast_size)
+            with self._lock:
+                if self.cache.get_trees(digest, min_ast_size) is None:
+                    self.cache.put_trees(digest, min_ast_size, extracted)
+                    self.cache.flush()
+        return extracted
+
+    def record_index(self, stats: PipelineStats, seconds: float) -> None:
+        """Charge a caller's append + flush of a run's encodings to that
+        run's Index stage (``stats.times.index_s`` and the stage counter)."""
+        stats.times.index_s += seconds
+        if self.registry is not None:
+            self._stage_counter("index").inc(seconds)
 
     # -- the staged run ----------------------------------------------------
 
@@ -293,9 +325,8 @@ class CorpusPipeline:
         entry.extracted = None
         stats.n_encoded += 1
 
-    def _run(
-        self, tagged: List[Tagged], sink, stats: PipelineStats
-    ) -> PipelineResult:
+    def _run(self, tagged: List[Tagged], stats: PipelineStats) -> PipelineResult:
+        """Every stage after Unpack; callers hold the pipeline lock."""
         cache_before = self.cache.stats.snapshot()
         min_ast_size = self.model.config.min_ast_size
 
@@ -361,20 +392,13 @@ class CorpusPipeline:
         stats.times.encode_s = encode_s + (time.perf_counter() - started)
         self.cache.flush()
 
-        # Index: emit per occurrence, in corpus order.
+        # Emit per occurrence, in corpus order.
         encodings: List[Tuple[str, FunctionEncoding]] = []
-        started = time.perf_counter()
         for digest, image_id in plan:
             entry = entries[digest]
             stats.n_functions += len(entry.encodings)
             stats.n_skipped_small += entry.n_skipped_small
-            for encoding in entry.encodings:
-                encodings.append((image_id, encoding))
-                if sink is not None:
-                    sink.add(encoding, image_id=image_id)
-        if sink is not None:
-            sink.flush()
-        stats.times.index_s = time.perf_counter() - started
+            encodings.extend((image_id, e) for e in entry.encodings)
 
         stats.cache = self.cache.stats.minus(cache_before)
         self._record(stats)
@@ -411,10 +435,7 @@ class CorpusPipeline:
             "index": stats.times.index_s,
         }
         for stage, seconds in stage_seconds.items():
-            reg.counter(
-                "repro_pipeline_stage_seconds_total",
-                "Seconds spent per pipeline stage", stage=stage,
-            ).inc(seconds)
+            self._stage_counter(stage).inc(seconds)
         reg.counter(
             "repro_pipeline_trees_compiled_total",
             "Trees level-compiled by pipeline runs (ctrees cache misses)",
@@ -433,3 +454,9 @@ class CorpusPipeline:
                 "repro_pipeline_cache_misses_total",
                 "Artifact-cache misses by kind", kind=kind,
             ).inc(misses)
+
+    def _stage_counter(self, stage: str):
+        return self.registry.counter(
+            "repro_pipeline_stage_seconds_total",
+            "Seconds spent per pipeline stage", stage=stage,
+        )

@@ -1,12 +1,13 @@
 """Tests for the unified AsteriaEngine facade (`repro.api`).
 
-Covers the typed config (dict/file/env/args loading), the micro-batcher,
+Covers the typed config (dict/args loading), the micro-batcher,
 the engine lifecycle (encode/ingest/query/compare/stats, and
 `train_model` feeding a new engine), the one lock-free encoder, the
 typed error hierarchy, thread-safety under a concurrent query storm, and
 the query / one-request-batch differential.
 """
 
+import itertools
 import json
 import sys
 import threading
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 import repro.index.ann as ann
+import repro.pipeline.corpus as corpus
 from repro.api import (
     AsteriaEngine,
     BadRequestError,
@@ -79,8 +81,6 @@ class TestEngineConfig:
         with pytest.raises(BadRequestError, match=match):
             EngineConfig(backend="lsh")
         with pytest.raises(BadRequestError, match=match):
-            EngineConfig.from_env({"REPRO_BACKEND": "lsh"})
-        with pytest.raises(BadRequestError, match=match):
             EngineConfig.from_dict({"backend": "lsh"})
         args = build_parser().parse_args([
             "index", "search", "--model", "m.npz", "--index", "idx",
@@ -89,44 +89,51 @@ class TestEngineConfig:
         with pytest.raises(BadRequestError, match=match):
             EngineConfig.from_args(args)
 
-    def test_from_file(self, tmp_path):
-        path = tmp_path / "engine.json"
-        path.write_text(json.dumps({"model_path": "m.npz", "top_k": 3}))
-        config = EngineConfig.from_file(path)
-        assert config.model_path == "m.npz"
-        assert config.top_k == 3
-        with pytest.raises(BadRequestError, match="no config file"):
-            EngineConfig.from_file(tmp_path / "nope.json")
+    def test_from_dict_and_flags_read_values(self):
+        config = EngineConfig.from_dict(
+            json.loads('{"model_path": "m.npz", "top_k": 3, "threshold": 0.5}')
+        )
+        assert (config.model_path, config.top_k, config.threshold) \
+            == ("m.npz", 3, 0.5)
+        args = build_parser().parse_args([
+            "pipeline", "run", "--model", "m.npz", "--jobs", "4",
+        ])
+        config = EngineConfig.from_args(args)
+        assert (config.model_path, config.jobs) == ("m.npz", 4)
 
-    def test_from_env(self):
-        environ = {
-            "REPRO_MODEL_PATH": "m.npz",
-            "REPRO_JOBS": "4",
-            "REPRO_THRESHOLD": "0.5",
-            "UNRELATED": "ignored",
-        }
-        config = EngineConfig.from_env(environ)
-        assert config.model_path == "m.npz"
-        assert config.jobs == 4
-        assert config.threshold == 0.5
+    def test_bad_int_from_dict_and_flags(self, capsys):
+        with pytest.raises(BadRequestError, match="bad EngineConfig"):
+            EngineConfig.from_dict({"jobs": "many"})
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([
+                "pipeline", "run", "--model", "m.npz", "--jobs", "many",
+            ])
+        assert exit_info.value.code == 2
+        assert "jobs expects an integer, got 'many'" in capsys.readouterr().err
 
-    def test_from_env_bad_int(self):
-        with pytest.raises(BadRequestError, match="integer"):
-            EngineConfig.from_env({"REPRO_JOBS": "many"})
-
-    def test_encoder_knobs_from_env(self):
-        config = EngineConfig.from_env({
-            "REPRO_ENCODE_DTYPE": "float32",
-            "REPRO_ENCODE_BLOCK": "128",
+    def test_encoder_knobs_from_dict(self, capsys):
+        config = EngineConfig.from_dict({
+            "encode_dtype": "float32", "encode_block": 128,
         })
         assert config.encode_dtype == "float32"
         assert config.encode_block == 128
-        assert EngineConfig.from_env({}).encode_dtype == "float64"
-        assert EngineConfig.from_env({}).encode_block == 0
+        assert EngineConfig.from_dict({}).encode_dtype == "float64"
+        assert EngineConfig.from_dict({}).encode_block == 0
         with pytest.raises(BadRequestError, match="encode_dtype"):
-            EngineConfig.from_env({"REPRO_ENCODE_DTYPE": "float16"})
-        with pytest.raises(BadRequestError):
-            EngineConfig.from_env({"REPRO_ENCODE_BLOCK": "-1"})
+            EngineConfig.from_dict({"encode_dtype": "float16"})
+        with pytest.raises(BadRequestError, match="encode_block"):
+            EngineConfig.from_dict({"encode_block": -1})
+        parser = build_parser()
+        args = parser.parse_args([
+            "search", "--model", "m.npz", "--encode-block", "-1",
+        ])
+        with pytest.raises(BadRequestError, match="encode_block"):
+            EngineConfig.from_args(args)
+        with pytest.raises(SystemExit):
+            parser.parse_args([
+                "search", "--model", "m.npz", "--encode-dtype", "float16",
+            ])
+        assert "float16" in capsys.readouterr().err
 
     def test_encoder_knobs_from_args(self):
         parser = build_parser()
@@ -165,12 +172,6 @@ class TestEngineConfig:
         config = EngineConfig.from_args(args)
         assert (config.model_path, config.jobs) == ("m.npz", 3)
         assert config.cache_dir is None  # unset options keep defaults
-
-    def test_merged(self):
-        config = EngineConfig(jobs=1).merged(jobs=5)
-        assert config.jobs == 5
-        with pytest.raises(BadRequestError):
-            EngineConfig().merged(jobs=0)
 
 
 # -- MicroBatcher -------------------------------------------------------------------
@@ -827,6 +828,122 @@ class TestSweepOutsideTheLock:
             (n.row, n.score) for n in pinned.top_k(query, k=10)
         ] == full_sort(80)
 
+
+
+class TestIngestOutsideTheLock:
+    """An ingest runs its pipeline without the engine lock and takes the
+    lock only to append, flush and publish its rows."""
+
+    def test_stats_and_queries_answer_during_an_ingest(
+        self, trained_model, query_binary, monkeypatch
+    ):
+        engine = AsteriaEngine(EngineConfig(), model=trained_model)
+        encodings = _random_encodings(trained_model, 40)
+        engine.store.add_batch(encodings)
+        engine.store.flush()
+        entered, release = threading.Event(), threading.Event()
+        encode = corpus.encode_stage
+
+        def held_open(*args, **kwargs):
+            entered.set()
+            release.wait(timeout=10)
+            return encode(*args, **kwargs)
+
+        monkeypatch.setattr(corpus, "encode_stage", held_open)
+        request = QueryRequest(encoding=encodings[0], top_k=3, threshold=None)
+        results = []
+        ingest = threading.Thread(target=lambda: results.append(
+            engine.ingest(IngestRequest(binaries=[query_binary]))
+        ))
+        ingest.start()
+        try:
+            assert entered.wait(timeout=10)
+            began = time.perf_counter()
+            stats = engine.stats()
+            waited = time.perf_counter() - began
+            during = engine.query(request)
+        finally:
+            release.set()
+            ingest.join(timeout=30)
+        assert not ingest.is_alive()
+        assert waited < 0.1, f"stats() waited {waited:.3f}s on an ingest"
+        assert stats.index_rows == during.n_rows == 40
+        assert len(during.hits) == 3
+        [result] = results
+        assert result.n_rows_total == 40 + result.n_functions > 40
+        assert engine.query(request).n_rows == result.n_rows_total
+
+    def test_concurrent_ingests_append_whole_requests(
+        self, trained_model, query_binary, query_functions, tmp_path
+    ):
+        """Pipeline runs and cold query extractions share the pipeline's
+        cache lock; each request's rows land as one contiguous block."""
+        engine = AsteriaEngine(
+            EngineConfig(index_root=str(tmp_path / "fw"),
+                         cache_dir=str(tmp_path / "cache")),
+            model=trained_model,
+        )
+        tagged = [
+            (compile_package(
+                ProgramGenerator(seed=seed).generate_package(f"c{seed}"),
+                "x86",
+            ), f"img{seed}")
+            for seed in range(50, 54)
+        ]
+        query = QueryRequest(binary=query_binary, function=query_functions[0],
+                             top_k=3, threshold=None)
+        results, errors = [], []
+
+        def run(call):
+            try:
+                results.append(call())
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=run, args=(lambda item=item: engine.ingest(
+                IngestRequest(binaries=[item])),))
+            for item in tagged
+        ] + [
+            threading.Thread(target=run, args=(lambda: engine.query(query),))
+            for _ in range(2)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave runs, extracts and appends
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        ingests = [r for r in results if hasattr(r, "n_rows_total")]
+        store = engine.store
+        assert len(store) == sum(r.n_functions for r in ingests) \
+            == max(r.n_rows_total for r in ingests)
+        image_ids = [row.image_id for row in store.iter_metadata()]
+        blocks = [image_id for image_id, _ in itertools.groupby(image_ids)]
+        assert sorted(blocks) == [image_id for _binary, image_id in tagged]
+
+    def test_append_and_flush_are_the_index_stage(
+        self, trained_model, query_binary, tmp_path
+    ):
+        engine = AsteriaEngine(
+            EngineConfig(index_root=str(tmp_path / "fw")), model=trained_model
+        )
+        engine.ingest(IngestRequest(corpus_images=1, corpus_seed=2))
+        before = engine.obs.value(
+            "repro_pipeline_stage_seconds_total", stage="index"
+        )
+        result = engine.ingest(IngestRequest(binaries=[query_binary]))
+        index_s = result.pipeline.times.index_s
+        assert index_s > 0
+        grown = engine.obs.value(
+            "repro_pipeline_stage_seconds_total", stage="index"
+        ) - before
+        assert grown == pytest.approx(index_s)
 
 class TestOneEncoder:
     """Query and compare encode a function through the one served

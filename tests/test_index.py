@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.index.ann as ann
+from repro.api import AsteriaEngine, EngineConfig, QueryRequest
 from repro.core.model import Asteria, AsteriaConfig, FunctionEncoding
 from repro.core.siamese import _PASS_BYTES, _tile_rows
 from repro.evalsuite.vulnsearch import build_firmware_dataset
@@ -108,11 +109,10 @@ class TestEmbeddingStore:
         assert "repro-cli index build" in message  # remedy
         assert "pre-PR-16 checkout" in message
 
-    def test_stale_lsh_ann_entry_is_ignored_with_one_warning(
-        self, tmp_path, caplog
-    ):
-        import logging
-
+    def test_stale_lsh_ann_entry_is_harmless(self, tmp_path):
+        """A manifest still naming the removed lsh backend's state needs
+        no special case: exact never reads ANN state, and ivf-pq rejects
+        a foreign ``kind``, rebuilds and overwrites the entry."""
         root = tmp_path / "idx"
         store = EmbeddingStore.create(root, dim=8, shard_size=4)
         _fill(store, 6)
@@ -124,18 +124,17 @@ class TestEmbeddingStore:
         }
         manifest_path.write_text(json.dumps(manifest))
         (root / "ann-lsh.npz").write_bytes(b"orphaned hyperplanes")
-        with caplog.at_level(logging.WARNING, logger="repro.index.store"):
-            reopened = EmbeddingStore.open(root)
-        warnings = [r for r in caplog.records if "lsh" in r.getMessage()]
-        assert len(warnings) == 1
-        assert not reopened.degraded and len(reopened) == 6
-        assert reopened.ann == {} and reopened.read_ann_state() is None
-        # the configured backend builds from the vectors and persists
-        # its own state over the stale manifest entry
         model = Asteria(AsteriaConfig(hidden_dim=8, seed=4))
-        service = SearchService(model, reopened, backend="ivf-pq", seed=3)
-        assert len(service.query(_encoding(2), top_k=3)) == 3
-        assert service.index().rows_quantized == 6
+        request = QueryRequest(encoding=_encoding(2), top_k=3, threshold=None)
+        for backend in ("exact", "ivf-pq"):
+            engine = AsteriaEngine(
+                EngineConfig(index_root=str(root), backend=backend, seed=3),
+                model=model,
+            )
+            assert len(engine.query(request).hits) == 3
+            assert not engine.stats().degraded
+        assert engine.service.index().rows_quantized == 6
+        assert engine.store.ann["kind"] == "ivf-pq"
         assert EmbeddingStore.open(root).ann["kind"] == "ivf-pq"
 
     def test_create_refuses_existing(self, tmp_path):

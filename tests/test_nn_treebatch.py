@@ -335,7 +335,7 @@ class TestPlans:
 
     def test_resolve_block_precedence(self, monkeypatch):
         """Explicit beats the probe; the environment is not a third
-        source (the engine maps REPRO_ENCODE_BLOCK to encode_block)."""
+        source (``REPRO_ENCODE_BLOCK`` is read by nothing)."""
         assert resolve_block(48) == 48
         probed = resolve_block(0, hidden_dim=16)
         monkeypatch.setenv("REPRO_ENCODE_BLOCK", "96")
