@@ -99,10 +99,6 @@ class EngineConfig:
     drain_timeout_ms: float = _knob(
         5000.0, "how long /v1/shutdown waits for in-flight requests to "
         "drain before stopping anyway", min=0)
-    serve_workers: int = _knob(
-        1, "sweep worker processes, each on a disjoint shard range of the "
-        "mmap'd index (exact backend only; 1 = in-process; more need a "
-        "durable index)", min=1)
     faults: str = _knob(
         "", "failpoint spec for chaos testing, e.g. "
         "'store.flush.pre_rename=kill' (see repro.faults)")
@@ -133,13 +129,6 @@ class EngineConfig:
             )
         if self.request_timeout_ms is not None and self.request_timeout_ms <= 0:
             raise BadRequestError("request_timeout_ms must be > 0 or null")
-        if self.serve_workers > 1 and (
-            self.backend != "exact" or self.index_root is None
-        ):
-            raise BadRequestError(
-                f"serve_workers={self.serve_workers} needs backend 'exact' "
-                f"and a durable index_root"
-            )
 
     # -- dict / args loading -----------------------------------------------
 

@@ -25,11 +25,13 @@ Every consumer -- the CLI, the HTTP server
 examples -- constructs its model/cache/index/pipeline stack through
 this class; nothing else in the repo assembles those pieces by hand.
 The engine is thread-safe: concurrent :meth:`query` calls are the
-serving hot path and ride the micro-batcher.  The engine lock guards
-only lazy construction and the index: an ingest runs its pipeline
-unlocked (the pipeline holds its own artifact-cache lock) and takes the
-engine lock to append, flush and swap; a query takes it only to pin the
-index it sweeps; encodes read only the immutable model.  So
+serving hot path and ride the micro-batcher.  Every query sweeps the
+index in process; there is one index layout, the flat store at
+``index_root``.  The engine lock guards only lazy construction and the
+index: an ingest runs its pipeline unlocked (the pipeline holds its own
+artifact-cache lock) and takes the engine lock to append and flush; a
+query takes it only to pin the index it sweeps, then sweeps unlocked;
+encodes read only the immutable model.  So
 :meth:`stats` (and ``/healthz``) never waits on an encode, a sweep or a
 corpus being decompiled.  Code may take the pipeline lock while holding
 the engine lock, never the reverse.
@@ -56,7 +58,6 @@ from repro.api.config import EngineConfig
 from repro.api.errors import (
     BadRequestError,
     DeadlineExceededError,
-    EngineError,
     IndexStoreError,
     InputNotFoundError,
     ModelNotFoundError,
@@ -78,9 +79,6 @@ from repro.pipeline import (
     binary_digest,
 )
 from repro.pipeline.stages import ExtractedBinary
-from repro.serving import generations
-from repro.serving.coordinator import ServingCoordinator
-from repro.serving.pool import SweepError, SweepTimeout
 from repro.utils.logging import get_logger
 
 _LOG = get_logger("api.engine")
@@ -182,10 +180,6 @@ class QueryResult:
     #: Rows of the corpus snapshot the hits were swept from (rows still
     #: buffered in the store are not part of it).
     n_rows: int
-    #: Index generation the hits were swept from (shard-parallel serving
-    #: only; the in-process path leaves it empty).  Every hit in one
-    #: result comes from this single generation -- merges never mix.
-    generation: str = ""
 
 
 @dataclass
@@ -270,11 +264,6 @@ class EngineStats:
     index_quarantined_shards: int = 0
     n_shed: int = 0
     n_timeouts: int = 0
-    serve_workers: int = 1
-    active_generation: int = 0
-    pool_workers_alive: int = 0
-    pool_workers: List[Dict] = field(default_factory=list)
-    n_index_swaps: int = 0
     config: Dict = field(default_factory=dict)
 
     def to_dict(self) -> Dict:
@@ -294,10 +283,6 @@ POLLED_GAUGES = {
                            "Bytes of vector data in the index"),
     "index_resident_bytes": ("repro_index_resident_bytes",
                              "Index bytes resident in process memory"),
-    "serve_workers": ("repro_serve_workers", "Configured shard-parallel "
-                      "serve workers (1 = in-process)"),
-    "pool_workers_alive": ("repro_serve_workers_alive",
-                           "Serve-pool workers currently alive"),
     "degraded": ("repro_engine_degraded", "1 when serving in degraded mode "
                  "(quarantined shards, ANN fallback, ...)"),
     "cache_hits": ("repro_cache_hits", "Artifact-cache hits (lifetime)"),
@@ -315,7 +300,6 @@ REGISTRY_COUNTS = {
     "encode_block_rows": "repro_encode_block_rows",
     "n_shed": "repro_requests_shed_total",
     "n_timeouts": "repro_request_timeouts_total",
-    "n_index_swaps": "repro_index_swaps_total",
 }
 
 
@@ -340,8 +324,6 @@ class AsteriaEngine:
         self._pipeline: Optional[CorpusPipeline] = None
         self._service: Optional[SearchService] = None
         self._library: Optional[Dict] = None
-        self._coordinator: Optional[ServingCoordinator] = None
-        self._closed = False
         self._extract_memo: "OrderedDict[str, Tuple]" = OrderedDict()
         self._lock = threading.RLock()  # store / service / pipeline state
         self._memo_lock = threading.Lock()  # extract memo + CVE library
@@ -421,9 +403,7 @@ class AsteriaEngine:
                 root = self.config.index_root
                 if root is None:
                     self._store = self._new_store()
-                elif (
-                    generations.active_root(root) / MANIFEST_NAME
-                ).exists():
+                elif (Path(root) / MANIFEST_NAME).exists():
                     self._store = self.open_index()
                 else:
                     self._store = self.create_index()
@@ -495,17 +475,12 @@ class AsteriaEngine:
         return store
 
     def open_index(self) -> EmbeddingStore:
-        """Open the existing durable index at ``config.index_root``.
-
-        Resolves through the generation ``CURRENT`` pointer when one
-        exists, so an engine restarted after a hot swap opens the
-        generation the swap published, not the stale flat layout.
-        """
+        """Open the existing durable index at ``config.index_root``."""
         root = self.config.index_root
         if root is None:
             raise IndexStoreError("open_index needs EngineConfig.index_root")
         try:
-            store = EmbeddingStore.open(generations.active_root(root))
+            store = EmbeddingStore.open(root)
         except StoreError as exc:
             raise IndexStoreError(str(exc)) from exc
         self._adopt_store(store)
@@ -515,50 +490,6 @@ class AsteriaEngine:
         with self._lock:
             self._store = store
             self._service = None
-
-    # -- shard-parallel serving --------------------------------------------
-
-    @property
-    def coordinator(self) -> Optional[ServingCoordinator]:
-        """The shard-parallel serving coordinator, or ``None``.
-
-        Materialised lazily when ``config.serve_workers > 1``, which
-        :class:`EngineConfig` only accepts for the exact backend over a
-        durable index (workers mmap the store by path).  ``None`` once
-        :meth:`close` ran.
-        """
-        if self.config.serve_workers <= 1:
-            return None
-        with self._lock:
-            if self._coordinator is None and not self._closed:
-                store = self.store  # materialise (and verify) once here
-                coordinator = ServingCoordinator(
-                    self.model,
-                    self.config.index_root,
-                    self.config.serve_workers,
-                    registry=self.obs,
-                )
-                rel = (
-                    generations.read_current(self.config.index_root)
-                    or generations.FLAT_GENERATION
-                )
-                coordinator.activate(rel, store)
-                self._coordinator = coordinator
-            return self._coordinator
-
-    def close(self) -> None:
-        """Release background serving resources (pool workers).
-
-        Idempotent; the engine remains usable afterwards via the
-        in-process sweep path (the pool is not respawned -- a draining
-        server must not leak fresh children).  Called by the HTTP
-        server on shutdown so no orphaned processes survive it.
-        """
-        with self._lock:
-            coordinator, self._coordinator = self._coordinator, None
-            self._closed = True
-        if coordinator is not None:
-            coordinator.close()
 
     # -- encode ------------------------------------------------------------
 
@@ -613,15 +544,8 @@ class AsteriaEngine:
                 runs.append(self.pipeline.run_binaries(tagged))
             for run in runs:
                 self._merge_ingest(result, run.stats)
-            with self._lock:  # the Index stage: append, flush once, swap
-                coordinator = self.coordinator
-                if coordinator is not None:
-                    # shard-parallel serving: extend a fresh generation
-                    # while queries keep sweeping the old one (sweeps
-                    # don't take this lock), then hot-swap atomically
-                    rel, store = self._prepare_next_generation()
-                else:
-                    rel, store = None, self.store
+            with self._lock:  # the Index stage: append, flush once
+                store = self.store
                 started = time.perf_counter()
                 for run in runs:
                     for image_id, encoding in run.encodings:
@@ -631,10 +555,6 @@ class AsteriaEngine:
                     result.pipeline, time.perf_counter() - started
                 )
                 result.n_rows_total = len(store)
-                if coordinator is not None:
-                    self._adopt_store(
-                        coordinator.swap_to(rel, store=store)
-                    )
             span.set(n_functions=result.n_functions,
                      n_rows_total=result.n_rows_total)
         _LOG.info(
@@ -642,23 +562,6 @@ class AsteriaEngine:
             result.n_functions, result.n_rows_total,
         )
         return result
-
-    def _prepare_next_generation(self) -> Tuple[str, EmbeddingStore]:
-        """Clone the live store into the next generation directory.
-
-        Shard files are hard-linked (immutable once flushed), so the
-        clone is O(files) not O(bytes); the ingest then appends new
-        shards only the new generation can see.
-        """
-        root = self.config.index_root
-        old = self.store
-        rel, path = generations.prepare_generation(root)
-        generations.clone_store(old.root, path)
-        try:
-            store = EmbeddingStore.open(path, verify=False)
-        except StoreError as exc:
-            raise IndexStoreError(str(exc)) from exc
-        return rel, store
 
     @staticmethod
     def _merge_ingest(result: IngestResult, stats: PipelineStats) -> None:
@@ -826,32 +729,22 @@ class AsteriaEngine:
                 )
             groups.setdefault((top_k, threshold), []).append(i)
         results: List[Optional[QueryResult]] = [None] * len(requests)
-        coordinator = self.coordinator
-        if coordinator is None:
-            # the lock covers only the pin -- the index, refreshed in
-            # step with store flushes -- and every group sweeps it unlocked
-            with self._lock:
-                service = self.service
-                index = service.index()
-        n_rows = 0
+        # the lock covers only the pin -- the index, refreshed in step
+        # with store flushes -- and every group sweeps it unlocked
+        with self._lock:
+            service = self.service
+            index = service.index()
+        n_rows = len(index)
         for (top_k, threshold), members in groups.items():
             encodings = [resolved[i][1] for i in members]
-            if coordinator is not None:
-                # the pool pins its active generation per sweep
-                hit_lists, n_rows, generation = self._pool_sweep(
-                    coordinator, encodings, top_k, threshold, deadline
+            with self._sweep_slots:
+                hit_lists = service.query_batch(
+                    encodings, top_k, threshold, index=index
                 )
-            else:
-                with self._sweep_slots:
-                    hit_lists = service.query_batch(
-                        encodings, top_k, threshold, index=index
-                    )
-                n_rows, generation = len(index), ""
             for i, hits in zip(members, hit_lists):
                 name, encoding = resolved[i]
                 results[i] = QueryResult(
-                    query=name, encoding=encoding, hits=hits,
-                    n_rows=n_rows, generation=generation,
+                    query=name, encoding=encoding, hits=hits, n_rows=n_rows,
                 )
         span.set(
             queries=[name for name, _encoding in resolved],
@@ -940,29 +833,6 @@ class AsteriaEngine:
                 resolved[i] = (name, extracted.encoding(row, vector, beta))
         return resolved
 
-    def _pool_sweep(
-        self,
-        coordinator: ServingCoordinator,
-        encodings: List[FunctionEncoding],
-        top_k: Optional[int],
-        threshold: Optional[float],
-        deadline: Optional[float],
-    ) -> Tuple[List[List[SearchHit]], int, str]:
-        """One coordinator sweep with deadline + error translation."""
-        timeout_s = (
-            None if deadline is None
-            else max(0.0, deadline - time.monotonic())
-        )
-        try:
-            return coordinator.query_batch(
-                encodings, top_k=top_k, threshold=threshold,
-                timeout_s=timeout_s,
-            )
-        except SweepTimeout as exc:
-            raise DeadlineExceededError(str(exc)) from exc
-        except SweepError as exc:
-            raise EngineError(f"parallel sweep failed: {exc}") from exc
-
     def _extracted_for(
         self, binary: BinaryFile
     ) -> Tuple[ExtractedBinary, Dict[str, int]]:
@@ -1040,7 +910,6 @@ class AsteriaEngine:
             micro_batched_items=batches.n_items,
             micro_batch_max=batches.max_batch_size,
             micro_batch_mean=batches.mean_batch_size,
-            serve_workers=self.config.serve_workers,
             config=self.config.to_dict(),
         )
         with self._lock:
@@ -1072,12 +941,6 @@ class AsteriaEngine:
                     stats.ann_rows_quantized = ann.get("rows_quantized", 0)
                     stats.ann_n_lists = ann.get("n_lists", 0)
                     stats.ann_nprobe = ann.get("nprobe", 0)
-            if self._coordinator is not None:
-                stats.active_generation = self._coordinator.generation_seq
-                stats.pool_workers = self._coordinator.pool.workers_info()
-                stats.pool_workers_alive = sum(
-                    1 for w in stats.pool_workers if w["alive"]
-                )
         for name, counter in REGISTRY_COUNTS.items():
             setattr(stats, name, int(self.obs.value(counter)))
         stats.degraded = bool(stats.degraded_reasons)

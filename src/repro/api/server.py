@@ -3,10 +3,11 @@
 ``repro-cli serve`` exposes the engine's lifecycle over HTTP so the
 paper's workflow -- encode a CVE function once, query it against
 firmware corpora at scale -- is reachable from any client.  One engine
-serves every request; concurrent ``/v1/query`` handlers funnel their
-query-side encodes through the engine's dynamic micro-batcher, so
-under load the server performs a few wide level-batched GEMM calls
-instead of one tree walk per request.
+serves every request, in this process: concurrent ``/v1/query``
+handlers funnel their query-side encodes through the engine's dynamic
+micro-batcher, so under load the server performs a few wide
+level-batched GEMM calls instead of one tree walk per request, and
+their corpus sweeps run side by side outside the engine lock.
 
 Endpoints (all JSON unless noted)::
 
@@ -381,12 +382,6 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
             "quarantined_shards": stats.index_quarantined_shards,
             "inflight": self.server.inflight,
             "draining": self.server.draining,
-            # shard-parallel serving: pool size, the generation new
-            # queries pin, and per-worker liveness for operators
-            "serve_workers": stats.serve_workers,
-            "active_generation": stats.active_generation,
-            "pool_workers_alive": stats.pool_workers_alive,
-            "pool_workers": stats.pool_workers,
         }
 
     def _handle_metrics(self) -> Tuple[int, str]:
@@ -468,9 +463,6 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
         return {
             "query": result.query,
             "n_rows": result.n_rows,
-            # the single index generation every hit below came from
-            # ("" on the in-process sweep path)
-            "generation": result.generation,
             "hits": [
                 _hit_json(rank, hit)
                 for rank, hit in enumerate(result.hits, start=1)
@@ -533,11 +525,7 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
                 "still in flight; shutting down anyway",
                 self.engine.config.drain_timeout_ms, self.server.inflight,
             )
-        # terminate pool workers before the final snapshot: a clean
-        # shutdown must leave no orphaned children, and closing first
-        # guarantees the per-worker counters below are final
-        self.engine.close()
-        # flush the registry next: in-flight coalescing counters would
+        # flush the registry: in-flight coalescing counters would
         # otherwise die with the process before anyone scraped them
         final = self.engine.flush_metrics()
         # shutdown() blocks until serve_forever returns, so it must run
@@ -630,9 +618,6 @@ def serve(
     engine.model  # raises ModelNotFoundError early
     if engine.config.index_root is not None:
         engine.store  # open or create the durable index up front
-    # spawn a configured sweep pool before accepting: the first query
-    # must not pay worker startup (None without one)
-    engine.coordinator
     server = EngineServer((host, port), engine)
     print_fn(f"serving on {server.url}")
     if ready is not None:
@@ -643,6 +628,5 @@ def serve(
         pass
     finally:
         server.server_close()
-        engine.close()  # reap pool workers; never leave orphans behind
     print_fn("server stopped")
     return 0

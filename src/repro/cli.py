@@ -302,16 +302,9 @@ def _cmd_stats(args) -> int:
         print(json.dumps(data, indent=2, sort_keys=True))
         return 0
     config = data.pop("config", {}) or {}
-    pool_workers = data.pop("pool_workers", None) or []
     width = max(len(key) for key in data)
     for key in sorted(data):
         print(f"{key:<{width}}  {data[key]}")
-    if pool_workers:
-        print("pool workers:")
-        for worker in pool_workers:
-            state = "alive" if worker.get("alive") else "DEAD"
-            print(f"  worker {worker.get('worker')}  "
-                  f"pid {worker.get('pid')}  {state}")
     if config:
         print("config:")
         sub_width = max(len(key) for key in config)
@@ -428,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
         "search", help="top-k CVE queries against a built index"
     )
     add_config_flags(p, "model_path", "index_root", *_ANN_FLAGS,
-                     "serve_workers", required=["model_path", "index_root"])
+                     required=["model_path", "index_root"])
     p.add_argument("--top-k", type=int, default=10)
     p.add_argument("--threshold", type=float, default=None,
                    help="drop hits scoring below this (unset: keep the "
@@ -479,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
         p, "model_path", "index_root", "encode_batch_size",
         "micro_batch_size", "micro_batch_wait_ms", "slow_query_ms",
         "request_timeout_ms", "max_inflight", "drain_timeout_ms",
-        "serve_workers", "faults", *_ANN_FLAGS, *_PIPELINE_FLAGS,
+        "faults", *_ANN_FLAGS, *_PIPELINE_FLAGS,
         required=["model_path"],
     )
     p.set_defaults(func=_cmd_serve)

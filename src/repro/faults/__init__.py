@@ -77,7 +77,6 @@ FAILPOINTS = (
     "worker.task",               # pipeline worker, start of one task
     "server.request",            # HTTP handler, after admission
     "serving.worker",            # serve-pool worker, start of one sweep
-    "serving.swap",              # generation swap, CURRENT written to tmp only
 )
 
 _MODES = ("raise", "delay", "kill")

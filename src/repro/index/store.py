@@ -378,6 +378,16 @@ class EmbeddingStore:
         consistent prefix with :attr:`degraded` set.
         """
         root = Path(root)
+        pointer = root / "CURRENT"
+        if pointer.exists():
+            # the hot-swap layout: the root's own manifest is the store
+            # from before every swap, so opening it would serve stale rows
+            active = root / pointer.read_text(encoding="utf-8").strip()
+            raise StoreError(
+                f"{root} is an index in the generations layout, which "
+                f"this build no longer reads; open its active generation "
+                f"instead: --index {active}"
+            )
         manifest_path = root / MANIFEST_NAME
         if not manifest_path.exists():
             raise StoreError(f"no manifest at {manifest_path}")

@@ -1,22 +1,18 @@
-"""Shard-parallel serving: worker pool, merge coordinator, generations.
+"""The shard-parallel sweep pool, kept only as a benchmark layer.
 
-See :mod:`repro.serving.pool` for the supervised multi-process sweep
-pool, :mod:`repro.serving.coordinator` for range planning + exact
-top-k merge + hot swap, and :mod:`repro.serving.generations` for the
-atomic ``CURRENT``-pointer generation protocol.
+The engine never reaches this package: every query sweeps in process.
+The package stays only for the ``serving.pool_*`` layer of the e2e
+benchmark's traced pass, which times a batch through
+:class:`ServingCoordinator` against the in-process sweep, and it goes
+when that layer is retired (ROADMAP item 2(e)).
+
+:mod:`repro.serving.pool` is the supervised multi-process sweep pool,
+:mod:`repro.serving.coordinator` the range planning and exact top-k
+merge over it.
 """
 
 from repro.serving.coordinator import ServingCoordinator, shard_ranges
-from repro.serving.generations import (
-    FLAT_GENERATION,
-    active_root,
-    clone_store,
-    commit_generation,
-    generation_seq,
-    list_generations,
-    prepare_generation,
-    read_current,
-)
+from repro.serving.generations import FLAT_GENERATION
 from repro.serving.pool import (
     ShardWorkerPool,
     SweepError,
@@ -29,12 +25,5 @@ __all__ = [
     "ShardWorkerPool",
     "SweepError",
     "SweepTimeout",
-    "active_root",
-    "clone_store",
-    "commit_generation",
-    "generation_seq",
-    "list_generations",
-    "prepare_generation",
-    "read_current",
     "shard_ranges",
 ]

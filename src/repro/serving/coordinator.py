@@ -1,21 +1,14 @@
-"""Coordinator: range planning, partial merge, and hot generation swap.
+"""Coordinator: range planning and partial merge over the sweep pool.
 
-Sits between the engine's exact query path and the
-:class:`ShardWorkerPool`.  Per batch it pins the active generation
-(root + open store) under its own lock -- never the engine's -- cuts the
-corpus into shard-aligned worker ranges, sweeps them in parallel, and
-merges the per-range partials with the same
+Sits between a caller holding encoded queries and the
+:class:`ShardWorkerPool`.  Per batch it pins the active store under its
+own lock, cuts the corpus into shard-aligned worker ranges, sweeps them
+in parallel, and merges the per-range partials with the same
 :func:`~repro.index.ann.select_top_k` the single-process sweep ends
 with.  The merge is exact *including tie order*: every global top-k row
 is necessarily in its own range's top-k (scores are per-row and
 identical either way), and range-local ties at the cut keep exactly the
 ascending-row winners the global lexsort would keep.
-
-A swap never touches in-flight queries: they hold a reference to the
-generation they pinned at admission, whose shard files are immutable,
-while :meth:`swap_to` atomically rewrites the ``CURRENT`` pointer and
-re-pins new arrivals to the new store.  Every response therefore comes
-from exactly one generation -- no torn merges across a flip.
 """
 
 from __future__ import annotations
@@ -33,9 +26,6 @@ from repro.index.search import SearchHit, _hit
 from repro.index.store import EmbeddingStore
 from repro.serving import generations
 from repro.serving.pool import ShardWorkerPool
-from repro.utils.logging import get_logger
-
-_LOG = get_logger("serving.coordinator")
 
 __all__ = ["ServingCoordinator", "shard_ranges"]
 
@@ -60,7 +50,7 @@ def shard_ranges(
 
 
 class ServingCoordinator:
-    """Owns the worker pool and the active-generation pin."""
+    """Owns the worker pool and the pinned store."""
 
     def __init__(
         self,
@@ -78,31 +68,17 @@ class ServingCoordinator:
         self._store: Optional[EmbeddingStore] = None
         self.pool = ShardWorkerPool(model, n_workers, registry=registry)
 
-    # -- generation pin ----------------------------------------------------
-
-    @property
-    def generation_seq(self) -> int:
-        with self._lock:
-            return generations.generation_seq(self._generation_rel)
-
     def activate(self, rel: str, store: EmbeddingStore) -> None:
-        """Pin ``store`` (the generation at ``rel``) for new queries."""
+        """Pin ``store`` (named ``rel``) for new queries."""
         with self._lock:
             self._generation_rel = rel
             self._store = store
-        if self._registry is not None:
-            self._registry.gauge(
-                "repro_serve_active_generation",
-                "Sequence number of the generation serving new queries",
-            ).set(generations.generation_seq(rel))
 
     def _pin(self) -> Tuple[str, EmbeddingStore]:
         with self._lock:
             if self._store is None:
-                raise RuntimeError("coordinator has no active generation")
+                raise RuntimeError("coordinator has no active store")
             return self._generation_rel, self._store
-
-    # -- queries -----------------------------------------------------------
 
     def query_batch(
         self,
@@ -117,8 +93,8 @@ class ServingCoordinator:
         :func:`select_top_k` the single-process path ends with, so
         results stay bit-for-bit identical to it.
 
-        Returns ``(hit_lists, corpus_rows, generation_rel)`` -- the
-        generation every one of these results came from.
+        Returns ``(hit_lists, corpus_rows, rel)`` -- ``rel`` names the
+        store every one of these results came from.
         """
         rel, store = self._pin()
         n_rows = store.n_flushed
@@ -157,40 +133,6 @@ class ServingCoordinator:
                 "End-to-end pooled sweep+merge wall time per batch",
             ).observe(time.monotonic() - began)
         return hit_lists, n_rows, rel
-
-    # -- swap --------------------------------------------------------------
-
-    def swap_to(
-        self, rel: str, store: Optional[EmbeddingStore] = None
-    ) -> EmbeddingStore:
-        """Atomically publish generation ``rel`` and pin it.
-
-        Commit order matters: the ``CURRENT`` pointer flips on disk
-        first (the ``serving.swap`` failpoint sits in that window -- a
-        raise there aborts with the old generation still serving and
-        the swaps counter untouched), then new queries are re-pinned.
-        In-flight queries keep their old pin and complete untouched.
-        Pass the already-open ``store`` (the ingest path just wrote it)
-        to skip a redundant verify-on-open.
-        """
-        generations.commit_generation(self.index_root, rel)
-        if store is None:
-            store = EmbeddingStore.open(
-                generations.active_root(self.index_root)
-            )
-        self.activate(rel, store)
-        if self._registry is not None:
-            self._registry.counter(
-                "repro_index_swaps_total",
-                "Hot index generation swaps completed",
-            ).inc()
-        _LOG.info(
-            "hot-swapped index to generation %s (%d rows)",
-            rel, store.n_flushed,
-        )
-        return store
-
-    # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
         self.pool.close()  # idempotent

@@ -1,5 +1,7 @@
-"""Multi-process sweep pool for shard-parallel exact serving.
+"""Multi-process sweep pool for shard-parallel exact sweeps.
 
+The engine does not use it (every query sweeps in process); the e2e
+benchmark's ``serving.pool_*`` layer times it against that sweep.
 The pool splits the corpus into disjoint shard-aligned row ranges and
 hands each range to a separate worker process, so concurrent exact
 sweeps run on as many cores as there are workers.  Workers mmap-open the
@@ -9,8 +11,7 @@ range with the very ring sweep the single-process path runs
 (:meth:`~repro.index.ann.AnnIndex.top_k_batch` on a
 :class:`~repro.index.ann.BruteForceIndex`), returning per-query
 ``(rows, scores)`` partials for the coordinator to merge with
-:func:`~repro.index.ann.select_top_k`.  The tiered backend never comes
-here (``EngineConfig`` refuses it): its sweep is a sliver of the corpus.
+:func:`~repro.index.ann.select_top_k`.
 
 The processes are supervised by
 :class:`repro.utils.supervisor.SupervisedPool` (shared with the extract
@@ -18,11 +19,10 @@ pool; failpoint ``serving.worker``).  What is left here is the sweep
 handler and :meth:`ShardWorkerPool.sweep`: range fan-out, the request
 deadline, per-worker metrics and error translation.
 
-Workers cache open stores by root path (bounded LRU), so a generation
-swap simply starts naming a different root in task payloads: the first
-sweep against the new generation opens it, the old one ages out.  Each
-cached store keeps the range indexes built over it, so a range pays its
-callee-count sort once per generation, not once per task.
+Workers cache open stores by root path (bounded LRU): the first sweep
+naming a root opens it, and a root no task names any more ages out.
+Each cached store keeps the range indexes built over it, so a range
+pays its callee-count sort once per root, not once per task.
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ from repro.utils.supervisor import (
 
 __all__ = ["ShardWorkerPool", "SweepError", "SweepTimeout"]
 
-#: Stores a worker keeps open at once (old + new generation during a
-#: swap; anything older has aged out of the query stream).
+#: Stores a worker keeps open at once (least recently swept evicted).
 _STORE_CACHE_MAX = 2
 
 #: One sweep partial per query: global store rows and their scores.
@@ -69,13 +68,13 @@ class SweepTimeout(SweepError):
 
 
 def _open_corpus(cache: "OrderedDict", root: str):
-    """Worker-side store open with a tiny LRU over generations:
+    """Worker-side store open with a tiny LRU over roots:
     ``(vectors, callee counts, range indexes by (start, stop,
-    calibrate))``, the indexes aging out with their generation.
+    calibrate))``, the indexes aging out with their root.
 
-    ``verify=False``: the coordinator verified checksums when it opened
-    the generation; re-hashing every shard per worker would turn each
-    swap into an O(corpus) stall.
+    ``verify=False``: the caller verified checksums when it opened the
+    store; re-hashing every shard per worker would be an O(corpus)
+    stall per worker.
     """
     entry = cache.get(root)
     if entry is None:

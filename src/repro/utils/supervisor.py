@@ -1,8 +1,9 @@
 """One supervisor for pools of forked worker processes.
 
 Both process pools of this repo -- the per-run extract pool
-(:mod:`repro.pipeline.workers`) and the long-lived sweep pool
-(:mod:`repro.serving.pool`) -- are a :class:`SupervisedPool`: a fixed
+(:mod:`repro.pipeline.workers`) and the sweep pool that only the
+benchmark's ``serving.pool_*`` layer runs (:mod:`repro.serving.pool`;
+the engine sweeps in process) -- are a :class:`SupervisedPool`: a fixed
 number of worker *slots*, each a child process that runs
 ``setup(worker_id, *setup_args)`` once and then the returned
 ``handle(payload)`` once per task.  This module is the only place that
@@ -30,10 +31,10 @@ way.  A task charged ``max_attempts`` times fails its waiter with
 
 **The one policy that differs between callers** is ``backoff``: the
 extract pool waits out :func:`_backoff_delay` before a retry (nobody is
-waiting on a clock); the sweep pool retries at once,
-because its caller holds a request deadline and a poisonous sweep must
-be a prompt 500, not a 504.  It is a constructor argument set by those
-two call sites, never by users.
+waiting on a clock); the sweep pool retries at once, because its
+caller may hold a deadline and a poisonous sweep must fail promptly,
+not time out.  It is a constructor argument set by those two call
+sites, never by users.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ the query / one-request-batch differential.
 
 import itertools
 import json
+import re
 import sys
 import threading
 import time
@@ -38,6 +39,7 @@ from repro.cli import build_parser
 from repro.compiler.pipeline import compile_package
 from repro.core.model import FunctionEncoding
 from repro.index.ann import BruteForceIndex, make_index
+from repro.index.store import EmbeddingStore
 from repro.lang.generator import ProgramGenerator
 
 
@@ -566,6 +568,45 @@ class TestEngineLifecycle:
         with pytest.raises(IndexStoreError, match="no manifest"):
             AsteriaEngine(config, model=trained_model).open_index()
 
+    def test_generations_layout_is_refused_not_served_stale(
+        self, trained_model, tmp_path
+    ):
+        """A root whose ``CURRENT`` names a hot-swapped generation still
+        holds the pre-swap store at its top level; opening it is an
+        index error naming the directory to open instead."""
+        dim = trained_model.config.hidden_dim
+        vectors = np.random.default_rng(3).normal(size=(12, dim))
+
+        def fill(root, n):
+            store = EmbeddingStore.create(root, dim=dim)
+            for i in range(n):
+                store.add(FunctionEncoding(
+                    name=f"f{i}", arch="x86", binary_name="b",
+                    vector=vectors[i], callee_count=i % 3,
+                ))
+            store.flush()
+
+        root = tmp_path / "idx"
+        active = root / "generations" / "gen-00001"
+        fill(root, 8)  # the store from before the swap
+        fill(active, 12)
+        (root / "CURRENT").write_text("generations/gen-00001\n")
+        query = QueryRequest(encoding=FunctionEncoding(
+            name="q", arch="x86", binary_name="b", vector=vectors[0],
+            callee_count=0,
+        ), top_k=3, threshold=None)
+        stale = AsteriaEngine(EngineConfig(index_root=str(root)),
+                              model=trained_model)
+        with pytest.raises(IndexStoreError, match=re.escape(str(active))):
+            stale.open_index()
+        with pytest.raises(IndexStoreError, match=re.escape(str(active))):
+            stale.query(query)
+        # the active generation opened directly is an ordinary store
+        result = AsteriaEngine(
+            EngineConfig(index_root=str(active)), model=trained_model
+        ).query(query)
+        assert result.n_rows == 12 and len(result.hits) == 3
+
     def test_create_existing_index(self, trained_model, tmp_path):
         root = str(tmp_path / "idx")
         engine = AsteriaEngine(EngineConfig(index_root=root),
@@ -1023,24 +1064,21 @@ def durable_index(tmp_path_factory, trained_model):
 
 class TestQueryMatchesOneRequestBatch:
     """``engine.query(r)`` and ``engine.query_batch([r])[0]`` must agree
-    bit for bit on every backend in process, and through the (exact)
-    pool."""
+    bit for bit on every backend."""
 
     @pytest.fixture(
         scope="class",
-        params=[("exact", 1), ("exact", 2), ("ivf-pq", 1)],
-        ids=lambda p: f"{p[0]}-workers{p[1]}",
+        params=["exact", "ivf-pq"],
+        # ids keep their one-worker names so test history stays comparable
+        ids=lambda backend: f"{backend}-workers1",
     )
     def served(self, request, durable_index, trained_model):
-        backend, workers = request.param
         engine = AsteriaEngine(
-            EngineConfig(index_root=durable_index, backend=backend,
-                         serve_workers=workers),
+            EngineConfig(index_root=durable_index, backend=request.param),
             model=trained_model,
         )
         engine.open_index()
-        yield engine
-        engine.close()
+        return engine
 
     @pytest.fixture(params=["encoding", "cve_id", "binary"])
     def query_request(self, request, served, query_binary, query_functions):
@@ -1060,9 +1098,6 @@ class TestQueryMatchesOneRequestBatch:
         assert single.hits == batched.hits
         assert single.query == batched.query
         assert single.n_rows == batched.n_rows
-        assert single.generation == batched.generation
-        pooled = served.config.serve_workers > 1
-        assert single.generation == ("." if pooled else "")
 
     def test_identical_errors(self, served, query_binary):
         from repro.api.errors import DeadlineExceededError
@@ -1161,31 +1196,22 @@ class TestMetricsAreStats:
     """``/metrics`` gauges are set from the ``/v1/stats`` snapshot, so the
     two agree on every row of the table -- not just the ones CI greps."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
     def test_every_polled_gauge_reads_as_in_stats(
-        self, tmp_path, trained_model, workers
+        self, tmp_path, trained_model
     ):
         engine = AsteriaEngine(
             EngineConfig(index_root=str(tmp_path / "fw"),
-                         cache_dir=str(tmp_path / "cache"),
-                         serve_workers=workers),
+                         cache_dir=str(tmp_path / "cache")),
             model=trained_model,
         )
-        try:
-            engine.ingest(IngestRequest(corpus_images=2, corpus_seed=4))
-            engine.query(QueryRequest(cve_id="CVE-2016-2105", top_k=3))
-            snapshot = engine.flush_metrics()
-            stats = engine.stats().to_dict()
-            for name, (gauge, _help) in POLLED_GAUGES.items():
-                [series] = snapshot[gauge]["series"]
-                assert series["value"] == float(stats[name]), gauge
-            for name, counter in REGISTRY_COUNTS.items():
-                assert engine.obs.value(counter) == stats[name], counter
-            assert stats["index_rows"] > 0 and stats["cache_misses"] > 0
-            assert stats["n_queries"] == 1
-            assert stats["pool_workers_alive"] == (workers if workers > 1 else 0)
-        finally:
-            engine.close()
-        # a closed pool must not leave its last reading behind
-        [series] = engine.flush_metrics()["repro_serve_workers_alive"]["series"]
-        assert series["value"] == 0.0
+        engine.ingest(IngestRequest(corpus_images=2, corpus_seed=4))
+        engine.query(QueryRequest(cve_id="CVE-2016-2105", top_k=3))
+        snapshot = engine.flush_metrics()
+        stats = engine.stats().to_dict()
+        for name, (gauge, _help) in POLLED_GAUGES.items():
+            [series] = snapshot[gauge]["series"]
+            assert series["value"] == float(stats[name]), gauge
+        for name, counter in REGISTRY_COUNTS.items():
+            assert engine.obs.value(counter) == stats[name], counter
+        assert stats["index_rows"] > 0 and stats["cache_misses"] > 0
+        assert stats["n_queries"] == 1

@@ -150,8 +150,8 @@ CLI_SURFACE = {
          "--seed", "--shard-size", *_PIPELINE], ["--model", "--output"],
         {"--dtype": _DTYPES, "--encode-dtype": _DTYPES}),
     "index search": (
-        ["--cve", "--index", "--model", "--seed", "--serve-workers",
-         "--threshold", "--top-k", *_ANN], ["--index", "--model"], {}),
+        ["--cve", "--index", "--model", "--seed", "--threshold", "--top-k",
+         *_ANN], ["--index", "--model"], {}),
     "corpus synth": (
         ["--cluster-size", "--dim", "--dtype", "--functions", "--model",
          "--noise", "--output", "--seed", "--seed-packages", "--shard-size",
@@ -161,8 +161,8 @@ CLI_SURFACE = {
         ["--batch-size", "--drain-timeout-ms", "--faults", "--host",
          "--index", "--max-inflight", "--micro-batch",
          "--micro-batch-wait-ms", "--model", "--port",
-         "--request-timeout-ms", "--seed", "--serve-workers",
-         "--slow-query-ms", *_ANN, *_PIPELINE], ["--model"],
+         "--request-timeout-ms", "--seed", "--slow-query-ms", *_ANN,
+         *_PIPELINE], ["--model"],
         {"--encode-dtype": _DTYPES}),
     "stats": (["--index", "--json", "--model", "--url"], [], {}),
 }

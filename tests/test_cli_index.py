@@ -132,6 +132,28 @@ class TestIndexSearch:
         ]) == 5
         assert "no manifest" in capsys.readouterr().err
 
+    def test_generations_layout_is_exit_5_naming_the_active_one(
+        self, model_path, index_dir, tmp_path, capsys
+    ):
+        import shutil
+
+        root = tmp_path / "swapped"
+        shutil.copytree(index_dir, root)
+        active = root / "generations" / "gen-00001"
+        shutil.copytree(index_dir, active)
+        (root / "CURRENT").write_text("generations/gen-00001\n")
+        assert main([
+            "index", "search", "--model", model_path, "--index", str(root),
+        ]) == 5
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert str(active) in err
+        assert main([
+            "index", "search", "--model", model_path, "--index", str(active),
+            "--top-k", "2",
+        ]) == 0
+        assert "score=" in capsys.readouterr().out
+
     def test_cve_filter(self, model_path, index_dir, capsys):
         assert main([
             "index", "search", "--model", model_path, "--index", index_dir,
