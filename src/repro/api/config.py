@@ -78,7 +78,7 @@ class EngineConfig:
         "rows))", min=0, zero="auto")
     threshold: float = _knob(
         0.84, "Youden cutoff for queries that ask for the configured one")
-    top_k: int = _knob(10, "query depth for queries that name none")
+    top_k: int = _knob(10, "query depth for queries that name none", min=1)
     seed: int = _knob(0, "ivf-pq k-means seed")
     micro_batch_size: int = _knob(
         DEFAULT_ENCODE_BATCH_SIZE, "max concurrent query encodes coalesced "

@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=float, default=SEARCH_THRESHOLD)
-    p.add_argument("--top-k", type=int, default=None,
+    p.add_argument("--top-k", type=_count, default=None,
                    help="cap candidates per CVE (unset: all above "
                         "threshold)")
     p.set_defaults(func=_cmd_search)
@@ -422,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_config_flags(p, "model_path", "index_root", *_ANN_FLAGS,
                      required=["model_path", "index_root"])
-    p.add_argument("--top-k", type=int, default=10)
+    p.add_argument("--top-k", type=_count, default=10)
     p.add_argument("--threshold", type=float, default=None,
                    help="drop hits scoring below this (unset: keep the "
                         "full top-k)")

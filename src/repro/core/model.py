@@ -142,8 +142,7 @@ class Asteria:
         ``batch_size`` trees or ``node_budget`` nodes (0 = the resolved
         default), so similarly-sized trees share chunks and the flattened
         state buffers stay cache-resident at any caller batch width.  The
-        plan holds tree structure only -- no weights -- so the pipeline
-        caches it across model changes (``ctrees`` artifacts).
+        plan holds tree structure only -- no weights.
         """
         return self.compile_columns(
             TreeColumns.from_trees(trees), batch_size, node_budget, bucketed,

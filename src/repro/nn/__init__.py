@@ -28,7 +28,6 @@ from repro.nn.treebatch import (
     encode_plan,
     pack_weights,
     plan_chunks,
-    plan_from_state,
     plan_to_state,
     resolve_block,
     resolve_node_budget,
@@ -54,7 +53,6 @@ __all__ = [
     "encode_plan",
     "pack_weights",
     "plan_chunks",
-    "plan_from_state",
     "plan_to_state",
     "resolve_block",
     "resolve_node_budget",

@@ -507,8 +507,7 @@ class CompiledChunk:
 class CompiledPlan:
     """A full input's encode schedule: size-bucketed compiled chunks.
 
-    Model-independent (it holds tree structure only), so it can be cached
-    across weight changes -- see the pipeline's ``ctrees`` artifacts.
+    Model-independent: it holds tree structure only, no weights.
     """
 
     chunks: List[CompiledChunk]
@@ -614,7 +613,7 @@ def encode_plan(
     return out
 
 
-# -- compiled-plan (de)serialization ------------------------------------------
+# -- compiled-plan serialization ----------------------------------------------
 
 #: Per-level int64 array fields of :class:`LevelPlan`, in storage order.
 _LEVEL_FIELDS = ("labels", "left_global", "right_global")
@@ -645,45 +644,6 @@ def plan_to_state(plan: CompiledPlan) -> Dict[str, np.ndarray]:
             )
         state[prefix + "root_global"] = batch.root_global
     return state
-
-
-def plan_from_state(state: Dict[str, np.ndarray]) -> CompiledPlan:
-    """Rebuild a :class:`CompiledPlan` from :func:`plan_to_state` arrays."""
-    n_chunks = int(np.asarray(state["n_chunks"])[0])
-    chunks: List[CompiledChunk] = []
-    for ci in range(n_chunks):
-        prefix = f"c{ci}_"
-        level_sizes = np.asarray(state[prefix + "level_sizes"], dtype=np.int64)
-        offsets = np.concatenate([[0], np.cumsum(level_sizes)]).astype(np.int64)
-        splits = {
-            name: np.split(
-                np.asarray(state[prefix + name], dtype=np.int64),
-                offsets[1:-1],
-            )
-            for name in _LEVEL_FIELDS
-        }
-        levels = [
-            LevelPlan(
-                offset=int(offsets[lvl]),
-                **{name: splits[name][lvl] for name in _LEVEL_FIELDS},
-            )
-            for lvl in range(len(level_sizes))
-        ]
-        chunks.append(
-            CompiledChunk(
-                indices=np.asarray(state[prefix + "indices"], dtype=np.int64),
-                batch=CompiledBatch(
-                    levels=levels,
-                    root_global=np.asarray(
-                        state[prefix + "root_global"], dtype=np.int64
-                    ),
-                    n_nodes=int(offsets[-1]),
-                ),
-            )
-        )
-    return CompiledPlan(
-        chunks=chunks, n_trees=int(np.asarray(state["n_trees"])[0])
-    )
 
 
 # -- training path -----------------------------------------------------------

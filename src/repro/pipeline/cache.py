@@ -1,17 +1,14 @@
 """Content-addressed on-disk artifact cache for the corpus pipeline.
 
-Three artifact kinds are cached per binary, keyed so that any input change
+Two artifact kinds are cached per binary, keyed so that any input change
 invalidates exactly the work it dirties:
 
 * ``trees`` -- the Decompile + Preprocess output
   (:class:`~repro.pipeline.stages.ExtractedBinary`), keyed by the binary's
   content digest + preprocess params.  Model-independent: retraining the
-  model reuses cached trees and re-runs only the Encode stage;
-* ``ctrees`` -- the compiled level-indexed encode schedule
-  (:class:`~repro.nn.treebatch.CompiledPlan`), keyed by binary digest +
-  preprocess params + compile params (batch size, node budget,
-  bucketing) but **not** the model fingerprint: a weight change re-runs
-  only the GEMMs, recompiling zero trees;
+  model reuses cached trees and re-runs only the Encode stage, which
+  compiles its level schedule from these columns (cheaper than reading
+  a stored schedule back);
 * ``enc`` -- the Encode output (:class:`~repro.core.model.FunctionEncoding`
   rows), keyed by binary digest + preprocess params + the encode dtype
   **+ the model's weights fingerprint**
@@ -50,7 +47,7 @@ import numpy as np
 from repro.binformat.binary import BinaryFile
 from repro.core.model import FunctionEncoding
 from repro.nn.serialize import load_state, save_state
-from repro.nn.treebatch import CompiledPlan, plan_from_state, plan_to_state
+from repro.nn.treebatch import CompiledPlan, plan_to_state
 from repro.pipeline.stages import ExtractedBinary
 from repro.utils.fsio import atomic_write_text, file_sha256
 from repro.utils.logging import get_logger
@@ -68,27 +65,23 @@ class CacheStats:
 
     tree_hits: int = 0
     tree_misses: int = 0
-    ctree_hits: int = 0
-    ctree_misses: int = 0
     encoding_hits: int = 0
     encoding_misses: int = 0
     stores: int = 0
 
     @property
     def hits(self) -> int:
-        return self.tree_hits + self.ctree_hits + self.encoding_hits
+        return self.tree_hits + self.encoding_hits
 
     @property
     def misses(self) -> int:
-        return self.tree_misses + self.ctree_misses + self.encoding_misses
+        return self.tree_misses + self.encoding_misses
 
     def minus(self, earlier: "CacheStats") -> "CacheStats":
         """The delta accumulated since an earlier snapshot."""
         return CacheStats(
             tree_hits=self.tree_hits - earlier.tree_hits,
             tree_misses=self.tree_misses - earlier.tree_misses,
-            ctree_hits=self.ctree_hits - earlier.ctree_hits,
-            ctree_misses=self.ctree_misses - earlier.ctree_misses,
             encoding_hits=self.encoding_hits - earlier.encoding_hits,
             encoding_misses=self.encoding_misses - earlier.encoding_misses,
             stores=self.stores - earlier.stores,
@@ -330,32 +323,6 @@ class ArtifactCache:
             },
         )
 
-    def get_ctrees(
-        self,
-        digest: str,
-        min_ast_size: int,
-        batch_size: int,
-        node_budget: int,
-        bucketed: bool = True,
-    ) -> Optional[CompiledPlan]:
-        """Cached compiled encode plan for one binary; None on miss.
-
-        Keyed by tree digest + compile params only -- deliberately not by
-        the model fingerprint, so a weight change reuses the plan and
-        recompiles nothing.
-        """
-        key = artifact_key(
-            "ctrees", digest,
-            self._ctree_params(min_ast_size, batch_size, node_budget, bucketed),
-        )
-        found = self.get(key)
-        if found is None:
-            self.stats.ctree_misses += 1
-            return None
-        self.stats.ctree_hits += 1
-        state, _meta = found
-        return plan_from_state(state)
-
     def put_ctrees(
         self,
         digest: str,
@@ -365,6 +332,13 @@ class ArtifactCache:
         plan: CompiledPlan,
         bucketed: bool = True,
     ) -> None:
+        """Store one binary's compiled encode plan as a ``ctrees`` object.
+
+        Write-only: no pipeline path reads these objects back.  This and
+        :meth:`_ctree_params` remain only because the benchmark's
+        per-layer replay (``benchmarks/e2e/layers.py``) still writes
+        them; both go with ROADMAP item 2(a).
+        """
         key = artifact_key(
             "ctrees", digest,
             self._ctree_params(min_ast_size, batch_size, node_budget, bucketed),

@@ -39,7 +39,6 @@ from repro.core.model import (
     Asteria,
     FunctionEncoding,
 )
-from repro.nn.treebatch import resolve_node_budget
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.cache import ArtifactCache, CacheStats, binary_digest
 from repro.pipeline.stages import (
@@ -84,7 +83,6 @@ class PipelineStats:
     n_unique_binaries: int = 0  # distinct content digests
     n_extracted: int = 0  # digests decompiled + preprocessed this run
     n_encoded: int = 0  # digests encoded this run
-    n_trees_compiled: int = 0  # trees level-compiled this run (ctrees misses)
     n_functions: int = 0  # encodings produced, over occurrences
     n_skipped_small: int = 0  # below-size-floor functions, over occurrences
     times: StageTimes = field(default_factory=StageTimes)
@@ -110,7 +108,6 @@ class PipelineStats:
             f"stage  encode      {times.encode_s:8.3f}s  "
             f"(encoded {self.n_encoded} binaries, "
             f"{self.n_functions} functions, "
-            f"compiled {self.n_trees_compiled} trees, "
             f"{self.n_skipped_small} below size floor)"
         )
         lines.append(
@@ -120,8 +117,6 @@ class PipelineStats:
         lines.append(
             f"cache  trees: {self.cache.tree_hits} hits / "
             f"{self.cache.tree_misses} misses; "
-            f"ctrees: {self.cache.ctree_hits} hits / "
-            f"{self.cache.ctree_misses} misses; "
             f"encodings: {self.cache.encoding_hits} hits / "
             f"{self.cache.encoding_misses} misses"
         )
@@ -258,38 +253,6 @@ class CorpusPipeline:
 
     # -- the staged run ----------------------------------------------------
 
-    def _compiled_plan(
-        self,
-        digest: str,
-        extracted: ExtractedBinary,
-        stats: PipelineStats,
-    ):
-        """This binary's encode plan, through the ``ctrees`` cache.
-
-        Plans hold tree structure only, so they are keyed without the
-        model fingerprint: after a retrain, ``enc`` misses but the plan
-        still hits and zero trees are recompiled.  A miss compiles the
-        extracted columns directly; no tree objects are built.
-        """
-        min_ast_size = self.model.config.min_ast_size
-        node_budget = resolve_node_budget(0)
-        plan = self.cache.get_ctrees(
-            digest, min_ast_size, self.encode_batch_size, node_budget
-        )
-        if plan is None:
-            plan = self.model.compile_columns(
-                extracted.columns(),
-                self.encode_batch_size,
-                node_budget=node_budget,
-                registry=self.registry,
-            )
-            stats.n_trees_compiled += plan.n_trees
-            self.cache.put_ctrees(
-                digest, min_ast_size, self.encode_batch_size,
-                node_budget, plan,
-            )
-        return plan
-
     def _encode_entry(
         self,
         entry: _Entry,
@@ -298,15 +261,10 @@ class CorpusPipeline:
         stats: PipelineStats,
     ) -> None:
         """Encode one binary's trees, cache the result, release the trees."""
-        plan = (
-            self._compiled_plan(digest, extracted, stats)
-            if len(extracted) else None
-        )
         entry.encodings = encode_stage(
             self.model,
             extracted,
             batch_size=self.encode_batch_size,
-            plan=plan,
             dtype=self.encode_dtype,
             block=self.encode_block,
             registry=self.registry,
@@ -436,13 +394,8 @@ class CorpusPipeline:
         }
         for stage, seconds in stage_seconds.items():
             self._stage_counter(stage).inc(seconds)
-        reg.counter(
-            "repro_pipeline_trees_compiled_total",
-            "Trees level-compiled by pipeline runs (ctrees cache misses)",
-        ).inc(stats.n_trees_compiled)
         for kind, hits, misses in (
             ("tree", stats.cache.tree_hits, stats.cache.tree_misses),
-            ("ctrees", stats.cache.ctree_hits, stats.cache.ctree_misses),
             ("encoding", stats.cache.encoding_hits,
              stats.cache.encoding_misses),
         ):

@@ -210,10 +210,10 @@ def encode_stage(
     cache hits, serial runs and worker-pool runs interchange freely.
 
     ``plan`` is an optional precompiled
-    :class:`~repro.nn.treebatch.CompiledPlan` for exactly these trees
-    (the pipeline's ``ctrees`` cache); without one, the trees are
-    bucketed and compiled here.  ``dtype``/``block`` select the inference
-    dtype and GEMM row block (see :meth:`Asteria.encode_batch`).
+    :class:`~repro.nn.treebatch.CompiledPlan` for exactly these trees;
+    without one, the columns are bucketed and compiled here.
+    ``dtype``/``block`` select the inference dtype and GEMM row block
+    (see :meth:`Asteria.encode_batch`).
     """
     if not len(extracted):
         return []

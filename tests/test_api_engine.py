@@ -64,6 +64,13 @@ class TestEngineConfig:
         with pytest.raises(BadRequestError):
             EngineConfig(micro_batch_wait_ms=-1)
 
+    def test_top_k_must_be_positive(self):
+        # a depth below 1 would answer every default-depth query with no hits
+        with pytest.raises(BadRequestError, match="top_k must be >= 1"):
+            EngineConfig(top_k=0)
+        with pytest.raises(BadRequestError, match="top_k must be >= 1"):
+            EngineConfig.from_dict({"top_k": -1})
+
     def test_ann_knob_validation(self):
         config = EngineConfig(backend="ivf-pq", ann_nprobe=4,
                               ann_rerank=16, ann_lists=128)

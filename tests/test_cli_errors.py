@@ -242,6 +242,19 @@ class TestFlagSurface:
             "error: ann_lists must be >= 0 (0 = auto), got -1\n"
         )
 
+    @pytest.mark.parametrize("argv", [
+        ["index", "search", "--model", "m", "--index", "i", "--top-k", "-1"],
+        ["search", "--model", "m", "--top-k", "0"],
+    ])
+    def test_top_k_below_one_is_a_parse_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1
+        assert "argument --top-k: must be >= 1" in errors[0]
+
     def test_no_help_string_restates_a_default(self):
         """A generated flag shows its one default, taken from the field."""
         for command, parser in _leaf_parsers(build_parser()):

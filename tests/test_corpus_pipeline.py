@@ -1,10 +1,13 @@
 """Staged corpus pipeline: artifact cache, worker-pool determinism, call sites."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+from repro.api import AsteriaEngine, EngineConfig, IngestRequest
+from repro.compiler.pipeline import compile_package
 from repro.core.model import Asteria, AsteriaConfig
 from repro.evalsuite.vulnsearch import CVE_LIBRARY, build_firmware_dataset
 from repro.pipeline import (
@@ -13,7 +16,10 @@ from repro.pipeline import (
     flatten_tree,
     unflatten_tree,
 )
-from repro.pipeline.cache import MANIFEST_NAME, OBJECTS_DIR
+from repro.lang.generator import ProgramGenerator
+from repro.nn.treebatch import resolve_node_budget
+from repro.pipeline.cache import MANIFEST_NAME, OBJECTS_DIR, binary_digest
+from repro.pipeline.stages import unpack_stage
 
 
 @pytest.fixture(scope="module")
@@ -133,35 +139,7 @@ class TestArtifactCacheInvalidation:
         assert stats.n_extracted == 0  # cached trees reused
         assert stats.n_encoded == stats.n_unique_binaries  # encode re-ran
 
-    def test_weight_change_reuses_compiled_plans(
-        self, tmp_path, trained_model, firmware
-    ):
-        """After a retrain, encodings re-run but zero trees recompile.
-
-        The ``ctrees`` plans hold tree structure only, so they are keyed
-        without the model fingerprint -- the whole point of persisting
-        them as their own artifact kind.
-        """
-        root = tmp_path / "cache"
-        cold = CorpusPipeline(
-            trained_model, cache=ArtifactCache(root)
-        ).run_images(firmware.images)
-        assert cold.stats.n_trees_compiled > 0
-        assert cold.stats.cache.ctree_misses > 0
-        assert cold.stats.cache.ctree_hits == 0
-
-        fresh = Asteria(AsteriaConfig(hidden_dim=32))
-        assert fresh.fingerprint() != trained_model.fingerprint()
-        run = CorpusPipeline(
-            fresh, cache=ArtifactCache(root)
-        ).run_images(firmware.images)
-        stats = run.stats
-        assert stats.n_encoded == stats.n_unique_binaries  # encode re-ran
-        assert stats.n_trees_compiled == 0  # ...over cached plans
-        assert stats.cache.ctree_misses == 0
-        assert stats.cache.ctree_hits > 0
-
-    def test_batch_size_change_invalidates_plans_not_trees(
+    def test_batch_size_change_keeps_encodings(
         self, tmp_path, trained_model, firmware
     ):
         root = tmp_path / "cache"
@@ -173,10 +151,9 @@ class TestArtifactCacheInvalidation:
             cache=ArtifactCache(root),
             encode_batch_size=17,
         ).run_images(firmware.images)
-        # encodings are keyed by weights + dtype, not batch size: all hit,
-        # so the differently-keyed plans are never even consulted
+        # encodings are keyed by weights + dtype, not batch size: all hit
         assert run.stats.cache.encoding_hits == run.stats.n_unique_binaries
-        assert run.stats.n_trees_compiled == 0
+        assert run.stats.n_encoded == 0
 
     def test_encode_dtype_keys_encodings_not_plans(
         self, tmp_path, trained_model, firmware
@@ -191,11 +168,10 @@ class TestArtifactCacheInvalidation:
             encode_dtype="float32",
         ).run_images(firmware.images)
         stats = run.stats
-        # same weights, different dtype: encodings re-run over cached plans
+        # same weights, different dtype: encodings re-run over cached trees
         assert stats.cache.encoding_hits == 0
         assert stats.n_encoded == stats.n_unique_binaries
-        assert stats.n_trees_compiled == 0
-        assert stats.cache.ctree_hits > 0
+        assert stats.n_extracted == 0
         f64 = _vectors(cold)
         f32 = _vectors(run)
         assert f32.dtype == np.float32
@@ -323,6 +299,125 @@ class TestArtifactCacheRecovery:
         reopened = ArtifactCache(root)
         assert reopened.get("enc-k") is None
         assert not obj.exists() and len(reopened) == 0
+
+
+def _unique_binaries(images):
+    """Each distinct binary of ``images``, by content digest."""
+    return {
+        binary_digest(binary): binary
+        for image in images if not image.unknown_format
+        for binary in unpack_stage(image)
+    }
+
+
+def _fill_three_kind_cache(root, model, images):
+    """A cache as written when ``ctrees`` plans were a cached kind: a
+    pipeline run's ``trees`` and ``enc`` objects plus one ``ctrees``
+    plan per binary."""
+    cache = ArtifactCache(root)
+    pipeline = CorpusPipeline(model, cache=cache)
+    result = pipeline.run_images(images)
+    min_ast_size = model.config.min_ast_size
+    node_budget = resolve_node_budget(0)
+    digests = sorted(_unique_binaries(images))
+    for digest in digests:
+        plan = model.compile_columns(
+            cache.get_trees(digest, min_ast_size).columns(),
+            pipeline.encode_batch_size, node_budget=node_budget,
+        )
+        cache.put_ctrees(
+            digest, min_ast_size, pipeline.encode_batch_size, node_budget,
+            plan,
+        )
+    cache.flush()
+    assert len(list((root / OBJECTS_DIR).glob("ctrees-*.npz"))) \
+        == len(digests)
+    return result
+
+
+class TestThreeKindCacheStillOpens:
+    """A cache that still holds ``ctrees`` objects serves its ``trees``
+    and ``enc`` objects; the plans are never read."""
+
+    def test_reopened_run_hits_trees_and_encodings(
+        self, tmp_path, trained_model, firmware
+    ):
+        root = tmp_path / "cache"
+        cold = _fill_three_kind_cache(root, trained_model, firmware.images)
+        pipeline = CorpusPipeline(trained_model, cache=ArtifactCache(root))
+        warm = pipeline.run_images(firmware.images)
+        assert warm.stats.n_extracted == 0
+        assert warm.stats.n_encoded == 0
+        assert warm.stats.cache.encoding_hits == warm.stats.n_unique_binaries
+        assert warm.stats.cache.misses == 0
+        assert np.array_equal(_vectors(cold), _vectors(warm))
+        assert _rows(cold) == _rows(warm)
+
+        by_digest = _unique_binaries(firmware.images)
+        before = pipeline.cache.stats.snapshot()
+        for digest, binary in sorted(by_digest.items()):
+            assert len(pipeline.extracted(binary, digest))
+        looked_up = pipeline.cache.stats.minus(before)
+        assert looked_up.tree_hits == len(by_digest)
+        assert looked_up.misses == 0
+
+    def test_manifest_recovery_rescans_plans_and_serves_the_same_hits(
+        self, tmp_path, trained_model, firmware
+    ):
+        root = tmp_path / "cache"
+        cold = _fill_three_kind_cache(root, trained_model, firmware.images)
+        n_objects = len(list((root / OBJECTS_DIR).glob("*.npz")))
+        (root / MANIFEST_NAME).write_text("{not json")
+
+        cache = ArtifactCache(root)
+        assert len(cache) == n_objects  # the ctrees objects rescanned too
+        warm = CorpusPipeline(trained_model, cache=cache).run_images(
+            firmware.images
+        )
+        assert warm.stats.n_extracted == 0
+        assert warm.stats.n_encoded == 0
+        assert warm.stats.cache.encoding_hits == warm.stats.n_unique_binaries
+        assert warm.stats.cache.misses == 0
+        assert np.array_equal(_vectors(cold), _vectors(warm))
+
+
+class TestWriteBudget:
+    def test_single_binary_ingest_fsyncs_and_cache_kinds(
+        self, tmp_path, trained_model, monkeypatch
+    ):
+        """One binary into an existing durable index over a persistent
+        cache: the cache writes one ``trees`` and one ``enc`` object per
+        binary, nothing else."""
+        engine = AsteriaEngine(
+            EngineConfig(cache_dir=str(tmp_path / "cache"),
+                         index_root=str(tmp_path / "fw")),
+            model=trained_model,
+        )
+        first, binary = (
+            compile_package(
+                ProgramGenerator(seed=seed).generate_package(f"wb{seed}"),
+                "x86",
+            )
+            for seed in (12, 13)
+        )
+        engine.ingest(IngestRequest(binaries=[first]))  # creates the index
+        calls = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            calls.append(fd)
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        result = engine.ingest(IngestRequest(binaries=[binary]))
+        monkeypatch.undo()
+        assert result.n_functions > 0
+        assert len(calls) == 12
+        objects = sorted(
+            path.name for path in (tmp_path / "cache" / OBJECTS_DIR).iterdir()
+        )
+        assert [name.split("-")[0] for name in objects] \
+            == ["enc", "enc", "trees", "trees"]
 
 
 class TestParallelDeterminism:

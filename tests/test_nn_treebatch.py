@@ -23,7 +23,6 @@ from repro.nn.treebatch import (
     encode_plan,
     pack_weights,
     plan_chunks,
-    plan_from_state,
     plan_to_state,
     resolve_block,
     resolve_node_budget,
@@ -307,11 +306,6 @@ class TestPlans:
             "indices", "level_sizes", "labels", "left_global",
             "right_global", "root_global",
         }
-        rebuilt = plan_from_state(state)
-        assert rebuilt.n_trees == plan.n_trees
-        assert np.array_equal(
-            encode_plan(model, plan), encode_plan(model, rebuilt)
-        )
 
     def test_float32_path_tracks_float64(self, model):
         trees = _random_batch(25, n=30)

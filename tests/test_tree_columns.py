@@ -26,7 +26,6 @@ from repro.nn.treebatch import (
     compile_plan,
     compile_trees,
     encode_plan,
-    plan_from_state,
     plan_to_state,
 )
 from repro.nn.treelstm import BinaryTreeLSTM, BinaryTreeNode, flatten_tree
@@ -203,25 +202,6 @@ class TestColumnPlans:
         )
         plan = compile_columns(ext.columns(), 64)
         assert np.array_equal(encode_plan(lstm, plan, dtype=dtype), reference)
-        rebuilt = plan_from_state(plan_to_state(plan))
-        assert np.array_equal(
-            encode_plan(lstm, rebuilt, dtype=dtype), reference
-        )
-
-    def test_state_round_trip(self, extracted):
-        plan = compile_columns(extracted["arm"].columns(), 4, node_budget=300)
-        rebuilt = plan_from_state(plan_to_state(plan))
-        assert rebuilt.n_trees == plan.n_trees
-        assert len(rebuilt.chunks) == len(plan.chunks) > 1
-        for a, b in zip(plan.chunks, rebuilt.chunks):
-            assert np.array_equal(a.indices, b.indices)
-            assert a.batch.n_nodes == b.batch.n_nodes
-            assert np.array_equal(a.batch.root_global, b.batch.root_global)
-            assert len(a.batch.levels) == len(b.batch.levels)
-            for x, y in zip(a.batch.levels, b.batch.levels):
-                assert x.offset == y.offset
-                for name in ("labels", "left_global", "right_global"):
-                    assert np.array_equal(getattr(x, name), getattr(y, name))
 
     def test_child_before_parent_rejected(self):
         columns = TreeColumns(
