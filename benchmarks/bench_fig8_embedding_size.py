@@ -36,5 +36,5 @@ def test_fig8_embedding_size(benchmark, train_dev_pairs):
     assert max(aucs.values()) - min(aucs.values()) < 0.15
 
     model16 = Asteria(AsteriaConfig(embedding_dim=16))
-    tree = train[0].t1
+    tree = model16.preprocess(train[0].first.ast)
     benchmark(model16.encode_tree, tree)

@@ -1021,7 +1021,10 @@ def train_model(request: Optional[TrainRequest] = None,
             batch_size=request.batch_size,
         ),
     )
-    history = trainer.train(train, dev)
+    try:
+        history = trainer.train(train, dev)
+    except ValueError as exc:  # no training pairs, or a one-class dev split
+        raise BadRequestError(f"cannot train: {exc}") from exc
     if request.output_path:
         model.save(request.output_path)
     return TrainResult(

@@ -354,10 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decompile)
 
     p = sub.add_parser("train", help="train an Asteria model")
-    p.add_argument("--packages", type=int, default=4)
-    p.add_argument("--pairs", type=int, default=15)
-    p.add_argument("--epochs", type=int, default=2)
-    p.add_argument("--dim", type=int, default=16)
+    p.add_argument("--packages", type=_count, default=4)
+    p.add_argument("--pairs", type=_count, default=15)
+    p.add_argument("--epochs", type=_count, default=2)
+    p.add_argument("--dim", type=_count, default=16)
     p.add_argument("--batch-size", type=_count, default=1,
                    dest="train_batch_size",
                    help="pairs per optimiser step (1 = the paper's "

@@ -39,7 +39,7 @@ from repro.nn.treebatch import (
     encode_plan as _encode_tree_plan,
     resolve_block,
 )
-from repro.nn.treelstm import BinaryTreeLSTM, BinaryTreeNode
+from repro.nn.treelstm import BinaryTreeLSTM, BinaryTreeNode, flatten_tree
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     FRACTION_BUCKETS,
@@ -133,20 +133,13 @@ class Asteria:
         trees: Sequence[BinaryTreeNode],
         batch_size: int = DEFAULT_ENCODE_BATCH_SIZE,
         node_budget: int = 0,
-        bucketed: bool = True,
-        registry: Optional[MetricsRegistry] = None,
     ) -> CompiledPlan:
-        """Bucket + compile trees into a model-independent encode plan.
-
-        The scheduler stably sorts trees by node count and cuts chunks at
-        ``batch_size`` trees or ``node_budget`` nodes (0 = the resolved
-        default), so similarly-sized trees share chunks and the flattened
-        state buffers stay cache-resident at any caller batch width.  The
-        plan holds tree structure only -- no weights.
-        """
+        """:meth:`compile_columns` of flattened object trees.  Kept only
+        for the benchmark replay (``benchmarks/e2e/layers.py``); it and
+        :meth:`encode_batch` go with ROADMAP item 2(a)."""
+        columns = [TreeColumns.single(*flatten_tree(t)) for t in trees]
         return self.compile_columns(
-            TreeColumns.from_trees(trees), batch_size, node_budget, bucketed,
-            registry=registry,
+            TreeColumns.concat(columns), batch_size, node_budget
         )
 
     def compile_columns(
@@ -157,8 +150,14 @@ class Asteria:
         bucketed: bool = True,
         registry: Optional[MetricsRegistry] = None,
     ) -> CompiledPlan:
-        """:meth:`compile_plan` for trees already in columnar form (the
-        pipeline's ``trees`` artifacts), with no tree objects built."""
+        """Bucket + compile columnar trees into a model-independent plan.
+
+        The scheduler stably sorts trees by node count and cuts chunks at
+        ``batch_size`` trees or ``node_budget`` nodes (0 = the resolved
+        default), so similarly-sized trees share chunks and the flattened
+        state buffers stay cache-resident at any caller batch width.  The
+        plan holds tree structure only -- no weights.
+        """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         plan = _compile_column_plan(columns, batch_size, node_budget, bucketed)
@@ -179,7 +178,7 @@ class Asteria:
         block: int = 0,
         registry: Optional[MetricsRegistry] = None,
     ) -> np.ndarray:
-        """Encode a :meth:`compile_plan` result to input-order vectors."""
+        """Encode a :meth:`compile_columns` result to input-order vectors."""
         dt = np.dtype(dtype)
         observer = None
         if registry is not None:
@@ -225,28 +224,12 @@ class Asteria:
         *,
         dtype=DEFAULT_ENCODE_DTYPE,
         block: int = 0,
-        node_budget: int = 0,
-        bucketed: bool = True,
-        registry: Optional[MetricsRegistry] = None,
     ) -> np.ndarray:
-        """Encode preprocessed trees to a ``(n, h)`` matrix, level-batched.
-
-        Same-level nodes across all trees of a chunk are evaluated as
-        stacked GEMMs (:mod:`repro.nn.treebatch`), which is what makes
-        corpus-scale ingest throughput viable; per-tree
-        :meth:`encode_tree` remains as the sequential reference.  Chunks
-        are size-bucketed (see :meth:`compile_plan`); results are
-        bit-for-bit independent of ``batch_size`` and bucketing.
-        ``dtype="float32"`` selects the fast inference path, ``block``
-        overrides the GEMM row-block size (0 = auto).
-        """
+        """:meth:`compile_plan` + :meth:`encode_plan`, for the benchmark
+        replay only (see :meth:`compile_plan`); everything else encodes
+        columns (:meth:`encode_columns`)."""
         return self.encode_plan(
-            self.compile_plan(
-                trees, batch_size, node_budget, bucketed, registry=registry
-            ),
-            dtype=dtype,
-            block=block,
-            registry=registry,
+            self.compile_plan(trees, batch_size), dtype=dtype, block=block
         )
 
     # -- online phase ------------------------------------------------------------

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.preprocess import DEFAULT_MIN_AST_SIZE, try_preprocess_ast
+from repro.core.preprocess import DEFAULT_MIN_AST_SIZE, lcrs_columns
 from repro.decompiler.hexrays import DecompiledFunction
-from repro.nn.treelstm import BinaryTreeNode
+from repro.nn.treebatch import TreeColumns
 from repro.utils.rng import RNG
 
 ARCH_COMBINATIONS: Tuple[Tuple[str, str], ...] = (
@@ -44,10 +44,11 @@ class LabeledPair:
 
 @dataclass
 class TreePair:
-    """A preprocessed pair ready for the Siamese network."""
+    """A preprocessed pair ready for the Siamese network; each side is one
+    tree's preorder columns (:func:`~repro.core.preprocess.lcrs_columns`)."""
 
-    t1: BinaryTreeNode
-    t2: BinaryTreeNode
+    t1: TreeColumns
+    t2: TreeColumns
     label: int
     first: Optional[DecompiledFunction] = None
     second: Optional[DecompiledFunction] = None
@@ -134,18 +135,16 @@ def to_tree_pairs(
     """Preprocess labelled pairs for training/evaluation.
 
     Pairs whose ASTs fall below the size threshold are dropped, as in the
-    paper's dataset construction.
+    paper's dataset construction; no tree object is built.
     """
     out: List[TreePair] = []
     for pair in pairs:
-        t1 = try_preprocess_ast(pair.first.ast, min_ast_size)
-        t2 = try_preprocess_ast(pair.second.ast, min_ast_size)
-        if t1 is None or t2 is None:
-            continue
-        out.append(
-            TreePair(t1=t1, t2=t2, label=pair.label,
-                     first=pair.first, second=pair.second)
-        )
+        c1, c2 = lcrs_columns(pair.first.ast), lcrs_columns(pair.second.ast)
+        if min(len(c1[0]), len(c2[0])) >= min_ast_size:
+            out.append(TreePair(
+                TreeColumns.single(*c1), TreeColumns.single(*c2), pair.label,
+                first=pair.first, second=pair.second,
+            ))
     return out
 
 

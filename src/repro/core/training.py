@@ -7,10 +7,11 @@ so the Tree-LSTM learns pure AST semantics.
 The paper trains at batch size 1, claiming Tree-LSTM computation "depends
 on each AST's shape, so batching is not possible".  That only holds along a
 leaf-to-root path: same-level nodes across many trees are independent, so
-:class:`TrainConfig.batch_size` > 1 routes minibatches through the
-level-batched engine (:mod:`repro.nn.treebatch`) -- all ``2B`` trees of a
-minibatch encode as stacked per-level GEMMs, and the mean pair loss is
-backpropagated through the same analytic cell gradients.  The default of 1
+:class:`TrainConfig.batch_size` > 1 compiles the ``2B`` trees of a
+minibatch -- pairs hold them as preorder columns -- into one level-batched
+chunk (:mod:`repro.nn.treebatch`): stacked per-level GEMMs, with the mean
+pair loss backpropagated through the same analytic cell gradients.  The
+default of 1 rebuilds each pair's trees for the sequential encoder and
 preserves the paper-faithful per-pair behaviour exactly.
 
 The trainer evaluates AUC on a held-out pair set after each epoch and keeps
@@ -28,15 +29,20 @@ import numpy as np
 from repro.core.pairs import TreePair
 from repro.core.siamese import SiameseClassifier, SiameseRegression
 from repro.nn.loss import bce_loss, mse_loss
-from repro.nn.optim import AdaGrad, Adam, SGD
+from repro.nn.optim import AdaGrad
 from repro.nn.tensor import no_grad
-from repro.nn.treebatch import encode_batch, encode_batch_states
+from repro.nn.treebatch import (
+    TreeColumns,
+    compile_batch,
+    compile_columns,
+    encode_batch_states,
+    encode_plan,
+)
+from repro.nn.treelstm import BinaryTreeNode, unflatten_tree
 from repro.utils.logging import get_logger
 from repro.utils.rng import RNG
 
 _LOG = get_logger("core.training")
-
-_OPTIMIZERS = {"adagrad": AdaGrad, "adam": Adam, "sgd": SGD}
 
 
 @dataclass
@@ -54,10 +60,18 @@ class TrainConfig:
 
     epochs: int = 10
     lr: float = 0.05
-    optimizer: str = "adagrad"
     batch_size: int = 1
-    shuffle_seed: int = 0
-    log_every: int = 0  # pairs between progress logs; 0 = silent
+
+
+def _tree(columns: TreeColumns) -> BinaryTreeNode:
+    """One-tree columns as the sequential encoder's object tree."""
+    return unflatten_tree(columns.labels.tolist(), columns.lefts.tolist(),
+                          columns.rights.tolist())
+
+
+def _pair_columns(pairs: Sequence[TreePair]) -> TreeColumns:
+    """Both trees of every pair, in pair order (rows ``2j``, ``2j + 1``)."""
+    return TreeColumns.concat([t for p in pairs for t in (p.t1, p.t2)])
 
 
 @dataclass
@@ -84,10 +98,7 @@ class Trainer:
     def __init__(self, siamese, config: Optional[TrainConfig] = None):
         self.siamese = siamese
         self.config = config or TrainConfig()
-        optimizer_cls = _OPTIMIZERS.get(self.config.optimizer)
-        if optimizer_cls is None:
-            raise ValueError(f"unknown optimizer {self.config.optimizer!r}")
-        self.optimizer = optimizer_cls(siamese.parameters(), lr=self.config.lr)
+        self.optimizer = AdaGrad(siamese.parameters(), lr=self.config.lr)
         self._is_classifier = isinstance(siamese, SiameseClassifier)
         if not self._is_classifier and not isinstance(siamese, SiameseRegression):
             raise TypeError("siamese must be a SiameseClassifier or SiameseRegression")
@@ -105,7 +116,8 @@ class Trainer:
     def train_step(self, pair: TreePair) -> float:
         """One forward/backward/update on a single pair; returns the loss."""
         self.optimizer.zero_grad()
-        loss = self._pair_loss(self.siamese(pair.t1, pair.t2), pair)
+        output = self.siamese(_tree(pair.t1), _tree(pair.t2))
+        loss = self._pair_loss(output, pair)
         loss.backward()
         self.optimizer.step()
         return float(loss.data)
@@ -118,8 +130,9 @@ class Trainer:
         vectors) are then averaged into a single backward.
         """
         self.optimizer.zero_grad()
-        trees = [tree for pair in pairs for tree in (pair.t1, pair.t2)]
-        roots = encode_batch_states(self.siamese.encoder, trees)
+        roots = encode_batch_states(
+            self.siamese.encoder, compile_batch(_pair_columns(pairs))
+        )
         total = None
         for j, pair in enumerate(pairs):
             output = self.siamese.head(roots[2 * j], roots[2 * j + 1])
@@ -131,9 +144,9 @@ class Trainer:
         return float(loss.data)
 
     def score(self, pair: TreePair) -> float:
-        """Inference similarity for one pair."""
+        """Inference similarity for one pair (sequential encoder)."""
         with no_grad():
-            output = self.siamese(pair.t1, pair.t2)
+            output = self.siamese(_tree(pair.t1), _tree(pair.t2))
             if self._is_classifier:
                 return float(output.data[1])
             return float(output.data)
@@ -145,19 +158,13 @@ class Trainer:
         trees of each chunk as stacked GEMMs, so epoch-end evaluation keeps
         pace with minibatched training.
         """
-        chunk_size = max(self.config.batch_size, 32)
-        scores: List[float] = []
-        for start in range(0, len(pairs), chunk_size):
-            chunk = pairs[start:start + chunk_size]
-            trees = [tree for pair in chunk for tree in (pair.t1, pair.t2)]
-            roots = encode_batch(self.siamese.encoder, trees)
-            scores.extend(
-                self.siamese.similarity_from_vectors(
-                    roots[2 * j], roots[2 * j + 1]
-                )
-                for j in range(len(chunk))
-            )
-        return scores
+        plan = compile_columns(
+            _pair_columns(pairs), 2 * max(self.config.batch_size, 32)
+        )
+        roots = encode_plan(self.siamese.encoder, plan)
+        similarity = self.siamese.similarity_from_vectors
+        return [similarity(roots[2 * j], roots[2 * j + 1])
+                for j in range(len(pairs))]
 
     # -- full loop ------------------------------------------------------------------
 
@@ -166,43 +173,33 @@ class Trainer:
         train_pairs: Sequence[TreePair],
         eval_pairs: Sequence[TreePair] = (),
     ) -> TrainHistory:
-        """Run the configured number of epochs, tracking best-AUC weights."""
+        """Run the configured number of epochs, tracking best-AUC weights;
+        unusable pair sets raise :class:`ValueError` before any step."""
         from repro.evalsuite.metrics import roc_auc
 
-        if self.config.batch_size < 1:
+        batch_size = self.config.batch_size
+        if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not train_pairs:
+            raise ValueError("no training pairs")
+        labels = [1 if p.label > 0 else 0 for p in eval_pairs]
+        if len(set(labels)) == 1:  # AUC needs both classes
+            raise ValueError("eval pairs lack a positive or a negative pair")
         history = TrainHistory()
         best_state = None
-        rng = RNG(self.config.shuffle_seed)
+        rng = RNG(0)
         order = list(train_pairs)
-        batch_size = self.config.batch_size
         for epoch in range(self.config.epochs):
             started = time.perf_counter()
             rng.child("epoch", epoch).shuffle(order)
             losses = []
-            if batch_size == 1:
-                for i, pair in enumerate(order):
-                    losses.append(self.train_step(pair))
-                    if self.config.log_every and (i + 1) % self.config.log_every == 0:
-                        _LOG.info(
-                            "epoch %d: %d/%d pairs, mean loss %.4f",
-                            epoch, i + 1, len(order), float(np.mean(losses)),
-                        )
-            else:
-                seen = 0
-                next_log = self.config.log_every
-                for start in range(0, len(order), batch_size):
-                    batch = order[start:start + batch_size]
-                    # one entry per pair so epoch means stay per-pair means
-                    # even when the final batch is a short remainder
-                    losses.extend([self.train_step_batch(batch)] * len(batch))
-                    seen += len(batch)
-                    if self.config.log_every and seen >= next_log:
-                        next_log += self.config.log_every
-                        _LOG.info(
-                            "epoch %d: %d/%d pairs, mean loss %.4f",
-                            epoch, seen, len(order), float(np.mean(losses)),
-                        )
+            for start in range(0, len(order), batch_size):
+                batch = order[start:start + batch_size]
+                loss = (self.train_step(batch[0]) if batch_size == 1
+                        else self.train_step_batch(batch))
+                # one entry per pair so epoch means stay per-pair means
+                # even when the final batch is a short remainder
+                losses.extend([loss] * len(batch))
             auc = None
             if eval_pairs:
                 # the per-pair path stays literal at the paper's batch size 1
@@ -210,7 +207,6 @@ class Trainer:
                     scores = [self.score(p) for p in eval_pairs]
                 else:
                     scores = self.score_batch(eval_pairs)
-                labels = [1 if p.label > 0 else 0 for p in eval_pairs]
                 auc = roc_auc(labels, scores)
                 if auc > history.best_auc:
                     history.best_auc = auc
@@ -219,7 +215,7 @@ class Trainer:
             history.epochs.append(
                 EpochStats(
                     epoch=epoch,
-                    mean_loss=float(np.mean(losses)) if losses else 0.0,
+                    mean_loss=float(np.mean(losses)),
                     auc=auc,
                     seconds=time.perf_counter() - started,
                 )

@@ -31,11 +31,13 @@ from repro.baselines.diaphora import DiaphoraMatcher
 from repro.baselines.gemini.acfg import extract_acfg
 from repro.baselines.gemini.model import Gemini
 from repro.core.model import Asteria
-from repro.core.preprocess import try_preprocess_ast
+from repro.core.preprocess import lcrs_columns
 from repro.decompiler.hexrays import DecompilationError
 from repro.api.config import EngineConfig
 from repro.api.engine import AsteriaEngine
 from repro.evalsuite.datasets import Dataset
+from repro.nn.treebatch import TreeColumns
+from repro.nn.treelstm import unflatten_tree
 from repro.pipeline import ArtifactCache, PipelineStats
 from repro.pipeline.stages import decompile_one, preprocess_one
 from repro.utils.rng import RNG
@@ -189,19 +191,19 @@ def measure_offline_pipeline(
     return pipeline.run_binaries(binaries).stats
 
 
-def corpus_trees(dataset: Dataset, min_ast_size: int) -> list:
-    """Every corpus function's preprocessed tree (too-small ASTs dropped).
+def corpus_columns(dataset: Dataset, min_ast_size: int) -> List[TreeColumns]:
+    """Every corpus function's one-tree columns (too-small ASTs dropped).
 
     Shared by the batched-encode measurement here and the float32
     ranking test, so both sample with identical eligibility rules.
     """
-    trees = []
+    out = []
     for arch in sorted(dataset.functions):
         for fn in dataset.functions[arch]:
-            tree = try_preprocess_ast(fn.ast, min_ast_size)
-            if tree is not None:
-                trees.append(tree)
-    return trees
+            columns = lcrs_columns(fn.ast)
+            if len(columns[0]) >= min_ast_size:
+                out.append(TreeColumns.single(*columns))
+    return out
 
 
 def measure_encode_batched(
@@ -218,12 +220,14 @@ def measure_encode_batched(
     exactly the gain of stacking same-level nodes into shared GEMMs;
     ``dtype="float32"`` times the batched engine's fast path instead.
     """
-    trees = corpus_trees(dataset, asteria.config.min_ast_size)
-    if not trees:
+    columns = corpus_columns(dataset, asteria.config.min_ast_size)
+    if not columns:
         raise ValueError("no encodable functions in the dataset")
     rng = RNG(seed)
-    if len(trees) > max_functions:
-        trees = rng.sample(trees, max_functions)
+    if len(columns) > max_functions:
+        columns = rng.sample(columns, max_functions)
+    trees = [unflatten_tree(c.labels.tolist(), c.lefts.tolist(),
+                            c.rights.tolist()) for c in columns]
 
     started = time.perf_counter()
     for tree in trees:
@@ -231,14 +235,15 @@ def measure_encode_batched(
     sequential_s = time.perf_counter() - started
 
     # the one-time GEMM block probe runs here, outside the timing
-    asteria.encode_batch(trees[:1], batch_size=batch_size, dtype=dtype)
+    asteria.encode_columns(columns[0], batch_size, dtype=dtype)
+    batch = TreeColumns.concat(columns)
     started = time.perf_counter()
-    asteria.encode_batch(trees, batch_size=batch_size, dtype=dtype)
+    asteria.encode_columns(batch, batch_size, dtype=dtype)
     batched_s = time.perf_counter() - started
 
     return BatchedEncodeStats(
         batch_size=batch_size,
-        n_functions=len(trees),
+        n_functions=len(columns),
         sequential_s=sequential_s,
         batched_s=batched_s,
     )

@@ -20,9 +20,8 @@ from repro.nn.treebatch import (
     CompiledPlan,
     TreeColumns,
     WeightPack,
+    compile_batch,
     compile_columns,
-    compile_plan,
-    compile_trees,
     encode_batch,
     encode_batch_states,
     encode_plan,
@@ -45,9 +44,8 @@ __all__ = [
     "CompiledPlan",
     "TreeColumns",
     "WeightPack",
+    "compile_batch",
     "compile_columns",
-    "compile_plan",
-    "compile_trees",
     "encode_batch",
     "encode_batch_states",
     "encode_plan",

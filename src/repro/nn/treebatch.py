@@ -12,11 +12,11 @@ SPINN-style batching trick.
 
 Three pieces:
 
-* :func:`compile_columns` -- schedules trees given as preorder columns
-  (:class:`TreeColumns`) into level-indexed numpy arrays (per level: label
-  ids, child state rows with a leaf sentinel row, contiguous output rows);
-  :func:`compile_trees` / :func:`compile_plan` flatten
-  :class:`BinaryTreeNode`\\ s into columns and call the same scheduler;
+* :func:`compile_columns` / :func:`compile_batch` -- schedule trees given
+  as preorder columns (:class:`TreeColumns`) into level-indexed numpy
+  arrays (per level: label ids, child state rows with a leaf sentinel row,
+  contiguous output rows), as size-bucketed chunks or as one chunk in
+  input order;
 * :func:`encode_batch` -- the inference fast path: pure-numpy level loops
   over preallocated ``(n_nodes + 1, h)`` state buffers, zero autograd
   bookkeeping;
@@ -30,9 +30,9 @@ Both paths are asserted numerically equivalent to the sequential
 :meth:`BinaryTreeLSTM.encode_states` reference by the test suite,
 mirroring the existing ``fused=True/False`` pattern.
 
-Like the sequential path, shared-subtree DAGs are rejected; the *same tree
-object* may however appear multiple times in one batch (it is simply
-re-encoded per occurrence).
+Columns cannot express a shared-subtree DAG:
+:func:`~repro.nn.treelstm.flatten_tree`, which turns an object tree into
+columns, rejects one, as the sequential path does.
 """
 
 from __future__ import annotations
@@ -45,12 +45,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nn.tensor import Tensor
-from repro.nn.treelstm import (
-    BinaryTreeLSTM,
-    BinaryTreeNode,
-    _sigmoid,
-    flatten_tree,
-)
+from repro.nn.treelstm import BinaryTreeLSTM, _sigmoid
 
 LEAF = -1  # sentinel level for an absent child
 
@@ -133,23 +128,6 @@ class TreeColumns:
     offsets: np.ndarray  # (n_trees + 1,)
 
     @classmethod
-    def from_trees(cls, trees: Sequence[BinaryTreeNode]) -> "TreeColumns":
-        labels: List[int] = []
-        lefts: List[int] = []
-        rights: List[int] = []
-        offsets = [0]
-        for tree in trees:
-            tree_labels, tree_lefts, tree_rights = flatten_tree(tree)
-            labels += tree_labels
-            lefts += tree_lefts
-            rights += tree_rights
-            offsets.append(len(labels))
-        return cls(*(
-            np.asarray(column, dtype=np.int64)
-            for column in (labels, lefts, rights, offsets)
-        ))
-
-    @classmethod
     def single(cls, labels, lefts, rights) -> "TreeColumns":
         """One tree's preorder columns (``lcrs_columns`` output)."""
         columns = (labels, lefts, rights, [0, len(labels)])
@@ -160,7 +138,8 @@ class TreeColumns:
         """The trees of ``parts``, in order, as one batch."""
         sizes = np.concatenate([[0]] + [part.sizes for part in parts])
         return cls(*(
-            np.concatenate([getattr(part, name) for part in parts])
+            np.concatenate([np.zeros(0, np.int64)]
+                           + [getattr(part, name) for part in parts])
             for name in ("labels", "lefts", "rights")
         ), np.cumsum(sizes, dtype=np.int64))
 
@@ -247,17 +226,15 @@ def _compile_chunk(
     )
 
 
-def compile_trees(trees: Sequence[BinaryTreeNode]) -> CompiledBatch:
-    """Flatten a batch of trees into level-indexed arrays.
+def compile_batch(columns: TreeColumns) -> CompiledBatch:
+    """Schedule all trees of ``columns`` as one chunk, in input order.
 
     A node's level is the height of its subtree (single nodes are level 0),
     so every node's children live at strictly lower levels and each level
     can be evaluated as one stacked cell application.
     """
-    columns = TreeColumns.from_trees(trees)
-    return _compile_chunk(
-        columns, columns.levels(), np.arange(len(trees), dtype=np.int64)
-    )
+    indices = np.arange(len(columns.offsets) - 1, dtype=np.int64)
+    return _compile_chunk(columns, columns.levels(), indices)
 
 
 # -- inference fast path -----------------------------------------------------
@@ -423,15 +400,14 @@ def pack_weights(lstm: BinaryTreeLSTM, dtype=np.float64) -> WeightPack:
 
 def encode_batch(
     lstm: BinaryTreeLSTM,
-    trees: Sequence[BinaryTreeNode],
-    compiled: CompiledBatch = None,
+    compiled: CompiledBatch,
     *,
     dtype=np.float64,
     block: int = 0,
     pack: Optional[WeightPack] = None,
     observer: Optional[Callable[[int, float], None]] = None,
 ) -> np.ndarray:
-    """Encode a batch of trees to a ``(n_trees, h)`` root-h matrix.
+    """Encode a compiled batch to a ``(n_trees, h)`` root-h matrix.
 
     Pure numpy: per level, one gather from the preallocated state buffers,
     two fused-weight gate GEMMs (embedding, and both children through one
@@ -445,8 +421,6 @@ def encode_batch(
     lets :func:`resolve_block` pick the GEMM row block.  ``observer``, if
     given, receives ``(level_rows, seconds)`` per evaluated level.
     """
-    if compiled is None:
-        compiled = compile_trees(trees)
     if pack is None:
         pack = pack_weights(lstm, dtype)
     h = pack.hidden_dim
@@ -583,18 +557,6 @@ def compile_columns(
     )
 
 
-def compile_plan(
-    trees: Sequence[BinaryTreeNode],
-    batch_size: int,
-    node_budget: int = 0,
-    bucketed: bool = True,
-) -> CompiledPlan:
-    """Bucket + compile a tree list into a reusable :class:`CompiledPlan`."""
-    return compile_columns(
-        TreeColumns.from_trees(trees), batch_size, node_budget, bucketed
-    )
-
-
 def encode_plan(
     lstm: BinaryTreeLSTM,
     plan: CompiledPlan,
@@ -608,7 +570,7 @@ def encode_plan(
     out = np.empty((plan.n_trees, pack.hidden_dim), dtype=pack.dtype)
     for chunk in plan.chunks:
         out[chunk.indices] = encode_batch(
-            lstm, (), chunk.batch, pack=pack, block=block, observer=observer
+            lstm, chunk.batch, pack=pack, block=block, observer=observer
         )
     return out
 
@@ -829,9 +791,7 @@ def batch_cell_forward(
 
 
 def encode_batch_states(
-    lstm: BinaryTreeLSTM,
-    trees: Sequence[BinaryTreeNode],
-    compiled: CompiledBatch = None,
+    lstm: BinaryTreeLSTM, compiled: CompiledBatch
 ) -> Tensor:
     """Differentiable batch encoding: ``(n_trees, h)`` root hidden states.
 
@@ -840,8 +800,6 @@ def encode_batch_states(
     back to every parameter and minibatched training works through one
     stacked graph instead of per-node cell calls.
     """
-    if compiled is None:
-        compiled = compile_trees(trees)
     if compiled.n_trees == 0:
         return Tensor(np.zeros((0, lstm.hidden_dim)))
     _check_labels(compiled, lstm.num_labels)

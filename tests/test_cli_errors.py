@@ -11,13 +11,18 @@ they now map onto the `repro.api.errors` hierarchy:
 
 import argparse
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.api.config import EngineConfig
 from repro.cli import SEARCH_THRESHOLD, build_parser, main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +267,37 @@ class TestFlagSurface:
                 found = re.findall(r"\(default: ([^)]*)\)", action.help or "")
                 assert len(found) <= 1, (command, action.option_strings)
                 assert action.default in (None, False) or not found
+
+
+class TestTrainRejectsUnusableCorpora:
+    def test_single_class_dev_split_is_a_bad_request(self, tmp_path):
+        """One package and one pair per combination leave a dev split of
+        one class: exit 6 before the first step, and no model saved."""
+        output = tmp_path / "model.npz"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "train", "--packages", "1",
+             "--pairs", "1", "--seed", "4", "--output", str(output)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 6, proc.stderr
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1
+        assert "a positive or a negative" in errors[0]
+        assert not output.exists()
+
+    @pytest.mark.parametrize("flag", ["--packages", "--pairs", "--epochs",
+                                      "--dim"])
+    def test_zero_counts_are_parse_errors(self, flag, tmp_path, capsys):
+        output = tmp_path / "model.npz"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", flag, "0", "--output", str(output)])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+        assert not output.exists()
 
 
 class TestReadmeTables:

@@ -29,7 +29,7 @@ from repro.core.siamese import SiameseClassifier, SiameseRegression
 from repro.core.training import TrainConfig, Trainer
 from repro.lang import nodes as N
 from repro.lang.nodes import ALL_OPS, Node, Ops
-from repro.nn.treelstm import BinaryTreeLSTM
+from repro.nn.treelstm import BinaryTreeLSTM, flatten_tree
 
 
 class TestLabels:
@@ -278,6 +278,43 @@ class TestPairs:
         huge = to_tree_pairs(pairs, min_ast_size=10 ** 6)
         assert not huge
 
+    @pytest.mark.parametrize("seed", [0, 5, 13])
+    def test_pair_columns_are_the_oracle_preprocessing(self, seed):
+        """On generated corpora, ``to_tree_pairs`` keeps exactly the pairs
+        ``try_preprocess_ast`` accepts on both sides, and each side's
+        columns are the flattened ``preprocess_ast`` tree."""
+        from repro.evalsuite.datasets import build_buildroot_dataset
+
+        dataset = build_buildroot_dataset(n_packages=2, seed=seed)
+        # no size or library filter here, so to_tree_pairs has to drop
+        labelled = build_cross_arch_pairs(
+            dataset.functions, 6, min_ast_size=1, seed=seed,
+            exclude_prefix="",
+        )
+        assert {p.arch_combo for p in labelled} == set(ARCH_COMBINATIONS)
+        for min_size in (5, 60):
+            kept = to_tree_pairs(labelled, min_ast_size=min_size)
+            expected = [
+                p for p in labelled
+                if try_preprocess_ast(p.first.ast, min_size) is not None
+                and try_preprocess_ast(p.second.ast, min_size) is not None
+            ]
+            assert 0 < len(kept) < len(labelled)
+            assert [(t.first, t.second, t.label) for t in kept] == [
+                (p.first, p.second, p.label) for p in expected
+            ]
+            for pair in kept:
+                for columns, fn in ((pair.t1, pair.first),
+                                    (pair.t2, pair.second)):
+                    labels, lefts, rights = flatten_tree(
+                        preprocess_ast(fn.ast, min_size)
+                    )
+                    assert columns.labels.dtype == np.int64
+                    assert columns.labels.tolist() == labels
+                    assert columns.lefts.tolist() == lefts
+                    assert columns.rights.tolist() == rights
+                    assert columns.offsets.tolist() == [0, len(labels)]
+
     def test_split_pairs(self):
         train, test = split_pairs(list(range(100)), 0.8, seed=1)
         assert len(train) == 80 and len(test) == 20
@@ -325,16 +362,35 @@ class TestTraining:
         neg = [trainer.score(p) for p in pairs if p.label < 0]
         assert np.mean(pos) > np.mean(neg)
 
-    def test_unknown_optimizer_rejected(self):
-        model = Asteria(AsteriaConfig(hidden_dim=16))
-        with pytest.raises(ValueError):
-            Trainer(model.siamese, TrainConfig(optimizer="rmsprop"))
-
     def test_invalid_batch_size_rejected(self):
         model = Asteria(AsteriaConfig(hidden_dim=16))
         trainer = Trainer(model.siamese, TrainConfig(batch_size=0))
         with pytest.raises(ValueError):
             trainer.train([])
+
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    def test_unusable_pair_sets_rejected_before_a_step(
+        self, buildroot_small, batch_size
+    ):
+        """No training pairs, or a dev set of one class (whose AUC is
+        undefined), raise before any weight moves."""
+        pairs = to_tree_pairs(
+            build_cross_arch_pairs(buildroot_small.functions, 4, seed=15)
+        )
+        positives = [p for p in pairs if p.label > 0]
+        model = Asteria(AsteriaConfig(hidden_dim=16))
+        before = model.siamese.state_dict()
+        trainer = Trainer(
+            model.siamese, TrainConfig(epochs=1, batch_size=batch_size)
+        )
+        with pytest.raises(ValueError, match="a positive or a negative"):
+            trainer.train(pairs[:8], positives[:3])
+        with pytest.raises(ValueError, match="no training pairs"):
+            trainer.train([], pairs[:8])
+        after = model.siamese.state_dict()
+        assert before.keys() == after.keys()
+        for name, value in before.items():
+            assert np.array_equal(value, after[name]), name
 
     def test_batched_training_loss_decreases(self, buildroot_small):
         pairs = to_tree_pairs(

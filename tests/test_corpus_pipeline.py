@@ -591,9 +591,10 @@ class TestFloat32Ranking:
     """The float32 fast path must preserve search rankings, not just values."""
 
     def test_top10_ranking_overlap(self, trained_model, buildroot_small):
-        from repro.evalsuite.timing import corpus_trees
+        from repro.evalsuite.timing import corpus_columns
+        from repro.nn.treebatch import TreeColumns
 
-        trees = corpus_trees(
+        trees = corpus_columns(
             buildroot_small, trained_model.config.min_ast_size
         )
         assert trees, "corpus produced no encodable functions"
@@ -601,7 +602,7 @@ class TestFloat32Ranking:
         while len(trees) < 1000:  # the 1k-corpus ranking fixture
             trees.append(trees[len(trees) % base])
 
-        plan = trained_model.compile_plan(trees)
+        plan = trained_model.compile_columns(TreeColumns.concat(trees))
         f64 = trained_model.encode_plan(plan)
         f32 = trained_model.encode_plan(plan, dtype="float32")
         np.testing.assert_allclose(f32, f64, atol=1e-5)

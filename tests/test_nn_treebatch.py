@@ -15,9 +15,8 @@ from repro.nn.tensor import no_grad, stable_sigmoid
 from repro.nn.treebatch import (
     DEFAULT_NODE_BUDGET,
     TreeColumns,
+    compile_batch,
     compile_columns,
-    compile_plan,
-    compile_trees,
     encode_batch,
     encode_batch_states,
     encode_plan,
@@ -38,6 +37,18 @@ def _chain(length, label=1):
         node.right = BinaryTreeNode(label)
         node = node.right
     return root
+
+
+def _columns(trees):
+    """Object trees as one batch of preorder columns."""
+    return TreeColumns.concat(
+        [TreeColumns.single(*flatten_tree(tree)) for tree in trees]
+    )
+
+
+def _compile(trees):
+    """Object trees compiled as one chunk, in input order."""
+    return compile_batch(_columns(trees))
 
 
 def _random_tree(rng: RNG, depth: int = 5) -> BinaryTreeNode:
@@ -68,26 +79,26 @@ def binary_trees(draw, max_depth=4):
 class TestCompiler:
     def test_levels_partition_nodes(self):
         trees = _random_batch(0)
-        compiled = compile_trees(trees)
+        compiled = _compile(trees)
         assert compiled.n_nodes == sum(tree.size() for tree in trees)
         assert sum(level.size for level in compiled.levels) == compiled.n_nodes
         assert compiled.n_trees == len(trees)
 
     def test_children_at_lower_levels(self):
-        compiled = compile_trees(_random_batch(1))
+        compiled = _compile(_random_batch(1))
         for lvl, level in enumerate(compiled.levels):
             for side in ("left", "right"):
                 src, _ = compiled.level_refs(getattr(level, f"{side}_global"))
                 assert np.all(src < lvl)
 
     def test_single_node_tree(self):
-        compiled = compile_trees([BinaryTreeNode(7)])
+        compiled = _compile([BinaryTreeNode(7)])
         assert compiled.n_nodes == 1
         assert len(compiled.levels) == 1
         assert np.all(compiled.levels[0].left_global == compiled.n_nodes)
 
     def test_empty_batch(self):
-        compiled = compile_trees([])
+        compiled = _compile([])
         assert compiled.n_trees == 0
         assert compiled.n_nodes == 0
         assert compiled.levels == []
@@ -96,13 +107,13 @@ class TestCompiler:
         shared = BinaryTreeNode(2)
         root = BinaryTreeNode(1, left=shared, right=shared)
         with pytest.raises(ValueError, match="shared-subtree"):
-            compile_trees([root])
+            _compile([root])
 
     def test_duplicate_tree_objects_allowed(self):
         """The same tree *object* twice in a batch is just encoded twice."""
         tree = _random_tree(RNG(3))
         model = BinaryTreeLSTM(49, 8, 16, seed=0)
-        out = encode_batch(model, [tree, tree])
+        out = encode_batch(model, _compile([tree, tree]))
         np.testing.assert_array_equal(out[0], out[1])
 
 
@@ -119,26 +130,29 @@ class TestForwardEquivalence:
         trees = _random_batch(7, n=20) + [BinaryTreeNode(3), _chain(40)]
         expected = self._sequential(model, trees)
         np.testing.assert_allclose(
-            encode_batch(model, trees), expected, atol=1e-10
+            encode_batch(model, _compile(trees)), expected, atol=1e-10
         )
         np.testing.assert_allclose(
-            encode_batch_states(model, trees).data, expected, atol=1e-10
+            encode_batch_states(model, _compile(trees)).data, expected,
+            atol=1e-10,
         )
 
     def test_empty_batch(self, model):
-        assert encode_batch(model, []).shape == (0, 16)
-        assert encode_batch_states(model, []).shape == (0, 16)
+        assert encode_batch(model, _compile([])).shape == (0, 16)
+        assert encode_batch_states(model, _compile([])).shape == (0, 16)
 
     def test_single_node_trees(self, model):
         trees = [BinaryTreeNode(i) for i in range(1, 6)]
         np.testing.assert_allclose(
-            encode_batch(model, trees), self._sequential(model, trees),
-            atol=1e-10,
+            encode_batch(model, _compile(trees)),
+            self._sequential(model, trees), atol=1e-10,
         )
 
     def test_deep_spine_no_recursion_error(self):
         model = BinaryTreeLSTM(49, 4, 8, seed=0)
-        out = encode_batch(model, [_chain(3000), BinaryTreeNode(1)])
+        out = encode_batch(
+            model, _compile([_chain(3000), BinaryTreeNode(1)])
+        )
         assert np.all(np.isfinite(out))
 
     def test_out_of_range_label_rejected(self, model):
@@ -146,24 +160,24 @@ class TestForwardEquivalence:
         for bad in (-1, 49):
             trees = [_chain(3), BinaryTreeNode(bad)]
             with pytest.raises(IndexError, match="out of range"):
-                encode_batch(model, trees)
+                encode_batch(model, _compile(trees))
             with pytest.raises(IndexError, match="out of range"):
-                encode_batch_states(model, trees)
+                encode_batch_states(model, _compile(trees))
 
     def test_leaf_init_one_supported(self):
         model = BinaryTreeLSTM(49, 8, 16, seed=2, leaf_init="one")
         trees = _random_batch(9, n=6)
         np.testing.assert_allclose(
-            encode_batch(model, trees), self._sequential(model, trees),
-            atol=1e-10,
+            encode_batch(model, _compile(trees)),
+            self._sequential(model, trees), atol=1e-10,
         )
 
     def test_bitwise_consistent_across_batch_sizes(self, model):
         trees = _random_batch(11, n=50)
-        full = encode_batch(model, trees)
+        full = encode_batch(model, _compile(trees))
         for batch_size in (1, 7, 16):
             chunked = np.concatenate([
-                encode_batch(model, trees[i:i + batch_size])
+                encode_batch(model, _compile(trees[i:i + batch_size]))
                 for i in range(0, len(trees), batch_size)
             ])
             np.testing.assert_array_equal(full, chunked)
@@ -174,7 +188,7 @@ class TestForwardEquivalence:
         model = BinaryTreeLSTM(49, 6, 10, seed=9)
         expected = self._sequential(model, [tree])
         np.testing.assert_allclose(
-            encode_batch(model, [tree]), expected, atol=1e-10
+            encode_batch(model, _compile([tree])), expected, atol=1e-10
         )
 
 
@@ -191,7 +205,7 @@ class TestGradientEquivalence:
             model(tree).sum().backward()
         expected = self._grads(model)
         model.zero_grad()
-        encode_batch_states(model, trees).sum().backward()
+        encode_batch_states(model, _compile(trees)).sum().backward()
         for name, parameter in model.named_parameters():
             np.testing.assert_allclose(
                 parameter.grad, expected[name], atol=1e-8, err_msg=name
@@ -205,7 +219,7 @@ class TestGradientEquivalence:
         model(tree).sum().backward()
         expected = self._grads(model)
         model.zero_grad()
-        encode_batch_states(model, [tree]).sum().backward()
+        encode_batch_states(model, _compile([tree])).sum().backward()
         for name, parameter in model.named_parameters():
             np.testing.assert_allclose(
                 parameter.grad, expected[name], atol=1e-8, err_msg=name
@@ -221,7 +235,7 @@ class TestGradientEquivalence:
             (model(tree).sum() * float(w)).backward()
         expected = self._grads(model)
         model.zero_grad()
-        roots = encode_batch_states(model, trees)
+        roots = encode_batch_states(model, _compile(trees))
         total = None
         for j, w in enumerate(weights):
             term = roots[j].sum() * float(w)
@@ -286,19 +300,20 @@ class TestPlans:
 
     def test_bucketed_equals_unbucketed_bitwise(self, model):
         trees = _random_batch(21, n=40) + [BinaryTreeNode(3), _chain(30)]
-        one_batch = encode_batch(model, trees)
+        one_batch = encode_batch(model, _compile(trees))
+        columns = _columns(trees)
         bucketed = encode_plan(
-            model, compile_plan(trees, 8, node_budget=200)
+            model, compile_columns(columns, 8, node_budget=200)
         )
         unbucketed = encode_plan(
-            model, compile_plan(trees, 8, node_budget=200, bucketed=False)
+            model, compile_columns(columns, 8, node_budget=200, bucketed=False)
         )
         assert np.array_equal(bucketed, unbucketed)
         assert np.array_equal(bucketed, one_batch)
 
     def test_serialization_roundtrip_bitwise(self, model):
         trees = _random_batch(23, n=24) + [BinaryTreeNode(1)]
-        plan = compile_plan(trees, 8, node_budget=150)
+        plan = compile_columns(_columns(trees), 8, node_budget=150)
         state = plan_to_state(plan)
         assert all(isinstance(v, np.ndarray) for v in state.values())
         # one child addressing per level: the state-buffer rows
@@ -309,7 +324,7 @@ class TestPlans:
 
     def test_float32_path_tracks_float64(self, model):
         trees = _random_batch(25, n=30)
-        plan = compile_plan(trees, 8)
+        plan = compile_columns(_columns(trees), 8)
         f64 = encode_plan(model, plan)
         f32 = encode_plan(model, plan, dtype=np.float32)
         assert f32.dtype == np.float32
@@ -318,11 +333,11 @@ class TestPlans:
 
     def test_pack_weights_never_stale(self, model):
         tree = _chain(5)
-        before = encode_batch(model, [tree]).copy()
+        before = encode_batch(model, _compile([tree])).copy()
         original = model.w_i.data.copy()
         try:
             model.w_i.data += 0.25
-            after = encode_batch(model, [tree])
+            after = encode_batch(model, _compile([tree]))
         finally:
             model.w_i.data[...] = original
         assert not np.array_equal(before, after)
@@ -381,7 +396,7 @@ class TestPlans:
         """Columns sliced to one tree each and concatenated back encode
         bit for bit as the object trees do in one batch."""
         trees = _random_batch(27, n=9) + [BinaryTreeNode(2)]
-        columns = TreeColumns.from_trees(trees)
+        columns = _columns(trees)
         parts = [columns.tree(t) for t in range(len(trees))]
         again = TreeColumns.concat(parts)
         for name in ("labels", "lefts", "rights", "offsets"):
@@ -390,7 +405,7 @@ class TestPlans:
         single = TreeColumns.single(*flatten_tree(trees[3]))
         assert np.array_equal(single.labels, parts[3].labels)
         assert single.offsets.tolist() == parts[3].offsets.tolist()
-        reference = encode_batch(model, trees)
+        reference = encode_batch(model, _compile(trees))
         assert np.array_equal(
             encode_plan(model, compile_columns(again, 4)), reference
         )

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.compiler.isa import SUPPORTED_ARCHES
 from repro.core.labels import NODE_LABELS, NUM_LABELS, label_of
+from repro.core.model import Asteria, AsteriaConfig
 from repro.core.preprocess import digitize, lcrs_columns, try_preprocess_ast
 from repro.decompiler import decompile_binary
 from repro.lang import nodes as N
@@ -22,9 +23,8 @@ from repro.lang.nodes import Node, Ops
 from repro.nn.treebatch import (
     LEAF,
     TreeColumns,
+    compile_batch,
     compile_columns,
-    compile_plan,
-    compile_trees,
     encode_plan,
     plan_to_state,
 )
@@ -51,6 +51,18 @@ def _reference_lcrs(ast: Node) -> BinaryTreeNode:
             previous = node
             work.append((child, node))
     return root
+
+
+def _columns(trees):
+    """Object trees as one batch of preorder columns."""
+    return TreeColumns.concat(
+        [TreeColumns.single(*flatten_tree(tree)) for tree in trees]
+    )
+
+
+def _compile(trees):
+    """Object trees compiled as one chunk, in input order."""
+    return compile_batch(_columns(trees))
 
 
 def _reference_schedule(trees):
@@ -173,21 +185,23 @@ class TestColumnPlans:
         and root rows as the postorder scheduler (so ``ctrees`` objects
         keep their layout)."""
         trees = [_reference_lcrs(ast) for ast in batch]
-        assert _schedule_of(compile_trees(trees)) == \
+        assert _schedule_of(_compile(trees)) == \
             _reference_schedule(trees)
 
     def test_wide_and_deep_schedule(self):
         trees = [_reference_lcrs(_wide()), _reference_lcrs(_deep())]
-        compiled = compile_trees(trees)
+        compiled = _compile(trees)
         assert _schedule_of(compiled) == _reference_schedule(trees)
         # the wide block binarises to a 5 000-long right spine
         assert len(compiled.levels) == 5001
 
     @pytest.mark.parametrize("arch", SUPPORTED_ARCHES)
     def test_column_plan_is_the_tree_plan(self, extracted, arch):
+        """The replay's object-tree compile makes the columns' plan."""
         ext = extracted[arch]
+        model = Asteria(AsteriaConfig(hidden_dim=16))
         from_columns = plan_to_state(compile_columns(ext.columns(), 8))
-        from_trees = plan_to_state(compile_plan(ext.trees(), 8))
+        from_trees = plan_to_state(model.compile_plan(ext.trees(), 8))
         assert from_columns.keys() == from_trees.keys()
         for key, value in from_columns.items():
             assert np.array_equal(value, from_trees[key]), key
@@ -198,7 +212,8 @@ class TestColumnPlans:
         ext = extracted[arch]
         lstm = BinaryTreeLSTM(NUM_LABELS, 8, 16, seed=3)
         reference = encode_plan(
-            lstm, compile_plan(ext.trees(), 1, bucketed=False), dtype=dtype
+            lstm, compile_columns(_columns(ext.trees()), 1, bucketed=False),
+            dtype=dtype,
         )
         plan = compile_columns(ext.columns(), 64)
         assert np.array_equal(encode_plan(lstm, plan, dtype=dtype), reference)
