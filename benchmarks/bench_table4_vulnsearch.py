@@ -13,7 +13,7 @@ values: corpus and model are seeded, so fewer confirmations is lost
 quality, not noise.
 """
 
-from repro.api import AsteriaEngine, EngineConfig
+from repro.api import AsteriaEngine, EngineConfig, IngestRequest
 from repro.evalsuite.vulnsearch import (
     VulnerabilitySearch,
     build_firmware_dataset,
@@ -35,6 +35,7 @@ def test_table4_vulnerability_search(benchmark, trained_asteria):
     )
     engine = AsteriaEngine(EngineConfig(threshold=0.8), model=trained_asteria)
     search = VulnerabilitySearch(engine, threshold=0.8)
+    engine.ingest(IngestRequest(images=dataset.images))
     report, candidates = search.search(dataset)
 
     lines = [
@@ -100,7 +101,7 @@ def test_table4_vulnerability_search(benchmark, trained_asteria):
         for cve_id, floor in MIN_CONFIRMED_BY_CVE.items():
             assert confirmed_by_cve[cve_id] >= floor, (cve_id, confirmed_by_cve)
 
-    library = search.encode_library()
+    library = engine.cve_library()
     _entry, vuln_encoding = next(iter(library.values()))
     sample = search.index_firmware(dataset)[: scaled(50)]  # warm cache
 

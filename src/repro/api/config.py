@@ -77,7 +77,8 @@ class EngineConfig:
         0, "ivf-pq: number of coarse partitions (0 = auto, ~sqrt(corpus "
         "rows))", min=0, zero="auto")
     threshold: float = _knob(
-        0.84, "Youden cutoff for queries that ask for the configured one")
+        0.84, "Youden cutoff for queries that ask for the configured one",
+        min=0)
     top_k: int = _knob(10, "query depth for queries that name none", min=1)
     seed: int = _knob(0, "ivf-pq k-means seed")
     micro_batch_size: int = _knob(

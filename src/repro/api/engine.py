@@ -24,6 +24,10 @@ Every consumer -- the CLI, the HTTP server
 (:mod:`repro.api.server`), ``VulnerabilitySearch``, benchmarks and
 examples -- constructs its model/cache/index/pipeline stack through
 this class; nothing else in the repo assembles those pieces by hand.
+The engine owns the one ANN index over its store (rebuilt when a flush
+grows the store, falling back to the exact sweep when the configured
+backend cannot be built), and every query -- served, CLI or the
+Table IV search -- is answered from it, with hits read from the store.
 The engine is thread-safe: concurrent :meth:`query` calls are the
 serving hot path and ride the micro-batcher.  Every query sweeps the
 index in process; there is one index layout, the flat store at
@@ -40,6 +44,7 @@ the engine lock, never the reverse.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import json
 import math
 import os
@@ -67,8 +72,14 @@ from repro.core.calibration import filtered_callee_count
 from repro.core.model import Asteria, AsteriaConfig, FunctionEncoding
 from repro.core.preprocess import lcrs_columns
 from repro.core.training import TrainConfig, Trainer, TrainHistory
-from repro.index.search import SearchHit, SearchService
-from repro.index.store import MANIFEST_NAME, EmbeddingStore, StoreError
+from repro.index.ann import AnnIndex, backend_is_stateful, make_index
+from repro.index.quant import IvfPqIndex
+from repro.index.store import (
+    MANIFEST_NAME,
+    EmbeddingStore,
+    SearchHit,
+    StoreError,
+)
 from repro.nn.treebatch import TreeColumns
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Span, trace
@@ -83,9 +94,15 @@ from repro.utils.logging import get_logger
 
 _LOG = get_logger("api.engine")
 
+
+class _Default(enum.Enum):
+    USE_DEFAULT = "the engine's configured default"
+
+
 #: Sentinel for "use the engine's configured default" on optional knobs
-#: where ``None`` already means "unlimited".
-USE_DEFAULT = -1
+#: where ``None`` already means "unlimited": an object of its own, so no
+#: number a caller passes can be mistaken for it.
+USE_DEFAULT = _Default.USE_DEFAULT
 
 #: Most-recently-queried binaries whose extracted columns stay memoized
 #: in memory; a long-running server over many distinct query binaries
@@ -158,15 +175,16 @@ class QueryRequest:
     ``top_k=USE_DEFAULT`` picks the configured default; ``top_k=None``
     keeps every above-threshold hit.  ``threshold=USE_DEFAULT`` applies
     the configured Youden threshold; ``threshold=None`` disables the
-    cutoff (the full top-k).
+    cutoff (the full top-k).  A negative ``top_k`` or ``threshold`` is a
+    :class:`BadRequestError`.
     """
 
     encoding: Optional[FunctionEncoding] = None
     cve_id: Optional[str] = None
     binary: Optional[BinarySource] = None
     function: Optional[str] = None
-    top_k: Optional[int] = USE_DEFAULT
-    threshold: Optional[float] = None
+    top_k: Union[int, None, _Default] = USE_DEFAULT
+    threshold: Union[float, None, _Default] = None
     #: Absolute ``time.monotonic()`` deadline; ``None`` derives one from
     #: ``EngineConfig.request_timeout_ms`` at query entry.
     deadline: Optional[float] = None
@@ -322,10 +340,14 @@ class AsteriaEngine:
         self._store = store
         self._cache = cache
         self._pipeline: Optional[CorpusPipeline] = None
-        self._service: Optional[SearchService] = None
+        #: the ANN index over the store's first ``_index_rows`` rows
+        #: (-1: not built yet), and why it is the exact fallback, if it is
+        self._index: Optional[AnnIndex] = None
+        self._index_rows = -1
+        self._ann_fallback: Optional[str] = None
         self._library: Optional[Dict] = None
         self._extract_memo: "OrderedDict[str, Tuple]" = OrderedDict()
-        self._lock = threading.RLock()  # store / service / pipeline state
+        self._lock = threading.RLock()  # store / index / pipeline state
         self._memo_lock = threading.Lock()  # extract memo + CVE library
         # in-process sweeps run outside self._lock, one per usable core:
         # 16 unbounded threads lost ~30 % of ivf-pq q/s to GIL hand-offs
@@ -334,7 +356,7 @@ class AsteriaEngine:
             else os.cpu_count() or 1
         )
         #: the engine's telemetry sink, shared with every component it
-        #: assembles (batcher, pipeline, service, ANN index, HTTP server)
+        #: assembles (batcher, pipeline, ANN index, HTTP server)
         self.obs = registry if registry is not None else MetricsRegistry()
         #: coalesces concurrent query encodes: one-tree columns each,
         #: encoded unlocked by :meth:`_encode_columns`
@@ -410,31 +432,14 @@ class AsteriaEngine:
             return self._store
 
     @property
-    def service(self) -> SearchService:
-        with self._lock:
-            if self._service is None:
-                self._service = self._service_over(self.store)
-            return self._service
+    def index_generation(self) -> int:
+        """Store rows the built index covers (-1: no index built yet).
 
-    def _service_over(self, store: EmbeddingStore) -> SearchService:
-        """A search service over ``store`` with the configured backend."""
-        config = self.config
-        options = dict(
-            seed=config.seed, n_lists=config.ann_lists,
-            nprobe=config.ann_nprobe, rerank=config.ann_rerank,
-        ) if config.backend == "ivf-pq" else {}
-        return SearchService(
-            self.model, store, backend=config.backend, registry=self.obs,
-            **options,
-        )
-
-    def make_service(
-        self, root=None, meta: Optional[Dict] = None
-    ) -> SearchService:
-        """A standalone store + service in this engine's shape
-        (``root=None`` keeps it in memory); the caller appends pipeline
-        encodings to ``service.store`` and flushes."""
-        return self._service_over(self._new_store(root, meta))
+        Changes exactly when a query rebuilds the index, so a health
+        endpoint can say which corpus snapshot queries are answered from
+        without triggering a build.
+        """
+        return self._index_rows
 
     def _encode_columns(self, parts: Sequence[TreeColumns]) -> np.ndarray:
         """The served encoder of query and compare: unlocked (the model
@@ -489,7 +494,70 @@ class AsteriaEngine:
     def _adopt_store(self, store: EmbeddingStore) -> None:
         with self._lock:
             self._store = store
-            self._service = None
+            self._index, self._index_rows = None, -1
+            self._ann_fallback = None
+
+    def _built_index(self, store: EmbeddingStore) -> AnnIndex:
+        """The ANN index over ``store``, rebuilt when a flush grew it.
+
+        Called under the engine lock.  The stateful backend (``ivf-pq``)
+        over a durable store round-trips through the state persisted
+        beside the shards: an unchanged corpus reopens without any
+        quantization pass, a grown one quantizes only the appended rows,
+        and either way the refreshed state is written back.  A build
+        failure other than a client error degrades to the exact sweep
+        (correct, slower) rather than failing every query.
+        """
+        if self._index is not None and self._index_rows == store.n_flushed:
+            return self._index
+        config = self.config
+        options = dict(
+            seed=config.seed, n_lists=config.ann_lists,
+            nprobe=config.ann_nprobe, rerank=config.ann_rerank,
+        ) if config.backend == "ivf-pq" else {}
+        stateful = (
+            backend_is_stateful(config.backend) and store.root is not None
+        )
+        if stateful:
+            options["state"] = store.read_ann_state()
+        try:
+            index = make_index(
+                config.backend, self.model, store.vectors(),
+                store.callee_counts(), registry=self.obs, **options,
+            )
+            # write the state back unless the persisted one is current
+            if stateful and (
+                index.rows_projected or not index.loaded_from_state
+            ):
+                try:  # best effort: the index serves either way
+                    store.write_ann_state(*index.state_dict())
+                except OSError as exc:
+                    _LOG.warning("could not persist ANN state: %s", exc)
+            self._ann_fallback = None
+        except BadRequestError:
+            raise  # unknown backend, bad knob: the caller's to fix
+        except Exception as exc:
+            if config.backend == "exact":
+                raise  # nothing simpler to fall back to
+            self._ann_fallback = (
+                f"{config.backend} index construction failed ({exc}); "
+                f"serving exact sweeps"
+            )
+            _LOG.warning("ANN fallback: %s", self._ann_fallback)
+            self.obs.counter(
+                "repro_ann_fallback_total",
+                "ANN construction failures degraded to exact sweeps",
+            ).inc()
+            index = make_index(
+                "exact", self.model, store.vectors(), store.callee_counts(),
+                registry=self.obs,
+            )
+        self._index, self._index_rows = index, store.n_flushed
+        self.obs.counter(
+            "repro_index_rebuilds_total",
+            "ANN index (re)constructions over the store",
+        ).inc()
+        return index
 
     # -- encode ------------------------------------------------------------
 
@@ -710,41 +778,49 @@ class AsteriaEngine:
         deadline: Optional[float],
         span: Span,
     ) -> List[QueryResult]:
-        resolved = self._resolve_queries(requests, deadline)
-        self._check_deadline(deadline, "corpus sweep")
         groups: Dict[Tuple, List[int]] = {}
         for i, request in enumerate(requests):
             top_k = (
-                self.config.top_k if request.top_k == USE_DEFAULT
+                self.config.top_k if request.top_k is USE_DEFAULT
                 else request.top_k
             )
             threshold = (
-                self.config.threshold if request.threshold == USE_DEFAULT
+                self.config.threshold if request.threshold is USE_DEFAULT
                 else request.threshold
             )
-            # NaN compares false with every score: a silent empty answer
-            if threshold is not None and not math.isfinite(threshold):
-                raise BadRequestError(
-                    f"threshold must be a finite number, got {threshold}"
-                )
+            if top_k is not None and top_k < 0:
+                raise BadRequestError(f"top_k must be >= 0, got {top_k}")
+            if threshold is not None:
+                # NaN compares false with every score: a silent empty answer
+                if not math.isfinite(threshold):
+                    raise BadRequestError(
+                        f"threshold must be a finite number, got {threshold}"
+                    )
+                if threshold < 0:
+                    raise BadRequestError(
+                        f"threshold must be >= 0, got {threshold}"
+                    )
             groups.setdefault((top_k, threshold), []).append(i)
+        resolved = self._resolve_queries(requests, deadline)
+        self._check_deadline(deadline, "corpus sweep")
         results: List[Optional[QueryResult]] = [None] * len(requests)
         # the lock covers only the pin -- the index, refreshed in step
         # with store flushes -- and every group sweeps it unlocked
         with self._lock:
-            service = self.service
-            index = service.index()
+            store = self.store
+            index = self._built_index(store)
         n_rows = len(index)
         for (top_k, threshold), members in groups.items():
             encodings = [resolved[i][1] for i in members]
             with self._sweep_slots:
-                hit_lists = service.query_batch(
-                    encodings, top_k, threshold, index=index
+                neighbor_lists = index.top_k_batch(
+                    encodings, k=top_k, threshold=threshold
                 )
-            for i, hits in zip(members, hit_lists):
+            for i, neighbors in zip(members, neighbor_lists):
                 name, encoding = resolved[i]
                 results[i] = QueryResult(
-                    query=name, encoding=encoding, hits=hits, n_rows=n_rows,
+                    query=name, encoding=encoding, n_rows=n_rows,
+                    hits=[store.hit(n.row, n.score) for n in neighbors],
                 )
         span.set(
             queries=[name for name, _encoding in resolved],
@@ -856,16 +932,26 @@ class AsteriaEngine:
 
     def compare(self, request: Optional[CompareRequest] = None,
                 **kw) -> CompareResult:
-        """Pairwise scores for two named binary functions."""
+        """Pairwise scores for two named binary functions.
+
+        Scored by the head every query sweep uses
+        (:meth:`Asteria.similarity_matrix`), so comparing a query
+        function with one of its hits gives that hit's score.
+        """
         request = request or CompareRequest(**kw)
         model = self.model  # a missing checkpoint outranks missing inputs
         e1 = self._compare_encoding(request.binary1, request.function1)
         e2 = self._compare_encoding(request.binary2, request.function2)
+        row = np.asarray(e2.vector)[None, :]
         return CompareResult(
             function1=request.function1,
             function2=request.function2,
-            ast_similarity=model.similarity(e1, e2, calibrate=False),
-            similarity=model.similarity(e1, e2),
+            ast_similarity=float(
+                model.similarity_matrix([e1], row, calibrate=False)[0, 0]
+            ),
+            similarity=float(
+                model.similarity_matrix([e1], row, [e2.callee_count])[0, 0]
+            ),
         )
 
     def _compare_encoding(
@@ -931,16 +1017,17 @@ class AsteriaEngine:
                         f"{len(self._store.quarantined)} shard(s) "
                         f"quarantined; serving a corpus prefix"
                     )
-            if self._service is not None:
-                stats.ann_backend = self._service.backend
-                stats.degraded_reasons.extend(self._service.degraded_reasons)
-                ann = self._service.ann_info()
-                if ann is not None:
-                    stats.ann_persisted = ann["persisted"]
-                    stats.ann_rows_projected = ann["rows_projected"]
-                    stats.ann_rows_quantized = ann.get("rows_quantized", 0)
-                    stats.ann_n_lists = ann.get("n_lists", 0)
-                    stats.ann_nprobe = ann.get("nprobe", 0)
+            if self._ann_fallback is not None:
+                stats.degraded_reasons.append(self._ann_fallback)
+            index = self._index
+            if index is not None:
+                stats.ann_backend = self.config.backend
+            if isinstance(index, IvfPqIndex):
+                stats.ann_persisted = index.loaded_from_state
+                stats.ann_rows_projected = index.rows_projected
+                stats.ann_rows_quantized = index.rows_quantized
+                stats.ann_n_lists = index.n_lists
+                stats.ann_nprobe = index.nprobe
         for name, counter in REGISTRY_COUNTS.items():
             setattr(stats, name, int(self.obs.value(counter)))
         stats.degraded = bool(stats.degraded_reasons)

@@ -70,7 +70,7 @@ from repro.api.errors import (
 )
 from repro.binformat.binary import BinaryFile
 from repro.core.model import FunctionEncoding
-from repro.index.search import SearchHit
+from repro.index.store import SearchHit
 from repro.obs.trace import new_request_id, trace
 from repro.utils.logging import configure, get_logger
 
@@ -361,7 +361,6 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
         from repro import __version__  # lazy: repro/__init__ imports api
 
         stats = self.engine.stats()
-        service = self.engine._service
         return 200, {
             # "degraded" = up and answering, but below full fidelity
             # (quarantined shards, ANN fallback); reasons say why
@@ -374,9 +373,7 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
             "index_rows": stats.index_rows,
             "index_shards": stats.index_shards,
             # which corpus snapshot queries answer from (-1 = no index yet)
-            "index_generation": (
-                service.index_generation if service is not None else -1
-            ),
+            "index_generation": self.engine.index_generation,
             "degraded": stats.degraded,
             "degraded_reasons": list(stats.degraded_reasons),
             "quarantined_shards": stats.index_quarantined_shards,
@@ -437,21 +434,12 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
 
     def _parse_query(self, payload: Dict) -> QueryRequest:
         top_k = payload.get("top_k", USE_DEFAULT)
-        if "top_k" in payload and top_k is not None:
-            # null means "all above threshold"; negatives would leak the
-            # engine-internal USE_DEFAULT sentinel (or slice nonsense)
-            top_k = _int_field(payload, "top_k", USE_DEFAULT)
-            if top_k < 0:
-                raise BadRequestError(f"top_k must be >= 0, got {top_k}")
-        threshold = _optional_number(payload, "threshold")
-        if threshold is not None and threshold < 0:
-            raise BadRequestError(
-                f"threshold must be >= 0, got {threshold}"
-            )
+        if top_k is not None and top_k is not USE_DEFAULT:  # null: no cap
+            top_k = _int_field(payload, "top_k", 0)
         request = QueryRequest(
             cve_id=payload.get("cve"),
             top_k=top_k,
-            threshold=threshold,
+            threshold=_optional_number(payload, "threshold"),
         )
         if request.cve_id is None:
             request.binary = _binary_from_b64(payload)

@@ -170,6 +170,7 @@ def _cmd_search(args) -> int:
     engine = _engine(args)
     dataset = build_firmware_dataset(n_images=args.images, seed=args.seed)
     search = VulnerabilitySearch(engine=engine, threshold=args.threshold)
+    engine.ingest(IngestRequest(images=dataset.images))
     report, _candidates = search.search(dataset, top_k=args.top_k)
     print(f"unpacked {report.n_unpacked}/{report.n_images} images, "
           f"indexed {report.n_functions} functions")
@@ -378,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="firmware vulnerability search")
     add_config_flags(p, "model_path", *_PIPELINE_FLAGS,
                      required=["model_path"])
-    p.add_argument("--images", type=int, default=8)
+    p.add_argument("--images", type=_count, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=float, default=SEARCH_THRESHOLD)
     p.add_argument("--top-k", type=_count, default=None,
@@ -399,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_config_flags(p, "model_path", "encode_batch_size", *_PIPELINE_FLAGS,
                      required=["model_path"])
-    p.add_argument("--images", type=int, default=8)
+    p.add_argument("--images", type=_count, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_pipeline_run)
 
@@ -413,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
                      *_PIPELINE_FLAGS, required=["model_path"])
     p.add_argument("--output", required=True,
                    help="directory for the new index")
-    p.add_argument("--images", type=int, default=8)
+    p.add_argument("--images", type=_count, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_index_build)
 

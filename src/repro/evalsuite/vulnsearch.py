@@ -4,14 +4,15 @@ Builds a firmware corpus with *implanted* vulnerable functions -- the
 substitute for the paper's 5,979 downloaded vendor images -- and runs the
 paper's search protocol:
 
-1. run the corpus through the staged offline pipeline
-   (:class:`~repro.pipeline.corpus.CorpusPipeline`): unpack every image
-   with binwalk (unknown formats are skipped), decompile, preprocess and
-   encode every function of every (stripped) binary, reusing cached
-   artifacts on warm runs;
+1. ingest the corpus into the engine's index
+   (``engine.ingest(IngestRequest(images=dataset.images))``): the staged
+   pipeline unpacks every image with binwalk (unknown formats are
+   skipped), decompiles, preprocesses and encodes every function of
+   every (stripped) binary, reusing cached artifacts on warm runs;
 2. encode the CVE library's 7 vulnerable functions (query-side encodings
    go through the same artifact cache);
-3. flag candidates whose similarity clears the Youden-derived threshold;
+3. flag candidates whose similarity clears the Youden-derived threshold
+   (one ``engine.query_batch`` of the whole library);
 4. confirm candidates via criterion A (same software and vulnerable
    version) and criterion B (similarity ≈ 1), escalating the rest to
    "manual analysis" (simulated with generation-time ground truth).
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.api.engine import AsteriaEngine
+from repro.api.engine import AsteriaEngine, QueryRequest
 from repro.binformat.firmware import FirmwareImage, pack_firmware
 from repro.compiler.pipeline import compile_package
 from repro.core.model import FunctionEncoding
@@ -252,10 +253,10 @@ class VulnerabilitySearch:
 
     Two execution paths produce identical reports:
 
-    * :meth:`search` (default) -- the offline/online split: the corpus is
-      ingested once into an :class:`~repro.index.store.EmbeddingStore` and
-      each CVE queried through the batched
-      :class:`~repro.index.search.SearchService`;
+    * :meth:`search` (default) -- the offline/online split, on the path
+      the engine serves: the caller ingests the corpus into the engine's
+      index once (``engine.ingest(IngestRequest(images=...))``), and the
+      whole CVE library is one ``engine.query_batch``;
     * :meth:`search_exhaustive` -- the original protocol: score every
       (CVE, function) pair with per-pair Python calls.  Kept as the
       reference the index path is validated against.
@@ -271,33 +272,6 @@ class VulnerabilitySearch:
         self.model = engine.model
         self.threshold = threshold
         self.pipeline = engine.pipeline
-
-    def build_index(self, dataset: FirmwareDataset, root=None):
-        """Offline phase: ingest the firmware corpus into a search service
-        in the engine's configured shape and backend.
-
-        ``root=None`` keeps the store in memory; pass a directory to make
-        the index durable across runs (``repro-cli index build``).
-        """
-        service = self.engine.make_service(
-            root=root, meta={"corpus": "firmware", "threshold": self.threshold}
-        )
-        run = self.pipeline.run_images(dataset.images)
-        for image_id, encoding in run.encodings:
-            service.store.add(encoding, image_id=image_id)
-        service.store.flush()
-        return service
-
-    def encode_library(self) -> Dict[str, Tuple[CVEEntry, FunctionEncoding]]:
-        """Compile + decompile + encode the 7 vulnerable functions (on x86,
-        the architecture the reference CVE builds use).
-
-        Query-side encodings run through the same artifact cache as the
-        corpus, so repeat searches skip re-decompiling and re-encoding
-        the library.  (The encoding itself lives on the engine so every
-        consumer shares one library per model.)
-        """
-        return self.engine.cve_library()
 
     def index_firmware(
         self, dataset: FirmwareDataset
@@ -322,39 +296,36 @@ class VulnerabilitySearch:
     def search(
         self,
         dataset: FirmwareDataset,
-        service=None,
         top_k: Optional[int] = None,
     ) -> Tuple[SearchReport, List[Candidate]]:
         """Run the full protocol and produce the Table-IV report.
 
-        Runs through the embedding index (building an ephemeral one unless
-        ``service`` is given).  ``top_k`` caps the candidates considered
+        Queries the engine's index, which the caller has filled from
+        ``dataset`` (``engine.ingest(IngestRequest(images=
+        dataset.images))``).  ``top_k`` caps the candidates considered
         per CVE (None keeps every above-threshold match, the paper's
         protocol).
         """
-        if service is None:
-            service = self.build_index(dataset)
-        library = self.encode_library()
+        library = self.engine.cve_library()
         images_by_id = {image.identifier: image for image in dataset.images}
         candidates: List[Candidate] = []
-        entries = sorted(library.items())
+        cve_ids = sorted(library)
         # one batched top-k for the whole CVE library: one sweep, which
         # stops at the first callee-count ring bounded below the threshold
-        hit_lists = service.query_batch(
-            [vuln_encoding for _cve_id, (_e, vuln_encoding) in entries],
-            top_k=top_k, threshold=self.threshold,
-        )
-        for (_cve_id, (entry, _vuln_encoding)), hits in zip(
-            entries, hit_lists
-        ):
+        results = self.engine.query_batch([
+            QueryRequest(cve_id=cve_id, top_k=top_k, threshold=self.threshold)
+            for cve_id in cve_ids
+        ])
+        for cve_id, result in zip(cve_ids, results):
+            entry = library[cve_id][0]
             # store-row order mirrors the exhaustive scan's corpus order
-            for hit in sorted(hits, key=lambda h: h.row):
+            for hit in sorted(result.hits, key=lambda h: h.row):
                 image = images_by_id.get(hit.image_id)
                 if image is None:
                     raise ValueError(
                         f"index row {hit.row} references image "
                         f"{hit.image_id!r}, which is not in the dataset -- "
-                        f"was the index built from this corpus?"
+                        f"was the engine's index ingested from this corpus?"
                     )
                 candidates.append(
                     Candidate(
@@ -366,13 +337,14 @@ class VulnerabilitySearch:
                     )
                 )
         self._confirm(candidates, dataset)
-        return self._report(dataset, len(service.store), candidates), candidates
+        report = self._report(dataset, results[0].n_rows, candidates)
+        return report, candidates
 
     def search_exhaustive(
         self, dataset: FirmwareDataset
     ) -> Tuple[SearchReport, List[Candidate]]:
         """The seed's per-pair O(corpus) scan (reference implementation)."""
-        library = self.encode_library()
+        library = self.engine.cve_library()
         index = self.index_firmware(dataset)
         candidates: List[Candidate] = []
         for _cve_id, (entry, vuln_encoding) in sorted(library.items()):

@@ -3,8 +3,10 @@
 The corpus-scale answer to the paper's §V workload: encode every corpus
 function once into a durable sharded store (:mod:`repro.index.store`),
 then answer similarity queries online through an approximate or exact
-top-k index (:mod:`repro.index.ann`) wrapped in a query service
-(:mod:`repro.index.search`).
+top-k index (:mod:`repro.index.ann`).  The engine
+(:class:`~repro.api.engine.AsteriaEngine`) owns the one index over its
+store and answers every query; a hit is the store's
+:class:`~repro.index.store.SearchHit` for the row the index ranked.
 """
 
 from repro.index.ann import (
@@ -16,9 +18,9 @@ from repro.index.ann import (
     select_top_k,
 )
 from repro.index.quant import IvfPqIndex
-from repro.index.search import SearchHit, SearchService
 from repro.index.store import (
     EmbeddingStore,
+    SearchHit,
     ShardedMatrix,
     StoreError,
     StoredFunction,
@@ -34,7 +36,6 @@ __all__ = [
     "make_index",
     "select_top_k",
     "SearchHit",
-    "SearchService",
     "EmbeddingStore",
     "ShardedMatrix",
     "StoreError",

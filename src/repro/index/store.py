@@ -256,6 +256,20 @@ class StoredFunction:
         )
 
 
+@dataclass(frozen=True)
+class SearchHit:
+    """One query result: a row's score plus its stored metadata."""
+
+    row: int
+    score: float
+    name: str
+    binary_name: str
+    arch: str
+    callee_count: int
+    ast_size: int
+    image_id: str = ""
+
+
 @dataclass
 class _ShardMeta:
     """In-memory metadata columns of one shard (vectors live elsewhere)."""
@@ -832,6 +846,20 @@ class EmbeddingStore:
             callee_count=int(shard.callee_counts[local]),
             ast_size=int(shard.ast_sizes[local]),
             image_id=shard.image_ids[local],
+        )
+
+    def hit(self, row: int, score: float) -> SearchHit:
+        """``row``, scored ``score`` by a query, as a search result."""
+        meta = self.metadata_at(row)
+        return SearchHit(
+            row=row,
+            score=score,
+            name=meta.name,
+            binary_name=meta.binary_name,
+            arch=meta.arch,
+            callee_count=meta.callee_count,
+            ast_size=meta.ast_size,
+            image_id=meta.image_id,
         )
 
     def vector_at(self, row: int) -> np.ndarray:

@@ -22,8 +22,7 @@ import numpy as np
 
 from repro.core.model import Asteria, FunctionEncoding
 from repro.index.ann import select_top_k
-from repro.index.search import SearchHit, _hit
-from repro.index.store import EmbeddingStore
+from repro.index.store import EmbeddingStore, SearchHit
 from repro.serving import generations
 from repro.serving.pool import ShardWorkerPool
 
@@ -120,7 +119,7 @@ class ServingCoordinator:
             )
             top = select_top_k(scores, rows, top_k)
             hit_lists.append([
-                _hit(row, score, store.metadata_at(row))
+                store.hit(row, score)
                 for row, score in zip(rows[top].tolist(), scores[top].tolist())
             ])
         if self._registry is not None:

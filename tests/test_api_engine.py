@@ -32,6 +32,7 @@ from repro.api import (
     ModelNotFoundError,
     QueryRequest,
     TrainRequest,
+    USE_DEFAULT,
     train_model,
 )
 from repro.api.engine import POLLED_GAUGES, REGISTRY_COUNTS
@@ -369,6 +370,25 @@ class TestEngineLifecycle:
     def test_query_unknown_cve(self, engine):
         with pytest.raises(BadRequestError, match="unknown CVE"):
             engine.query(QueryRequest(cve_id="CVE-1999-0000"))
+
+    def test_minus_one_is_not_the_configured_default(self, engine):
+        """``USE_DEFAULT`` is an object of its own: a -1 sentinel used to
+        turn ``threshold=-1`` into the configured 0.84 cutoff, silently."""
+        cve = "CVE-2016-2105"
+        with pytest.raises(BadRequestError, match="threshold must be >= 0"):
+            engine.query(QueryRequest(cve_id=cve, top_k=None, threshold=-1))
+        with pytest.raises(BadRequestError, match="top_k must be >= 0"):
+            engine.query_batch([QueryRequest(cve_id=cve, top_k=-1)])
+        with pytest.raises(BadRequestError, match="threshold must be >= 0"):
+            EngineConfig(threshold=-0.5)
+        configured = engine.query(QueryRequest(
+            cve_id=cve, top_k=USE_DEFAULT, threshold=USE_DEFAULT
+        ))
+        spelled_out = engine.query(QueryRequest(
+            cve_id=cve, top_k=engine.config.top_k,
+            threshold=engine.config.threshold,
+        ))
+        assert configured.hits == spelled_out.hits
 
     def test_query_needs_a_source(self, engine, query_binary):
         with pytest.raises(BadRequestError, match="query needs"):
@@ -854,8 +874,16 @@ class TestSweepOutsideTheLock:
             order = np.lexsort((np.arange(n), -scores))[:10]
             return [(int(row), float(scores[row])) for row in order]
 
+        swept = []  # the index each sweep ran on, as the engine pinned it
+        top_k_batch = ann.AnnIndex.top_k_batch
+
+        def spy(index, *args, **kwargs):
+            swept.append(index)
+            return top_k_batch(index, *args, **kwargs)
+
+        monkeypatch.setattr(ann.AnnIndex, "top_k_batch", spy)
         before = engine.query(request)
-        pinned = engine.service.index()
+        pinned = swept[-1]
         assert [(h.row, h.score) for h in before.hits] == full_sort(80)
         # near copies of the query, half of them calling as many functions
         rng = np.random.default_rng(2)
@@ -1019,11 +1047,40 @@ class TestOneEncoder:
                 binary1=query_binary, function1=name,
                 binary2=query_binary, function2=name,
             ))
-            assert result.ast_similarity == trained_model.similarity(
-                query.encoding, query.encoding, calibrate=False
-            ), name
+            assert result.ast_similarity == trained_model.similarity_matrix(
+                [query.encoding], query.encoding.vector[None, :],
+                calibrate=False,
+            )[0, 0], name
             # same function, same callee count: the factor is exactly 1
             assert result.similarity == result.ast_similarity, name
+
+    def test_compare_scores_a_hit_as_the_query_did(self, trained_model,
+                                                   query_binary):
+        """compare and the sweep score with one head: over a float64
+        store, ``compare(f, hit)`` is the hit's score bit for bit (the
+        per-pair head differed in the low bits for most pairs)."""
+        engine = AsteriaEngine(
+            EngineConfig(store_dtype="float64", micro_batch_wait_ms=0.0),
+            model=trained_model,
+        )
+        engine.ingest(IngestRequest(binaries=[query_binary]))
+        n_pairs = 0
+        for encoding in engine.encode(
+            EncodeRequest(binary=query_binary)
+        ).encodings:
+            result = engine.query(QueryRequest(
+                binary=query_binary, function=encoding.name, top_k=None,
+            ))
+            for hit in result.hits:
+                compared = engine.compare(CompareRequest(
+                    binary1=query_binary, function1=encoding.name,
+                    binary2=query_binary, function2=hit.name,
+                ))
+                assert compared.similarity == hit.score, (
+                    encoding.name, hit.name
+                )
+                n_pairs += 1
+        assert n_pairs >= 16
 
     def test_compare_runs_while_the_engine_lock_is_held(
         self, engine, query_binary, query_functions

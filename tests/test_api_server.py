@@ -356,15 +356,20 @@ class TestQuery:
         assert "images" in body["error"]
 
     def test_negative_top_k_and_threshold_are_400(self, server):
-        # -1 must not leak the engine-internal USE_DEFAULT sentinel
+        # the engine's own check, the one the CLI's exit 6 comes from
         status, body = _post(server, "/v1/query",
                              {"cve": "CVE-2016-2105", "top_k": -1})
         assert status == 400
-        assert "top_k" in body["error"]
+        assert body["error"] == "top_k must be >= 0, got -1"
         status, body = _post(server, "/v1/query",
                              {"cve": "CVE-2016-2105", "threshold": -1})
         assert status == 400
-        assert "threshold" in body["error"]
+        assert body["error"] == "threshold must be >= 0, got -1"
+        status, body = _post(server, "/v1/query_batch", {"queries": [
+            {"cve": "CVE-2016-2105", "threshold": -0.5},
+        ]})
+        assert (status, body["exit_code"]) == (400, 6)
+        assert body["error"] == "threshold must be >= 0, got -0.5"
 
 
 class TestQueryBatch:
@@ -426,14 +431,14 @@ class TestQueryBatch:
         assert body["index_vector_bytes"] > 0
         assert body["ann_backend"] == "exact"
 
-    def test_unknown_backend_is_typed_400(self, server):
+    def test_unknown_backend_is_typed_400(self, trained_model):
         # an unknown backend is a client error (HTTP 400 / exit 6), not
         # a silent degradation to the exact sweep
-        service = server.engine.service
-        saved = service.backend
-        service.backend = "bogus"
-        service._index = None
-        service._index_rows = -1
+        engine = AsteriaEngine(EngineConfig(), model=trained_model)
+        engine.config.backend = "bogus"  # past EngineConfig's own check
+        server = EngineServer(("127.0.0.1", 0), engine)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
         try:
             status, body = _post(server, "/v1/query",
                                  {"cve": "CVE-2016-2105", "top_k": 3})
@@ -441,10 +446,11 @@ class TestQueryBatch:
             assert "bogus" in body["error"]
             assert "ivf-pq" in body["error"]
             assert body["exit_code"] == 6
+            assert not engine.stats().degraded  # nothing fell back
         finally:
-            service.backend = saved
-            service._index = None
-            service._index_rows = -1
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
 
 
 class TestEncodeIngestCompare:

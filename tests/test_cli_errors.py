@@ -108,6 +108,22 @@ class TestBadRequest:
         assert "threshold must be a finite number, got nan" in err
         assert "Traceback" not in err
 
+    def test_negative_threshold_is_a_bad_request(self, model_path,
+                                                 tmp_path, capsys):
+        """-1 is refused (HTTP answers the same input 400); it used to be
+        the engine's "configured default" sentinel, a silent 0.84."""
+        index = str(tmp_path / "fw-index")
+        assert main(["index", "build", "--model", model_path, "--output",
+                     index, "--images", "1"]) == 0
+        for argv in (["search", "--images", "1"],
+                     ["index", "search", "--index", index]):
+            capsys.readouterr()
+            code = main(argv + ["--model", model_path, "--threshold", "-1"])
+            assert code == 6, argv
+            err = capsys.readouterr().err
+            assert "error: threshold must be >= 0, got -1.0" in err
+            assert "Traceback" not in err
+
     def test_exit_codes_are_distinct(self):
         from repro.api.errors import (
             BadRequestError,
@@ -259,6 +275,21 @@ class TestFlagSurface:
                   if "error:" in line]
         assert len(errors) == 1
         assert "argument --top-k: must be >= 1" in errors[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--images", "-2"],
+        ["search", "--images", "0"],
+        ["pipeline", "run", "--images", "-1"],
+        ["index", "build", "--output", "o", "--images", "-2"],
+    ])
+    def test_images_below_one_is_a_parse_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--model", "m"])
+        assert exit_info.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1
+        assert "argument --images: must be >= 1" in errors[0]
 
     def test_no_help_string_restates_a_default(self):
         """A generated flag shows its one default, taken from the field."""

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.api import AsteriaEngine, EngineConfig, IngestRequest
 from repro.cli import main
 from repro.index.store import MANIFEST_NAME
 
@@ -184,11 +185,18 @@ class TestIndexSearch:
 
 class TestPipelineRunEdge:
     def test_zero_images_is_clean(self, model_path, capsys):
-        assert main([
-            "pipeline", "run", "--model", model_path, "--images", "0",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "stage  decompile" in out  # empty stats, not a traceback
+        # the flag takes a count (argparse's exit 2, one error line) ...
+        with pytest.raises(SystemExit) as exit_info:
+            main(["pipeline", "run", "--model", model_path, "--images", "0"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --images: must be >= 1" in err
+        assert "Traceback" not in err
+        # ... while the engine's empty corpus reports empty stats
+        engine = AsteriaEngine(EngineConfig(model_path=model_path))
+        result = engine.ingest(IngestRequest(corpus_images=0))
+        assert result.n_rows_total == 0
+        assert "stage  decompile" in result.pipeline.summary()
 
 
 class TestSearchTopK:

@@ -492,13 +492,13 @@ class TestCallSites:
 
     def test_encode_library_is_cached(self, make_vuln_search):
         cache = ArtifactCache.in_memory()
-        search = make_vuln_search(cache=cache)
-        first = search.encode_library()
+        engine = make_vuln_search(cache=cache).engine
+        first = engine.cve_library()
         # the engine memoizes: repeat calls return the same library
-        assert search.encode_library() is first
+        assert engine.cve_library() is first
         # a fresh engine sharing the artifact cache hits cached encodings
         hits_before = cache.stats.encoding_hits
-        second = make_vuln_search(cache=cache).encode_library()
+        second = make_vuln_search(cache=cache).engine.cve_library()
         assert cache.stats.encoding_hits >= hits_before + len(CVE_LIBRARY)
         assert set(first) == {entry.cve_id for entry in CVE_LIBRARY}
         for cve_id, (entry, encoding) in first.items():

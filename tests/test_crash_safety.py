@@ -27,10 +27,9 @@ import numpy as np
 import pytest
 
 import repro.faults as faults
-from repro.api import AsteriaEngine, EngineConfig, EngineServer
+from repro.api import AsteriaEngine, EngineConfig, EngineServer, QueryRequest
 from repro.core.model import FunctionEncoding
 from repro.faults import FaultInjected, KILL_EXIT_CODE
-from repro.index.search import SearchService
 from repro.index.store import (
     MANIFEST_NAME,
     QUARANTINE_DIR,
@@ -239,10 +238,13 @@ class TestTornShardRecovery:
         assert len(store) == 10
         # verification decides which rows are served, never how they rank
         model = distance_head_model(DIM)
-        queries = [_encoding(i) for i in range(90, 94)]
+        requests = [
+            QueryRequest(encoding=_encoding(i), top_k=5)
+            for i in range(90, 94)
+        ]
         rankings = [
-            [[(hit.row, hit.score) for hit in hits] for hits in
-             SearchService(model, opened).query_batch(queries, top_k=5)]
+            [[(hit.row, hit.score) for hit in result.hits] for result in
+             AsteriaEngine(model=model, store=opened).query_batch(requests)]
             for opened in (store, EmbeddingStore.open(root))
         ]
         assert rankings[0] == rankings[1]
@@ -295,22 +297,26 @@ class TestAnnFaults:
         store.add_batch(_encoding(i, dim=dim) for i in range(12))
         store.flush()
         registry = MetricsRegistry()
-        service = SearchService(
-            trained_model, store, backend="ivf-pq", registry=registry,
+        engine = AsteriaEngine(
+            EngineConfig(backend="ivf-pq"), model=trained_model,
+            store=store, registry=registry,
         )
+        request = QueryRequest(encoding=_encoding(99, dim=dim), top_k=3)
         faults.configure("ann.build=raise")
-        hits = service.query(_encoding(99, dim=dim), top_k=3)
+        hits = engine.query(request).hits
         assert len(hits) == 3  # exact sweep answered instead of failing
+        stats = engine.stats()
+        assert stats.degraded
         assert any(
-            "serving exact sweeps" in r for r in service.degraded_reasons
+            "serving exact sweeps" in r for r in stats.degraded_reasons
         )
         assert registry.value("repro_ann_fallback_total") >= 1
         # once construction works again, a rebuild clears the flag
         faults.clear()
         store.add_batch([_encoding(100, dim=dim)])
         store.flush()
-        service.query(_encoding(99, dim=dim), top_k=3)
-        assert service.degraded_reasons == []
+        engine.query(request)
+        assert engine.stats().degraded_reasons == []
 
 
 # -- artifact cache crashes ------------------------------------------------

@@ -1,4 +1,5 @@
-"""Tests for the embedding index subsystem (store, ANN backends, service)."""
+"""Tests for the embedding index subsystem (store, ANN backends, and the
+Table IV search through the engine's index)."""
 
 import json
 import os
@@ -13,12 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.index.ann as ann
-from repro.api import AsteriaEngine, EngineConfig, QueryRequest
+from repro.api import AsteriaEngine, EngineConfig, IngestRequest, QueryRequest
 from repro.core.model import Asteria, AsteriaConfig, FunctionEncoding
 from repro.core.siamese import _PASS_BYTES, _tile_rows
 from repro.evalsuite.vulnsearch import build_firmware_dataset
 from repro.index.ann import BruteForceIndex, make_index
-from repro.index.search import SearchService
 from repro.index.store import (
     FORMAT_VERSION,
     MANIFEST_NAME,
@@ -133,7 +133,7 @@ class TestEmbeddingStore:
             )
             assert len(engine.query(request).hits) == 3
             assert not engine.stats().degraded
-        assert engine.service.index().rows_quantized == 6
+        assert engine.stats().ann_rows_quantized == 6
         assert engine.store.ann["kind"] == "ivf-pq"
         assert EmbeddingStore.open(root).ann["kind"] == "ivf-pq"
 
@@ -747,50 +747,54 @@ class TestAnnBackends:
 
 
 class TestSearchService:
+    """The Table IV search as an engine client: ingest the corpus, then
+    one ``engine.query_batch`` of the CVE library."""
+
     @pytest.fixture(scope="class")
     def firmware(self):
         return build_firmware_dataset(n_images=4, seed=3)
 
     @pytest.fixture(scope="class")
-    def vuln_search(self, make_vuln_search):
-        return make_vuln_search(threshold=0.8)
+    def vuln_search(self, make_vuln_search, firmware):
+        search = make_vuln_search(threshold=0.8)
+        search.engine.ingest(IngestRequest(images=firmware.images))
+        return search
 
-    @pytest.fixture(scope="class")
-    def service(self, vuln_search, firmware):
-        return vuln_search.build_index(firmware)
-
-    def test_ingest_counts(self, service, firmware):
+    def test_ingest_counts(self, vuln_search, firmware):
         # every decompiled function above the size floor is stored once
-        assert len(service.store) > 0
-        image_ids = {
-            meta.image_id for meta in service.store.iter_metadata()
-        }
+        store = vuln_search.engine.store
+        assert len(store) > 0
+        image_ids = {meta.image_id for meta in store.iter_metadata()}
         unpackable = {
             image.identifier
             for image in firmware.images if not image.unknown_format
         }
         assert image_ids == unpackable
 
-    def test_query_returns_metadata(self, service, vuln_search):
-        library = vuln_search.encode_library()
-        _entry, encoding = sorted(library.items())[0][1]
-        hits = service.query(encoding, top_k=5)
+    def test_query_returns_metadata(self, vuln_search):
+        cve_id = sorted(vuln_search.engine.cve_library())[0]
+        hits = vuln_search.engine.query(
+            QueryRequest(cve_id=cve_id, top_k=5)
+        ).hits
         assert len(hits) == 5
         assert hits[0].score >= hits[-1].score
         for hit in hits:
             assert hit.name.startswith("sub_")
             assert hit.image_id
 
-    def test_index_path_matches_exhaustive(
-        self, vuln_search, firmware, service
-    ):
+    @pytest.mark.parametrize("seed", [3, 5, 9])
+    def test_index_path_matches_exhaustive(self, make_vuln_search, seed):
+        firmware = build_firmware_dataset(n_images=4, seed=seed)
+        vuln_search = make_vuln_search(threshold=0.8)
+        vuln_search.engine.ingest(IngestRequest(images=firmware.images))
         report_ex, cands_ex = vuln_search.search_exhaustive(firmware)
-        report_ix, cands_ix = vuln_search.search(firmware, service=service)
+        report_ix, cands_ix = vuln_search.search(firmware)
 
         def key(c):
             return (c.entry.cve_id, c.image.identifier, c.binary_name,
                     c.function_name, c.confirmed)
 
+        assert cands_ix  # the comparison is not vacuous
         assert {key(c) for c in cands_ex} == {key(c) for c in cands_ix}
         assert report_ex.total_confirmed() == report_ix.total_confirmed()
         assert report_ex.n_functions == report_ix.n_functions
@@ -802,26 +806,38 @@ class TestSearchService:
         scores_ix = sorted(round(c.score, 9) for c in cands_ix)
         assert scores_ex == pytest.approx(scores_ix)
 
-    def test_top_k_caps_candidates(self, vuln_search, firmware, service):
-        _report, cands = vuln_search.search(firmware, service=service,
-                                            top_k=1)
+    def test_top_k_caps_candidates(self, vuln_search, firmware):
+        _report, cands = vuln_search.search(firmware, top_k=1)
         per_cve = {}
         for c in cands:
             per_cve[c.entry.cve_id] = per_cve.get(c.entry.cve_id, 0) + 1
         assert all(count <= 1 for count in per_cve.values())
 
-    def test_persistent_index_same_results(
-        self, vuln_search, firmware, service, tmp_path, trained_model
+    def test_search_refuses_an_index_of_another_corpus(
+        self, vuln_search, firmware
     ):
-        from repro.index.store import EmbeddingStore
+        other = build_firmware_dataset(n_images=1, seed=3)
+        assert {i.identifier for i in other.images} < {
+            i.identifier for i in firmware.images
+        }
+        with pytest.raises(ValueError, match="not in the dataset"):
+            vuln_search.search(other)
 
-        root = tmp_path / "fw-index"
-        vuln_search.build_index(firmware, root=root)
-        reopened = SearchService(trained_model, EmbeddingStore.open(root))
-        library = vuln_search.encode_library()
-        _entry, encoding = sorted(library.items())[0][1]
-        fresh = [(h.row, h.name, round(h.score, 12))
-                 for h in service.query(encoding, top_k=5)]
-        durable = [(h.row, h.name, round(h.score, 12))
-                   for h in reopened.query(encoding, top_k=5)]
-        assert fresh == durable
+    def test_persistent_index_same_results(
+        self, vuln_search, firmware, tmp_path, trained_model
+    ):
+        config = EngineConfig(index_root=str(tmp_path / "fw-index"))
+        AsteriaEngine(config, model=trained_model).ingest(
+            IngestRequest(images=firmware.images)
+        )
+        reopened = AsteriaEngine(config, model=trained_model)
+        reopened.open_index()
+        request = QueryRequest(
+            cve_id=sorted(reopened.cve_library())[0], top_k=5
+        )
+
+        def ranking(engine):
+            return [(h.row, h.name, round(h.score, 12))
+                    for h in engine.query(request).hits]
+
+        assert ranking(vuln_search.engine) == ranking(reopened)

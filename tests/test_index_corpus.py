@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.faults as faults
+from repro.api import AsteriaEngine, QueryRequest
 from repro.core.model import Asteria, AsteriaConfig, FunctionEncoding
 from repro.index.ann import BruteForceIndex, select_top_k
 from repro.index.quant import IvfPqIndex
-from repro.index.search import SearchService
 from repro.index.store import EmbeddingStore, ShardedMatrix, StoreError
 
 
@@ -538,9 +538,10 @@ class TestTopKBatch:
                 _encoding(i, 16, vector=vectors[i]), image_id="img/a"
             )
         store.flush()
-        service = SearchService(corpus_model, store)
-        serial = [service.query(q, top_k=5) for q in queries]
-        batched = service.query_batch(queries, top_k=5)
+        engine = AsteriaEngine(model=corpus_model, store=store)
+        requests = [QueryRequest(encoding=q, top_k=5) for q in queries]
+        serial = [engine.query(r).hits for r in requests]
+        batched = [r.hits for r in engine.query_batch(requests)]
         for a, b in zip(serial, batched):
             assert [h.row for h in a] == [h.row for h in b]
             assert [h.name for h in a] == [h.name for h in b]

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro.faults as faults
 import repro.index.quant as quant
+from repro.api import AsteriaEngine, EngineConfig, QueryRequest
 from repro.api.errors import BadRequestError
 from repro.core.model import Asteria, AsteriaConfig, FunctionEncoding
 from repro.faults import FaultInjected
@@ -34,7 +35,6 @@ from repro.index.quant import (
     kmeans_centroids,
     quantize_int8,
 )
-from repro.index.search import SearchService
 from repro.index.store import EmbeddingStore
 from repro.index.synth import (
     SynthSpec,
@@ -342,28 +342,34 @@ class TestPersistedIvfPq:
         self, tmp_path, model, spec
     ):
         store = _filled_store(tmp_path / "idx", spec)
-        service = SearchService(model, store, backend="ivf-pq", seed=4)
-        assert service.index().rows_quantized == len(store)
+        config = EngineConfig(backend="ivf-pq", seed=4)
+        requests = [
+            QueryRequest(encoding=query, top_k=5)
+            for query in synth_queries(spec, range(4))
+        ]
+        first = AsteriaEngine(config, model=model, store=store)
+        rankings = [
+            [h.row for h in r.hits] for r in first.query_batch(requests)
+        ]
+        stats = first.stats()
+        assert not stats.ann_persisted
+        assert stats.ann_rows_quantized == len(store)
         manifest = store.ann
         assert manifest["kind"] == "ivf-pq"
         assert manifest["file"] == "ann-ivf-pq.npz"
         assert len(manifest["sha256"]) == 64
 
-        again = SearchService(
-            model, EmbeddingStore.open(tmp_path / "idx"),
-            backend="ivf-pq", seed=4,
+        again = AsteriaEngine(
+            config, model=model, store=EmbeddingStore.open(tmp_path / "idx")
         )
-        index = again.index()
-        assert index.loaded_from_state
-        assert index.rows_quantized == 0
-        info = again.ann_info()
-        assert info["persisted"] is True
-        assert info["nprobe"] == 8
-        assert info["rows_quantized"] == 0
-        queries = synth_queries(spec, range(4))
-        for query in queries:
-            assert [h.row for h in service.query(query, top_k=5)] \
-                == [h.row for h in again.query(query, top_k=5)]
+        assert rankings == [
+            [h.row for h in r.hits] for r in again.query_batch(requests)
+        ]
+        stats = again.stats()
+        assert stats.ann_persisted is True
+        assert stats.ann_nprobe == 8
+        assert stats.ann_rows_quantized == 0
+        assert stats.ann_rows_projected == 0
 
     def test_torn_persist_keeps_previous_generation(
         self, tmp_path, model, spec
@@ -391,12 +397,18 @@ class TestPersistedIvfPq:
         self, tmp_path, model, spec
     ):
         store = _filled_store(tmp_path / "idx", spec)
-        service = SearchService(model, store, backend="ivf-pq", seed=4)
+        engine = AsteriaEngine(
+            EngineConfig(backend="ivf-pq", seed=4), model=model, store=store
+        )
         faults.configure("ann.build=raise")
-        hits = service.query(synth_queries(spec, [0])[0], top_k=5)
+        hits = engine.query(
+            QueryRequest(encoding=synth_queries(spec, [0])[0], top_k=5)
+        ).hits
         assert len(hits) == 5  # exact sweep answered instead of failing
+        stats = engine.stats()
+        assert stats.ann_backend == "ivf-pq"
         assert any(
-            "serving exact sweeps" in r for r in service.degraded_reasons
+            "serving exact sweeps" in r for r in stats.degraded_reasons
         )
 
 

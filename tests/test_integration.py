@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import IngestRequest
 from repro.core import build_cross_arch_pairs, to_tree_pairs
 from repro.core.model import Asteria, AsteriaConfig
 from repro.evalsuite.metrics import roc_auc, youden_threshold
@@ -53,6 +54,7 @@ class TestVulnerabilitySearch:
         # Youden-style threshold from a quick self-calibration: the paper
         # uses 0.84; at miniature training scale we derive it the same way.
         search = make_vuln_search(threshold=0.8)
+        search.engine.ingest(IngestRequest(images=dataset.images))
         report, candidates = search.search(dataset)
         return dataset, report, candidates
 
