@@ -6,8 +6,11 @@ model + cache + index + pipeline stack.  Everything a consumer needs::
     from repro.api import AsteriaEngine, EngineConfig
 
     engine = AsteriaEngine(EngineConfig(model_path="asteria.npz"))
-    engine.ingest(corpus_images=8, corpus_seed=0)
+    stats = engine.ingest(corpus_images=8, corpus_seed=0)  # PipelineStats
     result = engine.query(cve_id="CVE-2016-2105", top_k=10)
+
+An ingest is one pipeline run, and it returns that run's
+:class:`~repro.pipeline.corpus.PipelineStats`.
 
 See :mod:`repro.api.engine` for the request/response dataclasses,
 :mod:`repro.api.server` for the HTTP serving layer (``repro-cli serve``)
@@ -25,7 +28,6 @@ from repro.api.engine import (
     EncodeResult,
     EngineStats,
     IngestRequest,
-    IngestResult,
     QueryRequest,
     QueryResult,
     TrainRequest,
@@ -55,7 +57,6 @@ __all__ = [
     "EngineStats",
     "IndexStoreError",
     "IngestRequest",
-    "IngestResult",
     "InputNotFoundError",
     "MicroBatcher",
     "ModelNotFoundError",

@@ -7,7 +7,7 @@ as a small set of typed request/response dataclasses:
 
 * :meth:`AsteriaEngine.encode`  -- binary -> function encodings (cached);
 * :meth:`AsteriaEngine.ingest`  -- firmware/binaries -> embedding index
-  via the staged pipeline;
+  in one staged-pipeline run, returning that run's ``PipelineStats``;
 * :meth:`AsteriaEngine.query` / :meth:`query_batch` -- top-k similar
   functions, query-side encodes coalesced through the serving
   micro-batcher (:mod:`repro.api.batching`); a query batch sweeps the
@@ -146,24 +146,6 @@ class IngestRequest:
     binaries: Sequence = ()
     corpus_images: Optional[int] = None
     corpus_seed: int = 0
-
-
-@dataclass
-class IngestResult:
-    """Counts cover everything the request ingested.  ``pipeline`` is
-    the first pipeline run's per-stage stats (the firmware-images run
-    when a request carries both images and loose binaries), and its
-    ``times.index_s`` is the request's one append + flush; every run's
-    stats are in ``pipelines``."""
-
-    n_functions: int = 0
-    n_binaries: int = 0
-    n_images: int = 0
-    n_unpack_failures: int = 0
-    n_skipped_small: int = 0
-    n_rows_total: int = 0
-    pipeline: Optional[PipelineStats] = None
-    pipelines: List[PipelineStats] = field(default_factory=list)
 
 
 @dataclass
@@ -565,7 +547,7 @@ class AsteriaEngine:
                **kw) -> EncodeResult:
         """Offline phase for one binary (through the artifact cache)."""
         request = request or EncodeRequest(**kw)
-        binary = self._binary_of(request.binary)
+        binary = load_binary(request.binary)
         with trace("engine.encode", binary=binary.name):
             encodings = self.pipeline.encode_binary(binary)
         if request.function is not None:
@@ -582,8 +564,12 @@ class AsteriaEngine:
     # -- ingest ------------------------------------------------------------
 
     def ingest(self, request: Optional[IngestRequest] = None,
-               **kw) -> IngestResult:
-        """Offline phase for corpora: pipeline -> embedding index."""
+               **kw) -> PipelineStats:
+        """Offline phase for corpora: one pipeline run -> embedding index.
+
+        Returns that run's stats, with the Index stage (append + flush)
+        in ``times.index_s`` and the index's rows after it in
+        ``n_rows_total``."""
         request = request or IngestRequest(**kw)
         images = list(request.images)
         if request.corpus_images is not None:  # 0 = an (empty) corpus
@@ -593,53 +579,28 @@ class AsteriaEngine:
                 n_images=request.corpus_images, seed=request.corpus_seed
             )
             images.extend(dataset.images)
-        tagged = [
-            (item, "") if isinstance(item, BinaryFile) else tuple(item)
-            for item in request.binaries
-        ]
-        result = IngestResult()
         with trace("engine.ingest", n_images=len(images),
-                   n_binaries=len(tagged)) as span:
+                   n_binaries=len(request.binaries)) as span:
             # the pipeline runs without the engine lock (it holds its own
             # cache lock): stats and query pins never wait on a decompile
-            runs = []
-            if images or not tagged:
-                # an images run always happens unless the request was
-                # binaries-only, so result.pipeline is never None and an
-                # empty corpus reports empty stats rather than nothing
-                runs.append(self.pipeline.run_images(images))
-            if tagged:
-                runs.append(self.pipeline.run_binaries(tagged))
-            for run in runs:
-                self._merge_ingest(result, run.stats)
+            run = self.pipeline.run(images, request.binaries)
+            stats = run.stats
             with self._lock:  # the Index stage: append, flush once
                 store = self.store
                 started = time.perf_counter()
-                for run in runs:
-                    for image_id, encoding in run.encodings:
-                        store.add(encoding, image_id=image_id)
+                for image_id, encoding in run.encodings:
+                    store.add(encoding, image_id=image_id)
                 store.flush()
                 self.pipeline.record_index(
-                    result.pipeline, time.perf_counter() - started
+                    stats, time.perf_counter() - started, len(store)
                 )
-                result.n_rows_total = len(store)
-            span.set(n_functions=result.n_functions,
-                     n_rows_total=result.n_rows_total)
+            span.set(n_functions=stats.n_functions,
+                     n_rows_total=stats.n_rows_total)
         _LOG.info(
             "ingested %d functions (%d total rows)",
-            result.n_functions, result.n_rows_total,
+            stats.n_functions, stats.n_rows_total,
         )
-        return result
-
-    @staticmethod
-    def _merge_ingest(result: IngestResult, stats: PipelineStats) -> None:
-        result.n_functions += stats.n_functions
-        result.n_binaries += stats.n_binaries
-        result.n_images += stats.n_images
-        result.n_unpack_failures += stats.n_unpack_failures
-        result.n_skipped_small += stats.n_skipped_small
-        result.pipelines.append(stats)
-        result.pipeline = result.pipelines[0]
+        return stats
 
     # -- query -------------------------------------------------------------
 
@@ -882,7 +843,7 @@ class AsteriaEngine:
                 )
             if not request.function:
                 raise BadRequestError("binary queries need a function name")
-            binary = self._binary_of(request.binary)
+            binary = load_binary(request.binary)
             extracted, rows = self._extracted_for(binary)
             if request.function not in rows:
                 raise BadRequestError(
@@ -961,7 +922,7 @@ class AsteriaEngine:
         (the paper's pairwise protocol scores every decompilable one)."""
         from repro.decompiler import decompile_function
 
-        binary = self._binary_of(source)
+        binary = load_binary(source)
         try:
             record = binary.function_named(function)
         except KeyError as exc:
@@ -1054,22 +1015,31 @@ class AsteriaEngine:
         self._sync_observability()
         return self.obs.snapshot()
 
-    # -- input loading -----------------------------------------------------
 
-    def _binary_of(self, source: Optional[BinarySource]) -> BinaryFile:
-        if isinstance(source, BinaryFile):
-            return source
-        if source is None:
-            raise BadRequestError("no binary given")
-        path = Path(source)
-        if not path.exists():
-            raise InputNotFoundError(f"no such binary: {path}")
-        try:
-            return BinaryFile.from_bytes(path.read_bytes())
-        except Exception as exc:
-            raise BadRequestError(
-                f"{path} is not a valid RBIN binary: {exc}"
-            ) from exc
+# -- input loading -----------------------------------------------------------------
+
+
+def parse_binary(data: bytes, label: str) -> BinaryFile:
+    """RBIN bytes as a binary, else a BadRequestError naming ``label``."""
+    try:
+        return BinaryFile.from_bytes(data)
+    except Exception as exc:
+        raise BadRequestError(
+            f"{label} is not a valid RBIN binary: {exc}"
+        ) from exc
+
+
+def load_binary(source: Optional[BinarySource]) -> BinaryFile:
+    """A binary, or the RBIN file at a path: a missing file is
+    InputNotFoundError, one that is not RBIN a BadRequestError."""
+    if isinstance(source, BinaryFile):
+        return source
+    if source is None:
+        raise BadRequestError("no binary given")
+    path = Path(source)
+    if not path.exists():
+        raise InputNotFoundError(f"no such binary: {path}")
+    return parse_binary(path.read_bytes(), str(path))
 
 
 # -- training -----------------------------------------------------------------------

@@ -62,6 +62,7 @@ from repro.api.engine import (
     IngestRequest,
     QueryRequest,
     USE_DEFAULT,
+    parse_binary,
 )
 from repro.api.errors import (
     BadRequestError,
@@ -127,12 +128,7 @@ def _binary_from_b64(payload: Dict, key: str = "binary_b64") -> BinaryFile:
         data = base64.b64decode(raw, validate=True)
     except (binascii.Error, ValueError) as exc:
         raise BadRequestError(f"{key} is not valid base64: {exc}") from exc
-    try:
-        return BinaryFile.from_bytes(data)
-    except Exception as exc:
-        raise BadRequestError(
-            f"{key} is not a valid RBIN binary: {exc}"
-        ) from exc
+    return parse_binary(data, key)
 
 
 class EngineRequestHandler(BaseHTTPRequestHandler):

@@ -15,7 +15,6 @@ from repro.binformat.binary import (
 from repro.binformat.encoding import encode_function, EncodingError
 from repro.binformat.firmware import FirmwareImage, pack_firmware
 from repro.binformat.binwalk import scan_firmware, unpack_firmware, UnpackError
-from repro.binformat.callgraph import build_call_graph
 
 __all__ = [
     "BinaryFile",
@@ -29,5 +28,4 @@ __all__ = [
     "scan_firmware",
     "unpack_firmware",
     "UnpackError",
-    "build_call_graph",
 ]

@@ -51,6 +51,7 @@ from repro.api.engine import (
     IngestRequest,
     QueryRequest,
     TrainRequest,
+    load_binary,
     train_model,
 )
 from repro.api.errors import (
@@ -58,7 +59,6 @@ from repro.api.errors import (
     EngineError,
     InputNotFoundError,
 )
-from repro.binformat.binary import BinaryFile
 from repro.lang.generator import ProgramGenerator
 from repro.lang.printer import to_source
 
@@ -100,16 +100,10 @@ def _cmd_compile(args) -> int:
     return 0
 
 
-def _load_binary(path: str) -> BinaryFile:
-    if not Path(path).exists():
-        raise InputNotFoundError(f"no such binary: {path}")
-    return BinaryFile.from_bytes(Path(path).read_bytes())
-
-
 def _cmd_disasm(args) -> int:
     from repro.disasm import disassemble_binary
 
-    binary = _load_binary(args.binary)
+    binary = load_binary(args.binary)
     for asm in disassemble_binary(binary):
         if args.function and asm.name != args.function:
             continue
@@ -122,7 +116,7 @@ def _cmd_decompile(args) -> int:
     from repro.decompiler import decompile_binary
     from repro.lang.printer import _stmt_lines
 
-    binary = _load_binary(args.binary)
+    binary = load_binary(args.binary)
     for fn in decompile_binary(binary, skip_errors=True):
         if args.function and fn.name != args.function:
             continue
@@ -186,7 +180,7 @@ def _cmd_pipeline_run(args) -> int:
     result = _engine(args).ingest(IngestRequest(
         corpus_images=args.images, corpus_seed=args.seed
     ))
-    print(result.pipeline.summary())
+    print(result.summary())
     return 0
 
 

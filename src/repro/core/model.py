@@ -250,24 +250,6 @@ class Asteria:
             return m
         return calibrated_similarity(m, e1.callee_count, e2.callee_count)
 
-    def similarity_batch(
-        self,
-        query: FunctionEncoding,
-        vectors: np.ndarray,
-        callee_counts: Optional[np.ndarray] = None,
-        calibrate: bool = True,
-    ) -> np.ndarray:
-        """F(query, corpus) for a whole ``(n, h)`` encoding matrix at once.
-
-        The matrix-at-once analogue of :meth:`similarity`: one broadcasted
-        pass through the Siamese head plus a vectorised calibration term.
-        ``callee_counts`` must align row-for-row with ``vectors`` when
-        ``calibrate`` is set.
-        """
-        return self.similarity_matrix(
-            [query], vectors, callee_counts, calibrate=calibrate
-        )[0]
-
     def similarity_matrix(
         self,
         queries: Sequence[FunctionEncoding],
@@ -277,10 +259,11 @@ class Asteria:
     ) -> np.ndarray:
         """F(queries, corpus) as one ``(q, n)`` score matrix.
 
-        The matrix-matrix form of :meth:`similarity_batch`: Q query
-        encodings are scored against an ``(n, h)`` corpus matrix in one
-        broadcasted pass through the Siamese head (batched GEMMs against
-        the head weights) plus a vectorised ``(q, n)`` calibration term.
+        The matrix form of :meth:`similarity`: Q query encodings are
+        scored against an ``(n, h)`` corpus matrix in one broadcasted pass
+        through the Siamese head (batched GEMMs against the head weights)
+        plus a vectorised ``(q, n)`` calibration term; ``callee_counts``
+        aligns row-for-row with ``vectors`` when ``calibrate`` is set.
         This is what lets :meth:`AnnIndex.top_k_batch
         <repro.index.ann.AnnIndex.top_k_batch>` amortise a corpus sweep
         across every concurrent query instead of re-reading the corpus

@@ -188,7 +188,7 @@ def measure_offline_pipeline(
         model=asteria,
         cache=cache,
     ).pipeline
-    return pipeline.run_binaries(binaries).stats
+    return pipeline.run(binaries=binaries).stats
 
 
 def corpus_columns(dataset: Dataset, min_ast_size: int) -> List[TreeColumns]:

@@ -282,7 +282,7 @@ class VulnerabilitySearch:
         returned list keeps the seed's ``(image, binary name, encoding)``
         shape for :meth:`search_exhaustive`.
         """
-        result = self.pipeline.run_images(dataset.images)
+        result = self.pipeline.run(dataset.images)
         images_by_id = {image.identifier: image for image in dataset.images}
         _LOG.info(
             "indexed %d functions (%d images unidentifiable)",

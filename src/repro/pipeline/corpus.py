@@ -4,10 +4,13 @@
 phase (§V, Fig. 10): every consumer -- the firmware vulnerability search,
 the timing suite, dataset builders, the persistent index and the CLI --
 feeds corpora through it instead of hand-rolling its own
-unpack/decompile/encode loop.  A run returns its encodings, tagged with
-their firmware image, and writes no index: the Index stage (append +
-flush) is the caller's -- ``AsteriaEngine.ingest`` times it into
-:attr:`StageTimes.index_s` through :meth:`CorpusPipeline.record_index`.
+unpack/decompile/encode loop.  :meth:`CorpusPipeline.run` is its one
+entry point: one call takes firmware images and loose binaries together
+and is one run.  A run returns its encodings, tagged with their firmware
+image, and writes no index: the Index stage (append + flush) is the
+caller's -- ``AsteriaEngine.ingest`` times it into
+:attr:`StageTimes.index_s` through :meth:`CorpusPipeline.record_index`
+and returns the run's :class:`PipelineStats`.
 On top of the shared stage functions it adds:
 
 * **artifact caching** (:class:`~repro.pipeline.cache.ArtifactCache`):
@@ -29,7 +32,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.binformat.binary import BinaryFile
 from repro.binformat.binwalk import UnpackError
@@ -85,6 +88,7 @@ class PipelineStats:
     n_encoded: int = 0  # digests encoded this run
     n_functions: int = 0  # encodings produced, over occurrences
     n_skipped_small: int = 0  # below-size-floor functions, over occurrences
+    n_rows_total: int = 0  # index rows after the caller's Index stage
     times: StageTimes = field(default_factory=StageTimes)
     cache: CacheStats = field(default_factory=CacheStats)
 
@@ -130,9 +134,6 @@ class PipelineResult:
     encodings: List[Tuple[str, FunctionEncoding]]
     stats: PipelineStats
 
-    def function_encodings(self) -> List[FunctionEncoding]:
-        return [encoding for _image_id, encoding in self.encodings]
-
 
 @dataclass
 class _Entry:
@@ -175,6 +176,7 @@ class CorpusPipeline:
         self.registry = registry
         self._fingerprint: Optional[str] = None
         self._lock = threading.Lock()  # the artifact cache is not thread-safe
+        self._counted = CacheStats()  # cache lookups already in the counters
 
     @property
     def model_fingerprint(self) -> str:
@@ -185,37 +187,35 @@ class CorpusPipeline:
 
     # -- entry points ------------------------------------------------------
 
-    def run_images(self, images: Iterable) -> PipelineResult:
-        """Run the full pipeline over firmware images."""
+    def run(
+        self,
+        images: Iterable = (),
+        binaries: Iterable[Union[BinaryFile, Tagged]] = (),
+    ) -> PipelineResult:
+        """One run of every stage over firmware images plus loose binaries.
+
+        An unidentifiable image is counted and skipped.  A loose binary is
+        a :class:`BinaryFile` (tagged ``""``) or a ``(binary, image_id)``
+        pair.  Encodings come back per occurrence: each image's binaries,
+        then the loose ones."""
         stats = PipelineStats()
         tagged: List[Tagged] = []
         started = time.perf_counter()
         for image in images:
             stats.n_images += 1
             try:
-                binaries = unpack_stage(image)
+                unpacked = unpack_stage(image)
             except UnpackError:
                 stats.n_unpack_failures += 1
                 continue
-            tagged.extend((binary, image.identifier) for binary in binaries)
+            tagged.extend((binary, image.identifier) for binary in unpacked)
         stats.times.unpack_s = time.perf_counter() - started
+        tagged.extend(
+            (item, "") if isinstance(item, BinaryFile) else tuple(item)
+            for item in binaries
+        )
         with self._lock:
             return self._run(tagged, stats)
-
-    def run_binaries(
-        self, binaries: Sequence[Union[BinaryFile, Tagged]]
-    ) -> PipelineResult:
-        """Run the Decompile..Encode stages over loose binaries.
-
-        Accepts plain :class:`BinaryFile` items or ``(binary, image_id)``
-        pairs when encodings should stay tagged with their source image.
-        """
-        tagged: List[Tagged] = [
-            (item, "") if isinstance(item, BinaryFile) else item
-            for item in binaries
-        ]
-        with self._lock:
-            return self._run(tagged, PipelineStats())
 
     def encode_binary(self, binary: BinaryFile) -> List[FunctionEncoding]:
         """Offline phase for one binary, through the cache.
@@ -223,7 +223,7 @@ class CorpusPipeline:
         Used for query-side encodings (CVE library, ``repro-cli compare``
         style lookups) so repeated runs skip re-decompiling the query.
         """
-        return self.run_binaries([binary]).function_encodings()
+        return [e for _image_id, e in self.run(binaries=[binary]).encodings]
 
     def extracted(self, binary: BinaryFile, digest: str) -> ExtractedBinary:
         """``binary``'s extracted columns through the ``trees`` cache.
@@ -236,18 +236,23 @@ class CorpusPipeline:
         min_ast_size = self.model.config.min_ast_size
         with self._lock:
             extracted = self.cache.get_trees(digest, min_ast_size)
+            self._count_cache()
         if extracted is None:
             extracted = extract_binary(binary, min_ast_size)
             with self._lock:
                 if self.cache.get_trees(digest, min_ast_size) is None:
                     self.cache.put_trees(digest, min_ast_size, extracted)
                     self.cache.flush()
+                self._count_cache()
         return extracted
 
-    def record_index(self, stats: PipelineStats, seconds: float) -> None:
+    def record_index(self, stats: PipelineStats, seconds: float,
+                     n_rows: int) -> None:
         """Charge a caller's append + flush of a run's encodings to that
-        run's Index stage (``stats.times.index_s`` and the stage counter)."""
+        run's Index stage (``stats.times.index_s`` and the stage counter),
+        and record the index's row count after it."""
         stats.times.index_s += seconds
+        stats.n_rows_total = n_rows
         if self.registry is not None:
             self._stage_counter("index").inc(seconds)
 
@@ -360,6 +365,7 @@ class CorpusPipeline:
 
         stats.cache = self.cache.stats.minus(cache_before)
         self._record(stats)
+        self._count_cache()
         _LOG.info(
             "pipeline: %d functions from %d binaries "
             "(%d unique, %d extracted, %d encoded; cache %d hits / %d misses)",
@@ -394,10 +400,20 @@ class CorpusPipeline:
         }
         for stage, seconds in stage_seconds.items():
             self._stage_counter(stage).inc(seconds)
+
+    def _count_cache(self) -> None:
+        """Fold the cache lookups since the last call into the by-kind
+        counters.  The pipeline follows every lookup with this call under
+        its lock, so the counters sum to the cache's lifetime totals."""
+        if self.registry is None:
+            return
+        reg = self.registry
+        now = self.cache.stats.snapshot()
+        delta = now.minus(self._counted)
+        self._counted = now
         for kind, hits, misses in (
-            ("tree", stats.cache.tree_hits, stats.cache.tree_misses),
-            ("encoding", stats.cache.encoding_hits,
-             stats.cache.encoding_misses),
+            ("tree", delta.tree_hits, delta.tree_misses),
+            ("encoding", delta.encoding_hits, delta.encoding_misses),
         ):
             reg.counter(
                 "repro_pipeline_cache_hits_total",

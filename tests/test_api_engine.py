@@ -566,25 +566,51 @@ class TestEngineLifecycle:
 
     def test_ingest_images_and_binaries_together(self, trained_model,
                                                  query_binary):
+        """Images plus loose binaries are one pipeline run, and store the
+        rows an ingest of the images, then of the binaries, stores."""
+        from repro.binformat.binwalk import UnpackError
         from repro.evalsuite.vulnsearch import build_firmware_dataset
+        from repro.pipeline.cache import binary_digest
+        from repro.pipeline.stages import unpack_stage
+
+        dataset = build_firmware_dataset(n_images=3, seed=6)
+        occurrences = []
+        for image in dataset.images:
+            try:
+                occurrences.extend(unpack_stage(image))
+            except UnpackError:
+                pass
+        inside = occurrences[0]  # a loose binary also inside an image
+        binaries = [query_binary, (inside, "loose")]
+        occurrences += [query_binary, inside]
+        digests = {binary_digest(b) for b in occurrences}
 
         engine = AsteriaEngine(EngineConfig(), model=trained_model)
-        dataset = build_firmware_dataset(n_images=2, seed=6)
+        runs_before = engine.obs.value("repro_pipeline_runs_total")
         result = engine.ingest(IngestRequest(
-            images=dataset.images, binaries=[query_binary],
+            images=dataset.images, binaries=binaries,
         ))
-        assert len(result.pipelines) == 2
-        assert result.pipeline is result.pipelines[0]
-        assert result.n_functions \
-            == sum(stats.n_functions for stats in result.pipelines)
-        assert result.n_rows_total == result.n_functions
+        assert engine.obs.value("repro_pipeline_runs_total") \
+            == runs_before + 1
+        assert result.n_images == len(dataset.images)
+        assert result.n_binaries == len(occurrences)
+        assert result.n_extracted == result.n_unique_binaries == len(digests)
+        assert result.n_rows_total == result.n_functions == len(engine.store)
+
+        two = AsteriaEngine(EngineConfig(), model=trained_model)
+        two.ingest(IngestRequest(images=dataset.images))
+        two.ingest(IngestRequest(binaries=binaries))
+        assert list(engine.store.iter_metadata()) \
+            == list(two.store.iter_metadata())
+        one_vectors = engine.store.vectors().take(np.arange(len(engine.store)))
+        two_vectors = two.store.vectors().take(np.arange(len(two.store)))
+        assert one_vectors.tobytes() == two_vectors.tobytes()
 
     def test_ingest_empty_corpus_still_reports_stats(self, trained_model):
         engine = AsteriaEngine(EngineConfig(), model=trained_model)
         result = engine.ingest(IngestRequest(corpus_images=0))
         assert result.n_functions == 0
-        assert result.pipeline is not None  # CLI prints its summary
-        assert result.pipeline.summary()
+        assert "stage  decompile" in result.summary()  # CLI prints it
 
     def test_open_index_requires_root(self, engine):
         with pytest.raises(IndexStoreError):
@@ -1014,7 +1040,7 @@ class TestIngestOutsideTheLock:
             "repro_pipeline_stage_seconds_total", stage="index"
         )
         result = engine.ingest(IngestRequest(binaries=[query_binary]))
-        index_s = result.pipeline.times.index_s
+        index_s = result.times.index_s
         assert index_s > 0
         grown = engine.obs.value(
             "repro_pipeline_stage_seconds_total", stage="index"
@@ -1279,3 +1305,29 @@ class TestMetricsAreStats:
             assert engine.obs.value(counter) == stats[name], counter
         assert stats["index_rows"] > 0 and stats["cache_misses"] > 0
         assert stats["n_queries"] == 1
+
+    def test_cache_kind_counters_sum_to_the_cache_gauges(
+        self, trained_model, query_binary
+    ):
+        """Every artifact-cache lookup is counted once by kind, the
+        query side's tree lookups included, so at each scrape the sums
+        over ``kind`` equal ``repro_cache_hits`` / ``repro_cache_misses``."""
+        engine = AsteriaEngine(EngineConfig(), model=trained_model)
+
+        def assert_agree():
+            engine.metrics_text()  # a scrape syncs the gauges
+            for what in ("hits", "misses"):
+                assert engine.obs.value(f"repro_pipeline_cache_{what}_total") \
+                    == engine.obs.value(f"repro_cache_{what}"), what
+
+        engine.ingest(IngestRequest(corpus_images=2, corpus_seed=3))
+        assert_agree()
+        function = engine.encode(
+            EncodeRequest(binary=query_binary)
+        ).encodings[0].name
+        for _ in range(2):  # a cold, then a memoized, binary query
+            engine.query(QueryRequest(
+                binary=query_binary, function=function, top_k=1
+            ))
+            assert_agree()
+        assert engine.obs.value("repro_cache_hits") > 0

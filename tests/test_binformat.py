@@ -4,7 +4,6 @@ import pytest
 
 from repro.binformat.binary import BinaryFile, LinkError, assemble_binary
 from repro.binformat.binwalk import UnpackError, scan_firmware, unpack_firmware
-from repro.binformat.callgraph import build_call_graph, callees_with_sizes
 from repro.binformat.encoding import (
     EncodingError,
     decode_instructions,
@@ -25,6 +24,7 @@ from repro.compiler.codegen import (
 )
 from repro.compiler.isa import SUPPORTED_ARCHES, get_isa
 from repro.compiler.pipeline import compile_package
+from repro.decompiler import decompile_function
 from repro.disasm.disassembler import disassemble_function
 
 
@@ -211,25 +211,15 @@ class TestFirmware:
 
 
 class TestCallGraph:
-    def test_nodes_and_sizes(self, package, binaries):
-        graph = build_call_graph(binaries["x86"])
-        for record in binaries["x86"].functions:
-            assert record.display_name() in graph.nodes
-            assert graph.nodes[record.display_name()]["n_instructions"] == \
-                record.n_instructions
-
     def test_callees_with_multiplicity(self, package, binaries):
+        """A function's callees, as read from its call instructions, list a
+        callee once per call site, each with its instruction count."""
         binary = binaries["x86"]
-        graph = build_call_graph(binary)
         for fn in package.functions:
-            from repro.disasm.disassembler import disassemble_function
-
             record = binary.function_named(fn.name)
             asm = disassemble_function(binary, record)
-            callees = callees_with_sizes(binary, fn.name, graph)
+            callees = decompile_function(binary, record).callees
             assert len(callees) == len(asm.callee_names())
-
-    def test_callgraph_on_stripped_binary(self, binaries):
-        stripped = binaries["arm"].strip()
-        graph = build_call_graph(stripped)
-        assert all(name.startswith("sub_") for name in graph.nodes)
+            for callee_name, size in callees:
+                assert size \
+                    == binary.function_named(callee_name).n_instructions

@@ -100,6 +100,16 @@ class TestBadRequest:
         assert "not_a_fn" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["disasm", "decompile"])
+    def test_non_rbin_binary(self, command, tmp_path, capsys):
+        junk = tmp_path / "junk.rbin"
+        junk.write_bytes(b"not a binary at all")
+        assert main([command, str(junk)]) == 6
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert f"error: {junk} is not a valid RBIN binary" in err
+        assert "Traceback" not in err
+
     def test_search_non_finite_threshold(self, model_path, capsys):
         code = main(["search", "--model", model_path, "--images", "2",
                      "--threshold", "nan"])

@@ -196,7 +196,7 @@ class TestPipelineRunEdge:
         engine = AsteriaEngine(EngineConfig(model_path=model_path))
         result = engine.ingest(IngestRequest(corpus_images=0))
         assert result.n_rows_total == 0
-        assert "stage  decompile" in result.pipeline.summary()
+        assert "stage  decompile" in result.summary()
 
 
 class TestSearchTopK:

@@ -31,7 +31,7 @@ def firmware():
 def cold_run(trained_model, firmware):
     """One cold serial run over an in-memory cache (the reference)."""
     pipeline = CorpusPipeline(trained_model)
-    return pipeline, pipeline.run_images(firmware.images)
+    return pipeline, pipeline.run(images=firmware.images)
 
 
 def _vectors(result):
@@ -86,7 +86,7 @@ class TestArtifactCacheAccounting:
 
     def test_warm_run_skips_decompile_and_encode(self, cold_run, firmware):
         pipeline, cold = cold_run
-        warm = pipeline.run_images(firmware.images)
+        warm = pipeline.run(images=firmware.images)
         stats = warm.stats
         assert stats.n_extracted == 0
         assert stats.n_encoded == 0
@@ -104,13 +104,13 @@ class TestArtifactCacheAccounting:
         root = tmp_path / "cache"
         CorpusPipeline(
             trained_model, cache=ArtifactCache(root)
-        ).run_images(firmware.images)
+        ).run(images=firmware.images)
         assert (root / MANIFEST_NAME).exists()
         assert list((root / OBJECTS_DIR).glob("*.npz"))
 
         warm = CorpusPipeline(
             trained_model, cache=ArtifactCache(root)
-        ).run_images(firmware.images)
+        ).run(images=firmware.images)
         assert warm.stats.n_extracted == 0
         assert warm.stats.n_encoded == 0
         assert np.array_equal(_vectors(reference), _vectors(warm))
@@ -124,14 +124,14 @@ class TestArtifactCacheInvalidation:
         root = tmp_path / "cache"
         CorpusPipeline(
             trained_model, cache=ArtifactCache(root)
-        ).run_images(firmware.images)
+        ).run(images=firmware.images)
 
         # untrained model, identical config: only the weights differ
         fresh = Asteria(AsteriaConfig(hidden_dim=32))
         assert fresh.fingerprint() != trained_model.fingerprint()
         run = CorpusPipeline(
             fresh, cache=ArtifactCache(root)
-        ).run_images(firmware.images)
+        ).run(images=firmware.images)
         stats = run.stats
         assert stats.cache.encoding_hits == 0
         assert stats.cache.encoding_misses == stats.n_unique_binaries
@@ -145,12 +145,12 @@ class TestArtifactCacheInvalidation:
         root = tmp_path / "cache"
         CorpusPipeline(
             trained_model, cache=ArtifactCache(root)
-        ).run_images(firmware.images)
+        ).run(images=firmware.images)
         run = CorpusPipeline(
             trained_model,
             cache=ArtifactCache(root),
             encode_batch_size=17,
-        ).run_images(firmware.images)
+        ).run(images=firmware.images)
         # encodings are keyed by weights + dtype, not batch size: all hit
         assert run.stats.cache.encoding_hits == run.stats.n_unique_binaries
         assert run.stats.n_encoded == 0
@@ -161,12 +161,12 @@ class TestArtifactCacheInvalidation:
         root = tmp_path / "cache"
         cold = CorpusPipeline(
             trained_model, cache=ArtifactCache(root)
-        ).run_images(firmware.images)
+        ).run(images=firmware.images)
         run = CorpusPipeline(
             trained_model,
             cache=ArtifactCache(root),
             encode_dtype="float32",
-        ).run_images(firmware.images)
+        ).run(images=firmware.images)
         stats = run.stats
         # same weights, different dtype: encodings re-run over cached trees
         assert stats.cache.encoding_hits == 0
@@ -183,12 +183,12 @@ class TestArtifactCacheInvalidation:
         root = tmp_path / "cache"
         CorpusPipeline(
             trained_model, cache=ArtifactCache(root)
-        ).run_images(firmware.images)
+        ).run(images=firmware.images)
 
         strict = Asteria(AsteriaConfig(hidden_dim=32, min_ast_size=9))
         run = CorpusPipeline(
             strict, cache=ArtifactCache(root)
-        ).run_images(firmware.images)
+        ).run(images=firmware.images)
         stats = run.stats
         assert stats.cache.tree_hits == 0
         assert stats.cache.tree_misses == stats.n_unique_binaries
@@ -202,19 +202,19 @@ class TestArtifactCacheRecovery:
         root = tmp_path / "cache"
         cold = CorpusPipeline(
             trained_model, cache=ArtifactCache(root)
-        ).run_images(firmware.images)
+        ).run(images=firmware.images)
         (root / MANIFEST_NAME).write_text("{not json")
 
         warm = CorpusPipeline(
             trained_model, cache=ArtifactCache(root)
-        ).run_images(firmware.images)
+        ).run(images=firmware.images)
         assert warm.stats.n_extracted == 0
         assert warm.stats.n_encoded == 0
         assert np.array_equal(_vectors(cold), _vectors(warm))
         # the recovered manifest is valid again
         assert CorpusPipeline(
             trained_model, cache=ArtifactCache(root)
-        ).run_images(firmware.images).stats.cache.misses == 0
+        ).run(images=firmware.images).stats.cache.misses == 0
 
     def test_missing_manifest_is_rebuilt_from_objects(
         self, tmp_path, trained_model, firmware
@@ -222,12 +222,12 @@ class TestArtifactCacheRecovery:
         root = tmp_path / "cache"
         CorpusPipeline(
             trained_model, cache=ArtifactCache(root)
-        ).run_images(firmware.images)
+        ).run(images=firmware.images)
         (root / MANIFEST_NAME).unlink()
 
         warm = CorpusPipeline(
             trained_model, cache=ArtifactCache(root)
-        ).run_images(firmware.images)
+        ).run(images=firmware.images)
         assert warm.stats.cache.misses == 0
 
     def test_corrupt_object_is_a_miss_and_rewritten(
@@ -236,13 +236,13 @@ class TestArtifactCacheRecovery:
         root = tmp_path / "cache"
         cold = CorpusPipeline(
             trained_model, cache=ArtifactCache(root)
-        ).run_images(firmware.images)
+        ).run(images=firmware.images)
         victim = sorted((root / OBJECTS_DIR).glob("enc-*.npz"))[0]
         victim.write_bytes(b"garbage")
 
         warm = CorpusPipeline(
             trained_model, cache=ArtifactCache(root)
-        ).run_images(firmware.images)
+        ).run(images=firmware.images)
         stats = warm.stats
         assert stats.cache.encoding_misses == 1
         assert stats.cache.tree_hits == 1  # fell back to the cached trees
@@ -252,7 +252,7 @@ class TestArtifactCacheRecovery:
         # the re-encode restored the object: fully warm again
         again = CorpusPipeline(
             trained_model, cache=ArtifactCache(root)
-        ).run_images(firmware.images)
+        ).run(images=firmware.images)
         assert again.stats.cache.misses == 0
 
 
@@ -316,7 +316,7 @@ def _fill_three_kind_cache(root, model, images):
     plan per binary."""
     cache = ArtifactCache(root)
     pipeline = CorpusPipeline(model, cache=cache)
-    result = pipeline.run_images(images)
+    result = pipeline.run(images=images)
     min_ast_size = model.config.min_ast_size
     node_budget = resolve_node_budget(0)
     digests = sorted(_unique_binaries(images))
@@ -345,7 +345,7 @@ class TestThreeKindCacheStillOpens:
         root = tmp_path / "cache"
         cold = _fill_three_kind_cache(root, trained_model, firmware.images)
         pipeline = CorpusPipeline(trained_model, cache=ArtifactCache(root))
-        warm = pipeline.run_images(firmware.images)
+        warm = pipeline.run(images=firmware.images)
         assert warm.stats.n_extracted == 0
         assert warm.stats.n_encoded == 0
         assert warm.stats.cache.encoding_hits == warm.stats.n_unique_binaries
@@ -371,8 +371,8 @@ class TestThreeKindCacheStillOpens:
 
         cache = ArtifactCache(root)
         assert len(cache) == n_objects  # the ctrees objects rescanned too
-        warm = CorpusPipeline(trained_model, cache=cache).run_images(
-            firmware.images
+        warm = CorpusPipeline(trained_model, cache=cache).run(
+            images=firmware.images
         )
         assert warm.stats.n_extracted == 0
         assert warm.stats.n_encoded == 0
@@ -425,8 +425,8 @@ class TestParallelDeterminism:
         self, trained_model, firmware, cold_run
     ):
         _pipeline, serial = cold_run
-        parallel = CorpusPipeline(trained_model, jobs=2).run_images(
-            firmware.images
+        parallel = CorpusPipeline(trained_model, jobs=2).run(
+            images=firmware.images
         )
         assert _rows(serial) == _rows(parallel)
         assert np.array_equal(_vectors(serial), _vectors(parallel))
@@ -514,11 +514,10 @@ class TestCallSites:
 
         engine = AsteriaEngine(EngineConfig(), model=trained_model)
         result = engine.ingest(IngestRequest(images=firmware.images))
-        assert result.n_functions == len(engine.store) > 0
-        assert result.pipeline.n_unique_binaries > 0
-        assert result.pipeline.cache.encoding_misses \
-            == result.pipeline.n_unique_binaries
-        assert result.n_skipped_small == result.pipeline.n_skipped_small
+        assert result.n_functions == len(engine.store) \
+            == result.n_rows_total > 0
+        assert result.n_unique_binaries > 0
+        assert result.cache.encoding_misses == result.n_unique_binaries
 
     def test_measure_offline_pipeline(self, trained_model, buildroot_small):
         from repro.evalsuite.timing import measure_offline_pipeline

@@ -165,13 +165,18 @@ class TestArchitectureArtefacts:
 
 class TestDecompiledMetadata:
     @pytest.mark.parametrize("arch", SUPPORTED_ARCHES)
-    def test_callees_with_sizes(self, package, binaries, arch):
-        binary = binaries[arch]
-        fns = decompile_binary(binary)
-        by_name = {f.name: f for f in fns}
-        for fn in fns:
-            for callee_name, size in fn.callees:
-                assert size == binary.function_named(callee_name).n_instructions
+    def test_callees_with_sizes(self, binaries, arch):
+        """A function's callees are its call sites, repeats included, each
+        with the callee's instruction count -- stripped binaries too."""
+        for binary in (binaries[arch], binaries[arch].strip()):
+            for fn in decompile_binary(binary):
+                record = binary.function_named(fn.name)
+                asm = disassemble_function(binary, record)
+                assert [name for name, _size in fn.callees] \
+                    == list(asm.callee_names())
+                for callee_name, size in fn.callees:
+                    assert size \
+                        == binary.function_named(callee_name).n_instructions
 
     def test_callee_count_filter(self, binaries):
         fns = decompile_binary(binaries["x86"])

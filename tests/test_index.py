@@ -231,7 +231,7 @@ class TestBatchedScoring:
     def test_classifier_matrix_matches_per_pair(self, corpus_model, corpus):
         vectors, counts, queries = corpus
         query = queries[0]
-        batched = corpus_model.similarity_batch(query, vectors, counts)
+        batched = corpus_model.similarity_matrix([query], vectors, counts)[0]
         singles = np.array([
             corpus_model.similarity(
                 query,
@@ -247,9 +247,9 @@ class TestBatchedScoring:
     def test_uncalibrated_matches_woc(self, corpus_model, corpus):
         vectors, _counts, queries = corpus
         query = queries[1]
-        batched = corpus_model.similarity_batch(
-            query, vectors, calibrate=False
-        )
+        batched = corpus_model.similarity_matrix(
+            [query], vectors, calibrate=False
+        )[0]
         singles = np.array([
             corpus_model.ast_similarity(query.vector, vectors[i])
             for i in range(len(vectors))
@@ -259,7 +259,7 @@ class TestBatchedScoring:
     def test_calibration_requires_counts(self, corpus_model, corpus):
         vectors, _counts, queries = corpus
         with pytest.raises(ValueError, match="callee_counts"):
-            corpus_model.similarity_batch(queries[0], vectors)
+            corpus_model.similarity_matrix([queries[0]], vectors)
 
     def test_regression_head_batched(self, corpus):
         vectors, _counts, queries = corpus
@@ -711,7 +711,7 @@ class TestAnnBackends:
         index = BruteForceIndex(corpus_model, vectors, counts)
         query = queries[0]
         neighbors = index.top_k(query, k=5)
-        scores = corpus_model.similarity_batch(query, vectors, counts)
+        scores = corpus_model.similarity_matrix([query], vectors, counts)[0]
         expected = sorted(
             range(len(vectors)), key=lambda i: (-scores[i], i)
         )[:5]
@@ -724,7 +724,9 @@ class TestAnnBackends:
         vectors, counts, queries = corpus
         index = BruteForceIndex(corpus_model, vectors, counts)
         neighbors = index.top_k(queries[0], k=None, threshold=0.5)
-        scores = corpus_model.similarity_batch(queries[0], vectors, counts)
+        scores = corpus_model.similarity_matrix(
+            [queries[0]], vectors, counts
+        )[0]
         assert len(neighbors) == int((scores >= 0.5).sum())
         assert all(n.score >= 0.5 for n in neighbors)
 
