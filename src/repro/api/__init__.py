@@ -17,7 +17,7 @@ See :mod:`repro.api.engine` for the request/response dataclasses,
 and :mod:`repro.api.batching` for the query micro-batcher.
 """
 
-from repro.api.batching import BatcherStats, MicroBatcher
+from repro.api.batching import MicroBatcher
 from repro.api.config import EngineConfig
 from repro.api.engine import (
     USE_DEFAULT,
@@ -46,7 +46,6 @@ from repro.api.server import EngineServer, serve
 __all__ = [
     "AsteriaEngine",
     "BadRequestError",
-    "BatcherStats",
     "CompareRequest",
     "CompareResult",
     "EncodeRequest",

@@ -20,41 +20,22 @@ Because the level-batched engine issues fixed-size GEMM blocks, the
 encoding of a tree is bit-for-bit independent of which other trees
 happen to share its batch: a coalesced encode returns exactly the bytes
 a serial encode would.
+
+The batcher keeps no counters: each batch is observed into its registry
+(``repro_microbatch_size``: count = batches, sum = items, max = widest)
+before any of its callers wakes, so a returned encode is always counted.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.api.errors import DeadlineExceededError
 from repro.obs.metrics import FRACTION_BUCKETS, SIZE_BUCKETS, MetricsRegistry
-
-
-@dataclass
-class BatcherStats:
-    """Coalescing counters (exposed via ``AsteriaEngine.stats()``)."""
-
-    n_batches: int = 0
-    n_items: int = 0
-    max_batch_size: int = 0
-
-    def record(self, size: int) -> None:
-        self.n_batches += 1
-        self.n_items += size
-        self.max_batch_size = max(self.max_batch_size, size)
-
-    @property
-    def mean_batch_size(self) -> float:
-        return self.n_items / self.n_batches if self.n_batches else 0.0
-
-    def coalesced(self) -> bool:
-        """Did any batch actually carry more than one request?"""
-        return self.max_batch_size > 1
 
 
 class _Item:
@@ -80,6 +61,7 @@ class MicroBatcher:
     ``encode_fn`` maps a sequence of trees to an ``(n, h)`` matrix.
     ``max_batch_size=1`` degenerates to serialized per-tree encoding --
     the baseline the serving throughput benchmark compares against.
+    With no ``registry`` the batcher observes into a private one.
     """
 
     def __init__(
@@ -97,8 +79,7 @@ class MicroBatcher:
         self._cond = threading.Condition()
         self._pending: List[_Item] = []
         self._busy = False
-        self.stats = BatcherStats()
-        self.registry = registry
+        self.registry = registry if registry is not None else MetricsRegistry()
 
     def encode(self, tree, deadline: Optional[float] = None) -> np.ndarray:
         """Encode one tree, riding whatever batch is forming."""
@@ -207,26 +188,19 @@ class MicroBatcher:
             for it in run:
                 it.error = exc
         finally:
+            # counted before any caller wakes: an encode that returned
+            # is always in the histogram
+            self._observe(run)
             with self._cond:
                 self._busy = False
-                self.stats.record(len(run))
                 for it in run:
                     it.done.set()
                 # wake followers: completed ones return, the rest elect
                 # the next leader immediately instead of timing out
                 self._cond.notify_all()
-            self._observe(run)
 
     def _observe(self, run: List[_Item]) -> None:
-        if self.registry is None:
-            return
         now = time.perf_counter()
-        self.registry.counter(
-            "repro_microbatch_batches_total", "Micro-batches run"
-        ).inc()
-        self.registry.counter(
-            "repro_microbatch_items_total", "Items coalesced into batches"
-        ).inc(len(run))
         self.registry.histogram(
             "repro_microbatch_size", "Items per micro-batch",
             buckets=SIZE_BUCKETS,

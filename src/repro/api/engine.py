@@ -285,13 +285,10 @@ POLLED_GAUGES = {
                              "Index bytes resident in process memory"),
     "degraded": ("repro_engine_degraded", "1 when serving in degraded mode "
                  "(quarantined shards, ANN fallback, ...)"),
-    "cache_hits": ("repro_cache_hits", "Artifact-cache hits (lifetime)"),
-    "cache_misses": ("repro_cache_misses",
-                     "Artifact-cache misses (lifetime)"),
 }
 
 #: ``EngineStats`` field -> the registry counter it is a view of (the hot
-#: paths stream these in; stats only reads them back).
+#: paths stream these in; stats only reads them back, summed over labels).
 REGISTRY_COUNTS = {
     "n_queries": "repro_queries_total",
     "n_query_batches": "repro_query_batches_total",
@@ -300,6 +297,8 @@ REGISTRY_COUNTS = {
     "encode_block_rows": "repro_encode_block_rows",
     "n_shed": "repro_requests_shed_total",
     "n_timeouts": "repro_request_timeouts_total",
+    "cache_hits": "repro_pipeline_cache_hits_total",
+    "cache_misses": "repro_pipeline_cache_misses_total",
 }
 
 
@@ -947,23 +946,26 @@ class AsteriaEngine:
         polling it cannot perturb the engine.  ``model_fingerprint`` is
         therefore only reported once the pipeline exists (i.e. after the
         first encode/ingest/query).
+
+        Every count is read from the registry: the ``REGISTRY_COUNTS``
+        counters, and ``micro_batch_*`` from one read of the
+        ``repro_microbatch_size`` histogram.
         """
-        batches = self.batcher.stats
+        sizes = self.obs.get("repro_microbatch_size")
+        batches, items, widest = sizes.totals() if sizes else (0, 0.0, 0.0)
         stats = EngineStats(
             model_loaded=self._model is not None,
             model_path=self.config.model_path,
             index_root=self.config.index_root,
-            micro_batches=batches.n_batches,
-            micro_batched_items=batches.n_items,
-            micro_batch_max=batches.max_batch_size,
-            micro_batch_mean=batches.mean_batch_size,
+            micro_batches=batches,
+            micro_batched_items=int(items),
+            micro_batch_max=int(widest),
+            micro_batch_mean=items / batches if batches else 0.0,
             config=self.config.to_dict(),
         )
         with self._lock:
             if self._pipeline is not None:
                 stats.model_fingerprint = self._pipeline.model_fingerprint
-                stats.cache_hits = self._pipeline.cache.stats.hits
-                stats.cache_misses = self._pipeline.cache.stats.misses
             if self._store is not None:
                 stats.index_rows = len(self._store)
                 stats.index_shards = self._store.n_shards

@@ -542,7 +542,8 @@ class AnnIndex:
     def _observe_batch(self, sizes: List[int], sweep_s: float) -> None:
         """Record rows scored per query (``sizes``: the backend's
         candidate list, or what the exact sweep's rings visited), the
-        fraction of the corpus that is, and the sweep time."""
+        fraction of the corpus that is, and the sweep time.  The
+        candidates' count is the queries the index answered."""
         n = len(self)
         span = current_span()
         if span is not None:
@@ -570,9 +571,6 @@ class AnnIndex:
             "repro_ann_sweep_seconds",
             "Blockwise corpus sweep + rerank wall time per batch",
         ).observe(sweep_s)
-        self.registry.counter(
-            "repro_ann_queries_total", "Queries answered by the index"
-        ).inc(len(sizes))
 
 
 class BruteForceIndex(AnnIndex):

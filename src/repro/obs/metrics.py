@@ -186,6 +186,11 @@ class Histogram:
         with self._lock:
             return self._sum
 
+    def totals(self) -> Tuple[int, float, float]:
+        """``(count, sum, max)`` in one locked read (max 0.0 when empty)."""
+        with self._lock:
+            return self._count, self._sum, self._max if self._count else 0.0
+
     def cumulative(self) -> List[Tuple[float, int]]:
         """``(upper_bound, cumulative_count)`` pairs, ending at +Inf."""
         with self._lock:
@@ -225,8 +230,7 @@ class Histogram:
         return hi
 
     def summary(self) -> Dict[str, float]:
-        with self._lock:
-            count, total = self._count, self._sum
+        count, total, _max = self.totals()
         return {
             "count": count,
             "sum": total,

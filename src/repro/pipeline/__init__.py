@@ -7,13 +7,9 @@ The one implementation of the paper's offline phase.  See
 :mod:`repro.pipeline.workers` for the extract worker pool.
 """
 
-from repro.pipeline.cache import (
-    ArtifactCache,
-    CacheStats,
-    artifact_key,
-    binary_digest,
-)
+from repro.pipeline.cache import ArtifactCache, artifact_key, binary_digest
 from repro.pipeline.corpus import (
+    CacheStats,
     CorpusPipeline,
     PipelineResult,
     PipelineStats,

@@ -32,13 +32,15 @@ object's sha256, so bitrot or out-of-band truncation is detected on read
 and degrades to a miss instead of corrupting downstream artifacts; an
 entry that records no checksum cannot be verified and is a miss too.
 ``root=None`` gives an ephemeral in-memory cache with the same API.
+
+The cache counts nothing: the pipeline counts each lookup where it makes
+it (``repro_pipeline_cache_{hits,misses}_total{kind}``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -57,38 +59,6 @@ _LOG = get_logger("pipeline.cache")
 MANIFEST_NAME = "manifest.json"
 FORMAT_VERSION = 1
 OBJECTS_DIR = "objects"
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss/store accounting, by artifact kind."""
-
-    tree_hits: int = 0
-    tree_misses: int = 0
-    encoding_hits: int = 0
-    encoding_misses: int = 0
-    stores: int = 0
-
-    @property
-    def hits(self) -> int:
-        return self.tree_hits + self.encoding_hits
-
-    @property
-    def misses(self) -> int:
-        return self.tree_misses + self.encoding_misses
-
-    def minus(self, earlier: "CacheStats") -> "CacheStats":
-        """The delta accumulated since an earlier snapshot."""
-        return CacheStats(
-            tree_hits=self.tree_hits - earlier.tree_hits,
-            tree_misses=self.tree_misses - earlier.tree_misses,
-            encoding_hits=self.encoding_hits - earlier.encoding_hits,
-            encoding_misses=self.encoding_misses - earlier.encoding_misses,
-            stores=self.stores - earlier.stores,
-        )
-
-    def snapshot(self) -> "CacheStats":
-        return replace(self)
 
 
 def binary_digest(binary: BinaryFile) -> str:
@@ -112,7 +82,6 @@ class ArtifactCache:
 
     def __init__(self, root=None):
         self.root = Path(root) if root is not None else None
-        self.stats = CacheStats()
         # key -> {"file": name under objects/, "sha256": hexdigest}
         self._entries: Dict[str, Dict[str, str]] = {}
         self._mem: Dict[str, Tuple[Dict, Dict]] = {}
@@ -229,7 +198,6 @@ class ArtifactCache:
         The manifest entry is buffered until :meth:`flush` so bulk stores
         do not rewrite the manifest once per artifact.
         """
-        self.stats.stores += 1
         if self.root is None:
             self._mem[key] = (dict(state), dict(meta))
             return
@@ -280,9 +248,7 @@ class ArtifactCache:
         key = artifact_key("trees", digest, self._tree_params(min_ast_size))
         found = self.get(key)
         if found is None:
-            self.stats.tree_misses += 1
             return None
-        self.stats.tree_hits += 1
         state, meta = found
         return ExtractedBinary(
             binary_name=meta["binary_name"],
@@ -359,9 +325,7 @@ class ArtifactCache:
         )
         found = self.get(key)
         if found is None:
-            self.stats.encoding_misses += 1
             return None
-        self.stats.encoding_hits += 1
         state, meta = found
         vectors = np.asarray(state["vectors"])
         callee_counts = np.asarray(state["callee_counts"], dtype=np.int64)

@@ -24,7 +24,9 @@ On top of the shared stage functions it adds:
   the level-batched encoder in the parent -- results are bit-for-bit
   identical to a serial run, in the same order;
 * **instrumentation**: per-stage wall/CPU seconds, corpus counts and
-  cache hit/miss accounting in :class:`PipelineStats`.
+  cache hit/miss accounting in :class:`PipelineStats`; each cache lookup
+  is counted once, where it is made, into the registry's by-kind
+  counters (lifetime) and the run's :class:`CacheStats`.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from repro.core.model import (
     FunctionEncoding,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.pipeline.cache import ArtifactCache, CacheStats, binary_digest
+from repro.pipeline.cache import ArtifactCache, binary_digest
 from repro.pipeline.stages import (
     ExtractedBinary,
     encode_stage,
@@ -74,6 +76,24 @@ class StageTimes:
     extract_wall_s: float = 0.0
     encode_s: float = 0.0
     index_s: float = 0.0
+
+
+@dataclass
+class CacheStats:
+    """One run's artifact-cache lookups, by kind."""
+
+    tree_hits: int = 0
+    tree_misses: int = 0
+    encoding_hits: int = 0
+    encoding_misses: int = 0
+
+    @property
+    def hits(self) -> int:
+        return self.tree_hits + self.encoding_hits
+
+    @property
+    def misses(self) -> int:
+        return self.tree_misses + self.encoding_misses
 
 
 @dataclass
@@ -173,10 +193,9 @@ class CorpusPipeline:
         self.encode_batch_size = encode_batch_size
         self.encode_dtype = str(encode_dtype)
         self.encode_block = int(encode_block)
-        self.registry = registry
+        self.registry = registry if registry is not None else MetricsRegistry()
         self._fingerprint: Optional[str] = None
         self._lock = threading.Lock()  # the artifact cache is not thread-safe
-        self._counted = CacheStats()  # cache lookups already in the counters
 
     @property
     def model_fingerprint(self) -> str:
@@ -236,14 +255,14 @@ class CorpusPipeline:
         min_ast_size = self.model.config.min_ast_size
         with self._lock:
             extracted = self.cache.get_trees(digest, min_ast_size)
-            self._count_cache()
+            self._count_lookup("tree", extracted is not None)
         if extracted is None:
             extracted = extract_binary(binary, min_ast_size)
             with self._lock:
+                # a re-check for a racing writer, not a lookup: uncounted
                 if self.cache.get_trees(digest, min_ast_size) is None:
                     self.cache.put_trees(digest, min_ast_size, extracted)
                     self.cache.flush()
-                self._count_cache()
         return extracted
 
     def record_index(self, stats: PipelineStats, seconds: float,
@@ -253,8 +272,7 @@ class CorpusPipeline:
         and record the index's row count after it."""
         stats.times.index_s += seconds
         stats.n_rows_total = n_rows
-        if self.registry is not None:
-            self._stage_counter("index").inc(seconds)
+        self._stage_counter("index").inc(seconds)
 
     # -- the staged run ----------------------------------------------------
 
@@ -290,7 +308,6 @@ class CorpusPipeline:
 
     def _run(self, tagged: List[Tagged], stats: PipelineStats) -> PipelineResult:
         """Every stage after Unpack; callers hold the pipeline lock."""
-        cache_before = self.cache.stats.snapshot()
         min_ast_size = self.model.config.min_ast_size
 
         # Plan: dedup occurrences by content digest; look up cached
@@ -308,10 +325,14 @@ class CorpusPipeline:
                 digest, self.model_fingerprint, min_ast_size,
                 dtype=self.encode_dtype,
             )
+            self._count_lookup("encoding", cached is not None, stats.cache)
             if cached is not None:
                 entry.encodings, entry.n_skipped_small = cached
             else:
                 entry.extracted = self.cache.get_trees(digest, min_ast_size)
+                self._count_lookup(
+                    "tree", entry.extracted is not None, stats.cache
+                )
             entries[digest] = entry
         stats.n_unique_binaries = len(entries)
 
@@ -363,9 +384,7 @@ class CorpusPipeline:
             stats.n_skipped_small += entry.n_skipped_small
             encodings.extend((image_id, e) for e in entry.encodings)
 
-        stats.cache = self.cache.stats.minus(cache_before)
         self._record(stats)
-        self._count_cache()
         _LOG.info(
             "pipeline: %d functions from %d binaries "
             "(%d unique, %d extracted, %d encoded; cache %d hits / %d misses)",
@@ -376,9 +395,7 @@ class CorpusPipeline:
         return PipelineResult(encodings=encodings, stats=stats)
 
     def _record(self, stats: PipelineStats) -> None:
-        """Fold one run's stats into the metrics registry (if any)."""
-        if self.registry is None:
-            return
+        """Fold one run's stats into the metrics registry."""
         reg = self.registry
         reg.counter(
             "repro_pipeline_runs_total", "Completed pipeline runs"
@@ -401,28 +418,23 @@ class CorpusPipeline:
         for stage, seconds in stage_seconds.items():
             self._stage_counter(stage).inc(seconds)
 
-    def _count_cache(self) -> None:
-        """Fold the cache lookups since the last call into the by-kind
-        counters.  The pipeline follows every lookup with this call under
-        its lock, so the counters sum to the cache's lifetime totals."""
-        if self.registry is None:
-            return
-        reg = self.registry
-        now = self.cache.stats.snapshot()
-        delta = now.minus(self._counted)
-        self._counted = now
-        for kind, hits, misses in (
-            ("tree", delta.tree_hits, delta.tree_misses),
-            ("encoding", delta.encoding_hits, delta.encoding_misses),
-        ):
-            reg.counter(
+    def _count_lookup(self, kind: str, hit: bool,
+                      run: Optional[CacheStats] = None) -> None:
+        """Count one cache lookup of ``kind`` (``tree`` or ``encoding``)
+        in the registry and, inside a run, in that run's stats."""
+        if hit:
+            self.registry.counter(
                 "repro_pipeline_cache_hits_total",
                 "Artifact-cache hits by kind", kind=kind,
-            ).inc(hits)
-            reg.counter(
+            ).inc()
+        else:
+            self.registry.counter(
                 "repro_pipeline_cache_misses_total",
                 "Artifact-cache misses by kind", kind=kind,
-            ).inc(misses)
+            ).inc()
+        if run is not None:
+            field_name = f"{kind}_{'hits' if hit else 'misses'}"
+            setattr(run, field_name, getattr(run, field_name) + 1)
 
     def _stage_counter(self, stage: str):
         return self.registry.counter(

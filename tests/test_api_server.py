@@ -581,24 +581,33 @@ class TestObservability:
                  if s.startswith("repro_encode_level_seconds_bucket")]
         assert level, "per-level encode-seconds histogram missing"
 
-    def test_metrics_agree_with_stats_after_query_storm(self, server):
+    def test_metrics_agree_with_stats_after_query_storm(
+        self, server, query_binary
+    ):
         n_threads, per_thread = 8, 3
         barrier = threading.Barrier(n_threads)
         errors = []
+        _status, encoded = _post(server, "/v1/encode",
+                                 {"binary_b64": _b64(query_binary)})
+        queries = [  # CVE queries, and binary ones that ride the batcher
+            {"cve": "CVE-2016-2105", "top_k": 2},
+            {"binary_b64": _b64(query_binary),
+             "function": encoded["encodings"][0]["name"], "top_k": 2},
+        ]
 
-        def client():
+        def client(t):
             barrier.wait()
             try:
-                for _ in range(per_thread):
+                for i in range(per_thread):
                     status, _body = _post(
-                        server, "/v1/query",
-                        {"cve": "CVE-2016-2105", "top_k": 2},
+                        server, "/v1/query", queries[(t + i) % 2]
                     )
                     assert status == 200
             except Exception as exc:  # noqa: BLE001 - asserted below
                 errors.append(exc)
 
-        threads = [threading.Thread(target=client) for _ in range(n_threads)]
+        threads = [threading.Thread(target=client, args=(t,))
+                   for t in range(n_threads)]
         for t in threads:
             t.start()
         for t in threads:
@@ -612,6 +621,19 @@ class TestObservability:
         assert values["repro_queries_total"] == stats["n_queries"]
         assert values["repro_query_encodes_total"] == stats["n_query_encodes"]
         assert stats["n_queries"] >= n_threads * per_thread
+        # the micro-batch fields are the size histogram's count/sum/max
+        assert values["repro_microbatch_size_count"] == stats["micro_batches"]
+        assert values["repro_microbatch_size_sum"] \
+            == stats["micro_batched_items"] >= n_threads * per_thread // 2
+        assert server.engine.obs.get("repro_microbatch_size").totals()[2] \
+            == stats["micro_batch_max"]
+        # the cache fields are the by-kind lookup counters, summed
+        for what in ("hits", "misses"):
+            assert stats[f"cache_{what}"] == sum(
+                v for series, v in values.items()
+                if series.startswith(f"repro_pipeline_cache_{what}_total{{")
+            ), what
+        assert stats["cache_hits"] > 0
         # per-endpoint request counter and latency histogram moved too
         query_requests = sum(
             v for series, v in values.items()

@@ -354,12 +354,15 @@ class TestThreeKindCacheStillOpens:
         assert _rows(cold) == _rows(warm)
 
         by_digest = _unique_binaries(firmware.images)
-        before = pipeline.cache.stats.snapshot()
+        registry = pipeline.registry
+        hits = registry.value("repro_pipeline_cache_hits_total", kind="tree")
+        misses = registry.value("repro_pipeline_cache_misses_total")
         for digest, binary in sorted(by_digest.items()):
             assert len(pipeline.extracted(binary, digest))
-        looked_up = pipeline.cache.stats.minus(before)
-        assert looked_up.tree_hits == len(by_digest)
-        assert looked_up.misses == 0
+        assert registry.value(
+            "repro_pipeline_cache_hits_total", kind="tree"
+        ) == hits + len(by_digest)
+        assert registry.value("repro_pipeline_cache_misses_total") == misses
 
     def test_manifest_recovery_rescans_plans_and_serves_the_same_hits(
         self, tmp_path, trained_model, firmware
@@ -497,9 +500,11 @@ class TestCallSites:
         # the engine memoizes: repeat calls return the same library
         assert engine.cve_library() is first
         # a fresh engine sharing the artifact cache hits cached encodings
-        hits_before = cache.stats.encoding_hits
-        second = make_vuln_search(cache=cache).engine.cve_library()
-        assert cache.stats.encoding_hits >= hits_before + len(CVE_LIBRARY)
+        fresh = make_vuln_search(cache=cache).engine
+        second = fresh.cve_library()
+        assert fresh.obs.value(
+            "repro_pipeline_cache_hits_total", kind="encoding"
+        ) >= len(CVE_LIBRARY)
         assert set(first) == {entry.cve_id for entry in CVE_LIBRARY}
         for cve_id, (entry, encoding) in first.items():
             assert encoding.name == entry.function_name
