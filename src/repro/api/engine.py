@@ -24,10 +24,11 @@ Every consumer -- the CLI, the HTTP server
 (:mod:`repro.api.server`), ``VulnerabilitySearch``, benchmarks and
 examples -- constructs its model/cache/index/pipeline stack through
 this class; nothing else in the repo assembles those pieces by hand.
-The engine owns the one ANN index over its store (rebuilt when a flush
-grows the store, falling back to the exact sweep when the configured
-backend cannot be built), and every query -- served, CLI or the
-Table IV search -- is answered from it, with hits read from the store.
+The engine owns the one ANN index over its store, rebuilt when a flush
+grows the store by one :func:`~repro.index.ann.serve_index` call that
+names no backend here (building, persisting and the exact fallback are
+:mod:`repro.index`'s), and every query -- served, CLI or the Table IV
+search -- is answered from it, with hits read from the store.
 The engine is thread-safe: concurrent :meth:`query` calls are the
 serving hot path and ride the micro-batcher.  Every query sweeps the
 index in process; there is one index layout, the flat store at
@@ -72,8 +73,7 @@ from repro.core.calibration import filtered_callee_count
 from repro.core.model import Asteria, AsteriaConfig, FunctionEncoding
 from repro.core.preprocess import lcrs_columns
 from repro.core.training import TrainConfig, Trainer, TrainHistory
-from repro.index.ann import AnnIndex, backend_is_stateful, make_index
-from repro.index.quant import IvfPqIndex
+from repro.index.ann import AnnIndex, serve_index
 from repro.index.store import (
     MANIFEST_NAME,
     EmbeddingStore,
@@ -239,10 +239,10 @@ class EngineStats:
     index_vector_bytes: int = 0
     index_resident_bytes: int = 0
     ann_backend: Optional[str] = None
-    ann_persisted: Optional[bool] = None
-    ann_rows_projected: int = 0
-    #: Tiered (ivf-pq) index surface: rows (re)quantized by the live
+    #: Tiered (ivf-pq) index surface, its ``ann_stats()``: whether it
+    #: reopened from persisted state, rows (re)quantized by the live
     #: index construction and the coarse-partition knobs it runs with.
+    ann_persisted: Optional[bool] = None
     ann_rows_quantized: int = 0
     ann_n_lists: int = 0
     ann_nprobe: int = 0
@@ -481,58 +481,19 @@ class AsteriaEngine:
     def _built_index(self, store: EmbeddingStore) -> AnnIndex:
         """The ANN index over ``store``, rebuilt when a flush grew it.
 
-        Called under the engine lock.  The stateful backend (``ivf-pq``)
-        over a durable store round-trips through the state persisted
-        beside the shards: an unchanged corpus reopens without any
-        quantization pass, a grown one quantizes only the appended rows,
-        and either way the refreshed state is written back.  A build
-        failure other than a client error degrades to the exact sweep
-        (correct, slower) rather than failing every query.
+        Called under the engine lock.  How the configured backend is
+        built, persisted and degraded is :func:`serve_index`'s; the
+        engine keeps the index and, for :meth:`stats`, the reason it
+        serves the exact sweep instead, if it does.
         """
         if self._index is not None and self._index_rows == store.n_flushed:
             return self._index
         config = self.config
-        options = dict(
-            seed=config.seed, n_lists=config.ann_lists,
-            nprobe=config.ann_nprobe, rerank=config.ann_rerank,
-        ) if config.backend == "ivf-pq" else {}
-        stateful = (
-            backend_is_stateful(config.backend) and store.root is not None
+        index, self._ann_fallback = serve_index(
+            config.backend, self.model, store, self.obs, seed=config.seed,
+            n_lists=config.ann_lists, nprobe=config.ann_nprobe,
+            rerank=config.ann_rerank,
         )
-        if stateful:
-            options["state"] = store.read_ann_state()
-        try:
-            index = make_index(
-                config.backend, self.model, store.vectors(),
-                store.callee_counts(), registry=self.obs, **options,
-            )
-            # write the state back unless the persisted one is current
-            if stateful and (
-                index.rows_projected or not index.loaded_from_state
-            ):
-                try:  # best effort: the index serves either way
-                    store.write_ann_state(*index.state_dict())
-                except OSError as exc:
-                    _LOG.warning("could not persist ANN state: %s", exc)
-            self._ann_fallback = None
-        except BadRequestError:
-            raise  # unknown backend, bad knob: the caller's to fix
-        except Exception as exc:
-            if config.backend == "exact":
-                raise  # nothing simpler to fall back to
-            self._ann_fallback = (
-                f"{config.backend} index construction failed ({exc}); "
-                f"serving exact sweeps"
-            )
-            _LOG.warning("ANN fallback: %s", self._ann_fallback)
-            self.obs.counter(
-                "repro_ann_fallback_total",
-                "ANN construction failures degraded to exact sweeps",
-            ).inc()
-            index = make_index(
-                "exact", self.model, store.vectors(), store.callee_counts(),
-                registry=self.obs,
-            )
         self._index, self._index_rows = index, store.n_flushed
         self.obs.counter(
             "repro_index_rebuilds_total",
@@ -982,15 +943,10 @@ class AsteriaEngine:
                     )
             if self._ann_fallback is not None:
                 stats.degraded_reasons.append(self._ann_fallback)
-            index = self._index
-            if index is not None:
+            if self._index is not None:
                 stats.ann_backend = self.config.backend
-            if isinstance(index, IvfPqIndex):
-                stats.ann_persisted = index.loaded_from_state
-                stats.ann_rows_projected = index.rows_projected
-                stats.ann_rows_quantized = index.rows_quantized
-                stats.ann_n_lists = index.n_lists
-                stats.ann_nprobe = index.nprobe
+                for name, value in self._index.ann_stats().items():
+                    setattr(stats, name, value)
         for name, counter in REGISTRY_COUNTS.items():
             setattr(stats, name, int(self.obs.value(counter)))
         stats.degraded = bool(stats.degraded_reasons)

@@ -120,6 +120,13 @@ def _optional_number(obj: Dict, key: str):
     return value
 
 
+def _optional_str(obj: Dict, key: str) -> Optional[str]:
+    value = obj.get(key)
+    if value is not None and not isinstance(value, str):
+        raise BadRequestError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def _binary_from_b64(payload: Dict, key: str = "binary_b64") -> BinaryFile:
     raw = payload.get(key)
     if not isinstance(raw, str):
@@ -433,13 +440,13 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
         if top_k is not None and top_k is not USE_DEFAULT:  # null: no cap
             top_k = _int_field(payload, "top_k", 0)
         request = QueryRequest(
-            cve_id=payload.get("cve"),
+            cve_id=_optional_str(payload, "cve"),
             top_k=top_k,
             threshold=_optional_number(payload, "threshold"),
         )
         if request.cve_id is None:
             request.binary = _binary_from_b64(payload)
-            request.function = payload.get("function")
+            request.function = _optional_str(payload, "function")
         return request
 
     @staticmethod

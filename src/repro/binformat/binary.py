@@ -192,9 +192,6 @@ class BinaryFile:
             symbols=symbols,
         )
 
-    def byte_size(self) -> int:
-        return len(self.to_bytes())
-
 
 def _pack_str(text: str) -> bytes:
     data = text.encode("utf-8")

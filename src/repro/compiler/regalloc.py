@@ -65,10 +65,6 @@ class ScratchAllocator:
         self._assigned: Dict[int, str] = {}
         self._last_uses = temp_last_uses(ir)
 
-    @property
-    def live_count(self) -> int:
-        return len(self._assigned)
-
     def define(self, temp: Temp) -> str:
         """Allocate a register for a newly defined temp."""
         if temp.index in self._assigned:

@@ -90,10 +90,6 @@ class Confusion:
         return self.fp / (self.fp + self.tn) if (self.fp + self.tn) else 0.0
 
     @property
-    def precision(self) -> float:
-        return self.tp / (self.tp + self.fp) if (self.tp + self.fp) else 0.0
-
-    @property
     def accuracy(self) -> float:
         total = self.tp + self.fp + self.tn + self.fn
         return (self.tp + self.tn) / total if total else 0.0

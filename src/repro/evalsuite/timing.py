@@ -69,10 +69,6 @@ class BatchedEncodeStats:
     batched_s: float  # total level-batched encode wall time
 
     @property
-    def sequential_per_function_s(self) -> float:
-        return self.sequential_s / max(1, self.n_functions)
-
-    @property
     def batched_per_function_s(self) -> float:
         return self.batched_s / max(1, self.n_functions)
 

@@ -2,10 +2,12 @@
 
 The corpus-scale answer to the paper's §V workload: encode every corpus
 function once into a durable sharded store (:mod:`repro.index.store`),
-then answer similarity queries online through an approximate or exact
-top-k index (:mod:`repro.index.ann`).  The engine
-(:class:`~repro.api.engine.AsteriaEngine`) owns the one index over its
-store and answers every query; a hit is the store's
+then answer similarity queries online through an exact or approximate
+top-k index (:mod:`repro.index.ann`, :mod:`repro.index.quant`).  Backend
+policy lives here: :func:`serve_index` builds the configured backend
+over a store (persisted state, exact fallback) for the engine
+(:class:`~repro.api.engine.AsteriaEngine`), which owns the one index
+and answers every query from it; a hit is the store's
 :class:`~repro.index.store.SearchHit` for the row the index ranked.
 """
 
@@ -16,6 +18,7 @@ from repro.index.ann import (
     known_backends,
     make_index,
     select_top_k,
+    serve_index,
 )
 from repro.index.quant import IvfPqIndex
 from repro.index.store import (
@@ -35,6 +38,7 @@ __all__ = [
     "known_backends",
     "make_index",
     "select_top_k",
+    "serve_index",
     "SearchHit",
     "EmbeddingStore",
     "ShardedMatrix",

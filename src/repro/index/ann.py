@@ -1,24 +1,25 @@
 """Top-k nearest-neighbour search over cached function encodings.
 
-Backends share one interface (:class:`AnnIndex`): a backend proposes
-candidate rows per query, and the shared scorers rank them by the true
-(calibrated) model score.
+Every backend answers the paper's online phase -- score a query
+encoding against the corpus, keep the top-k -- behind :class:`AnnIndex`:
+:meth:`~AnnIndex.top_k_batch` validates, records and selects, and hands
+the scoring to the backend.
 
-* :class:`BruteForceIndex` -- exact: every row is a candidate; queries
-  score the whole corpus with matrix-at-once passes through the Siamese
-  head (:meth:`repro.core.model.Asteria.similarity_matrix`), block by
-  block over the store's memory-mapped shards -- the corpus is never
-  materialised as one array.  The reference the tiered index is tested
-  against;
-* :class:`~repro.index.quant.IvfPqIndex` -- approximate: IVF coarse
-  probe + int8 quantized sweep restrict which rows reach the exact
-  rerank (see :mod:`repro.index.quant`).
+* :class:`BruteForceIndex` (``exact``) sweeps the corpus block by block
+  over the store's memory-mapped shards, never materialised as one
+  array -- the reference the tiered index is tested against;
+* :class:`~repro.index.quant.IvfPqIndex` (``ivf-pq``) reranks the
+  candidates an IVF probe + int8 quantized sweep propose (see
+  :mod:`repro.index.quant`).
 
-Backends answer single queries (:meth:`AnnIndex.top_k`) and query
-batches (:meth:`AnnIndex.top_k_batch`); a batch reads the corpus once
-instead of Q times.  Both sweeps -- the exact one over the corpus
-(:meth:`AnnIndex._sweep_top_k`) and the quantized one over the probed
-lists -- score only the rows that can still win: rings of callee-count
+:func:`serve_index` is the one call that serves a backend over a store:
+the backend's :meth:`~AnnIndex.over_store` builds it, a failed build
+degrades to the exact sweep, and :meth:`~AnnIndex.ann_stats` is what it
+reports of itself.
+
+A batch reads the corpus once instead of Q times.  Both sweeps -- the
+exact one over the corpus and the quantized one over the probed lists
+-- score only the rows that can still win: rings of callee-count
 distance with one bound and factor each (:func:`_ring_list`), stopped
 on the bound ``exp(-|dC|)`` by one rule (:class:`_Held`).  The exact
 index finds a ring without a corpus pass: it sorts its rows by callee
@@ -41,11 +42,14 @@ from typing import Dict, List, Optional, Sequence, Tuple, Type
 import numpy as np
 
 from repro.core.model import Asteria, FunctionEncoding
-from repro.index.store import ShardedMatrix
+from repro.index.store import EmbeddingStore, ShardedMatrix
 from repro.obs.metrics import FRACTION_BUCKETS, SIZE_BUCKETS, MetricsRegistry
 from repro.obs.trace import current_span
+from repro.utils.logging import get_logger
 
-DEFAULT_OVERSAMPLE = 8
+_LOG = get_logger("index.ann")
+
+#: The fewest candidates a tiered backend hands its exact rerank.
 DEFAULT_MIN_CANDIDATES = 64
 
 #: Rows per scoring pass: consecutive store shards (or the rows a ring
@@ -214,14 +218,8 @@ class CountLayout:
 
 
 class AnnIndex:
-    """Common interface: candidate generation + batched exact rerank."""
-
-    #: default rerank oversampling when callers don't pass one; tiered
-    #: backends override this per-instance (the ``ann_rerank`` knob)
-    oversample: int = DEFAULT_OVERSAMPLE
-    #: the callee-count order a whole-corpus sweep finds rings in
-    #: (``None``: the sweep is one calibrated pass over every row)
-    _layout: Optional[CountLayout] = None
+    """Common interface: validation, observation and top-k selection
+    around a backend's scoring step (:meth:`_score_batch`)."""
 
     def __init__(
         self,
@@ -246,52 +244,31 @@ class AnnIndex:
     def __len__(self) -> int:
         return int(self.vectors.shape[0])
 
-    # -- candidate generation (backend-specific) ---------------------------
+    # -- serving (backend-specific) ----------------------------------------
 
-    def candidate_rows(
-        self, query_vector: np.ndarray, n: Optional[int]
-    ) -> Optional[np.ndarray]:
-        """Rows worth scoring for this query (ascending row order).
+    @classmethod
+    def over_store(
+        cls,
+        model: Asteria,
+        store: EmbeddingStore,
+        registry: Optional[MetricsRegistry] = None,
+        **knobs,
+    ) -> "AnnIndex":
+        """The index over ``store``'s flushed rows.  ``knobs`` are the
+        tiered backend's; the exact sweep has none to take."""
+        return cls(
+            model, store.vectors(), store.callee_counts(), registry=registry
+        )
 
-        ``None`` means "the whole corpus" and lets the scorers sweep the
-        store's blocks without a fancy-indexing copy.
-        """
+    def ann_stats(self) -> Dict[str, object]:
+        """What the index reports of itself, by ``EngineStats`` field
+        (the exact sweep: nothing)."""
+        return {}
+
+    def _score_batch(self, queries, k, threshold):
+        """Per query, ``(rows, scores)`` holding its top-``k`` at or
+        above ``threshold``, and the rows scored per query."""
         raise NotImplementedError
-
-    def candidate_rows_batch(
-        self,
-        query_matrix: np.ndarray,
-        n: Optional[int],
-        queries: Optional[Sequence[FunctionEncoding]] = None,
-    ) -> List[Optional[np.ndarray]]:
-        """Per-query candidate rows for a ``(q, h)`` query matrix.
-
-        ``queries`` (the full encodings behind the matrix) is optional
-        context for backends whose candidate ranking is score-aware --
-        the quantized tier calibrates its approximate sweep with the
-        query callee counts.  Geometry-only backends ignore it.
-        """
-        return [
-            self.candidate_rows(query_matrix[i], n)
-            for i in range(query_matrix.shape[0])
-        ]
-
-    def propose(
-        self,
-        queries: Sequence[FunctionEncoding],
-        k: Optional[int],
-        oversample: Optional[int] = None,
-    ) -> List[Optional[np.ndarray]]:
-        """The backend's candidate rows per query, at the depth a top-``k``
-        answer reranks: ``max(k * oversample, DEFAULT_MIN_CANDIDATES)``
-        rows (``k=None``: every row the backend would visit)."""
-        if oversample is None:
-            oversample = self.oversample
-        wanted = None
-        if k is not None:
-            wanted = max(k * oversample, DEFAULT_MIN_CANDIDATES)
-        query_matrix = np.stack([np.asarray(q.vector) for q in queries])
-        return self.candidate_rows_batch(query_matrix, wanted, queries)
 
     # -- batched scoring (shared) ------------------------------------------
 
@@ -328,70 +305,6 @@ class AnnIndex:
         return self.model.similarity_matrix(
             queries, block, counts, calibrate=self.calibrate
         ).astype(np.float64, copy=False)
-
-    def _sweep_top_k(
-        self,
-        queries: Sequence[FunctionEncoding],
-        k: Optional[int],
-        threshold: Optional[float],
-    ) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], List[int]]:
-        """Whole-corpus candidates, scoring only rows that can still win.
-
-        The calibrated score is ``M * exp(-d)``, ``d`` the distance
-        between the row's and the query's callee counts, and ``M <= 1``.
-        Queries sharing a count visit the corpus in *rings* of
-        increasing ``d``, each a slice or two of the index's
-        :class:`CountLayout`: a ring is scored uncalibrated and scaled by
-        its one factor, each block's scores are cut to ``k`` rows per query,
-        and a query stops at the first ring whose factor -- the most a
-        row from there on can score -- cannot reach its k-th score or
-        its ``threshold``.  Selecting from the returned ``(rows,
-        scores)`` is exact; also returns the rows scored per query.
-        """
-        head = self.model.siamese.similarity_from_matrix
-        matrix = np.stack([np.asarray(q.vector) for q in queries])
-        held = [_Held(k) for _ in queries]
-        scored = [0] * len(queries)
-
-        def settled(i: int, bound: float) -> bool:
-            if threshold is not None and bound < threshold:
-                return True
-            return held[i].settled(bound)
-
-        # no rings without calibration (no layout), nor in a corpus of
-        # one scoring block (bookkeeping would cost more than it could
-        # skip): one ring of every row, calibrated pair by pair
-        layout = self._layout
-        ringed = layout is not None and len(self) > SCORE_BLOCK_ROWS
-        groups: Dict[Optional[int], List[int]] = {}
-        for i, query in enumerate(queries):
-            count = query.callee_count if ringed else None
-            groups.setdefault(count, []).append(i)
-        for count, members in groups.items():
-            rings = [(1.0, 1.0, None)] if count is None else layout.rings(count)
-            for bound, factor, d in rings:
-                members = [i for i in members if not settled(i, bound)]
-                if not members:
-                    break
-                ring = None if d is None else layout.ring(count, d)
-                for block_rows, block in self._scoring_blocks(ring):
-                    if count is None:
-                        scores = self._block_scores(
-                            [queries[i] for i in members], block_rows, block
-                        )
-                    else:  # the float64 product, whatever dtype M comes in
-                        scores = np.multiply(
-                            head(matrix[members], block), factor,
-                            dtype=np.float64,
-                        )
-                    for j, i in enumerate(members):
-                        q_rows, q_scores = block_rows, scores[j]
-                        if threshold is not None:
-                            keep = q_scores >= threshold
-                            q_rows, q_scores = q_rows[keep], q_scores[keep]
-                        held[i].add(q_rows, q_scores)
-                        scored[i] += block_rows.size
-        return [h.merged() for h in held], scored
 
     def _scoring_blocks(self, rows: Optional[np.ndarray] = None):
         """``(rows, vectors)`` scoring blocks over ``rows`` (strictly
@@ -439,23 +352,19 @@ class AnnIndex:
         query: FunctionEncoding,
         k: Optional[int] = 10,
         threshold: Optional[float] = None,
-        oversample: Optional[int] = None,
     ) -> List[Neighbor]:
         """Top-``k`` neighbours by exact model score (highest first).
 
         ``k=None`` returns every candidate; ``threshold`` drops results
         scoring below it.  Ties are broken by row for determinism.
         """
-        return self.top_k_batch(
-            [query], k=k, threshold=threshold, oversample=oversample
-        )[0]
+        return self.top_k_batch([query], k=k, threshold=threshold)[0]
 
     def top_k_batch(
         self,
         queries: Sequence[FunctionEncoding],
         k: Optional[int] = 10,
         threshold: Optional[float] = None,
-        oversample: Optional[int] = None,
     ) -> List[List[Neighbor]]:
         """Top-``k`` neighbours for Q queries in one corpus pass.
 
@@ -468,65 +377,11 @@ class AnnIndex:
             return []
         if len(self) == 0:
             return [[] for _ in queries]
-        per_query = self.propose(queries, k, oversample)
-        sweep_started = time.perf_counter()
-        all_rows: Optional[np.ndarray] = None  # shared, never mutated
-
-        def whole_corpus() -> np.ndarray:
-            nonlocal all_rows
-            if all_rows is None:
-                all_rows = np.arange(len(self))
-            return all_rows
-
-        if all(rows is None for rows in per_query):
-            if k is None and threshold is None:
-                # every score is part of the answer: the (q, n) matrix
-                # is the output, so materialising it is unavoidable
-                scored = [
-                    (whole_corpus(), row_scores)
-                    for row_scores in self.score_matrix(queries)
-                ]
-                sizes = [len(self)] * len(queries)
-            else:
-                # streaming sweep: per-block (q, b) scoring + per-block
-                # top-k, so batch memory stays O(q * block), not
-                # O(q * corpus) -- the property that lets a CVE-library
-                # batch run against a multi-million-row mmap store
-                scored, sizes = self._sweep_top_k(queries, k, threshold)
-        else:
-            gathered = [
-                rows if rows is not None else whole_corpus()
-                for rows in per_query
-            ]
-            sizes = [int(rows.size) for rows in gathered]
-            total = sum(sizes)
-            # sort + drop repeats: np.unique's hash path takes 12x as
-            # long on a few thousand candidate rows
-            union = np.sort(np.concatenate(gathered))
-            union = union[np.diff(union, prepend=-1) > 0]
-            if len(queries) * union.size <= 2 * total:
-                # candidate sets overlap heavily (clustered / duplicate
-                # queries): score the union once for all queries
-                scores = self.score_matrix(queries, union)
-                scored = [
-                    (rows, scores[i, np.searchsorted(union, rows)])
-                    for i, rows in enumerate(gathered)
-                ]
-            else:
-                # mostly-disjoint candidates: a (q, union) matrix would
-                # score far more pairs than were ever candidates -- keep
-                # the rerank per query (generation was still shared)
-                scored = [
-                    (rows, self.score_matrix([queries[i]], rows)[0])
-                    if rows.size else (rows, np.zeros(0))
-                    for i, rows in enumerate(gathered)
-                ]
-        self._observe_batch(sizes, time.perf_counter() - sweep_started)
+        started = time.perf_counter()
+        scored, sizes = self._score_batch(queries, k, threshold)
+        self._observe_batch(sizes, time.perf_counter() - started)
         results: List[List[Neighbor]] = []
         for q_rows, q_scores in scored:
-            if q_rows.size == 0:
-                results.append([])
-                continue
             if threshold is not None:
                 keep = q_scores >= threshold
                 q_rows, q_scores = q_rows[keep], q_scores[keep]
@@ -574,7 +429,11 @@ class AnnIndex:
 
 
 class BruteForceIndex(AnnIndex):
-    """Exact backend: every row is a candidate (scored copy-free)."""
+    """Exact backend: the ring sweep over every row."""
+
+    #: the callee-count order the sweep finds rings in (``None``
+    #: uncalibrated: the sweep is one pass over every row)
+    _layout: Optional[CountLayout] = None
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -582,10 +441,74 @@ class BruteForceIndex(AnnIndex):
         if self.calibrate:
             self._layout = CountLayout(self.callee_counts)
 
-    def candidate_rows(
-        self, query_vector: np.ndarray, n: Optional[int]
-    ) -> Optional[np.ndarray]:
-        return None
+    def _score_batch(
+        self,
+        queries: Sequence[FunctionEncoding],
+        k: Optional[int],
+        threshold: Optional[float],
+    ) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], List[int]]:
+        """The ring sweep: the whole corpus, scoring only rows that can
+        still win.
+
+        The calibrated score is ``M * exp(-d)``, ``d`` the distance
+        between the row's and the query's callee counts, and ``M <= 1``.
+        Queries sharing a count visit the corpus in *rings* of
+        increasing ``d``, each a slice or two of the index's
+        :class:`CountLayout`: a ring is scored uncalibrated and scaled by
+        its one factor, each block's scores are cut to ``k`` rows per query,
+        and a query stops at the first ring whose factor -- the most a
+        row from there on can score -- cannot reach its k-th score or
+        its ``threshold``.  Selecting from the returned ``(rows,
+        scores)`` is exact; also returns the rows scored per query.
+        Cutting each block to ``k`` keeps a batch's memory O(q * block),
+        not O(q * corpus), so a CVE-library batch can run against a
+        multi-million-row mmap store; only ``k=None`` with no
+        ``threshold`` holds every score, as every score is the answer.
+        """
+        head = self.model.siamese.similarity_from_matrix
+        matrix = np.stack([np.asarray(q.vector) for q in queries])
+        held = [_Held(k) for _ in queries]
+        scored = [0] * len(queries)
+
+        def settled(i: int, bound: float) -> bool:
+            if threshold is not None and bound < threshold:
+                return True
+            return held[i].settled(bound)
+
+        # no rings without calibration (no layout), nor in a corpus of
+        # one scoring block (bookkeeping would cost more than it could
+        # skip): one ring of every row, calibrated pair by pair
+        layout = self._layout
+        ringed = layout is not None and len(self) > SCORE_BLOCK_ROWS
+        groups: Dict[Optional[int], List[int]] = {}
+        for i, query in enumerate(queries):
+            count = query.callee_count if ringed else None
+            groups.setdefault(count, []).append(i)
+        for count, members in groups.items():
+            rings = [(1.0, 1.0, None)] if count is None else layout.rings(count)
+            for bound, factor, d in rings:
+                members = [i for i in members if not settled(i, bound)]
+                if not members:
+                    break
+                ring = None if d is None else layout.ring(count, d)
+                for block_rows, block in self._scoring_blocks(ring):
+                    if count is None:
+                        scores = self._block_scores(
+                            [queries[i] for i in members], block_rows, block
+                        )
+                    else:  # the float64 product, whatever dtype M comes in
+                        scores = np.multiply(
+                            head(matrix[members], block), factor,
+                            dtype=np.float64,
+                        )
+                    for j, i in enumerate(members):
+                        q_rows, q_scores = block_rows, scores[j]
+                        if threshold is not None:
+                            keep = q_scores >= threshold
+                            q_rows, q_scores = q_rows[keep], q_scores[keep]
+                        held[i].add(q_rows, q_scores)
+                        scored[i] += block_rows.size
+        return [h.merged() for h in held], scored
 
 
 def _backends() -> Dict[str, Type[AnnIndex]]:
@@ -601,10 +524,20 @@ def known_backends() -> List[str]:
     return sorted(_backends())
 
 
-def backend_is_stateful(backend: str) -> bool:
-    """True when ``backend`` persists construction state (quantization)
-    in the store through ``state_dict``."""
-    return hasattr(_backends().get(backend), "state_dict")
+def _backend(name: str) -> Type[AnnIndex]:
+    """The backend called ``name``.  An unknown one is the typed
+    bad-request error (CLI exit 6, HTTP 400), so a typo'd ``--backend``
+    surfaces as a client error, not an internal KeyError."""
+    cls = _backends().get(name)
+    if cls is None:
+        # lazy: repro.api pulls in this module at package-import time
+        from repro.api.errors import BadRequestError
+
+        raise BadRequestError(
+            f"unknown backend {name!r} (choose from "
+            f"{', '.join(known_backends())})"
+        )
+    return cls
 
 
 def make_index(
@@ -614,19 +547,38 @@ def make_index(
     callee_counts: Optional[np.ndarray] = None,
     **options,
 ) -> AnnIndex:
-    """Instantiate a backend by name (``exact`` or ``ivf-pq``).
+    """Instantiate a backend by name (``exact`` or ``ivf-pq``)."""
+    return _backend(backend)(model, vectors, callee_counts, **options)
 
-    Unknown names raise the typed bad-request error (CLI exit 6,
-    HTTP 400) so a typo'd ``--backend`` surfaces as a client error, not
-    an internal KeyError.
-    """
-    cls = _backends().get(backend)
-    if cls is None:
-        # lazy: repro.api pulls in this module at package-import time
-        from repro.api.errors import BadRequestError
 
-        raise BadRequestError(
-            f"unknown backend {backend!r} (choose from "
-            f"{', '.join(known_backends())})"
+def serve_index(
+    backend: str,
+    model: Asteria,
+    store: EmbeddingStore,
+    registry: Optional[MetricsRegistry] = None,
+    **knobs,
+) -> Tuple[AnnIndex, Optional[str]]:
+    """``backend`` built over ``store`` with ``knobs``, and ``None``; or,
+    when that build fails other than as a client error (unknown backend,
+    bad knob), the exact sweep -- correct, slower -- and the reason."""
+    from repro.api.errors import BadRequestError  # lazy: see _backend
+
+    cls = _backend(backend)
+    try:
+        return cls.over_store(model, store, registry, **knobs), None
+    except BadRequestError:
+        raise
+    except Exception as exc:
+        if cls is BruteForceIndex:
+            raise  # nothing simpler to fall back to
+        reason = (
+            f"{backend} index construction failed ({exc}); "
+            f"serving exact sweeps"
         )
-    return cls(model, vectors, callee_counts, **options)
+    _LOG.warning("ANN fallback: %s", reason)
+    if registry is not None:
+        registry.counter(
+            "repro_ann_fallback_total",
+            "ANN construction failures degraded to exact sweeps",
+        ).inc()
+    return BruteForceIndex.over_store(model, store, registry), reason

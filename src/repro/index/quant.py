@@ -24,15 +24,18 @@ touches a small, controllable fraction of a million-row corpus:
    pass (tiny rings cost more in calls than they save in rows), and
    queries that call as many functions and probe the same lists (a
    storm of one CVE query) share each pass.
-3. **Exact rerank** -- the best ``k * rerank`` survivors per query are
-   handed back to :meth:`AnnIndex.top_k_batch`, which re-scores them
-   against the float32 store through the union-vs-per-query cost gate
-   and selects the final top-k with :func:`select_top_k`.
+3. **Exact rerank** -- the best ``k * rerank`` survivors per query
+   (:meth:`IvfPqIndex.propose`) are re-scored against the float32
+   store -- once over their union when the queries' candidates overlap
+   enough, else query by query -- and
+   :meth:`~repro.index.ann.AnnIndex.top_k_batch` selects the final
+   top-k from them with :func:`~repro.index.ann.select_top_k`.
 
 The expensive construction passes (quantization, k-means, assignment)
 serialise through :meth:`IvfPqIndex.state_dict` into a crash-safe store
-artifact, so reopening an unchanged corpus re-quantizes nothing; a state
-covering a prefix of the corpus is extended incrementally and
+artifact, and :meth:`IvfPqIndex.over_store` round-trips it: reopening an
+unchanged corpus re-quantizes nothing, a state covering a prefix of the
+corpus is extended incrementally, and
 :attr:`IvfPqIndex.rows_quantized` counts exactly how many corpus rows
 each construction actually (re)quantized -- 0 on a clean reopen.
 """
@@ -47,15 +50,20 @@ import numpy as np
 import repro.faults as faults
 from repro.core.model import Asteria, FunctionEncoding
 from repro.index.ann import (
+    DEFAULT_MIN_CANDIDATES,
     LAST_RING,
     SCORE_BLOCK_ROWS,
     AnnIndex,
     _Held,
     _ring_list,
 )
+from repro.index.store import EmbeddingStore
 from repro.obs.metrics import FRACTION_BUCKETS, SIZE_BUCKETS, MetricsRegistry
 from repro.obs.trace import current_span
+from repro.utils.logging import get_logger
 from repro.utils.rng import RNG, derive_seed
+
+_LOG = get_logger("index.quant")
 
 #: IVF-PQ persisted-state schema version (bump on incompatible layout).
 IVFPQ_STATE_VERSION = 1
@@ -237,7 +245,7 @@ class IvfPqIndex(AnnIndex):
         self.n_lists = int(n_lists) if n_lists else default_n_lists(n)
         self.n_lists = max(1, min(self.n_lists, max(1, n)))
         self.nprobe = int(nprobe)
-        self.oversample = int(rerank)  # default exact-rerank depth
+        self.oversample = int(rerank)  # exact-rerank depth per top-k row
         self.seed = int(seed)
         #: corpus rows this construction actually quantized+assigned
         #: (instrumentation: a persisted-state reopen of an unchanged
@@ -338,14 +346,60 @@ class IvfPqIndex(AnnIndex):
             for i in range(self.n_lists)
         ]
 
+    # -- serving -----------------------------------------------------------
+
+    @classmethod
+    def over_store(
+        cls,
+        model: Asteria,
+        store: EmbeddingStore,
+        registry: Optional[MetricsRegistry] = None,
+        **knobs,
+    ) -> "IvfPqIndex":
+        """Built from the state persisted beside the shards, and a durable
+        store gets it written back unless it is current (best effort:
+        the index serves either way)."""
+        index = cls(
+            model, store.vectors(), store.callee_counts(),
+            state=store.read_ann_state(), registry=registry, **knobs,
+        )
+        if store.root is not None and (
+            index.rows_quantized or not index.loaded_from_state
+        ):
+            try:
+                store.write_ann_state(*index.state_dict())
+            except OSError as exc:
+                _LOG.warning("could not persist ANN state: %s", exc)
+        return index
+
+    def ann_stats(self) -> Dict[str, object]:
+        return dict(
+            ann_persisted=self.loaded_from_state,
+            ann_rows_quantized=self.rows_quantized,
+            ann_n_lists=self.n_lists,
+            ann_nprobe=self.nprobe,
+        )
+
     # -- candidate generation ----------------------------------------------
+
+    def propose(
+        self, queries: Sequence[FunctionEncoding], k: Optional[int]
+    ) -> List[np.ndarray]:
+        """Candidate rows per query, at the depth a top-``k`` answer
+        reranks: ``max(k * oversample, DEFAULT_MIN_CANDIDATES)`` rows
+        (``k=None``: every probed row)."""
+        wanted = None
+        if k is not None:
+            wanted = max(k * self.oversample, DEFAULT_MIN_CANDIDATES)
+        query_matrix = np.stack([np.asarray(q.vector) for q in queries])
+        return self.candidate_rows_batch(query_matrix, wanted, queries)
 
     def candidate_rows_batch(
         self,
         query_matrix: np.ndarray,
         n: Optional[int],
         queries: Optional[Sequence[FunctionEncoding]] = None,
-    ) -> List[Optional[np.ndarray]]:
+    ) -> List[np.ndarray]:
         """Probe the ``nprobe`` nearest inverted lists per query, rank
         the probed rows by quantized score, return the top-``n`` rows
         (ascending) for exact rerank.
@@ -416,6 +470,34 @@ class IvfPqIndex(AnnIndex):
         self._observe_sweep(probed, swept, picked)
         return picked
 
+    def _score_batch(
+        self,
+        queries: Sequence[FunctionEncoding],
+        k: Optional[int],
+        threshold: Optional[float],
+    ) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], List[int]]:
+        """The proposed candidates, re-scored exactly."""
+        gathered = self.propose(queries, k)
+        sizes = [int(rows.size) for rows in gathered]
+        # sort + drop repeats: np.unique's hash path takes 12x as long
+        # on a few thousand candidate rows
+        union = np.sort(np.concatenate(gathered))
+        union = union[np.diff(union, prepend=-1) > 0]
+        if len(queries) * union.size <= 2 * sum(sizes):
+            # candidate sets overlap heavily (clustered / duplicate
+            # queries): score the union once for all queries
+            scores = self.score_matrix(queries, union)
+            return [
+                (rows, scores[i, np.searchsorted(union, rows)])
+                for i, rows in enumerate(gathered)
+            ], sizes
+        # mostly-disjoint candidates: a (q, union) matrix would score far
+        # more pairs than were ever candidates -- rerank per query
+        return [
+            (rows, self.score_matrix([queries[i]], rows)[0])
+            for i, rows in enumerate(gathered)
+        ], sizes
+
     def _observe_sweep(
         self, probed: List[int], swept: List[int], picked: List[np.ndarray]
     ) -> None:
@@ -450,12 +532,6 @@ class IvfPqIndex(AnnIndex):
             depth.observe(rows.size)
 
     # -- persisted state ---------------------------------------------------
-
-    @property
-    def rows_projected(self) -> int:
-        """Rows of construction work this instance actually performed,
-        under the name ``/v1/stats`` reports (``ann_rows_projected``)."""
-        return self.rows_quantized
 
     @property
     def resident_nbytes(self) -> int:

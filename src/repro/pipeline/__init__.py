@@ -24,7 +24,6 @@ from repro.pipeline.stages import (
     preprocess_one,
     unpack_stage,
 )
-from repro.nn.treelstm import flatten_tree, unflatten_tree
 from repro.pipeline.workers import (
     WorkerCrashError,
     WorkerTaskError,
@@ -50,8 +49,6 @@ __all__ = [
     "extract_all",
     "extract_binary",
     "extract_stream",
-    "flatten_tree",
     "preprocess_one",
-    "unflatten_tree",
     "unpack_stage",
 ]

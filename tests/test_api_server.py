@@ -355,6 +355,22 @@ class TestQuery:
         assert status == 400
         assert "images" in body["error"]
 
+    def test_non_string_query_names_are_400(self, server, query_binary):
+        """A list where the engine looks a name up in a dict was an
+        ``unhashable type`` 500."""
+        status, body = _post(server, "/v1/query",
+                             {"cve": ["CVE-2016-2105"]})
+        assert (status, body["exit_code"]) == (400, 6)
+        assert body["error"] == "cve must be a string, got ['CVE-2016-2105']"
+        status, body = _post(server, "/v1/query_batch", {"queries": [
+            {"binary_b64": _b64(query_binary), "function": ["f"]},
+        ]})
+        assert (status, body["exit_code"]) == (400, 6)
+        assert body["error"] == "function must be a string, got ['f']"
+        status, body = _post(server, "/v1/query", {"cve": {"id": 1}})
+        assert (status, body["exit_code"]) == (400, 6)
+        assert "cve" in body["error"]
+
     def test_negative_top_k_and_threshold_are_400(self, server):
         # the engine's own check, the one the CLI's exit 6 comes from
         status, body = _post(server, "/v1/query",

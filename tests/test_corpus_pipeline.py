@@ -10,14 +10,10 @@ from repro.api import AsteriaEngine, EngineConfig, IngestRequest
 from repro.compiler.pipeline import compile_package
 from repro.core.model import Asteria, AsteriaConfig
 from repro.evalsuite.vulnsearch import CVE_LIBRARY, build_firmware_dataset
-from repro.pipeline import (
-    ArtifactCache,
-    CorpusPipeline,
-    flatten_tree,
-    unflatten_tree,
-)
+from repro.pipeline import ArtifactCache, CorpusPipeline
 from repro.lang.generator import ProgramGenerator
 from repro.nn.treebatch import resolve_node_budget
+from repro.nn.treelstm import flatten_tree, unflatten_tree
 from repro.pipeline.cache import MANIFEST_NAME, OBJECTS_DIR, binary_digest
 from repro.pipeline.stages import unpack_stage
 

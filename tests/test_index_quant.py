@@ -23,7 +23,6 @@ from repro.core.model import Asteria, AsteriaConfig, FunctionEncoding
 from repro.faults import FaultInjected
 from repro.index.ann import (
     BruteForceIndex,
-    backend_is_stateful,
     known_backends,
     make_index,
     select_top_k,
@@ -272,7 +271,6 @@ class TestPersistedIvfPq:
         )
         assert restored.loaded_from_state
         assert restored.rows_quantized == 0
-        assert restored.rows_projected == 0
         for query in synth_queries(spec, range(6)):
             assert _rows(built.top_k(query, k=8)) \
                 == _rows(restored.top_k(query, k=8))
@@ -369,7 +367,6 @@ class TestPersistedIvfPq:
         assert stats.ann_persisted is True
         assert stats.ann_nprobe == 8
         assert stats.ann_rows_quantized == 0
-        assert stats.ann_rows_projected == 0
 
     def test_torn_persist_keeps_previous_generation(
         self, tmp_path, model, spec
@@ -435,9 +432,6 @@ class TestBackendRegistry:
         assert "ivf-pq" in str(excinfo.value)
 
     def test_statefulness_and_listing(self):
-        assert backend_is_stateful("ivf-pq")
-        assert not backend_is_stateful("exact")
-        assert not backend_is_stateful("lsh")  # removed, so unknown
         assert known_backends() == ["exact", "ivf-pq"]
 
 
