@@ -395,7 +395,7 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
         payload = self._payload()
         result = self.engine.encode(EncodeRequest(
             binary=_binary_from_b64(payload),
-            function=payload.get("function"),
+            function=_optional_str(payload, "function"),
         ))
         body = {
             "binary": result.binary_name,
@@ -418,7 +418,7 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
         if "binary_b64" in payload:
             request.binaries = [(
                 _binary_from_b64(payload),
-                str(payload.get("image_id", "")),
+                _optional_str(payload, "image_id") or "",
             )]
         if corpus is None and not request.binaries:
             raise BadRequestError(
@@ -491,9 +491,9 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
         payload = self._payload()
         result = self.engine.compare(CompareRequest(
             binary1=_binary_from_b64(payload, "binary1_b64"),
-            function1=str(payload.get("function1", "")),
+            function1=_optional_str(payload, "function1") or "",
             binary2=_binary_from_b64(payload, "binary2_b64"),
-            function2=str(payload.get("function2", "")),
+            function2=_optional_str(payload, "function2") or "",
         ))
         body = {
             "function1": result.function1,
@@ -603,13 +603,18 @@ def serve(
 
     The engine's model is loaded (and a configured index opened) before
     the socket starts accepting, so a bad ``--model`` path fails fast
-    with the CLI's distinct exit code instead of per-request 503s.
+    with the CLI's distinct exit code instead of per-request 503s.  An
+    address the socket cannot bind (port held, out of range) is a
+    :class:`BadRequestError`, not a traceback.
     """
     configure()  # access + slow-query logs need a handler installed
     engine.model  # raises ModelNotFoundError early
     if engine.config.index_root is not None:
         engine.store  # open or create the durable index up front
-    server = EngineServer((host, port), engine)
+    try:
+        server = EngineServer((host, port), engine)
+    except (OSError, OverflowError) as exc:
+        raise BadRequestError(f"cannot listen on {host}:{port}: {exc}") from exc
     print_fn(f"serving on {server.url}")
     if ready is not None:
         ready.set()

@@ -316,6 +316,14 @@ def _count(value: str) -> int:
     return number
 
 
+def _port(value: str) -> int:
+    """argparse type of ``serve --port``: a TCP port, 0-65535."""
+    number = int(value)
+    if not 0 <= number <= 65535:
+        raise argparse.ArgumentTypeError(f"must be 0-65535, got {number}")
+    return number
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-cli",
@@ -460,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="HTTP/JSON serving layer (encode / ingest / query / stats)",
     )
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8080,
+    p.add_argument("--port", type=_port, default=8080,
                    help="0 picks an ephemeral port (printed on startup)")
     p.add_argument("--seed", type=int, default=0)
     add_config_flags(

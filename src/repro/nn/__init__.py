@@ -13,7 +13,7 @@ sequential per-tree reference path kept for verification).
 
 from repro.nn.tensor import Tensor, concat, no_grad
 from repro.nn.module import Module, Parameter
-from repro.nn.layers import Embedding, Linear
+from repro.nn.layers import Embedding
 from repro.nn.treelstm import BinaryTreeLSTM, BinaryTreeNode
 from repro.nn.treebatch import (
     CompiledBatch,
@@ -57,7 +57,6 @@ __all__ = [
     "Module",
     "Parameter",
     "Embedding",
-    "Linear",
     "BinaryTreeLSTM",
     "BinaryTreeNode",
     "Structure2Vec",

@@ -1,29 +1,12 @@
-"""Basic layers: Linear and Embedding."""
+"""The embedding layer."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.module import Module, Parameter, glorot
+from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor
 from repro.utils.rng import RNG
-
-
-class Linear(Module):
-    """Affine map ``y = x @ W + b`` for rank-1 inputs."""
-
-    def __init__(self, in_features: int, out_features: int, rng: RNG,
-                 bias: bool = True):
-        self.in_features = in_features
-        self.out_features = out_features
-        self.weight = Parameter(glorot(rng, (in_features, out_features)))
-        self.bias = Parameter(np.zeros(out_features)) if bias else None
-
-    def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
 
 
 class Embedding(Module):
@@ -40,19 +23,24 @@ class Embedding(Module):
             rng.normal(0.0, 1.0, size=(num_embeddings, embedding_dim))
         )
 
-    def forward(self, index: int) -> Tensor:
-        if not 0 <= index < self.num_embeddings:
+    def forward(self, index) -> Tensor:
+        """One id's ``(d,)`` row, or an id array's ``(n, d)`` rows."""
+        ids = np.asarray(index)
+        if ids.ndim == 0:  # one node per call: a plain comparison is cheapest
+            bad = [] if 0 <= index < self.num_embeddings else [index]
+        else:
+            bad = ids[(ids < 0) | (ids >= self.num_embeddings)]
+        if len(bad):
             raise IndexError(
-                f"embedding index {index} out of range "
+                f"embedding index {bad[0]} out of range "
                 f"[0, {self.num_embeddings})"
             )
         weight = self.weight
-        out_data = weight.data[index]
 
         def backward(grad):
             if weight.requires_grad:
                 full = np.zeros_like(weight.data)
-                full[index] = grad
+                np.add.at(full, ids, grad)
                 weight._accumulate(full)
 
-        return Tensor._op(out_data, (weight,), backward)
+        return Tensor._op(weight.data[ids], (weight,), backward)

@@ -21,14 +21,14 @@ Three pieces:
   over preallocated ``(n_nodes + 1, h)`` state buffers, zero autograd
   bookkeeping;
 * :func:`encode_batch_states` -- the training path: the same level
-  schedule through autograd ops whose backward generalises the fused
-  cell's analytic gradients from vectors to matrices (``np.outer(x, dz)``
-  becomes ``X.T @ dz``, bias gradients become row sums, child-state
-  gradients scatter-add back to the producing level).
+  schedule, each level one call of the fused
+  :meth:`~repro.nn.treelstm.BinaryTreeLSTM.cell` (the sequential
+  encoder's cell) on ``(n, h)`` rows, with the embedding lookup taking
+  the level's label array and child-state gradients scatter-adding back
+  to the producing level.
 
 Both paths are asserted numerically equivalent to the sequential
-:meth:`BinaryTreeLSTM.encode_states` reference by the test suite,
-mirroring the existing ``fused=True/False`` pattern.
+:meth:`BinaryTreeLSTM.encode_states` reference by the test suite.
 
 Columns cannot express a shared-subtree DAG:
 :func:`~repro.nn.treelstm.flatten_tree`, which turns an object tree into
@@ -611,19 +611,6 @@ def plan_to_state(plan: CompiledPlan) -> Dict[str, np.ndarray]:
 # -- training path -----------------------------------------------------------
 
 
-def _embed_rows(weight, labels: np.ndarray) -> Tensor:
-    """Batched embedding lookup: ``(n,)`` label ids -> ``(n, d)`` rows."""
-    out_data = weight.data[labels]
-
-    def backward(grad):
-        if weight.requires_grad:
-            full = np.zeros_like(weight.data)
-            np.add.at(full, labels, grad)
-            weight._accumulate(full)
-
-    return Tensor._op(out_data, (weight,), backward)
-
-
 def _gather_states(
     level_outputs: List[Tensor],
     src_level: np.ndarray,
@@ -692,121 +679,23 @@ def _gather_roots(
     return Tensor._op(out, tuple(t for t, _r, _s in groups), backward)
 
 
-def batch_cell_forward(
-    lstm: BinaryTreeLSTM,
-    e: Tensor,
-    h_l: Tensor,
-    h_r: Tensor,
-    c_l: Tensor,
-    c_r: Tensor,
-) -> Tensor:
-    """The fused Tree-LSTM cell generalised from vectors to ``(n, h)``.
-
-    Same math as :meth:`BinaryTreeLSTM.node_forward_fused`, applied to all
-    same-level nodes at once; returns a stacked ``(2, n, h)`` tensor (row 0
-    = h, row 1 = c).  The analytic backward generalises accordingly: weight
-    gradients become ``X.T @ dZ``, bias gradients row sums, and child-state
-    gradients stay elementwise per row.
-    """
-    params = (
-        lstm.w_f, lstm.u_f_ll, lstm.u_f_lr, lstm.u_f_rl, lstm.u_f_rr,
-        lstm.b_f, lstm.w_i, lstm.u_i_l, lstm.u_i_r, lstm.b_i,
-        lstm.w_o, lstm.u_o_l, lstm.u_o_r, lstm.b_o,
-        lstm.w_u, lstm.u_u_l, lstm.u_u_r, lstm.b_u,
-    )
-    (w_f, u_f_ll, u_f_lr, u_f_rl, u_f_rr, b_f,
-     w_i, u_i_l, u_i_r, b_i,
-     w_o, u_o_l, u_o_r, b_o,
-     w_u, u_u_l, u_u_r, b_u) = params
-    ev, hl, hr, cl, cr = (t.data for t in (e, h_l, h_r, c_l, c_r))
-
-    e_wf = ev @ w_f.data
-    f_l = _sigmoid(e_wf + hl @ u_f_ll.data + hr @ u_f_lr.data + b_f.data)
-    f_r = _sigmoid(e_wf + hl @ u_f_rl.data + hr @ u_f_rr.data + b_f.data)
-    i = _sigmoid(ev @ w_i.data + hl @ u_i_l.data + hr @ u_i_r.data + b_i.data)
-    o = _sigmoid(ev @ w_o.data + hl @ u_o_l.data + hr @ u_o_r.data + b_o.data)
-    u = np.tanh(ev @ w_u.data + hl @ u_u_l.data + hr @ u_u_r.data + b_u.data)
-    c = i * u + cl * f_l + cr * f_r
-    tanh_c = np.tanh(c)
-    h = o * tanh_c
-    out_data = np.stack([h, c])
-
-    inputs = (e, h_l, h_r, c_l, c_r)
-
-    def backward(grad):
-        dh, dc_out = grad[0], grad[1]
-        do = dh * tanh_c
-        dc = dc_out + dh * o * (1.0 - tanh_c ** 2)
-        di = dc * u
-        du = dc * i
-        df_l = dc * cl
-        df_r = dc * cr
-        if c_l.requires_grad:
-            c_l._accumulate(dc * f_l)
-        if c_r.requires_grad:
-            c_r._accumulate(dc * f_r)
-        dz_o = do * o * (1.0 - o)
-        dz_i = di * i * (1.0 - i)
-        dz_fl = df_l * f_l * (1.0 - f_l)
-        dz_fr = df_r * f_r * (1.0 - f_r)
-        dz_u = du * (1.0 - u ** 2)
-        dz_f = dz_fl + dz_fr
-        if e.requires_grad:
-            e._accumulate(
-                dz_f @ w_f.data.T + dz_i @ w_i.data.T
-                + dz_o @ w_o.data.T + dz_u @ w_u.data.T
-            )
-        if h_l.requires_grad:
-            h_l._accumulate(
-                dz_fl @ u_f_ll.data.T + dz_fr @ u_f_rl.data.T
-                + dz_i @ u_i_l.data.T + dz_o @ u_o_l.data.T
-                + dz_u @ u_u_l.data.T
-            )
-        if h_r.requires_grad:
-            h_r._accumulate(
-                dz_fl @ u_f_lr.data.T + dz_fr @ u_f_rr.data.T
-                + dz_i @ u_i_r.data.T + dz_o @ u_o_r.data.T
-                + dz_u @ u_u_r.data.T
-            )
-        w_f._accumulate(ev.T @ dz_f)
-        b_f._accumulate(dz_f.sum(axis=0))
-        u_f_ll._accumulate(hl.T @ dz_fl)
-        u_f_lr._accumulate(hr.T @ dz_fl)
-        u_f_rl._accumulate(hl.T @ dz_fr)
-        u_f_rr._accumulate(hr.T @ dz_fr)
-        w_i._accumulate(ev.T @ dz_i)
-        u_i_l._accumulate(hl.T @ dz_i)
-        u_i_r._accumulate(hr.T @ dz_i)
-        b_i._accumulate(dz_i.sum(axis=0))
-        w_o._accumulate(ev.T @ dz_o)
-        u_o_l._accumulate(hl.T @ dz_o)
-        u_o_r._accumulate(hr.T @ dz_o)
-        b_o._accumulate(dz_o.sum(axis=0))
-        w_u._accumulate(ev.T @ dz_u)
-        u_u_l._accumulate(hl.T @ dz_u)
-        u_u_r._accumulate(hr.T @ dz_u)
-        b_u._accumulate(dz_u.sum(axis=0))
-
-    return Tensor._op(out_data, inputs + params, backward)
-
-
 def encode_batch_states(
     lstm: BinaryTreeLSTM, compiled: CompiledBatch
 ) -> Tensor:
     """Differentiable batch encoding: ``(n_trees, h)`` root hidden states.
 
     The training-path twin of :func:`encode_batch`: the same level schedule,
-    but each level runs through :func:`batch_cell_forward` so gradients flow
-    back to every parameter and minibatched training works through one
-    stacked graph instead of per-node cell calls.
+    but each level runs through the fused :meth:`BinaryTreeLSTM.cell` on
+    ``(n, h)`` rows so gradients flow back to every parameter and
+    minibatched training works through one stacked graph instead of
+    per-node cell calls.
     """
     if compiled.n_trees == 0:
         return Tensor(np.zeros((0, lstm.hidden_dim)))
-    _check_labels(compiled, lstm.num_labels)
     leaf = lstm._leaf_state().data
     outputs: List[Tensor] = []
     for level in compiled.levels:
-        e = _embed_rows(lstm.embedding.weight, level.labels)
+        e = lstm.embedding(level.labels)
         left = _gather_states(
             outputs, *compiled.level_refs(level.left_global), leaf
         )
@@ -814,7 +703,7 @@ def encode_batch_states(
             outputs, *compiled.level_refs(level.right_global), leaf
         )
         outputs.append(
-            batch_cell_forward(lstm, e, left[0], right[0], left[1], right[1])
+            lstm.cell(e, left[0], right[0], left[1], right[1])
         )
     return _gather_roots(
         outputs, *compiled.level_refs(compiled.root_global), lstm.hidden_dim

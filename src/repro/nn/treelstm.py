@@ -16,6 +16,13 @@ Leaf children states are initialised to all-zeros by default (the paper's
 Figure 9 ablation compares all-zeros against all-ones; both are supported
 via ``leaf_init``).  Encoding is iterative (explicit post-order stack) so
 deep LCRS spines cannot overflow Python's recursion limit.
+
+The cell exists twice: :meth:`BinaryTreeLSTM.node_forward`, the literal
+equation-by-equation composition of autograd ops kept as the reference,
+and :meth:`BinaryTreeLSTM.cell`, one fused autograd op with a hand-derived
+backward.  The fused cell takes one node's vectors or a level's ``(n, .)``
+rows, so the sequential encoder here and the level-batched trainer in
+:mod:`repro.nn.treebatch` run the same forward and gradient code.
 """
 
 from __future__ import annotations
@@ -141,10 +148,10 @@ class BinaryTreeLSTM(Module):
         seed: int = 0,
         fused: bool = True,
     ):
-        """``fused=True`` uses the hand-derived single-op cell (an order of
-        magnitude faster than the composed autograd ops, verified equivalent
-        by tests); ``fused=False`` keeps the literal equation-by-equation
-        reference implementation."""
+        """``fused=True`` uses the hand-derived single-op :meth:`cell` (an
+        order of magnitude faster than the composed autograd ops, verified
+        equivalent by tests); ``fused=False`` keeps the literal
+        equation-by-equation reference implementation."""
         if leaf_init not in ("zero", "one"):
             raise ValueError("leaf_init must be 'zero' or 'one'")
         self.fused = fused
@@ -212,20 +219,24 @@ class BinaryTreeLSTM(Module):
         h = o * c.tanh()
         return h, c
 
-    def node_forward_fused(
+    def cell(
         self,
         e: Tensor,
         h_l: Tensor,
         h_r: Tensor,
         c_l: Tensor,
         c_r: Tensor,
-    ) -> Tuple[Tensor, Tensor]:
+    ) -> Tensor:
         """Fused cell: same math as :meth:`node_forward`, one autograd op.
 
-        The forward pass computes all gates with plain numpy; the backward
-        closure applies the analytically derived LSTM-cell gradients.  The
-        cell returns a stacked ``(2, h)`` tensor (row 0 = h, row 1 = c) so a
-        single graph node carries both outputs, then slices it.
+        Takes one node's vectors (``e`` is ``(d,)``, the states ``(h,)``)
+        or a level's rows (``(n, d)`` and ``(n, h)``) and returns the
+        stacked ``(2, h)`` or ``(2, n, h)`` tensor (row 0 = h, row 1 = c),
+        so a single graph node carries both outputs.  The forward pass
+        computes all gates with plain numpy; the backward closure applies
+        the analytically derived LSTM-cell gradients, treating a node as
+        one row: weight gradients are ``X.T @ dZ``, bias gradients row
+        sums, and input gradients are reshaped back to their input's shape.
         """
         params = (
             self.w_f, self.u_f_ll, self.u_f_lr, self.u_f_rl, self.u_f_rr,
@@ -253,7 +264,7 @@ class BinaryTreeLSTM(Module):
         inputs = (e, h_l, h_r, c_l, c_r)
 
         def backward(grad):
-            dh, dc_out = grad[0], grad[1]
+            dh, dc_out = grad.reshape(2, -1, self.hidden_dim)
             do = dh * tanh_c
             dc = dc_out + dh * o * (1.0 - tanh_c ** 2)
             di = dc * u
@@ -261,9 +272,9 @@ class BinaryTreeLSTM(Module):
             df_l = dc * cl
             df_r = dc * cr
             if c_l.requires_grad:
-                c_l._accumulate(dc * f_l)
+                c_l._accumulate((dc * f_l).reshape(c_l.shape))
             if c_r.requires_grad:
-                c_r._accumulate(dc * f_r)
+                c_r._accumulate((dc * f_r).reshape(c_r.shape))
             dz_o = do * o * (1.0 - o)
             dz_i = di * i * (1.0 - i)
             dz_fl = df_l * f_l * (1.0 - f_l)
@@ -271,43 +282,31 @@ class BinaryTreeLSTM(Module):
             dz_u = du * (1.0 - u ** 2)
             dz_f = dz_fl + dz_fr
             if e.requires_grad:
-                e._accumulate(
+                e._accumulate((
                     dz_f @ w_f.data.T + dz_i @ w_i.data.T
                     + dz_o @ w_o.data.T + dz_u @ w_u.data.T
-                )
+                ).reshape(e.shape))
             if h_l.requires_grad:
-                h_l._accumulate(
+                h_l._accumulate((
                     dz_fl @ u_f_ll.data.T + dz_fr @ u_f_rl.data.T
                     + dz_i @ u_i_l.data.T + dz_o @ u_o_l.data.T
                     + dz_u @ u_u_l.data.T
-                )
+                ).reshape(h_l.shape))
             if h_r.requires_grad:
-                h_r._accumulate(
+                h_r._accumulate((
                     dz_fl @ u_f_lr.data.T + dz_fr @ u_f_rr.data.T
                     + dz_i @ u_i_r.data.T + dz_o @ u_o_r.data.T
                     + dz_u @ u_u_r.data.T
-                )
-            w_f._accumulate(np.outer(ev, dz_f))
-            b_f._accumulate(dz_f)
-            u_f_ll._accumulate(np.outer(hl, dz_fl))
-            u_f_lr._accumulate(np.outer(hr, dz_fl))
-            u_f_rl._accumulate(np.outer(hl, dz_fr))
-            u_f_rr._accumulate(np.outer(hr, dz_fr))
-            w_i._accumulate(np.outer(ev, dz_i))
-            u_i_l._accumulate(np.outer(hl, dz_i))
-            u_i_r._accumulate(np.outer(hr, dz_i))
-            b_i._accumulate(dz_i)
-            w_o._accumulate(np.outer(ev, dz_o))
-            u_o_l._accumulate(np.outer(hl, dz_o))
-            u_o_r._accumulate(np.outer(hr, dz_o))
-            b_o._accumulate(dz_o)
-            w_u._accumulate(np.outer(ev, dz_u))
-            u_u_l._accumulate(np.outer(hl, dz_u))
-            u_u_r._accumulate(np.outer(hr, dz_u))
-            b_u._accumulate(dz_u)
+                ).reshape(h_r.shape))
+            x_e, x_l, x_r = (x.reshape(len(dh), -1) for x in (ev, hl, hr))
+            grads = [x_e.T @ dz_f, x_l.T @ dz_fl, x_r.T @ dz_fl,
+                     x_l.T @ dz_fr, x_r.T @ dz_fr, dz_f.sum(axis=0)]
+            for dz in (dz_i, dz_o, dz_u):
+                grads += [x_e.T @ dz, x_l.T @ dz, x_r.T @ dz, dz.sum(axis=0)]
+            for param, g in zip(params, grads):
+                param._accumulate(g)
 
-        stacked = Tensor._op(out_data, inputs + params, backward)
-        return stacked[0], stacked[1]
+        return Tensor._op(out_data, inputs + params, backward)
 
     # -- tree encoding ------------------------------------------------------------
 
@@ -325,7 +324,6 @@ class BinaryTreeLSTM(Module):
         state.  Such inputs are rejected with a :class:`ValueError` instead;
         deep-copy shared subtrees before encoding.
         """
-        cell = self.node_forward_fused if self.fused else self.node_forward
         leaf = (self._leaf_state(), self._leaf_state())
         states: Dict[int, Tuple[Tensor, Tensor]] = {}
         seen = set()
@@ -346,5 +344,9 @@ class BinaryTreeLSTM(Module):
                 h_r, c_r = states.pop(id(node.right))
             else:
                 h_r, c_r = leaf
-            states[id(node)] = cell(e, h_l, h_r, c_l, c_r)
+            if self.fused:
+                hc = self.cell(e, h_l, h_r, c_l, c_r)
+                states[id(node)] = hc[0], hc[1]
+            else:
+                states[id(node)] = self.node_forward(e, h_l, h_r, c_l, c_r)
         return states[id(tree)]

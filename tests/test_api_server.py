@@ -542,6 +542,30 @@ class TestEncodeIngestCompare:
         assert status == 400
         assert "ingest needs" in body["error"]
 
+    def test_non_string_names_are_400(self, server, query_binary):
+        """A non-string image_id was stored as its ``str()`` (200); a
+        non-string compare name was mangled the same way."""
+        _status, before = _get(server, "/v1/stats")
+        status, body = _post(server, "/v1/ingest", {
+            "binary_b64": _b64(query_binary), "image_id": {"vendor": 1},
+        })
+        assert (status, body["exit_code"]) == (400, 6)
+        assert body["error"] == "image_id must be a string, got {'vendor': 1}"
+        _status, after = _get(server, "/v1/stats")
+        assert after["index_rows"] == before["index_rows"]
+        binary = _b64(query_binary)
+        for field, value in (("function1", ["f"]), ("function2", 7)):
+            payload = {"binary1_b64": binary, "function1": "f",
+                       "binary2_b64": binary, "function2": "f",
+                       field: value}
+            status, body = _post(server, "/v1/compare", payload)
+            assert (status, body["exit_code"]) == (400, 6)
+            assert body["error"] == f"{field} must be a string, got {value!r}"
+        status, body = _post(server, "/v1/encode",
+                             {"binary_b64": binary, "function": ["f"]})
+        assert (status, body["exit_code"]) == (400, 6)
+        assert body["error"] == "function must be a string, got ['f']"
+
     def test_compare(self, server, query_binary):
         _status, encode_body = _post(server, "/v1/encode",
                                      {"binary_b64": _b64(query_binary)})

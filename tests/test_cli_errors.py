@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import os
 import re
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -133,6 +134,30 @@ class TestBadRequest:
             err = capsys.readouterr().err
             assert "error: threshold must be >= 0, got -1.0" in err
             assert "Traceback" not in err
+
+    def test_serve_on_a_held_port_is_one_error_line(self, model_path,
+                                                      capsys):
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen(1)
+            port = holder.getsockname()[1]
+            assert main(["serve", "--model", model_path,
+                         "--port", str(port)]) == 6
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: cannot listen on 127.0.0.1:{port}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_serve_port_out_of_range_is_a_parse_error(self, port, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--model", "m", "--port", port])
+        assert exit_info.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1
+        assert "argument --port: must be 0-65535" in errors[0]
 
     def test_exit_codes_are_distinct(self):
         from repro.api.errors import (

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import Embedding, Linear
+from repro.nn.layers import Embedding
 from repro.nn.loss import bce_loss, cosine_embedding_loss, mse_loss
 from repro.nn.module import Module, Parameter
 from repro.nn.optim import SGD, AdaGrad, Adam
@@ -14,40 +14,37 @@ from repro.utils.rng import RNG
 
 class _Tiny(Module):
     def __init__(self):
-        self.linear = Linear(3, 2, RNG(0))
+        self.emb = Embedding(3, 2, RNG(0))
         self.extra = Parameter(np.zeros(2))
-        self.stack = [Linear(2, 2, RNG(1))]
+        self.stack = [Embedding(2, 2, RNG(1))]
 
-    def forward(self, x):
-        return self.linear(x) + self.extra
+    def forward(self, index):
+        return self.emb(index) + self.extra
 
 
 class TestModule:
     def test_parameter_discovery(self):
         model = _Tiny()
         names = {name for name, _p in model.named_parameters()}
-        assert names == {
-            "linear.weight", "linear.bias", "extra",
-            "stack.0.weight", "stack.0.bias",
-        }
+        assert names == {"emb.weight", "extra", "stack.0.weight"}
 
     def test_n_parameters(self):
         model = _Tiny()
-        assert model.n_parameters() == 3 * 2 + 2 + 2 + 2 * 2 + 2
+        assert model.n_parameters() == 3 * 2 + 2 + 2 * 2
 
     def test_zero_grad(self):
         model = _Tiny()
-        out = model(Tensor(np.ones(3))).sum()
+        out = model(1).sum()
         out.backward()
-        assert model.linear.weight.grad is not None
+        assert model.emb.weight.grad is not None
         model.zero_grad()
-        assert model.linear.weight.grad is None
+        assert model.emb.weight.grad is None
 
     def test_state_dict_roundtrip(self):
         a, b = _Tiny(), _Tiny()
-        b.linear.weight.data += 1.0
+        b.emb.weight.data += 1.0
         b.load_state_dict(a.state_dict())
-        np.testing.assert_array_equal(b.linear.weight.data, a.linear.weight.data)
+        np.testing.assert_array_equal(b.emb.weight.data, a.emb.weight.data)
 
     def test_state_dict_mismatch_rejected(self):
         model = _Tiny()
@@ -62,16 +59,6 @@ class TestModule:
 
 
 class TestLayers:
-    def test_linear_shapes(self):
-        layer = Linear(4, 3, RNG(0))
-        out = layer(Tensor(np.ones(4)))
-        assert out.shape == (3,)
-
-    def test_linear_no_bias(self):
-        layer = Linear(4, 3, RNG(0), bias=False)
-        assert layer.bias is None
-        assert len(layer.parameters()) == 1
-
     def test_embedding_lookup(self):
         emb = Embedding(10, 4, RNG(0))
         row = emb(3)
@@ -83,6 +70,21 @@ class TestLayers:
             emb(10)
         with pytest.raises(IndexError):
             emb(-1)
+
+    def test_embedding_array_lookup_sums_repeated_ids(self):
+        emb = Embedding(5, 3, RNG(0))
+        ids = np.array([2, 0, 2, 4, 2])
+        rows = emb(ids)
+        np.testing.assert_array_equal(rows.data, emb.weight.data[ids])
+        upstream = np.arange(15.0).reshape(5, 3)
+        (rows * Tensor(upstream)).sum().backward()
+        expected = np.zeros((5, 3))
+        expected[2] = upstream[0] + upstream[2] + upstream[4]
+        expected[0] = upstream[1]
+        expected[4] = upstream[3]
+        np.testing.assert_array_equal(emb.weight.grad, expected)
+        with pytest.raises(IndexError, match="index 5 out of range"):
+            emb(np.array([1, 5, -1]))
 
     def test_embedding_grad_only_touched_row(self):
         emb = Embedding(5, 3, RNG(0))

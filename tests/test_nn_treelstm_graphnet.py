@@ -114,6 +114,53 @@ class TestTreeLSTM:
                 err_msg=name,
             )
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        embedding_dim=st.integers(min_value=1, max_value=12),
+        hidden_dim=st.integers(min_value=1, max_value=12),
+        leaf_init=st.sampled_from(["zero", "one"]),
+        leaf_children=st.tuples(st.booleans(), st.booleans()),
+        seed=st.integers(min_value=0, max_value=2 ** 16),
+    )
+    def test_cell_node_is_its_one_row_case(
+        self, embedding_dim, hidden_dim, leaf_init, leaf_children, seed
+    ):
+        """Property: the fused cell gives the same bits on one node's
+        vectors as on that node as a ``(1, .)`` matrix -- h, c, the five
+        input gradients and all 18 parameter gradients."""
+        model = BinaryTreeLSTM(49, embedding_dim, hidden_dim,
+                               leaf_init=leaf_init, seed=seed)
+        rng = np.random.default_rng(seed)
+        leaf = model._leaf_state().data
+        e = model.embedding.weight.data[rng.integers(49)]
+        h_l, h_r, c_l, c_r = rng.normal(size=(4, hidden_dim))
+        if leaf_children[0]:
+            h_l, c_l = leaf, leaf
+        if leaf_children[1]:
+            h_r, c_r = leaf, leaf
+        upstream = rng.normal(size=(2, hidden_dim))
+
+        def run(rows):
+            model.zero_grad()
+            inputs = [
+                Tensor(x.reshape(1, -1) if rows else x, requires_grad=True)
+                for x in (e, h_l, h_r, c_l, c_r)
+            ]
+            out = model.cell(*inputs)
+            (out * Tensor(upstream.reshape(out.shape))).sum().backward()
+            grads = [t.grad for t in inputs] + [
+                p.grad for name, p in model.named_parameters()
+                if not name.startswith("embedding.")
+            ]
+            return [out.data] + grads
+
+        node, row = run(rows=False), run(rows=True)
+        assert node[0].shape == (2, hidden_dim)
+        assert row[0].shape == (2, 1, hidden_dim)
+        assert len(node) == 1 + 5 + 18
+        for a, b in zip(node, row):
+            assert a.tobytes() == b.tobytes()
+
     def test_parameter_count(self):
         d, h, labels = 8, 16, 49
         model = BinaryTreeLSTM(labels, d, h, seed=0)
