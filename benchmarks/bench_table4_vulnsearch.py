@@ -33,7 +33,7 @@ def test_table4_vulnerability_search(benchmark, trained_asteria):
     dataset = build_firmware_dataset(
         n_images=scaled(16), seed=5, vulnerable_fraction=0.55
     )
-    engine = AsteriaEngine(EngineConfig(threshold=0.8), model=trained_asteria)
+    engine = AsteriaEngine(EngineConfig(), model=trained_asteria)
     search = VulnerabilitySearch(engine, threshold=0.8)
     engine.ingest(IngestRequest(images=dataset.images))
     report, candidates = search.search(dataset)

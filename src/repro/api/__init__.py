@@ -20,7 +20,6 @@ and :mod:`repro.api.batching` for the query micro-batcher.
 from repro.api.batching import MicroBatcher
 from repro.api.config import EngineConfig
 from repro.api.engine import (
-    USE_DEFAULT,
     AsteriaEngine,
     CompareRequest,
     CompareResult,
@@ -63,7 +62,6 @@ __all__ = [
     "QueryResult",
     "TrainRequest",
     "TrainResult",
-    "USE_DEFAULT",
     "serve",
     "train_model",
 ]

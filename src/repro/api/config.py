@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 from dataclasses import dataclass, field, fields
 from typing import Dict, Optional, Sequence
 
@@ -76,10 +75,6 @@ class EngineConfig:
     ann_lists: int = _knob(
         0, "ivf-pq: number of coarse partitions (0 = auto, ~sqrt(corpus "
         "rows))", min=0, zero="auto")
-    threshold: float = _knob(
-        0.84, "Youden cutoff for queries that ask for the configured one",
-        min=0)
-    top_k: int = _knob(10, "query depth for queries that name none", min=1)
     seed: int = _knob(0, "ivf-pq k-means seed")
     micro_batch_size: int = _knob(
         DEFAULT_ENCODE_BATCH_SIZE, "max concurrent query encodes coalesced "
@@ -123,10 +118,6 @@ class EngineConfig:
             raise BadRequestError(
                 f"unknown backend {self.backend!r} "
                 f"(choose from {', '.join(known_backends())})"
-            )
-        if not math.isfinite(self.threshold):
-            raise BadRequestError(
-                f"threshold must be a finite number, got {self.threshold}"
             )
         if self.request_timeout_ms is not None and self.request_timeout_ms <= 0:
             raise BadRequestError("request_timeout_ms must be > 0 or null")

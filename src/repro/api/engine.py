@@ -45,7 +45,6 @@ the engine lock, never the reverse.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import json
 import math
 import os
@@ -95,14 +94,8 @@ from repro.utils.logging import get_logger
 _LOG = get_logger("api.engine")
 
 
-class _Default(enum.Enum):
-    USE_DEFAULT = "the engine's configured default"
-
-
-#: Sentinel for "use the engine's configured default" on optional knobs
-#: where ``None`` already means "unlimited": an object of its own, so no
-#: number a caller passes can be mistaken for it.
-USE_DEFAULT = _Default.USE_DEFAULT
+#: Query depth of a :class:`QueryRequest` that names none.
+DEFAULT_TOP_K = 10
 
 #: Most-recently-queried binaries whose extracted columns stay memoized
 #: in memory; a long-running server over many distinct query binaries
@@ -154,19 +147,17 @@ class QueryRequest:
 
     Exactly one query source: a ready ``encoding``, a library ``cve_id``,
     or a ``binary`` (object or path) plus ``function`` name.
-    ``top_k=USE_DEFAULT`` picks the configured default; ``top_k=None``
-    keeps every above-threshold hit.  ``threshold=USE_DEFAULT`` applies
-    the configured Youden threshold; ``threshold=None`` disables the
-    cutoff (the full top-k).  A negative ``top_k`` or ``threshold`` is a
-    :class:`BadRequestError`.
+    ``top_k=None`` keeps every above-threshold hit; ``threshold=None``
+    disables the cutoff (the full top-k).  A negative ``top_k`` or
+    ``threshold`` is a :class:`BadRequestError`.
     """
 
     encoding: Optional[FunctionEncoding] = None
     cve_id: Optional[str] = None
     binary: Optional[BinarySource] = None
     function: Optional[str] = None
-    top_k: Union[int, None, _Default] = USE_DEFAULT
-    threshold: Union[float, None, _Default] = None
+    top_k: Optional[int] = DEFAULT_TOP_K
+    threshold: Optional[float] = None
     #: Absolute ``time.monotonic()`` deadline; ``None`` derives one from
     #: ``EngineConfig.request_timeout_ms`` at query entry.
     deadline: Optional[float] = None
@@ -535,6 +526,9 @@ class AsteriaEngine:
         if request.corpus_images is not None:  # 0 = an (empty) corpus
             from repro.evalsuite.vulnsearch import build_firmware_dataset
 
+            if request.corpus_seed < 0:  # numpy takes no negative seed
+                raise BadRequestError(
+                    f"corpus_seed must be >= 0, got {request.corpus_seed}")
             dataset = build_firmware_dataset(
                 n_images=request.corpus_images, seed=request.corpus_seed
             )
@@ -650,7 +644,7 @@ class AsteriaEngine:
         encodings, rows and scores bit for bit, but binary-sourced
         query encodes run as one micro-batched level-batched GEMM call
         and the top-k scoring sweeps the corpus once for the whole batch
-        instead of once per request.  Requests sharing effective
+        instead of once per request.  Requests sharing
         ``top_k``/``threshold`` values are scored together; mixed
         parameters simply split the batch into a few sub-batches.
         """
@@ -701,14 +695,7 @@ class AsteriaEngine:
     ) -> List[QueryResult]:
         groups: Dict[Tuple, List[int]] = {}
         for i, request in enumerate(requests):
-            top_k = (
-                self.config.top_k if request.top_k is USE_DEFAULT
-                else request.top_k
-            )
-            threshold = (
-                self.config.threshold if request.threshold is USE_DEFAULT
-                else request.threshold
-            )
+            top_k, threshold = request.top_k, request.threshold
             if top_k is not None and top_k < 0:
                 raise BadRequestError(f"top_k must be >= 0, got {top_k}")
             if threshold is not None:

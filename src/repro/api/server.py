@@ -9,28 +9,21 @@ micro-batcher, so under load the server performs a few wide
 level-batched GEMM calls instead of one tree walk per request, and
 their corpus sweeps run side by side outside the engine lock.
 
-Endpoints (all JSON unless noted)::
+Endpoints (all JSON unless noted; every POST body's fields are
+declared in :data:`BODIES`)::
 
     GET  /healthz       {"status": "ok", "version", "uptime_s",
                          "model_loaded", "index_rows", "index_shards",
                          "index_generation"}
     GET  /metrics       Prometheus text exposition (text/plain)
     GET  /v1/stats      EngineStats.to_dict()
-    POST /v1/encode     {"binary_b64", "function"?}
-                        -> {"binary", "arch", "encodings": [...]}
-    POST /v1/ingest     {"binary_b64"?, "image_id"?,
-                         "corpus": {"images", "seed"}?}
-                        -> {"n_functions", "n_rows_total", ...}
-    POST /v1/query      {"cve" | "binary_b64" + "function",
-                         "top_k"?, "threshold"?}
-                        -> {"query", "n_rows", "hits": [...]}
-    POST /v1/query_batch {"queries": [<query object>, ...]}
-                        -> {"results": [<query response>, ...]}
+    POST /v1/encode     -> {"binary", "arch", "encodings": [...]}
+    POST /v1/ingest     -> {"n_functions", "n_rows_total", ...}
+    POST /v1/query      -> {"query", "n_rows", "hits": [...]}
+    POST /v1/query_batch -> {"results": [<query response>, ...]}
                         (one corpus sweep answers the whole batch)
-    POST /v1/compare    {"binary1_b64", "function1",
-                         "binary2_b64", "function2"}
-                        -> {"ast_similarity", "similarity"}
-    POST /v1/shutdown   {"status": "shutting down", "stats": {...}}
+    POST /v1/compare    -> {"ast_similarity", "similarity"}
+    POST /v1/shutdown   -> {"status": "shutting down", "stats": {...}}
                         (final registry snapshot, then a clean exit)
 
 Binaries travel as base64-encoded RBIN bytes.  Engine errors map to
@@ -48,7 +41,9 @@ from __future__ import annotations
 
 import base64
 import binascii
+import dataclasses
 import json
+import reprlib
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -61,7 +56,6 @@ from repro.api.engine import (
     EncodeRequest,
     IngestRequest,
     QueryRequest,
-    USE_DEFAULT,
     parse_binary,
 )
 from repro.api.errors import (
@@ -79,6 +73,31 @@ _LOG = get_logger("api.server")
 _ACCESS = get_logger("api.access")
 
 MAX_BODY_BYTES = 64 * 1024 * 1024
+#: Seconds a request body may take to arrive after its headers: a client
+#: stalled mid-body would otherwise hold its admission slot forever.
+BODY_TIMEOUT_S = 10.0
+#: Most firmware images one ``/v1/ingest`` may generate (~3.5 s of work).
+MAX_CORPUS_IMAGES = 4096
+
+_QUERY = {"cve": "string", "binary_b64": "string", "function": "string",
+          "top_k": "integer or null", "threshold": "number or null"}
+#: Every POST body, declared once: endpoint -> field -> JSON type, a
+#: nested table for an object, a one-table list for a list of objects.
+#: :func:`read_body` refuses any other key or type.  A query names
+#: exactly one of ``cve`` and ``binary_b64``; the ``top_k``/``threshold``
+#: ranges are the engine's to check.
+BODIES: Dict[str, Dict] = {
+    "/v1/encode": {"binary_b64": "string", "function": "string"},
+    "/v1/ingest": {"binary_b64": "string", "image_id": "string",
+                   "corpus": {"images": "integer", "seed": "integer"}},
+    "/v1/query": _QUERY,
+    "/v1/query_batch": {"queries": [_QUERY]},
+    "/v1/compare": {"binary1_b64": "string", "function1": "string",
+                    "binary2_b64": "string", "function2": "string"},
+    "/v1/shutdown": {},
+}
+_TYPES = {"string": str, "integer": int, "integer or null": (int, type(None)),
+          "number or null": (int, float, type(None))}
 
 
 def _encoding_json(encoding: FunctionEncoding) -> Dict:
@@ -104,35 +123,41 @@ def _hit_json(rank: int, hit: SearchHit) -> Dict:
     }
 
 
-def _int_field(obj: Dict, key: str, default: int) -> int:
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise BadRequestError(f"{key} must be an integer, got {value!r}")
-    return value
+def read_body(body, fields: Dict, path: str = "") -> Dict:
+    """``body``, checked against ``fields`` (a :data:`BODIES` table).
+
+    A key the table does not declare is named by its path
+    (``queries[1].tpo_k``), a value of the wrong type by its field.
+    """
+    if not isinstance(body, dict):
+        raise BadRequestError(f"{path or 'request body'} must be a JSON "
+                              f"object, got {reprlib.repr(body)}")
+    for key, value in body.items():
+        where, kind = f"{path}.{key}" if path else key, fields.get(key)
+        if kind is None:
+            known = ", ".join(fields) or "none"
+            raise BadRequestError(f"unknown field {reprlib.repr(where)} "
+                                  f"(expected one of: {known})")
+        if isinstance(kind, dict):
+            read_body(value, kind, where)
+        elif isinstance(kind, list):
+            if not isinstance(value, list):
+                raise BadRequestError(
+                    f"{where} must be a list, got {reprlib.repr(value)}")
+            for i, item in enumerate(value):
+                read_body(item, kind[0], f"{where}[{i}]")
+        elif isinstance(value, bool) or not isinstance(value, _TYPES[kind]):
+            article = "an" if kind[0] in "aeiou" else "a"
+            raise BadRequestError(f"{key} must be {article} {kind}, "
+                                  f"got {reprlib.repr(value)}")
+    return body
 
 
-def _optional_number(obj: Dict, key: str):
-    value = obj.get(key)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise BadRequestError(f"{key} must be a number, got {value!r}")
-    return value
-
-
-def _optional_str(obj: Dict, key: str) -> Optional[str]:
-    value = obj.get(key)
-    if value is not None and not isinstance(value, str):
-        raise BadRequestError(f"{key} must be a string, got {value!r}")
-    return value
-
-
-def _binary_from_b64(payload: Dict, key: str = "binary_b64") -> BinaryFile:
-    raw = payload.get(key)
-    if not isinstance(raw, str):
-        raise BadRequestError(f"missing or non-string {key!r}")
+def _binary_from_b64(body: Dict, key: str = "binary_b64") -> BinaryFile:
+    if key not in body:
+        raise BadRequestError(f"missing {key!r}")
     try:
-        data = base64.b64decode(raw, validate=True)
+        data = base64.b64decode(body[key], validate=True)
     except (binascii.Error, ValueError) as exc:
         raise BadRequestError(f"{key} is not valid base64: {exc}") from exc
     return parse_binary(data, key)
@@ -204,7 +229,9 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
             "exit_code": BadRequestError.exit_code,
         })
 
-    def _payload(self) -> Dict:
+    def _body(self) -> Dict:
+        """This POST's JSON body, checked against its :data:`BODIES`
+        entry."""
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
@@ -217,16 +244,28 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
                 f"Content-Length must be within [0, {MAX_BODY_BYTES}], "
                 f"got {length}"
             )
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            return {}
+        deadline, raw = time.monotonic() + BODY_TIMEOUT_S, bytearray()
+        try:  # the body alone is timed, not the keep-alive wait before it
+            while len(raw) < length:
+                self.connection.settimeout(
+                    max(deadline - time.monotonic(), 1e-3))
+                chunk = self.rfile.read1(length - len(raw))
+                if not chunk:  # the client closed mid-body
+                    break
+                raw += chunk
+        except TimeoutError:
+            pass
+        finally:
+            self.connection.settimeout(self.timeout)
+        if len(raw) < length:
+            self.close_connection = True  # the rest may still arrive
+            raise BadRequestError(f"request body: {len(raw)} of {length} "
+                                  f"bytes arrived in {BODY_TIMEOUT_S:g} s")
         try:
-            payload = json.loads(raw)
-        except json.JSONDecodeError as exc:
+            body = json.loads(raw) if raw else {}
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise BadRequestError(f"request body is not JSON: {exc}")
-        if not isinstance(payload, dict):
-            raise BadRequestError("request body must be a JSON object")
-        return payload
+        return read_body(body, BODIES[self.path])
 
     def _dispatch(self, routes: Dict, gated: bool = False) -> None:
         started = time.perf_counter()
@@ -388,65 +427,57 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
         return 200, self.engine.metrics_text()
 
     def _handle_stats(self) -> Tuple[int, Dict]:
-        body = self.engine.stats().to_dict()
-        return 200, body
+        return 200, self.engine.stats().to_dict()
 
     def _handle_encode(self) -> Tuple[int, Dict]:
-        payload = self._payload()
+        body = self._body()
         result = self.engine.encode(EncodeRequest(
-            binary=_binary_from_b64(payload),
-            function=_optional_str(payload, "function"),
+            binary=_binary_from_b64(body), function=body.get("function"),
         ))
-        body = {
+        return 200, {
             "binary": result.binary_name,
             "arch": result.arch,
             "encodings": [_encoding_json(e) for e in result.encodings],
         }
-        return 200, body
 
     def _handle_ingest(self) -> Tuple[int, Dict]:
-        payload = self._payload()
+        body = self._body()
         request = IngestRequest()
-        corpus = payload.get("corpus")
+        corpus = body.get("corpus")
         if corpus is not None:
-            if not isinstance(corpus, dict):
-                raise BadRequestError("corpus must be an object")
-            request.corpus_images = _int_field(corpus, "images", 0)
-            request.corpus_seed = _int_field(corpus, "seed", 0)
-            if request.corpus_images < 1:
-                raise BadRequestError("corpus.images must be >= 1")
-        if "binary_b64" in payload:
-            request.binaries = [(
-                _binary_from_b64(payload),
-                _optional_str(payload, "image_id") or "",
-            )]
+            request.corpus_images = images = corpus.get("images", 0)
+            request.corpus_seed = corpus.get("seed", 0)
+            if not 1 <= images <= MAX_CORPUS_IMAGES:
+                raise BadRequestError(f"corpus.images must be within [1, "
+                                      f"{MAX_CORPUS_IMAGES}], got {images}")
+        if "binary_b64" in body:
+            request.binaries = [
+                (_binary_from_b64(body), body.get("image_id", ""))
+            ]
         if corpus is None and not request.binaries:
             raise BadRequestError(
                 "ingest needs binary_b64 and/or corpus {images, seed}"
             )
         result = self.engine.ingest(request)
-        body = {
-            "n_functions": result.n_functions,
-            "n_binaries": result.n_binaries,
-            "n_images": result.n_images,
-            "n_unpack_failures": result.n_unpack_failures,
-            "n_skipped_small": result.n_skipped_small,
-            "n_rows_total": result.n_rows_total,
-        }
-        return 200, body
+        return 200, {name: getattr(result, name) for name in (
+            "n_functions", "n_binaries", "n_images", "n_unpack_failures",
+            "n_skipped_small", "n_rows_total",
+        )}
 
-    def _parse_query(self, payload: Dict) -> QueryRequest:
-        top_k = payload.get("top_k", USE_DEFAULT)
-        if top_k is not None and top_k is not USE_DEFAULT:  # null: no cap
-            top_k = _int_field(payload, "top_k", 0)
-        request = QueryRequest(
-            cve_id=_optional_str(payload, "cve"),
-            top_k=top_k,
-            threshold=_optional_number(payload, "threshold"),
-        )
-        if request.cve_id is None:
-            request.binary = _binary_from_b64(payload)
-            request.function = _optional_str(payload, "function")
+    @staticmethod
+    def _query(fields: Dict) -> QueryRequest:
+        """A query object, read by :func:`read_body`, as a request;
+        an absent ``top_k``/``threshold`` is :class:`QueryRequest`'s."""
+        if ("cve" in fields) == ("binary_b64" in fields):
+            raise BadRequestError("a query needs cve or binary_b64 (not both)")
+        request = QueryRequest(**{
+            name: fields[name] for name in ("function", "top_k", "threshold")
+            if name in fields
+        })
+        if "cve" in fields:
+            request.cve_id = fields["cve"]
+        else:
+            request.binary = _binary_from_b64(fields)
         return request
 
     @staticmethod
@@ -461,7 +492,7 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
         }
 
     def _handle_query(self) -> Tuple[int, Dict]:
-        result = self.engine.query(self._parse_query(self._payload()))
+        result = self.engine.query(self._query(self._body()))
         return 200, self._query_json(result)
 
     def _handle_query_batch(self) -> Tuple[int, Dict]:
@@ -471,39 +502,30 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
         the same fields as ``/v1/query``; the corpus is swept once for
         the whole batch instead of once per query.
         """
-        payload = self._payload()
-        queries = payload.get("queries")
-        if not isinstance(queries, list) or not queries:
+        queries = self._body().get("queries")
+        if not queries:
             raise BadRequestError(
                 "query_batch needs a non-empty 'queries' list"
             )
-        requests = []
-        for i, entry in enumerate(queries):
-            if not isinstance(entry, dict):
-                raise BadRequestError(f"queries[{i}] must be an object")
-            requests.append(self._parse_query(entry))
-        results = self.engine.query_batch(requests)
+        results = self.engine.query_batch(
+            [self._query(entry) for entry in queries]
+        )
         return 200, {
             "results": [self._query_json(result) for result in results]
         }
 
     def _handle_compare(self) -> Tuple[int, Dict]:
-        payload = self._payload()
+        body = self._body()
         result = self.engine.compare(CompareRequest(
-            binary1=_binary_from_b64(payload, "binary1_b64"),
-            function1=_optional_str(payload, "function1") or "",
-            binary2=_binary_from_b64(payload, "binary2_b64"),
-            function2=_optional_str(payload, "function2") or "",
+            binary1=_binary_from_b64(body, "binary1_b64"),
+            function1=body.get("function1", ""),
+            binary2=_binary_from_b64(body, "binary2_b64"),
+            function2=body.get("function2", ""),
         ))
-        body = {
-            "function1": result.function1,
-            "function2": result.function2,
-            "ast_similarity": result.ast_similarity,
-            "similarity": result.similarity,
-        }
-        return 200, body
+        return 200, dataclasses.asdict(result)
 
     def _handle_shutdown(self) -> Tuple[int, Dict]:
+        self._body()
         # stop admitting new work, then wait (bounded) for requests that
         # were already admitted to finish -- a client mid-query gets its
         # answer instead of a reset connection

@@ -62,8 +62,8 @@ from repro.api.errors import (
 from repro.lang.generator import ProgramGenerator
 from repro.lang.printer import to_source
 
-#: ``search`` reproduces Table IV at its own, looser cutoff -- not
-#: ``EngineConfig.threshold``, the Youden threshold served queries use.
+#: ``search`` reproduces Table IV at its own, looser cutoff than the
+#: 0.84 Youden threshold ``VulnerabilitySearch`` defaults to.
 SEARCH_THRESHOLD = 0.8
 
 _PIPELINE_FLAGS = ("jobs", "cache_dir", "encode_dtype", "encode_block")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import sys
 
 _CONFIGURED = False
 _TEXT_FORMAT = "%(asctime)s %(name)s %(levelname)s %(message)s"
@@ -41,6 +42,20 @@ class _RequestIdFilter(logging.Filter):
 
         record.request_id = current_request_id()
         return True
+
+
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to ``sys.stderr`` as it is when the record is
+    emitted, so a stream swapped after :func:`configure` (and perhaps
+    closed, as a test's captured stderr is) is never written to."""
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+    @stream.setter
+    def stream(self, _value):
+        pass
 
 
 class _TextFormatter(logging.Formatter):
@@ -99,7 +114,7 @@ def configure(
     root = logging.getLogger("repro")
     for handler in list(root.handlers):
         root.removeHandler(handler)
-    handler = logging.StreamHandler()
+    handler = _StderrHandler()
     handler.setFormatter(
         JsonFormatter() if fmt == "json" else _TextFormatter(_TEXT_FORMAT)
     )

@@ -76,8 +76,7 @@ def make_vuln_search(trained_model):
 
     def make(threshold: float = 0.84, cache=None) -> VulnerabilitySearch:
         engine = AsteriaEngine(
-            EngineConfig(threshold=threshold), model=trained_model,
-            cache=cache,
+            EngineConfig(), model=trained_model, cache=cache,
         )
         return VulnerabilitySearch(engine, threshold=threshold)
 

@@ -32,10 +32,9 @@ from repro.api import (
     ModelNotFoundError,
     QueryRequest,
     TrainRequest,
-    USE_DEFAULT,
     train_model,
 )
-from repro.api.engine import POLLED_GAUGES, REGISTRY_COUNTS
+from repro.api.engine import DEFAULT_TOP_K, POLLED_GAUGES, REGISTRY_COUNTS
 from repro.cli import build_parser
 from repro.compiler.pipeline import compile_package
 from repro.core.model import FunctionEncoding
@@ -49,8 +48,8 @@ from repro.lang.generator import ProgramGenerator
 
 class TestEngineConfig:
     def test_dict_round_trip(self):
-        config = EngineConfig(model_path="m.npz", jobs=3, threshold=0.7,
-                              backend="ivf-pq", micro_batch_size=8)
+        config = EngineConfig(model_path="m.npz", jobs=3, backend="ivf-pq",
+                              micro_batch_size=8)
         assert EngineConfig.from_dict(config.to_dict()) == config
 
     def test_unknown_key_is_clean_error(self):
@@ -64,13 +63,6 @@ class TestEngineConfig:
             EngineConfig(backend="annoy")
         with pytest.raises(BadRequestError):
             EngineConfig(micro_batch_wait_ms=-1)
-
-    def test_top_k_must_be_positive(self):
-        # a depth below 1 would answer every default-depth query with no hits
-        with pytest.raises(BadRequestError, match="top_k must be >= 1"):
-            EngineConfig(top_k=0)
-        with pytest.raises(BadRequestError, match="top_k must be >= 1"):
-            EngineConfig.from_dict({"top_k": -1})
 
     def test_ann_knob_validation(self):
         config = EngineConfig(backend="ivf-pq", ann_nprobe=4,
@@ -101,10 +93,11 @@ class TestEngineConfig:
 
     def test_from_dict_and_flags_read_values(self):
         config = EngineConfig.from_dict(
-            json.loads('{"model_path": "m.npz", "top_k": 3, "threshold": 0.5}')
+            json.loads('{"model_path": "m.npz", "ann_nprobe": 3, '
+                       '"micro_batch_wait_ms": 0.5}')
         )
-        assert (config.model_path, config.top_k, config.threshold) \
-            == ("m.npz", 3, 0.5)
+        assert (config.model_path, config.ann_nprobe,
+                config.micro_batch_wait_ms) == ("m.npz", 3, 0.5)
         args = build_parser().parse_args([
             "pipeline", "run", "--model", "m.npz", "--jobs", "4",
         ])
@@ -380,23 +373,13 @@ class TestEngineLifecycle:
             engine.query(QueryRequest(cve_id="CVE-1999-0000"))
 
     def test_minus_one_is_not_the_configured_default(self, engine):
-        """``USE_DEFAULT`` is an object of its own: a -1 sentinel used to
-        turn ``threshold=-1`` into the configured 0.84 cutoff, silently."""
+        """-1 is a bad request: a -1 sentinel used to turn
+        ``threshold=-1`` into a configured 0.84 cutoff, silently."""
         cve = "CVE-2016-2105"
         with pytest.raises(BadRequestError, match="threshold must be >= 0"):
             engine.query(QueryRequest(cve_id=cve, top_k=None, threshold=-1))
         with pytest.raises(BadRequestError, match="top_k must be >= 0"):
             engine.query_batch([QueryRequest(cve_id=cve, top_k=-1)])
-        with pytest.raises(BadRequestError, match="threshold must be >= 0"):
-            EngineConfig(threshold=-0.5)
-        configured = engine.query(QueryRequest(
-            cve_id=cve, top_k=USE_DEFAULT, threshold=USE_DEFAULT
-        ))
-        spelled_out = engine.query(QueryRequest(
-            cve_id=cve, top_k=engine.config.top_k,
-            threshold=engine.config.threshold,
-        ))
-        assert configured.hits == spelled_out.hits
 
     def test_query_needs_a_source(self, engine, query_binary):
         with pytest.raises(BadRequestError, match="query needs"):
@@ -475,9 +458,15 @@ class TestEngineLifecycle:
         assert stats.ann_backend == "exact"
         assert stats.index_mmap is False  # in-memory engine store
 
-    def test_top_k_defaults_from_config(self, engine):
-        result = engine.query(QueryRequest(cve_id="CVE-2016-2105"))
-        assert len(result.hits) <= engine.config.top_k
+    def test_top_k_defaults_from_the_request(self, engine):
+        """A query carries its own defaults: depth 10 and no cutoff."""
+        request = QueryRequest(cve_id="CVE-2016-2105")
+        assert (request.top_k, request.threshold) == (DEFAULT_TOP_K, None)
+        result = engine.query(request)
+        assert result.hits == engine.query(QueryRequest(
+            cve_id="CVE-2016-2105", top_k=10, threshold=None
+        )).hits
+        assert len(result.hits) == min(10, engine.stats().index_rows)
 
     def test_compare(self, engine, query_binary, query_functions):
         from repro.decompiler import decompile_function

@@ -9,14 +9,18 @@ and over a raw socket where the request itself is malformed.
 import base64
 import http.client
 import json
+import logging
+import select
 import socket
 import statistics
 import threading
 import time
+import traceback
 import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.faults as faults
 from repro.api import (
@@ -25,7 +29,12 @@ from repro.api import (
     EngineServer,
     IngestRequest,
 )
-from repro.api.server import EngineRequestHandler
+import repro.api.server as server_module
+from repro.api.server import (
+    BODIES,
+    MAX_CORPUS_IMAGES,
+    EngineRequestHandler,
+)
 from repro.compiler.pipeline import compile_package
 from repro.lang.generator import ProgramGenerator
 
@@ -722,6 +731,20 @@ class TestShutdown:
         assert not thread.is_alive()
         server.server_close()
 
+    def test_shutdown_with_an_undeclared_key_is_400(self, trained_model):
+        engine = AsteriaEngine(EngineConfig(), model=trained_model)
+        server = EngineServer(("127.0.0.1", 0), engine)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        status, body = _post(server, "/v1/shutdown", {"now": True})
+        assert (status, body["exit_code"]) == (400, 6)
+        assert body["error"].startswith("unknown field 'now'")
+        assert _get(server, "/healthz")[0] == 200  # still serving
+        assert _post(server, "/v1/shutdown", {})[0] == 200
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        server.server_close()
+
     def test_shutdown_body_carries_final_metrics_snapshot(
         self, trained_model
     ):
@@ -749,3 +772,256 @@ class TestShutdown:
         thread.join(timeout=10)
         assert not thread.is_alive()
         server.server_close()
+
+
+class TestRequestBodies:
+    """Every POST body is read against ``BODIES``: what it does not
+    declare is a 400 that names it, and nothing is done."""
+
+    @pytest.mark.parametrize("path, payload, needle", [
+        ("/v1/query", {"cve": "CVE-2016-2105", "tpo_k": 1}, "'tpo_k'"),
+        ("/v1/ingest", {"corpus": {"images": 1, "bogus": 2}},
+         "'corpus.bogus'"),
+        ("/v1/query_batch", {"queries": [
+            {"cve": "CVE-2016-2105"}, {"cve": "CVE-2016-2105", "tpo_k": 1},
+        ]}, "'queries[1].tpo_k'"),
+        ("/v1/query_batch", {"queries": [{"cve": "CVE-2016-2105"}],
+                             "top_k": "x"}, "'top_k'"),
+        ("/v1/compare", {"binary": "AAAA"}, "'binary'"),
+    ], ids=["top", "corpus", "queries-member", "beside-queries", "compare"])
+    def test_unknown_key_is_400_naming_its_path(
+        self, server, path, payload, needle
+    ):
+        status, body = _post(server, path, payload)
+        assert (status, body["exit_code"]) == (400, 6)
+        assert body["error"].startswith(f"unknown field {needle}")
+
+    @pytest.mark.parametrize("images", [0, MAX_CORPUS_IMAGES + 1, 10**8])
+    def test_corpus_images_is_bounded(self, server, images):
+        _status, before = _get(server, "/healthz")
+        status, body = _post(server, "/v1/ingest",
+                             {"corpus": {"images": images, "seed": 1}})
+        assert (status, body["exit_code"]) == (400, 6)
+        assert body["error"] == (f"corpus.images must be within "
+                                 f"[1, {MAX_CORPUS_IMAGES}], got {images}")
+        _status, after = _get(server, "/healthz")
+        assert after["index_rows"] == before["index_rows"]
+
+    def test_deeply_nested_json_is_400(self, server):
+        """The decoder's RecursionError was a 500 with a traceback."""
+        request = urllib.request.Request(
+            server.url + "/v1/query", data=b"[" * 100_000 + b"]" * 100_000
+        )
+        with pytest.raises(urllib.error.HTTPError) as raised:
+            urllib.request.urlopen(request, timeout=30)
+        assert raised.value.code == 400
+        assert "not JSON" in json.loads(raised.value.read())["error"]
+
+    def test_a_negative_corpus_seed_is_400(self, server):
+        """numpy seeds no negative number: this was a 500."""
+        status, body = _post(server, "/v1/ingest",
+                             {"corpus": {"images": 1, "seed": -1}})
+        assert (status, body["exit_code"]) == (400, 6)
+        assert body["error"] == "corpus_seed must be >= 0, got -1"
+
+    def test_a_query_names_cve_or_binary_not_both(self, server, query_binary):
+        both = {"cve": "CVE-2016-2105", "binary_b64": _b64(query_binary),
+                "function": "f"}
+        for path, payload in (("/v1/query", both),
+                              ("/v1/query_batch", {"queries": [both]})):
+            status, body = _post(server, path, payload)
+            assert (status, body["exit_code"]) == (400, 6), path
+            assert "not both" in body["error"]
+
+    def test_absent_top_k_and_threshold_are_the_request_defaults(
+        self, server
+    ):
+        _status, absent = _post(server, "/v1/query", {"cve": "CVE-2016-2105"})
+        status, spelled = _post(server, "/v1/query", {
+            "cve": "CVE-2016-2105", "top_k": 10, "threshold": None,
+        })
+        assert status == 200
+        assert absent["hits"] == spelled["hits"]
+        assert len(absent["hits"]) == min(10, absent["n_rows"])
+
+
+class TestStalledBody:
+    """A body that stops arriving frees its admission slot: the read is
+    timed, and the slot is released with a typed 400."""
+
+    def _stall(self, server, sends, pause_s):
+        with socket.create_connection(
+            server.server_address[:2], timeout=10
+        ) as sock:
+            sock.sendall(b"POST /v1/query HTTP/1.1\r\nHost: t\r\n"
+                         b"Content-Length: 100\r\n\r\n")
+            started = time.monotonic()
+            for chunk in sends:  # until the server answers
+                sock.sendall(chunk)
+                if select.select([sock], [], [], pause_s)[0]:
+                    break
+            reply = b""
+            while b"\r\n\r\n" not in reply:
+                chunk = sock.recv(65536)
+                assert chunk, "closed without a reply"
+                reply += chunk
+            return reply, time.monotonic() - started
+
+    def test_stalled_body_is_400_and_frees_the_slot(self, server, monkeypatch):
+        monkeypatch.setattr(server_module, "BODY_TIMEOUT_S", 0.5)
+        reply, _elapsed = self._stall(server, [b'{"cve"'], 0)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        _status, health = _get(server, "/healthz")
+        assert health["inflight"] == 0
+
+    def test_a_trickled_body_is_timed_as_a_whole(self, server, monkeypatch):
+        monkeypatch.setattr(server_module, "BODY_TIMEOUT_S", 0.5)
+        reply, elapsed = self._stall(server, [b" "] * 8, 0.15)
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"of 100 bytes arrived in 0.5 s" in reply
+        assert elapsed < 0.5 + 8 * 0.15
+
+    def test_the_keep_alive_wait_is_not_timed(self, server, monkeypatch):
+        monkeypatch.setattr(server_module, "BODY_TIMEOUT_S", 0.2)
+        conn = http.client.HTTPConnection(
+            *server.server_address[:2], timeout=30
+        )
+        try:
+            for _ in range(2):
+                conn.request("POST", "/v1/query",
+                             body=json.dumps({"cve": "CVE-2016-2105"}))
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200
+                time.sleep(0.5)  # idle past the body timeout
+        finally:
+            conn.close()
+
+
+# -- a fuzz generated from BODIES ---------------------------------------------
+
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+_OF_TYPE = {
+    "string": st.text(max_size=12),
+    "integer": st.integers(),
+    "integer or null": st.none() | st.integers(-3, 20) | st.integers(),
+    "number or null": st.none() | st.floats(),
+}
+
+
+def _bodies(fields, special, path="", clean=False):
+    """Bodies for ``fields``: each declared key absent or of its type,
+    and unless ``clean`` also junk values and an undeclared key, at any
+    level; ``special`` holds the values that reach past the reader (a
+    real binary, a known CVE, ...)."""
+    values = {}
+    for key, kind in fields.items():
+        where = f"{path}.{key}" if path else key
+        if isinstance(kind, dict):
+            value = _bodies(kind, special, where, clean)
+        elif isinstance(kind, list):
+            value = st.lists(_bodies(kind[0], special, where + "[]", clean),
+                             max_size=3)
+        else:
+            value = special.get(where.split("[].")[-1], _OF_TYPE[kind])
+        values[key] = value if clean else value | _JUNK
+    body = st.fixed_dictionaries({}, optional=values)
+    if clean:
+        return body
+    undeclared = st.dictionaries(st.text(max_size=6), _JUNK, max_size=1)
+    return st.tuples(body, undeclared).map(
+        lambda parts: {**parts[1], **parts[0]}
+    )
+
+
+@pytest.fixture(scope="module")
+def fuzz_server(trained_model):
+    engine = AsteriaEngine(EngineConfig(), model=trained_model)
+    engine.ingest(IngestRequest(corpus_images=1, corpus_seed=4))
+    server = EngineServer(("127.0.0.1", 0), engine)
+    server.errors = []  # what the stdlib would print as a traceback
+    server.handle_error = lambda *_args: server.errors.append(
+        traceback.format_exc()
+    )
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+
+
+class _Tracebacks(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.records = []
+
+    def emit(self, record):
+        if record.exc_info or record.levelno >= logging.ERROR:
+            self.records.append(self.format(record))
+
+
+class TestBodyFuzz:
+    """Right and wrong types, undeclared keys at every level and nested
+    junk on every POST endpoint but ``/v1/shutdown``: each answer is a
+    200 or a typed 4xx, never a 500, a hang or a traceback."""
+
+    @pytest.mark.parametrize(
+        "path", [p for p in BODIES if p != "/v1/shutdown"]
+    )
+    def test_every_answer_is_200_or_a_typed_4xx(
+        self, fuzz_server, query_binary, path
+    ):
+        blob = _b64(query_binary)
+        names = [f.name for f in query_binary.functions][:2]
+        strings = st.sampled_from([blob, blob, "!!!", "", "QUJD"])
+        special = {
+            "binary_b64": strings, "binary1_b64": strings,
+            "binary2_b64": strings,
+            "function": st.sampled_from(names + ["nope"]),
+            "function1": st.sampled_from(names),
+            "function2": st.sampled_from(names),
+            "cve": st.sampled_from(["CVE-2016-2105", "CVE-1999-0000"]),
+            "images": st.sampled_from(
+                [-1, 0, 1, 2, MAX_CORPUS_IMAGES + 1, 10**8]
+            ),
+            "seed": st.sampled_from([0, 1, -1, 2**70]),
+        }
+        logs = _Tracebacks()
+        logging.getLogger("repro").addHandler(logs)
+        try:
+            self._fuzz(fuzz_server, path, st.one_of(
+                _bodies(BODIES[path], special, clean=True),
+                _bodies(BODIES[path], special),
+            ))
+        finally:
+            logging.getLogger("repro").removeHandler(logs)
+        assert not logs.records, logs.records[0]
+        assert not fuzz_server.errors, fuzz_server.errors[0]
+
+    @staticmethod
+    def _fuzz(server, path, bodies):
+        @settings(max_examples=200, deadline=None, database=None)
+        @given(body=bodies)
+        def check(body):
+            request = urllib.request.Request(
+                server.url + path, data=json.dumps(body).encode()
+            )
+            try:  # a hang is the client's timeout, a failure
+                with urllib.request.urlopen(request, timeout=60) as reply:
+                    status, answer = reply.status, json.loads(reply.read())
+            except urllib.error.HTTPError as error:
+                status, answer = error.code, json.loads(error.read())
+            assert status == 200 or (
+                400 <= status < 500 and {"error", "exit_code"} <= set(answer)
+            ), (status, answer, body)
+
+        check()

@@ -21,7 +21,8 @@ from pathlib import Path
 import pytest
 
 from repro.api.config import EngineConfig
-from repro.cli import SEARCH_THRESHOLD, build_parser, main
+from repro.api.server import BODIES
+from repro.cli import build_parser, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -232,9 +233,7 @@ MINIMAL_ARGV = {
     "train": ([], {}),
     "compare": (["--model", "m.npz", "b1", "f1", "b2", "f2"],
                 {"model_path": "m.npz"}),
-    # its --threshold is the command's own default, not the config's
-    "search": (["--model", "m.npz"],
-               {"model_path": "m.npz", "threshold": SEARCH_THRESHOLD}),
+    "search": (["--model", "m.npz"], {"model_path": "m.npz"}),
     "pipeline run": (["--model", "m.npz"], {"model_path": "m.npz"}),
     "index build": (["--model", "m.npz", "--output", "o"],
                     {"model_path": "m.npz"}),
@@ -367,8 +366,8 @@ class TestTrainRejectsUnusableCorpora:
 
 
 class TestReadmeTables:
-    """The README's two knob tables are regenerated from the fields; the
-    names and defaults in them must equal the dataclass's."""
+    """The README's two knob tables are regenerated from the fields, and
+    its request table from ``BODIES``; each must equal its source."""
 
     README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -389,6 +388,21 @@ class TestReadmeTables:
         assert [(name, default) for name, default, _meaning in rows] == [
             (f.name, repr(f.default))
             for f in dataclasses.fields(EngineConfig)
+        ]
+
+    def test_request_table_matches_the_bodies(self):
+        def rows(fields, prefix=""):
+            for key, kind in fields.items():
+                if isinstance(kind, dict):
+                    yield from rows(kind, f"{prefix}{key}.")
+                elif isinstance(kind, list):
+                    yield from rows(kind[0], f"{prefix}{key}[].")
+                else:
+                    yield prefix + key, kind
+
+        assert self._table("| Endpoint | Field | Type |") == [
+            [endpoint, name, kind] for endpoint, fields in BODIES.items()
+            for name, kind in rows(fields)
         ]
 
     def test_ivf_pq_flag_table_matches_the_fields(self):

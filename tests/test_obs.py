@@ -5,9 +5,11 @@ histogram math, Prometheus text exposition, span nesting/request-id
 inheritance, and the JSON/text log formats with request-id stamping.
 """
 
+import io
 import json
 import logging
 import math
+import sys
 import threading
 
 import pytest
@@ -298,6 +300,25 @@ class TestLogging:
         assert _level_from_env() == 35
         monkeypatch.setenv("REPRO_LOG_LEVEL", "NOPE")
         assert _level_from_env() == logging.INFO
+
+    def test_handler_writes_to_the_stderr_of_each_record(self, monkeypatch):
+        """The handler used to keep the ``sys.stderr`` of ``configure()``
+        time: once a test that served had closed its captured stream,
+        every later log line was a ``--- Logging error ---``."""
+        import repro.utils.logging as repro_logging
+
+        root = logging.getLogger("repro")
+        monkeypatch.setattr(root, "handlers", list(root.handlers))
+        monkeypatch.setattr(root, "level", root.level)
+        monkeypatch.setattr(repro_logging, "_CONFIGURED", False)
+        first, second = io.StringIO(), io.StringIO()
+        monkeypatch.setattr(sys, "stderr", first)
+        repro_logging.configure(level=logging.INFO)
+        first.close()
+        monkeypatch.setattr(sys, "stderr", second)
+        repro_logging.get_logger("test").warning("still heard")
+        assert second.getvalue().endswith(" repro.test WARNING still heard\n")
+        assert "Logging error" not in second.getvalue()
 
     def test_configure_rejects_bad_fmt(self):
         from repro.utils.logging import configure
