@@ -41,9 +41,9 @@ from __future__ import annotations
 
 import base64
 import binascii
-import dataclasses
 import json
 import reprlib
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -84,8 +84,9 @@ _QUERY = {"cve": "string", "binary_b64": "string", "function": "string",
 #: Every POST body, declared once: endpoint -> field -> JSON type, a
 #: nested table for an object, a one-table list for a list of objects.
 #: :func:`read_body` refuses any other key or type.  A query names
-#: exactly one of ``cve`` and ``binary_b64``; the ``top_k``/``threshold``
-#: ranges are the engine's to check.
+#: exactly one of ``cve`` and ``binary_b64`` (``function`` goes with the
+#: latter), an ``image_id`` needs a ``binary_b64``; the
+#: ``top_k``/``threshold`` ranges are the engine's to check.
 BODIES: Dict[str, Dict] = {
     "/v1/encode": {"binary_b64": "string", "function": "string"},
     "/v1/ingest": {"binary_b64": "string", "image_id": "string",
@@ -229,7 +230,7 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
             "exit_code": BadRequestError.exit_code,
         })
 
-    def _body(self) -> Dict:
+    def _payload(self) -> Dict:
         """This POST's JSON body, checked against its :data:`BODIES`
         entry."""
         try:
@@ -253,7 +254,7 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
                 if not chunk:  # the client closed mid-body
                     break
                 raw += chunk
-        except TimeoutError:
+        except socket.timeout:  # TimeoutError only from Python 3.10
             pass
         finally:
             self.connection.settimeout(self.timeout)
@@ -387,14 +388,11 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:
         # every POST does real work (decompile/encode/sweep), so they all
-        # pass through the bounded admission gate; GETs always answer
+        # pass through the bounded admission gate; GETs always answer.
+        # The routes are BODIES' keys: /v1/<name> is _handle_<name>
         self._dispatch({
-            "/v1/encode": self._handle_encode,
-            "/v1/ingest": self._handle_ingest,
-            "/v1/query": self._handle_query,
-            "/v1/query_batch": self._handle_query_batch,
-            "/v1/compare": self._handle_compare,
-            "/v1/shutdown": self._handle_shutdown,
+            path: getattr(self, "_handle_" + path[len("/v1/"):])
+            for path in BODIES
         }, gated=True)
 
     # -- handlers ----------------------------------------------------------
@@ -427,42 +425,53 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
         return 200, self.engine.metrics_text()
 
     def _handle_stats(self) -> Tuple[int, Dict]:
-        return 200, self.engine.stats().to_dict()
+        body = self.engine.stats().to_dict()
+        return 200, body
 
     def _handle_encode(self) -> Tuple[int, Dict]:
-        body = self._body()
+        payload = self._payload()
         result = self.engine.encode(EncodeRequest(
-            binary=_binary_from_b64(body), function=body.get("function"),
+            binary=_binary_from_b64(payload),
+            function=payload.get("function"),
         ))
-        return 200, {
+        body = {
             "binary": result.binary_name,
             "arch": result.arch,
             "encodings": [_encoding_json(e) for e in result.encodings],
         }
+        return 200, body
 
     def _handle_ingest(self) -> Tuple[int, Dict]:
-        body = self._body()
+        payload = self._payload()
         request = IngestRequest()
-        corpus = body.get("corpus")
+        corpus = payload.get("corpus")
         if corpus is not None:
             request.corpus_images = images = corpus.get("images", 0)
             request.corpus_seed = corpus.get("seed", 0)
             if not 1 <= images <= MAX_CORPUS_IMAGES:
                 raise BadRequestError(f"corpus.images must be within [1, "
                                       f"{MAX_CORPUS_IMAGES}], got {images}")
-        if "binary_b64" in body:
-            request.binaries = [
-                (_binary_from_b64(body), body.get("image_id", ""))
-            ]
+        if "binary_b64" in payload:
+            request.binaries = [(
+                _binary_from_b64(payload),
+                payload.get("image_id", ""),
+            )]
+        elif "image_id" in payload:
+            raise BadRequestError("image_id tags binary_b64, which is absent")
         if corpus is None and not request.binaries:
             raise BadRequestError(
                 "ingest needs binary_b64 and/or corpus {images, seed}"
             )
         result = self.engine.ingest(request)
-        return 200, {name: getattr(result, name) for name in (
-            "n_functions", "n_binaries", "n_images", "n_unpack_failures",
-            "n_skipped_small", "n_rows_total",
-        )}
+        body = {
+            "n_functions": result.n_functions,
+            "n_binaries": result.n_binaries,
+            "n_images": result.n_images,
+            "n_unpack_failures": result.n_unpack_failures,
+            "n_skipped_small": result.n_skipped_small,
+            "n_rows_total": result.n_rows_total,
+        }
+        return 200, body
 
     @staticmethod
     def _query(fields: Dict) -> QueryRequest:
@@ -470,6 +479,9 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
         an absent ``top_k``/``threshold`` is :class:`QueryRequest`'s."""
         if ("cve" in fields) == ("binary_b64" in fields):
             raise BadRequestError("a query needs cve or binary_b64 (not both)")
+        if "cve" in fields and "function" in fields:
+            raise BadRequestError("function names a function of binary_b64; "
+                                  "a cve query takes none")
         request = QueryRequest(**{
             name: fields[name] for name in ("function", "top_k", "threshold")
             if name in fields
@@ -492,7 +504,7 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
         }
 
     def _handle_query(self) -> Tuple[int, Dict]:
-        result = self.engine.query(self._query(self._body()))
+        result = self.engine.query(self._query(self._payload()))
         return 200, self._query_json(result)
 
     def _handle_query_batch(self) -> Tuple[int, Dict]:
@@ -502,7 +514,8 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
         the same fields as ``/v1/query``; the corpus is swept once for
         the whole batch instead of once per query.
         """
-        queries = self._body().get("queries")
+        payload = self._payload()
+        queries = payload.get("queries")
         if not queries:
             raise BadRequestError(
                 "query_batch needs a non-empty 'queries' list"
@@ -515,17 +528,23 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
         }
 
     def _handle_compare(self) -> Tuple[int, Dict]:
-        body = self._body()
+        payload = self._payload()
         result = self.engine.compare(CompareRequest(
-            binary1=_binary_from_b64(body, "binary1_b64"),
-            function1=body.get("function1", ""),
-            binary2=_binary_from_b64(body, "binary2_b64"),
-            function2=body.get("function2", ""),
+            binary1=_binary_from_b64(payload, "binary1_b64"),
+            function1=payload.get("function1", ""),
+            binary2=_binary_from_b64(payload, "binary2_b64"),
+            function2=payload.get("function2", ""),
         ))
-        return 200, dataclasses.asdict(result)
+        body = {
+            "function1": result.function1,
+            "function2": result.function2,
+            "ast_similarity": result.ast_similarity,
+            "similarity": result.similarity,
+        }
+        return 200, body
 
     def _handle_shutdown(self) -> Tuple[int, Dict]:
-        self._body()
+        self._payload()
         # stop admitting new work, then wait (bounded) for requests that
         # were already admitted to finish -- a client mid-query gets its
         # answer instead of a reset connection
@@ -565,7 +584,6 @@ class EngineServer(ThreadingHTTPServer):
         super().__init__(address, EngineRequestHandler)
         self.engine = engine
         self.started_monotonic = time.monotonic()
-        self.started_unix = time.time()
         # bounded admission: at most config.max_inflight heavy requests
         # hold a slot at once; the rest are shed with 503 + Retry-After
         self._admission = threading.Condition()

@@ -833,6 +833,29 @@ class TestRequestBodies:
             assert (status, body["exit_code"]) == (400, 6), path
             assert "not both" in body["error"]
 
+    def test_a_cve_query_takes_no_function(self, server):
+        """``function`` beside ``cve`` was accepted and ignored."""
+        query = {"cve": "CVE-2016-2105", "function": "f"}
+        for path, payload in (("/v1/query", query),
+                              ("/v1/query_batch", {"queries": [query]})):
+            status, body = _post(server, path, payload)
+            assert (status, body["exit_code"]) == (400, 6), path
+            assert body["error"].startswith("function names a function of "
+                                            "binary_b64")
+
+    def test_image_id_needs_a_binary(self, server):
+        """``image_id`` without ``binary_b64`` was accepted and ignored,
+        also beside a corpus it does not tag."""
+        _status, before = _get(server, "/healthz")
+        for payload in ({"image_id": "img0"},
+                        {"image_id": "img0", "corpus": {"images": 1}}):
+            status, body = _post(server, "/v1/ingest", payload)
+            assert (status, body["exit_code"]) == (400, 6), payload
+            assert body["error"] == ("image_id tags binary_b64, which is "
+                                     "absent")
+        _status, after = _get(server, "/healthz")
+        assert after["index_rows"] == before["index_rows"]
+
     def test_absent_top_k_and_threshold_are_the_request_defaults(
         self, server
     ):
