@@ -4,23 +4,27 @@ This package is the single construction path for the repo's
 model + cache + index + pipeline stack.  Everything a consumer needs::
 
     from repro.api import AsteriaEngine, EngineConfig
+    from repro.api import IngestRequest, QueryRequest
 
     engine = AsteriaEngine(EngineConfig(model_path="asteria.npz"))
-    stats = engine.ingest(corpus_images=8, corpus_seed=0)  # PipelineStats
-    result = engine.query(cve_id="CVE-2016-2105", top_k=10)
+    stats = engine.ingest(IngestRequest(corpus_images=8))  # PipelineStats
+    result = engine.query(QueryRequest(cve_id="CVE-2016-2105", top_k=10))
 
 An ingest is one pipeline run, and it returns that run's
 :class:`~repro.pipeline.corpus.PipelineStats`.
 
-See :mod:`repro.api.engine` for the request/response dataclasses,
+See :mod:`repro.api.types` for the request/response dataclasses,
+:mod:`repro.api.engine` and :mod:`repro.api.query` for the offline and
+online phases, :mod:`repro.api.train` for training,
 :mod:`repro.api.server` for the HTTP serving layer (``repro-cli serve``)
 and :mod:`repro.api.batching` for the query micro-batcher.
 """
 
 from repro.api.batching import MicroBatcher
 from repro.api.config import EngineConfig
-from repro.api.engine import (
-    AsteriaEngine,
+from repro.api.engine import AsteriaEngine
+from repro.api.train import TrainRequest, TrainResult, train_model
+from repro.api.types import (
     CompareRequest,
     CompareResult,
     EncodeRequest,
@@ -29,9 +33,6 @@ from repro.api.engine import (
     IngestRequest,
     QueryRequest,
     QueryResult,
-    TrainRequest,
-    TrainResult,
-    train_model,
 )
 from repro.api.errors import (
     BadRequestError,

@@ -3,19 +3,17 @@
 :class:`AsteriaEngine` owns the model, the artifact cache, the embedding
 index and the staged corpus pipeline behind one
 :class:`~repro.api.config.EngineConfig`, and exposes the full lifecycle
-as a small set of typed request/response dataclasses:
+through the request/response dataclasses of :mod:`repro.api.types`:
 
 * :meth:`AsteriaEngine.encode`  -- binary -> function encodings (cached);
 * :meth:`AsteriaEngine.ingest`  -- firmware/binaries -> embedding index
   in one staged-pipeline run, returning that run's ``PipelineStats``;
 * :meth:`AsteriaEngine.query` / :meth:`query_batch` -- top-k similar
-  functions, query-side encodes coalesced through the serving
-  micro-batcher (:mod:`repro.api.batching`); a query batch sweeps the
-  corpus once for all its queries (broadcasted Siamese GEMM blocks);
+  functions, the online phase of :mod:`repro.api.query`;
 * :meth:`AsteriaEngine.compare` -- pairwise M / calibrated F scores;
 * :meth:`AsteriaEngine.stats`   -- counters for monitoring and tests.
 
-:func:`train_model` fits a fresh model; serve it with
+:func:`~repro.api.train.train_model` fits a fresh model; serve it with
 ``AsteriaEngine(model=result.model)``.  An engine's model is fixed for
 its lifetime, and everything it encodes goes through one columns
 encoder (:meth:`Asteria.encode_columns`).
@@ -29,14 +27,12 @@ grows the store by one :func:`~repro.index.ann.serve_index` call that
 names no backend here (building, persisting and the exact fallback are
 :mod:`repro.index`'s), and every query -- served, CLI or the Table IV
 search -- is answered from it, with hits read from the store.
-The engine is thread-safe: concurrent :meth:`query` calls are the
-serving hot path and ride the micro-batcher.  Every query sweeps the
-index in process; there is one index layout, the flat store at
-``index_root``.  The engine lock guards only lazy construction and the
-index: an ingest runs its pipeline unlocked (the pipeline holds its own
-artifact-cache lock) and takes the engine lock to append and flush; a
-query takes it only to pin the index it sweeps, then sweeps unlocked;
-encodes read only the immutable model.  So
+The engine is thread-safe.  Every query sweeps the index in process;
+there is one index layout, the flat store at ``index_root``.  The
+engine lock guards only lazy construction and the index: an ingest
+runs its pipeline unlocked (the pipeline holds its own artifact-cache
+lock) and takes the engine lock to append and flush; a query takes it
+only in :meth:`_pin`; encodes read only the immutable model.  So
 :meth:`stats` (and ``/healthz``) never waits on an encode, a sweep or a
 corpus being decompiled.  Code may take the pipeline lock while holding
 the engine lock, never the reverse.
@@ -44,259 +40,51 @@ the engine lock, never the reverse.
 
 from __future__ import annotations
 
-import dataclasses
-import json
-import math
-import os
 import threading
 import time
-from collections import OrderedDict
 
 import numpy as np
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 import repro.faults as faults
 from repro.api.batching import MicroBatcher
 from repro.api.config import EngineConfig
 from repro.api.errors import (
     BadRequestError,
-    DeadlineExceededError,
     IndexStoreError,
     InputNotFoundError,
     ModelNotFoundError,
 )
+from repro.api.query import OnlinePhase
+from repro.api.types import (
+    POLLED_GAUGES,
+    REGISTRY_COUNTS,
+    BinarySource,
+    CompareRequest,
+    CompareResult,
+    EncodeRequest,
+    EncodeResult,
+    EngineStats,
+    IngestRequest,
+    QueryRequest,  # noqa: F401 - callers import it from here
+)
 from repro.binformat.binary import BinaryFile
 from repro.core.calibration import filtered_callee_count
-from repro.core.model import Asteria, AsteriaConfig, FunctionEncoding
+from repro.core.model import Asteria, FunctionEncoding
 from repro.core.preprocess import lcrs_columns
-from repro.core.training import TrainConfig, Trainer, TrainHistory
 from repro.index.ann import AnnIndex, serve_index
-from repro.index.store import (
-    MANIFEST_NAME,
-    EmbeddingStore,
-    SearchHit,
-    StoreError,
-)
+from repro.index.store import MANIFEST_NAME, EmbeddingStore, StoreError
 from repro.nn.treebatch import TreeColumns
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Span, trace
-from repro.pipeline import (
-    ArtifactCache,
-    CorpusPipeline,
-    PipelineStats,
-    binary_digest,
-)
-from repro.pipeline.stages import ExtractedBinary
+from repro.obs.trace import trace
+from repro.pipeline import ArtifactCache, CorpusPipeline, PipelineStats
 from repro.utils.logging import get_logger
 
 _LOG = get_logger("api.engine")
 
 
-#: Query depth of a :class:`QueryRequest` that names none.
-DEFAULT_TOP_K = 10
-
-#: Most-recently-queried binaries whose extracted columns stay memoized
-#: in memory; a long-running server over many distinct query binaries
-#: evicts the oldest instead of growing without bound (the pipeline's
-#: artifact cache still holds evicted trees, on disk when ``cache_dir``
-#: is set).
-EXTRACT_MEMO_MAX_BINARIES = 64
-
-BinarySource = Union[BinaryFile, str, Path]
-
-
-# -- request / response types -------------------------------------------------------
-
-
-@dataclass
-class EncodeRequest:
-    """Encode every (or one named) function of a binary."""
-
-    binary: Optional[BinarySource] = None
-    function: Optional[str] = None
-
-
-@dataclass
-class EncodeResult:
-    binary_name: str
-    arch: str
-    encodings: List[FunctionEncoding]
-
-
-@dataclass
-class IngestRequest:
-    """Feed corpora into the engine's embedding index.
-
-    Any combination of: in-memory firmware ``images``, loose ``binaries``
-    (:class:`BinaryFile` or ``(binary, image_id)`` pairs), or a generated
-    firmware corpus (``corpus_images``/``corpus_seed``, the substitute
-    for the paper's vendor image crawl).
-    """
-
-    images: Sequence = ()
-    binaries: Sequence = ()
-    corpus_images: Optional[int] = None
-    corpus_seed: int = 0
-
-
-@dataclass
-class QueryRequest:
-    """One top-k similarity query.
-
-    Exactly one query source: a ready ``encoding``, a library ``cve_id``,
-    or a ``binary`` (object or path) plus ``function`` name.
-    ``top_k=None`` keeps every above-threshold hit; ``threshold=None``
-    disables the cutoff (the full top-k).  A negative ``top_k`` or
-    ``threshold`` is a :class:`BadRequestError`.
-    """
-
-    encoding: Optional[FunctionEncoding] = None
-    cve_id: Optional[str] = None
-    binary: Optional[BinarySource] = None
-    function: Optional[str] = None
-    top_k: Optional[int] = DEFAULT_TOP_K
-    threshold: Optional[float] = None
-    #: Absolute ``time.monotonic()`` deadline; ``None`` derives one from
-    #: ``EngineConfig.request_timeout_ms`` at query entry.
-    deadline: Optional[float] = None
-
-
-@dataclass
-class QueryResult:
-    query: str
-    encoding: FunctionEncoding
-    hits: List[SearchHit]
-    #: Rows of the corpus snapshot the hits were swept from (rows still
-    #: buffered in the store are not part of it).
-    n_rows: int
-
-
-@dataclass
-class CompareRequest:
-    binary1: Optional[BinarySource] = None
-    function1: str = ""
-    binary2: Optional[BinarySource] = None
-    function2: str = ""
-
-
-@dataclass
-class CompareResult:
-    function1: str
-    function2: str
-    ast_similarity: float  # M, the raw Siamese score
-    similarity: float  # F, callee-count calibrated
-
-
-@dataclass
-class TrainRequest:
-    """Train on the generated buildroot corpus (the paper's dataset)."""
-
-    packages: int = 4
-    pairs: int = 15
-    epochs: int = 2
-    embedding_dim: int = 16
-    batch_size: int = 1
-    lr: float = 0.05
-    split: float = 0.8
-    seed: int = 0
-    output_path: Optional[str] = None
-
-
-@dataclass
-class TrainResult:
-    n_train: int
-    n_dev: int
-    best_auc: float
-    best_epoch: int
-    history: TrainHistory
-    model: Asteria
-    model_path: Optional[str] = None
-
-
-@dataclass
-class EngineStats:
-    """A point-in-time snapshot of the engine's counters."""
-
-    model_loaded: bool = False
-    model_path: Optional[str] = None
-    model_fingerprint: Optional[str] = None
-    index_root: Optional[str] = None
-    index_rows: int = 0
-    index_shards: int = 0
-    index_dtype: Optional[str] = None
-    index_mmap: bool = False
-    index_vector_bytes: int = 0
-    index_resident_bytes: int = 0
-    ann_backend: Optional[str] = None
-    #: Tiered (ivf-pq) index surface, its ``ann_stats()``: whether it
-    #: reopened from persisted state, rows (re)quantized by the live
-    #: index construction and the coarse-partition knobs it runs with.
-    ann_persisted: Optional[bool] = None
-    ann_rows_quantized: int = 0
-    ann_n_lists: int = 0
-    ann_nprobe: int = 0
-    n_queries: int = 0
-    n_query_batches: int = 0
-    n_query_encodes: int = 0
-    n_encoded_trees: int = 0
-    encode_block_rows: int = 0
-    micro_batches: int = 0
-    micro_batched_items: int = 0
-    micro_batch_max: int = 0
-    micro_batch_mean: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: Degraded-mode surface: True when the engine is serving with less
-    #: than its full fidelity (quarantined shards, ANN fallback, ...).
-    degraded: bool = False
-    degraded_reasons: List[str] = field(default_factory=list)
-    index_quarantined_shards: int = 0
-    n_shed: int = 0
-    n_timeouts: int = 0
-    config: Dict = field(default_factory=dict)
-
-    def to_dict(self) -> Dict:
-        return dataclasses.asdict(self)
-
-
-#: ``EngineStats`` field -> (gauge, help): the polled state a scrape sees.
-#: ``/metrics`` sets each gauge from the very snapshot ``/v1/stats`` and
-#: ``/healthz`` serialise, so the three cannot disagree.
-POLLED_GAUGES = {
-    "model_loaded": ("repro_model_loaded", "1 when a model is resident"),
-    "index_rows": ("repro_index_rows", "Rows in the embedding index"),
-    "index_shards": ("repro_index_shards", "Shards in the embedding index"),
-    "index_quarantined_shards": ("repro_index_quarantined_shards",
-                                 "Shards quarantined by crash recovery"),
-    "index_vector_bytes": ("repro_index_vector_bytes",
-                           "Bytes of vector data in the index"),
-    "index_resident_bytes": ("repro_index_resident_bytes",
-                             "Index bytes resident in process memory"),
-    "degraded": ("repro_engine_degraded", "1 when serving in degraded mode "
-                 "(quarantined shards, ANN fallback, ...)"),
-}
-
-#: ``EngineStats`` field -> the registry counter it is a view of (the hot
-#: paths stream these in; stats only reads them back, summed over labels).
-REGISTRY_COUNTS = {
-    "n_queries": "repro_queries_total",
-    "n_query_batches": "repro_query_batches_total",
-    "n_query_encodes": "repro_query_encodes_total",
-    "n_encoded_trees": "repro_encode_trees_total",
-    "encode_block_rows": "repro_encode_block_rows",
-    "n_shed": "repro_requests_shed_total",
-    "n_timeouts": "repro_request_timeouts_total",
-    "cache_hits": "repro_pipeline_cache_hits_total",
-    "cache_misses": "repro_pipeline_cache_misses_total",
-}
-
-
-# -- the facade ---------------------------------------------------------------------
-
-
-class AsteriaEngine:
+class AsteriaEngine(OnlinePhase):
     """One engine = one model + one cache + one index + one pipeline."""
 
     def __init__(
@@ -317,16 +105,8 @@ class AsteriaEngine:
         self._index: Optional[AnnIndex] = None
         self._index_rows = -1
         self._ann_fallback: Optional[str] = None
-        self._library: Optional[Dict] = None
-        self._extract_memo: "OrderedDict[str, Tuple]" = OrderedDict()
         self._lock = threading.RLock()  # store / index / pipeline state
-        self._memo_lock = threading.Lock()  # extract memo + CVE library
-        # in-process sweeps run outside self._lock, one per usable core:
-        # 16 unbounded threads lost ~30 % of ivf-pq q/s to GIL hand-offs
-        self._sweep_slots = threading.Semaphore(
-            len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1
-        )
+        super().__init__()  # the online phase's memo and sweep slots
         #: the engine's telemetry sink, shared with every component it
         #: assembles (batcher, pipeline, ANN index, HTTP server)
         self.obs = registry if registry is not None else MetricsRegistry()
@@ -492,12 +272,17 @@ class AsteriaEngine:
         ).inc()
         return index
 
+    def _pin(self) -> Tuple[EmbeddingStore, AnnIndex]:
+        """The store and the index over its flushed rows, as one pair: a
+        query sweeps this snapshot unlocked while ingests append."""
+        with self._lock:
+            store = self.store
+            return store, self._built_index(store)
+
     # -- encode ------------------------------------------------------------
 
-    def encode(self, request: Optional[EncodeRequest] = None,
-               **kw) -> EncodeResult:
+    def encode(self, request: EncodeRequest) -> EncodeResult:
         """Offline phase for one binary (through the artifact cache)."""
-        request = request or EncodeRequest(**kw)
         binary = load_binary(request.binary)
         with trace("engine.encode", binary=binary.name):
             encodings = self.pipeline.encode_binary(binary)
@@ -514,14 +299,12 @@ class AsteriaEngine:
 
     # -- ingest ------------------------------------------------------------
 
-    def ingest(self, request: Optional[IngestRequest] = None,
-               **kw) -> PipelineStats:
+    def ingest(self, request: IngestRequest) -> PipelineStats:
         """Offline phase for corpora: one pipeline run -> embedding index.
 
         Returns that run's stats, with the Index stage (append + flush)
         in ``times.index_s`` and the index's rows after it in
         ``n_rows_total``."""
-        request = request or IngestRequest(**kw)
         images = list(request.images)
         if request.corpus_images is not None:  # 0 = an (empty) corpus
             from repro.evalsuite.vulnsearch import build_firmware_dataset
@@ -556,297 +339,15 @@ class AsteriaEngine:
         )
         return stats
 
-    # -- query -------------------------------------------------------------
-
-    def cve_library(self) -> Dict[str, Tuple]:
-        """``{cve_id: (CVEEntry, FunctionEncoding)}``, encoded once.
-
-        The query side of the paper's search protocol; encodings go
-        through the same artifact cache as the corpus.  Built without
-        the engine lock and published first-writer-wins (a concurrent
-        duplicate build reads the cache the first one filled).
-        """
-        if self._library is not None:
-            return self._library
-        from repro.compiler.pipeline import compile_package
-        from repro.evalsuite.vulnsearch import CVE_LIBRARY, vulnerable_function
-        from repro.lang.nodes import Package
-
-        library = {}
-        for entry in CVE_LIBRARY:
-            package = Package(
-                name=f"{entry.software}-{entry.vulnerable_version}",
-                functions=[vulnerable_function(entry)],
-            )
-            binary = compile_package(package, "x86")
-            by_name = {
-                encoding.name: encoding
-                for encoding in self.pipeline.encode_binary(binary)
-            }
-            encoding = by_name.get(entry.function_name)
-            if encoding is None:
-                raise ValueError(
-                    f"CVE function {entry.function_name!r} did not "
-                    f"survive decompilation/preprocessing"
-                )
-            library[entry.cve_id] = (entry, encoding)
-        with self._memo_lock:
-            if self._library is None:
-                self._library = library
-            return self._library
-
-    def _deadline_of(self, request: QueryRequest) -> Optional[float]:
-        """The request's absolute deadline (its own, or one derived from
-        ``config.request_timeout_ms`` starting now)."""
-        if request.deadline is not None:
-            return request.deadline
-        timeout_ms = self.config.request_timeout_ms
-        if timeout_ms is None:
-            return None
-        return time.monotonic() + timeout_ms / 1000.0
-
-    @staticmethod
-    def _check_deadline(deadline: Optional[float], where: str) -> None:
-        if deadline is not None and time.monotonic() >= deadline:
-            raise DeadlineExceededError(
-                f"request overran its deadline before the {where}"
-            )
-
-    def _count_timeout(self) -> None:
-        self.obs.counter(
-            "repro_request_timeouts_total",
-            "Requests abandoned at their deadline",
-        ).inc()
-
-    def query(self, request: Optional[QueryRequest] = None,
-              **kw) -> QueryResult:
-        """Top-k similar corpus functions for one query.
-
-        The one-request case of :meth:`query_batch`, minus the batch
-        counter.  Concurrent callers coalesce their query-side encodes
-        into shared level-batched GEMM calls; results are bit-for-bit
-        identical to serial execution.  A request that cannot finish by
-        its deadline (``request.deadline`` or
-        ``config.request_timeout_ms``) raises
-        :class:`DeadlineExceededError` instead of holding its slot.
-        """
-        return self._answer(
-            [request or QueryRequest(**kw)], "engine.query",
-            "repro_query_seconds", "Wall time of one engine.query call",
-        )[0]
-
-    def query_batch(
-        self, requests: Sequence[QueryRequest]
-    ) -> List[QueryResult]:
-        """Many queries in one pass: batched encode, batched top-k.
-
-        Returns the hits of mapping :meth:`query` over the same
-        encodings, rows and scores bit for bit, but binary-sourced
-        query encodes run as one micro-batched level-batched GEMM call
-        and the top-k scoring sweeps the corpus once for the whole batch
-        instead of once per request.  Requests sharing
-        ``top_k``/``threshold`` values are scored together; mixed
-        parameters simply split the batch into a few sub-batches.
-        """
-        requests = list(requests)
-        if not requests:
-            return []
-        results = self._answer(
-            requests, "engine.query_batch", "repro_query_batch_seconds",
-            "Wall time of one engine.query_batch call",
-        )
-        self.obs.counter(
-            "repro_query_batches_total", "query_batch calls answered"
-        ).inc()
-        return results
-
-    def _answer(
-        self,
-        requests: List[QueryRequest],
-        span_name: str,
-        metric: str,
-        help_text: str,
-    ) -> List[QueryResult]:
-        """Resolve, group and sweep ``requests`` under one span."""
-        deadlines = [
-            d for d in (self._deadline_of(r) for r in requests)
-            if d is not None
-        ]
-        # the earliest per-request deadline bounds the shared phases (one
-        # encode pass + one sweep serve the whole batch)
-        deadline = min(deadlines) if deadlines else None
-        try:
-            with trace(span_name, n_queries=len(requests)) as span:
-                results = self._resolve_and_sweep(requests, deadline, span)
-        except DeadlineExceededError:
-            self._count_timeout()
-            raise
-        self.obs.counter(
-            "repro_queries_total", "Queries answered by the engine"
-        ).inc(len(requests))
-        self._observe_query(span, metric, help_text)
-        return results
-
-    def _resolve_and_sweep(
-        self,
-        requests: List[QueryRequest],
-        deadline: Optional[float],
-        span: Span,
-    ) -> List[QueryResult]:
-        groups: Dict[Tuple, List[int]] = {}
-        for i, request in enumerate(requests):
-            top_k, threshold = request.top_k, request.threshold
-            if top_k is not None and top_k < 0:
-                raise BadRequestError(f"top_k must be >= 0, got {top_k}")
-            if threshold is not None:
-                # NaN compares false with every score: a silent empty answer
-                if not math.isfinite(threshold):
-                    raise BadRequestError(
-                        f"threshold must be a finite number, got {threshold}"
-                    )
-                if threshold < 0:
-                    raise BadRequestError(
-                        f"threshold must be >= 0, got {threshold}"
-                    )
-            groups.setdefault((top_k, threshold), []).append(i)
-        resolved = self._resolve_queries(requests, deadline)
-        self._check_deadline(deadline, "corpus sweep")
-        results: List[Optional[QueryResult]] = [None] * len(requests)
-        # the lock covers only the pin -- the index, refreshed in step
-        # with store flushes -- and every group sweeps it unlocked
-        with self._lock:
-            store = self.store
-            index = self._built_index(store)
-        n_rows = len(index)
-        for (top_k, threshold), members in groups.items():
-            encodings = [resolved[i][1] for i in members]
-            with self._sweep_slots:
-                neighbor_lists = index.top_k_batch(
-                    encodings, k=top_k, threshold=threshold
-                )
-            for i, neighbors in zip(members, neighbor_lists):
-                name, encoding = resolved[i]
-                results[i] = QueryResult(
-                    query=name, encoding=encoding, n_rows=n_rows,
-                    hits=[store.hit(n.row, n.score) for n in neighbors],
-                )
-        span.set(
-            queries=[name for name, _encoding in resolved],
-            n_groups=len(groups), n_rows=n_rows,
-        )
-        return results
-
-    def _observe_query(self, span: Span, metric: str, help_text: str) -> None:
-        """Record a closed query span: latency histogram + slow-query log."""
-        self.obs.histogram(metric, help_text).observe(span.wall_s)
-        threshold_ms = self.config.slow_query_ms
-        if threshold_ms is None or span.wall_s * 1000.0 < threshold_ms:
-            return
-        self.obs.counter(
-            "repro_slow_queries_total",
-            "Queries slower than EngineConfig.slow_query_ms",
-        ).inc()
-        _LOG.warning(
-            "slow query (%.1fms >= %.1fms): %s",
-            span.wall_s * 1000.0, threshold_ms,
-            json.dumps(span.to_dict(), sort_keys=True),
-        )
-
-    def _resolve_queries(
-        self,
-        requests: Sequence[QueryRequest],
-        deadline: Optional[float],
-    ) -> List[Tuple[str, FunctionEncoding]]:
-        """``(display name, encoding)`` per request, coalescing encodes.
-
-        Requests that need a query-side encode contribute their tree
-        columns to a single :meth:`MicroBatcher.encode_many` call, so a
-        Q-query batch costs a handful of wide GEMM passes instead of Q
-        tree walks.  Tree extraction (model-independent) is cached; the
-        encode itself is deliberately fresh each call so the batcher --
-        not a memo -- carries concurrent load.
-        """
-        resolved: List[Optional[Tuple[str, FunctionEncoding]]] = (
-            [None] * len(requests)
-        )
-        jobs: List[Tuple[int, str, ExtractedBinary, int]] = []
-        for i, request in enumerate(requests):
-            if request.encoding is not None:
-                resolved[i] = (request.encoding.name, request.encoding)
-                continue
-            if request.cve_id is not None:
-                library = self.cve_library()
-                if request.cve_id not in library:
-                    raise BadRequestError(
-                        f"unknown CVE id: {request.cve_id}"
-                    )
-                entry, encoding = library[request.cve_id]
-                resolved[i] = (entry.cve_id, encoding)
-                continue
-            if request.binary is None:
-                raise BadRequestError(
-                    "query needs an encoding, a cve_id, or a binary + "
-                    "function"
-                )
-            if not request.function:
-                raise BadRequestError("binary queries need a function name")
-            binary = load_binary(request.binary)
-            extracted, rows = self._extracted_for(binary)
-            if request.function not in rows:
-                raise BadRequestError(
-                    f"function {request.function!r} not found (or below "
-                    f"the AST size floor) in binary {binary.name!r}"
-                )
-            jobs.append((
-                i, f"{binary.name}:{request.function}", extracted,
-                rows[request.function],
-            ))
-        if jobs:
-            with trace("engine.encode_queries", n=len(jobs)):
-                vectors = self.batcher.encode_many(
-                    [extracted.columns().tree(row)
-                     for _i, _name, extracted, row in jobs],
-                    deadline=deadline,
-                )
-            self.obs.counter(
-                "repro_query_encodes_total",
-                "Query-side function encodes",
-            ).inc(len(jobs))
-            beta = self.model.config.beta
-            for (i, name, extracted, row), vector in zip(jobs, vectors):
-                resolved[i] = (name, extracted.encoding(row, vector, beta))
-        return resolved
-
-    def _extracted_for(
-        self, binary: BinaryFile
-    ) -> Tuple[ExtractedBinary, Dict[str, int]]:
-        """Memoized: ``binary``'s extracted columns, function name -> row."""
-        digest = binary_digest(binary)
-        with self._memo_lock:
-            entry = self._extract_memo.get(digest)
-            if entry is not None:
-                self._extract_memo.move_to_end(digest)
-                return entry
-        extracted = self.pipeline.extracted(binary, digest)
-        entry = (extracted, {n: i for i, n in enumerate(extracted.names)})
-        with self._memo_lock:
-            entry = self._extract_memo.setdefault(digest, entry)
-            self._extract_memo.move_to_end(digest)
-            while len(self._extract_memo) > EXTRACT_MEMO_MAX_BINARIES:
-                self._extract_memo.popitem(last=False)  # evict oldest
-            return entry
-
     # -- compare -----------------------------------------------------------
 
-    def compare(self, request: Optional[CompareRequest] = None,
-                **kw) -> CompareResult:
+    def compare(self, request: CompareRequest) -> CompareResult:
         """Pairwise scores for two named binary functions.
 
         Scored by the head every query sweep uses
         (:meth:`Asteria.similarity_matrix`), so comparing a query
         function with one of its hits gives that hit's score.
         """
-        request = request or CompareRequest(**kw)
         model = self.model  # a missing checkpoint outranks missing inputs
         e1 = self._compare_encoding(request.binary1, request.function1)
         e2 = self._compare_encoding(request.binary2, request.function2)
@@ -986,55 +487,3 @@ def load_binary(source: Optional[BinarySource]) -> BinaryFile:
         raise InputNotFoundError(f"no such binary: {path}")
     return parse_binary(path.read_bytes(), str(path))
 
-
-# -- training -----------------------------------------------------------------------
-
-
-def train_model(request: Optional[TrainRequest] = None,
-                **kw) -> TrainResult:
-    """Train a fresh model on the generated corpus (no engine involved).
-
-    Serve the result with ``AsteriaEngine(model=result.model)``, or load
-    ``request.output_path`` through ``EngineConfig.model_path``.
-    """
-    from repro.core.pairs import (
-        build_cross_arch_pairs,
-        split_pairs,
-        to_tree_pairs,
-    )
-    from repro.evalsuite.datasets import build_buildroot_dataset
-
-    request = request or TrainRequest(**kw)
-    dataset = build_buildroot_dataset(
-        n_packages=request.packages, seed=request.seed
-    )
-    pairs = to_tree_pairs(
-        build_cross_arch_pairs(
-            dataset.functions, request.pairs, seed=request.seed
-        )
-    )
-    train, dev = split_pairs(pairs, request.split, seed=request.seed)
-    model = Asteria(AsteriaConfig(embedding_dim=request.embedding_dim))
-    trainer = Trainer(
-        model.siamese,
-        TrainConfig(
-            epochs=request.epochs,
-            lr=request.lr,
-            batch_size=request.batch_size,
-        ),
-    )
-    try:
-        history = trainer.train(train, dev)
-    except ValueError as exc:  # no training pairs, or a one-class dev split
-        raise BadRequestError(f"cannot train: {exc}") from exc
-    if request.output_path:
-        model.save(request.output_path)
-    return TrainResult(
-        n_train=len(train),
-        n_dev=len(dev),
-        best_auc=history.best_auc,
-        best_epoch=history.best_epoch,
-        history=history,
-        model=model,
-        model_path=request.output_path,
-    )

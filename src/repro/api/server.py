@@ -12,9 +12,10 @@ their corpus sweeps run side by side outside the engine lock.
 Endpoints (all JSON unless noted; every POST body's fields are
 declared in :data:`BODIES`)::
 
-    GET  /healthz       {"status": "ok", "version", "uptime_s",
+    GET  /healthz       {"status": "ok" | "degraded", "version", "uptime_s",
                          "model_loaded", "index_rows", "index_shards",
-                         "index_generation"}
+                         "index_generation", "degraded", "degraded_reasons",
+                         "quarantined_shards", "inflight", "draining"}
     GET  /metrics       Prometheus text exposition (text/plain)
     GET  /v1/stats      EngineStats.to_dict()
     POST /v1/encode     -> {"binary", "arch", "encodings": [...]}
@@ -50,13 +51,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple, Union
 
 import repro.faults as faults
-from repro.api.engine import (
-    AsteriaEngine,
+from repro.api.engine import AsteriaEngine, parse_binary
+from repro.api.types import (
     CompareRequest,
     EncodeRequest,
     IngestRequest,
     QueryRequest,
-    parse_binary,
 )
 from repro.api.errors import (
     BadRequestError,

@@ -45,15 +45,9 @@ import sys
 from pathlib import Path
 
 from repro.api.config import EngineConfig, add_config_flags
-from repro.api.engine import (
-    AsteriaEngine,
-    CompareRequest,
-    IngestRequest,
-    QueryRequest,
-    TrainRequest,
-    load_binary,
-    train_model,
-)
+from repro.api.engine import AsteriaEngine, load_binary
+from repro.api.train import TrainRequest, train_model
+from repro.api.types import CompareRequest, IngestRequest, QueryRequest
 from repro.api.errors import (
     BadRequestError,
     EngineError,
@@ -308,20 +302,22 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _count(value: str) -> int:
-    """argparse type of the per-command counts: an int >= 1."""
-    number = int(value)
-    if number < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
-    return number
+def _ints(least: int, most=None):
+    """An argparse type: an int >= ``least`` (and <= ``most``, if set)."""
+    bound = f">= {least}" if most is None else f"{least}-{most}"
+
+    def parse(value: str) -> int:
+        number = int(value)
+        if number < least or most is not None and number > most:
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {number}")
+        return number
+
+    parse.__name__ = "int"  # argparse's "invalid int value" names it
+    return parse
 
 
-def _port(value: str) -> int:
-    """argparse type of ``serve --port``: a TCP port, 0-65535."""
-    number = int(value)
-    if not 0 <= number <= 65535:
-        raise argparse.ArgumentTypeError(f"must be 0-65535, got {number}")
-    return number
+#: per-command counts, seeds (numpy takes no negative one), TCP ports
+_count, _seed, _port = _ints(1), _ints(0), _ints(0, 65535)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,12 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate a source package")
     p.add_argument("--name", default="pkg0")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("compile", help="cross-compile a generated package")
     p.add_argument("--name", default="pkg0")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--arch", nargs="+", default=["x86", "x64", "arm", "ppc"],
                    choices=["x86", "x64", "arm", "ppc"])
     p.add_argument("--strip", action="store_true",
@@ -366,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pairs per optimiser step (1 = the paper's "
                         "per-pair setting; >1 uses the level-batched "
                         "Tree-LSTM engine)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--output", default="asteria.npz")
     p.set_defaults(func=_cmd_train)
 
@@ -382,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_config_flags(p, "model_path", *_PIPELINE_FLAGS,
                      required=["model_path"])
     p.add_argument("--images", type=_count, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--threshold", type=float, default=SEARCH_THRESHOLD)
     p.add_argument("--top-k", type=_count, default=None,
                    help="cap candidates per CVE (unset: all above "
@@ -403,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_config_flags(p, "model_path", "encode_batch_size", *_PIPELINE_FLAGS,
                      required=["model_path"])
     p.add_argument("--images", type=_count, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_pipeline_run)
 
     p = sub.add_parser("index", help="persistent embedding index")
@@ -417,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True,
                    help="directory for the new index")
     p.add_argument("--images", type=_count, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_index_build)
 
     p = index_sub.add_parser(
@@ -429,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=None,
                    help="drop hits scoring below this (unset: keep the "
                         "full top-k)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--cve", nargs="*", default=None,
                    help="restrict to these CVE ids (unset: whole library)")
     p.set_defaults(func=_cmd_index_search)
@@ -456,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "cluster")
     p.add_argument("--noise", type=float, default=0.15,
                    help="intra-cluster perturbation scale")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--seed-packages", type=_count, default=4,
                    help="generated packages to compile + encode for the "
                         "seed set (with --model)")
@@ -470,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=_port, default=8080,
                    help="0 picks an ephemeral port (printed on startup)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     add_config_flags(
         p, "model_path", "index_root", "encode_batch_size",
         "micro_batch_size", "micro_batch_wait_ms", "slow_query_ms",

@@ -136,7 +136,7 @@ class Asteria:
     ) -> CompiledPlan:
         """:meth:`compile_columns` of flattened object trees.  Kept only
         for the benchmark replay (``benchmarks/e2e/layers.py``); it and
-        :meth:`encode_batch` go with ROADMAP item 2(a)."""
+        :meth:`encode_batch` go with ROADMAP items 1 and 4(b)."""
         columns = [TreeColumns.single(*flatten_tree(t)) for t in trees]
         return self.compile_columns(
             TreeColumns.concat(columns), batch_size, node_budget

@@ -62,15 +62,12 @@ class SiameseClassifier(Module):
     *inside* the softmax -- ``softmax(σ(cat(...)·W))`` -- which bounds the
     similarity output to at most ``e/(1+e) ≈ 0.731``.  That contradicts the
     paper's own reported behaviour (a decision threshold of 0.84 in §V and
-    candidate scores of exactly 1).  The default here therefore applies the
-    softmax to the raw logits, matching the reported score range; pass
-    ``literal_sigmoid=True`` to get the literal formula.
+    candidate scores of exactly 1).  The softmax here therefore applies to
+    the raw logits, matching the reported score range.
     """
 
-    def __init__(self, encoder: BinaryTreeLSTM, seed: int = 0,
-                 literal_sigmoid: bool = False):
+    def __init__(self, encoder: BinaryTreeLSTM, seed: int = 0):
         self.encoder = encoder
-        self.literal_sigmoid = literal_sigmoid
         rng = RNG(seed)
         self.w = Parameter(
             glorot(rng.child("siamese_w"), (2 * encoder.hidden_dim, 2))
@@ -86,8 +83,6 @@ class SiameseClassifier(Module):
         """Equation (8) applied to two encoding vectors."""
         features = concat([(v1 - v2).abs(), v1 * v2])
         logits = features @ self.w
-        if self.literal_sigmoid:
-            logits = logits.sigmoid()
         return logits.softmax()
 
     def similarity(self, t1: BinaryTreeNode, t2: BinaryTreeNode) -> float:
@@ -104,8 +99,6 @@ class SiameseClassifier(Module):
         """
         features = np.concatenate([np.abs(v1 - v2), v1 * v2])
         logits = features @ self.w.data
-        if self.literal_sigmoid:
-            logits = 1.0 / (1.0 + np.exp(-logits))
         shifted = logits - logits.max()
         exps = np.exp(shifted)
         return float(exps[1] / exps.sum())
@@ -137,10 +130,9 @@ class SiameseClassifier(Module):
             queries = queries[None, :]
         q, (n, h) = queries.shape[0], vectors.shape
         w = self.w.data.astype(vectors.dtype, copy=False)
-        if not self.literal_sigmoid:
-            # softmax over two raw logits is exactly sigmoid(l1 - l0), so
-            # the head needs only the *margin* weights: one logit column
-            w = w[:, 1:] - w[:, :1]
+        # softmax over two raw logits is exactly sigmoid(l1 - l0), so the
+        # head needs only the *margin* weights: one logit column
+        w = w[:, 1:] - w[:, :1]
         # the product term does: (v ⊙ u) · w_c == v · (u ⊙ w_c)
         w_prod = queries[:, None, :, None] * w[h:]  # (q, 1, h, c)
         t = _tile_rows(h)
@@ -170,12 +162,7 @@ class SiameseClassifier(Module):
             for first, tiles in _tiles(block, tail):
                 logits[:, first:first + tiles.shape[0]] += tiles @ w_prod
             logits = logits.reshape(q, k * t, -1)[:, :b]
-            if self.literal_sigmoid:
-                logits = 1.0 / (1.0 + np.exp(-logits))
-                exps = np.exp(logits - logits.max(axis=2, keepdims=True))
-                scores[:, start:start + b] = exps[:, :, 1] / exps.sum(axis=2)
-            else:
-                scores[:, start:start + b] = stable_sigmoid(logits[:, :, 0])
+            scores[:, start:start + b] = stable_sigmoid(logits[:, :, 0])
         return scores[0] if single else scores
 
 

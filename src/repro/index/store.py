@@ -43,7 +43,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -526,16 +526,6 @@ class EmbeddingStore:
         self._pending.append(_PendingRow(encoding=encoding, image_id=image_id))
         return len(self) - 1
 
-    def add_batch(
-        self, encodings: Iterable[FunctionEncoding], image_id: str = ""
-    ) -> int:
-        """Buffer many encodings; returns the number added."""
-        n = 0
-        for encoding in encodings:
-            self.add(encoding, image_id=image_id)
-            n += 1
-        return n
-
     def flush(self) -> int:
         """Persist buffered rows as new shards; returns rows written.
 
@@ -861,14 +851,6 @@ class EmbeddingStore:
             ast_size=meta.ast_size,
             image_id=meta.image_id,
         )
-
-    def vector_at(self, row: int) -> np.ndarray:
-        self._locate(row)  # range check
-        return self.vectors().row(row)
-
-    def iter_metadata(self) -> Iterable[StoredFunction]:
-        for row in range(self.n_flushed):
-            yield self.metadata_at(row)
 
     def vectors(self) -> ShardedMatrix:
         """All flushed vectors as one zero-copy ``(n, dim)`` view.

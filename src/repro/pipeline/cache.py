@@ -303,7 +303,7 @@ class ArtifactCache:
         Write-only: no pipeline path reads these objects back.  This and
         :meth:`_ctree_params` remain only because the benchmark's
         per-layer replay (``benchmarks/e2e/layers.py``) still writes
-        them; both go with ROADMAP item 2(a).
+        them; both go with ROADMAP items 1 and 4(b).
         """
         key = artifact_key(
             "ctrees", digest,

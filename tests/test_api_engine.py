@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.api.query as query_module
 import repro.index.ann as ann
 import repro.pipeline.corpus as corpus
 from repro.api import (
@@ -34,13 +35,14 @@ from repro.api import (
     TrainRequest,
     train_model,
 )
-from repro.api.engine import DEFAULT_TOP_K, POLLED_GAUGES, REGISTRY_COUNTS
+from repro.api.types import DEFAULT_TOP_K, POLLED_GAUGES, REGISTRY_COUNTS
 from repro.cli import build_parser
 from repro.compiler.pipeline import compile_package
 from repro.core.model import FunctionEncoding
 from repro.index.ann import BruteForceIndex, make_index
 from repro.index.store import EmbeddingStore
 from repro.lang.generator import ProgramGenerator
+from repro.pipeline.stages import extract_binary
 
 
 # -- EngineConfig -------------------------------------------------------------------
@@ -597,8 +599,9 @@ class TestEngineLifecycle:
         two = AsteriaEngine(EngineConfig(), model=trained_model)
         two.ingest(IngestRequest(images=dataset.images))
         two.ingest(IngestRequest(binaries=binaries))
-        assert list(engine.store.iter_metadata()) \
-            == list(two.store.iter_metadata())
+        assert [engine.store.metadata_at(row)
+                for row in range(len(engine.store))] \
+            == [two.store.metadata_at(row) for row in range(len(two.store))]
         one_vectors = engine.store.vectors().take(np.arange(len(engine.store)))
         two_vectors = two.store.vectors().take(np.arange(len(two.store)))
         assert one_vectors.tobytes() == two_vectors.tobytes()
@@ -768,7 +771,8 @@ class TestSweepOutsideTheLock:
     def test_stats_answers_during_a_sweep(self, trained_model, monkeypatch):
         engine = AsteriaEngine(EngineConfig(), model=trained_model)
         encodings = _random_encodings(trained_model, 40)
-        engine.store.add_batch(encodings)
+        for encoding in encodings:
+            engine.store.add(encoding)
         engine.store.flush()
         entered, release = threading.Event(), threading.Event()
         sweep = BruteForceIndex.top_k_batch
@@ -879,7 +883,8 @@ class TestSweepOutsideTheLock:
         engine = AsteriaEngine(
             EngineConfig(index_root=str(tmp_path / "fw")), model=trained_model
         )
-        engine.store.add_batch(_random_encodings(trained_model, 80, seed=1))
+        for encoding in _random_encodings(trained_model, 80, seed=1):
+            engine.store.add(encoding)
         engine.store.flush()
         query = FunctionEncoding(
             name="q", arch="x86", binary_name="query",
@@ -910,14 +915,12 @@ class TestSweepOutsideTheLock:
         assert [(h.row, h.score) for h in before.hits] == full_sort(80)
         # near copies of the query, half of them calling as many functions
         rng = np.random.default_rng(2)
-        engine.store.add_batch([
-            FunctionEncoding(
+        for i in range(40):
+            engine.store.add(FunctionEncoding(
                 name=f"near{i}", arch="x86", binary_name="fresh",
                 vector=query.vector + rng.normal(scale=0.01, size=query.vector.size),
                 callee_count=query.callee_count + i % 2, ast_size=10,
-            )
-            for i in range(40)
-        ])
+            ))
         engine.store.flush()
         after = engine.query(request)
         assert after.n_rows == 120
@@ -938,7 +941,8 @@ class TestIngestOutsideTheLock:
     ):
         engine = AsteriaEngine(EngineConfig(), model=trained_model)
         encodings = _random_encodings(trained_model, 40)
-        engine.store.add_batch(encodings)
+        for encoding in encodings:
+            engine.store.add(encoding)
         engine.store.flush()
         entered, release = threading.Event(), threading.Event()
         encode = corpus.encode_stage
@@ -1022,7 +1026,8 @@ class TestIngestOutsideTheLock:
         store = engine.store
         assert len(store) == sum(r.n_functions for r in ingests) \
             == max(r.n_rows_total for r in ingests)
-        image_ids = [row.image_id for row in store.iter_metadata()]
+        image_ids = [store.metadata_at(row).image_id
+                     for row in range(len(store))]
         blocks = [image_id for image_id, _ in itertools.groupby(image_ids)]
         assert sorted(blocks) == [image_id for _binary, image_id in tagged]
 
@@ -1323,3 +1328,46 @@ class TestMetricsAreStats:
             ) == tree_misses + 1
             stats = engine.stats()
             assert (stats.cache_hits, stats.cache_misses) == (0, 1)
+
+    def test_the_extract_memo_evicts_the_least_recently_queried(
+        self, trained_model, monkeypatch
+    ):
+        """Past its bound the memo drops the binary queried longest ago;
+        that binary's next query reads the pipeline's tree cache (one
+        hit, no extraction) and answers as before."""
+        monkeypatch.setattr(query_module, "EXTRACT_MEMO_MAX_BINARIES", 2)
+        engine = AsteriaEngine(EngineConfig(), model=trained_model)
+        for encoding in _random_encodings(trained_model, 40):
+            engine.store.add(encoding)
+        engine.store.flush()
+        requests = {}
+        for seed in (60, 61, 62):
+            binary = compile_package(
+                ProgramGenerator(seed=seed).generate_package(f"m{seed}"),
+                "x86",
+            )
+            [name, *_rest] = extract_binary(
+                binary, trained_model.config.min_ast_size
+            ).names
+            requests[seed] = QueryRequest(binary=binary, function=name,
+                                          top_k=5)
+
+        def tree_lookups():
+            return tuple(
+                engine.obs.value(f"repro_pipeline_cache_{outcome}_total",
+                                 kind="tree")
+                for outcome in ("hits", "misses")
+            )
+
+        engine.query(requests[60])
+        before = engine.query(requests[61])
+        engine.query(requests[60])  # 61 is now the least recently queried
+        engine.query(requests[62])  # ... and the one the memo drops
+        assert tree_lookups() == (0, 3)
+        engine.query(requests[60])  # still memoized: no lookup
+        assert tree_lookups() == (0, 3)
+        again = engine.query(requests[61])
+        assert tree_lookups() == (1, 3)  # a cache hit, not an extraction
+        assert len(again.hits) == 5
+        assert [(h.row, h.score) for h in again.hits] \
+            == [(h.row, h.score) for h in before.hits]

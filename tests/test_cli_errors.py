@@ -325,6 +325,23 @@ class TestFlagSurface:
         assert len(errors) == 1
         assert "argument --images: must be >= 1" in errors[0]
 
+    @pytest.mark.parametrize("command", [
+        ["generate"], ["compile"], ["train"], ["search", "--model", "m"],
+        ["pipeline", "run", "--model", "m"],
+        ["index", "build", "--model", "m", "--output", "o"],
+        ["index", "search", "--model", "m", "--index", "i"],
+        ["corpus", "synth", "--output", "o"], ["serve", "--model", "m"],
+    ])
+    def test_a_negative_seed_is_a_parse_error(self, command, capsys):
+        """numpy takes no negative seed: argparse refuses it up front."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--seed", "-1"])
+        assert exit_info.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1
+        assert "argument --seed: must be >= 0, got -1" in errors[0]
+
     def test_no_help_string_restates_a_default(self):
         """A generated flag shows its one default, taken from the field."""
         for command, parser in _leaf_parsers(build_parser()):

@@ -583,8 +583,9 @@ class TestPipelineCLI:
         serial = EmbeddingStore.open(str(tmp_path / "serial"))
         parallel = EmbeddingStore.open(str(tmp_path / "parallel"))
         assert np.array_equal(serial.vectors(), parallel.vectors())
-        assert [m.name for m in serial.iter_metadata()] \
-            == [m.name for m in parallel.iter_metadata()]
+        assert [serial.metadata_at(row).name for row in range(len(serial))] \
+            == [parallel.metadata_at(row).name
+                for row in range(len(parallel))]
 
 
 class TestFloat32Ranking:

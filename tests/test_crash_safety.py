@@ -86,10 +86,12 @@ def encodings(lo, hi, dim=8):
 
 if phase == "create":
     store = EmbeddingStore.create(root, dim=8, shard_size=4)
-    store.add_batch(encodings(0, 6))
+    for encoding in encodings(0, 6):
+        store.add(encoding)
 else:
     store = EmbeddingStore.open(root)
-    store.add_batch(encodings(6, 14))
+    for encoding in encodings(6, 14):
+        store.add(encoding)
 if spec:
     faults.configure(spec)
 store.flush()
@@ -137,7 +139,7 @@ class TestKillDuringFlush:
             np.asarray(store.vectors(), dtype=np.float64), baseline,
             atol=1e-6,
         )
-        assert [m.name for m in store.iter_metadata()] \
+        assert [store.metadata_at(row).name for row in range(6)] \
             == [f"fn_{i}" for i in range(6)]
 
     def test_interrupted_growth_can_be_retried(self, tmp_path):
@@ -152,7 +154,7 @@ class TestKillDuringFlush:
         store = EmbeddingStore.open(root)
         assert len(store) == 14
         assert not store.degraded
-        assert [m.name for m in store.iter_metadata()] \
+        assert [store.metadata_at(row).name for row in range(14)] \
             == [f"fn_{i}" for i in range(14)]
 
     def test_temp_files_never_count_as_shards(self, tmp_path):
@@ -172,7 +174,8 @@ class TestKillDuringFlush:
 class TestTornShardRecovery:
     def _fill(self, root, n=10) -> EmbeddingStore:
         store = EmbeddingStore.create(root, dim=DIM, shard_size=4)
-        store.add_batch(_encoding(i) for i in range(n))
+        for i in range(n):
+            store.add(_encoding(i))
         store.flush()
         return store
 
@@ -271,7 +274,8 @@ class TestAnnFaults:
     def test_ann_persist_crash_keeps_previous_state(self, tmp_path):
         root = tmp_path / "idx"
         store = EmbeddingStore.create(root, dim=DIM, shard_size=4)
-        store.add_batch(_encoding(i) for i in range(4))
+        for i in range(4):
+            store.add(_encoding(i))
         store.flush()
         store.write_ann_state(
             {"kind": "ivf-pq", "n_rows": 4, "generation": 1},
@@ -294,7 +298,8 @@ class TestAnnFaults:
     def test_ann_build_failure_degrades_to_exact(self, trained_model):
         dim = trained_model.config.hidden_dim
         store = EmbeddingStore.in_memory(dim=dim)
-        store.add_batch(_encoding(i, dim=dim) for i in range(12))
+        for i in range(12):
+            store.add(_encoding(i, dim=dim))
         store.flush()
         registry = MetricsRegistry()
         engine = AsteriaEngine(
@@ -313,7 +318,7 @@ class TestAnnFaults:
         assert registry.value("repro_ann_fallback_total") >= 1
         # once construction works again, a rebuild clears the flag
         faults.clear()
-        store.add_batch([_encoding(100, dim=dim)])
+        store.add(_encoding(100, dim=dim))
         store.flush()
         engine.query(request)
         assert engine.stats().degraded_reasons == []
@@ -356,7 +361,8 @@ class TestDegradedSurfacing:
     def _degraded_root(self, tmp_path, dim) -> Path:
         root = tmp_path / "idx"
         store = EmbeddingStore.create(root, dim=dim, shard_size=4)
-        store.add_batch(_encoding(i, dim=dim) for i in range(10))
+        for i in range(10):
+            store.add(_encoding(i, dim=dim))
         store.flush()
         shard = root / "shard-00002.npy"
         shard.write_bytes(shard.read_bytes()[:-8])

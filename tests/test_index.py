@@ -66,7 +66,7 @@ class TestEmbeddingStore:
         for row in range(10):
             assert reopened.metadata_at(row) == store.metadata_at(row)
             assert np.array_equal(
-                reopened.vector_at(row), store.vector_at(row)
+                reopened.vectors().row(row), store.vectors().row(row)
             )
 
     def test_manifest_is_versioned(self, tmp_path):
@@ -179,8 +179,14 @@ class TestEmbeddingStore:
         store.add(_encoding(0))
         assert len(store) == 1
         assert store.n_flushed == 0
+        with pytest.raises(IndexError, match="row 0 out of range"):
+            store.metadata_at(0)
         store.flush()
         assert store.n_flushed == 1
+        assert store.metadata_at(0).name == _encoding(0).name
+        for row in (1, -1):
+            with pytest.raises(IndexError, match=f"row {row} out of range"):
+                store.metadata_at(row)
 
     def test_encoding_reconstruction(self):
         # float64 stores round-trip vectors bit-exactly; the default
@@ -190,7 +196,7 @@ class TestEmbeddingStore:
         original = _encoding(11)
         store.add(original, image_id="img/x")
         store.flush()
-        rebuilt = store.metadata_at(0).encoding(store.vector_at(0))
+        rebuilt = store.metadata_at(0).encoding(store.vectors().row(0))
         assert rebuilt.name == original.name
         assert rebuilt.arch == original.arch
         assert rebuilt.binary_name == original.binary_name
@@ -321,16 +327,13 @@ print(json.dumps(faults_per_row))
 
 
 def _model(kind: str, h: int) -> Asteria:
-    """A model with one of the three Siamese heads (``margin``: the
-    default classifier; ``literal``: ``literal_sigmoid=True``;
-    ``regression``: the cosine head) over ``h``-wide encodings."""
-    model = Asteria(AsteriaConfig(
+    """A model with one of the two Siamese heads (``margin``: the
+    classifier; ``regression``: the cosine head) over ``h``-wide
+    encodings."""
+    return Asteria(AsteriaConfig(
         hidden_dim=h,
         head="regression" if kind == "regression" else "classification",
     ))
-    if kind == "literal":
-        model.siamese.literal_sigmoid = True
-    return model
 
 
 def _closed_form(kind: str, siamese, queries, vectors):
@@ -353,8 +356,6 @@ def _closed_form(kind: str, siamese, queries, vectors):
         axis=2,
     )
     logits = features @ w
-    if kind == "literal":
-        logits = 1.0 / (1.0 + np.exp(-logits))
     exps = np.exp(logits - logits.max(axis=2, keepdims=True))
     return exps[:, :, 1] / exps.sum(axis=2)
 
@@ -376,7 +377,7 @@ def _scoring_cases(draw):
     ]
     n = draw(st.sampled_from([size for size in sizes if size <= 50_010]))
     return (
-        draw(st.sampled_from(["margin", "literal", "regression"])),
+        draw(st.sampled_from(["margin", "regression"])),
         q, h, n, dtype, one_d, draw(st.integers(0, 2 ** 16)),
     )
 
@@ -480,7 +481,7 @@ _CASE_BLOCK_ROWS = 64
 def _sweep_cases(draw):
     return dict(
         seed=draw(st.integers(0, 2 ** 16)),
-        kind=draw(st.sampled_from(["margin", "literal", "regression"])),
+        kind=draw(st.sampled_from(["margin", "regression"])),
         dtype=draw(st.sampled_from([np.float32, np.float64])),
         n=draw(st.sampled_from([1, 9, 63, 64, 65, 130, 400])),
         shard=draw(st.sampled_from([16, 50, 1000])),
@@ -766,7 +767,8 @@ class TestSearchService:
         # every decompiled function above the size floor is stored once
         store = vuln_search.engine.store
         assert len(store) > 0
-        image_ids = {meta.image_id for meta in store.iter_metadata()}
+        image_ids = {store.metadata_at(row).image_id
+                     for row in range(len(store))}
         unpackable = {
             image.identifier
             for image in firmware.images if not image.unknown_format

@@ -156,7 +156,7 @@ class TestStoreDtype:
         store.flush()
         reopened = EmbeddingStore.open(tmp_path / "idx")
         for i, original in enumerate(originals):
-            got = reopened.vector_at(i)
+            got = reopened.vectors().row(i)
             if dtype == "float64":
                 assert np.array_equal(got, original.vector)
             else:
@@ -401,7 +401,7 @@ class TestFlushIsAppendRows:
         assert store.flush() == 12 - 4 * (hit - 1)
         reopened = EmbeddingStore.open(tmp_path / "idx")
         assert not reopened.degraded
-        assert [m.name for m in reopened.iter_metadata()] == [
+        assert [reopened.metadata_at(row).name for row in range(12)] == [
             _encoding(i).name for i in range(12)
         ]
         expected = np.stack([_encoding(i).vector for i in range(12)])

@@ -84,7 +84,7 @@ class TestShardRoundTrip:
             assert meta.callee_count == encoding.callee_count
             assert meta.ast_size == encoding.ast_size
             assert meta.image_id == f"NetGear/R7000/{i}"
-            assert np.array_equal(reopened.vector_at(i), encoding.vector)
+            assert np.array_equal(reopened.vectors().row(i), encoding.vector)
 
     def test_float32_vectors_stay_float32(self, tmp_path):
         store = EmbeddingStore.create(tmp_path / "idx32", dim=4)
