@@ -35,7 +35,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.api.errors import DeadlineExceededError
-from repro.obs.metrics import FRACTION_BUCKETS, SIZE_BUCKETS, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 
 class _Item:
@@ -201,18 +201,10 @@ class MicroBatcher:
 
     def _observe(self, run: List[_Item]) -> None:
         now = time.perf_counter()
-        self.registry.histogram(
-            "repro_microbatch_size", "Items per micro-batch",
-            buckets=SIZE_BUCKETS,
-        ).observe(len(run))
-        self.registry.histogram(
-            "repro_microbatch_fill",
-            "Micro-batch fill ratio (items / max_batch_size)",
-            buckets=FRACTION_BUCKETS,
-        ).observe(len(run) / self.max_batch_size)
-        wait = self.registry.histogram(
-            "repro_microbatch_wait_seconds",
-            "Submit-to-publish coalescing wait per item",
+        self.registry.histogram("repro_microbatch_size").observe(len(run))
+        self.registry.histogram("repro_microbatch_fill").observe(
+            len(run) / self.max_batch_size
         )
+        wait = self.registry.histogram("repro_microbatch_wait_seconds")
         for it in run:
             wait.observe(now - it.submitted)

@@ -58,8 +58,6 @@ from repro.api.errors import (
 )
 from repro.api.query import OnlinePhase
 from repro.api.types import (
-    POLLED_GAUGES,
-    REGISTRY_COUNTS,
     BinarySource,
     CompareRequest,
     CompareResult,
@@ -76,7 +74,7 @@ from repro.core.preprocess import lcrs_columns
 from repro.index.ann import AnnIndex, serve_index
 from repro.index.store import MANIFEST_NAME, EmbeddingStore, StoreError
 from repro.nn.treebatch import TreeColumns
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import METRICS, MetricsRegistry
 from repro.obs.trace import trace
 from repro.pipeline import ArtifactCache, CorpusPipeline, PipelineStats
 from repro.utils.logging import get_logger
@@ -266,10 +264,7 @@ class AsteriaEngine(OnlinePhase):
             rerank=config.ann_rerank,
         )
         self._index, self._index_rows = index, store.n_flushed
-        self.obs.counter(
-            "repro_index_rebuilds_total",
-            "ANN index (re)constructions over the store",
-        ).inc()
+        self.obs.counter("repro_index_rebuilds_total").inc()
         return index
 
     def _pin(self) -> Tuple[EmbeddingStore, AnnIndex]:
@@ -396,9 +391,10 @@ class AsteriaEngine(OnlinePhase):
         therefore only reported once the pipeline exists (i.e. after the
         first encode/ingest/query).
 
-        Every count is read from the registry: the ``REGISTRY_COUNTS``
-        counters, and ``micro_batch_*`` from one read of the
-        ``repro_microbatch_size`` histogram.
+        Every count is read from the registry: each field a ``METRICS``
+        entry names (not ``polled``: those gauges are set from this
+        snapshot at each scrape), and ``micro_batch_*`` from one read of
+        the ``repro_microbatch_size`` histogram.
         """
         sizes = self.obs.get("repro_microbatch_size")
         batches, items, widest = sizes.totals() if sizes else (0, 0.0, 0.0)
@@ -435,8 +431,9 @@ class AsteriaEngine(OnlinePhase):
                 stats.ann_backend = self.config.backend
                 for name, value in self._index.ann_stats().items():
                     setattr(stats, name, value)
-        for name, counter in REGISTRY_COUNTS.items():
-            setattr(stats, name, int(self.obs.value(counter)))
+        for metric in METRICS.values():
+            if metric.stat is not None and not metric.polled:
+                setattr(stats, metric.stat, int(self.obs.value(metric.name)))
         stats.degraded = bool(stats.degraded_reasons)
         return stats
 
@@ -444,8 +441,9 @@ class AsteriaEngine(OnlinePhase):
         """Set the polled gauges from one :meth:`stats` snapshot, so a
         scrape reflects the present, not the last event."""
         stats = self.stats()
-        for name, (gauge, help_text) in POLLED_GAUGES.items():
-            self.obs.gauge(gauge, help_text).set(getattr(stats, name))
+        for metric in METRICS.values():
+            if metric.polled:
+                self.obs.gauge(metric.name).set(getattr(stats, metric.stat))
 
     def metrics_text(self) -> str:
         """The registry as Prometheus text exposition (``GET /metrics``)."""

@@ -111,8 +111,7 @@ class OnlinePhase:
         :class:`DeadlineExceededError` instead of holding its slot.
         """
         return self._answer(
-            [request], "engine.query",
-            "repro_query_seconds", "Wall time of one engine.query call",
+            [request], "engine.query", "repro_query_seconds"
         )[0]
 
     def query_batch(
@@ -132,12 +131,9 @@ class OnlinePhase:
         if not requests:
             return []
         results = self._answer(
-            requests, "engine.query_batch", "repro_query_batch_seconds",
-            "Wall time of one engine.query_batch call",
+            requests, "engine.query_batch", "repro_query_batch_seconds"
         )
-        self.obs.counter(
-            "repro_query_batches_total", "query_batch calls answered"
-        ).inc()
+        self.obs.counter("repro_query_batches_total").inc()
         return results
 
     def _answer(
@@ -145,7 +141,6 @@ class OnlinePhase:
         requests: List[QueryRequest],
         span_name: str,
         metric: str,
-        help_text: str,
     ) -> List[QueryResult]:
         """Resolve, group and sweep ``requests`` under one span."""
         deadlines = [
@@ -159,15 +154,10 @@ class OnlinePhase:
             with trace(span_name, n_queries=len(requests)) as span:
                 results = self._resolve_and_sweep(requests, deadline, span)
         except DeadlineExceededError:
-            self.obs.counter(
-                "repro_request_timeouts_total",
-                "Requests abandoned at their deadline",
-            ).inc()
+            self.obs.counter("repro_request_timeouts_total").inc()
             raise
-        self.obs.counter(
-            "repro_queries_total", "Queries answered by the engine"
-        ).inc(len(requests))
-        self._observe_query(span, metric, help_text)
+        self.obs.counter("repro_queries_total").inc(len(requests))
+        self._observe_query(span, metric)
         return results
 
     def _resolve_and_sweep(
@@ -220,16 +210,13 @@ class OnlinePhase:
         )
         return results
 
-    def _observe_query(self, span: Span, metric: str, help_text: str) -> None:
+    def _observe_query(self, span: Span, metric: str) -> None:
         """Record a closed query span: latency histogram + slow-query log."""
-        self.obs.histogram(metric, help_text).observe(span.wall_s)
+        self.obs.histogram(metric).observe(span.wall_s)
         threshold_ms = self.config.slow_query_ms
         if threshold_ms is None or span.wall_s * 1000.0 < threshold_ms:
             return
-        self.obs.counter(
-            "repro_slow_queries_total",
-            "Queries slower than EngineConfig.slow_query_ms",
-        ).inc()
+        self.obs.counter("repro_slow_queries_total").inc()
         _LOG.warning(
             "slow query (%.1fms >= %.1fms): %s",
             span.wall_s * 1000.0, threshold_ms,
@@ -294,10 +281,7 @@ class OnlinePhase:
                      for _i, _name, extracted, row in jobs],
                     deadline=deadline,
                 )
-            self.obs.counter(
-                "repro_query_encodes_total",
-                "Query-side function encodes",
-            ).inc(len(jobs))
+            self.obs.counter("repro_query_encodes_total").inc(len(jobs))
             beta = self.model.config.beta
             for (i, name, extracted, row), vector in zip(jobs, vectors):
                 resolved[i] = (name, extracted.encoding(row, vector, beta))

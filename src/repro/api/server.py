@@ -127,8 +127,8 @@ def _hit_json(rank: int, hit: SearchHit) -> Dict:
 def read_body(body, fields: Dict, path: str = "") -> Dict:
     """``body``, checked against ``fields`` (a :data:`BODIES` table).
 
-    A key the table does not declare is named by its path
-    (``queries[1].tpo_k``), a value of the wrong type by its field.
+    A key the table does not declare, or a value of the wrong type, is
+    named by its path (``queries[1].top_k``).
     """
     if not isinstance(body, dict):
         raise BadRequestError(f"{path or 'request body'} must be a JSON "
@@ -149,7 +149,7 @@ def read_body(body, fields: Dict, path: str = "") -> Dict:
                 read_body(item, kind[0], f"{where}[{i}]")
         elif isinstance(value, bool) or not isinstance(value, _TYPES[kind]):
             article = "an" if kind[0] in "aeiou" else "a"
-            raise BadRequestError(f"{key} must be {article} {kind}, "
+            raise BadRequestError(f"{where} must be {article} {kind}, "
                                   f"got {reprlib.repr(value)}")
     return body
 
@@ -307,10 +307,7 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
                 # concurrently; the rest get a fast, honest 503 instead
                 # of queueing toward a timeout (body unread -> close)
                 self.close_connection = True
-                self.engine.obs.counter(
-                    "repro_requests_shed_total",
-                    "Requests shed by admission control (HTTP 503)",
-                ).inc()
+                self.engine.obs.counter("repro_requests_shed_total").inc()
                 reply(
                     503,
                     {
@@ -355,21 +352,18 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
             self.command, self.path
         )
         registry.counter(
-            "repro_requests_total", "HTTP requests served",
+            "repro_requests_total",
             endpoint=endpoint, method=method, status=str(status),
         ).inc()
         if status >= 400:
             registry.counter(
-                "repro_request_errors_total",
-                "HTTP requests answered with status >= 400",
-                endpoint=endpoint,
+                "repro_request_errors_total", endpoint=endpoint
             ).inc()
         elapsed_ms = 0.0
         if started is not None:
             elapsed = time.perf_counter() - started
             registry.histogram(
-                "repro_request_seconds", "HTTP request wall time",
-                endpoint=endpoint,
+                "repro_request_seconds", endpoint=endpoint
             ).observe(elapsed)
             elapsed_ms = elapsed * 1000.0
         _ACCESS.info(

@@ -1,7 +1,8 @@
 """The engine's request, response and stats declarations.
 
-Plain dataclasses and the tables that tie :class:`EngineStats` to the
-metrics registry; no lock and no behaviour beyond ``to_dict``.
+Plain dataclasses (``repro.obs.metrics.METRICS`` ties
+:class:`EngineStats` fields to the registry); no lock and no behaviour
+beyond ``to_dict``.
 """
 
 from __future__ import annotations
@@ -145,34 +146,3 @@ class EngineStats:
     def to_dict(self) -> Dict:
         return dataclasses.asdict(self)
 
-
-#: ``EngineStats`` field -> (gauge, help): the polled state a scrape sees.
-#: ``/metrics`` sets each gauge from the very snapshot ``/v1/stats`` and
-#: ``/healthz`` serialise, so the three cannot disagree.
-POLLED_GAUGES = {
-    "model_loaded": ("repro_model_loaded", "1 when a model is resident"),
-    "index_rows": ("repro_index_rows", "Rows in the embedding index"),
-    "index_shards": ("repro_index_shards", "Shards in the embedding index"),
-    "index_quarantined_shards": ("repro_index_quarantined_shards",
-                                 "Shards quarantined by crash recovery"),
-    "index_vector_bytes": ("repro_index_vector_bytes",
-                           "Bytes of vector data in the index"),
-    "index_resident_bytes": ("repro_index_resident_bytes",
-                             "Index bytes resident in process memory"),
-    "degraded": ("repro_engine_degraded", "1 when serving in degraded mode "
-                 "(quarantined shards, ANN fallback, ...)"),
-}
-
-#: ``EngineStats`` field -> the registry counter it is a view of (the hot
-#: paths stream these in; stats only reads them back, summed over labels).
-REGISTRY_COUNTS = {
-    "n_queries": "repro_queries_total",
-    "n_query_batches": "repro_query_batches_total",
-    "n_query_encodes": "repro_query_encodes_total",
-    "n_encoded_trees": "repro_encode_trees_total",
-    "encode_block_rows": "repro_encode_block_rows",
-    "n_shed": "repro_requests_shed_total",
-    "n_timeouts": "repro_request_timeouts_total",
-    "cache_hits": "repro_pipeline_cache_hits_total",
-    "cache_misses": "repro_pipeline_cache_misses_total",
-}

@@ -40,11 +40,7 @@ from repro.nn.treebatch import (
     resolve_block,
 )
 from repro.nn.treelstm import BinaryTreeLSTM, BinaryTreeNode, flatten_tree
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    FRACTION_BUCKETS,
-    MetricsRegistry,
-)
+from repro.obs.metrics import MetricsRegistry
 
 #: Default number of trees stacked per level-batched encode call.  Large
 #: enough to amortise per-level Python overhead into full GEMMs, small
@@ -162,11 +158,7 @@ class Asteria:
             raise ValueError("batch_size must be >= 1")
         plan = _compile_column_plan(columns, batch_size, node_budget, bucketed)
         if registry is not None and plan.chunks:
-            fill = registry.histogram(
-                "repro_encode_batch_fill",
-                "Scheduler chunk fill ratio (trees per chunk / batch size)",
-                buckets=FRACTION_BUCKETS,
-            )
+            fill = registry.histogram("repro_encode_batch_fill")
             for chunk in plan.chunks:
                 fill.observe(len(chunk.indices) / batch_size)
         return plan
@@ -182,19 +174,11 @@ class Asteria:
         dt = np.dtype(dtype)
         observer = None
         if registry is not None:
-            registry.counter(
-                "repro_encode_trees_total",
-                "Trees encoded by the level-batched inference path",
-            ).inc(plan.n_trees)
-            registry.gauge(
-                "repro_encode_block_rows",
-                "GEMM row-block size the encoder is using",
-            ).set(resolve_block(block, self.config.hidden_dim, dt))
-            level_seconds = registry.histogram(
-                "repro_encode_level_seconds",
-                "Seconds per evaluated Tree-LSTM level",
-                buckets=DEFAULT_LATENCY_BUCKETS,
+            registry.counter("repro_encode_trees_total").inc(plan.n_trees)
+            registry.gauge("repro_encode_block_rows").set(
+                resolve_block(block, self.config.hidden_dim, dt)
             )
+            level_seconds = registry.histogram("repro_encode_level_seconds")
             observer = lambda _rows, seconds: level_seconds.observe(seconds)
         return _encode_tree_plan(
             self.encoder, plan, dtype=dt, block=block, observer=observer

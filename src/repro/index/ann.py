@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.core.model import Asteria, FunctionEncoding
 from repro.index.store import EmbeddingStore, ShardedMatrix
-from repro.obs.metrics import FRACTION_BUCKETS, SIZE_BUCKETS, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import current_span
 from repro.utils.logging import get_logger
 
@@ -409,23 +409,13 @@ class AnnIndex:
             )
         if self.registry is None:
             return
-        candidates = self.registry.histogram(
-            "repro_ann_candidates",
-            "Rows scored per query", buckets=SIZE_BUCKETS,
-        )
-        fraction = self.registry.histogram(
-            "repro_ann_rerank_fraction",
-            "Fraction of the corpus scored per query",
-            buckets=FRACTION_BUCKETS,
-        )
+        candidates = self.registry.histogram("repro_ann_candidates")
+        fraction = self.registry.histogram("repro_ann_rerank_fraction")
         for size in sizes:
             candidates.observe(size)
             if n:
                 fraction.observe(size / n)
-        self.registry.histogram(
-            "repro_ann_sweep_seconds",
-            "Blockwise corpus sweep + rerank wall time per batch",
-        ).observe(sweep_s)
+        self.registry.histogram("repro_ann_sweep_seconds").observe(sweep_s)
 
 
 class BruteForceIndex(AnnIndex):
@@ -577,8 +567,5 @@ def serve_index(
         )
     _LOG.warning("ANN fallback: %s", reason)
     if registry is not None:
-        registry.counter(
-            "repro_ann_fallback_total",
-            "ANN construction failures degraded to exact sweeps",
-        ).inc()
+        registry.counter("repro_ann_fallback_total").inc()
     return BruteForceIndex.over_store(model, store, registry), reason

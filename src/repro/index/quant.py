@@ -58,7 +58,7 @@ from repro.index.ann import (
     _ring_list,
 )
 from repro.index.store import EmbeddingStore
-from repro.obs.metrics import FRACTION_BUCKETS, SIZE_BUCKETS, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import current_span
 from repro.utils.logging import get_logger
 from repro.utils.rng import RNG, derive_seed
@@ -509,21 +509,9 @@ class IvfPqIndex(AnnIndex):
             span.set(probed_rows=probed, swept_rows=swept)
         if self.registry is None:
             return
-        probed_fraction = self.registry.histogram(
-            "repro_ann_probed_fraction",
-            "Fraction of the corpus in the inverted lists probed per query",
-            buckets=FRACTION_BUCKETS,
-        )
-        swept_fraction = self.registry.histogram(
-            "repro_ann_swept_fraction",
-            "Fraction of the corpus swept by the quantized tier per query",
-            buckets=FRACTION_BUCKETS,
-        )
-        depth = self.registry.histogram(
-            "repro_ann_rerank_depth",
-            "Candidate rows surviving to the float32 exact rerank per query",
-            buckets=SIZE_BUCKETS,
-        )
+        probed_fraction = self.registry.histogram("repro_ann_probed_fraction")
+        swept_fraction = self.registry.histogram("repro_ann_swept_fraction")
+        depth = self.registry.histogram("repro_ann_rerank_depth")
         for size in probed:
             probed_fraction.observe(size / len(self))
         for size in swept:

@@ -16,22 +16,24 @@ Design constraints, in order:
 * **bounded memory** -- histograms are fixed-bucket (no reservoir), so a
   million observations cost the same bytes as ten.
 
-Metric children are addressed by ``(name, labels)``; the first
-registration of a name fixes its kind, help text and (for histograms)
-bucket layout -- re-registering with a conflicting kind or buckets
-raises, mismatched help is ignored (first writer wins).  Quantiles
-(p50/p95/p99) are estimated by linear interpolation inside the winning
-bucket, clamped to the observed min/max, which is exact enough for
-latency dashboards and entirely deterministic.
+Every family is declared once, in :data:`METRICS`; a call site names
+a family and its label values, nothing more.  The registry refuses
+(``ValueError``) an undeclared name, a declared name asked for as
+another kind, and a label set other than the declared one (checked when
+a child is first created).  Quantiles (p50/p95/p99) interpolate inside
+the winning bucket, clamped to the observed min/max: deterministic, and
+exact enough for latency dashboards.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = [
+    "METRICS",
+    "Metric",
     "Counter",
     "Gauge",
     "Histogram",
@@ -56,6 +58,156 @@ SIZE_BUCKETS: Tuple[float, ...] = (
 FRACTION_BUCKETS: Tuple[float, ...] = (
     0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0,
 )
+
+
+class Metric(NamedTuple):
+    """One family.  ``stat`` names the ``EngineStats`` field it backs:
+    ``polled``, the engine sets the gauge from ``stats()`` at each
+    scrape; else ``stats()`` reads it back, summed over labels."""
+
+    name: str
+    kind: str  # "counter" | "gauge" | "histogram"
+    help: str
+    labels: Tuple[str, ...] = ()
+    buckets: Tuple[float, ...] = ()  # histograms only
+    stat: Optional[str] = None
+    polled: bool = False
+
+
+_LAT, _SIZE, _FRAC = DEFAULT_LATENCY_BUCKETS, SIZE_BUCKETS, FRACTION_BUCKETS
+
+#: Every metric family, by name (the README's metric table renders it).
+METRICS: Dict[str, Metric] = {m.name: m for m in (
+    # HTTP server
+    Metric("repro_requests_total", "counter", "HTTP requests served",
+           ("endpoint", "method", "status")),
+    Metric("repro_request_errors_total", "counter",
+           "HTTP requests answered with status >= 400", ("endpoint",)),
+    Metric("repro_request_seconds", "histogram",
+           "HTTP request wall time per endpoint", ("endpoint",), _LAT),
+    Metric("repro_requests_shed_total", "counter",
+           "Requests shed by admission control (HTTP 503)", stat="n_shed"),
+    # engine query path
+    Metric("repro_queries_total", "counter",
+           "Queries answered by the engine", stat="n_queries"),
+    Metric("repro_query_batches_total", "counter",
+           "query_batch calls answered", stat="n_query_batches"),
+    Metric("repro_query_encodes_total", "counter",
+           "Query-side function encodes", stat="n_query_encodes"),
+    Metric("repro_query_seconds", "histogram",
+           "Wall time of one engine.query call", buckets=_LAT),
+    Metric("repro_query_batch_seconds", "histogram",
+           "Wall time of one engine.query_batch call", buckets=_LAT),
+    Metric("repro_request_timeouts_total", "counter",
+           "Requests abandoned at their deadline", stat="n_timeouts"),
+    Metric("repro_slow_queries_total", "counter",
+           "Queries slower than EngineConfig.slow_query_ms"),
+    Metric("repro_index_rebuilds_total", "counter",
+           "ANN index (re)constructions over the store"),
+    # micro-batcher
+    Metric("repro_microbatch_size", "histogram",
+           "Items per micro-batch (_count is the batches run, _sum the "
+           "items coalesced)", buckets=_SIZE),
+    Metric("repro_microbatch_fill", "histogram",
+           "Micro-batch fill ratio (items / max_batch_size)", buckets=_FRAC),
+    Metric("repro_microbatch_wait_seconds", "histogram",
+           "Submit-to-publish coalescing wait per item", buckets=_LAT),
+    # level-batched encoder
+    Metric("repro_encode_trees_total", "counter",
+           "Trees encoded by the level-batched inference path",
+           stat="n_encoded_trees"),
+    Metric("repro_encode_block_rows", "gauge",
+           "GEMM row-block size the encoder is using",
+           stat="encode_block_rows"),
+    Metric("repro_encode_level_seconds", "histogram",
+           "Seconds per evaluated Tree-LSTM level", buckets=_LAT),
+    Metric("repro_encode_batch_fill", "histogram",
+           "Scheduler chunk fill ratio (trees per chunk / batch size)",
+           buckets=_FRAC),
+    # ANN index
+    Metric("repro_ann_candidates", "histogram",
+           "Rows scored per query (_count is the queries answered)",
+           buckets=_SIZE),
+    Metric("repro_ann_rerank_fraction", "histogram",
+           "Fraction of the corpus scored per query (the exact sweep's "
+           "rings, or ivf-pq's candidate list)", buckets=_FRAC),
+    Metric("repro_ann_sweep_seconds", "histogram",
+           "Blockwise corpus sweep + rerank wall time per batch",
+           buckets=_LAT),
+    Metric("repro_ann_probed_fraction", "histogram",
+           "ivf-pq: fraction of the corpus in the inverted lists probed "
+           "per query", buckets=_FRAC),
+    Metric("repro_ann_swept_fraction", "histogram",
+           "ivf-pq: fraction of the corpus swept by the quantized tier per "
+           "query", buckets=_FRAC),
+    Metric("repro_ann_rerank_depth", "histogram",
+           "ivf-pq: candidate rows surviving to the float32 exact rerank "
+           "per query", buckets=_SIZE),
+    Metric("repro_ann_fallback_total", "counter",
+           "ANN construction failures degraded to exact sweeps"),
+    # offline pipeline
+    Metric("repro_pipeline_runs_total", "counter", "Completed pipeline runs"),
+    Metric("repro_pipeline_functions_total", "counter",
+           "Function encodings produced by pipeline runs"),
+    Metric("repro_pipeline_binaries_total", "counter",
+           "Binary occurrences fed through the pipeline"),
+    Metric("repro_pipeline_cache_hits_total", "counter",
+           "Artifact-cache hits by kind (tree or encoding), each lookup "
+           "counted once", ("kind",),
+           stat="cache_hits"),
+    Metric("repro_pipeline_cache_misses_total", "counter",
+           "Artifact-cache misses by kind (tree or encoding), each lookup "
+           "counted once", ("kind",),
+           stat="cache_misses"),
+    Metric("repro_pipeline_stage_seconds_total", "counter",
+           "Seconds spent per pipeline stage (unpack, decompile, "
+           "preprocess, encode, index)", ("stage",)),
+    Metric("repro_worker_restarts_total", "counter",
+           "Extract workers replaced after dying mid-run"),
+    Metric("repro_worker_task_retries_total", "counter",
+           "Extract tasks requeued after a worker fault"),
+    # shard-parallel serve pool
+    Metric("repro_serve_worker_restarts_total", "counter",
+           "Serve-pool workers replaced after dying mid-sweep"),
+    Metric("repro_serve_task_retries_total", "counter",
+           "Sweep tasks re-dispatched after a worker fault"),
+    Metric("repro_serve_worker_queries_total", "counter",
+           "Query sweeps completed per serve-pool worker", ("worker",)),
+    Metric("repro_serve_worker_sweep_seconds", "histogram",
+           "Per-task shard-range sweep wall time", ("worker",), _LAT),
+    Metric("repro_serve_pool_queries_total", "counter",
+           "Queries answered by the shard-parallel pool"),
+    Metric("repro_serve_pool_sweep_seconds", "histogram",
+           "End-to-end pooled sweep+merge wall time per batch", buckets=_LAT),
+    # engine state, set from one stats() snapshot at each scrape
+    Metric("repro_model_loaded", "gauge", "1 when a model is resident",
+           stat="model_loaded", polled=True),
+    Metric("repro_index_rows", "gauge", "Rows in the embedding index",
+           stat="index_rows", polled=True),
+    Metric("repro_index_shards", "gauge", "Shards in the embedding index",
+           stat="index_shards", polled=True),
+    Metric("repro_index_quarantined_shards", "gauge",
+           "Shards quarantined by crash recovery",
+           stat="index_quarantined_shards", polled=True),
+    Metric("repro_index_vector_bytes", "gauge",
+           "Bytes of vector data in the index",
+           stat="index_vector_bytes", polled=True),
+    Metric("repro_index_resident_bytes", "gauge",
+           "Index bytes resident in process memory",
+           stat="index_resident_bytes", polled=True),
+    Metric("repro_engine_degraded", "gauge",
+           "1 when serving in degraded mode (quarantined shards, ANN "
+           "fallback, ...)", stat="degraded", polled=True),
+)}
+
+
+def declared(name: str) -> Metric:
+    """The declaration of ``name``; ``ValueError`` when there is none."""
+    metric = METRICS.get(name)
+    if metric is None:
+        raise ValueError(f"metric {name!r} is not declared in METRICS")
+    return metric
+
 
 LabelItems = Tuple[Tuple[str, str], ...]
 
@@ -241,123 +393,90 @@ class Histogram:
         }
 
 
-class _Family:
-    """All children of one metric name (kind/help/buckets fixed)."""
-
-    def __init__(self, name: str, kind: str, help_text: str,
-                 buckets: Optional[Tuple[float, ...]] = None):
-        self.name = name
-        self.kind = kind
-        self.help = help_text
-        self.buckets = buckets
-        self.children: Dict[LabelItems, object] = {}
-
-
 class MetricsRegistry:
     """Thread-safe named metrics with Prometheus text exposition."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._families: Dict[str, _Family] = {}
+        #: name -> label key -> child, families in first-use order
+        self._families: Dict[str, Dict[LabelItems, object]] = {}
 
     # -- registration ------------------------------------------------------
 
-    def _child(self, name: str, kind: str, help_text: str,
-               labels: Dict[str, str],
-               buckets: Optional[Tuple[float, ...]] = None):
+    def _child(self, name: str, kind: str, labels: Dict[str, str]):
         key = _label_key(labels)
         with self._lock:
-            family = self._families.get(name)
-            if family is None:
-                family = _Family(name, kind, help_text, buckets)
-                self._families[name] = family
-            elif family.kind != kind:
-                raise ValueError(
-                    f"metric {name!r} already registered as {family.kind}, "
-                    f"not {kind}"
-                )
-            elif kind == "histogram" and buckets is not None \
-                    and family.buckets != buckets:
-                raise ValueError(
-                    f"histogram {name!r} already registered with buckets "
-                    f"{family.buckets}, not {buckets}"
-                )
-            child = family.children.get(key)
+            children = self._families.get(name)
+            child = children.get(key) if children else None
             if child is None:
-                if kind == "counter":
-                    child = Counter()
-                elif kind == "gauge":
-                    child = Gauge()
-                else:
-                    child = Histogram(family.buckets
-                                      or DEFAULT_LATENCY_BUCKETS)
-                family.children[key] = child
-            return child
+                metric = declared(name)
+                if metric.kind != kind:
+                    raise ValueError(
+                        f"metric {name!r} is a {metric.kind}, not a {kind}"
+                    )
+                if sorted(labels) != sorted(metric.labels):
+                    raise ValueError(
+                        f"metric {name!r} takes labels {metric.labels}, "
+                        f"not {tuple(sorted(labels))}"
+                    )
+                child = (Histogram(metric.buckets) if kind == "histogram"
+                         else Counter() if kind == "counter" else Gauge())
+                self._families.setdefault(name, {})[key] = child
+            elif child.kind != kind:
+                raise ValueError(
+                    f"metric {name!r} is a {child.kind}, not a {kind}"
+                )
+        return child
 
-    def counter(self, name: str, help_text: str = "", **labels) -> Counter:
-        return self._child(name, "counter", help_text, labels)
+    def counter(self, name: str, **labels) -> Counter:
+        return self._child(name, "counter", labels)
 
-    def gauge(self, name: str, help_text: str = "", **labels) -> Gauge:
-        return self._child(name, "gauge", help_text, labels)
+    def gauge(self, name: str, **labels) -> Gauge:
+        return self._child(name, "gauge", labels)
 
-    def histogram(
-        self,
-        name: str,
-        help_text: str = "",
-        buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-        **labels,
-    ) -> Histogram:
-        return self._child(
-            name, "histogram", help_text, labels,
-            buckets=tuple(float(b) for b in buckets),
-        )
+    def histogram(self, name: str, **labels) -> Histogram:
+        return self._child(name, "histogram", labels)
 
     # -- reads -------------------------------------------------------------
 
     def get(self, name: str, **labels):
         """The existing child for ``(name, labels)``, or ``None``."""
+        declared(name)
         with self._lock:
-            family = self._families.get(name)
-            if family is None:
-                return None
-            return family.children.get(_label_key(labels))
+            return self._families.get(name, {}).get(_label_key(labels))
 
     def value(self, name: str, **labels) -> float:
         """Counter/gauge value; with no labels, the sum over all children.
 
-        Missing metrics read as 0.0, so stats views stay total-ordered
-        with an engine that has not served traffic yet.
+        Declared metrics not yet used read as 0.0, so stats views stay
+        total-ordered with an engine that has not served traffic yet.
         """
+        declared(name)
         with self._lock:
-            family = self._families.get(name)
-            if family is None:
-                return 0.0
+            children = self._families.get(name, {})
             if labels:
-                child = family.children.get(_label_key(labels))
-                children: Iterable = [] if child is None else [child]
+                child = children.get(_label_key(labels))
+                found: Iterable = [] if child is None else [child]
             else:
-                children = list(family.children.values())
+                found = list(children.values())
         total = 0.0
-        for child in children:
+        for child in found:
             if isinstance(child, Histogram):
                 total += child.count
             else:
                 total += child.value
         return total
 
-    def names(self) -> List[str]:
+    def _families_now(self) -> List[Tuple[Metric, List]]:
+        """Each used family's declaration and ``(key, child)`` pairs."""
         with self._lock:
-            return list(self._families)
+            return [(METRICS[name], list(children.items()))
+                    for name, children in self._families.items()]
 
     def snapshot(self) -> Dict[str, Dict]:
         """A JSON-shaped point-in-time dump of every metric."""
-        with self._lock:
-            families = [
-                (f.name, f.kind, f.help, list(f.children.items()))
-                for f in self._families.values()
-            ]
         out: Dict[str, Dict] = {}
-        for name, kind, help_text, children in families:
+        for metric, children in self._families_now():
             series = []
             for key, child in children:
                 entry: Dict = {"labels": dict(key)}
@@ -366,23 +485,20 @@ class MetricsRegistry:
                 else:
                     entry["value"] = child.value
                 series.append(entry)
-            out[name] = {"kind": kind, "help": help_text, "series": series}
+            out[metric.name] = {
+                "kind": metric.kind, "help": metric.help, "series": series,
+            }
         return out
 
     # -- exposition --------------------------------------------------------
 
     def to_prometheus(self) -> str:
         """Prometheus text exposition format (version 0.0.4)."""
-        with self._lock:
-            families = [
-                (f.name, f.kind, f.help, list(f.children.items()))
-                for f in self._families.values()
-            ]
         lines: List[str] = []
-        for name, kind, help_text, children in families:
-            if help_text:
-                lines.append(f"# HELP {name} {help_text}")
-            lines.append(f"# TYPE {name} {kind}")
+        for metric, children in self._families_now():
+            name = metric.name
+            lines.append(f"# HELP {name} {metric.help}")
+            lines.append(f"# TYPE {name} {metric.kind}")
             for key, child in children:
                 if isinstance(child, Histogram):
                     for bound, cumulative in child.cumulative():

@@ -397,17 +397,9 @@ class CorpusPipeline:
     def _record(self, stats: PipelineStats) -> None:
         """Fold one run's stats into the metrics registry."""
         reg = self.registry
-        reg.counter(
-            "repro_pipeline_runs_total", "Completed pipeline runs"
-        ).inc()
-        reg.counter(
-            "repro_pipeline_functions_total",
-            "Function encodings produced by pipeline runs",
-        ).inc(stats.n_functions)
-        reg.counter(
-            "repro_pipeline_binaries_total",
-            "Binary occurrences fed through the pipeline",
-        ).inc(stats.n_binaries)
+        reg.counter("repro_pipeline_runs_total").inc()
+        reg.counter("repro_pipeline_functions_total").inc(stats.n_functions)
+        reg.counter("repro_pipeline_binaries_total").inc(stats.n_binaries)
         stage_seconds = {
             "unpack": stats.times.unpack_s,
             "decompile": stats.times.decompile_s,
@@ -424,13 +416,11 @@ class CorpusPipeline:
         in the registry and, inside a run, in that run's stats."""
         if hit:
             self.registry.counter(
-                "repro_pipeline_cache_hits_total",
-                "Artifact-cache hits by kind", kind=kind,
+                "repro_pipeline_cache_hits_total", kind=kind
             ).inc()
         else:
             self.registry.counter(
-                "repro_pipeline_cache_misses_total",
-                "Artifact-cache misses by kind", kind=kind,
+                "repro_pipeline_cache_misses_total", kind=kind
             ).inc()
         if run is not None:
             field_name = f"{kind}_{'hits' if hit else 'misses'}"
@@ -438,6 +428,5 @@ class CorpusPipeline:
 
     def _stage_counter(self, stage: str):
         return self.registry.counter(
-            "repro_pipeline_stage_seconds_total",
-            "Seconds spent per pipeline stage", stage=stage,
+            "repro_pipeline_stage_seconds_total", stage=stage
         )

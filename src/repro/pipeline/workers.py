@@ -69,10 +69,8 @@ def extract_stream(
         _extract_setup, (min_ast_size,), n_workers,
         name="extract", failpoint="worker.task",
         backoff=True,  # nobody waits on a clock: sit transient faults out
-        restarts_metric=("repro_worker_restarts_total",
-                         "Extract workers replaced after dying mid-run"),
-        retries_metric=("repro_worker_task_retries_total",
-                        "Extract tasks requeued after a worker fault"),
+        restarts_metric="repro_worker_restarts_total",
+        retries_metric="repro_worker_task_retries_total",
         registry=registry, max_attempts=max_attempts,
     )
     try:

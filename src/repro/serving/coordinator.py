@@ -124,12 +124,10 @@ class ServingCoordinator:
             ])
         if self._registry is not None:
             self._registry.counter(
-                "repro_serve_pool_queries_total",
-                "Queries answered by the shard-parallel pool",
+                "repro_serve_pool_queries_total"
             ).inc(len(encodings))
             self._registry.histogram(
-                "repro_serve_pool_sweep_seconds",
-                "End-to-end pooled sweep+merge wall time per batch",
+                "repro_serve_pool_sweep_seconds"
             ).observe(time.monotonic() - began)
         return hit_lists, n_rows, rel
 

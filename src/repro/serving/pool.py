@@ -158,14 +158,8 @@ class ShardWorkerPool(SupervisedPool):
             n_workers,
             name="serve", failpoint="serving.worker",
             backoff=False,  # the caller holds a deadline: fail promptly
-            restarts_metric=(
-                "repro_serve_worker_restarts_total",
-                "Serve-pool workers replaced after dying mid-sweep",
-            ),
-            retries_metric=(
-                "repro_serve_task_retries_total",
-                "Sweep tasks re-dispatched after a worker fault",
-            ),
+            restarts_metric="repro_serve_worker_restarts_total",
+            retries_metric="repro_serve_task_retries_total",
             registry=registry,
         )
 
@@ -207,15 +201,12 @@ class ShardWorkerPool(SupervisedPool):
                 # recorded by the waiter, before sweep() returns, so a
                 # shutdown snapshot taken after the last query has them
                 self._count(
-                    ("repro_serve_worker_queries_total",
-                     "Query sweeps completed per serve-pool worker"),
+                    "repro_serve_worker_queries_total",
                     n=len(partials), worker=worker_id,
                 )
                 if self._registry is not None:
                     self._registry.histogram(
-                        "repro_serve_worker_sweep_seconds",
-                        "Per-task shard-range sweep wall time",
-                        worker=worker_id,
+                        "repro_serve_worker_sweep_seconds", worker=worker_id
                     ).observe(sweep_s)
                 out.append(partials)
         except TaskTimeout as exc:

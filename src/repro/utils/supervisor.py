@@ -167,8 +167,8 @@ class SupervisedPool:
         name: str,
         failpoint: str,
         backoff: bool,
-        restarts_metric: Tuple[str, str],  # (metric name, help text)
-        retries_metric: Tuple[str, str],
+        restarts_metric: str,  # counter names, declared in obs.metrics
+        retries_metric: str,
         registry=None,
         max_attempts: int = MAX_ATTEMPTS,
     ):
@@ -210,9 +210,9 @@ class SupervisedPool:
                 for w in self._workers
             ]
 
-    def _count(self, metric: Tuple[str, str], n=1, **labels) -> None:
+    def _count(self, metric: str, n=1, **labels) -> None:
         if self._registry is not None:
-            self._registry.counter(*metric, **labels).inc(n)
+            self._registry.counter(metric, **labels).inc(n)
 
     # -- dispatch (callers hold the lock) ----------------------------------
 

@@ -35,13 +35,14 @@ from repro.api import (
     TrainRequest,
     train_model,
 )
-from repro.api.types import DEFAULT_TOP_K, POLLED_GAUGES, REGISTRY_COUNTS
+from repro.api.types import DEFAULT_TOP_K
 from repro.cli import build_parser
 from repro.compiler.pipeline import compile_package
 from repro.core.model import FunctionEncoding
 from repro.index.ann import BruteForceIndex, make_index
 from repro.index.store import EmbeddingStore
 from repro.lang.generator import ProgramGenerator
+from repro.obs.metrics import METRICS
 from repro.pipeline.stages import extract_binary
 
 
@@ -1302,11 +1303,13 @@ class TestMetricsAreStats:
         engine.query(QueryRequest(cve_id="CVE-2016-2105", top_k=3))
         snapshot = engine.flush_metrics()
         stats = engine.stats().to_dict()
-        for name, (gauge, _help) in POLLED_GAUGES.items():
-            [series] = snapshot[gauge]["series"]
-            assert series["value"] == float(stats[name]), gauge
-        for name, counter in REGISTRY_COUNTS.items():
-            assert engine.obs.value(counter) == stats[name], counter
+        for metric in METRICS.values():
+            if metric.polled:
+                [series] = snapshot[metric.name]["series"]
+                assert series["value"] == float(stats[metric.stat]), metric
+            elif metric.stat is not None:
+                assert engine.obs.value(metric.name) == stats[metric.stat], \
+                    metric
         assert stats["index_rows"] > 0 and stats["cache_misses"] > 0
         assert stats["n_queries"] == 1
 

@@ -375,7 +375,8 @@ class TestQuery:
             {"binary_b64": _b64(query_binary), "function": ["f"]},
         ]})
         assert (status, body["exit_code"]) == (400, 6)
-        assert body["error"] == "function must be a string, got ['f']"
+        assert body["error"] == ("queries[0].function must be a string, "
+                                 "got ['f']")
         status, body = _post(server, "/v1/query", {"cve": {"id": 1}})
         assert (status, body["exit_code"]) == (400, 6)
         assert "cve" in body["error"]
@@ -795,6 +796,20 @@ class TestRequestBodies:
         status, body = _post(server, path, payload)
         assert (status, body["exit_code"]) == (400, 6)
         assert body["error"].startswith(f"unknown field {needle}")
+
+    @pytest.mark.parametrize("path, payload, message", [
+        ("/v1/query_batch", {"queries": [
+            {"cve": "a"}, {"cve": "b", "top_k": "x"},
+        ]}, "queries[1].top_k must be an integer or null, got 'x'"),
+        ("/v1/ingest", {"corpus": {"images": "3"}},
+         "corpus.images must be an integer, got '3'"),
+    ], ids=["queries-member", "corpus"])
+    def test_a_nested_type_error_names_its_path(
+        self, server, path, payload, message
+    ):
+        status, body = _post(server, path, payload)
+        assert (status, body["exit_code"]) == (400, 6)
+        assert body["error"] == message
 
     @pytest.mark.parametrize("images", [0, MAX_CORPUS_IMAGES + 1, 10**8])
     def test_corpus_images_is_bounded(self, server, images):

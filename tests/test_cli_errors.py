@@ -23,6 +23,7 @@ import pytest
 from repro.api.config import EngineConfig
 from repro.api.server import BODIES
 from repro.cli import build_parser, main
+from repro.obs.metrics import METRICS
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -351,6 +352,22 @@ class TestFlagSurface:
                 assert action.default in (None, False) or not found
 
 
+class TestClosedStdout:
+    def test_a_reader_that_leaves_ends_the_command_quietly(self):
+        """``repro-cli generate | head -3`` ended in a BrokenPipeError
+        traceback: the reader closing the pipe is exit 1, stderr empty."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "generate", "--seed", "3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()  # before the child has written a byte
+        _out, err = proc.communicate(timeout=120)
+        assert err == b""
+        assert proc.returncode == 1
+
+
 class TestTrainRejectsUnusableCorpora:
     def test_single_class_dev_split_is_a_bad_request(self, tmp_path):
         """One package and one pair per combination leave a dev split of
@@ -383,12 +400,13 @@ class TestTrainRejectsUnusableCorpora:
 
 
 class TestReadmeTables:
-    """The README's two knob tables are regenerated from the fields, and
-    its request table from ``BODIES``; each must equal its source."""
+    """The README's two knob tables are regenerated from the fields, its
+    request table from ``BODIES`` and its metric table from ``METRICS``;
+    each must equal its source."""
 
     README = Path(__file__).resolve().parent.parent / "README.md"
 
-    def _table(self, header: str):
+    def _table(self, header: str, quote: str = "`"):
         lines = self.README.read_text().splitlines()
         start = next(i for i, line in enumerate(lines)
                      if line.startswith(header))
@@ -396,7 +414,7 @@ class TestReadmeTables:
         for line in lines[start + 2:]:
             if not line.startswith("|"):
                 break
-            rows.append([cell.strip().strip("`")
+            rows.append([cell.strip().strip(quote)
                          for cell in line.strip("|").split("|")])
         return rows
 
@@ -421,6 +439,29 @@ class TestReadmeTables:
             [endpoint, name, kind] for endpoint, fields in BODIES.items()
             for name, kind in rows(fields)
         ]
+
+    def test_metric_table_matches_the_catalogue(self):
+        def stat(metric):
+            if metric.stat is None:
+                return ""
+            return f"`{metric.stat}`" + (" (set at scrape)"
+                                         if metric.polled else "")
+
+        rows = self._table("| Metric | Kind | Labels |", quote="")
+        assert rows == [
+            [f"`{m.name}`", m.kind, ", ".join(f"`{l}`" for l in m.labels),
+             stat(m), m.help]
+            for m in METRICS.values()
+        ]
+
+    def test_every_metric_the_readme_names_is_declared(self):
+        def family(token):
+            base = re.sub(r"_(bucket|sum|count)$", "", token)
+            return base if base in METRICS else token
+
+        tokens = re.findall(r"repro_[a-z0-9_]*", self.README.read_text())
+        assert len(tokens) > len(METRICS)
+        assert sorted({family(t) for t in tokens} - set(METRICS)) == []
 
     def test_ivf_pq_flag_table_matches_the_fields(self):
         rows = self._table("| knob | default |")

@@ -5,17 +5,21 @@ histogram math, Prometheus text exposition, span nesting/request-id
 inheritance, and the JSON/text log formats with request-id stamping.
 """
 
+import dataclasses
 import io
 import json
 import logging
 import math
+import re
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
+    SIZE_BUCKETS,
     Histogram,
     MetricsRegistry,
     current_request_id,
@@ -23,6 +27,8 @@ from repro.obs import (
     new_request_id,
     trace,
 )
+from repro.api.types import EngineStats
+from repro.obs.metrics import METRICS
 from repro.utils.logging import (
     JsonFormatter,
     _level_from_env,
@@ -34,22 +40,22 @@ from repro.utils.logging import (
 class TestCounterAndGauge:
     def test_counter_counts(self):
         registry = MetricsRegistry()
-        counter = registry.counter("c_total")
+        counter = registry.counter("repro_queries_total")
         counter.inc()
         counter.inc(2.5)
-        assert registry.value("c_total") == 3.5
+        assert registry.value("repro_queries_total") == 3.5
 
     def test_counter_rejects_negative(self):
-        counter = MetricsRegistry().counter("c_total")
+        counter = MetricsRegistry().counter("repro_queries_total")
         with pytest.raises(ValueError):
             counter.inc(-1)
 
     def test_gauge_goes_both_ways(self):
         registry = MetricsRegistry()
-        gauge = registry.gauge("g")
+        gauge = registry.gauge("repro_index_rows")
         gauge.set(10)
         gauge.inc(-3)
-        assert registry.value("g") == 7.0
+        assert registry.value("repro_index_rows") == 7.0
 
     def test_sixteen_thread_increment_storm_loses_nothing(self):
         registry = MetricsRegistry()
@@ -57,8 +63,10 @@ class TestCounterAndGauge:
         barrier = threading.Barrier(n_threads)
 
         def worker(i):
-            counter = registry.counter("storm_total", worker=str(i % 4))
-            histogram = registry.histogram("storm_seconds")
+            counter = registry.counter(
+                "repro_serve_worker_queries_total", worker=str(i % 4)
+            )
+            histogram = registry.histogram("repro_query_seconds")
             barrier.wait()
             for j in range(per_thread):
                 counter.inc()
@@ -70,8 +78,10 @@ class TestCounterAndGauge:
             t.start()
         for t in threads:
             t.join()
-        assert registry.value("storm_total") == n_threads * per_thread
-        assert registry.value("storm_seconds") == n_threads * per_thread
+        assert registry.value("repro_serve_worker_queries_total") \
+            == n_threads * per_thread
+        assert registry.value("repro_query_seconds") \
+            == n_threads * per_thread
 
 
 class TestHistogram:
@@ -127,71 +137,171 @@ class TestHistogram:
 class TestRegistry:
     def test_get_or_create_returns_same_child(self):
         registry = MetricsRegistry()
-        assert registry.counter("a_total", kind="x") \
-            is registry.counter("a_total", kind="x")
-        assert registry.counter("a_total", kind="y") \
-            is not registry.counter("a_total", kind="x")
+        hits = "repro_pipeline_cache_hits_total"
+        assert registry.counter(hits, kind="x") \
+            is registry.counter(hits, kind="x")
+        assert registry.counter(hits, kind="y") \
+            is not registry.counter(hits, kind="x")
 
-    def test_kind_conflict_raises(self):
+    def test_an_undeclared_name_raises_on_create_and_read(self):
         registry = MetricsRegistry()
-        registry.counter("m")
-        with pytest.raises(ValueError):
-            registry.gauge("m")
+        for call in (registry.counter, registry.gauge, registry.histogram,
+                     registry.get, registry.value):
+            with pytest.raises(ValueError, match="not declared"):
+                call("repro_nope_total")
+        assert registry.to_prometheus() == ""
 
-    def test_histogram_bucket_conflict_raises(self):
+    def test_a_declared_name_as_another_kind_raises(self):
         registry = MetricsRegistry()
-        registry.histogram("h", buckets=(1.0, 2.0))
-        with pytest.raises(ValueError):
-            registry.histogram("h", buckets=(1.0, 3.0))
+        with pytest.raises(ValueError, match="is a counter, not a gauge"):
+            registry.gauge("repro_queries_total")  # before any child
+        registry.counter("repro_queries_total").inc()
+        with pytest.raises(ValueError, match="is a counter, not a gauge"):
+            registry.gauge("repro_queries_total")  # and after
+        with pytest.raises(ValueError, match="not a histogram"):
+            registry.histogram("repro_queries_total")
+        assert registry.value("repro_queries_total") == 1.0
+
+    def test_a_label_set_other_than_the_declared_one_raises(self):
+        registry = MetricsRegistry()
+        for labels in ({}, {"kind": "tree", "stage": "encode"},
+                       {"stage": "encode"}):
+            with pytest.raises(ValueError, match="takes labels"):
+                registry.counter("repro_pipeline_cache_hits_total", **labels)
+        with pytest.raises(ValueError, match="takes labels"):
+            registry.counter("repro_queries_total", endpoint="/a")
+        registry.counter(
+            "repro_requests_total", status="200", method="GET", endpoint="/a"
+        ).inc()  # any order of the declared names
+        assert "repro_pipeline_cache_hits_total" not in registry.snapshot()
+
+    def test_histograms_take_their_declared_buckets(self):
+        registry = MetricsRegistry()
+        for metric in METRICS.values():
+            if metric.kind == "histogram":
+                labels = {name: "x" for name in metric.labels}
+                histogram = registry.histogram(metric.name, **labels)
+                assert histogram.bounds == metric.buckets
+            else:
+                assert metric.buckets == ()
+        assert registry.histogram("repro_microbatch_size").bounds \
+            == SIZE_BUCKETS
 
     def test_value_sums_over_labels_and_missing_reads_zero(self):
         registry = MetricsRegistry()
-        registry.counter("r_total", endpoint="/a").inc(2)
-        registry.counter("r_total", endpoint="/b").inc(3)
-        assert registry.value("r_total") == 5.0
-        assert registry.value("r_total", endpoint="/a") == 2.0
-        assert registry.value("r_total", endpoint="/nope") == 0.0
-        assert registry.value("never_registered") == 0.0
+        errors = "repro_request_errors_total"
+        registry.counter(errors, endpoint="/a").inc(2)
+        registry.counter(errors, endpoint="/b").inc(3)
+        assert registry.value(errors) == 5.0
+        assert registry.value(errors, endpoint="/a") == 2.0
+        assert registry.value(errors, endpoint="/nope") == 0.0
+        assert registry.value("repro_slow_queries_total") == 0.0
+        assert registry.get("repro_slow_queries_total") is None
 
     def test_snapshot_shape(self):
         registry = MetricsRegistry()
-        registry.counter("c_total", help_text="a counter").inc()
-        registry.histogram("h_seconds").observe(0.01)
+        registry.counter("repro_queries_total").inc()
+        registry.histogram("repro_query_seconds").observe(0.01)
         snapshot = registry.snapshot()
-        assert snapshot["c_total"]["kind"] == "counter"
-        assert snapshot["c_total"]["series"][0]["value"] == 1.0
-        assert snapshot["h_seconds"]["series"][0]["count"] == 1
+        queries = snapshot["repro_queries_total"]
+        assert queries["kind"] == "counter"
+        assert queries["help"] == METRICS["repro_queries_total"].help
+        assert queries["series"][0]["value"] == 1.0
+        assert snapshot["repro_query_seconds"]["series"][0]["count"] == 1
         json.dumps(snapshot)  # JSON-shaped by construction
+
+
+class TestCatalogue:
+    """``METRICS`` is the one declaration of every family: each name a
+    call site uses is in it, and each entry is used."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+    def _literals(self):
+        """``repro_...`` string literals outside the catalogue -> file."""
+        found = {}
+        for path in sorted(self.SRC.rglob("*.py")):
+            if path.relative_to(self.SRC).as_posix() == "obs/metrics.py":
+                continue
+            for name in re.findall(r"[\"'](repro_[^\"']*)[\"']",
+                                   path.read_text()):
+                found.setdefault(name, path.name)
+        return found
+
+    def test_every_metric_literal_is_declared(self):
+        literals = self._literals()
+        assert {name: where for name, where in literals.items()
+                if name not in METRICS} == {}
+        assert len(literals) >= 40
+
+    def test_no_declaration_is_dead(self):
+        """A family is written by a call site that names it, or -- the
+        ``polled`` gauges -- by the engine's scrape-time loop."""
+        literals = self._literals()
+        assert [m.name for m in METRICS.values()
+                if not m.polled and m.name not in literals] == []
+
+    def test_entries_are_well_formed(self):
+        fields = {f.name for f in dataclasses.fields(EngineStats)}
+        for name, metric in METRICS.items():
+            assert name == metric.name and name.startswith("repro_")
+            assert metric.kind in ("counter", "gauge", "histogram"), name
+            assert metric.help and "|" not in metric.help, name
+            assert metric.stat is None or metric.stat in fields, name
+            assert not metric.polled or (
+                metric.kind == "gauge" and metric.stat), name
+        assert sum(m.polled for m in METRICS.values()) == 7
+        assert sum(m.stat is not None and not m.polled
+                   for m in METRICS.values()) == 9
 
 
 class TestPrometheusExposition:
     def test_counter_and_gauge_lines(self):
         registry = MetricsRegistry()
-        registry.counter("q_total", help_text="queries").inc(3)
-        registry.gauge("rows", endpoint="/v1/query").set(12)
+        registry.counter("repro_queries_total").inc(3)
+        registry.counter("repro_request_errors_total",
+                         endpoint="/v1/query").inc(12)
+        registry.gauge("repro_index_rows").set(12)
         text = registry.to_prometheus()
-        assert "# HELP q_total queries\n" in text
-        assert "# TYPE q_total counter\n" in text
-        assert "q_total 3\n" in text
-        assert 'rows{endpoint="/v1/query"} 12\n' in text
+        assert "# HELP repro_queries_total Queries answered by the " \
+            "engine\n" in text
+        assert "# TYPE repro_queries_total counter\n" in text
+        assert "repro_queries_total 3\n" in text
+        assert 'repro_request_errors_total{endpoint="/v1/query"} 12\n' \
+            in text
+        assert "# TYPE repro_index_rows gauge\n" in text
+        assert "repro_index_rows 12\n" in text
+
+    def test_families_render_in_first_use_order(self):
+        registry = MetricsRegistry()
+        registry.gauge("repro_index_rows").set(1)
+        registry.counter("repro_queries_total").inc()
+        types = [line.split()[2] for line in
+                 registry.to_prometheus().splitlines()
+                 if line.startswith("# TYPE")]
+        assert types == ["repro_index_rows", "repro_queries_total"]
 
     def test_histogram_exposition_is_cumulative_with_inf(self):
         registry = MetricsRegistry()
-        histogram = registry.histogram("lat_seconds", buckets=(0.1, 1.0))
+        histogram = registry.histogram("repro_query_seconds")
         for value in (0.05, 0.5, 2.0):
             histogram.observe(value)
         text = registry.to_prometheus()
-        assert 'lat_seconds_bucket{le="0.1"} 1\n' in text
-        assert 'lat_seconds_bucket{le="1"} 2\n' in text
-        assert 'lat_seconds_bucket{le="+Inf"} 3\n' in text
-        assert "lat_seconds_sum 2.55\n" in text
-        assert "lat_seconds_count 3\n" in text
+        name = "repro_query_seconds"
+        assert f'{name}_bucket{{le="0.05"}} 1\n' in text
+        assert f'{name}_bucket{{le="0.1"}} 1\n' in text
+        assert f'{name}_bucket{{le="1"}} 2\n' in text
+        assert f'{name}_bucket{{le="+Inf"}} 3\n' in text
+        assert f"{name}_sum 2.55\n" in text
+        assert f"{name}_count 3\n" in text
 
     def test_label_values_are_escaped(self):
         registry = MetricsRegistry()
-        registry.counter("e_total", path='a"b\\c\nd').inc()
+        registry.counter(
+            "repro_request_errors_total", endpoint='a"b\\c\nd'
+        ).inc()
         text = registry.to_prometheus()
-        assert 'path="a\\"b\\\\c\\nd"' in text
+        assert 'endpoint="a\\"b\\\\c\\nd"' in text
 
     def test_empty_registry_renders_empty(self):
         assert MetricsRegistry().to_prometheus() == ""

@@ -49,8 +49,8 @@ def _pool(n_workers, backoff=False, registry=None):
     return SupervisedPool(
         _toy_setup, ("toy",), n_workers,
         name="toy", failpoint="test.supervisor", backoff=backoff,
-        restarts_metric=("toy_restarts_total", "toy workers replaced"),
-        retries_metric=("toy_retries_total", "toy tasks retried"),
+        restarts_metric="repro_worker_restarts_total",
+        retries_metric="repro_worker_task_retries_total",
         registry=registry,
     )
 
@@ -85,8 +85,9 @@ def test_poison_and_raiser_fail_alone():
         info = pool.workers_info()
         assert [w["worker"] for w in info] == [0, 1, 2]
         assert all(w["alive"] for w in info)
-        assert registry.value("toy_restarts_total") == 3
-        assert registry.value("toy_retries_total") == 4  # 2 per bad task
+        assert registry.value("repro_worker_restarts_total") == 3
+        # 2 per bad task
+        assert registry.value("repro_worker_task_retries_total") == 4
     finally:
         pool.close()
 
