@@ -10,11 +10,20 @@ delay.
 
 The protocol is leader/follower: a calling thread appends its tree to
 the pending queue; whichever thread finds no batch in flight elects
-itself leader, drains up to ``max_batch_size`` pending items, grants a
-short ``max_wait_s`` accumulation window for late arrivals, then runs
+itself leader, drains up to ``max_batch_size`` pending items, then runs
 one batched encode and publishes each result.  Followers block on their
 item's event.  Exactly one batch runs at a time; the encode callable
 itself needs no lock as long as it reads only immutable weights.
+
+The batch window adapts to load.  A caller that will encode announces
+itself first (:meth:`MicroBatcher.arriving`, which the engine enters
+for every query with a binary to encode) and counts as *on its way*
+until it queues or leaves without queuing.  A leader whose batch is not
+full waits on the batcher's condition only while someone is on its
+way, and at most ``max_wait_s``: a lone query never waits for company
+that is not coming, and a query already resolving its binary still
+rides the batch it would have missed.  A bare batcher that nobody
+announces to never waits.
 
 Because the level-batched engine issues fixed-size GEMM blocks, the
 encoding of a tree is bit-for-bit independent of which other trees
@@ -30,7 +39,8 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, List, Optional, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -53,6 +63,15 @@ class _Item:
 
     def expired(self, now: float) -> bool:
         return self.deadline is not None and now >= self.deadline
+
+
+class Arrival:
+    """One announced caller, on its way until it queues or leaves."""
+
+    __slots__ = ("on_way",)
+
+    def __init__(self):
+        self.on_way = True
 
 
 class MicroBatcher:
@@ -79,14 +98,41 @@ class MicroBatcher:
         self._cond = threading.Condition()
         self._pending: List[_Item] = []
         self._busy = False
+        self._on_way = 0  # announced callers that have not queued yet
         self.registry = registry if registry is not None else MetricsRegistry()
+
+    @contextmanager
+    def arriving(self) -> Iterator[Arrival]:
+        """Announce a caller that is about to encode.
+
+        Until the caller hands the yielded :class:`Arrival` to
+        :meth:`encode_many` (which queues it) or leaves the block, a
+        leader with room in its batch waits for it.
+        """
+        arrival = Arrival()
+        with self._cond:
+            self._on_way += 1
+        try:
+            yield arrival
+        finally:
+            with self._cond:
+                self._settle_locked(arrival)
+
+    def _settle_locked(self, arrival: Arrival) -> None:
+        if arrival.on_way:
+            arrival.on_way = False
+            self._on_way -= 1
+            self._cond.notify_all()  # a waiting leader re-checks
 
     def encode(self, tree, deadline: Optional[float] = None) -> np.ndarray:
         """Encode one tree, riding whatever batch is forming."""
         return self.encode_many([tree], deadline=deadline)[0]
 
     def encode_many(
-        self, trees: Sequence, deadline: Optional[float] = None
+        self,
+        trees: Sequence,
+        deadline: Optional[float] = None,
+        arrival: Optional[Arrival] = None,
     ) -> np.ndarray:
         """Encode many trees from one caller as an ``(n, h)`` matrix.
 
@@ -100,13 +146,17 @@ class MicroBatcher:
         caller still queued when it passes raises
         :class:`DeadlineExceededError` instead of waiting forever behind
         a storm (its unclaimed items leave the queue; items already in a
-        running batch finish and are discarded).
+        running batch finish and are discarded).  ``arrival``, the
+        caller's :meth:`arriving` announcement, settles as the items
+        queue.
         """
         items = [_Item(tree, deadline=deadline) for tree in trees]
         if not items:
             return np.zeros((0, 0))
         with self._cond:
             self._pending.extend(items)
+            if arrival is not None:
+                self._settle_locked(arrival)
         while True:
             run: Optional[List[_Item]] = None
             with self._cond:
@@ -125,7 +175,7 @@ class MicroBatcher:
                     )
                 if not self._busy and self._pending:
                     self._busy = True
-                    run = self._claim_pending_locked()
+                    run = self._claim_pending_locked(self.max_batch_size)
                 else:
                     # a leader is encoding (maybe our items); it notifies
                     # when it finishes, the timeout is only a safety net
@@ -142,8 +192,8 @@ class MicroBatcher:
                 raise item.error
         return np.stack([item.result for item in items])
 
-    def _claim_pending_locked(self) -> List[_Item]:
-        """Take the next batch off the queue, expiring stale items.
+    def _claim_pending_locked(self, room: int) -> List[_Item]:
+        """Take up to ``room`` items off the queue, expiring stale ones.
 
         Runs under ``self._cond``.  Items whose deadline has already
         passed get :class:`DeadlineExceededError` published immediately
@@ -154,7 +204,7 @@ class MicroBatcher:
         run: List[_Item] = []
         taken = 0
         for it in self._pending:
-            if len(run) == self.max_batch_size:
+            if len(run) == room:
                 break
             taken += 1
             if it.expired(now):
@@ -173,13 +223,17 @@ class MicroBatcher:
                 self._busy = False
                 self._cond.notify_all()
             return
-        # accumulation window: let threads mid-submit join this batch
-        if self.max_wait_s > 0 and len(run) < self.max_batch_size:
-            time.sleep(self.max_wait_s)
-            with self._cond:
-                extra = self._pending[: self.max_batch_size - len(run)]
-                del self._pending[: len(extra)]
-            run.extend(extra)
+        # wait for callers already on their way, while there is room
+        with self._cond:
+            give_up = time.monotonic() + self.max_wait_s
+            while True:
+                room = self.max_batch_size - len(run)
+                run.extend(self._claim_pending_locked(room))
+                left = give_up - time.monotonic()
+                if len(run) == self.max_batch_size or not self._on_way \
+                        or left <= 0:
+                    break
+                self._cond.wait(left)
         try:
             vectors = self._encode([it.tree for it in run])
             for i, it in enumerate(run):

@@ -81,8 +81,8 @@ class EngineConfig:
         "into one batched GEMM call (1 disables micro-batching)",
         flag="--micro-batch", min=1)
     micro_batch_wait_ms: float = _knob(
-        2.0, "accumulation window a batch leader grants late-arriving "
-        "concurrent queries", min=0)
+        2.0, "most a batch leader waits for concurrent queries already "
+        "on their way to the batcher (a lone query never waits)", min=0)
     slow_query_ms: Optional[float] = _knob(
         None, "log the full span tree of queries slower than this many "
         "milliseconds (none: no slow-query log)", min=0)

@@ -475,7 +475,8 @@ def parse_binary(data: bytes, label: str) -> BinaryFile:
 
 def load_binary(source: Optional[BinarySource]) -> BinaryFile:
     """A binary, or the RBIN file at a path: a missing file is
-    InputNotFoundError, one that is not RBIN a BadRequestError."""
+    InputNotFoundError; a directory or other non-regular file, or one
+    that is not RBIN, a BadRequestError."""
     if isinstance(source, BinaryFile):
         return source
     if source is None:
@@ -483,5 +484,10 @@ def load_binary(source: Optional[BinarySource]) -> BinaryFile:
     path = Path(source)
     if not path.exists():
         raise InputNotFoundError(f"no such binary: {path}")
+    if not path.is_file():
+        raise BadRequestError(
+            f"{path} is not a valid RBIN binary: "
+            f"{'a directory' if path.is_dir() else 'not a regular file'}"
+        )
     return parse_binary(path.read_bytes(), str(path))
 

@@ -15,12 +15,15 @@ import os
 import threading
 import time
 from collections import OrderedDict
+from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.api.batching import Arrival
 from repro.api.errors import BadRequestError, DeadlineExceededError
 from repro.api.types import QueryRequest, QueryResult
 from repro.binformat.binary import BinaryFile
 from repro.core.model import FunctionEncoding
+from repro.nn.treebatch import TreeColumns
 from repro.obs.trace import Span, trace
 from repro.pipeline import binary_digest
 from repro.pipeline.stages import ExtractedBinary
@@ -150,9 +153,19 @@ class OnlinePhase:
         # the earliest per-request deadline bounds the shared phases (one
         # encode pass + one sweep serve the whole batch)
         deadline = min(deadlines) if deadlines else None
+        # a caller with a binary to encode is on its way to the batcher
+        # from here: a leader with room waits for it (CVE and
+        # encoding-sourced requests never encode)
+        admit = self.batcher.arriving() if any(
+            r.encoding is None and r.cve_id is None and r.binary is not None
+            for r in requests
+        ) else nullcontext()
         try:
-            with trace(span_name, n_queries=len(requests)) as span:
-                results = self._resolve_and_sweep(requests, deadline, span)
+            with admit as arrival, \
+                    trace(span_name, n_queries=len(requests)) as span:
+                results = self._resolve_and_sweep(
+                    requests, deadline, span, arrival
+                )
         except DeadlineExceededError:
             self.obs.counter("repro_request_timeouts_total").inc()
             raise
@@ -165,6 +178,7 @@ class OnlinePhase:
         requests: List[QueryRequest],
         deadline: Optional[float],
         span: Span,
+        arrival: Optional[Arrival],
     ) -> List[QueryResult]:
         groups: Dict[Tuple, List[int]] = {}
         for i, request in enumerate(requests):
@@ -182,7 +196,7 @@ class OnlinePhase:
                         f"threshold must be >= 0, got {threshold}"
                     )
             groups.setdefault((top_k, threshold), []).append(i)
-        resolved = self._resolve_queries(requests, deadline)
+        resolved = self._resolve_queries(requests, deadline, arrival)
         if deadline is not None and time.monotonic() >= deadline:
             raise DeadlineExceededError(
                 "request overran its deadline before the corpus sweep"
@@ -227,6 +241,7 @@ class OnlinePhase:
         self,
         requests: Sequence[QueryRequest],
         deadline: Optional[float],
+        arrival: Optional[Arrival],
     ) -> List[Tuple[str, FunctionEncoding]]:
         """``(display name, encoding)`` per request, coalescing encodes.
 
@@ -243,6 +258,7 @@ class OnlinePhase:
             [None] * len(requests)
         )
         jobs: List[Tuple[int, str, ExtractedBinary, int]] = []
+        trees: List[TreeColumns] = []  # each job's tree, with its levels
         for i, request in enumerate(requests):
             if request.encoding is not None:
                 resolved[i] = (request.encoding.name, request.encoding)
@@ -264,7 +280,7 @@ class OnlinePhase:
             if not request.function:
                 raise BadRequestError("binary queries need a function name")
             binary = load_binary(request.binary)
-            extracted, rows = self._extracted_for(binary)
+            extracted, columns, rows = self._extracted_for(binary)
             if request.function not in rows:
                 raise BadRequestError(
                     f"function {request.function!r} not found (or below "
@@ -274,12 +290,11 @@ class OnlinePhase:
                 i, f"{binary.name}:{request.function}", extracted,
                 rows[request.function],
             ))
+            trees.append(columns.tree(rows[request.function]))
         if jobs:
             with trace("engine.encode_queries", n=len(jobs)):
                 vectors = self.batcher.encode_many(
-                    [extracted.columns().tree(row)
-                     for _i, _name, extracted, row in jobs],
-                    deadline=deadline,
+                    trees, deadline=deadline, arrival=arrival
                 )
             self.obs.counter("repro_query_encodes_total").inc(len(jobs))
             beta = self.model.config.beta
@@ -289,8 +304,10 @@ class OnlinePhase:
 
     def _extracted_for(
         self, binary: BinaryFile
-    ) -> Tuple[ExtractedBinary, Dict[str, int]]:
-        """Memoized: ``binary``'s extracted columns, function name -> row."""
+    ) -> Tuple[ExtractedBinary, TreeColumns, Dict[str, int]]:
+        """Memoized: ``binary``'s extraction, its tree columns with their
+        levels computed (model-independent, so a query's encode starts
+        from them), and function name -> row."""
         digest = binary_digest(binary)
         with self._memo_lock:
             entry = self._extract_memo.get(digest)
@@ -298,7 +315,12 @@ class OnlinePhase:
                 self._extract_memo.move_to_end(digest)
                 return entry
         extracted = self.pipeline.extracted(binary, digest)
-        entry = (extracted, {n: i for i, n in enumerate(extracted.names)})
+        columns = extracted.columns()
+        columns.levels()
+        entry = (
+            extracted, columns,
+            {n: i for i, n in enumerate(extracted.names)},
+        )
         with self._memo_lock:
             entry = self._extract_memo.setdefault(digest, entry)
             self._extract_memo.move_to_end(digest)

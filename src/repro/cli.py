@@ -340,7 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["x86", "x64", "arm", "ppc"])
     p.add_argument("--strip", action="store_true",
                    help="remove the symbol table")
-    p.add_argument("--output", default=".")
+    p.add_argument("--output", default=".",
+                   help="directory to write <name>.<arch>.rbin files "
+                        "into (created if missing)")
     p.set_defaults(func=_cmd_compile)
 
     p = sub.add_parser("disasm", help="disassemble an RBIN binary")

@@ -28,7 +28,7 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     so both branches of the sign split stay in ``(0, 1]``.
     """
     ex = np.exp(-np.abs(x))
-    return np.where(np.asarray(x) >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    return np.where(np.asarray(x) >= 0, 1.0, ex) / (1.0 + ex)
 
 
 @contextlib.contextmanager

@@ -17,9 +17,9 @@ Three pieces:
   arrays (per level: label ids, child state rows with a leaf sentinel row,
   contiguous output rows), as size-bucketed chunks or as one chunk in
   input order;
-* :func:`encode_batch` -- the inference fast path: pure-numpy level loops
-  over preallocated ``(n_nodes + 1, h)`` state buffers, zero autograd
-  bookkeeping;
+* :func:`encode_batch` -- the inference fast path: a per-call label
+  projection table, then pure-numpy level loops over preallocated
+  ``(n_nodes + 1, h)`` state buffers, zero autograd bookkeeping;
 * :func:`encode_batch_states` -- the training path: the same level
   schedule, each level one call of the fused
   :meth:`~repro.nn.treelstm.BinaryTreeLSTM.cell` (the sequential
@@ -38,7 +38,7 @@ columns, rejects one, as the sequential path does.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -50,34 +50,37 @@ from repro.nn.treelstm import BinaryTreeLSTM, _sigmoid
 LEAF = -1  # sentinel level for an absent child
 
 
-def _check_labels(compiled: "CompiledBatch", num_labels: int) -> None:
-    """Match the sequential Embedding.forward range check (batched once)."""
-    for level in compiled.levels:
-        if level.labels.size and not (
-            0 <= level.labels.min() and level.labels.max() < num_labels
-        ):
-            bad = level.labels[
-                (level.labels < 0) | (level.labels >= num_labels)
-            ][0]
-            raise IndexError(
-                f"embedding index {bad} out of range [0, {num_labels})"
-            )
+def _check_labels(labels: np.ndarray, num_labels: int) -> None:
+    """Match the sequential Embedding.forward range check, once over a
+    compiled batch's whole label column."""
+    if labels.size and not (0 <= labels.min() and labels.max() < num_labels):
+        bad = labels[(labels < 0) | (labels >= num_labels)][0]
+        raise IndexError(
+            f"embedding index {bad} out of range [0, {num_labels})"
+        )
 
 
 @dataclass
 class LevelPlan:
     """All same-level nodes of a compiled batch: one GEMM set's inputs.
 
-    ``left_global``/``right_global`` address each child's state as a row
+    ``children`` addresses each node's (left, right) child state as rows
     of one contiguous state buffer whose *last* row (``n_nodes``) holds
     the leaf state for absent children.  ``offset`` is the level's first
     row in that buffer.
     """
 
     labels: np.ndarray
-    left_global: np.ndarray
-    right_global: np.ndarray
+    children: np.ndarray  # (n, 2) int64
     offset: int
+
+    @property
+    def left_global(self) -> np.ndarray:
+        return self.children[:, 0]
+
+    @property
+    def right_global(self) -> np.ndarray:
+        return self.children[:, 1]
 
     @property
     def size(self) -> int:
@@ -91,6 +94,9 @@ class CompiledBatch:
     levels: List[LevelPlan]
     root_global: np.ndarray
     n_nodes: int
+    #: every node's label, in state-buffer row order (the levels' labels
+    #: are slices of it)
+    labels: np.ndarray
 
     @property
     def n_trees(self) -> int:
@@ -119,13 +125,18 @@ class TreeColumns:
     Tree ``t`` is rows ``offsets[t]:offsets[t + 1]`` of ``labels``,
     ``lefts`` and ``rights``; child indices are tree-local, -1 = absent
     (the :func:`~repro.nn.treelstm.flatten_tree` form, which is also what
-    the pipeline's ``trees`` artifacts store).
+    the pipeline's ``trees`` artifacts store).  ``node_levels`` holds
+    :meth:`levels` once computed; the trees sliced or concatenated from
+    columns that know their levels know them too.
     """
 
     labels: np.ndarray
     lefts: np.ndarray
     rights: np.ndarray
     offsets: np.ndarray  # (n_trees + 1,)
+    node_levels: Optional[np.ndarray] = field(
+        default=None, repr=False, compare=False
+    )
 
     @classmethod
     def single(cls, labels, lefts, rights) -> "TreeColumns":
@@ -136,18 +147,27 @@ class TreeColumns:
     @classmethod
     def concat(cls, parts: Sequence["TreeColumns"]) -> "TreeColumns":
         """The trees of ``parts``, in order, as one batch."""
+        if len(parts) == 1:
+            return parts[0]
         sizes = np.concatenate([[0]] + [part.sizes for part in parts])
-        return cls(*(
-            np.concatenate([np.zeros(0, np.int64)]
-                           + [getattr(part, name) for part in parts])
-            for name in ("labels", "lefts", "rights")
-        ), np.cumsum(sizes, dtype=np.int64))
+        names = ["labels", "lefts", "rights"]
+        if parts and all(part.node_levels is not None for part in parts):
+            names.append("node_levels")
+        arrays = {
+            name: np.concatenate([np.zeros(0, np.int64)]
+                                 + [getattr(part, name) for part in parts])
+            for name in names
+        }
+        return cls(offsets=np.cumsum(sizes, dtype=np.int64), **arrays)
 
     def tree(self, t: int) -> "TreeColumns":
         """Tree ``t`` alone, as one-tree columns (views, no copy)."""
         lo, hi = self.offsets[t], self.offsets[t + 1]
-        return TreeColumns(self.labels[lo:hi], self.lefts[lo:hi],
-                           self.rights[lo:hi], np.array([0, hi - lo]))
+        return TreeColumns(
+            self.labels[lo:hi], self.lefts[lo:hi], self.rights[lo:hi],
+            np.array([0, hi - lo]),
+            None if self.node_levels is None else self.node_levels[lo:hi],
+        )
 
     @property
     def sizes(self) -> np.ndarray:
@@ -157,8 +177,10 @@ class TreeColumns:
         """Every node's level: the height of its subtree, leaves 0.
 
         One reverse pass, since a child's preorder index is always larger
-        than its parent's.
+        than its parent's; computed once, then kept in ``node_levels``.
         """
+        if self.node_levels is not None:
+            return self.node_levels
         base = np.repeat(self.offsets[:-1], self.sizes)
         rows = np.arange(len(self.labels))
         children = []
@@ -175,7 +197,8 @@ class TreeColumns:
         ):
             a, b = level[left], level[right]
             level[i] = (a if a > b else b) + 1
-        return np.asarray(level[:n], dtype=np.int64)
+        self.node_levels = np.asarray(level[:n], dtype=np.int64)
+        return self.node_levels
 
 
 def _compile_chunk(
@@ -202,27 +225,21 @@ def _compile_chunk(
     row[n_nodes] = n_nodes
     sorted_nodes = nodes[order]
     tree_base = np.repeat(bases, sizes)[order]
-
-    def child_rows(column: np.ndarray) -> np.ndarray:
-        child = column[sorted_nodes]
-        return row[np.where(child >= 0, child + tree_base, -1)]
-
+    pairs = np.stack(
+        [columns.lefts[sorted_nodes], columns.rights[sorted_nodes]], axis=1
+    )
+    children = row[np.where(pairs >= 0, pairs + tree_base[:, None], -1)]
     labels = columns.labels[sorted_nodes]
-    lefts, rights = child_rows(columns.lefts), child_rows(columns.rights)
     bounds = np.concatenate(
         [[0], np.cumsum(np.bincount(node_levels))]
-    ).astype(np.int64)
+    ).astype(np.int64).tolist()
     levels_out = [
-        LevelPlan(
-            labels=labels[lo:hi],
-            left_global=lefts[lo:hi],
-            right_global=rights[lo:hi],
-            offset=int(lo),
-        )
+        LevelPlan(labels=labels[lo:hi], children=children[lo:hi], offset=lo)
         for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
     return CompiledBatch(
-        levels=levels_out, root_global=row[bases], n_nodes=n_nodes
+        levels=levels_out, root_global=row[bases], n_nodes=n_nodes,
+        labels=labels,
     )
 
 
@@ -329,15 +346,20 @@ def resolve_node_budget(budget: int = 0) -> int:
 
 
 def _blocked_mm(a: np.ndarray, w: np.ndarray, block: int = GEMM_BLOCK) -> np.ndarray:
-    """``a @ w`` computed in fixed ``(block, k)`` row blocks."""
+    """``a @ w`` computed in fixed ``(block, k)`` row blocks; only a
+    ragged last block is copied into a zero-padded one."""
     n, k = a.shape
-    pad = (-n) % block
-    if pad:
-        a = np.concatenate([a, np.zeros((pad, k), dtype=a.dtype)])
-    out = np.empty((n + pad, w.shape[1]), dtype=np.result_type(a, w))
-    for start in range(0, n + pad, block):
-        np.matmul(a[start:start + block], w,
-                  out=out[start:start + block])
+    full = n - n % block
+    out = np.empty(
+        (full if full == n else full + block, w.shape[1]),
+        dtype=np.result_type(a, w),
+    )
+    for start in range(0, full, block):
+        np.matmul(a[start:start + block], w, out=out[start:start + block])
+    if full < n:
+        tail = np.zeros((block, k), dtype=a.dtype)
+        tail[:n - full] = a[full:]
+        np.matmul(tail, w, out=out[full:])
     return out[:n]
 
 
@@ -409,12 +431,17 @@ def encode_batch(
 ) -> np.ndarray:
     """Encode a compiled batch to a ``(n_trees, h)`` root-h matrix.
 
-    Pure numpy: per level, one gather from the preallocated state buffers,
-    two fused-weight gate GEMMs (embedding, and both children through one
-    stacked ``(2h, 5h)`` matrix), one sigmoid over all four gates, one
-    contiguous write-back.  No autograd graph is built, so this is the
-    path for corpus ingest and evaluation.  Results are bit-for-bit
-    identical regardless of batch composition (see :data:`GEMM_BLOCK`).
+    Pure numpy.  Once per call, every label's embedding-side gate
+    pre-activations come from one blocked ``emb @ W`` GEMM (a label
+    projection table).  Then per level: one gather of both children's
+    states into a reused zero-padded buffer, one stacked ``(2h, 5h)``
+    child-side GEMM, the level's rows of the projection table added, one
+    sigmoid over all four gates, one contiguous write-back.  No autograd
+    graph is built, so this is the path for corpus ingest, queries and
+    evaluation.  Results are bit-for-bit identical regardless of batch
+    composition (see :data:`GEMM_BLOCK`), and a table row is computed
+    in a fixed-shape block, so it equals that label's row of any blocked
+    ``emb[labels] @ W``.
 
     ``dtype`` selects the float64 reference path (default) or the float32
     fast path (weights cast once via :func:`pack_weights`); ``block=0``
@@ -426,39 +453,43 @@ def encode_batch(
     h = pack.hidden_dim
     if compiled.n_trees == 0:
         return np.zeros((0, h), dtype=pack.dtype)
-    _check_labels(compiled, pack.num_labels)
+    _check_labels(compiled.labels, pack.num_labels)
     block = resolve_block(block, h, pack.dtype)
+    h2, h3, h4 = 2 * h, 3 * h, 4 * h
+    # per label, the embedding side of the (5h) gate columns [f_l, f_r,
+    # i, o, u]; the W_f block feeds both forget gates
+    z_e = _blocked_mm(pack.emb, pack.w_all, block)
+    proj = np.concatenate([z_e[:, :h], z_e], axis=1)
     H = np.empty((compiled.n_nodes + 1, h), dtype=pack.dtype)
     C = np.empty_like(H)
     H[-1] = C[-1] = pack.leaf
-    h2, h3, h4 = 2 * h, 3 * h, 4 * h
+    # the child-side GEMM input, padded to whole blocks; rows past a
+    # level's own keep zeros or an earlier level's states, and their
+    # products are never read (a row's result does not depend on its
+    # neighbours)
+    widest = max((level.size for level in compiled.levels), default=0)
+    HLR = np.zeros((-(-widest // block) * block, h2), dtype=pack.dtype)
 
     for level in compiled.levels:
         started = time.perf_counter() if observer is not None else 0.0
         n = level.size
-        E = pack.emb[level.labels]
-        z_e = _blocked_mm(E, pack.w_all, block)
-        HLR = np.empty((n, h2), dtype=pack.dtype)
-        HLR[:, :h] = H[level.left_global]
-        HLR[:, h:] = H[level.right_global]
-        Z = _blocked_mm(HLR, pack.u_lr, block)
-        # fold the embedding pre-activations into the (5h) gate columns
-        # [f_l, f_r, i, o, u]; the W_f block feeds both forget gates
-        Z[:, :h] += z_e[:, :h]
-        Z[:, h:h2] += z_e[:, :h]
-        Z[:, h2:] += z_e[:, h:]
+        children = level.children
+        # "clip" writes straight into ``out`` ("raise" buffers a copy);
+        # the compiler's row indices are always in range
+        np.take(H, children, axis=0, out=HLR[:n].reshape(n, 2, h),
+                mode="clip")
+        Z = _blocked_mm(HLR[:-(-n // block) * block], pack.u_lr, block)[:n]
+        Z += proj[level.labels]
         Z += pack.bias
         G = _sigmoid(Z[:, :h4])
         u = np.tanh(Z[:, h4:])
-        CL = C[level.left_global]
-        CR = C[level.right_global]
-        CL *= G[:, :h]  # gathers are fresh copies; scale them in place
-        CR *= G[:, h:h2]
+        CLR = C[children].reshape(n, h2)  # a fresh copy: scale in place
+        CLR *= G[:, :h2]
         end = level.offset + n
         c = C[level.offset:end]
         np.multiply(G[:, h2:h3], u, out=c)
-        c += CL
-        c += CR
+        c += CLR[:, :h]
+        c += CLR[:, h:]
         np.tanh(c, out=u)
         np.multiply(G[:, h3:h4], u, out=H[level.offset:end])
         if observer is not None:

@@ -312,6 +312,95 @@ class TestMicroBatcher:
         assert elapsed < 0.15, f"overflow rounds too slow: {elapsed:.3f}s"
 
 
+class _SeenWaiting(threading.Condition):
+    """A batcher condition that reports its first ``wait``: with one
+    caller inside ``encode_many``, that wait is its leader's window."""
+
+    def __init__(self):
+        super().__init__()
+        self.waiting = threading.Event()
+
+    def wait(self, timeout=None):
+        self.waiting.set()
+        return super().wait(timeout)
+
+
+class TestLoadAdaptiveWindow:
+    """The leader waits only for announced callers that have not queued
+    yet, and never longer than ``max_wait_s``."""
+
+    @staticmethod
+    def _recording():
+        calls = []
+
+        def encode(trees):
+            calls.append(list(trees))
+            return np.array([[float(len(t))] for t in trees])
+
+        return calls, encode
+
+    def test_a_lone_announced_caller_does_not_wait(self):
+        calls, encode = self._recording()
+        batcher = MicroBatcher(encode, max_batch_size=8, max_wait_s=1.0)
+        started = time.perf_counter()
+        with batcher.arriving() as arrival:
+            batcher.encode_many(["t"], arrival=arrival)
+        assert time.perf_counter() - started < 0.1
+        assert calls == [["t"]]
+
+    def test_a_caller_on_its_way_shares_the_leaders_batch(self):
+        calls, encode = self._recording()
+        batcher = MicroBatcher(encode, max_batch_size=8, max_wait_s=30.0)
+        batcher._cond = _SeenWaiting()
+        results = {}
+
+        def leader():
+            with batcher.arriving() as arrival:
+                results["a"] = batcher.encode_many(["a"], arrival=arrival)
+
+        with batcher.arriving() as arrival:
+            thread = threading.Thread(target=leader)
+            thread.start()
+            # the leader holds its batch open for us, still unqueued
+            assert batcher._cond.waiting.wait(timeout=10)
+            results["bb"] = batcher.encode_many(["bb"], arrival=arrival)
+        thread.join(timeout=10)
+        assert calls == [["a", "bb"]]
+        assert results["a"].tolist() == [[1.0]]
+        assert results["bb"].tolist() == [[2.0]]
+        assert _batches(batcher) == (1, 2, 2)
+
+    def test_a_caller_leaving_unqueued_releases_the_leader(self):
+        calls, encode = self._recording()
+        batcher = MicroBatcher(encode, max_batch_size=8, max_wait_s=30.0)
+        batcher._cond = _SeenWaiting()
+        took = {}
+
+        def leader():
+            started = time.perf_counter()
+            with batcher.arriving() as arrival:
+                batcher.encode_many(["a"], arrival=arrival)
+            took["a"] = time.perf_counter() - started
+
+        with pytest.raises(ValueError):
+            with batcher.arriving():
+                thread = threading.Thread(target=leader)
+                thread.start()
+                assert batcher._cond.waiting.wait(timeout=10)
+                raise ValueError("bad binary: never queues")
+        thread.join(timeout=10)
+        assert calls == [["a"]]
+        assert took["a"] < 5.0  # released at once, not at max_wait_s
+
+    def test_a_bare_batcher_never_waits(self):
+        calls, encode = self._recording()
+        batcher = MicroBatcher(encode, max_batch_size=8, max_wait_s=1.0)
+        started = time.perf_counter()
+        batcher.encode_many(["t", "u"])
+        assert time.perf_counter() - started < 0.1
+        assert calls == [["t", "u"]]
+
+
 # -- engine fixtures ----------------------------------------------------------------
 
 
@@ -739,6 +828,65 @@ class TestConcurrentQueries:
         assert stats.micro_batch_max > 1, (
             "16 barrier-started threads never shared a batch"
         )
+
+
+class TestWhoTheWindowWaitsFor:
+    """The engine announces a query to its batcher exactly when it has a
+    binary to encode."""
+
+    def test_a_lone_binary_query_does_not_wait_out_the_window(
+        self, trained_model, query_binary, query_functions
+    ):
+        engine = AsteriaEngine(
+            EngineConfig(micro_batch_wait_ms=1000.0), model=trained_model
+        )
+        for encoding in _random_encodings(trained_model, 40):
+            engine.store.add(encoding)
+        engine.store.flush()
+        request = QueryRequest(binary=query_binary,
+                               function=query_functions[0], top_k=5)
+        engine.query(request)  # extracts the binary
+        started = time.perf_counter()
+        assert engine.query(request).hits
+        assert time.perf_counter() - started < 0.5
+        wait = engine.obs.get("repro_microbatch_wait_seconds")
+        assert wait.totals()[1] / wait.totals()[0] < 0.5
+
+    def _announced(self, engine, monkeypatch):
+        announced = []
+        arriving = engine.batcher.arriving
+
+        def spy():
+            announced.append(1)
+            return arriving()
+
+        monkeypatch.setattr(engine.batcher, "arriving", spy)
+        return announced
+
+    def test_cve_and_encoding_queries_are_never_announced(
+        self, engine, monkeypatch
+    ):
+        announced = self._announced(engine, monkeypatch)
+        [cve] = engine.query_batch([QueryRequest(cve_id="CVE-2016-2105")])
+        engine.query(QueryRequest(encoding=cve.encoding, top_k=3))
+        assert announced == []
+        assert engine.batcher._on_way == 0
+
+    def test_a_binary_query_is_announced_once_and_settles(
+        self, engine, query_binary, query_functions, monkeypatch
+    ):
+        announced = self._announced(engine, monkeypatch)
+        engine.query_batch([
+            QueryRequest(cve_id="CVE-2016-2105"),
+            QueryRequest(binary=query_binary, function=query_functions[0]),
+            QueryRequest(binary=query_binary, function=query_functions[1]),
+        ])
+        assert announced == [1]
+        with pytest.raises(BadRequestError):
+            engine.query(QueryRequest(binary=query_binary,
+                                      function="no_such_function"))
+        assert announced == [1, 1]
+        assert engine.batcher._on_way == 0
 
 
 def _random_encodings(model, n, seed=0):

@@ -113,6 +113,20 @@ class TestBadRequest:
         assert f"error: {junk} is not a valid RBIN binary" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["disasm", "decompile"])
+    def test_a_directory_is_not_a_binary(self, command, tmp_path, capsys):
+        """``compile --output q.rbin`` writes a directory of that name;
+        handed back as a binary it is one error line, not a traceback."""
+        out = tmp_path / "q.rbin"
+        assert main(["compile", "--arch", "arm", "--output", str(out)]) == 0
+        capsys.readouterr()
+        assert out.is_dir()
+        assert main([command, str(out)]) == 6
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert f"error: {out} is not a valid RBIN binary: a directory" in err
+        assert "Traceback" not in err
+
     def test_search_non_finite_threshold(self, model_path, capsys):
         code = main(["search", "--model", model_path, "--images", "2",
                      "--threshold", "nan"])

@@ -7,14 +7,18 @@ edge cases: empty batch, single-node trees, deep spines, duplicated tree
 objects, and the shared-subtree DAG guard.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.nn.tensor import no_grad, stable_sigmoid
 from repro.nn.treebatch import (
+    BLOCK_CANDIDATES,
     DEFAULT_NODE_BUDGET,
     TreeColumns,
+    _blocked_mm,
     compile_batch,
     compile_columns,
     encode_batch,
@@ -427,6 +431,76 @@ class TestPlans:
         assert pack.u_lr.shape == (2 * model.hidden_dim,
                                    5 * model.hidden_dim)
         assert pack.bias.shape == (5 * model.hidden_dim,)
+
+
+def _pinned_corpus() -> TreeColumns:
+    """49 random trees (1-299 nodes, labels over the whole vocabulary)
+    as preorder-numbered columns, from a fixed seed."""
+    gen = np.random.default_rng(44)
+    parts = []
+    for size in gen.integers(1, 160, size=48).tolist() + [300]:
+        lefts = np.full(size, -1, np.int64)
+        rights = np.full(size, -1, np.int64)
+        for child in range(1, size):
+            parent = int(gen.integers(0, child))
+            while lefts[parent] != -1 and rights[parent] != -1:
+                parent = int(gen.integers(0, child))
+            if rights[parent] != -1 or (
+                lefts[parent] == -1 and gen.random() < 0.5
+            ):
+                lefts[parent] = child
+            else:
+                rights[parent] = child
+        parts.append(
+            TreeColumns.single(gen.integers(0, 49, size), lefts, rights)
+        )
+    return TreeColumns.concat(parts)
+
+
+class TestBitIdentity:
+    """The label-projection table is exact, and the encoder's bytes are
+    pinned: a speed change to the inference loop must not move them."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("block", BLOCK_CANDIDATES)
+    def test_a_projected_row_is_the_gathered_rows_product(self, block,
+                                                          dtype):
+        pack = pack_weights(BinaryTreeLSTM(49, 16, 64, seed=2), dtype)
+        proj = _blocked_mm(pack.emb, pack.w_all, block)
+        gen = np.random.default_rng(block)
+        for rows in sorted({1, block - 1, block, block + 1, 2 * block + 3,
+                            3 * block}):
+            labels = gen.integers(0, 49, size=rows)
+            gathered = _blocked_mm(pack.emb[labels], pack.w_all, block)
+            assert gathered.dtype == proj.dtype
+            assert np.array_equal(gathered, proj[labels])
+
+    #: sha256 prefix of the float64 root encodings of
+    #: :func:`_pinned_corpus` under ``BinaryTreeLSTM(49, 16, 64,
+    #: seed=0)``, the same at every block; computed by the encoder that
+    #: ran one ``emb[labels] @ W`` GEMM per level
+    PINNED = "f5e60a746f9bd5cf"
+
+    @pytest.mark.parametrize("block", BLOCK_CANDIDATES)
+    def test_float64_encodings_are_pinned(self, block):
+        vectors = encode_plan(
+            BinaryTreeLSTM(49, 16, 64, seed=0),
+            compile_columns(_pinned_corpus(), 64), block=block,
+        )
+        assert vectors.shape == (49, 64)
+        digest = hashlib.sha256(vectors.tobytes()).hexdigest()
+        assert digest[:16] == self.PINNED
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_one_tree_encodes_equal_the_wide_encode(self, dtype):
+        model = BinaryTreeLSTM(49, 16, 64, seed=0)
+        columns = _pinned_corpus()
+        wide = encode_plan(model, compile_columns(columns, 64), dtype=dtype,
+                           block=32)
+        for t in range(0, 49, 6):
+            single = encode_plan(model, compile_columns(columns.tree(t), 1),
+                                 dtype=dtype, block=32)
+            assert np.array_equal(single[0], wide[t])
 
 
 class TestStableSigmoid:
