@@ -474,11 +474,14 @@ def parse_binary(data: bytes, label: str) -> BinaryFile:
 
 
 def load_binary(source: Optional[BinarySource]) -> BinaryFile:
-    """A binary, or the RBIN file at a path: a missing file is
-    InputNotFoundError; a directory or other non-regular file, or one
-    that is not RBIN, a BadRequestError."""
+    """A binary, RBIN bytes (a request's decoded ``binary_b64``), or the
+    RBIN file at a path: a missing file is InputNotFoundError; a
+    directory or other non-regular file, or bytes or a file that are not
+    RBIN, a BadRequestError."""
     if isinstance(source, BinaryFile):
         return source
+    if isinstance(source, bytes):
+        return parse_binary(source, "binary_b64")
     if source is None:
         raise BadRequestError("no binary given")
     path = Path(source)

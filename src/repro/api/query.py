@@ -9,6 +9,7 @@ while the engine lock is taken.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -20,8 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.batching import Arrival
 from repro.api.errors import BadRequestError, DeadlineExceededError
-from repro.api.types import QueryRequest, QueryResult
-from repro.binformat.binary import BinaryFile
+from repro.api.types import BinarySource, QueryRequest, QueryResult
 from repro.core.model import FunctionEncoding
 from repro.nn.treebatch import TreeColumns
 from repro.obs.trace import Span, trace
@@ -252,8 +252,6 @@ class OnlinePhase:
         encode itself is deliberately fresh each call so the batcher --
         not a memo -- carries concurrent load.
         """
-        from repro.api.engine import load_binary  # engine imports this module
-
         resolved: List[Optional[Tuple[str, FunctionEncoding]]] = (
             [None] * len(requests)
         )
@@ -279,15 +277,15 @@ class OnlinePhase:
                 )
             if not request.function:
                 raise BadRequestError("binary queries need a function name")
-            binary = load_binary(request.binary)
-            extracted, columns, rows = self._extracted_for(binary)
+            extracted, columns, rows = self._extracted_for(request.binary)
+            name = extracted.binary_name
             if request.function not in rows:
                 raise BadRequestError(
                     f"function {request.function!r} not found (or below "
-                    f"the AST size floor) in binary {binary.name!r}"
+                    f"the AST size floor) in binary {name!r}"
                 )
             jobs.append((
-                i, f"{binary.name}:{request.function}", extracted,
+                i, f"{name}:{request.function}", extracted,
                 rows[request.function],
             ))
             trees.append(columns.tree(rows[request.function]))
@@ -303,17 +301,30 @@ class OnlinePhase:
         return resolved
 
     def _extracted_for(
-        self, binary: BinaryFile
+        self, source: BinarySource
     ) -> Tuple[ExtractedBinary, TreeColumns, Dict[str, int]]:
-        """Memoized: ``binary``'s extraction, its tree columns with their
+        """Memoized: the binary's extraction, its tree columns with their
         levels computed (model-independent, so a query's encode starts
-        from them), and function name -> row."""
-        digest = binary_digest(binary)
+        from them), and function name -> row.
+
+        RBIN bytes are memoized by their own sha256, so a hit neither
+        parses them nor re-serialises a binary; a miss parses them, and
+        the canonical :func:`binary_digest` keys the pipeline cache.
+        """
+        from repro.api.engine import load_binary  # engine imports this module
+
+        if isinstance(source, bytes):
+            key = hashlib.sha256(source).hexdigest()
+        else:
+            source = load_binary(source)
+            key = binary_digest(source)
         with self._memo_lock:
-            entry = self._extract_memo.get(digest)
+            entry = self._extract_memo.get(key)
             if entry is not None:
-                self._extract_memo.move_to_end(digest)
+                self._extract_memo.move_to_end(key)
                 return entry
+        binary = load_binary(source)
+        digest = key if binary is source else binary_digest(binary)
         extracted = self.pipeline.extracted(binary, digest)
         columns = extracted.columns()
         columns.levels()
@@ -322,8 +333,8 @@ class OnlinePhase:
             {n: i for i, n in enumerate(extracted.names)},
         )
         with self._memo_lock:
-            entry = self._extract_memo.setdefault(digest, entry)
-            self._extract_memo.move_to_end(digest)
+            entry = self._extract_memo.setdefault(key, entry)
+            self._extract_memo.move_to_end(key)
             while len(self._extract_memo) > EXTRACT_MEMO_MAX_BINARIES:
                 self._extract_memo.popitem(last=False)  # evict oldest
             return entry

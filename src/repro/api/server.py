@@ -154,14 +154,17 @@ def read_body(body, fields: Dict, path: str = "") -> Dict:
     return body
 
 
-def _binary_from_b64(body: Dict, key: str = "binary_b64") -> BinaryFile:
+def _b64_bytes(body: Dict, key: str = "binary_b64") -> bytes:
     if key not in body:
         raise BadRequestError(f"missing {key!r}")
     try:
-        data = base64.b64decode(body[key], validate=True)
+        return base64.b64decode(body[key], validate=True)
     except (binascii.Error, ValueError) as exc:
         raise BadRequestError(f"{key} is not valid base64: {exc}") from exc
-    return parse_binary(data, key)
+
+
+def _binary_from_b64(body: Dict, key: str = "binary_b64") -> BinaryFile:
+    return parse_binary(_b64_bytes(body, key), key)
 
 
 class EngineRequestHandler(BaseHTTPRequestHandler):
@@ -483,7 +486,9 @@ class EngineRequestHandler(BaseHTTPRequestHandler):
         if "cve" in fields:
             request.cve_id = fields["cve"]
         else:
-            request.binary = _binary_from_b64(fields)
+            # the bytes as received: the engine's extract memo hashes
+            # them and parses only on a miss
+            request.binary = _b64_bytes(fields)
         return request
 
     @staticmethod

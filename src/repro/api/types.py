@@ -19,7 +19,8 @@ from repro.index.store import SearchHit
 #: Query depth of a :class:`QueryRequest` that names none.
 DEFAULT_TOP_K = 10
 
-BinarySource = Union[BinaryFile, str, Path]
+#: A binary object, its RBIN bytes as received, or an RBIN file's path.
+BinarySource = Union[BinaryFile, bytes, str, Path]
 
 
 @dataclass
@@ -58,7 +59,7 @@ class QueryRequest:
     """One top-k similarity query.
 
     Exactly one query source: a ready ``encoding``, a library ``cve_id``,
-    or a ``binary`` (object or path) plus ``function`` name.
+    or a ``binary`` (object, RBIN bytes or path) plus ``function`` name.
     ``top_k=None`` keeps every above-threshold hit; ``threshold=None``
     disables the cutoff (the full top-k).  A negative ``top_k`` or
     ``threshold`` is a :class:`BadRequestError`.

@@ -57,14 +57,17 @@ def extract_acfg(binary: BinaryFile, record: FunctionRecord) -> ACFG:
     n = cfg.block_count
     block_ids = sorted(cfg.blocks)
     index = {block_id: i for i, block_id in enumerate(block_ids)}
+    graph = nx.DiGraph()
+    graph.add_nodes_from(block_ids)
+    graph.add_edges_from((u, v) for u, v, _ in cfg.edges())
     adjacency = np.zeros((n, n))
-    for u, v in cfg.graph.edges():
+    for u, v in graph.edges():
         adjacency[index[u], index[v]] = 1.0
-    betweenness = nx.betweenness_centrality(cfg.graph) if n > 2 else {
+    betweenness = nx.betweenness_centrality(graph) if n > 2 else {
         b: 0.0 for b in block_ids
     }
     offspring = {
-        block_id: len(nx.descendants(cfg.graph, block_id))
+        block_id: len(nx.descendants(graph, block_id))
         for block_id in block_ids
     }
     features = np.zeros((n, N_FEATURES))

@@ -1,18 +1,17 @@
 """Control-flow graph construction over assembly functions.
 
-Used by the decompiler's structurer and by the Gemini baseline's ACFG
-extractor.  Blocks are maximal straight-line instruction runs; edges follow
-branches and fall-through.  The graph is a :class:`networkx.DiGraph` whose
-nodes are block ids, so dominator/post-dominator machinery from networkx is
-available downstream.
+Used by the decompiler's lifter and structurer and by the Gemini baseline's
+ACFG extractor.  Blocks are maximal straight-line instruction runs; edges follow
+branches and fall-through.  The edges are a plain successor table (block id
+-> ``kind -> target``), and immediate dominators come from the
+Cooper-Harvey-Kennedy iteration over it, so decompiling needs no graph
+library.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-import networkx as nx
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.compiler.codegen import AsmFunction, Instruction, Lab
 from repro.compiler.isa import get_isa
@@ -37,22 +36,32 @@ class BasicBlock:
 
 @dataclass
 class ControlFlowGraph:
-    """Basic blocks plus a networkx DiGraph of edges.
+    """Basic blocks (ids ``0..n-1``) plus their successor table.
 
-    Edge attribute ``kind`` is one of ``"taken"`` (branch target),
-    ``"fallthrough"``, or ``"jump"`` (unconditional).
+    ``succ[b]`` maps the kind of each out-edge of block ``b`` to its
+    target, at most two entries: ``"taken"`` (branch target),
+    ``"fallthrough"``, or ``"jump"`` (unconditional).  There is one edge
+    per ``(src, dst)`` pair, so a conditional branch whose target is
+    also its fallthrough has the single edge ``{"fallthrough": dst}``.
     """
 
     function: AsmFunction
     blocks: Dict[int, BasicBlock]
-    graph: nx.DiGraph
+    succ: List[Dict[str, int]]
     entry: int
 
+    def edges(self) -> Iterator[Tuple[int, int, str]]:
+        """``(src, dst, kind)`` per edge, by source block, then in the
+        order the edges were added (taken before fallthrough)."""
+        for src, row in enumerate(self.succ):
+            for kind, dst in row.items():
+                yield src, dst, kind
+
     def successors(self, block_id: int) -> List[int]:
-        return sorted(self.graph.successors(block_id))
+        return sorted(self.succ[block_id].values())
 
     def predecessors(self, block_id: int) -> List[int]:
-        return sorted(self.graph.predecessors(block_id))
+        return sorted(src for src, dst, _ in self.edges() if dst == block_id)
 
     def block_at(self, instr_index: int) -> BasicBlock:
         for block in self.blocks.values():
@@ -61,14 +70,86 @@ class ControlFlowGraph:
         raise KeyError(f"no block contains instruction {instr_index}")
 
     def edge_kind(self, src: int, dst: int) -> str:
-        return self.graph.edges[src, dst]["kind"]
+        for kind, target in self.succ[src].items():
+            if target == dst:
+                return kind
+        raise KeyError((src, dst))
 
     @property
     def block_count(self) -> int:
         return len(self.blocks)
 
     def exit_blocks(self) -> List[int]:
-        return [b for b in self.blocks if self.graph.out_degree(b) == 0]
+        return [b for b in self.blocks if not self.succ[b]]
+
+    def immediate_dominators(self) -> Dict[int, int]:
+        """Block -> immediate dominator, for every block reachable from
+        the entry except the entry itself.
+
+        Cooper, Harvey and Kennedy, "A Simple, Fast Dominance Algorithm"
+        (2001): iterate ``idom(b) = intersect(processed preds of b)`` in
+        reverse postorder until nothing changes, walking two candidates
+        up the current dominator tree by postorder number.
+        """
+        succ = self.succ
+        entry = self.entry
+        postorder: List[int] = []
+        rank = [-1] * len(succ)  # postorder number; -1 = unreachable
+        seen = [False] * len(succ)
+        seen[entry] = True
+        stack = [(entry, iter(succ[entry].values()))]
+        while stack:
+            node, children = stack[-1]
+            for child in children:
+                if not seen[child]:
+                    seen[child] = True
+                    stack.append((child, iter(succ[child].values())))
+                    break
+            else:
+                stack.pop()
+                rank[node] = len(postorder)
+                postorder.append(node)
+        preds: List[List[int]] = [[] for _ in succ]
+        for node in postorder:
+            for child in succ[node].values():
+                preds[child].append(node)
+        idom = [-1] * len(succ)
+        idom[entry] = entry
+        order = postorder[-2::-1]  # reverse postorder without the entry
+        changed = True
+        while changed:
+            changed = False
+            for node in order:
+                new = -1
+                for pred in preds[node]:
+                    if idom[pred] < 0:
+                        continue  # not processed yet
+                    if new < 0:
+                        new = pred
+                        continue
+                    a = pred
+                    while a != new:
+                        while rank[a] < rank[new]:
+                            a = idom[a]
+                        while rank[new] < rank[a]:
+                            new = idom[new]
+                if idom[node] != new:
+                    idom[node] = new
+                    changed = True
+        return {node: idom[node] for node in postorder if node != entry}
+
+    def loop_heads(self) -> Set[int]:
+        """Targets of back edges: ``v`` for every edge ``u -> v`` where
+        ``v`` dominates ``u`` (so every self-loop, reachable or not)."""
+        idom = self.immediate_dominators()
+        heads: Set[int] = set()
+        for u, v, _ in self.edges():
+            node: Optional[int] = u
+            while node is not None and node != v:
+                node = idom.get(node)
+            if node is not None:
+                heads.add(v)
+        return heads
 
 
 def _is_return(instr: Instruction, arch: str) -> bool:
@@ -109,6 +190,7 @@ def build_cfg(fn: AsmFunction) -> ControlFlowGraph:
             instructions=list(fn.instructions[start:end]),
         )
         start_to_id[start] = block_id
+    succ: List[Dict[str, int]] = [{} for _ in blocks]
 
     def target_block(label: str) -> int:
         index = fn.labels[label]
@@ -123,33 +205,29 @@ def build_cfg(fn: AsmFunction) -> ControlFlowGraph:
         if exit_block_id[0] is None:
             block_id = len(blocks)
             blocks[block_id] = BasicBlock(block_id=block_id, start=n, end=n)
+            succ.append({})
             exit_block_id[0] = block_id
         return exit_block_id[0]
 
-    graph = nx.DiGraph()
-    graph.add_nodes_from(blocks)
     for block in list(blocks.values()):
         if not block.instructions:
             continue
+        row = succ[block.block_id]
         last = block.instructions[-1]
-        last_index = block.end - 1
         if _is_return(last, fn.arch):
             continue
         if last.mnemonic == isa.jump and isinstance(last.operands[0], Lab):
-            graph.add_edge(block.block_id, target_block(last.operands[0].name),
-                           kind="jump")
+            row["jump"] = target_block(last.operands[0].name)
             continue
         if isa.is_conditional_branch(last.mnemonic):
-            graph.add_edge(block.block_id, target_block(last.operands[0].name),
-                           kind="taken")
-            if last_index + 1 < n:
-                graph.add_edge(block.block_id, start_to_id[last_index + 1],
-                               kind="fallthrough")
+            taken = target_block(last.operands[0].name)
+            fallthrough = start_to_id[block.end] if block.end < n else None
+            if taken != fallthrough:  # one edge per (src, dst)
+                row["taken"] = taken
+            if fallthrough is not None:
+                row["fallthrough"] = fallthrough
             continue
         # straight-line fallthrough
         if block.end < n:
-            graph.add_edge(block.block_id, start_to_id[block.end],
-                           kind="fallthrough")
-    if exit_block_id[0] is not None:
-        graph.add_node(exit_block_id[0])
-    return ControlFlowGraph(function=fn, blocks=blocks, graph=graph, entry=0)
+            row["fallthrough"] = start_to_id[block.end]
+    return ControlFlowGraph(function=fn, blocks=blocks, succ=succ, entry=0)

@@ -214,10 +214,7 @@ class _BlockLifter:
 
     def _terminator(self, block: BasicBlock) -> Terminator:
         last = block.instructions[-1] if block.instructions else None
-        successors = {
-            kind: dst
-            for _, dst, kind in self.cfg.graph.out_edges(block.block_id, data="kind")
-        }
+        successors = self.cfg.succ[block.block_id]
         if last is not None and self._is_return(last):
             return RetTerm(self._return_value())
         if last is not None and last.mnemonic == self.isa.jump and last.operands \

@@ -1,19 +1,19 @@
 """Control-flow structuring: CFG + lifted blocks -> statement AST.
 
 The structurer rebuilds ``if``/``else``, ``while`` and ``break`` constructs
-from the CFG using dominator analysis for back-edge (loop) detection and the
-branch/join patterns our code generators emit.  ``for`` loops intentionally
-come back as ``while`` loops and compound assignments as plain assignments:
-real decompilers show the same normalisations, and because they are applied
-uniformly across architectures they do not perturb cross-platform matching.
+from the CFG: loop heads are the targets of back edges, found from the
+CFG's immediate dominators (:meth:`ControlFlowGraph.loop_heads`), and
+conditionals follow the branch/join patterns our code generators emit.
+``for`` loops intentionally come back as ``while`` loops and compound
+assignments as plain assignments: real decompilers show the same
+normalisations, and because they are applied uniformly across
+architectures they do not perturb cross-platform matching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
-
-import networkx as nx
 
 from repro.compiler.cfg import ControlFlowGraph
 from repro.decompiler.lifter import (
@@ -43,11 +43,7 @@ class Structurer:
     def __init__(self, cfg: ControlFlowGraph, lifted: Dict[int, LiftedBlock]):
         self.cfg = cfg
         self.lifted = lifted
-        self._dominators = nx.immediate_dominators(cfg.graph, cfg.entry)
-        self.loop_heads: Set[int] = set()
-        for u, v in cfg.graph.edges():
-            if self._dominates(v, u):
-                self.loop_heads.add(v)
+        self.loop_heads: Set[int] = cfg.loop_heads()
         self._end_to_block = {
             block.end: block_id for block_id, block in cfg.blocks.items()
         }
@@ -58,18 +54,6 @@ class Structurer:
         # plain `while` loops on RISC targets; reproducing that gives the
         # cross-architecture AST divergence the paper observes.
         self._reconstruct_for = cfg.function.arch in ("x86", "x64")
-
-    # -- dominance -----------------------------------------------------------
-
-    def _dominates(self, a: int, b: int) -> bool:
-        node = b
-        while True:
-            if node == a:
-                return True
-            parent = self._dominators.get(node)
-            if parent is None or parent == node:
-                return False
-            node = parent
 
     # -- public ----------------------------------------------------------------
 

@@ -700,9 +700,12 @@ class EmbeddingStore:
             manifest["ann"] = self.ann
         if self.quarantined:
             manifest["quarantined"] = self.quarantined
+        # Rewritten whole on every flush, so compact: ``indent`` would
+        # force json's pure-Python encoder on a file that grows by a
+        # shard per flush.  Readers take either form.
         atomic_write_text(
             self.root / MANIFEST_NAME,
-            json.dumps(manifest, indent=2, sort_keys=True),
+            json.dumps(manifest, separators=(",", ":"), sort_keys=True),
             failpoint="store.manifest.pre_rename",
         )
 

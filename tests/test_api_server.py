@@ -35,6 +35,7 @@ from repro.api.server import (
     MAX_CORPUS_IMAGES,
     EngineRequestHandler,
 )
+from repro.binformat.binary import BinaryFile
 from repro.compiler.pipeline import compile_package
 from repro.lang.generator import ProgramGenerator
 
@@ -338,6 +339,50 @@ class TestQuery:
         assert status == 200
         assert body["query"].endswith(f":{name}")
         assert len(body["hits"]) <= 4
+
+    def test_a_memo_hit_neither_parses_nor_reserialises(
+        self, server, query_binary, monkeypatch
+    ):
+        """The engine gets the RBIN bytes as received and memoizes their
+        extraction by the bytes' sha256: a repeat query of one binary
+        calls neither ``BinaryFile.from_bytes`` nor ``to_bytes``."""
+        status, encode_body = _post(server, "/v1/encode",
+                                    {"binary_b64": _b64(query_binary)})
+        assert status == 200
+        payload = {"binary_b64": _b64(query_binary), "top_k": 3,
+                   "function": encode_body["encodings"][0]["name"]}
+        status, first = _post(server, "/v1/query", payload)
+        assert status == 200
+        calls = []
+        from_bytes, to_bytes = BinaryFile.from_bytes, BinaryFile.to_bytes
+
+        def counted_from_bytes(cls, blob):
+            calls.append("from_bytes")
+            return from_bytes(blob)
+
+        def counted_to_bytes(self):
+            calls.append("to_bytes")
+            return to_bytes(self)
+
+        monkeypatch.setattr(BinaryFile, "from_bytes",
+                            classmethod(counted_from_bytes))
+        monkeypatch.setattr(BinaryFile, "to_bytes", counted_to_bytes)
+        status, again = _post(server, "/v1/query", payload)
+        assert status == 200
+        assert again == first
+        assert calls == []
+
+    @pytest.mark.parametrize("path", ["/v1/query", "/v1/encode"])
+    def test_bytes_that_are_not_rbin_are_400(self, server, path):
+        payload = {"binary_b64": base64.b64encode(b"no rbin").decode()}
+        if path == "/v1/query":
+            payload["function"] = "f"
+        status, body = _post(server, path, payload)
+        assert status == 400
+        assert body["error"].startswith(
+            "binary_b64 is not a valid RBIN binary: "
+        )
+        assert body["exit_code"] == 6
 
     def test_unknown_cve_is_400(self, server):
         status, body = _post(server, "/v1/query", {"cve": "CVE-1999-0000"})

@@ -1,9 +1,11 @@
 """Tests for the optimiser passes and CFG construction."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.compiler import ir as IR
-from repro.compiler.cfg import build_cfg
+from repro.compiler.cfg import BasicBlock, ControlFlowGraph, build_cfg
 from repro.compiler.codegen import select_instructions
 from repro.compiler.ir import lower_function
 from repro.compiler.optimizer import (
@@ -177,7 +179,7 @@ class TestCFG:
 
     def test_edge_kinds(self):
         cfg = build_cfg(select_instructions(lower_function(DIAMOND), "x86"))
-        kinds = {cfg.edge_kind(u, v) for u, v in cfg.graph.edges()}
+        kinds = {cfg.edge_kind(u, v) for u, v, _ in cfg.edges()}
         assert kinds == {"taken", "fallthrough", "jump"}
 
     def test_loop_has_back_edge(self):
@@ -189,7 +191,7 @@ class TestCFG:
         ))
         cfg = build_cfg(select_instructions(lower_function(fn), "ppc"))
         # some edge goes backwards in block order
-        assert any(v <= u for u, v in cfg.graph.edges())
+        assert any(v <= u for u, v, _ in cfg.edges())
 
     def test_exit_blocks(self):
         cfg = build_cfg(select_instructions(lower_function(DIAMOND), "x86"))
@@ -201,3 +203,84 @@ class TestCFG:
         assert cfg.block_at(0).block_id == 0
         with pytest.raises(KeyError):
             cfg.block_at(10_000)
+
+    @pytest.mark.parametrize("arch", ["x86", "x64", "arm", "ppc"])
+    def test_branch_to_its_fallthrough_is_one_fallthrough_edge(self, arch):
+        """An empty if-arm compiles to a branch whose target is the next
+        instruction: one edge per (src, dst), of kind fallthrough."""
+        fn = FunctionDef("f", ("a0",), ("v0",), N.block(
+            N.asg(N.var("v0"), N.var("a0")),
+            N.if_(N.binop(Ops.LT, N.var("a0"), N.num(1)), N.block()),
+            N.ret(N.var("v0")),
+        ))
+        cfg = build_cfg(select_instructions(lower_function(fn), arch))
+        assert cfg.succ == [{"fallthrough": 1}, {}]
+        assert list(cfg.edges()) == [(0, 1, "fallthrough")]
+        assert cfg.edge_kind(0, 1) == "fallthrough"
+        assert cfg.successors(0) == [1] and cfg.predecessors(1) == [0]
+        with pytest.raises(KeyError):
+            cfg.edge_kind(1, 0)
+
+
+@st.composite
+def successor_tables(draw):
+    """Rows of at most two out-edges over up to 12 blocks: self-loops,
+    back edges and unreachable blocks arise freely, and a branch whose
+    taken target is its fallthrough keeps the single fallthrough edge."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    target = st.integers(min_value=0, max_value=n - 1)
+    succ = []
+    for _ in range(n):
+        shape = draw(st.sampled_from(["exit", "jump", "fallthrough", "branch"]))
+        if shape == "exit":
+            row = {}
+        elif shape == "branch":
+            taken, fallthrough = draw(target), draw(target)
+            row = {"fallthrough": fallthrough}
+            if taken != fallthrough:
+                row = {"taken": taken, "fallthrough": fallthrough}
+        else:
+            row = {shape: draw(target)}
+        succ.append(row)
+    return succ
+
+
+def _nx_oracle(cfg):
+    """networkx's immediate dominators and the loop heads the structurer
+    derived from them: ``v`` for each edge ``u -> v`` where ``v``
+    dominates ``u``."""
+    graph = nx.DiGraph()
+    graph.add_nodes_from(cfg.blocks)
+    graph.add_edges_from((u, v) for u, v, _ in cfg.edges())
+    idom = nx.immediate_dominators(graph, cfg.entry)
+    idom.pop(cfg.entry, None)  # networkx < 3.5 maps the start to itself
+
+    def dominates(a, b):
+        while b != a:
+            b = idom.get(b)
+            if b is None:
+                return False
+        return True
+
+    return idom, {v for u, v in graph.edges() if dominates(v, u)}
+
+
+class TestDominators:
+    @settings(max_examples=300, deadline=None)
+    @given(successor_tables())
+    def test_matches_networkx(self, succ):
+        blocks = {b: BasicBlock(block_id=b, start=b, end=b)
+                  for b in range(len(succ))}
+        cfg = ControlFlowGraph(function=None, blocks=blocks, succ=succ,
+                               entry=0)
+        idom, heads = _nx_oracle(cfg)
+        assert cfg.immediate_dominators() == idom
+        assert cfg.loop_heads() == heads
+
+    @pytest.mark.parametrize("arch", ["x86", "x64", "arm", "ppc"])
+    def test_library_functions_match_networkx(self, arch):
+        for fn in library_function_defs():
+            cfg = build_cfg(select_instructions(lower_function(fn), arch))
+            idom, heads = _nx_oracle(cfg)
+            assert cfg.immediate_dominators() == idom
+            assert cfg.loop_heads() == heads

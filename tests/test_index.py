@@ -78,6 +78,24 @@ class TestEmbeddingStore:
         assert manifest["n_rows"] == 3
         assert [s["n_rows"] for s in manifest["shards"]] == [3]
 
+    def test_manifest_is_compact_and_an_indented_one_still_opens(
+        self, tmp_path
+    ):
+        root = tmp_path / "idx"
+        store = EmbeddingStore.create(root, dim=8, shard_size=4)
+        _fill(store, 6)
+        text = (root / MANIFEST_NAME).read_text()
+        assert "\n" not in text and ": " not in text
+        # the indented form earlier versions wrote
+        (root / MANIFEST_NAME).write_text(
+            json.dumps(json.loads(text), indent=2, sort_keys=True)
+        )
+        reopened = EmbeddingStore.open(root)
+        assert not reopened.quarantined
+        assert len(reopened) == 6
+        assert np.array_equal(reopened.vectors(), store.vectors())
+        assert reopened.metadata_at(5) == store.metadata_at(5)
+
     def test_future_version_rejected(self, tmp_path):
         root = tmp_path / "idx"
         EmbeddingStore.create(root, dim=4)
