@@ -10,36 +10,56 @@ to disk so later query sessions never re-encode the corpus.
 Layout of a store directory::
 
     <root>/manifest.json           versioned manifest (dim, dtype, shard
-                                   table, row count, persisted-ANN state)
-    <root>/shard-00000.npy         raw vector matrix for rows [0, n0),
-                                   opened with ``np.load(mmap_mode="r")``
-    <root>/shard-00000.meta.npz    callee counts / AST sizes / string
-                                   columns for the same rows
+                                   table with one sha256 per shard, row
+                                   count, persisted-ANN state)
+    <root>/shard-00000.shard       rows [0, n0): a 64-byte header, the
+                                   raw (n0, dim) vector block, then the
+                                   metadata columns (format 3, below)
     <root>/ann-<kind>.npz          optional persisted ANN state (e.g.
                                    ``ann-ivf-pq.npz``: scales, centroids,
                                    int8 codes, list assignments)
 
+A shard file, after its header, holds one section per column, in this
+order, each aligned to its item size::
+
+    vectors          (n, dim) in the store dtype
+    callee_counts    int32 [n]
+    ast_sizes        int32 [n]
+    names.offsets    uint32 [n + 1]   name i = names.bytes[offsets[i]:
+                                      offsets[i + 1]], UTF-8
+    <col>.offsets    uint32 [k + 1]   <col> = arch, binary, image: the
+                                      shard's k distinct values, as a
+                                      string table like the names
+    <col>.codes      uint8/16/32 [n]  each row's value, as an index into
+                                      them, in the narrowest width for k
+    names.bytes, then each <col>.bytes
+
 Vectors are stored in a configurable ``dtype`` (default float32 -- half
 the bytes of the float64 the encoder emits, far below the noise floor of
-the Siamese scores) and memory-mapped on read, so opening a store is
-O(manifest) in corpus size and resident memory stays bounded by what
-queries actually touch.  :meth:`EmbeddingStore.vectors` exposes the whole
-corpus as a :class:`ShardedMatrix` -- a zero-copy row-concatenated view
-over the per-shard maps that the ANN layer consumes block-by-block; no
-full ``np.concatenate`` materialisation ever happens.
+the Siamese scores).  Every section is a view into one memory map of the
+file, so opening a store is O(manifest) in corpus size and resident
+memory stays bounded by what queries actually touch.
+:meth:`EmbeddingStore.vectors` exposes the whole corpus as a
+:class:`ShardedMatrix` -- a zero-copy row-concatenated view over the
+per-shard maps that the ANN layer consumes block-by-block; no full
+``np.concatenate`` materialisation ever happens.
+:meth:`EmbeddingStore.callee_counts` reads only the count column, and a
+string is decoded only for a row :meth:`~EmbeddingStore.metadata_at`
+asks for.
 
-Metadata columns use the :mod:`repro.nn.serialize` npz format and are
-loaded lazily per shard.  ``flush()`` stacks the rows ``add`` buffered
-into the columns ``append_rows`` takes, so one loop cuts every shard.
-Each file is one :func:`repro.utils.fsio.atomic_write` whose sha256 the
-manifest records; a file it records no checksum for counts as corrupt.
-``root=None`` gives an ephemeral in-memory store with the same API (used
-by tests and by single-process pipelines that do not need persistence).
+``flush()`` stacks the rows ``add`` buffered into the columns
+``append_rows`` takes, so one loop cuts every shard.  Each shard file is
+one :func:`repro.utils.fsio.atomic_write` whose sha256 the manifest
+records; a file it records no checksum for counts as corrupt.
+``root=None`` gives an ephemeral in-memory store with the same API and
+the same shard bytes, held in memory (used by tests and by
+single-process pipelines that do not need persistence).
 """
 
 from __future__ import annotations
 
 import json
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,10 +77,11 @@ _LOG = get_logger("index.store")
 
 MANIFEST_NAME = "manifest.json"
 QUARANTINE_DIR = "quarantine"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 DEFAULT_SHARD_SIZE = 1024
 DEFAULT_DTYPE = "float32"
 _DTYPES = ("float32", "float64")
+_INT32 = np.iinfo(np.int32)
 
 
 class StoreError(Exception):
@@ -270,28 +291,199 @@ class SearchHit:
     image_id: str = ""
 
 
-@dataclass
-class _ShardMeta:
-    """In-memory metadata columns of one shard (vectors live elsewhere)."""
+#: The dictionary-coded string columns, and the string tables in file
+#: order: the names (one per row), then each coded column's dictionary.
+_CODED = ("arch", "binary", "image")
+_TABLES = ("names",) + _CODED
+_NAMES, _ARCH, _BINARY, _IMAGE = range(len(_TABLES))
+_MAGIC = b"RSHARD03"
+#: magic, rows, dim, vector itemsize, each coded column's code width and
+#: dictionary size, each string table's byte length; the padding starts
+#: the vector block 64 bytes in.
+_HEADER = struct.Struct("<8sIIB3B3I4I16x")
+_OFFSET_PAIR = struct.Struct("<2I")
+_INT32_ITEM = struct.Struct("<i")
+#: one dictionary code, by its width in bytes
+_CODE_ITEMS = {1: struct.Struct("<B"), 2: struct.Struct("<H"),
+               4: struct.Struct("<I")}
 
-    callee_counts: np.ndarray
-    ast_sizes: np.ndarray
-    names: List[str]
-    binary_names: List[str]
-    arches: List[str]
-    image_ids: List[str]
 
-    def __len__(self) -> int:
-        return int(self.callee_counts.shape[0])
+def _int32_column(label: str, values, n: int) -> np.ndarray:
+    """``values`` as ``n`` int64s, each of which fits the stored int32."""
+    try:
+        column = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise StoreError(f"{label} do not fit int32") from None
+    if column.shape != (n,):
+        raise StoreError(
+            f"{label} shape {column.shape} does not match {n} rows"
+        )
+    if n and (column.min() < _INT32.min or column.max() > _INT32.max):
+        raise StoreError(f"{label} do not fit int32")
+    return column
+
+
+def _layout(n: int, dim: int, dtype: np.dtype, widths, sizes, lengths):
+    """Every section of a shard file: ``({name: (offset, dtype, items)},
+    file size)``, each section aligned to its item size."""
+    sections = [
+        ("vectors", dtype.newbyteorder("<"), n * dim),
+        ("callee_counts", "<i4", n),
+        ("ast_sizes", "<i4", n),
+        ("names.offsets", "<u4", n + 1),
+        *((f"{col}.offsets", "<u4", k + 1) for col, k in zip(_CODED, sizes)),
+        *((f"{col}.codes", f"<u{w}", n) for col, w in zip(_CODED, widths)),
+        *((f"{t}.bytes", "u1", size) for t, size in zip(_TABLES, lengths)),
+    ]
+    layout, offset = {}, _HEADER.size
+    for name, kind, items in sections:
+        kind = np.dtype(kind)
+        offset += -offset % kind.itemsize
+        layout[name] = (offset, kind, items)
+        offset += kind.itemsize * items
+    return layout, offset
+
+
+def _string_table(values) -> Tuple[np.ndarray, bytes]:
+    """``values`` as an offsets + UTF-8 bytes table."""
+    encoded = [value.encode("utf-8", "surrogatepass") for value in values]
+    offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
+    np.cumsum([len(data) for data in encoded], out=offsets[1:])
+    if offsets[-1] > np.iinfo(np.uint32).max:
+        raise StoreError("a shard's strings exceed 4 GiB; lower shard_size")
+    return offsets, b"".join(encoded)
+
+
+def _dictionary(values) -> Tuple[np.ndarray, List[str]]:
+    """Codes into the distinct ``values``, numbered in first-seen order."""
+    index: Dict[str, int] = {}
+    codes = [index.setdefault(value, len(index)) for value in values]
+    return np.array(codes, dtype=np.int64), list(index)
+
+
+def _encode_shard(dtype: np.dtype, vectors, counts, sizes, names,
+                  binary_names, arches, image_ids) -> List:
+    """One shard file's contents, as the buffers to write in order."""
+    n, dim = vectors.shape
+    coded = [_dictionary(c) for c in (arches, binary_names, image_ids)]
+    widths = [
+        next(w for w in sorted(_CODE_ITEMS) if len(distinct) <= 1 << 8 * w)
+        for _codes, distinct in coded
+    ]
+    tables = [_string_table(names)] + [
+        _string_table(distinct) for _codes, distinct in coded
+    ]
+    columns = {"vectors": vectors, "callee_counts": counts,
+               "ast_sizes": sizes}
+    for col, (codes, _distinct) in zip(_CODED, coded):
+        columns[f"{col}.codes"] = codes
+    for table, (offsets, data) in zip(_TABLES, tables):
+        columns[f"{table}.offsets"] = offsets
+        columns[f"{table}.bytes"] = np.frombuffer(data, dtype=np.uint8)
+    dict_sizes = [len(distinct) for _codes, distinct in coded]
+    lengths = [len(data) for _offsets, data in tables]
+    layout, _end = _layout(n, dim, dtype, widths, dict_sizes, lengths)
+    parts = [_HEADER.pack(_MAGIC, n, dim, dtype.itemsize, *widths,
+                          *dict_sizes, *lengths)]
+    offset = _HEADER.size
+    for name, (start, kind, items) in layout.items():
+        if start > offset:
+            parts.append(bytes(start - offset))
+        parts.append(np.ascontiguousarray(columns[name], dtype=kind).data)
+        offset = start + kind.itemsize * items
+    return parts
+
+
+class _ShardColumns:
+    """The columns of one shard, read in place from its bytes.
+
+    ``raw`` is a memory map of the shard file (for an in-memory store,
+    the bytes :func:`_encode_shard` produced) and ``header`` its first
+    bytes, read without touching the map: a shard that is flushed but
+    never queried costs no resident page.  The vector block and the
+    count column are zero-copy views, and :meth:`fields` unpacks just
+    its own row's fields and strings, straight from the buffer; a
+    dictionary entry is decoded once, the first time a row reads it.
+    """
+
+    def __init__(self, header: bytes, raw: np.ndarray, name: str,
+                 n_rows: int, dim: int, dtype: np.dtype):
+        fields = (
+            _HEADER.unpack(header) if len(header) == _HEADER.size
+            else (None,) * 14
+        )
+        widths, sizes, lengths = fields[4:7], fields[7:10], fields[10:]
+        if fields[:4] != (_MAGIC, n_rows, dim, dtype.itemsize) or not (
+            set(widths) <= set(_CODE_ITEMS)
+        ):
+            raise StoreError(
+                f"shard {name} is not a format-{FORMAT_VERSION} shard of "
+                f"{n_rows} {dtype.name} rows of dim {dim}"
+            )
+        layout, end = _layout(n_rows, dim, dtype, widths, sizes, lengths)
+        if raw.size != end:
+            raise StoreError(
+                f"shard {name} holds {raw.size} bytes, its header says {end}"
+            )
+
+        def view(section: str) -> np.ndarray:
+            start, kind, items = layout[section]
+            return raw[start:start + kind.itemsize * items].view(kind)
+
+        self.vectors = view("vectors").reshape(n_rows, dim)
+        self.callee_counts = view("callee_counts")
+        # one row's fields come out by struct, not ndarray indexing:
+        # per-hit cost is a few unpacks, not a few memmap slices
+        self._raw = memoryview(raw)
+        self._ints = (
+            (layout["callee_counts"][0], _INT32_ITEM),
+            (layout["ast_sizes"][0], _INT32_ITEM),
+            *((layout[f"{col}.codes"][0], _CODE_ITEMS[w])
+              for col, w in zip(_CODED, widths)),
+        )
+        self._tables = tuple(
+            (layout[f"{table}.offsets"][0], layout[f"{table}.bytes"][0])
+            for table in _TABLES
+        )
+        #: the dictionary entries rows have asked for, by coded column
+        self._decoded: Tuple[Dict[int, str], ...] = tuple(
+            {} for _col in _CODED
+        )
+
+    def _string(self, table: int, index: int) -> str:
+        offsets, data = self._tables[table]
+        lo, hi = _OFFSET_PAIR.unpack_from(self._raw, offsets + 4 * index)
+        return str(self._raw[data + lo:data + hi], "utf-8", "surrogatepass")
+
+    def _entry(self, table: int, code: int) -> str:
+        """Dictionary entry ``code`` of a coded column, decoded once."""
+        decoded = self._decoded[table - _ARCH]
+        value = decoded.get(code)
+        if value is None:
+            value = decoded[code] = self._string(table, code)
+        return value
+
+    def fields(self, local: int) -> tuple:
+        """Row ``local``'s fields in :class:`StoredFunction` order (after
+        ``row``): name, binary name, arch, callee count, AST size, image."""
+        raw = self._raw
+        count, size, arch, binary, image = [
+            item.unpack_from(raw, start + item.size * local)[0]
+            for start, item in self._ints
+        ]
+        return (
+            self._string(_NAMES, local), self._entry(_BINARY, binary),
+            self._entry(_ARCH, arch), count, size, self._entry(_IMAGE, image),
+        )
 
 
 @dataclass
 class _ShardInfo:
     name: str
     n_rows: int
-    #: ``{filename: sha256 hexdigest}`` for the shard's files (``None``
-    #: only in memory; a durable shard without one fails verification).
-    sha256: Optional[Dict[str, str]] = None
+    #: sha256 hexdigest of the shard file (``None`` only in memory; a
+    #: durable shard without one fails verification).
+    sha256: Optional[str] = None
 
 
 @dataclass
@@ -336,7 +528,11 @@ class EmbeddingStore:
         #: open or a previous one -- the list persists in the manifest).
         self.quarantined: List[str] = list(quarantined or [])
         self._shards: List[_ShardInfo] = list(shards or [])
-        self._meta_cache: Dict[int, _ShardMeta] = {}
+        #: Shards the on-disk manifest lists; a flush whose manifest write
+        #: failed leaves this behind ``len(self._shards)`` until a retry.
+        self._committed = len(self._shards)
+        #: Opened shards (views over their bytes), by index.
+        self._meta_cache: Dict[int, _ShardColumns] = {}
         self._pending: List[_PendingRow] = []
         self._offsets: List[int] = []
         # in-memory stores have no disk shards to rebuild a view from, so
@@ -411,10 +607,9 @@ class EmbeddingStore:
             raise StoreError(
                 f"store at {root} has format_version {version!r}"
                 f"{'' if 'dtype' in manifest else ' and no dtype'}; this "
-                f"build reads only format_version {FORMAT_VERSION} (a "
-                f"format-1 store must be rebuilt with `repro-cli index "
-                f"build`, or opened once with a pre-PR-16 checkout to "
-                f"migrate it in place)"
+                f"build reads only format_version {FORMAT_VERSION}: "
+                f"rebuild it with `repro-cli index build` (a synthetic "
+                f"corpus with `repro-cli corpus synth`)"
             )
         shards = [
             _ShardInfo(
@@ -465,17 +660,15 @@ class EmbeddingStore:
         first_bad: Optional[int] = None
         reason = ""
         for i, info in enumerate(self._shards):
-            for path in self._shard_paths(info):
-                if not path.exists():
-                    first_bad, reason = i, f"missing file {path.name}"
-                    break
-                # no recorded digest equals none: unverifiable is corrupt
-                if file_sha256(path) != (info.sha256 or {}).get(path.name):
-                    first_bad, reason = (
-                        i, f"checksum missing or mismatched in {path.name}"
-                    )
-                    break
-            if first_bad is not None:
+            path = self._shard_path(info)
+            if not path.exists():
+                first_bad, reason = i, f"missing file {path.name}"
+                break
+            # no recorded digest equals none: unverifiable is corrupt
+            if file_sha256(path) != info.sha256:
+                first_bad, reason = (
+                    i, f"checksum missing or mismatched in {path.name}"
+                )
                 break
         if first_bad is None:
             return
@@ -491,14 +684,14 @@ class EmbeddingStore:
         quarantine = self.root / QUARANTINE_DIR
         for info in dropped:
             self.quarantined.append(info.name)
-            for path in self._shard_paths(info):
-                if not path.exists():
-                    continue
-                try:
-                    quarantine.mkdir(parents=True, exist_ok=True)
-                    path.replace(quarantine / path.name)
-                except OSError:  # unwritable dir: serving still degrades
-                    pass
+            path = self._shard_path(info)
+            if not path.exists():
+                continue
+            try:
+                quarantine.mkdir(parents=True, exist_ok=True)
+                path.replace(quarantine / path.name)
+            except OSError:  # unwritable dir: serving still degrades
+                pass
         if self.ann and int(self.ann.get("n_rows", 0)) > self.n_flushed:
             self.ann = {}  # the state covers rows that no longer exist
         _LOG.warning(
@@ -523,6 +716,12 @@ class EmbeddingStore:
                 f"vector shape {vector.shape} does not match store dim "
                 f"({self.dim},)"
             )
+        for label, value in (
+            ("callee_count", encoding.callee_count),
+            ("ast_size", encoding.ast_size),
+        ):
+            if not _INT32.min <= value <= _INT32.max:
+                raise StoreError(f"{label} {value} does not fit int32")
         self._pending.append(_PendingRow(encoding=encoding, image_id=image_id))
         return len(self) - 1
 
@@ -583,19 +782,10 @@ class EmbeddingStore:
                 f"store dim {self.dim}"
             )
         n = vectors.shape[0]
-        counts = np.asarray(callee_counts, dtype=np.int64)
-        sizes = (
-            np.zeros(n, dtype=np.int64) if ast_sizes is None
-            else np.asarray(ast_sizes, dtype=np.int64)
+        counts = _int32_column("callee_counts", callee_counts, n)
+        sizes = _int32_column(
+            "ast_sizes", np.zeros(n) if ast_sizes is None else ast_sizes, n
         )
-        for label, column in (
-            ("callee_counts", counts), ("ast_sizes", sizes),
-        ):
-            if column.shape != (n,):
-                raise StoreError(
-                    f"{label} shape {column.shape} does not match "
-                    f"{n} rows"
-                )
         base_row = len(self)
         if names is None:
             names = [
@@ -614,30 +804,34 @@ class EmbeddingStore:
         n = len(names)
         for start in range(0, n, self.shard_size):
             stop = min(n, start + self.shard_size)
-            block = np.ascontiguousarray(
-                vectors[start:stop], dtype=self.dtype
-            )
-            shard_meta = _ShardMeta(
-                callee_counts=counts[start:stop],
-                ast_sizes=sizes[start:stop],
-                names=list(names[start:stop]),
-                binary_names=list(binary_names[start:stop]),
-                arches=list(arches[start:stop]),
-                image_ids=list(image_ids[start:stop]),
+            parts = _encode_shard(
+                self.dtype,
+                np.ascontiguousarray(vectors[start:stop], dtype=self.dtype),
+                counts[start:stop], sizes[start:stop], names[start:stop],
+                binary_names[start:stop], arches[start:stop],
+                image_ids[start:stop],
             )
             index = len(self._shards)
             info = _ShardInfo(name=f"shard-{index:05d}", n_rows=stop - start)
-            if self.root is not None:
-                self._write_shard(info, block, shard_meta)
-                # hand the view the on-disk map, not the heap copy
-                block = np.load(
-                    self.root / f"{info.name}.npy", mmap_mode="r"
+            if self.root is None:
+                raw = np.frombuffer(b"".join(parts), dtype=np.uint8)
+            else:
+                # crash window: the shard's bytes durable, unpublished,
+                # and the manifest still describes the previous generation
+                path = self._shard_path(info)
+                info.sha256 = atomic_write(
+                    path, lambda handle: handle.writelines(parts),
+                    failpoint="store.flush.pre_rename",
                 )
+                raw = np.memmap(path, dtype=np.uint8, mode="r")
+            shard = _ShardColumns(
+                parts[0], raw, info.name, info.n_rows, self.dim, self.dtype
+            )
             self._shards.append(info)
-            self._meta_cache[index] = shard_meta
-            self._append_to_views(block, shard_meta.callee_counts)
+            self._meta_cache[index] = shard
+            self._append_to_views(shard.vectors, shard.callee_counts)
             self._offsets.append(self._offsets[-1] + info.n_rows)
-        if n and self.root is not None:
+        if self.root is not None and self._committed != len(self._shards):
             # crash window: new shards fully visible on disk but the
             # manifest (rewritten atomically below) still lists only
             # the previous generation -- reopen serves that prefix
@@ -653,35 +847,8 @@ class EmbeddingStore:
         self._count_blocks.append(counts)
         self._stacked_counts = None  # re-concat lazily from blocks
 
-    def _shard_paths(self, info: _ShardInfo) -> List[Path]:
-        """Every file that must be intact for this shard to be served."""
-        return [
-            self.root / f"{info.name}.npy",
-            self.root / f"{info.name}.meta.npz",
-        ]
-
-    def _write_shard(
-        self, info: _ShardInfo, vectors: np.ndarray, meta: _ShardMeta
-    ) -> None:
-        columns = {
-            "callee_counts": meta.callee_counts,
-            "ast_sizes": meta.ast_sizes,
-        }
-        strings = {
-            "names": meta.names,
-            "binary_names": meta.binary_names,
-            "arches": meta.arches,
-            "image_ids": meta.image_ids,
-        }
-        vec_path, meta_path = self._shard_paths(info)
-        meta_digest = save_state(meta_path, columns, meta=strings)
-        # crash window: all shard bytes durable, vector file unpublished
-        # and the manifest still describes the previous generation
-        vec_digest = atomic_write(
-            vec_path, lambda handle: np.save(handle, vectors),
-            failpoint="store.flush.pre_rename",
-        )
-        info.sha256 = {vec_path.name: vec_digest, meta_path.name: meta_digest}
+    def _shard_path(self, info: _ShardInfo) -> Path:
+        return self.root / f"{info.name}.shard"
 
     def _write_manifest(self) -> None:
         manifest = {
@@ -689,7 +856,7 @@ class EmbeddingStore:
             "dim": self.dim,
             "dtype": self.dtype.name,
             "shard_size": self.shard_size,
-            "n_rows": len(self),
+            "n_rows": self.n_flushed,
             "shards": [
                 dict(name=info.name, n_rows=info.n_rows, sha256=info.sha256)
                 for info in self._shards
@@ -708,6 +875,7 @@ class EmbeddingStore:
             json.dumps(manifest, separators=(",", ":"), sort_keys=True),
             failpoint="store.manifest.pre_rename",
         )
+        self._committed = len(self._shards)
 
     # -- persisted ANN state ----------------------------------------------
 
@@ -783,40 +951,22 @@ class EmbeddingStore:
         for info in self._shards:
             self._offsets.append(self._offsets[-1] + info.n_rows)
 
-    def _shard_vectors(self, index: int) -> np.ndarray:
-        """The vector block of one shard, as a memory map."""
-        info = self._shards[index]
-        if self.root is None:
-            raise StoreError(f"shard {index} missing from in-memory store")
-        vectors = np.load(self.root / f"{info.name}.npy", mmap_mode="r")
-        if vectors.shape != (info.n_rows, self.dim):
-            raise StoreError(
-                f"shard {info.name} has vector shape {vectors.shape}, "
-                f"manifest says ({info.n_rows}, {self.dim})"
+    def _shard(self, index: int) -> _ShardColumns:
+        """One shard's columns, memory-mapped on first use."""
+        shard = self._meta_cache.get(index)
+        if shard is None:
+            if self.root is None:
+                raise StoreError(
+                    f"shard {index} missing from in-memory store"
+                )
+            info = self._shards[index]
+            path = self._shard_path(info)
+            with open(path, "rb") as handle:
+                header = handle.read(_HEADER.size)
+            shard = self._meta_cache[index] = _ShardColumns(
+                header, np.memmap(path, dtype=np.uint8, mode="r"),
+                info.name, info.n_rows, self.dim, self.dtype,
             )
-        return vectors
-
-    def _load_meta(self, index: int) -> _ShardMeta:
-        if index in self._meta_cache:
-            return self._meta_cache[index]
-        if self.root is None:
-            raise StoreError(f"shard {index} missing from in-memory store")
-        info = self._shards[index]
-        state, meta = load_state(self.root / f"{info.name}.meta.npz")
-        shard = _ShardMeta(
-            callee_counts=state["callee_counts"],
-            ast_sizes=state["ast_sizes"],
-            names=list(meta["names"]),
-            binary_names=list(meta["binary_names"]),
-            arches=list(meta["arches"]),
-            image_ids=list(meta["image_ids"]),
-        )
-        if len(shard) != info.n_rows:
-            raise StoreError(
-                f"shard {info.name} has {len(shard)} metadata rows, "
-                f"manifest says {info.n_rows}"
-            )
-        self._meta_cache[index] = shard
         return shard
 
     def _locate(self, row: int) -> tuple:
@@ -827,33 +977,17 @@ class EmbeddingStore:
         shard_index = bisect_right(self._offsets, row) - 1
         return shard_index, row - self._offsets[shard_index]
 
+    def _fields_at(self, row: int) -> tuple:
+        shard_index, local = self._locate(row)
+        return self._shard(shard_index).fields(local)
+
     def metadata_at(self, row: int) -> StoredFunction:
         """Metadata for one flushed row."""
-        shard_index, local = self._locate(row)
-        shard = self._load_meta(shard_index)
-        return StoredFunction(
-            row=row,
-            name=shard.names[local],
-            binary_name=shard.binary_names[local],
-            arch=shard.arches[local],
-            callee_count=int(shard.callee_counts[local]),
-            ast_size=int(shard.ast_sizes[local]),
-            image_id=shard.image_ids[local],
-        )
+        return StoredFunction(row, *self._fields_at(row))
 
     def hit(self, row: int, score: float) -> SearchHit:
         """``row``, scored ``score`` by a query, as a search result."""
-        meta = self.metadata_at(row)
-        return SearchHit(
-            row=row,
-            score=score,
-            name=meta.name,
-            binary_name=meta.binary_name,
-            arch=meta.arch,
-            callee_count=meta.callee_count,
-            ast_size=meta.ast_size,
-            image_id=meta.image_id,
-        )
+        return SearchHit(row, score, *self._fields_at(row))
 
     def vectors(self) -> ShardedMatrix:
         """All flushed vectors as one zero-copy ``(n, dim)`` view.
@@ -866,26 +1000,26 @@ class EmbeddingStore:
         if self._vectors is None:
             view = ShardedMatrix(self.dim, self.dtype)
             for i in range(len(self._shards)):
-                view.append_block(self._shard_vectors(i))
+                view.append_block(self._shard(i).vectors)
             self._vectors = view
         return self._vectors
 
     def callee_counts(self) -> np.ndarray:
-        """All flushed callee counts as one length-``n`` int array.
+        """All flushed callee counts as one length-``n`` int64 array.
 
-        Stacked lazily from per-shard blocks; a flush appends the new
-        blocks instead of reloading every shard.
+        Stacked lazily from the shards' memory-mapped int32 count
+        columns, the only section of a shard this reads; a flush appends
+        the new blocks instead of reopening every shard.
         """
         if len(self._count_blocks) != len(self._shards):
-            # cold open: pull counts from the (lazily loaded) shard meta
             self._count_blocks = [
-                self._load_meta(i).callee_counts
+                self._shard(i).callee_counts
                 for i in range(len(self._shards))
             ]
             self._stacked_counts = None
         if self._stacked_counts is None:
             self._stacked_counts = (
-                np.concatenate(self._count_blocks)
+                np.concatenate(self._count_blocks, dtype=np.int64)
                 if self._count_blocks
                 else np.zeros(0, dtype=np.int64)
             )

@@ -27,7 +27,7 @@ import repro.faults as faults
 
 __all__ = ["atomic_write", "atomic_write_text", "file_sha256", "fsync_dir"]
 
-_CHUNK = 1 << 20
+_CHUNK = 1 << 18
 
 
 def fsync_dir(path) -> None:
@@ -81,12 +81,20 @@ def atomic_write_text(path, text: str,
 
 
 def file_sha256(path) -> str:
-    """Streaming sha256 of one file (the manifest checksum format)."""
+    """Streaming sha256 of one file (the manifest checksum format).
+
+    Reads into one reused buffer, no larger than the file, so verifying
+    a store on open allocates at most ``_CHUNK`` bytes however many
+    shards it hashes, and hashing a small file touches no more memory
+    than it holds.
+    """
     hasher = hashlib.sha256()
-    with open(path, "rb") as handle:
+    with open(path, "rb", buffering=0) as handle:
+        file_size = os.fstat(handle.fileno()).st_size
+        view = memoryview(bytearray(max(1, min(_CHUNK, file_size))))
         while True:
-            chunk = handle.read(_CHUNK)
-            if not chunk:
+            read = handle.readinto(view)
+            if not read:
                 break
-            hasher.update(chunk)
+            hasher.update(view[:read])
     return hasher.hexdigest()

@@ -411,7 +411,7 @@ class TestWriteBudget:
         result = engine.ingest(IngestRequest(binaries=[binary]))
         monkeypatch.undo()
         assert result.n_functions > 0
-        assert len(calls) == 12
+        assert len(calls) == 10
         objects = sorted(
             path.name for path in (tmp_path / "cache" / OBJECTS_DIR).iterdir()
         )

@@ -184,16 +184,13 @@ class TestTornShardRecovery:
         self._fill(root)
         manifest = json.loads((root / MANIFEST_NAME).read_text())
         for entry in manifest["shards"]:
-            assert set(entry["sha256"]) == {
-                f"{entry['name']}.npy", f"{entry['name']}.meta.npz",
-            }
-            for digest in entry["sha256"].values():
-                assert len(digest) == 64
+            assert (root / f"{entry['name']}.shard").exists()
+            assert len(entry["sha256"]) == 64
 
     def test_truncated_tail_shard_is_quarantined(self, tmp_path):
         root = tmp_path / "idx"
         baseline = np.asarray(self._fill(root).vectors(), dtype=np.float64)
-        shard = root / "shard-00002.npy"
+        shard = root / "shard-00002.shard"
         shard.write_bytes(shard.read_bytes()[:-16])  # torn write
         store = EmbeddingStore.open(root)
         assert store.degraded
@@ -204,7 +201,7 @@ class TestTornShardRecovery:
             atol=1e-6,
         )
         # the damaged files moved aside for post-mortem, not deleted
-        assert (root / QUARANTINE_DIR / "shard-00002.npy").exists()
+        assert (root / QUARANTINE_DIR / "shard-00002.shard").exists()
         # recovery persisted: a second open is already clean but still
         # reports the degradation
         reopened = EmbeddingStore.open(root)
@@ -214,7 +211,7 @@ class TestTornShardRecovery:
     def test_bitflip_is_caught_by_checksum(self, tmp_path):
         root = tmp_path / "idx"
         self._fill(root)
-        shard = root / "shard-00001.npy"
+        shard = root / "shard-00001.shard"
         data = bytearray(shard.read_bytes())
         data[-1] ^= 0xFF  # same size, different bytes
         shard.write_bytes(bytes(data))
@@ -227,7 +224,7 @@ class TestTornShardRecovery:
     def test_missing_file_truncates_to_prefix(self, tmp_path):
         root = tmp_path / "idx"
         self._fill(root)
-        (root / "shard-00000.meta.npz").unlink()
+        (root / "shard-00000.shard").unlink()
         store = EmbeddingStore.open(root)
         assert store.degraded
         assert len(store) == 0  # first shard bad: nothing survives
@@ -259,7 +256,7 @@ class TestTornShardRecovery:
             {"kind": "ivf-pq", "n_rows": 10},
             {"centroids": np.zeros((4, DIM))},
         )
-        shard = root / "shard-00002.npy"
+        shard = root / "shard-00002.shard"
         shard.write_bytes(shard.read_bytes()[:-8])
         recovered = EmbeddingStore.open(root)
         assert len(recovered) == 8
@@ -364,7 +361,7 @@ class TestDegradedSurfacing:
         for i in range(10):
             store.add(_encoding(i, dim=dim))
         store.flush()
-        shard = root / "shard-00002.npy"
+        shard = root / "shard-00002.shard"
         shard.write_bytes(shard.read_bytes()[:-8])
         return root
 

@@ -106,15 +106,21 @@ class TestEmbeddingStore:
         with pytest.raises(StoreError, match="format_version"):
             EmbeddingStore.open(root)
 
-    @pytest.mark.parametrize("drop_dtype", [False, True])
-    def test_format_1_manifest_is_a_typed_error(self, tmp_path, drop_dtype):
-        # what a pre-format-2 writer left behind: version 1, no dtype,
-        # all-in-one shard-NNNNN.npz files this build cannot read
+    @pytest.mark.parametrize(
+        "version, drop_dtype", [(1, False), (1, True), (2, False)],
+        ids=["False", "True", "format-2"],
+    )
+    def test_format_1_manifest_is_a_typed_error(
+        self, tmp_path, version, drop_dtype
+    ):
+        # what an older writer left behind: version 1 (no dtype, all-in-
+        # one shard-NNNNN.npz files) or version 2 (a .npy vector file and
+        # a .meta.npz per shard), neither of which this build can read
         root = tmp_path / "idx"
         EmbeddingStore.create(root, dim=4)
         manifest_path = root / MANIFEST_NAME
         manifest = json.loads(manifest_path.read_text())
-        manifest["format_version"] = 1
+        manifest["format_version"] = version
         manifest["shards"] = [{"name": "shard-00000.npz", "n_rows": 3}]
         if drop_dtype:
             del manifest["dtype"]
@@ -122,10 +128,10 @@ class TestEmbeddingStore:
         with pytest.raises(StoreError) as excinfo:
             EmbeddingStore.open(root)
         message = str(excinfo.value)
-        assert "format_version 1" in message  # found
+        assert f"format_version {version}" in message  # found
         assert f"only format_version {FORMAT_VERSION}" in message  # supported
         assert "repro-cli index build" in message  # remedy
-        assert "pre-PR-16 checkout" in message
+        assert "repro-cli corpus synth" in message
 
     def test_stale_lsh_ann_entry_is_harmless(self, tmp_path):
         """A manifest still naming the removed lsh backend's state needs

@@ -1,7 +1,7 @@
 """Corpus-scale read path: mmap float32 shards, batched top-k.
 
-Covers the store (configurable dtype, memory-mapped ``.npy`` vector
-shards, zero-copy :class:`ShardedMatrix` view), argpartition top-k
+Covers the store (configurable dtype, memory-mapped vector blocks of
+the shard files, zero-copy :class:`ShardedMatrix` view), argpartition top-k
 selection (tie-for-tie identical to the lexsort reference) and batched
 multi-query scoring.  The persisted/incremental ANN state life cycle is
 covered in ``test_index_quant.py``.
@@ -426,7 +426,7 @@ class TestChecksumIsRequired:
         _fill(EmbeddingStore.create(root, dim=8, shard_size=4), 10)
         baseline = np.asarray(EmbeddingStore.open(root).vectors())
         _edit_manifest(root, lambda m: m["shards"][1].pop("sha256"))
-        shard = root / "shard-00001.npy"
+        shard = root / "shard-00001.shard"
         shard.write_bytes(shard.read_bytes()[:-16])  # torn write
         store = EmbeddingStore.open(root)
         assert store.degraded

@@ -176,7 +176,7 @@ class TestAtomicWrite:
         assert _kinds(syscalls).count("fsync-data") == 2
         assert _kinds(syscalls).count("fsync-dir") == 2
 
-    def test_single_shard_flush_is_two_commits_plus_manifest(
+    def test_single_shard_flush_is_one_commit_plus_manifest(
         self, tmp_path, syscalls
     ):
         store = EmbeddingStore.create(tmp_path / "idx", dim=4)
@@ -187,13 +187,12 @@ class TestAtomicWrite:
         del syscalls[:]
         assert store.flush() == 1
         assert [e for e in syscalls if e[0] in ("failpoint", "replace")] == [
-            ("replace", "shard-00000.meta.npz"),
             ("failpoint", "store.flush.pre_rename"),
-            ("replace", "shard-00000.npy"),
+            ("replace", "shard-00000.shard"),
             ("failpoint", "store.flush.pre_manifest"),
             ("failpoint", "store.manifest.pre_rename"),
             ("replace", "manifest.json"),
         ]
         # every rename sits between its own data fsync and dir fsync
         commits = [k for k in _kinds(syscalls) if k != "failpoint"]
-        assert commits == ONE_COMMIT * 3
+        assert commits == ONE_COMMIT * 2
