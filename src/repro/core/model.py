@@ -143,7 +143,6 @@ class Asteria:
         columns: TreeColumns,
         batch_size: int = DEFAULT_ENCODE_BATCH_SIZE,
         node_budget: int = 0,
-        bucketed: bool = True,
         registry: Optional[MetricsRegistry] = None,
     ) -> CompiledPlan:
         """Bucket + compile columnar trees into a model-independent plan.
@@ -156,7 +155,7 @@ class Asteria:
         """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        plan = _compile_column_plan(columns, batch_size, node_budget, bucketed)
+        plan = _compile_column_plan(columns, batch_size, node_budget)
         if registry is not None and plan.chunks:
             fill = registry.histogram("repro_encode_batch_fill")
             for chunk in plan.chunks:

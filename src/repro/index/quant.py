@@ -540,7 +540,6 @@ class IvfPqIndex(AnnIndex):
                 or int(params.get("n_lists", -1)) == self.n_lists
             )
             and int(params.get("n_lists", -1)) >= 1
-            and int(params.get("pq_m", 0)) == 0  # no codebook states
             and int(params.get("seed", -1)) == self.seed
             and int(params.get("n_rows", -1)) <= len(self)
         )

@@ -15,7 +15,7 @@ Three pieces:
 * :func:`compile_columns` / :func:`compile_batch` -- schedule trees given
   as preorder columns (:class:`TreeColumns`) into level-indexed numpy
   arrays (per level: label ids, child state rows with a leaf sentinel row,
-  contiguous output rows), as size-bucketed chunks or as one chunk in
+  contiguous output rows), as size-sorted chunks or as one chunk in
   input order;
 * :func:`encode_batch` -- the inference fast path: a per-call label
   projection table, then pure-numpy level loops over preallocated
@@ -497,7 +497,7 @@ def encode_batch(
     return H[compiled.root_global]
 
 
-# -- bucketed batch scheduling ------------------------------------------------
+# -- size-sorted batch scheduling --------------------------------------------
 
 
 @dataclass
@@ -510,7 +510,7 @@ class CompiledChunk:
 
 @dataclass
 class CompiledPlan:
-    """A full input's encode schedule: size-bucketed compiled chunks.
+    """A full input's encode schedule: size-sorted compiled chunks.
 
     Model-independent: it holds tree structure only, no weights.
     """
@@ -523,27 +523,23 @@ def plan_chunks(
     sizes: Sequence[int],
     batch_size: int,
     node_budget: int = 0,
-    bucketed: bool = True,
 ) -> List[np.ndarray]:
     """Partition tree indices into encode chunks.
 
-    With ``bucketed`` set, trees are stably sorted by node count first, so
-    each chunk holds similarly-sized trees (less per-level padding waste,
-    and deep outliers stop serializing whole batches).  Chunks are cut at
-    ``batch_size`` trees or ``node_budget`` total nodes, whichever comes
-    first, which keeps the flattened state buffers cache-resident no
-    matter how wide the caller's batch is.  Per-tree results do not depend
-    on the partition (fixed GEMM row blocks), so any chunking -- bucketed
-    or not -- produces bit-for-bit identical vectors.
+    Trees are stably sorted by node count first, so each chunk holds
+    similarly-sized trees (less per-level padding waste, and deep outliers
+    stop serializing whole batches).  Chunks are cut at ``batch_size``
+    trees or ``node_budget`` total nodes, whichever comes first, which
+    keeps the flattened state buffers cache-resident no matter how wide
+    the caller's batch is.  Per-tree results do not depend on the
+    partition (fixed GEMM row blocks), so any chunking produces
+    bit-for-bit identical vectors to :func:`compile_batch`'s one chunk.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     sizes = np.asarray(sizes, dtype=np.int64)
     budget = resolve_node_budget(node_budget)
-    order = (
-        np.argsort(sizes, kind="stable") if bucketed
-        else np.arange(len(sizes), dtype=np.int64)
-    )
+    order = np.argsort(sizes, kind="stable")
     chunks: List[np.ndarray] = []
     current: List[int] = []
     current_nodes = 0
@@ -565,7 +561,6 @@ def compile_columns(
     columns: TreeColumns,
     batch_size: int,
     node_budget: int = 0,
-    bucketed: bool = True,
 ) -> CompiledPlan:
     """Bucket + compile columnar trees into a reusable :class:`CompiledPlan`.
 
@@ -580,9 +575,7 @@ def compile_columns(
                 indices=indices,
                 batch=_compile_chunk(columns, levels, indices),
             )
-            for indices in plan_chunks(
-                sizes, batch_size, node_budget, bucketed
-            )
+            for indices in plan_chunks(sizes, batch_size, node_budget)
         ],
         n_trees=len(sizes),
     )

@@ -17,21 +17,22 @@ invalidates exactly the work it dirties:
 
 Layout of a cache directory::
 
-    <root>/manifest.json          versioned manifest (key -> object file
-                                  + its sha256)
     <root>/objects/<key>.npz      one artifact, named by its key
     <root>/objects/<key>.npz.tmp  a put in flight (or one a crash cut
                                   short); never read, overwritten by the
                                   next put of that key
 
-Object files are content-addressed (the file name *is* the key), so a
-corrupt or missing manifest is recovered by rescanning ``objects/``; a
-corrupt object file is dropped and treated as a miss.  Every write is one
-:func:`repro.utils.fsio.atomic_write` and each manifest entry records the
-object's sha256, so bitrot or out-of-band truncation is detected on read
-and degrades to a miss instead of corrupting downstream artifacts; an
-entry that records no checksum cannot be verified and is a miss too.
-``root=None`` gives an ephemeral in-memory cache with the same API.
+The directory is its own index: an object's file name *is* its key, so a
+lookup opens ``objects/<key>.npz`` and there is no manifest to keep in
+step.  Every put is one :func:`repro.utils.fsio.atomic_write`, so an
+object is visible whole or not at all, and a put survives a crash the
+moment it returns.  Each archive member carries its zip CRC-32, and a
+lookup reads every member whole against it before parsing: a torn,
+truncated or bit-flipped object fails to load, is unlinked and is a
+miss, so corruption costs a recompute, never a wrong artifact.  A
+``manifest.json`` an older build left beside ``objects/`` is neither
+read nor written.  ``root=None`` gives an ephemeral in-memory cache with
+the same API.
 
 The cache counts nothing: the pipeline counts each lookup where it makes
 it (``repro_pipeline_cache_{hits,misses}_total{kind}``).
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zipfile
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -51,13 +53,10 @@ from repro.core.model import FunctionEncoding
 from repro.nn.serialize import load_state, save_state
 from repro.nn.treebatch import CompiledPlan, plan_to_state
 from repro.pipeline.stages import ExtractedBinary
-from repro.utils.fsio import atomic_write_text, file_sha256
 from repro.utils.logging import get_logger
 
 _LOG = get_logger("pipeline.cache")
 
-MANIFEST_NAME = "manifest.json"
-FORMAT_VERSION = 1
 OBJECTS_DIR = "objects"
 
 
@@ -82,13 +81,9 @@ class ArtifactCache:
 
     def __init__(self, root=None):
         self.root = Path(root) if root is not None else None
-        # key -> {"file": name under objects/, "sha256": hexdigest}
-        self._entries: Dict[str, Dict[str, str]] = {}
         self._mem: Dict[str, Tuple[Dict, Dict]] = {}
-        self._dirty = False
         if self.root is not None:
             (self.root / OBJECTS_DIR).mkdir(parents=True, exist_ok=True)
-            self._load_manifest()
 
     @classmethod
     def in_memory(cls) -> "ArtifactCache":
@@ -96,120 +91,61 @@ class ArtifactCache:
         return cls(None)
 
     def __len__(self) -> int:
-        return len(self._mem) if self.root is None else len(self._entries)
-
-    # -- manifest ----------------------------------------------------------
-
-    def _load_manifest(self) -> None:
-        path = self.root / MANIFEST_NAME
-        if not path.exists():
-            if any((self.root / OBJECTS_DIR).glob("*.npz")):
-                self._recover("manifest missing")
-            else:
-                self._write_manifest()
-            return
-        try:
-            manifest = json.loads(path.read_text())
-            version = manifest.get("format_version")
-            if version != FORMAT_VERSION:
-                raise ValueError(f"unsupported format_version {version!r}")
-            entries = manifest["entries"]
-            if not isinstance(entries, dict):
-                raise ValueError("entries is not an object")
-            self._entries = {str(k): v for k, v in entries.items()}
-        except (ValueError, KeyError, TypeError) as exc:
-            self._recover(f"unreadable manifest: {exc}")
-
-    def _recover(self, reason: str) -> None:
-        """Rebuild the manifest by scanning ``objects/``.
-
-        Object files are named by their content-address key, so the scan
-        recovers every previously stored artifact (checksums are
-        recomputed from the surviving bytes).
-        """
-        _LOG.warning("recovering cache manifest at %s (%s)", self.root, reason)
-        self._entries = {
-            path.stem: {"file": path.name, "sha256": file_sha256(path)}
-            for path in sorted((self.root / OBJECTS_DIR).glob("*.npz"))
-        }
-        self._write_manifest()
-
-    def _write_manifest(self) -> None:
-        manifest = {
-            "format_version": FORMAT_VERSION,
-            "entries": self._entries,
-        }
-        # Rewritten whole on every flush, so compact: ``indent`` would
-        # also force json's pure-Python encoder.  Readers take either form.
-        atomic_write_text(
-            self.root / MANIFEST_NAME,
-            json.dumps(manifest, separators=(",", ":"), sort_keys=True),
-        )
-        self._dirty = False
+        if self.root is None:
+            return len(self._mem)
+        return sum(1 for _ in (self.root / OBJECTS_DIR).glob("*.npz"))
 
     def flush(self) -> None:
-        """Persist manifest entries accumulated by :meth:`put`.
+        """No-op: every :meth:`put` is durable when it returns.
 
-        Called by the pipeline once per run; an unflushed crash loses only
-        the manifest, which :meth:`_recover` rebuilds from ``objects/``.
+        Remains only because the benchmark's per-layer replay
+        (``benchmarks/e2e/layers.py``) still calls it; goes with ROADMAP
+        items 1 and 4(b), as :meth:`put_ctrees` does.
         """
-        if self.root is not None and self._dirty:
-            self._write_manifest()
 
     # -- raw get/put -------------------------------------------------------
 
     def get(self, key: str) -> Optional[Tuple[Dict, Dict]]:
         """Look up one artifact as ``(state, meta)``; None on miss.
 
-        An object whose bytes do not match a recorded checksum (or
-        whose entry records none) is treated exactly like an unreadable
-        one: dropped and reported as a miss, so corruption costs a
-        recompute, never a wrong artifact.
+        A missing object is a plain miss.  One that fails to load (bad
+        zip, CRC-32 mismatch, bad npy header, bad meta) is unlinked and
+        is a miss too, so the next put of its key rewrites it.
         """
         if self.root is None:
             return self._mem.get(key)
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        name = f"{key}.npz"
-        path = self.root / OBJECTS_DIR / name
+        path = self.root / OBJECTS_DIR / f"{key}.npz"
         try:
-            expected = entry.get("sha256") if isinstance(entry, dict) else None
-            if expected is None:
-                raise ValueError("manifest entry records no checksum")
-            if file_sha256(path) != expected:
-                raise ValueError("checksum mismatch")
+            # np.load checks a member's CRC-32 only if it reads the member
+            # to its end, which a damaged npy shape can stop it short of
+            with zipfile.ZipFile(path) as archive:
+                damaged = archive.testzip()
+            if damaged is not None:
+                raise ValueError(f"CRC-32 mismatch in {damaged}")
             return load_state(path)
+        except FileNotFoundError:
+            return None
         except Exception as exc:
-            _LOG.warning("dropping unreadable cache object %s: %s", name, exc)
-            self._entries.pop(key, None)
+            _LOG.warning("dropping unreadable cache object %s: %s",
+                         path.name, exc)
             try:
-                # delete the object too, or a manifest recovery would
-                # rescan it right back in
                 path.unlink()
             except OSError:
                 pass
-            self._write_manifest()
             return None
 
     def put(self, key: str, state: Dict[str, np.ndarray], meta: Dict) -> None:
-        """Store one artifact (one atomic write of ``objects/<key>.npz``).
-
-        The manifest entry is buffered until :meth:`flush` so bulk stores
-        do not rewrite the manifest once per artifact.
-        """
+        """Store one artifact (one atomic write of ``objects/<key>.npz``)."""
         if self.root is None:
             self._mem[key] = (dict(state), dict(meta))
             return
-        name = f"{key}.npz"
-        # crash window: object bytes durable but unpublished -- reopen
-        # sees a miss for this key and recomputes, never a torn object
-        digest = save_state(
-            self.root / OBJECTS_DIR / name, state, meta=meta,
+        # crash window: object bytes durable under the temp name -- a
+        # reopen sees a miss for this key and recomputes, never a torn
+        # object
+        save_state(
+            self.root / OBJECTS_DIR / f"{key}.npz", state, meta=meta,
             failpoint="cache.put.pre_rename",
         )
-        self._entries[key] = {"file": name, "sha256": digest}
-        self._dirty = True
 
     # -- typed artifacts ---------------------------------------------------
 

@@ -262,7 +262,6 @@ class CorpusPipeline:
                 # a re-check for a racing writer, not a lookup: uncounted
                 if self.cache.get_trees(digest, min_ast_size) is None:
                     self.cache.put_trees(digest, min_ast_size, extracted)
-                    self.cache.flush()
         return extracted
 
     def record_index(self, stats: PipelineStats, seconds: float,
@@ -374,7 +373,6 @@ class CorpusPipeline:
             if entry.encodings is None:
                 self._encode_entry(entry, digest, entry.extracted, stats)
         stats.times.encode_s = encode_s + (time.perf_counter() - started)
-        self.cache.flush()
 
         # Emit per occurrence, in corpus order.
         encodings: List[Tuple[str, FunctionEncoding]] = []

@@ -4,7 +4,7 @@ The engine never reaches this package: every query sweeps in process.
 The package stays only for the ``serving.pool_*`` layer of the e2e
 benchmark's traced pass, which times a batch through
 :class:`ServingCoordinator` against the in-process sweep, and it goes
-when that layer is retired (ROADMAP item 2(e)).
+when that layer is retired (ROADMAP items 1 and 4(b)).
 
 :mod:`repro.serving.pool` is the supervised multi-process sweep pool,
 :mod:`repro.serving.coordinator` the range planning and exact top-k

@@ -1,11 +1,10 @@
 """Crash-safe filesystem primitives: one atomic commit + checksums.
 
 Every durable artifact in the repo (store shards and manifests, ANN
-state, cache objects, checkpoints, the ``CURRENT`` pointer) reaches its
-final name through :func:`atomic_write`, exactly once: the bytes are
-written to the sibling ``<name>.tmp``, flushed and ``fsync``-ed, hashed,
-``os.replace``-d over the target, and the directory entry is fsynced
-too.  A crash at any instant leaves either the old file or the new one
+state, cache objects, checkpoints) reaches its final name through
+:func:`atomic_write`, exactly once: the bytes are written to the sibling
+``<name>.tmp``, flushed and ``fsync``-ed, hashed, ``os.replace``-d over
+the target, and the directory entry is fsynced too.  A crash at any instant leaves either the old file or the new one
 -- never a torn hybrid -- and at worst an orphaned ``<name>.tmp`` that
 the next writer overwrites (no reader globs ``*.tmp``).
 

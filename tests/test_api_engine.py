@@ -9,7 +9,6 @@ the query / one-request-batch differential.
 
 import itertools
 import json
-import re
 import sys
 import threading
 import time
@@ -40,7 +39,6 @@ from repro.cli import build_parser
 from repro.compiler.pipeline import compile_package
 from repro.core.model import FunctionEncoding
 from repro.index.ann import BruteForceIndex, make_index
-from repro.index.store import EmbeddingStore
 from repro.lang.generator import ProgramGenerator
 from repro.obs.metrics import METRICS
 from repro.pipeline.stages import extract_binary
@@ -710,45 +708,6 @@ class TestEngineLifecycle:
         config = EngineConfig(index_root=str(tmp_path / "nope"))
         with pytest.raises(IndexStoreError, match="no manifest"):
             AsteriaEngine(config, model=trained_model).open_index()
-
-    def test_generations_layout_is_refused_not_served_stale(
-        self, trained_model, tmp_path
-    ):
-        """A root whose ``CURRENT`` names a hot-swapped generation still
-        holds the pre-swap store at its top level; opening it is an
-        index error naming the directory to open instead."""
-        dim = trained_model.config.hidden_dim
-        vectors = np.random.default_rng(3).normal(size=(12, dim))
-
-        def fill(root, n):
-            store = EmbeddingStore.create(root, dim=dim)
-            for i in range(n):
-                store.add(FunctionEncoding(
-                    name=f"f{i}", arch="x86", binary_name="b",
-                    vector=vectors[i], callee_count=i % 3,
-                ))
-            store.flush()
-
-        root = tmp_path / "idx"
-        active = root / "generations" / "gen-00001"
-        fill(root, 8)  # the store from before the swap
-        fill(active, 12)
-        (root / "CURRENT").write_text("generations/gen-00001\n")
-        query = QueryRequest(encoding=FunctionEncoding(
-            name="q", arch="x86", binary_name="b", vector=vectors[0],
-            callee_count=0,
-        ), top_k=3, threshold=None)
-        stale = AsteriaEngine(EngineConfig(index_root=str(root)),
-                              model=trained_model)
-        with pytest.raises(IndexStoreError, match=re.escape(str(active))):
-            stale.open_index()
-        with pytest.raises(IndexStoreError, match=re.escape(str(active))):
-            stale.query(query)
-        # the active generation opened directly is an ordinary store
-        result = AsteriaEngine(
-            EngineConfig(index_root=str(active)), model=trained_model
-        ).query(query)
-        assert result.n_rows == 12 and len(result.hits) == 3
 
     def test_create_existing_index(self, trained_model, tmp_path):
         root = str(tmp_path / "idx")

@@ -1,21 +1,27 @@
 """Staged corpus pipeline: artifact cache, worker-pool determinism, call sites."""
 
+import functools
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import AsteriaEngine, EngineConfig, IngestRequest
 from repro.compiler.pipeline import compile_package
-from repro.core.model import Asteria, AsteriaConfig
+from repro.core.model import Asteria, AsteriaConfig, FunctionEncoding
 from repro.evalsuite.vulnsearch import CVE_LIBRARY, build_firmware_dataset
 from repro.pipeline import ArtifactCache, CorpusPipeline
 from repro.lang.generator import ProgramGenerator
+from repro.nn.serialize import load_state
 from repro.nn.treebatch import resolve_node_budget
 from repro.nn.treelstm import flatten_tree, unflatten_tree
-from repro.pipeline.cache import MANIFEST_NAME, OBJECTS_DIR, binary_digest
-from repro.pipeline.stages import unpack_stage
+from repro.pipeline.cache import OBJECTS_DIR, binary_digest
+from repro.pipeline.stages import extract_binary, unpack_stage
+from repro.utils.fsio import file_sha256
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +107,6 @@ class TestArtifactCacheAccounting:
         CorpusPipeline(
             trained_model, cache=ArtifactCache(root)
         ).run(images=firmware.images)
-        assert (root / MANIFEST_NAME).exists()
         assert list((root / OBJECTS_DIR).glob("*.npz"))
 
         warm = CorpusPipeline(
@@ -192,40 +197,6 @@ class TestArtifactCacheInvalidation:
 
 
 class TestArtifactCacheRecovery:
-    def test_corrupt_manifest_is_rebuilt_from_objects(
-        self, tmp_path, trained_model, firmware
-    ):
-        root = tmp_path / "cache"
-        cold = CorpusPipeline(
-            trained_model, cache=ArtifactCache(root)
-        ).run(images=firmware.images)
-        (root / MANIFEST_NAME).write_text("{not json")
-
-        warm = CorpusPipeline(
-            trained_model, cache=ArtifactCache(root)
-        ).run(images=firmware.images)
-        assert warm.stats.n_extracted == 0
-        assert warm.stats.n_encoded == 0
-        assert np.array_equal(_vectors(cold), _vectors(warm))
-        # the recovered manifest is valid again
-        assert CorpusPipeline(
-            trained_model, cache=ArtifactCache(root)
-        ).run(images=firmware.images).stats.cache.misses == 0
-
-    def test_missing_manifest_is_rebuilt_from_objects(
-        self, tmp_path, trained_model, firmware
-    ):
-        root = tmp_path / "cache"
-        CorpusPipeline(
-            trained_model, cache=ArtifactCache(root)
-        ).run(images=firmware.images)
-        (root / MANIFEST_NAME).unlink()
-
-        warm = CorpusPipeline(
-            trained_model, cache=ArtifactCache(root)
-        ).run(images=firmware.images)
-        assert warm.stats.cache.misses == 0
-
     def test_corrupt_object_is_a_miss_and_rewritten(
         self, tmp_path, trained_model, firmware
     ):
@@ -251,50 +222,165 @@ class TestArtifactCacheRecovery:
         ).run(images=firmware.images)
         assert again.stats.cache.misses == 0
 
-
-    def test_manifest_is_compact_and_an_indented_one_still_opens(
-        self, tmp_path
-    ):
-        root = tmp_path / "cache"
-        cache = ArtifactCache(root)
-        cache.put("enc-k", {"x": np.arange(4.0)}, {"n": 1})
-        cache.flush()
-        text = (root / MANIFEST_NAME).read_text()
-        assert "\n" not in text and ": " not in text
-        # the indented form earlier versions wrote
-        (root / MANIFEST_NAME).write_text(
-            json.dumps(json.loads(text), indent=2, sort_keys=True)
-        )
-        reopened = ArtifactCache(root)
-        state, meta = reopened.get("enc-k")
-        assert np.array_equal(state["x"], np.arange(4.0))
-        assert meta == {"n": 1}
-
-    @pytest.mark.parametrize(
-        "damage", ["truncated", "stale", "stale-legacy-entry"]
-    )
+    @pytest.mark.parametrize("damage", ["truncated", "empty"])
     def test_entry_without_checksum_is_a_miss(self, tmp_path, damage):
-        """No recorded sha256 = unverifiable = dropped, whether the bytes
-        are torn or a valid archive the manifest no longer means."""
+        """No manifest records a checksum: each object is verified by
+        its own zip CRC-32, so a torn one is unlinked and is a miss."""
         root = tmp_path / "cache"
         cache = ArtifactCache(root)
-        cache.put("enc-k", {"x": np.zeros(4)}, {})
-        obj = root / OBJECTS_DIR / "enc-k.npz"
-        older = obj.read_bytes()
         cache.put("enc-k", {"x": np.ones(4)}, {})
-        cache.flush()
-        manifest = json.loads((root / MANIFEST_NAME).read_text())
-        if damage == "stale-legacy-entry":  # the pre-checksum key -> "file"
-            manifest["entries"]["enc-k"] = "enc-k.npz"
-        else:
-            del manifest["entries"]["enc-k"]["sha256"]
-        (root / MANIFEST_NAME).write_text(json.dumps(manifest))
+        obj = root / OBJECTS_DIR / "enc-k.npz"
         obj.write_bytes(
-            obj.read_bytes()[:-16] if damage == "truncated" else older
+            obj.read_bytes()[:-16] if damage == "truncated" else b""
         )
         reopened = ArtifactCache(root)
         assert reopened.get("enc-k") is None
         assert not obj.exists() and len(reopened) == 0
+
+    def test_a_put_is_durable_without_flush(self, tmp_path):
+        """A run cut short before its end keeps every object it put: a
+        new cache on the same root hits it (no index to publish)."""
+        root = tmp_path / "cache"
+        ArtifactCache(root).put("enc-k", {"x": np.arange(4.0)}, {"n": 1})
+        reopened = ArtifactCache(root)
+        assert len(reopened) == 1
+        state, meta = reopened.get("enc-k")
+        assert np.array_equal(state["x"], np.arange(4.0))
+        assert meta == {"n": 1}
+
+    def test_missing_object_is_a_plain_miss(self, tmp_path, caplog):
+        cache = ArtifactCache(tmp_path / "cache")
+        with caplog.at_level("WARNING"):
+            assert cache.get("enc-absent") is None
+        assert not caplog.records
+
+    def test_cache_with_a_leftover_manifest_stays_warm(
+        self, tmp_path, trained_model, firmware
+    ):
+        """A cache written when a ``manifest.json`` indexed ``objects/``
+        hits every object, and the manifest is neither read nor
+        rewritten."""
+        root = tmp_path / "cache"
+        cold = CorpusPipeline(
+            trained_model, cache=ArtifactCache(root)
+        ).run(images=firmware.images)
+        assert sorted(p.name for p in root.iterdir()) == [OBJECTS_DIR]
+        manifest = root / "manifest.json"
+        manifest.write_text(json.dumps({
+            "format_version": 1,
+            "entries": {
+                path.stem: {"file": path.name, "sha256": file_sha256(path)}
+                for path in sorted((root / OBJECTS_DIR).glob("*.npz"))
+            },
+        }, separators=(",", ":"), sort_keys=True))
+        before = manifest.read_bytes()
+
+        warm = CorpusPipeline(
+            trained_model, cache=ArtifactCache(root)
+        ).run(images=firmware.images)
+        assert warm.stats.cache.misses == 0
+        assert warm.stats.n_extracted == 0 and warm.stats.n_encoded == 0
+        assert np.array_equal(_vectors(cold), _vectors(warm))
+        assert manifest.read_bytes() == before
+
+
+@functools.lru_cache(maxsize=None)
+def _stored_objects():
+    """The raw bytes of one real ``trees`` and one ``enc`` object, with
+    the ``(state, meta)`` each was written from."""
+    binary = compile_package(
+        ProgramGenerator(seed=21).generate_package("crc"), "x86"
+    )
+    extracted = extract_binary(binary, 5)
+    rng = np.random.default_rng(0)
+    encodings = [
+        FunctionEncoding(
+            name=name, arch=extracted.arch,
+            binary_name=extracted.binary_name, vector=rng.normal(size=16),
+            callee_count=i % 3, ast_size=int(size),
+        )
+        for i, (name, size) in enumerate(
+            zip(extracted.names, extracted.ast_sizes)
+        )
+    ]
+    objects = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = ArtifactCache(tmp)
+        cache.put_trees("d" * 64, 5, extracted)
+        cache.put_encodings(
+            "d" * 64, "model", 5, extracted.binary_name, extracted.arch,
+            encodings,
+        )
+        for path in sorted(Path(tmp, OBJECTS_DIR).glob("*.npz")):
+            state, meta = load_state(path)
+            objects[path.stem.split("-")[0]] = (
+                path.stem, path.read_bytes(), state, meta,
+            )
+    assert sorted(objects) == ["enc", "trees"]
+    return objects
+
+
+def _get_damaged(key, damaged):
+    """``get`` of an object stored as ``damaged``; a miss must also have
+    unlinked the file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = ArtifactCache(tmp)
+        path = Path(tmp, OBJECTS_DIR, f"{key}.npz")
+        path.write_bytes(bytes(damaged))
+        found = cache.get(key)
+        assert found is not None or not path.exists()
+    return found
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["trees", "enc"]),
+    damage=st.sampled_from(["flip", "truncate"]),
+    where=st.floats(0.0, 1.0, exclude_max=True),
+    bit=st.integers(0, 7),
+)
+def test_a_damaged_object_is_a_miss_or_the_original(kind, damage, where, bit):
+    """A single-bit flip or a truncation anywhere in a stored object
+    either fails to load -- a miss, with the file unlinked -- or loads
+    exactly the arrays and meta that were put; never different data."""
+    key, data, state, meta = _stored_objects()[kind]
+    offset = int(where * len(data))
+    if damage == "flip":
+        damaged = bytearray(data)
+        damaged[offset] ^= 1 << bit
+    else:
+        damaged = data[:offset]
+    found = _get_damaged(key, damaged)
+    if found is None:
+        return
+    got_state, got_meta = found
+    assert got_meta == meta
+    assert sorted(got_state) == sorted(state)
+    for name, array in state.items():
+        assert got_state[name].dtype == array.dtype
+        assert np.array_equal(got_state[name], array)
+
+
+@pytest.mark.parametrize("kind", ["trees", "enc"])
+def test_a_flipped_shape_digit_is_a_miss(kind):
+    """A shape digit flipped to a smaller one makes np.load read the
+    member short of its end, where the zip CRC-32 is checked; the whole
+    member is verified first, so it is a miss, not a shorter array."""
+    key, data, _state, _meta = _stored_objects()[kind]
+    flipped = 0
+    start = data.find(b"'shape': (")
+    while start >= 0:
+        start += len(b"'shape': (")
+        for offset in range(start, data.index(b")", start)):
+            if not chr(data[offset]).isdigit():
+                continue
+            for bit in range(4):
+                damaged = bytearray(data)
+                damaged[offset] ^= 1 << bit
+                assert _get_damaged(key, damaged) is None
+                flipped += 1
+        start = data.find(b"'shape': (", start)
+    assert flipped
 
 
 def _unique_binaries(images):
@@ -325,7 +411,6 @@ def _fill_three_kind_cache(root, model, images):
             digest, min_ast_size, pipeline.encode_batch_size, node_budget,
             plan,
         )
-    cache.flush()
     assert len(list((root / OBJECTS_DIR).glob("ctrees-*.npz"))) \
         == len(digests)
     return result
@@ -360,25 +445,6 @@ class TestThreeKindCacheStillOpens:
         ) == hits + len(by_digest)
         assert registry.value("repro_pipeline_cache_misses_total") == misses
 
-    def test_manifest_recovery_rescans_plans_and_serves_the_same_hits(
-        self, tmp_path, trained_model, firmware
-    ):
-        root = tmp_path / "cache"
-        cold = _fill_three_kind_cache(root, trained_model, firmware.images)
-        n_objects = len(list((root / OBJECTS_DIR).glob("*.npz")))
-        (root / MANIFEST_NAME).write_text("{not json")
-
-        cache = ArtifactCache(root)
-        assert len(cache) == n_objects  # the ctrees objects rescanned too
-        warm = CorpusPipeline(trained_model, cache=cache).run(
-            images=firmware.images
-        )
-        assert warm.stats.n_extracted == 0
-        assert warm.stats.n_encoded == 0
-        assert warm.stats.cache.encoding_hits == warm.stats.n_unique_binaries
-        assert warm.stats.cache.misses == 0
-        assert np.array_equal(_vectors(cold), _vectors(warm))
-
 
 class TestWriteBudget:
     def test_single_binary_ingest_fsyncs_and_cache_kinds(
@@ -411,7 +477,7 @@ class TestWriteBudget:
         result = engine.ingest(IngestRequest(binaries=[binary]))
         monkeypatch.undo()
         assert result.n_functions > 0
-        assert len(calls) == 10
+        assert len(calls) == 8
         objects = sorted(
             path.name for path in (tmp_path / "cache" / OBJECTS_DIR).iterdir()
         )

@@ -330,7 +330,6 @@ class TestCacheCrashes:
         faults.configure("cache.put.pre_rename=raise*1")
         with pytest.raises(FaultInjected):
             cache.put("key-a", {"x": np.arange(4.0)}, {"kind": "test"})
-        cache.flush()
         recovered = ArtifactCache(tmp_path / "cache")
         assert recovered.get("key-a") is None  # a miss, not a crash
         # and the retried put works
@@ -342,13 +341,12 @@ class TestCacheCrashes:
     def test_corrupt_object_detected_on_get(self, tmp_path):
         cache = ArtifactCache(tmp_path / "cache")
         cache.put("key-b", {"x": np.arange(8.0)}, {})
-        cache.flush()
         reopened = ArtifactCache(tmp_path / "cache")
         [obj] = list((tmp_path / "cache").glob("**/key-b.npz"))
         data = bytearray(obj.read_bytes())
         data[len(data) // 2] ^= 0xFF
         obj.write_bytes(bytes(data))
-        assert reopened.get("key-b") is None  # checksum caught it
+        assert reopened.get("key-b") is None  # its CRC-32 caught it
 
 
 # -- end-to-end degraded-mode surfacing ------------------------------------

@@ -315,27 +315,6 @@ class TestPersistedIvfPq:
         assert not other.loaded_from_state
         assert other.rows_quantized == len(store)
 
-    def test_codebook_state_is_refused(self, tmp_path, model, spec):
-        store = _filled_store(tmp_path / "idx", spec)
-        vectors, counts = store.vectors(), store.callee_counts()
-        params, arrays = IvfPqIndex(
-            model, vectors, counts, seed=7
-        ).state_dict()
-        # states written while `pq_m` existed carry it: 0 (plain int8
-        # codes, the only layout ever persisted by default) still loads
-        legacy = IvfPqIndex(
-            model, vectors, counts, seed=7,
-            state=(dict(params, pq_m=0), arrays),
-        )
-        assert legacy.loaded_from_state and legacy.rows_quantized == 0
-        # a product-quantization codebook state has no reader left
-        refused = IvfPqIndex(
-            model, vectors, counts, seed=7,
-            state=(dict(params, pq_m=4), arrays),
-        )
-        assert not refused.loaded_from_state
-        assert refused.rows_quantized == len(store)
-
     def test_service_round_trips_state_with_checksum(
         self, tmp_path, model, spec
     ):

@@ -25,6 +25,7 @@ from repro.nn.treebatch import (
     TreeColumns,
     compile_batch,
     compile_columns,
+    encode_batch,
     encode_plan,
     plan_to_state,
 )
@@ -211,10 +212,7 @@ class TestColumnPlans:
     def test_encodes_bit_identically(self, extracted, arch, dtype):
         ext = extracted[arch]
         lstm = BinaryTreeLSTM(NUM_LABELS, 8, 16, seed=3)
-        reference = encode_plan(
-            lstm, compile_columns(_columns(ext.trees()), 1, bucketed=False),
-            dtype=dtype,
-        )
+        reference = encode_batch(lstm, _compile(ext.trees()), dtype=dtype)
         plan = compile_columns(ext.columns(), 64)
         assert np.array_equal(encode_plan(lstm, plan, dtype=dtype), reference)
 
