@@ -15,9 +15,9 @@ neighbors, scored by the distance-monotone head) at every size in
   callee-count ring or two, which measures the corpus, not the tier.
   That diverse corpus (``count_mod=64``) is reported beside it,
   un-floored, with the fraction of rows the exact sweep scored;
-* **memory** -- the quantized tier (int8 codes + centroids +
-  assignments) must hold <= 0.3x the resident bytes of the float32
-  vectors it approximates;
+* **memory** -- the quantized tier (int8 codes, centroids,
+  assignments and inverted lists) must hold <= 0.3x the resident
+  bytes of the float32 vectors it approximates;
 * **fidelity** -- the frontier (qps vs recall@10 across ``nprobe``)
   is emitted per corpus size so the recall/speed trade stays diffable
   across revisions, beside a *storm* row: one query repeated

@@ -139,7 +139,14 @@ class AsteriaEngine(OnlinePhase):
                     raise ModelNotFoundError(
                         f"model checkpoint not found: {path}"
                     )
-                self._model = Asteria.load(path)
+                try:
+                    self._model = Asteria.load(path)
+                except (OSError, ValueError, KeyError, TypeError) as exc:
+                    # a damaged archive (``load_state``), or one that
+                    # holds no Asteria model
+                    raise ModelNotFoundError(
+                        f"unreadable model checkpoint {path}: {exc}"
+                    ) from exc
             return self._model
 
     @property

@@ -5,9 +5,12 @@ backend (``backend="ivf-pq"``).  It layers three tiers so a query
 touches a small, controllable fraction of a million-row corpus:
 
 1. **Coarse partitioning** -- corpus rows are assigned to k-means
-   centroids (inverted lists).  A query ranks centroids by L2 distance
-   and probes only the ``nprobe`` nearest lists, so the probed fraction
-   is roughly ``nprobe / n_lists``.
+   centroids (inverted lists, one int32 row order plus list bounds).
+   A query ranks centroids by L2 distance and probes only the
+   ``nprobe`` nearest lists, so the probed fraction is roughly
+   ``nprobe / n_lists``.  Assignment takes rows in chunks whose
+   distance matrix fits :data:`ASSIGN_SCRATCH_BYTES`, so a build holds
+   about 1 MiB of scratch beyond its codes, assignments and lists.
 2. **Quantized sweep** -- probed rows are scored against a symmetric
    per-dimension int8 code book (¼ the bytes of the float32 shards):
    codes are widened block-by-block and pushed through the same Siamese
@@ -77,6 +80,10 @@ KMEANS_ITERATIONS = 6
 #: O(sample * n_lists) even for multi-million-row corpora.
 KMEANS_SAMPLE_CAP = 200_000
 
+#: Bytes of the float32 row-to-centroid distance matrix an assignment
+#: holds at once (:func:`_nearest_centroid`), whatever the row count.
+ASSIGN_SCRATCH_BYTES = 1 << 20
+
 
 def default_n_lists(n_rows: int) -> int:
     """``n_lists=0`` resolves to ~sqrt(n): 1M rows -> 1000 lists."""
@@ -113,17 +120,28 @@ def dequantize_int8(codes: np.ndarray, scales: np.ndarray) -> np.ndarray:
 def _nearest_centroid(
     matrix: np.ndarray, centroids: np.ndarray
 ) -> np.ndarray:
-    """Argmin-L2 centroid per row, chunked so the ``(rows, n_lists)``
-    distance matrix never exceeds a scoring block."""
+    """Argmin-L2 centroid per row.
+
+    Rows go in chunks sized so the ``(rows, n_lists)`` float32 distance
+    matrix stays within :data:`ASSIGN_SCRATCH_BYTES` (at least one row
+    a chunk), filled in place in one reused buffer: ``-2 x.c + |c|^2``
+    is the same float32 arithmetic as ``|c|^2 - 2 x.c``, so the
+    argmin is too.
+    """
     centroids = np.asarray(centroids, dtype=np.float32)
     c_norm = (centroids * centroids).sum(axis=1)
-    out = np.empty(matrix.shape[0], dtype=np.int32)
-    for start in range(0, matrix.shape[0], SCORE_BLOCK_ROWS):
-        block = np.asarray(
-            matrix[start:start + SCORE_BLOCK_ROWS], dtype=np.float32
-        )
-        d2 = c_norm[None, :] - 2.0 * (block @ centroids.T)
-        out[start:start + block.shape[0]] = np.argmin(d2, axis=1)
+    ct = np.ascontiguousarray(centroids.T)
+    n_rows = matrix.shape[0]
+    chunk = max(1, ASSIGN_SCRATCH_BYTES // (4 * ct.shape[1]))
+    d2 = np.empty((min(chunk, n_rows), ct.shape[1]), dtype=np.float32)
+    out = np.empty(n_rows, dtype=np.int32)
+    for start in range(0, n_rows, chunk):
+        block = np.asarray(matrix[start:start + chunk], dtype=np.float32)
+        scratch = d2[:block.shape[0]]
+        np.matmul(block, ct, out=scratch)
+        scratch *= -2.0
+        scratch += c_norm
+        out[start:start + block.shape[0]] = np.argmin(scratch, axis=1)
     return out
 
 
@@ -260,7 +278,7 @@ class IvfPqIndex(AnnIndex):
                 self._extend(self._assignments.shape[0])
         else:
             self._build()
-        self._lists = self._lists_from_assignments()
+        self._invert_lists()
 
     # -- construction ------------------------------------------------------
 
@@ -334,17 +352,18 @@ class IvfPqIndex(AnnIndex):
         )
         self.rows_quantized += n - done
 
-    def _lists_from_assignments(self) -> List[np.ndarray]:
-        """Inverted lists, each ascending (stable sort of an
-        already-ascending row order)."""
-        order = np.argsort(self._assignments, kind="stable")
-        bounds = np.searchsorted(
-            self._assignments[order], np.arange(self.n_lists + 1)
+    def _invert_lists(self) -> None:
+        """Inverted lists as one array, the idiom of
+        :class:`~repro.index.ann.CountLayout`: ``_order`` is the rows
+        stably sorted by list (int32: 4 B/row), so list ``c`` is the
+        ascending slice ``_order[_bounds[c]:_bounds[c + 1]]``."""
+        # narrowed at once: the int64 argsort is freed before the gather
+        self._order = np.argsort(self._assignments, kind="stable").astype(
+            np.int32
         )
-        return [
-            order[bounds[i]:bounds[i + 1]].astype(np.int64)
-            for i in range(self.n_lists)
-        ]
+        self._bounds = np.searchsorted(
+            self._assignments[self._order], np.arange(self.n_lists + 1)
+        )
 
     # -- serving -----------------------------------------------------------
 
@@ -428,7 +447,11 @@ class IvfPqIndex(AnnIndex):
         probed, swept = [0] * n_queries, [0] * n_queries
         picked: List[Optional[np.ndarray]] = [None] * n_queries
         for (count, lists), members in groups.items():
-            rows = np.concatenate([self._lists[c] for c in lists])
+            rows = np.concatenate(
+                [self._order[self._bounds[c]:self._bounds[c + 1]]
+                 for c in lists],
+                dtype=np.int64,
+            )
             for i in members:
                 probed[i] = rows.size
             if n is None:
@@ -526,7 +549,8 @@ class IvfPqIndex(AnnIndex):
         """Bytes held resident by the quantized tier (codes, lists,
         centroids) -- the number the bytes/vector floor measures."""
         arrays = [
-            self._scales, self._centroids, self._assignments, self._codes
+            self._scales, self._centroids, self._assignments, self._codes,
+            self._order, self._bounds,
         ]
         return int(sum(a.nbytes for a in arrays))
 

@@ -2,12 +2,15 @@
 
 Writes go through :func:`repro.utils.fsio.atomic_write`, so a kill
 mid-save leaves the previous checkpoint (or nothing) -- never a torn
-archive.
+archive.  Reads check every member's zip CRC-32 before parsing any, so
+model checkpoints, Gemini checkpoints, the persisted ANN state and the
+artifact cache's objects never load damaged arrays.
 """
 
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -44,11 +47,22 @@ def load_state(path) -> Tuple[Dict[str, np.ndarray], Dict]:
     """Load ``(state_dict, meta)`` saved by :func:`save_state`.
 
     Only plain ndarrays are accepted (``allow_pickle=False``): checkpoints
-    and embedding shards are data, never code.
+    and embedding shards are data, never code.  A damaged archive (not a
+    zip, or a member failing its CRC-32) is a ``ValueError`` naming the
+    cause: ``np.load`` checks a member's CRC-32 only if it reads the
+    member to its end, which a damaged npy shape can stop it short of,
+    loading an array cut short with no error.
     """
     path = Path(path)
     if not path.exists() and path.with_suffix(".npz").exists():
         path = path.with_suffix(".npz")
+    try:
+        with zipfile.ZipFile(path) as archive:
+            damaged = archive.testzip()
+    except zipfile.BadZipFile as exc:
+        raise ValueError(f"not a readable zip archive: {exc}") from exc
+    if damaged is not None:
+        raise ValueError(f"CRC-32 mismatch in member {damaged}")
     with np.load(path, allow_pickle=False) as archive:
         meta = json.loads(bytes(archive[_META_KEY]).decode("utf-8"))
         state = {

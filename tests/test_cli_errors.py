@@ -69,6 +69,24 @@ class TestMissingModel:
         assert "missing.npz" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("damage", ["truncated", "shape-digit"])
+    def test_a_damaged_checkpoint_is_one_error_line(
+        self, model_path, damage, tmp_path, capsys
+    ):
+        data = Path(model_path).read_bytes()
+        if damage == "truncated":
+            data = data[:3000]
+        else:
+            at = data.index(b"'shape': (") + len(b"'shape': (")
+            data = data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+        bad = tmp_path / "bad.npz"
+        bad.write_bytes(data)
+        assert main(["serve", "--model", str(bad), "--port", "0"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: unreadable model checkpoint ")
+        assert err.count("\n") == 1 and str(bad) in err
+
+
 class TestMissingInput:
     def test_compare_missing_binary(self, model_path, capsys):
         code = main(["compare", "--model", model_path,

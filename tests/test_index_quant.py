@@ -9,6 +9,9 @@ unknown-backend error, and the synth-corpus ground-truth layout the
 recall measurements rely on.
 """
 
+import gc
+import hashlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -22,6 +25,7 @@ from repro.api.errors import BadRequestError
 from repro.core.model import Asteria, AsteriaConfig, FunctionEncoding
 from repro.faults import FaultInjected
 from repro.index.ann import (
+    SCORE_BLOCK_ROWS,
     BruteForceIndex,
     known_backends,
     make_index,
@@ -129,6 +133,121 @@ class TestQuantizeInt8:
         assert default_n_lists(0) == 1
         assert default_n_lists(1_000_000) == 1000
         assert default_n_lists(10**9) == 4096  # capped
+
+
+# -- bounded build ---------------------------------------------------------
+
+
+def _oracle_nearest_centroid(matrix, centroids):
+    """The assignment as one expression, distance matrix and all."""
+    c_norm = (centroids * centroids).sum(axis=1)
+    return np.argmin(c_norm[None, :] - 2.0 * (matrix @ centroids.T), axis=1)
+
+
+#: sha256 of each ``state_dict()`` array, per ``n_lists``, for
+#: :func:`_pinned_tier`'s corpus, computed with the assignment of
+#: :func:`_oracle_nearest_centroid` taken one scoring block at a time
+PINNED_STATE = {
+    64: {
+        "assignments":
+            "7f73493dcd21e88c078ef69a9c16c429c22d732aa1fd7e87cdd806cc4565dab3",
+        "centroids":
+            "54c9f9b809611f3e2de777abf3e2bd02de0a59edc364c31f6842319ca33dcf4a",
+        "codes":
+            "c0950f22f24e226eb74960d58df44f902ef76835ff7fe3798bc3e64aae70b6ff",
+        "scales":
+            "6a8db4b07a6809de2e1b55d5b8e93901d789e5da66ccef566f8fb9931acc4760",
+    },
+    512: {
+        "assignments":
+            "d5fb31f56e72a05580e48c7270fcb3481afbb3ac0c7a29a9f1ede25bd8a9ba7b",
+        "centroids":
+            "1f17af25f24730979df9e6bc46c79c45fbc1a00905bbc28f7f8cb3da4284451d",
+        "codes":
+            "c0950f22f24e226eb74960d58df44f902ef76835ff7fe3798bc3e64aae70b6ff",
+        "scales":
+            "6a8db4b07a6809de2e1b55d5b8e93901d789e5da66ccef566f8fb9931acc4760",
+    },
+}
+
+
+def _pinned_tier(n_lists):
+    """A seeded 10 000-row corpus, past one scoring block."""
+    rng = np.random.default_rng(2024)
+    vectors = rng.normal(size=(10_000, DIM)).astype(np.float32)
+    counts = rng.integers(0, 40, size=vectors.shape[0])
+    return IvfPqIndex(
+        distance_head_model(DIM), vectors, counts, n_lists=n_lists, seed=3
+    )
+
+
+class TestBoundedBuild:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_rows=st.integers(0, 300),
+        dim=st.integers(1, 8),
+        n_lists=st.integers(1, 40),
+        budget=st.sampled_from([1, 4, 100, 1000, 1 << 20]),
+        data=st.data(),
+    )
+    def test_nearest_centroid_is_the_one_line_oracle(
+        self, n_rows, dim, n_lists, budget, data
+    ):
+        # quarter-integers keep every product and sum exact in float32,
+        # so the oracle's ties are the chunked path's ties on any BLAS
+        quarters = st.integers(-64, 64)
+        matrix = np.array(
+            data.draw(st.lists(quarters, min_size=n_rows * dim,
+                               max_size=n_rows * dim)),
+            dtype=np.float32,
+        ).reshape(n_rows, dim) / 4
+        centroids = np.array(
+            data.draw(st.lists(quarters, min_size=n_lists * dim,
+                               max_size=n_lists * dim)),
+            dtype=np.float32,
+        ).reshape(n_lists, dim) / 4
+        with mock.patch.object(quant, "ASSIGN_SCRATCH_BYTES", budget):
+            got = quant._nearest_centroid(matrix, centroids)
+        assert got.dtype == np.int32
+        assert np.array_equal(
+            got, _oracle_nearest_centroid(matrix, centroids)
+        )
+
+    @pytest.mark.parametrize("n_lists", [64, 512])
+    def test_state_is_bit_identical_to_the_pinned_build(self, n_lists):
+        tier = _pinned_tier(n_lists)
+        assert len(tier) > SCORE_BLOCK_ROWS
+        _params, arrays = tier.state_dict()
+        digests = {
+            name: hashlib.sha256(
+                np.ascontiguousarray(array).tobytes()
+            ).hexdigest()
+            for name, array in arrays.items()
+        }
+        assert digests == PINNED_STATE[n_lists]
+
+    def test_the_build_holds_little_scratch_beyond_the_index(
+        self, tmp_path
+    ):
+        n, dim = 65_536, 16
+        rng = np.random.default_rng(11)
+        store = EmbeddingStore.create(tmp_path / "idx", dim=dim)
+        store.append_rows(
+            rng.normal(size=(n, dim)).astype(np.float32),
+            rng.integers(0, 64, size=n),
+        )
+        vectors, counts = store.vectors(), store.callee_counts()
+        model = distance_head_model(dim)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tier = IvfPqIndex(model, vectors, counts)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tier.n_lists == 256
+        # one scoring block's (8192, 256) float32 distances are 8 MiB
+        assert peak - held <= 2 << 20, (peak - held) / (1 << 20)
 
 
 # -- the tiered index ------------------------------------------------------

@@ -1,5 +1,7 @@
 """Round-trip tests for model checkpoints and embedding shards."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,51 @@ class TestStateRoundTrip:
         for key in original:
             assert restored[key].dtype == original[key].dtype
             assert np.array_equal(restored[key], original[key])
+
+
+def _flip(data: bytes, at: int, bit: int) -> bytes:
+    return data[:at] + bytes([data[at] ^ (1 << bit)]) + data[at + 1:]
+
+
+class TestDamagedArchives:
+    def test_a_lowered_shape_digit_fails_its_crc(self, tmp_path):
+        path = tmp_path / "x.npz"
+        save_state(path, {"x": np.arange(12_000, dtype=np.int32)})
+        data = path.read_bytes()
+        digit = data.index(b"'shape': (12000,)") + len(b"'shape': (1")
+        # "12000" -> "10000": np.load reads 10 000 elements and stops
+        # 8 000 bytes short of the member end, where its own CRC check is
+        path.write_bytes(_flip(data, digit, 1))
+        with pytest.raises(ValueError, match="CRC-32 mismatch"):
+            load_state(path)
+
+    def test_every_shape_digit_flip_of_a_checkpoint_is_refused(
+        self, tmp_path
+    ):
+        path = tmp_path / "asteria.npz"
+        Asteria(AsteriaConfig(hidden_dim=16, seed=3)).save(path)
+        data = path.read_bytes()
+        digits = [
+            at
+            for m in re.finditer(rb"'shape': \(([0-9, ]*)\)", data)
+            for at in range(m.start(1), m.end(1))
+            if data[at:at + 1].isdigit()
+        ]
+        assert digits
+        for at in digits:
+            for bit in (0, 1):
+                path.write_bytes(_flip(data, at, bit))
+                with pytest.raises(ValueError):
+                    load_state(path)
+
+    def test_a_truncated_checkpoint_is_refused(self, tmp_path):
+        path = tmp_path / "asteria.npz"
+        Asteria(AsteriaConfig(hidden_dim=16, seed=3)).save(path)
+        data = path.read_bytes()
+        for cut in range(0, len(data), max(1, len(data) // 97)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError):
+                load_state(path)
 
 
 class TestShardRoundTrip:
