@@ -18,11 +18,12 @@ itself needs no lock as long as it reads only immutable weights.
 The batch window adapts to load.  A caller that will encode announces
 itself first (:meth:`MicroBatcher.arriving`, which the engine enters
 for every query with a binary to encode) and counts as *on its way*
-until it queues or leaves without queuing.  A leader whose batch is not
-full waits on the batcher's condition only while someone is on its
-way, and at most ``max_wait_s``: a lone query never waits for company
-that is not coming, and a query already resolving its binary still
-rides the batch it would have missed.  A bare batcher that nobody
+until it queues, settles without queuing (:meth:`MicroBatcher.settle`:
+every encode it needed was memoized) or leaves.  A leader whose batch
+is not full waits on the batcher's condition only while someone is on
+its way, and at most ``max_wait_s``: a lone query never waits for
+company that is not coming, and a query already resolving its binary
+still rides the batch it would have missed.  A bare batcher that nobody
 announces to never waits.
 
 Because the level-batched engine issues fixed-size GEMM blocks, the
@@ -66,7 +67,8 @@ class _Item:
 
 
 class Arrival:
-    """One announced caller, on its way until it queues or leaves."""
+    """One announced caller, on its way until it queues, settles or
+    leaves."""
 
     __slots__ = ("on_way",)
 
@@ -106,8 +108,8 @@ class MicroBatcher:
         """Announce a caller that is about to encode.
 
         Until the caller hands the yielded :class:`Arrival` to
-        :meth:`encode_many` (which queues it) or leaves the block, a
-        leader with room in its batch waits for it.
+        :meth:`encode_many` (which queues it) or :meth:`settle`, or
+        leaves the block, a leader with room in its batch waits for it.
         """
         arrival = Arrival()
         with self._cond:
@@ -117,6 +119,13 @@ class MicroBatcher:
         finally:
             with self._cond:
                 self._settle_locked(arrival)
+
+    def settle(self, arrival: Arrival) -> None:
+        """The announced caller will not queue after all: a leader
+        waiting for it stops at once.  A no-op once it has queued or
+        settled."""
+        with self._cond:
+            self._settle_locked(arrival)
 
     def _settle_locked(self, arrival: Arrival) -> None:
         if arrival.on_way:

@@ -1,10 +1,16 @@
 """The engine's online phase: top-k queries over the encoded corpus.
 
-Concurrent callers coalesce their query-side encodes through the
-serving micro-batcher (:mod:`repro.api.batching`), and a query batch
-sweeps the corpus once for all its queries.  The extract memo and the
-CVE library sit under this module's memo lock, which is never held
-while the engine lock is taken.
+Each queried function is encoded once per engine: a binary query's
+encoding is memoized beside its binary's extracted columns, as the CVE
+library's are for the engine's life, so a repeat goes straight to the
+sweep.  This is sound because the engine's model is fixed and a
+function's encoding does not depend on what shares its batch, so a
+memo hit returns the bytes a fresh encode would.  First encodes of
+concurrent callers coalesce through the serving micro-batcher
+(:mod:`repro.api.batching`), and a query batch sweeps the corpus once
+for all its queries.  The extract memo and the CVE library sit under
+this module's memo lock, which is never held while the engine lock is
+taken.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from repro.api.batching import Arrival
 from repro.api.errors import BadRequestError, DeadlineExceededError
 from repro.api.types import BinarySource, QueryRequest, QueryResult
 from repro.core.model import FunctionEncoding
-from repro.nn.treebatch import TreeColumns
 from repro.obs.trace import Span, trace
 from repro.pipeline import binary_digest
 from repro.pipeline.stages import ExtractedBinary
@@ -31,12 +36,30 @@ from repro.utils.logging import get_logger
 
 _LOG = get_logger("api.engine")  # slow queries log as the engine's
 
-#: Most-recently-queried binaries whose extracted columns stay memoized
-#: in memory; a long-running server over many distinct query binaries
-#: evicts the oldest instead of growing without bound (the pipeline's
-#: artifact cache still holds evicted trees, on disk when ``cache_dir``
-#: is set).
+#: Most-recently-queried binaries whose extracted columns, and the
+#: encodings of their queried functions, stay memoized in memory; a
+#: long-running server over many distinct query binaries evicts the
+#: oldest, encodings and all, instead of growing without bound (the
+#: pipeline's artifact cache still holds evicted trees, on disk when
+#: ``cache_dir`` is set; an evicted function's next query encodes again).
 EXTRACT_MEMO_MAX_BINARIES = 64
+
+
+class _Memoized:
+    """One queried binary: its extraction, its tree columns with their
+    levels computed, function name -> row, and the encodings of the
+    functions queried so far (name -> :class:`FunctionEncoding`, with
+    read-only vectors, published first-writer-wins under the memo
+    lock)."""
+
+    __slots__ = ("extracted", "columns", "rows", "encodings")
+
+    def __init__(self, extracted: ExtractedBinary):
+        self.extracted = extracted
+        self.columns = extracted.columns()
+        self.columns.levels()
+        self.rows = {n: i for i, n in enumerate(extracted.names)}
+        self.encodings: Dict[str, FunctionEncoding] = {}
 
 
 class OnlinePhase:
@@ -46,7 +69,7 @@ class OnlinePhase:
 
     def __init__(self):
         self._library: Optional[Dict] = None
-        self._extract_memo: "OrderedDict[str, Tuple]" = OrderedDict()
+        self._extract_memo: "OrderedDict[str, _Memoized]" = OrderedDict()
         self._memo_lock = threading.Lock()  # extract memo + CVE library
         # sweeps run outside the engine lock, one per usable core: 16
         # unbounded threads lost ~30 % of ivf-pq q/s to GIL hand-offs
@@ -196,7 +219,9 @@ class OnlinePhase:
                         f"threshold must be >= 0, got {threshold}"
                     )
             groups.setdefault((top_k, threshold), []).append(i)
-        resolved = self._resolve_queries(requests, deadline, arrival)
+        resolved, n_encoded = self._resolve_queries(
+            requests, deadline, arrival
+        )
         if deadline is not None and time.monotonic() >= deadline:
             raise DeadlineExceededError(
                 "request overran its deadline before the corpus sweep"
@@ -220,7 +245,7 @@ class OnlinePhase:
                 )
         span.set(
             queries=[name for name, _encoding in resolved],
-            n_groups=len(groups), n_rows=n_rows,
+            n_groups=len(groups), n_rows=n_rows, encoded=n_encoded,
         )
         return results
 
@@ -242,21 +267,24 @@ class OnlinePhase:
         requests: Sequence[QueryRequest],
         deadline: Optional[float],
         arrival: Optional[Arrival],
-    ) -> List[Tuple[str, FunctionEncoding]]:
-        """``(display name, encoding)`` per request, coalescing encodes.
+    ) -> Tuple[List[Tuple[str, FunctionEncoding]], int]:
+        """``(display name, encoding)`` per request, and how many
+        functions this call encoded.
 
-        Requests that need a query-side encode contribute their tree
-        columns to a single :meth:`MicroBatcher.encode_many` call, so a
-        Q-query batch costs a handful of wide GEMM passes instead of Q
-        tree walks.  Tree extraction (model-independent) is cached; the
-        encode itself is deliberately fresh each call so the batcher --
-        not a memo -- carries concurrent load.
+        A binary-sourced function is encoded on its first query and
+        memoized in its binary's extract memo entry; a later query of it
+        encodes nothing, as a CVE query never does.  The functions not
+        yet memoized (each once, however many requests name it) go to a
+        single :meth:`MicroBatcher.encode_many` call, so concurrent
+        first queries still coalesce into a handful of wide GEMM passes.
+        A call that encodes nothing settles its batcher ``arrival``
+        before the sweep: no leader waits for it.
         """
         resolved: List[Optional[Tuple[str, FunctionEncoding]]] = (
             [None] * len(requests)
         )
-        jobs: List[Tuple[int, str, ExtractedBinary, int]] = []
-        trees: List[TreeColumns] = []  # each job's tree, with its levels
+        # (memo entry, function) -> requests waiting on its first encode
+        jobs: Dict[Tuple[_Memoized, str], List[int]] = {}
         for i, request in enumerate(requests):
             if request.encoding is not None:
                 resolved[i] = (request.encoding.name, request.encoding)
@@ -275,37 +303,51 @@ class OnlinePhase:
                     "query needs an encoding, a cve_id, or a binary + "
                     "function"
                 )
-            if not request.function:
+            function = request.function
+            if not function:
                 raise BadRequestError("binary queries need a function name")
-            extracted, columns, rows = self._extracted_for(request.binary)
-            name = extracted.binary_name
-            if request.function not in rows:
+            memo = self._extracted_for(request.binary)
+            name = memo.extracted.binary_name
+            if function not in memo.rows:
                 raise BadRequestError(
-                    f"function {request.function!r} not found (or below "
+                    f"function {function!r} not found (or below "
                     f"the AST size floor) in binary {name!r}"
                 )
-            jobs.append((
-                i, f"{name}:{request.function}", extracted,
-                rows[request.function],
-            ))
-            trees.append(columns.tree(rows[request.function]))
-        if jobs:
-            with trace("engine.encode_queries", n=len(jobs)):
-                vectors = self.batcher.encode_many(
-                    trees, deadline=deadline, arrival=arrival
-                )
-            self.obs.counter("repro_query_encodes_total").inc(len(jobs))
-            beta = self.model.config.beta
-            for (i, name, extracted, row), vector in zip(jobs, vectors):
-                resolved[i] = (name, extracted.encoding(row, vector, beta))
-        return resolved
+            encoding = memo.encodings.get(function)
+            if encoding is not None:
+                resolved[i] = (f"{name}:{function}", encoding)
+                continue
+            jobs.setdefault((memo, function), []).append(i)
+        if not jobs:
+            if arrival is not None:
+                self.batcher.settle(arrival)
+            return resolved, 0
+        with trace("engine.encode_queries", n=len(jobs)):
+            vectors = self.batcher.encode_many(
+                [memo.columns.tree(memo.rows[function])
+                 for memo, function in jobs],
+                deadline=deadline, arrival=arrival,
+            )
+        vectors.flags.writeable = False  # memoized: shared by every hit
+        self.obs.counter("repro_query_encodes_total").inc(len(jobs))
+        beta = self.model.config.beta
+        fresh = [
+            memo.extracted.encoding(memo.rows[function], vector, beta)
+            for (memo, function), vector in zip(jobs, vectors)
+        ]
+        with self._memo_lock:
+            for ((memo, function), members), encoding in zip(
+                jobs.items(), fresh
+            ):
+                encoding = memo.encodings.setdefault(function, encoding)
+                name = f"{memo.extracted.binary_name}:{function}"
+                for i in members:
+                    resolved[i] = (name, encoding)
+        return resolved, len(jobs)
 
-    def _extracted_for(
-        self, source: BinarySource
-    ) -> Tuple[ExtractedBinary, TreeColumns, Dict[str, int]]:
-        """Memoized: the binary's extraction, its tree columns with their
-        levels computed (model-independent, so a query's encode starts
-        from them), and function name -> row.
+    def _extracted_for(self, source: BinarySource) -> _Memoized:
+        """Memoized: the binary's extraction, tree columns and queried
+        encodings (:class:`_Memoized`).
 
         RBIN bytes are memoized by their own sha256, so a hit neither
         parses them nor re-serialises a binary; a miss parses them, and
@@ -325,13 +367,7 @@ class OnlinePhase:
                 return entry
         binary = load_binary(source)
         digest = key if binary is source else binary_digest(binary)
-        extracted = self.pipeline.extracted(binary, digest)
-        columns = extracted.columns()
-        columns.levels()
-        entry = (
-            extracted, columns,
-            {n: i for i, n in enumerate(extracted.names)},
-        )
+        entry = _Memoized(self.pipeline.extracted(binary, digest))
         with self._memo_lock:
             entry = self._extract_memo.setdefault(key, entry)
             self._extract_memo.move_to_end(key)

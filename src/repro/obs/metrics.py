@@ -93,7 +93,8 @@ METRICS: Dict[str, Metric] = {m.name: m for m in (
     Metric("repro_query_batches_total", "counter",
            "query_batch calls answered", stat="n_query_batches"),
     Metric("repro_query_encodes_total", "counter",
-           "Query-side function encodes", stat="n_query_encodes"),
+           "Query-side function encodes (a memoized repeat does not "
+           "encode)", stat="n_query_encodes"),
     Metric("repro_query_seconds", "histogram",
            "Wall time of one engine.query call", buckets=_LAT),
     Metric("repro_query_batch_seconds", "histogram",

@@ -390,6 +390,29 @@ class TestLoadAdaptiveWindow:
         assert calls == [["a"]]
         assert took["a"] < 5.0  # released at once, not at max_wait_s
 
+    def test_a_settled_caller_releases_the_leader(self):
+        calls, encode = self._recording()
+        batcher = MicroBatcher(encode, max_batch_size=8, max_wait_s=30.0)
+        batcher._cond = _SeenWaiting()
+        took = {}
+
+        def leader():
+            started = time.perf_counter()
+            with batcher.arriving() as arrival:
+                batcher.encode_many(["a"], arrival=arrival)
+            took["a"] = time.perf_counter() - started
+
+        with batcher.arriving() as arrival:
+            thread = threading.Thread(target=leader)
+            thread.start()
+            assert batcher._cond.waiting.wait(timeout=10)
+            batcher.settle(arrival)  # needs no encode after all
+            thread.join(timeout=10)
+            assert took["a"] < 5.0  # released while we are still inside
+            batcher.settle(arrival)  # settling again changes nothing
+        assert calls == [["a"]]
+        assert batcher._on_way == 0
+
     def test_a_bare_batcher_never_waits(self):
         calls, encode = self._recording()
         batcher = MicroBatcher(encode, max_batch_size=8, max_wait_s=1.0)
@@ -738,17 +761,9 @@ class TestConcurrentQueries:
     N_THREADS = 16
     PER_THREAD = 3
 
-    def test_storm_matches_serial_and_coalesces(self, engine, query_binary,
-                                                query_functions):
-        requests = [
-            QueryRequest(binary=query_binary, function=name, top_k=5)
-            for name in query_functions
-        ]
-        reference = {
-            r.function: engine.query(r).hits for r in requests
-        }
-        batches_before = engine.stats().micro_batches
-
+    def _storm(self, engine, requests):
+        """N_THREADS barrier-started threads, PER_THREAD queries each:
+        ``[(function, result)]``."""
         results = []
         errors = []
         lock = threading.Lock()
@@ -774,19 +789,56 @@ class TestConcurrentQueries:
             t.join(timeout=120)
         assert not errors, errors
         assert len(results) == self.N_THREADS * self.PER_THREAD
+        return results
 
-        # bit-for-bit identical to the serial reference
-        for function, result in results:
-            expected = reference[function]
-            assert [(h.row, h.score) for h in result.hits] \
-                == [(h.row, h.score) for h in expected]
+    def test_storm_matches_serial_and_coalesces(self, engine, trained_model,
+                                                query_binary,
+                                                query_functions):
+        requests = [
+            QueryRequest(binary=query_binary, function=name, top_k=5)
+            for name in query_functions
+        ]
+        # the serial reference comes from the module's engine; the storm
+        # runs on its twin (same model, same ingest), whose memo holds
+        # none of the storm's encodings
+        reference = {
+            r.function: engine.query(r).hits for r in requests
+        }
+        storm = AsteriaEngine(
+            EngineConfig(micro_batch_wait_ms=10.0), model=trained_model
+        )
+        storm.ingest(IngestRequest(corpus_images=3, corpus_seed=4))
+        # memoize the binary's extraction through a function outside the
+        # storm, so the storm's first queries meet at the batcher
+        outside = [
+            e.name for e in
+            storm.encode(EncodeRequest(binary=query_binary)).encodings
+            if e.name not in query_functions
+        ][0]
+        storm.query(QueryRequest(binary=query_binary, function=outside))
+        before = storm.stats()
 
-        # and the micro-batcher actually coalesced concurrent encodes
-        stats = engine.stats()
-        assert stats.micro_batches > batches_before
-        assert stats.micro_batch_max > 1, (
+        def assert_matches_reference(results):
+            # bit-for-bit identical to the serial reference
+            for function, result in results:
+                expected = reference[function]
+                assert [(h.row, h.score) for h in result.hits] \
+                    == [(h.row, h.score) for h in expected]
+
+        assert_matches_reference(self._storm(storm, requests))
+        # the micro-batcher actually coalesced concurrent first encodes
+        cold = storm.stats()
+        assert cold.micro_batches > before.micro_batches
+        assert cold.micro_batch_max > 1, (
             "16 barrier-started threads never shared a batch"
         )
+        assert cold.n_query_encodes >= before.n_query_encodes + len(requests)
+
+        # a warm storm answers the same from the memo: nothing encodes
+        assert_matches_reference(self._storm(storm, requests))
+        warm = storm.stats()
+        assert warm.n_query_encodes == cold.n_query_encodes
+        assert warm.micro_batches == cold.micro_batches
 
 
 class TestWhoTheWindowWaitsFor:
@@ -802,11 +854,13 @@ class TestWhoTheWindowWaitsFor:
         for encoding in _random_encodings(trained_model, 40):
             engine.store.add(encoding)
         engine.store.flush()
-        request = QueryRequest(binary=query_binary,
-                               function=query_functions[0], top_k=5)
-        engine.query(request)  # extracts the binary
+        first, second = (
+            QueryRequest(binary=query_binary, function=name, top_k=5)
+            for name in query_functions[:2]
+        )
+        engine.query(first)  # extracts the binary
         started = time.perf_counter()
-        assert engine.query(request).hits
+        assert engine.query(second).hits  # a first encode, not a memo hit
         assert time.perf_counter() - started < 0.5
         wait = engine.obs.get("repro_microbatch_wait_seconds")
         assert wait.totals()[1] / wait.totals()[0] < 0.5
@@ -846,6 +900,183 @@ class TestWhoTheWindowWaitsFor:
                                       function="no_such_function"))
         assert announced == [1, 1]
         assert engine.batcher._on_way == 0
+
+    def test_a_memo_hit_releases_a_waiting_leader(
+        self, trained_model, query_binary, query_functions, monkeypatch
+    ):
+        """A query whose encoding is memoized settles its announcement
+        before it sweeps: a leader holding a 30 s window open for it
+        encodes at once."""
+        engine = AsteriaEngine(
+            EngineConfig(micro_batch_wait_ms=30000.0), model=trained_model
+        )
+        for encoding in _random_encodings(trained_model, 40):
+            engine.store.add(encoding)
+        engine.store.flush()
+        hit, cold = (
+            QueryRequest(binary=query_binary, function=name, top_k=5)
+            for name in query_functions[:2]
+        )
+        engine.query(hit)  # memoizes the binary and ``hit``'s encoding
+        engine.batcher._cond = _SeenWaiting()
+        main = threading.current_thread()
+        cold_done = threading.Event()
+        took = {}
+
+        def cold_query():
+            started = time.perf_counter()
+            engine.query(cold)
+            took["cold"] = time.perf_counter() - started
+            cold_done.set()
+
+        thread = threading.Thread(target=cold_query)
+        extracted_for, pin = engine._extracted_for, engine._pin
+
+        def announced_then_resolving(source):
+            if threading.current_thread() is main:
+                # the memo-hit query is on its way: the cold query's
+                # leader holds its batch open for it
+                thread.start()
+                assert engine.batcher._cond.waiting.wait(timeout=10)
+            return extracted_for(source)
+
+        released = []
+
+        def sweep_after_the_leader():
+            if threading.current_thread() is main:
+                released.append(cold_done.wait(timeout=10))
+            return pin()
+
+        monkeypatch.setattr(engine, "_extracted_for",
+                            announced_then_resolving)
+        monkeypatch.setattr(engine, "_pin", sweep_after_the_leader)
+        assert engine.query(hit).hits
+        thread.join(timeout=60)
+        assert released == [True], "the leader waited for a memo hit"
+        assert took["cold"] < 5.0
+        assert engine.batcher._on_way == 0
+
+
+class TestQueryEncodingMemo:
+    """A binary query's encoding is memoized beside its binary's
+    extraction: a repeat encodes nothing and returns the same bytes."""
+
+    @staticmethod
+    def _engine(model, **config):
+        engine = AsteriaEngine(EngineConfig(**config), model=model)
+        for encoding in _random_encodings(model, 40):
+            engine.store.add(encoding)
+        engine.store.flush()
+        return engine
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_first_touch_memo_hit_and_wide_encode_agree(
+        self, trained_model, dtype
+    ):
+        engine = self._engine(trained_model, encode_dtype=dtype)
+        package = ProgramGenerator(seed=71).generate_package("memo")
+        for arch in ("x86", "x64", "arm", "ppc"):
+            binary = compile_package(package, arch)
+            wide = engine.encode(EncodeRequest(binary=binary)).encodings
+            assert len(wide) >= 4, arch
+            # RBIN bytes, as the server hands them over
+            requests = [
+                QueryRequest(binary=binary.to_bytes(), function=e.name,
+                             top_k=5)
+                for e in wide
+            ]
+            encodes = engine.stats().n_query_encodes
+            first = [engine.query(r) for r in requests]
+            assert engine.stats().n_query_encodes == encodes + len(wide)
+            hits = engine.query_batch(requests)
+            again = [engine.query(r) for r in requests]
+            assert engine.stats().n_query_encodes == encodes + len(wide)
+            for e, *results in zip(wide, first, hits, again):
+                assert e.vector.dtype == np.dtype(dtype), arch
+                for result in results:
+                    assert result.encoding.vector.dtype == e.vector.dtype
+                    assert result.encoding.vector.tobytes() \
+                        == e.vector.tobytes(), (arch, e.name)
+                    assert [(h.row, h.score) for h in result.hits] \
+                        == [(h.row, h.score) for h in results[0].hits]
+
+    def test_a_memoized_vector_is_read_only(self, trained_model,
+                                            query_binary, query_functions):
+        engine = self._engine(trained_model)
+        request = QueryRequest(binary=query_binary,
+                               function=query_functions[0], top_k=1)
+        first = engine.query(request).encoding
+        assert engine.query(request).encoding is first
+        with pytest.raises(ValueError, match="read-only"):
+            first.vector[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            first.vector += 1.0
+
+    def test_an_evicted_function_encodes_again_to_the_same_bytes(
+        self, trained_model, monkeypatch
+    ):
+        monkeypatch.setattr(query_module, "EXTRACT_MEMO_MAX_BINARIES", 1)
+        engine = self._engine(trained_model)
+        requests = []
+        for seed in (72, 73):
+            binary = compile_package(
+                ProgramGenerator(seed=seed).generate_package(f"e{seed}"),
+                "arm",
+            )
+            [name, *_rest] = extract_binary(
+                binary, trained_model.config.min_ast_size
+            ).names
+            requests.append(QueryRequest(binary=binary.to_bytes(),
+                                         function=name, top_k=5))
+
+        def encodes():
+            return engine.stats().n_query_encodes
+
+        first = engine.query(requests[0])
+        engine.query(requests[0])
+        assert encodes() == 1  # the repeat was a memo hit
+        engine.query(requests[1])  # evicts the first binary, encodings too
+        assert encodes() == 2
+        again = engine.query(requests[0])
+        assert encodes() == 3
+        assert again.encoding is not first.encoding
+        assert again.encoding.vector.tobytes() \
+            == first.encoding.vector.tobytes()
+        assert [(h.row, h.score) for h in again.hits] \
+            == [(h.row, h.score) for h in first.hits]
+
+    def test_a_batch_encodes_a_repeated_function_once(
+        self, trained_model, query_binary, query_functions
+    ):
+        engine = self._engine(trained_model)
+        request = QueryRequest(binary=query_binary,
+                               function=query_functions[0], top_k=5)
+        one, two = engine.query_batch([request, request])
+        assert engine.stats().n_query_encodes == 1
+        assert one.encoding is two.encoding
+        assert one.hits == two.hits
+
+    def test_the_slow_query_log_says_whether_it_encoded(
+        self, trained_model, query_binary, query_functions, caplog
+    ):
+        import logging
+
+        engine = self._engine(trained_model, slow_query_ms=0.0)
+        request = QueryRequest(binary=query_binary,
+                               function=query_functions[0], top_k=1)
+        with caplog.at_level(logging.WARNING, logger="repro.api.engine"):
+            engine.query(request)
+            engine.query(request)
+            engine.query_batch([request, QueryRequest(
+                binary=query_binary, function=query_functions[1])])
+        spans = [
+            json.loads(r.getMessage().split(": ", 1)[1])
+            for r in caplog.records if "slow query" in r.getMessage()
+        ]
+        assert [(s["name"], s["attrs"]["encoded"]) for s in spans] == [
+            ("engine.query", 1), ("engine.query", 0),
+            ("engine.query_batch", 1),
+        ]
 
 
 def _random_encodings(model, n, seed=0):

@@ -676,41 +676,55 @@ class TestObservability:
                  if s.startswith("repro_encode_level_seconds_bucket")]
         assert level, "per-level encode-seconds histogram missing"
 
-    def test_metrics_agree_with_stats_after_query_storm(
-        self, server, query_binary
-    ):
+    def test_metrics_agree_with_stats_after_query_storm(self, server):
         n_threads, per_thread = 8, 3
-        barrier = threading.Barrier(n_threads)
-        errors = []
+        # no other test queries this binary: the storm's encodes are cold
+        storm_binary = compile_package(
+            ProgramGenerator(seed=45).generate_package("storm"), "arm"
+        )
         _status, encoded = _post(server, "/v1/encode",
-                                 {"binary_b64": _b64(query_binary)})
-        queries = [  # CVE queries, and binary ones that ride the batcher
-            {"cve": "CVE-2016-2105", "top_k": 2},
-            {"binary_b64": _b64(query_binary),
-             "function": encoded["encodings"][0]["name"], "top_k": 2},
+                                 {"binary_b64": _b64(storm_binary)})
+        names = [e["name"] for e in encoded["encodings"]]
+        n_ops = n_threads * per_thread
+        assert len(names) >= n_ops // 2
+        # CVE queries, and binary ones that ride the batcher: each of
+        # those names its own function, so each encodes on its first query
+        queries = [
+            {"cve": "CVE-2016-2105", "top_k": 2} if j % 2 == 0 else
+            {"binary_b64": _b64(storm_binary), "function": names[j // 2],
+             "top_k": 2}
+            for j in range(n_ops)
         ]
 
-        def client(t):
-            barrier.wait()
-            try:
-                for i in range(per_thread):
-                    status, _body = _post(
-                        server, "/v1/query", queries[(t + i) % 2]
-                    )
-                    assert status == 200
-            except Exception as exc:  # noqa: BLE001 - asserted below
-                errors.append(exc)
+        def storm():
+            barrier = threading.Barrier(n_threads)
+            errors = []
 
-        threads = [threading.Thread(target=client, args=(t,))
-                   for t in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors, errors
+            def client(t):
+                barrier.wait()
+                try:
+                    for i in range(per_thread):
+                        status, _body = _post(
+                            server, "/v1/query", queries[t * per_thread + i]
+                        )
+                        assert status == 200
+                except Exception as exc:  # noqa: BLE001 - asserted below
+                    errors.append(exc)
 
+            threads = [threading.Thread(target=client, args=(t,))
+                       for t in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert not errors, errors
+
+        _status, before = _get(server, "/v1/stats")
+        storm()
         _status, stats = _get(server, "/v1/stats")
         _text, values = self._scrape(server)
+        for field in ("n_query_encodes", "micro_batched_items"):
+            assert stats[field] - before[field] >= n_ops // 2, field
         # the stats view and the exposition read the same registry, so
         # the counters cannot disagree
         assert values["repro_queries_total"] == stats["n_queries"]
@@ -739,6 +753,13 @@ class TestObservability:
         assert values[
             'repro_request_seconds_count{endpoint="/v1/query"}'
         ] >= n_threads * per_thread
+
+        # a warm storm answers every binary query from the memo
+        storm()
+        _status, warm = _get(server, "/v1/stats")
+        assert warm["n_queries"] == stats["n_queries"] + n_ops
+        assert warm["n_query_encodes"] == stats["n_query_encodes"]
+        assert warm["micro_batches"] == stats["micro_batches"]
 
     def test_request_id_minted_and_echoed(self, server):
         with urllib.request.urlopen(
