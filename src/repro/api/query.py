@@ -109,6 +109,7 @@ class OnlinePhase:
                     f"CVE function {entry.function_name!r} did not "
                     f"survive decompilation/preprocessing"
                 )
+            encoding.vector.flags.writeable = False  # shared by every query
             library[entry.cve_id] = (entry, encoding)
         with self._memo_lock:
             if self._library is None:
@@ -135,6 +136,10 @@ class OnlinePhase:
         its deadline (``request.deadline`` or
         ``config.request_timeout_ms``) raises
         :class:`DeadlineExceededError` instead of holding its slot.
+
+        The result's ``encoding`` is memoized and shared: every query of
+        the same function returns the same frozen
+        :class:`FunctionEncoding`, whose ``vector`` is read-only.
         """
         return self._answer(
             [request], "engine.query", "repro_query_seconds"

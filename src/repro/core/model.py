@@ -67,9 +67,13 @@ class AsteriaConfig:
     seed: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class FunctionEncoding:
-    """Cached offline-phase output for one function."""
+    """Cached offline-phase output for one function.
+
+    Frozen: the engine hands one memoized encoding to every query of its
+    function (and to every CVE query), so no caller may rebind a field.
+    """
 
     name: str
     arch: str

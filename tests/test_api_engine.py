@@ -7,6 +7,7 @@ typed error hierarchy, thread-safety under a concurrent query storm, and
 the query / one-request-batch differential.
 """
 
+import dataclasses
 import itertools
 import json
 import sys
@@ -1011,6 +1012,21 @@ class TestQueryEncodingMemo:
             first.vector[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             first.vector += 1.0
+        kept = first.vector.tobytes()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.vector = np.zeros_like(first.vector)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.name = "renamed"
+        again = engine.query(request).encoding
+        assert again.vector.tobytes() == kept and again.name == first.name
+
+    def test_a_cve_encoding_is_shared_and_read_only(self, trained_model):
+        engine = self._engine(trained_model)
+        request = QueryRequest(cve_id="CVE-2016-2105", top_k=1)
+        first = engine.query(request).encoding
+        assert engine.query(request).encoding is first
+        with pytest.raises(ValueError, match="read-only"):
+            first.vector[0] = 1.0
 
     def test_an_evicted_function_encodes_again_to_the_same_bytes(
         self, trained_model, monkeypatch
